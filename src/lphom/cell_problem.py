@@ -22,7 +22,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import TransformField, UnitCellSpec
+from .geometry import TransformField, UnitCellSpec, mask_connected
 
 CoefficientLike = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
@@ -76,26 +76,6 @@ def pullback_coefficient(A: CoefficientLike, transform: TransformField,
         return detD * Dinv @ M @ Dinv.T
 
     return B
-
-
-def _connected(fluid: np.ndarray) -> bool:
-    """Flood fill with periodic wrap; True when all fluid cells are reached."""
-    n1, n2 = fluid.shape
-    total = int(fluid.sum())
-    if total == 0:
-        return False
-    seen = np.zeros_like(fluid, dtype=bool)
-    start = tuple(np.argwhere(fluid)[0])
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i, j = stack.pop()
-        for ni, nj in ((i + 1) % n1, j), ((i - 1) % n1, j), \
-                      (i, (j + 1) % n2), (i, (j - 1) % n2):
-            if fluid[ni, nj] and not seen[ni, nj]:
-                seen[ni, nj] = True
-                stack.append((ni, nj))
-    return int(seen.sum()) == total
 
 
 def _clip_interval(lo: np.ndarray, hi: np.ndarray):
@@ -391,7 +371,7 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
         fluid_area = (float(np.sum(kind == 1)) + float(cut_m[:, 0].sum())) * h * h
 
     fluid = kind > 0
-    if not _connected(fluid):
+    if not mask_connected(fluid, periodic=True):
         raise ValueError("fluid region of the cell mask is disconnected")
     return CellGeometry(x=x, D=D, K=K, detD=detD, N_c=N_c, h=h, cell=cell,
                         fluid=fluid, kind=kind, cut_idx=cut_idx,

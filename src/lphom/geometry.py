@@ -470,3 +470,35 @@ def indicator_plywood(partition: Partition, gamma: Callable[[float], float],
     dist = np.sqrt(np.sum(trans**2, axis=1)) / rho_n[act]
     out[act] = dist <= a
     return out
+
+
+def mask_connected(mask: np.ndarray, periodic: bool = False) -> bool:
+    """True when the True cells of a 2-D mask form one 4-connected set.
+
+    With periodic, the first and last row (and column) are neighbours, as on
+    the unit-cell torus; otherwise the outer boundary is a wall. An empty
+    mask counts as disconnected.
+    """
+    # imported here because scipy.sparse.csgraph adds to every lphom import
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    mask = np.asarray(mask, dtype=bool)
+    total = int(mask.sum())
+    if total == 0:
+        return False
+    ids = np.full(mask.shape, -1)
+    ids[mask] = np.arange(total)
+    if periodic:
+        pairs = [(ids, np.roll(ids, -1, axis=0)), (ids, np.roll(ids, -1, axis=1))]
+    else:
+        pairs = [(ids[:-1, :], ids[1:, :]), (ids[:, :-1], ids[:, 1:])]
+    rows, cols = [], []
+    for a, b in pairs:
+        keep = (a >= 0) & (b >= 0)
+        rows.append(a[keep])
+        cols.append(b[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                          shape=(total, total))
+    return connected_components(graph, directed=False)[0] == 1

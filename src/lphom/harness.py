@@ -219,54 +219,64 @@ def _compare(mic: MicroRun, mac: MacroRun) -> EpsilonResult:
 
 
 def convergence_study(study: StudyConfig, max_workers: int = 3) -> ConvergenceReport:
-    """Run the full study. Sub-run failures become per-epsilon records."""
+    """Run the full study. Sub-run failures become per-epsilon records.
+
+    The macro job (tensor field, assembly, run) and the micro runs share one
+    thread pool, since the micro runs do not need the tensors; the micro
+    runs are submitted finest epsilon first, the longest first.
+    """
     sc = study.scenario
-    mac_cfg = MacroConfig(sc, H=study.H, T=study.T, dt=study.macro_dt(),
-                          n_gamma=study.n_gamma, N_c=study.N_c)
-    nodes = macro_nodes(mac_cfg)
-    fld = tensor_field(nodes, sc.suite.A, sc.transform, sc.cell, N_c=study.N_c)
-    mac_cfg.tensors = fld
+
+    def macro_job() -> MacroRun:
+        mac_cfg = MacroConfig(sc, H=study.H, T=study.T, dt=study.macro_dt(),
+                              n_gamma=study.n_gamma, N_c=study.N_c)
+        mac_cfg.tensors = tensor_field(macro_nodes(mac_cfg), sc.suite.A,
+                                       sc.transform, sc.cell, N_c=study.N_c)
+        op = assemble_macro(mac_cfg)
+        return run_macro(mac_cfg, op=op, n_samples=study.n_samples,
+                         keep_fields=True)
+
+    def micro_job(eps: float) -> MicroRun:
+        cfg = MicroConfig(sc, eps, r=study.r,
+                          cells_per_eps=study.cells_per_eps, T=study.T,
+                          dt=study.micro_dt(eps))
+        return run_micro(cfg, n_samples=study.n_samples, keep_fields=True)
 
     mac_run: Optional[MacroRun] = None
     macro_error: Optional[str] = None
-    try:
-        op = assemble_macro(mac_cfg)
-        mac_run = run_macro(mac_cfg, op=op, n_samples=study.n_samples,
-                            keep_fields=True)
-    except Exception as exc:                        # noqa: BLE001
-        macro_error = f"macro run failed: {exc}"
-
     micro_runs: dict = {}
-
-    def one(eps: float) -> EpsilonResult:
-        if macro_error is not None:
-            return EpsilonResult(epsilon=eps, error=macro_error)
+    rows = []
+    workers = max(1, min(max_workers, len(study.eps_list) + 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        macro_future = pool.submit(macro_job)
+        micro_futures = {eps: pool.submit(micro_job, eps)
+                         for eps in sorted(study.eps_list)}
         try:
-            cfg = MicroConfig(sc, eps, r=study.r,
-                              cells_per_eps=study.cells_per_eps, T=study.T,
-                              dt=study.micro_dt(eps))
-            mic = run_micro(cfg, n_samples=study.n_samples, keep_fields=True)
-            micro_runs[eps] = mic
-            return _compare(mic, mac_run)
+            mac_run = macro_future.result()
         except Exception as exc:                    # noqa: BLE001
-            return EpsilonResult(epsilon=eps, error=f"micro run failed: {exc}")
-
-    workers = max(1, min(max_workers, len(study.eps_list)))
-    if workers == 1:
-        rows = [one(e) for e in study.eps_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, study.eps_list))
+            macro_error = f"macro run failed: {exc}"
+            for fut in micro_futures.values():
+                fut.cancel()
+        for eps in study.eps_list:
+            if macro_error is not None:
+                rows.append(EpsilonResult(epsilon=eps, error=macro_error))
+                continue
+            try:
+                mic = micro_futures[eps].result()
+                micro_runs[eps] = mic
+                rows.append(_compare(mic, mac_run))
+            except Exception as exc:                # noqa: BLE001
+                rows.append(EpsilonResult(epsilon=eps,
+                                          error=f"micro run failed: {exc}"))
 
     all_passed = all(r.passed for r in rows)
     Es = [r.E for r in rows]
     monotone = all_passed and all(b < a for a, b in zip(Es, Es[1:]))
     total_drop = Es[0] / Es[-1] if all_passed and Es[-1] > 0 else math.nan
-    report = ConvergenceReport(study=study, rows=rows, monotone=monotone,
-                               total_drop=total_drop,
-                               passed=all_passed and monotone,
-                               macro_run=mac_run, micro_runs=micro_runs)
-    return report
+    return ConvergenceReport(study=study, rows=rows, monotone=monotone,
+                             total_drop=total_drop,
+                             passed=all_passed and monotone,
+                             macro_run=mac_run, micro_runs=micro_runs)
 
 
 def convergence_csv_lines(report: ConvergenceReport) -> List[str]:

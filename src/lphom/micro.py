@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import (Partition, Subdomain, _lattice_sets, build_partition,
-                       indicator_perforated, locate_batch)
+                       indicator_perforated, locate_batch, mask_connected)
 from .scenarios import CoefficientSuite, Scenario
 
 
@@ -110,13 +110,35 @@ class MicroState:
     r_b: np.ndarray          # (F,)
 
 
-# marching-squares connectivity: per corner sign code, pairs of edges
-# (0 bottom, 1 right, 2 top, 3 left) crossed by the boundary segments
+# marching-squares connectivity: per corner sign code, the pairs of edges
+# (0 bottom, 1 right, 2 top, 3 left) crossed by the boundary segments; the
+# saddles (corners 00 and 11, or 10 and 01 inside) are split by the sign of
+# the corner mean, and take _MS_SADDLES_IN when it is inside the hole
 _MS_SEGMENTS = {
     1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
     3: [(3, 1)], 6: [(0, 2)], 12: [(3, 1)], 9: [(0, 2)],
     7: [(3, 2)], 11: [(1, 2)], 13: [(0, 1)], 14: [(3, 0)],
+    5: [(3, 0), (1, 2)], 10: [(0, 1), (2, 3)],
 }
+_MS_SADDLES_IN = {5: [(3, 2), (1, 0)], 10: [(0, 3), (2, 1)]}
+
+
+def _ms_table() -> np.ndarray:
+    """Edge pairs indexed [mean inside, code, segment, end]; -1 = none."""
+    table = np.full((2, 16, 2, 2), -1)
+    for c, pairs in _MS_SEGMENTS.items():
+        table[:, c, :len(pairs)] = pairs
+    for c, pairs in _MS_SADDLES_IN.items():
+        table[1, c] = pairs
+    return table
+
+
+_MS_TABLE = _ms_table()
+# per edge: its corners (0: i,j  1: i+1,j  2: i+1,j+1  3: i,j+1) in the
+# direction of the crossing parameter t, and its offset on the fixed axis
+_EDGE_FROM = np.array([0, 1, 3, 0])
+_EDGE_TO = np.array([1, 2, 2, 3])
+_EDGE_OFFSET = np.array([0.0, 1.0, 1.0, 0.0])
 
 
 def _face_segments(level: np.ndarray, h: float):
@@ -125,53 +147,32 @@ def _face_segments(level: np.ndarray, h: float):
     level has node values on an (n+1)^2 grid; returns per-segment host cell
     (i, j), endpoints in physical coordinates, for every cell whose corner
     signs are mixed. Saddle cells are split by the corner-mean value.
+    Segments come in row-major cell order, then in table order within a
+    cell: the face arrays, and every sum over them, depend on that order.
     """
     inside = level < 0.0
-    f00 = inside[:-1, :-1]
-    f10 = inside[1:, :-1]
-    f11 = inside[1:, 1:]
-    f01 = inside[:-1, 1:]
-    code = (f00.astype(np.int8) + 2 * f10 + 4 * f11 + 8 * f01)
+    code = (inside[:-1, :-1].astype(np.int8) + 2 * inside[1:, :-1]
+            + 4 * inside[1:, 1:] + 8 * inside[:-1, 1:])
     cells = np.argwhere((code > 0) & (code < 15))
-    hosts, p0s, p1s = [], [], []
-    for i, j in cells:
-        c = int(code[i, j])
-        phi = (level[i, j], level[i + 1, j], level[i + 1, j + 1],
-               level[i, j + 1])
+    i, j = cells[:, 0], cells[:, 1]
+    phi = np.stack([level[i, j], level[i + 1, j], level[i + 1, j + 1],
+                    level[i, j + 1]], axis=1)
+    center_in = (phi[:, 0] + phi[:, 1] + phi[:, 2] + phi[:, 3]) < 0.0
+    pairs = _MS_TABLE[center_in.astype(int), code[i, j]]
+    seg_cell, seg = np.nonzero(pairs[:, :, 0] >= 0)
+    edges = pairs[seg_cell, seg]
+    hosts = cells[seg_cell]
 
-        def crossing(edge):
-            # endpoints of each cell edge in corner order
-            if edge == 0:      # bottom: corner 0 -> 1
-                a, b = phi[0], phi[1]
-                t = a / (a - b)
-                return ((i + t) * h, j * h)
-            if edge == 1:      # right: corner 1 -> 2
-                a, b = phi[1], phi[2]
-                t = a / (a - b)
-                return ((i + 1) * h, (j + t) * h)
-            if edge == 2:      # top: corner 3 -> 2
-                a, b = phi[3], phi[2]
-                t = a / (a - b)
-                return ((i + t) * h, (j + 1) * h)
-            a, b = phi[0], phi[3]  # left: corner 0 -> 3
-            t = a / (a - b)
-            return (i * h, (j + t) * h)
+    def crossing(edge):
+        a = phi[seg_cell, _EDGE_FROM[edge]]
+        b = phi[seg_cell, _EDGE_TO[edge]]
+        t = a / (a - b)
+        along_x = edge % 2 == 0            # bottom and top edges
+        off = _EDGE_OFFSET[edge]
+        return np.column_stack(((hosts[:, 0] + np.where(along_x, t, off)) * h,
+                                (hosts[:, 1] + np.where(along_x, off, t)) * h))
 
-        if c in (5, 10):
-            center_in = (phi[0] + phi[1] + phi[2] + phi[3]) < 0.0
-            if c == 5:         # corners 00 and 11 inside
-                pairs = [(3, 0), (1, 2)] if not center_in else [(3, 2), (1, 0)]
-            else:              # corners 10 and 01 inside
-                pairs = [(0, 1), (2, 3)] if not center_in else [(0, 3), (2, 1)]
-        else:
-            pairs = _MS_SEGMENTS[c]
-        for e0, e1 in pairs:
-            hosts.append((i, j))
-            p0s.append(crossing(e0))
-            p1s.append(crossing(e1))
-    return (np.array(hosts, dtype=int).reshape(-1, 2),
-            np.array(p0s, dtype=float).reshape(-1, 2),
-            np.array(p1s, dtype=float).reshape(-1, 2))
+    return hosts, crossing(edges[:, 0]), crossing(edges[:, 1])
 
 
 def _commensurate_r(eps: float, r: float) -> float:
@@ -321,14 +322,12 @@ def build_micro_grid(config: MicroConfig) -> MicroGrid:
     centers = np.column_stack([CX.ravel(), CY.ravel()])
     mask = indicator_perforated(partition, scen.transform, scen.cell,
                                 centers).reshape(n, n)
-    if not _mask_connected(mask):
+    if not mask_connected(mask):
         raise ValueError("fluid region of the micro grid is disconnected")
 
-    if scen.cell.inclusion == "none":
-        faces = MicroFaces(cell=np.zeros(0, dtype=int),
-                           length=np.zeros(0), midpoint=np.zeros((0, 2)),
-                           subdomain=np.zeros(0, dtype=int))
-    else:
+    hosts = np.zeros((0, 2), dtype=int)
+    p0 = p1 = np.zeros((0, 2))
+    if scen.cell.inclusion != "none":
         # node level values of the perforation boundary, +1 in leftover
         # regions (no perforations there)
         g = np.arange(n + 1) * h
@@ -339,64 +338,49 @@ def build_micro_grid(config: MicroConfig) -> MicroGrid:
         u = np.einsum("pij,pj->pi", partition._Kinv[sub_n], y - c)
         level = np.linalg.norm(u, axis=1) - scen.cell.a
         level[lam] = 1.0
-        level = level.reshape(n + 1, n + 1)
-
-        hosts, p0, p1 = _face_segments(level, h)
-        if len(hosts) == 0:
-            faces = MicroFaces(cell=np.zeros(0, dtype=int),
-                               length=np.zeros(0), midpoint=np.zeros((0, 2)),
-                               subdomain=np.zeros(0, dtype=int))
-        else:
-            length = np.linalg.norm(p1 - p0, axis=1)
-            mid = 0.5 * (p0 + p1)
-            keep = length > 1e-14 * h
-            hosts, length, mid = hosts[keep], length[keep], mid[keep]
-            deposit = np.empty(len(hosts), dtype=int)
-            for k, (i, j) in enumerate(hosts):
-                if mask[i, j]:
-                    deposit[k] = i * n + j
-                    continue
-                # host cell center sits inside the hole: hand the flux to
-                # the nearest fluid neighbor
-                best, best_d = -1, math.inf
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1),
-                               (1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < n and 0 <= jj < n and mask[ii, jj]:
-                        cc = ((ii + 0.5) * h - mid[k, 0])**2 \
-                            + ((jj + 0.5) * h - mid[k, 1])**2
-                        if cc < best_d:
-                            best, best_d = ii * n + jj, cc
-                if best < 0:
-                    raise ValueError(
-                        "boundary segment has no adjacent fluid cell")
-                deposit[k] = best
-            subdom = partition.subdomain_of(mid)
-            faces = MicroFaces(cell=deposit, length=length, midpoint=mid,
-                               subdomain=subdom)
+        hosts, p0, p1 = _face_segments(level.reshape(n + 1, n + 1), h)
+    length = np.linalg.norm(p1 - p0, axis=1)
+    mid = 0.5 * (p0 + p1)
+    keep = length > 1e-14 * h
+    hosts, length, mid = hosts[keep], length[keep], mid[keep]
+    faces = MicroFaces(cell=_deposit_cells(hosts, mid, mask, h),
+                       length=length, midpoint=mid,
+                       subdomain=partition.subdomain_of(mid))
 
     return MicroGrid(config=config, partition=partition, mask=mask,
                      faces=faces, n=n, h=h)
 
 
-def _mask_connected(mask: np.ndarray) -> bool:
-    """Flood fill without periodic wrap (the outer boundary is a wall)."""
-    total = int(mask.sum())
-    if total == 0:
-        return False
-    n1, n2 = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
-    start = tuple(np.argwhere(mask)[0])
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i, j = stack.pop()
-        for ni, nj in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-            if 0 <= ni < n1 and 0 <= nj < n2 and mask[ni, nj] \
-                    and not seen[ni, nj]:
-                seen[ni, nj] = True
-                stack.append((ni, nj))
-    return int(seen.sum()) == total
+# neighbor search order of the deposit cell; the first of equidistant
+# neighbors wins
+_NEIGHBORS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
+                       (1, 1), (1, -1), (-1, 1), (-1, -1)])
+
+
+def _deposit_cells(hosts: np.ndarray, mid: np.ndarray, mask: np.ndarray,
+                   h: float) -> np.ndarray:
+    """Flat fluid cell receiving each segment's exchange flux.
+
+    A segment deposits into its host cell when the host center is fluid,
+    else into the nearest fluid cell among the host's 8 neighbors.
+    """
+    n = mask.shape[0]
+    i, j = hosts[:, 0], hosts[:, 1]
+    deposit = i * n + j
+    solid = ~mask[i, j]                 # host center inside the hole
+    if solid.any():
+        ii = i[solid, None] + _NEIGHBORS[:, 0]
+        jj = j[solid, None] + _NEIGHBORS[:, 1]
+        ok = (ii >= 0) & (ii < n) & (jj >= 0) & (jj < n)
+        ok[ok] = mask[ii[ok], jj[ok]]
+        if not ok.any(axis=1).all():
+            raise ValueError("boundary segment has no adjacent fluid cell")
+        dist = ((ii + 0.5) * h - mid[solid, 0, None])**2 \
+            + ((jj + 0.5) * h - mid[solid, 1, None])**2
+        best = np.argmin(np.where(ok, dist, np.inf), axis=1)
+        rows = np.arange(len(best))
+        deposit[solid] = ii[rows, best] * n + jj[rows, best]
+    return deposit
 
 
 class MicroOperator:
@@ -432,14 +416,11 @@ class MicroOperator:
         self.lu = spla.splu(M.tocsc())
         self.grid = grid
         self.dt = dt
-        self.tx = tx
-        self.ty = ty
         self.fluid = mask.ravel()
         self.face_cell = grid.faces.cell
-        self.face_len = grid.faces.length
         # per-cell surface density sigma = eps * sum(len) / h^2 used by the
         # explicit exchange deposit
-        self.face_scale = cfg.eps * self.face_len / h**2
+        self.face_scale = cfg.eps * grid.faces.length / h**2
 
 
 def micro_step(state: MicroState, op: MicroOperator) -> MicroState:
@@ -494,17 +475,12 @@ def face_dirichlet_form(l: np.ndarray, tx: np.ndarray,
     return total
 
 
-def micro_energy(state: MicroState, grid: MicroGrid,
-                 tx: Optional[np.ndarray] = None,
-                 ty: Optional[np.ndarray] = None) -> float:
+def micro_energy(state: MicroState, grid: MicroGrid) -> float:
     """Dirichlet form of the ligand field on interior fluid faces."""
     mask = grid.mask
     A = grid.config.suite.A
-    if tx is None:
-        tx = A * (mask[:-1, :] & mask[1:, :])
-    if ty is None:
-        ty = A * (mask[:, :-1] & mask[:, 1:])
-    return face_dirichlet_form(state.l, tx, ty)
+    return face_dirichlet_form(state.l, A * (mask[:-1, :] & mask[1:, :]),
+                               A * (mask[:, :-1] & mask[:, 1:]))
 
 
 def _barrier_rate(grid: MicroGrid, M: float) -> float:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from lphom.cell_problem import (
-    _connected,
     build_cell_geometry,
     effective_tensor,
     porosity,
@@ -19,7 +18,8 @@ from lphom.cell_problem import (
     solve_cell,
     tensor_field,
 )
-from lphom.geometry import TransformField, UnitCellSpec, rotation_matrix
+from lphom.geometry import (TransformField, UnitCellSpec, mask_connected,
+                             rotation_matrix)
 from lphom.scenarios import get_scenario
 
 I2 = np.eye(2)
@@ -112,13 +112,15 @@ class TestGeometryBuild:
 
     def test_connectivity_detector(self):
         full = np.ones((8, 8), dtype=bool)
-        assert _connected(full)
+        assert mask_connected(full, periodic=True)
         banded = full.copy()
         banded[3, :] = False          # periodic band still splits the torus?
-        assert _connected(banded)     # no: one band leaves a connected strip
+        # no: one band leaves a connected strip
+        assert mask_connected(banded, periodic=True)
         banded[5, :] = False          # two bands separate an annulus
-        assert not _connected(banded)
-        assert not _connected(np.zeros((4, 4), dtype=bool))
+        assert not mask_connected(banded, periodic=True)
+        assert not mask_connected(np.zeros((4, 4), dtype=bool),
+                                  periodic=True)
 
 
 class TestNoInclusion:

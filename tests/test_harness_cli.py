@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from lphom import cli
+from lphom import cli, harness
 from lphom.cell_problem import tensor_field
 from lphom.cli import UsageError, load_config_file, main
 from lphom.harness import (
@@ -240,6 +240,77 @@ class TestConvergeCommand:
         assert E[0] > E[1]
         assert abs(E[0] - 3.768372569783e-03) < 1e-9
         assert abs(E[1] - 2.918703893225e-03) < 1e-9
+
+
+def row_bits(row):
+    """Everything a study row reports, floats as exact hex strings."""
+    vals = (row.E, row.energy_micro, row.energy_macro, row.energy_gap,
+            row.lts_gap)
+    return (row.epsilon, *(float(v).hex() for v in vals), row.passed,
+            row.error)
+
+
+class TestScheduler:
+    @pytest.fixture(scope="class")
+    def study(self):
+        return StudyConfig(scenario=get_scenario("epithelial"),
+                           eps_list=(1 / 4, 1 / 8, 1 / 16), cells_per_eps=8,
+                           N_c=32, H=1 / 8, T=0.1)
+
+    @pytest.fixture(scope="class")
+    def serial(self, study):
+        return convergence_study(study, max_workers=1)
+
+    def test_rows_do_not_depend_on_pool_size(self, study, serial):
+        threaded = convergence_study(study, max_workers=3)
+        assert [r.epsilon for r in serial.rows] == list(study.eps_list)
+        assert all(r.passed for r in serial.rows)
+        assert [row_bits(r) for r in threaded.rows] \
+            == [row_bits(r) for r in serial.rows]
+
+    def test_serial_order_is_macro_then_finest_first(self, study,
+                                                     monkeypatch):
+        calls = []
+        real_field, real_micro = harness.tensor_field, harness.run_micro
+
+        def field(*args, **kwargs):
+            calls.append("tensor_field")
+            return real_field(*args, **kwargs)
+
+        def micro(cfg, *args, **kwargs):
+            calls.append(cfg.eps)
+            return real_micro(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "tensor_field", field)
+        monkeypatch.setattr(harness, "run_micro", micro)
+        convergence_study(study, max_workers=1)
+        assert calls == ["tensor_field", 1 / 16, 1 / 8, 1 / 4]
+
+    def test_macro_failure_marks_every_row(self, study, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("factorization broke")
+
+        monkeypatch.setattr(harness, "run_macro", broken)
+        rep = convergence_study(study, max_workers=3)
+        assert [r.error for r in rep.rows] \
+            == ["macro run failed: factorization broke"] * 3
+        assert rep.macro_run is None and not rep.passed
+
+    def test_micro_failure_stays_in_its_row(self, study, serial,
+                                            monkeypatch):
+        real_micro = harness.run_micro
+
+        def flaky(cfg, *args, **kwargs):
+            if cfg.eps == 1 / 8:
+                raise RuntimeError("grid broke")
+            return real_micro(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_micro", flaky)
+        rep = convergence_study(study, max_workers=3)
+        assert rep.rows[1].error == "micro run failed: grid broke"
+        assert math.isnan(rep.rows[1].E) and not rep.passed
+        for k in (0, 2):
+            assert row_bits(rep.rows[k]) == row_bits(serial.rows[k])
 
 
 class TestUnperforatedStudy:

@@ -3,7 +3,9 @@
 Geometry oracles (perimeters against closed-form circle and ellipse
 values), exact fixed points, a reference ODE integration in the regime
 where the ligand stays spatially uniform, and the bookkeeping identities
-(mass ledger, receptor balance) the IMEX step is built to satisfy.
+(mass ledger, receptor balance) the IMEX step is built to satisfy. The
+vectorized grid-build pieces are checked bit for bit against scalar
+reference loops kept here.
 """
 
 import math
@@ -11,13 +13,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
+from lphom.geometry import mask_connected
 from lphom.micro import (
     MicroConfig,
     MicroOperator,
     MicroState,
+    _deposit_cells,
+    _face_segments,
     build_micro_grid,
     initial_micro_state,
     micro_energy,
@@ -342,3 +349,194 @@ class TestEnergy:
         d2 = abs(vals[1] - vals[2])
         assert d2 < d1
         assert d2 / abs(vals[2]) < 0.05
+
+
+# ------------------------------------------------ scalar reference loops
+
+_REF_SEGMENTS = {
+    1: [(3, 0)], 2: [(0, 1)], 4: [(1, 2)], 8: [(2, 3)],
+    3: [(3, 1)], 6: [(0, 2)], 12: [(3, 1)], 9: [(0, 2)],
+    7: [(3, 2)], 11: [(1, 2)], 13: [(0, 1)], 14: [(3, 0)],
+}
+
+
+def reference_face_segments(level, h):
+    """Per-cell marching-squares loop the vectorized version replaced."""
+    inside = level < 0.0
+    code = (inside[:-1, :-1].astype(np.int8) + 2 * inside[1:, :-1]
+            + 4 * inside[1:, 1:] + 8 * inside[:-1, 1:])
+    hosts, p0s, p1s = [], [], []
+    for i, j in np.argwhere((code > 0) & (code < 15)):
+        c = int(code[i, j])
+        phi = (level[i, j], level[i + 1, j], level[i + 1, j + 1],
+               level[i, j + 1])
+
+        def crossing(edge):
+            if edge == 0:
+                a, b = phi[0], phi[1]
+                t = a / (a - b)
+                return ((i + t) * h, j * h)
+            if edge == 1:
+                a, b = phi[1], phi[2]
+                t = a / (a - b)
+                return ((i + 1) * h, (j + t) * h)
+            if edge == 2:
+                a, b = phi[3], phi[2]
+                t = a / (a - b)
+                return ((i + t) * h, (j + 1) * h)
+            a, b = phi[0], phi[3]
+            t = a / (a - b)
+            return (i * h, (j + t) * h)
+
+        if c in (5, 10):
+            center_in = (phi[0] + phi[1] + phi[2] + phi[3]) < 0.0
+            if c == 5:
+                pairs = [(3, 0), (1, 2)] if not center_in else [(3, 2), (1, 0)]
+            else:
+                pairs = [(0, 1), (2, 3)] if not center_in else [(0, 3), (2, 1)]
+        else:
+            pairs = _REF_SEGMENTS[c]
+        for e0, e1 in pairs:
+            hosts.append((i, j))
+            p0s.append(crossing(e0))
+            p1s.append(crossing(e1))
+    return (np.array(hosts, dtype=int).reshape(-1, 2),
+            np.array(p0s, dtype=float).reshape(-1, 2),
+            np.array(p1s, dtype=float).reshape(-1, 2))
+
+
+def reference_deposit_cells(hosts, mid, mask, h):
+    """Per-segment nearest-fluid-neighbor loop with a strict < on ties."""
+    n = mask.shape[0]
+    deposit = np.empty(len(hosts), dtype=int)
+    for k, (i, j) in enumerate(hosts):
+        if mask[i, j]:
+            deposit[k] = i * n + j
+            continue
+        best, best_d = -1, math.inf
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                       (1, 1), (1, -1), (-1, 1), (-1, -1)):
+            ii, jj = i + di, j + dj
+            if 0 <= ii < n and 0 <= jj < n and mask[ii, jj]:
+                cc = ((ii + 0.5) * h - mid[k, 0])**2 \
+                    + ((jj + 0.5) * h - mid[k, 1])**2
+                if cc < best_d:
+                    best, best_d = ii * n + jj, cc
+        if best < 0:
+            raise ValueError("boundary segment has no adjacent fluid cell")
+        deposit[k] = best
+    return deposit
+
+
+def reference_connected(mask, periodic):
+    """Depth-first flood fill from the first True cell."""
+    n1, n2 = mask.shape
+    total = int(mask.sum())
+    if total == 0:
+        return False
+    seen = np.zeros_like(mask, dtype=bool)
+    start = tuple(np.argwhere(mask)[0])
+    seen[start] = True
+    stack = [start]
+    while stack:
+        i, j = stack.pop()
+        for ni, nj in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if periodic:
+                ni, nj = ni % n1, nj % n2
+            if 0 <= ni < n1 and 0 <= nj < n2 and mask[ni, nj] \
+                    and not seen[ni, nj]:
+                seen[ni, nj] = True
+                stack.append((ni, nj))
+    return int(seen.sum()) == total
+
+
+def assert_bitwise_equal(got, ref):
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
+class TestVectorizedGridPieces:
+    def test_every_mixed_code_and_saddle_branch(self):
+        # one cell per case; corner k carries bit 2^k of the code
+        seen = set()
+        for c in range(1, 15):
+            for neg, pos in ((-2.3, 0.7), (-0.6, 1.9)):
+                corners = [neg * (1 + 0.1 * k) if c >> k & 1
+                           else pos * (1 + 0.1 * k) for k in range(4)]
+                level = np.array([[corners[0], corners[3]],
+                                  [corners[1], corners[2]]])
+                got = _face_segments(level, 0.125)
+                assert_bitwise_equal(got, reference_face_segments(level,
+                                                                  0.125))
+                assert len(got[0]) == (2 if c in (5, 10) else 1)
+                seen.add((c, sum(corners) < 0.0))
+        assert {(5, True), (5, False), (10, True), (10, False)} <= seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_level_matches_scalar_loop(self, seed):
+        # many cells of every code: segment order across and within cells
+        rng = np.random.default_rng(seed)
+        level = rng.normal(size=(41, 37))
+        level[rng.random(level.shape) < 0.05] = 0.0
+        h = 1 / 40
+        got = _face_segments(level, h)
+        assert len(got[0]) > 500
+        assert_bitwise_equal(got, reference_face_segments(level, h))
+
+    def test_no_crossing_gives_empty_arrays(self):
+        got = _face_segments(np.ones((5, 5)), 0.25)
+        assert [a.shape for a in got] == [(0, 2)] * 3
+
+    def test_deposit_tie_goes_to_first_neighbor(self):
+        # wet host (1, 1); its (1, 0) and (0, 1) neighbors are fluid and
+        # equidistant from a midpoint on the diagonal between their centers
+        h = 0.25
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[2, 1] = mask[1, 2] = True
+        hosts = np.array([[1, 1]])
+        mid = np.array([[0.4375, 0.4375]])
+        assert reference_deposit_cells(hosts, mid, mask, h)[0] == 7
+        assert _deposit_cells(hosts, mid, mask, h)[0] == 7
+        mask[2, 1] = False
+        mask[0, 1] = True            # (-1, 0) now precedes (0, 1)
+        mid = np.array([[0.3125, 0.4375]])
+        assert reference_deposit_cells(hosts, mid, mask, h)[0] == 1
+        assert _deposit_cells(hosts, mid, mask, h)[0] == 1
+
+    def test_deposit_without_fluid_neighbor_is_rejected(self):
+        mask = np.zeros((3, 3), dtype=bool)
+        mask[0, 0] = True
+        with pytest.raises(ValueError, match="no adjacent fluid"):
+            _deposit_cells(np.array([[2, 2]]), np.array([[0.6, 0.6]]),
+                           mask, 0.25)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_deposits_match_scalar_loop(self, seed):
+        # midpoints on a coarse dyadic lattice, so equal distances are common
+        rng = np.random.default_rng(seed)
+        n, h = 12, 1 / 12
+        mask = rng.random((n, n)) < 0.6
+        hosts = rng.integers(0, n, size=(400, 2))
+        mid = (hosts + rng.integers(0, 5, size=(400, 2)) / 4.0) * h
+        ok = np.array([mask[i, j] or any(
+            0 <= i + di < n and 0 <= j + dj < n and mask[i + di, j + dj]
+            for di in (-1, 0, 1) for dj in (-1, 0, 1))
+            for i, j in hosts])
+        hosts, mid = hosts[ok], mid[ok]
+        ref = reference_deposit_cells(hosts, mid, mask, h)
+        assert (~mask[hosts[:, 0], hosts[:, 1]]).sum() > 50
+        assert_bitwise_equal([_deposit_cells(hosts, mid, mask, h)], [ref])
+
+    @settings(max_examples=200, deadline=None)
+    @given(mask=arrays(bool, st.tuples(st.integers(1, 7), st.integers(1, 7))),
+           periodic=st.booleans())
+    def test_connectivity_matches_flood_fill(self, mask, periodic):
+        assert mask_connected(mask, periodic=periodic) \
+            == reference_connected(mask, periodic)
+
+    def test_wrap_joins_opposite_edges(self):
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[:, 0] = mask[:, 4] = True
+        assert not mask_connected(mask)
+        assert mask_connected(mask, periodic=True)

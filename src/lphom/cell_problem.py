@@ -5,10 +5,15 @@ macro point. A change of variables pulls them back to the reference square:
 the physical operator becomes div(B grad .) with B = |det D| D^-1 A D^-T and
 forcing vectors D^T e_j. Bilinear elements on an N_c x N_c Cartesian grid,
 periodic wrap-around, with cells cut by the inclusion boundary integrated
-exactly (column-wise closed-form moments of the ellipse complement), solve
-the d problems per point by preconditioned conjugate gradients with the
-constant mode projected out. Because the discrete space is conforming on the
-perforated cell and nested under dyadic refinement, the effective tensor
+exactly (column-wise closed-form moments of the ellipse complement), give
+one stiffness matrix per point. It is factorized once by a sparse LU on the
+active nodes, with one node pinned to remove the constant mode and the mean
+subtracted afterwards, and that factor solves the two unit forcings. The
+corrector of the forcing D^T e_j is the same combination of the two unit
+correctors, so A_eff(x) = D G D^T / |det D| where G depends on B and K
+only: points sharing (B, K), such as every node of a rotated lattice with
+isotropic A, share one solve. Because the discrete space is conforming on
+the perforated cell and nested under dyadic refinement, the effective tensor
 converges monotonically from above at second order; the energy-form assembly
 keeps it symmetric by construction.
 """
@@ -17,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .geometry import TransformField, UnitCellSpec, mask_connected
 
@@ -285,6 +292,22 @@ class CellGeometry:
         return self._bxy
 
 
+def _cell_coefficient(A: CoefficientLike, transform: TransformField,
+                      x: np.ndarray) -> np.ndarray:
+    """Pulled-back coefficient B at x, which must be constant on the cell."""
+    Bfun = pullback_coefficient(A, transform, x)
+    if not callable(Bfun):
+        return Bfun
+    # A may vary with the macro point but not inside the unit cell
+    Bmat = Bfun(np.array([0.5, 0.5]))
+    probe = Bfun(np.array([0.125, 0.625]))
+    if np.max(np.abs(probe - Bmat)) > 1e-12 * max(1.0, np.max(np.abs(Bmat))):
+        raise NotImplementedError(
+            "cell coefficients varying inside the unit cell are not "
+            "supported; A may depend on the macro point only")
+    return Bmat
+
+
 def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
                         cell: UnitCellSpec, N_c: int) -> CellGeometry:
     """Mask, cut-cell moments and coefficient data for the problem at x."""
@@ -298,17 +321,7 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
     K = transform.K_at(x)
     detD = abs(float(np.linalg.det(D)))
 
-    Bfun = pullback_coefficient(A, transform, x)
-    if callable(Bfun):
-        # A may vary with the macro point but not inside the unit cell
-        Bmat = Bfun(np.array([0.5, 0.5]))
-        probe = Bfun(np.array([0.125, 0.625]))
-        if np.max(np.abs(probe - Bmat)) > 1e-12 * max(1.0, np.max(np.abs(Bmat))):
-            raise NotImplementedError(
-                "cell coefficients varying inside the unit cell are not "
-                "supported; A may depend on the macro point only")
-    else:
-        Bmat = Bfun
+    Bmat = _cell_coefficient(A, transform, x)
     scale = float(np.max(np.abs(Bmat)))
     if abs(Bmat[0, 1]) > 1e-12 * scale:
         raise NotImplementedError(
@@ -380,43 +393,34 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
                         fluid_area=fluid_area)
 
 
-def _pcg(S, b: np.ndarray, active: np.ndarray, tol: float, maxiter: int):
-    """Jacobi-preconditioned CG on active nodes, constants projected out."""
-    nf = int(active.sum())
-    diag = S.diagonal()
-    inv_diag = np.where(active, 1.0 / np.where(active, diag, 1.0), 0.0)
+def _unit_correctors(geom: CellGeometry):
+    """Correctors of the unit forcings bx, by from one sparse LU.
 
-    def proj(v):
-        v = np.where(active, v, 0.0)
-        return np.where(active, v - v.sum() / nf, 0.0)
-
-    b = proj(b)
-    bnorm = math.sqrt(float(b @ b))
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0, 0
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = proj(inv_diag * r)
-    p = z.copy()
-    rz = float(r @ z)
-    res = 1.0
-    it = 0
-    for it in range(1, maxiter + 1):
-        Ap = proj(S @ p)
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        res = math.sqrt(float(r @ r)) / bnorm
-        if res <= tol:
-            break
-        z = proj(inv_diag * r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return proj(x), res, it
+    On the active nodes the stiffness matrix is singular only in the
+    constants (the fluid is connected), and the forcings are projected onto
+    its range, the zero-mean vectors. Pinning the first active node to zero
+    leaves a symmetric positive definite system, factorized once without
+    pivoting under a symmetric ordering; subtracting the mean afterwards
+    restores the zero-mean normalization. Returns the (2, N*N) nodal
+    correctors and the true relative residuals ||S w - b|| / ||b|| on the
+    active nodes.
+    """
+    S = geom.assemble()
+    act = geom.active
+    S_act = S[act][:, act]
+    b = np.column_stack([v[act] for v in geom.unit_forcing_vectors()])
+    b -= b.mean(axis=0)
+    lu = spla.splu(S_act[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    w = np.zeros_like(b)
+    w[1:] = lu.solve(b[1:])
+    w -= w.mean(axis=0)
+    bnorm = np.linalg.norm(b, axis=0)
+    rnorm = np.linalg.norm(S_act @ w - b, axis=0)
+    res = np.divide(rnorm, bnorm, out=np.zeros(2), where=bnorm > 0.0)
+    out = np.zeros((2, geom.N_c * geom.N_c))
+    out[:, act] = w.T
+    return out, res
 
 
 @dataclass
@@ -424,9 +428,11 @@ class CellSolution:
     """Correctors of one macro point, nodal fields on the reference grid."""
 
     geometry: CellGeometry
-    correctors: np.ndarray       # (d, N, N) node values, zero outside fluid
-    residuals: np.ndarray        # (d,) relative linear-solver residuals
-    iterations: np.ndarray       # (d,)
+    unit_correctors: np.ndarray  # (d, N, N) for forcings e_x, e_y; zero
+                                 # outside fluid
+    residuals: np.ndarray        # (d,) relative residuals of the unit solves
+    iterations: np.ndarray       # (d,) solver iterations, 0 for the direct
+                                 # solve
     zero_mean: bool = True
 
     @property
@@ -436,6 +442,38 @@ class CellSolution:
     @property
     def residual(self) -> float:
         return float(np.max(self.residuals))
+
+    @property
+    def correctors(self) -> np.ndarray:
+        """(d, N, N) correctors of the forcings D^T e_j at the solved point."""
+        f = self.geometry.forcing
+        wx, wy = self.unit_correctors
+        return np.stack([f[0, j] * wx + f[1, j] * wy
+                         for j in range(f.shape[1])])
+
+    @cached_property
+    def unit_tensor(self) -> np.ndarray:
+        """G depending on (B, K) only: the (2, 2) energy-form tensor.
+
+        G[a, b] = int over the fluid cell of B (grad w_b + e_b) . (grad w_a
+        + e_a) in pulled-back coordinates, with the same cut-cell quadrature
+        as the stiffness matrix; filled from its upper triangle.
+        """
+        g = self.geometry
+        S = g.assemble()
+        b = g.unit_forcing_vectors()
+        w = [u.ravel() for u in self.unit_correctors]
+        Bdiag = (g.B11, g.B22)
+        G = np.zeros((2, 2))
+        for a in range(2):
+            Sw = S @ w[a]
+            for c in range(a, 2):
+                val = float(w[c] @ Sw) - (float(b[a] @ w[c])
+                                          + float(b[c] @ w[a]))
+                if a == c:
+                    val += g.fluid_area * Bdiag[a]
+                G[a, c] = G[c, a] = val
+        return G
 
     def corrector_energy(self, j: int) -> float:
         """Dirichlet energy of corrector j with unit coefficient."""
@@ -447,33 +485,24 @@ class CellSolution:
 def solve_cell(x, A: CoefficientLike, transform: TransformField,
                cell: UnitCellSpec, N_c: int = 128,
                tol: float = 1e-10) -> CellSolution:
-    """Solve the d corrector problems at macro point x.
+    """Solve the corrector problems at macro point x.
 
     Conforming bilinear elements on the cut reference grid; the inclusion
     wall condition is natural. Correctors are normalized to zero mean over
-    the active nodes.
+    the active nodes. tol bounds the true relative residual of both unit
+    solves; a larger one, or a singular factor, raises RuntimeError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     geom = build_cell_geometry(x, A, transform, cell, N_c)
-    S = geom.assemble()
-    bx, by = geom.unit_forcing_vectors()
-    d = 2
-    maxiter = 50 * N_c
-    w = np.zeros((d, N_c, N_c))
-    res = np.zeros(d)
-    its = np.zeros(d, dtype=int)
-    for j in range(d):
-        f = geom.forcing[:, j]
-        b = f[0] * bx + f[1] * by
-        sol, res[j], its[j] = _pcg(S, b, geom.active, tol, maxiter)
-        if res[j] > tol:
-            raise RuntimeError(
-                f"cell solve at x={x} did not reach tol={tol:g} within "
-                f"{maxiter} iterations (residual {res[j]:.3e})")
-        w[j] = sol.reshape(N_c, N_c)
-    return CellSolution(geometry=geom, correctors=w, residuals=res,
-                        iterations=its)
+    w, res = _unit_correctors(geom)
+    if not np.all(res <= tol):
+        raise RuntimeError(
+            f"cell solve at x={x} missed tol={tol:g} "
+            f"(relative residual {np.max(res):.3e})")
+    return CellSolution(geometry=geom,
+                        unit_correctors=w.reshape(2, N_c, N_c),
+                        residuals=res, iterations=np.zeros(2, dtype=int))
 
 
 def porosity(transform: TransformField, cell: UnitCellSpec, x) -> float:
@@ -489,30 +518,21 @@ def effective_tensor(x, A: CoefficientLike, transform: TransformField,
                      sol: CellSolution):
     """Effective diffusion tensor and porosity at macro point x.
 
-    Energy-form assembly in pulled-back coordinates,
-    A_eff[i, j] = (1/|det D|) int over the fluid cell of
-    B (grad w_j + f_j) . (grad w_i + f_i), evaluated with the same cut-cell
-    quadrature as the stiffness matrix; symmetric by construction.
+    The corrector of the forcing D^T e_j is the matching combination of the
+    unit correctors, so A_eff = D G D^T / |det D| with D = D(x) and G the
+    unit tensor of sol: sol may come from any point with the same B and K
+    as x. A_eff is filled from its upper triangle, so it is symmetric by
+    construction.
     """
-    g = sol.geometry
-    S = g.assemble()
-    bx, by = g.unit_forcing_vectors()
-    d = g.forcing.shape[0]
+    G = sol.unit_tensor
+    D = transform.D_at(np.asarray(x, dtype=float))
+    detD = abs(float(np.linalg.det(D)))
+    d = D.shape[0]
     A_eff = np.empty((d, d))
-    ws = [sol.correctors[j].ravel() for j in range(d)]
-    Sw = [S @ ws[j] for j in range(d)]
-    Bff = np.diag([g.B11, g.B22])
     for i in range(d):
-        fi = g.forcing[:, i]
-        bi = fi[0] * bx + fi[1] * by
         for j in range(i, d):
-            fj = g.forcing[:, j]
-            bj = fj[0] * bx + fj[1] * by
-            val = float(ws[i] @ Sw[j])
-            val -= float(bi @ ws[j]) + float(bj @ ws[i])
-            val += g.fluid_area * float(fi @ Bff @ fj)
-            A_eff[i, j] = A_eff[j, i] = val / g.detD
-    return A_eff, porosity(transform, g.cell, x)
+            A_eff[i, j] = A_eff[j, i] = float(D[i] @ G @ D[j]) / detD
+    return A_eff, porosity(transform, sol.geometry.cell, x)
 
 
 @dataclass
@@ -530,14 +550,22 @@ class EffectiveTensorField:
         return all(e is None for e in self.errors)
 
 
+def _cache_key(*mats: np.ndarray) -> tuple:
+    """Matrices to 12 digits; + 0.0 turns -0.0 into 0.0, which tobytes
+    would tell apart."""
+    return tuple((np.round(M, 12) + 0.0).tobytes() for M in mats)
+
+
 def tensor_field(points, A: CoefficientLike, transform: TransformField,
                  cell: UnitCellSpec, N_c: int = 128,
                  tol: float = 1e-10) -> EffectiveTensorField:
     """Effective tensor at every requested macro point.
 
-    Points sharing the same lattice and inclusion matrices (to 12 digits)
-    reuse one cell solve, so constant-transform scenarios cost a single
-    solve regardless of the sample count.
+    Points sharing the pulled-back coefficient B and the inclusion matrix K
+    (to 12 digits) reuse one cell solve, and effective_tensor maps it to
+    each point's lattice matrix D: constant-transform scenarios, and
+    rotated lattices with isotropic A, cost a single solve regardless of
+    the sample count.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(pts)
@@ -546,22 +574,29 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
     theta = np.zeros(m)
     residual = np.zeros(m)
     errors: list = [None] * m
-    cache: dict = {}
+    cache: dict = {}            # (B, K) key -> CellSolution or error message
     for k in range(m):
         x = pts[k]
-        key = (np.round(transform.D_at(x), 12).tobytes(),
-               np.round(transform.K_at(x), 12).tobytes())
-        if key not in cache:
-            try:
-                sol = solve_cell(x, A, transform, cell, N_c=N_c, tol=tol)
-                A_eff, _ = effective_tensor(x, A, transform, sol)
-                cache[key] = (A_eff, sol.residual, None)
-            except (ValueError, RuntimeError, NotImplementedError) as exc:
-                cache[key] = (np.full((d, d), np.nan), np.nan, str(exc))
-        A_eff, res, err = cache[key]
-        tensors[k] = A_eff
-        residual[k] = res
-        errors[k] = err
+        try:
+            key = _cache_key(_cell_coefficient(A, transform, x),
+                             transform.K_at(x))
+        except (ValueError, NotImplementedError) as exc:
+            sol = str(exc)
+        else:
+            if key not in cache:
+                try:
+                    cache[key] = solve_cell(x, A, transform, cell, N_c=N_c,
+                                            tol=tol)
+                except (ValueError, RuntimeError, NotImplementedError) as exc:
+                    cache[key] = str(exc)
+            sol = cache[key]
+        if isinstance(sol, str):
+            tensors[k] = np.nan
+            residual[k] = np.nan
+            errors[k] = sol
+        else:
+            tensors[k] = effective_tensor(x, A, transform, sol)[0]
+            residual[k] = sol.residual
         theta[k] = porosity(transform, cell, x)
     return EffectiveTensorField(points=pts, tensors=tensors, theta=theta,
                                 residual=residual, N_c=N_c, errors=errors)

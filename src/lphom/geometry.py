@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -163,7 +164,21 @@ class Subdomain:
     xi0: np.ndarray            # lattice point defining the shift
     shift: Point               # x_tilde_n = eps * D @ xi0
     xi_hat: np.ndarray         # (m, d) int, cells fully inside
-    xi_all: np.ndarray         # (m2, d) int, cells intersecting the subdomain
+    eps: float                 # lattice scale, read by xi_all
+
+    @cached_property
+    def xi_all(self) -> np.ndarray:
+        """(m2, d) int, cells intersecting the subdomain.
+
+        One separating-axis test per candidate cell in Python, so it is
+        computed on first read; only the geometry report needs it.
+        """
+        cand, pts = _candidate_cells(self.lo, self.hi, self.eps, self.D,
+                                     self.Dinv, self.shift)
+        inter = np.array([_cell_box_intersects(pts[i], self.lo, self.hi,
+                                               self.D)
+                          for i in range(len(cand))])
+        return cand[inter]
 
 
 class Partition:
@@ -291,16 +306,20 @@ def build_partition(domain, eps: float, r: float, transform: TransformField,
                 f"(needs at least {2.0 * eps * np.linalg.norm(D, 2):.4g})")
         xi0 = np.round(Dinv @ s_lo / eps).astype(int)
         shift = eps * D @ xi0
-        xi_hat, xi_all = _lattice_sets(s_lo, s_hi, eps, D, Dinv, shift)
+        xi_hat = _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift)
         subs.append(Subdomain(n=flat, k=k, lo=s_lo, hi=s_hi, anchor=anchor,
                               D=D, Dinv=Dinv, K=K, Kinv=Kinv, detD=detD,
-                              xi0=xi0, shift=shift, xi_hat=xi_hat, xi_all=xi_all))
+                              xi0=xi0, shift=shift, xi_hat=xi_hat, eps=eps))
         flat += 1
     return Partition(lo, hi, eps, r, transform, anchor_rule, subs, n_sub, side)
 
 
-def _lattice_sets(s_lo, s_hi, eps, D, Dinv, shift):
-    """Xi_hat (cells fully inside, corner tests) and Xi (cells intersecting)."""
+def _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
+    """Lattice cells near a subdomain and their mapped corners.
+
+    Returns the integer cells (ncand, d) of the index box around the
+    subdomain's preimage and their corner points (ncand, 2^d, d).
+    """
     d = len(s_lo)
     corners_box = np.stack([np.where(np.array(c), s_hi, s_lo)
                             for c in np.ndindex(*(2,) * d)])
@@ -310,13 +329,15 @@ def _lattice_sets(s_lo, s_hi, eps, D, Dinv, shift):
     ranges = [np.arange(ximin[i], ximax[i] + 1) for i in range(d)]
     cand = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
     unit = np.stack([np.array(c, dtype=float) for c in np.ndindex(*(2,) * d)])
-    # mapped corners of every candidate cell: (ncand, 2^d, d)
     pts = shift + eps * np.einsum("ij,ckj->cki", D, cand[:, None, :] + unit[None, :, :])
+    return cand, pts
+
+
+def _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift):
+    """Xi_hat: the lattice cells fully inside the subdomain (corner tests)."""
+    cand, pts = _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift)
     inside = np.all((pts >= s_lo - _GEOM_ATOL) & (pts <= s_hi + _GEOM_ATOL), axis=(1, 2))
-    xi_hat = cand[inside]
-    inter = np.array([_cell_box_intersects(pts[i], s_lo, s_hi, D)
-                      for i in range(len(cand))])
-    return xi_hat, cand[inter]
+    return cand[inside]
 
 
 def _cell_box_intersects(cell_pts, b_lo, b_hi, D) -> bool:

@@ -14,6 +14,7 @@ run.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,9 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (Partition, Subdomain, _lattice_sets, build_partition,
+from .geometry import (Partition, Subdomain, _lattice_xi_hat, build_partition,
                        indicator_perforated, locate_batch, mask_connected)
 from .scenarios import CoefficientSuite, Scenario
+
+# held by run_micro around the grid build and the factorization, so that
+# runs on several threads do not stack their set-up memory peaks
+_SETUP_LOCK = threading.Lock()
 
 
 @dataclass
@@ -301,11 +306,10 @@ def _micro_partition(eps: float, r: float, transform) -> Partition:
         detD = abs(float(np.linalg.det(D)))
         shift = s_lo.copy()   # lattice anchored at the lower corner
         xi0 = np.round(Dinv @ shift / eps).astype(int)
-        xi_hat, xi_all = _lattice_sets(s_lo, s_hi, eps, D, Dinv, shift)
+        xi_hat = _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift)
         subs.append(Subdomain(n=flat, k=k, lo=s_lo, hi=s_hi, anchor=anchor,
                               D=D, Dinv=Dinv, K=K, Kinv=Kinv, detD=detD,
-                              xi0=xi0, shift=shift, xi_hat=xi_hat,
-                              xi_all=xi_all))
+                              xi0=xi0, shift=shift, xi_hat=xi_hat, eps=eps))
         flat += 1
     return _SnappedPartition(breaks, domain[0], domain[1], eps, r, transform,
                              "subdomain-center", subs, n_sub, eps**r)
@@ -383,44 +387,53 @@ def _deposit_cells(hosts: np.ndarray, mid: np.ndarray, mask: np.ndarray,
     return deposit
 
 
+def _diffusion_matrix(grid: MicroGrid, dt: float) -> sp.csc_matrix:
+    """Backward-Euler diffusion matrix I - dt * div(A grad) on the full grid.
+
+    Solid cells keep identity rows. Built in its own frame so that the
+    coupling lists and the CSR copy are freed before the factorization runs.
+    """
+    n, h = grid.n, grid.h
+    mask = grid.mask
+    A = grid.config.suite.A
+    # interior faces between two fluid cells; harmonic mean of the
+    # constant coefficient is the coefficient itself
+    tx = A * (mask[:-1, :] & mask[1:, :])
+    ty = A * (mask[:, :-1] & mask[:, 1:])
+    lam = dt / h**2
+    N = n * n
+    ids = np.arange(N).reshape(n, n)
+    diag = np.ones(N)
+    rows, cols, vals = [ids.ravel()], [ids.ravel()], [diag]
+
+    def couple(t, ia, ib):
+        w = lam * t.ravel()
+        a, b = ia.ravel(), ib.ravel()
+        rows.extend([a, b, a, b])
+        cols.extend([a, b, b, a])
+        vals.extend([w, w, -w, -w])
+
+    couple(tx, ids[:-1, :], ids[1:, :])
+    couple(ty, ids[:, :-1], ids[:, 1:])
+    M = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N))
+    return M.tocsc()
+
+
 class MicroOperator:
     """Factorized backward-Euler diffusion operator and face tables."""
 
     def __init__(self, grid: MicroGrid, dt: float):
         cfg = grid.config
-        n, h = grid.n, grid.h
-        mask = grid.mask
-        A = cfg.suite.A
-        # interior faces between two fluid cells; harmonic mean of the
-        # constant coefficient is the coefficient itself
-        tx = A * (mask[:-1, :] & mask[1:, :])
-        ty = A * (mask[:, :-1] & mask[:, 1:])
-        lam = dt / h**2
-        N = n * n
-        ids = np.arange(N).reshape(n, n)
-        diag = np.ones(N)
-        rows, cols, vals = [ids.ravel()], [ids.ravel()], [diag]
-
-        def couple(t, ia, ib):
-            w = lam * t.ravel()
-            a, b = ia.ravel(), ib.ravel()
-            rows.extend([a, b, a, b])
-            cols.extend([a, b, b, a])
-            vals.extend([w, w, -w, -w])
-
-        couple(tx, ids[:-1, :], ids[1:, :])
-        couple(ty, ids[:, :-1], ids[:, 1:])
-        M = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(N, N))
-        self.lu = spla.splu(M.tocsc())
+        self.lu = spla.splu(_diffusion_matrix(grid, dt))
         self.grid = grid
         self.dt = dt
-        self.fluid = mask.ravel()
+        self.fluid = grid.mask.ravel()
         self.face_cell = grid.faces.cell
         # per-cell surface density sigma = eps * sum(len) / h^2 used by the
         # explicit exchange deposit
-        self.face_scale = cfg.eps * grid.faces.length / h**2
+        self.face_scale = cfg.eps * grid.faces.length / grid.h**2
 
 
 def micro_step(state: MicroState, op: MicroOperator) -> MicroState:
@@ -530,23 +543,26 @@ def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,
     """Integrate to T, recording observables at T/n_samples intervals.
 
     With keep_fields, a copy of the ligand field is stored at every
-    sample time (run.fields), which the convergence study consumes.
+    sample time (run.fields), which the convergence study consumes. Runs on
+    several threads build their grids and factorize one at a time, so the
+    set-up memory peaks do not stack; the step loops still overlap.
     """
-    if grid is None:
-        grid = build_micro_grid(config)
     s = config.suite
-    if config.T > 0.0:
-        dt_req = config.dt if config.dt is not None else grid.h
-        if dt_req * s.bulk_lipschitz > 0.5:
-            raise ValueError(
-                f"dt={dt_req:g} exceeds the explicit reaction budget "
-                f"0.5/{s.bulk_lipschitz:g}")
-        window = config.T / n_samples
-        n_sub = max(1, int(math.ceil(window / dt_req - 1e-12)))
-        dt = window / n_sub
-        op = MicroOperator(grid, dt)
-    else:
-        n_sub, dt, op = 0, 0.0, None
+    with _SETUP_LOCK:
+        if grid is None:
+            grid = build_micro_grid(config)
+        if config.T > 0.0:
+            dt_req = config.dt if config.dt is not None else grid.h
+            if dt_req * s.bulk_lipschitz > 0.5:
+                raise ValueError(
+                    f"dt={dt_req:g} exceeds the explicit reaction budget "
+                    f"0.5/{s.bulk_lipschitz:g}")
+            window = config.T / n_samples
+            n_sub = max(1, int(math.ceil(window / dt_req - 1e-12)))
+            dt = window / n_sub
+            op = MicroOperator(grid, dt)
+        else:
+            n_sub, dt, op = 0, 0.0, None
 
     state = initial_micro_state(config, grid)
     M = float(state.l.max(initial=0.0))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from lphom import cell_problem
 from lphom.cell_problem import (
     build_cell_geometry,
     effective_tensor,
@@ -20,6 +21,7 @@ from lphom.cell_problem import (
 )
 from lphom.geometry import (TransformField, UnitCellSpec, mask_connected,
                              rotation_matrix)
+from lphom.macro import MacroConfig, macro_nodes
 from lphom.scenarios import get_scenario
 
 I2 = np.eye(2)
@@ -218,6 +220,16 @@ class TestDiskCell:
             assert sol.residual <= 1e-10
             assert int(sol.iterations.max()) < 50 * N
 
+    def test_reported_residual_is_the_true_one(self, disk_solutions):
+        sol = disk_solutions[128][0]
+        g = sol.geometry
+        S = g.assemble()
+        for j, b in enumerate(g.unit_forcing_vectors()):
+            b = np.where(g.active, b - b[g.active].mean(), 0.0)
+            r = (S @ sol.unit_correctors[j].ravel() - b)[g.active]
+            true = np.linalg.norm(r) / np.linalg.norm(b)
+            assert abs(sol.residuals[j] - true) <= 1e-3 * true
+
     def test_corrector_energy_converged(self, disk_solutions):
         e256 = disk_solutions[256][0].corrector_energy(0)
         e512 = disk_solutions[512][0].corrector_energy(0)
@@ -307,6 +319,68 @@ class TestTensorField:
         A_eff, theta = effective_tensor(X0, scen.suite.A, scen.transform, sol)
         assert np.array_equal(field.tensors[0], A_eff)
         assert field.theta[0] == theta
+
+    def test_one_solve_per_B_and_K(self, monkeypatch):
+        # every plywood2d macro node has B = R^T R = I (to roundoff, with
+        # off-diagonals of either sign) and the same K
+        scen = get_scenario("plywood2d")
+        nodes = macro_nodes(MacroConfig(scen, H=1 / 32))
+        calls = []
+        real = cell_problem.solve_cell
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cell_problem, "solve_cell", counting)
+        field = tensor_field(nodes, scen.suite.A, scen.transform, scen.cell,
+                             N_c=32)
+        assert field.ok()
+        assert len(np.unique(nodes[:, 1])) == 32
+        assert len(calls) == 1
+
+    def test_plywood_reuse_matches_per_point_solves(self):
+        scen = get_scenario("plywood2d")
+        pts = np.array([[0.5, 0.03125], [0.2, 0.25], [0.7, 0.6],
+                        [0.9, 0.96875]])
+        field = tensor_field(pts, scen.suite.A, scen.transform, scen.cell,
+                             N_c=64)
+        for k, x in enumerate(pts):
+            sol = solve_cell(x, scen.suite.A, scen.transform, scen.cell,
+                             N_c=64)
+            direct, _ = effective_tensor(x, scen.suite.A, scen.transform, sol)
+            rel = np.max(np.abs(field.tensors[k] - direct)) \
+                / np.max(np.abs(direct))
+            assert rel <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [np.pi / 6, np.pi / 4, 2.0])
+    def test_rotated_lattice_reuses_the_unrotated_solve(self, gamma):
+        K = np.diag([1.0, 1.4])
+        Dg = np.linalg.inv(rotation_matrix(gamma, 2))
+        sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=64)
+        reused, _ = effective_tensor(X0, 1.0, const_tf(Dg, K), sol0)
+        solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=64)
+        direct, _ = effective_tensor(X0, 1.0, const_tf(Dg, K), solg)
+        rel = np.max(np.abs(reused - direct)) / np.max(np.abs(direct))
+        assert rel <= 1e-12
+        assert reused[0, 1] == reused[1, 0]
+
+    def test_tolerance_is_a_hard_check(self):
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_cell(X0, 1.0, const_tf(I2), DISK, N_c=32, tol=1e-30)
+        field = tensor_field(np.array([X0]), 1.0, const_tf(I2), DISK,
+                             N_c=32, tol=1e-30)
+        assert not field.ok() and "residual" in field.errors[0]
+
+    def test_singular_factor_becomes_an_error_record(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(cell_problem.spla, "splu", singular)
+        pts = np.array([[0.25, 0.5], [0.75, 0.5]])
+        field = tensor_field(pts, 1.0, const_tf(I2), DISK, N_c=32)
+        assert field.errors == ["Factor is exactly singular"] * 2
+        assert np.all(np.isnan(field.tensors)) and not field.ok()
 
     def test_error_capture_keeps_going(self):
         # K grows with x1 until the inclusion hits the cell wall

@@ -8,6 +8,7 @@ from lphom.geometry import (
     ScalarFieldOnCells,
     TransformField,
     UnitCellSpec,
+    _cell_box_intersects,
     build_partition,
     identity_transform,
     indicator_perforated,
@@ -18,7 +19,9 @@ from lphom.geometry import (
     lp_approx_batch,
     rotation_matrix,
 )
+from lphom.micro import _micro_partition
 from lphom.scenarios import (
+    SCENARIO_NAMES,
     epithelial_scenario,
     get_scenario,
     periodic_scenario,
@@ -156,6 +159,40 @@ def single_subdomain_partition(eps, transform, anchor_rule="lower-corner"):
     # r small enough that one subdomain covers almost all of the unit square;
     # points tested stay inside the first subdomain
     return build_partition(UNIT_BOX, eps, 0.01, transform, anchor_rule=anchor_rule)
+
+
+def reference_xi_all(s, eps):
+    """Xi of one subdomain as build_partition computed it eagerly."""
+    d = len(s.lo)
+    corners_box = np.stack([np.where(np.array(c), s.hi, s.lo)
+                            for c in np.ndindex(*(2,) * d)])
+    z = (s.Dinv @ (corners_box - s.shift).T).T / eps
+    ximin = np.floor(z.min(axis=0)).astype(int) - 1
+    ximax = np.ceil(z.max(axis=0)).astype(int) + 1
+    ranges = [np.arange(ximin[i], ximax[i] + 1) for i in range(d)]
+    cand = np.stack(np.meshgrid(*ranges, indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    unit = np.stack([np.array(c, dtype=float)
+                     for c in np.ndindex(*(2,) * d)])
+    pts = s.shift + eps * np.einsum("ij,ckj->cki", s.D,
+                                    cand[:, None, :] + unit[None, :, :])
+    inter = np.array([_cell_box_intersects(pts[i], s.lo, s.hi, s.D)
+                      for i in range(len(cand))])
+    return cand[inter]
+
+
+class TestLazyXiAll:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
+    def test_matches_the_eager_set(self, name, eps):
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
+                  _micro_partition(eps, 0.5, tf)):
+            for s in p.subdomains:
+                assert "xi_all" not in vars(s)
+                ref = reference_xi_all(s, eps)
+                assert np.array_equal(s.xi_all, ref)
+                assert s.xi_all is s.xi_all
 
 
 class TestLocate:

@@ -10,11 +10,15 @@ without spawning interpreters.
 
 import math
 import os
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from lphom import cli, harness
+from lphom import cli, harness, micro
 from lphom.cell_problem import tensor_field
 from lphom.cli import UsageError, load_config_file, main
 from lphom.harness import (
@@ -265,6 +269,32 @@ class TestScheduler:
         threaded = convergence_study(study, max_workers=3)
         assert [r.epsilon for r in serial.rows] == list(study.eps_list)
         assert all(r.passed for r in serial.rows)
+        assert [row_bits(r) for r in threaded.rows] \
+            == [row_bits(r) for r in serial.rows]
+
+    def test_micro_factorizations_run_one_at_a_time(self, study, serial,
+                                                    monkeypatch):
+        # the first factorization waits for a second one to start, which
+        # only the set-up lock keeps out; its timeout bounds the test
+        intervals = []
+        first, second = threading.Event(), threading.Event()
+
+        def recording_splu(A, *args, **kwargs):
+            start = time.perf_counter()
+            if first.is_set():
+                second.set()
+            else:
+                first.set()
+                second.wait(timeout=1.0)
+            lu = spla.splu(A, *args, **kwargs)
+            intervals.append((start, time.perf_counter()))
+            return lu
+
+        monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=recording_splu))
+        threaded = convergence_study(study, max_workers=2)
+        spans = sorted(intervals)
+        assert len(spans) == 3
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
         assert [row_bits(r) for r in threaded.rows] \
             == [row_bits(r) for r in serial.rows]
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
@@ -24,6 +25,7 @@ from lphom.micro import (
     MicroOperator,
     MicroState,
     _deposit_cells,
+    _diffusion_matrix,
     _face_segments,
     build_micro_grid,
     initial_micro_state,
@@ -31,7 +33,7 @@ from lphom.micro import (
     micro_step,
     run_micro,
 )
-from lphom.scenarios import get_scenario
+from lphom.scenarios import SCENARIO_NAMES, get_scenario
 
 
 @pytest.fixture(scope="module")
@@ -540,3 +542,44 @@ class TestVectorizedGridPieces:
         mask[:, 0] = mask[:, 4] = True
         assert not mask_connected(mask)
         assert mask_connected(mask, periodic=True)
+
+
+def reference_diffusion_matrix(grid, dt):
+    """The backward-Euler matrix as MicroOperator built it inline."""
+    n, h = grid.n, grid.h
+    mask = grid.mask
+    A = grid.config.suite.A
+    tx = A * (mask[:-1, :] & mask[1:, :])
+    ty = A * (mask[:, :-1] & mask[:, 1:])
+    lam = dt / h**2
+    N = n * n
+    ids = np.arange(N).reshape(n, n)
+    diag = np.ones(N)
+    rows, cols, vals = [ids.ravel()], [ids.ravel()], [diag]
+
+    def couple(t, ia, ib):
+        w = lam * t.ravel()
+        a, b = ia.ravel(), ib.ravel()
+        rows.extend([a, b, a, b])
+        cols.extend([a, b, b, a])
+        vals.extend([w, w, -w, -w])
+
+    couple(tx, ids[:-1, :], ids[1:, :])
+    couple(ty, ids[:, :-1], ids[:, 1:])
+    M = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(N, N))
+    return M.tocsc()
+
+
+class TestDiffusionMatrix:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16])
+    def test_matches_the_inline_construction(self, name, eps):
+        cfg = MicroConfig(scenario=get_scenario(name), eps=eps, T=0.5)
+        grid = build_micro_grid(cfg)
+        got = _diffusion_matrix(grid, cfg.h)
+        ref = reference_diffusion_matrix(grid, cfg.h)
+        assert got.format == "csc" and got.shape == ref.shape
+        assert_bitwise_equal([got.data, got.indices, got.indptr],
+                             [ref.data, ref.indices, ref.indptr])

@@ -433,7 +433,6 @@ class CellSolution:
     residuals: np.ndarray        # (d,) relative residuals of the unit solves
     iterations: np.ndarray       # (d,) solver iterations, 0 for the direct
                                  # solve
-    zero_mean: bool = True
 
     @property
     def N_c(self) -> int:

@@ -205,20 +205,22 @@ class Partition:
         self._Kinv = np.array([s.Kinv for s in subdomains])
         self._anchor = np.array([s.anchor for s in subdomains])
         self._detD = np.array([s.detD for s in subdomains])
-        # per-subdomain membership lookup over the xi bounding range
-        self._xi_min = []
-        self._xi_lut = []
-        for s in subdomains:
+        # the bounding box of each Xi_hat, laid out one after another,
+        # row-major, as one flat index space for per-cell tables (see
+        # cell_slots); _in_hat marks the slots of Xi_hat cells
+        d = self.d
+        self._xi_min = np.zeros((len(subdomains), d), dtype=int)
+        self._box_shape = np.ones((len(subdomains), d), dtype=int)
+        for i, s in enumerate(subdomains):
             if len(s.xi_hat):
-                m = s.xi_hat.min(axis=0)
-                dims = s.xi_hat.max(axis=0) - m + 1
-                lut = np.zeros(dims, dtype=bool)
-                lut[tuple((s.xi_hat - m).T)] = True
-            else:
-                m = np.zeros(self.d, dtype=int)
-                lut = np.zeros((1,) * self.d, dtype=bool)
-            self._xi_min.append(m)
-            self._xi_lut.append(lut)
+                self._xi_min[i] = s.xi_hat.min(axis=0)
+                self._box_shape[i] = s.xi_hat.max(axis=0) - self._xi_min[i] + 1
+        self._box_offset = np.concatenate(
+            ([0], np.cumsum(np.prod(self._box_shape, axis=1))))
+        self._in_hat = np.zeros(self.n_cell_slots, dtype=bool)
+        for i, s in enumerate(subdomains):
+            self._in_hat[self.cell_slots(np.full(len(s.xi_hat), i),
+                                         s.xi_hat)] = True
 
     @property
     def n_subdomains(self) -> int:
@@ -242,14 +244,31 @@ class Partition:
     def xi_hat_contains(self, n: int, xi: np.ndarray) -> np.ndarray:
         """Vectorized membership of lattice indices in Xi_hat of subdomain n."""
         xi = np.atleast_2d(xi)
-        m = self._xi_min[n]
-        lut = self._xi_lut[n]
-        rel = xi - m
-        ok = np.all((rel >= 0) & (rel < lut.shape), axis=1)
-        out = np.zeros(len(xi), dtype=bool)
-        if ok.any():
-            out[ok] = lut[tuple(rel[ok].T)]
-        return out
+        slots = self.cell_slots(np.full(len(xi), n), xi)
+        return (slots >= 0) & self._in_hat[slots]
+
+    @property
+    def n_cell_slots(self) -> int:
+        """Length of a per-cell table indexed by cell_slots."""
+        return int(self._box_offset[-1])
+
+    def cell_slots(self, n: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """Flat slot of lattice cell xi of subdomain n, one per row.
+
+        The slots enumerate the bounding box of every subdomain's Xi_hat,
+        row-major, box after box in subdomain order, so a table of length
+        n_cell_slots holds a value for every Xi_hat cell. Cells outside the
+        box of their subdomain get -1.
+        """
+        n = np.asarray(n, dtype=int)
+        xi = np.asarray(xi, dtype=int).reshape(len(n), self.d)
+        rel = xi - self._xi_min[n]
+        shape = self._box_shape[n]
+        inside = np.all((rel >= 0) & (rel < shape), axis=1)
+        flat = rel[:, 0]
+        for ax in range(1, self.d):
+            flat = flat * shape[:, ax] + rel[:, ax]
+        return np.where(inside, self._box_offset[n] + flat, -1)
 
     def subdomain_of(self, X: np.ndarray) -> np.ndarray:
         """Flat subdomain index per point. Floor convention on faces."""
@@ -379,8 +398,12 @@ def locate_batch(partition: Partition, X: np.ndarray):
     xi = np.empty((len(X), d), dtype=int)
     y = np.empty((len(X), d), dtype=float)
     lam = np.ones(len(X), dtype=bool)
-    for nn in np.unique(n):
-        idx = np.where(n == nn)[0]
+    # one stable sort groups the points by subdomain, each group in
+    # ascending point order
+    order = np.argsort(n, kind="stable")
+    starts = np.flatnonzero(np.diff(n[order])) + 1
+    for idx in np.split(order, starts) if len(X) else ():
+        nn = n[idx[0]]
         z = (partition._Dinv[nn] @ (X[idx] - partition._shift[nn]).T).T / partition.eps
         xi_n = np.floor(z).astype(int)
         xi[idx] = xi_n

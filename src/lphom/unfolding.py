@@ -83,15 +83,32 @@ class GridFunction:
                             values, self.mask.copy(), exact_eval)
 
 
+# points per evaluation of f in grid_function_from_callable
+_ROW_BLOCK = 1 << 16
+
+
 def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
                                 lo, hi, h: float,
                                 keep_exact: bool = True) -> GridFunction:
+    """Cell-center samples of f on the grid of spacing h over [lo, hi].
+
+    f is called on blocks of whole rows (first axis) of at most _ROW_BLOCK
+    points, at least one row, and each result is written into the
+    preallocated value array, so the working memory of f is bounded by the
+    block and not by the grid. f must act point by point.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    n = [int(round((hi[i] - lo[i]) / h)) for i in range(len(lo))]
-    xs = [lo[i] + (np.arange(n[i]) + 0.5) * h for i in range(len(lo))]
-    X = np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1).reshape(-1, len(lo))
-    vals = np.asarray(f(X), dtype=float).reshape(n)
+    d = len(lo)
+    n = [int(round((hi[i] - lo[i]) / h)) for i in range(d)]
+    xs = [lo[i] + (np.arange(n[i]) + 0.5) * h for i in range(d)]
+    vals = np.empty(n)
+    rows = max(1, _ROW_BLOCK // math.prod(n[1:]))
+    for r0 in range(0, n[0], rows):
+        X = np.stack(np.meshgrid(xs[0][r0:r0 + rows], *xs[1:], indexing="ij"),
+                     axis=-1).reshape(-1, d)
+        vals[r0:r0 + rows] = np.asarray(f(X), dtype=float).reshape(
+            (-1,) + tuple(n[1:]))
     return GridFunction(lo, hi, h, vals, exact_eval=f if keep_exact else None)
 
 
@@ -99,15 +116,24 @@ def lattice_pwc_field(partition: Partition, cell_values: dict,
                       lo, hi, h: float, fill: float = 0.0) -> GridFunction:
     """Piecewise constant per lattice cell, keyed by (n, xi); exact-evaluable.
 
-    Values default to fill on leftover regions and unlisted cells.
+    Values default to fill on leftover regions and unlisted cells; keys
+    outside Xi_hat are never read. The dict is written once into a table
+    over the partition's cell slots, and the evaluator indexes that table
+    with the (n, xi) of each point that locate_batch finds in Xi_hat.
     """
+    table = np.full(partition.n_cell_slots, fill)
+    keys = [k for k in cell_values if 0 <= k[0] < partition.n_subdomains]
+    if keys:
+        slots = partition.cell_slots([k[0] for k in keys],
+                                     [k[1] for k in keys])
+        ok = slots >= 0
+        table[slots[ok]] = np.array([cell_values[k] for k in keys])[ok]
 
     def f(X: np.ndarray) -> np.ndarray:
         n, xi, _, lam = locate_batch(partition, X)
         out = np.full(len(X), fill)
-        for i in range(len(X)):
-            if not lam[i]:
-                out[i] = cell_values.get((int(n[i]), tuple(int(t) for t in xi[i])), fill)
+        act = ~lam
+        out[act] = table[partition.cell_slots(n[act], xi[act])]
         return out
 
     return grid_function_from_callable(f, lo, hi, h, keep_exact=True)
@@ -447,11 +473,12 @@ class QInterpolant:
     (the 2^d cells anchored at its corners) lies inside the covered region.
     Constants are reproduced exactly; affine fields are reproduced up to an
     exact half-cell shift of the argument, so the remainder of a smooth field
-    is of first order in eps.
+    is of first order in eps. node_values is a table over the partition's
+    cell slots (Partition.cell_slots); slots without a cell average hold NaN.
     """
 
     partition: Partition
-    node_values: dict            # (n, node multi-index) -> value
+    node_values: np.ndarray      # (n_cell_slots,) node value per cell slot
     usable_cells: dict           # n -> (m, d) int array
 
     def eval_cells(self, phi: GridFunction, points_per_axis: int):
@@ -463,16 +490,16 @@ class QInterpolant:
         part = self.partition
         d = part.d
         y = _unit_cell_nodes(points_per_axis, d)
-        corners = np.stack([np.array(c, dtype=float)
-                            for c in np.ndindex(*(2,) * d)])   # (2^d, d)
+        corners = np.array(list(np.ndindex(*(2,) * d)))          # (2^d, d)
         q_all, r_all, p_all, w_all = [], [], [], []
         for s in part.subdomains:
             cells = self.usable_cells.get(s.n)
             if cells is None or not len(cells):
                 continue
-            corner_vals = np.array([
-                [self.node_values[(s.n, tuple(int(t) for t in (xi + c).astype(int)))]
-                 for c in corners] for xi in cells])              # (m, 2^d)
+            n = np.full(len(cells), s.n)
+            corner_vals = np.stack([
+                self.node_values[part.cell_slots(n, cells + c)]
+                for c in corners], axis=1)                        # (m, 2^d)
             # multilinear weights in the fractional coordinate
             wts = np.ones((len(y), len(corners)))
             for ax in range(d):
@@ -502,20 +529,16 @@ def interpolate_Q(phi: GridFunction, partition: Partition,
     multilinear interpolant of its corner node values."""
     mode = "exact" if phi.exact_eval is not None else "grid"
     ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
-    means = ug.mean_over_Y()
-    d = partition.d
-    node_values = {}
-    for e in range(ug.n_entries):
-        node_values[(int(ug.sub_index[e]),
-                     tuple(int(t) for t in ug.xi[e]))] = float(means[e])
+    node_values = np.full(partition.n_cell_slots, np.nan)
+    node_values[partition.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
 
-    offsets = [np.array(c) for c in np.ndindex(*(2,) * d)]
+    offsets = list(np.ndindex(*(2,) * partition.d))
     usable = {}
     for s in partition.subdomains:
-        hat = set(map(tuple, s.xi_hat))
-        good = [xi for xi in s.xi_hat
-                if all(tuple(int(t) for t in xi + c) in hat for c in offsets)]
-        usable[s.n] = np.array(good, dtype=int).reshape(-1, d)
+        good = np.ones(len(s.xi_hat), dtype=bool)
+        for c in offsets:
+            good &= partition.xi_hat_contains(s.n, s.xi_hat + c)
+        usable[s.n] = s.xi_hat[good]
     return QInterpolant(partition=partition, node_values=node_values,
                         usable_cells=usable)
 

@@ -195,6 +195,84 @@ class TestLazyXiAll:
                 assert s.xi_all is s.xi_all
 
 
+def reference_locate_batch(partition, X):
+    """locate_batch with one np.where pass per subdomain, and Xi_hat
+    membership from a set of tuples."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = partition.subdomain_of(X)
+    d = partition.d
+    xi = np.empty((len(X), d), dtype=int)
+    y = np.empty((len(X), d), dtype=float)
+    lam = np.ones(len(X), dtype=bool)
+    for nn in np.unique(n):
+        idx = np.where(n == nn)[0]
+        z = (partition._Dinv[nn] @ (X[idx] - partition._shift[nn]).T).T \
+            / partition.eps
+        xi_n = np.floor(z).astype(int)
+        xi[idx] = xi_n
+        y[idx] = z - xi_n
+        hat = set(map(tuple, partition.subdomains[nn].xi_hat))
+        lam[idx] = [tuple(t) not in hat for t in xi_n]
+    return n, xi, y, lam
+
+
+def locate_probe_points(p, seed):
+    """Random points, a row-major grid, and points on subdomain faces."""
+    rng = np.random.default_rng(seed)
+    g = (np.arange(97) + 0.5) / 97
+    GX, GY = np.meshgrid(g, g, indexing="ij")
+    faces = np.arange(p.n_sub[0] + 1) * p.side
+    F = np.column_stack([np.repeat(faces, 9), np.tile(np.linspace(0, 1, 9),
+                                                      len(faces))])
+    return np.clip(np.concatenate([rng.uniform(0, 1, size=(5000, 2)),
+                                   np.column_stack([GX.ravel(), GY.ravel()]),
+                                   F, F[:, ::-1]]), 0.0, 1.0)
+
+
+class TestGroupedLocate:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_matches_per_subdomain_passes(self, name, eps):
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
+                  _micro_partition(eps, 0.5, tf)):
+            X = locate_probe_points(p, 3)
+            got = locate_batch(p, X)
+            ref = reference_locate_batch(p, X)
+            assert len(np.unique(got[0])) == p.n_subdomains
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and g.shape == r.shape
+                assert g.tobytes() == r.tobytes()
+
+    def test_empty_input(self):
+        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2))
+        n, xi, y, lam = locate_batch(p, np.zeros((0, 2)))
+        assert n.shape == (0,) and xi.shape == y.shape == (0, 2)
+        assert lam.shape == (0,)
+
+
+class TestCellSlots:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_xi_hat_cells_get_distinct_in_range_slots(self, name):
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, get_scenario(name).transform)
+        n = np.concatenate([np.full(len(s.xi_hat), s.n) for s in p.subdomains])
+        xi = np.concatenate([s.xi_hat for s in p.subdomains])
+        slots = p.cell_slots(n, xi)
+        assert slots.min() >= 0 and slots.max() < p.n_cell_slots
+        assert len(np.unique(slots)) == len(slots)
+
+    def test_outside_the_box_is_minus_one(self):
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
+        for s in p.subdomains:
+            lo, hi = s.xi_hat.min(axis=0), s.xi_hat.max(axis=0)
+            probes = np.array([lo - [1, 0], lo - [0, 1], hi + [1, 0],
+                               hi + [0, 1], lo, hi])
+            slots = p.cell_slots(np.full(len(probes), s.n), probes)
+            assert list(slots[:4]) == [-1] * 4
+            assert slots[4] == p._box_offset[s.n]
+            assert slots[5] == p._box_offset[s.n + 1] - 1
+
+
 class TestLocate:
     def test_identity_single_subdomain(self):
         p = single_subdomain_partition(1 / 4, identity_transform(2))

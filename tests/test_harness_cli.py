@@ -8,10 +8,14 @@ process through main(), so exit codes and output files are checked
 without spawning interpreters.
 """
 
+import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,6 +162,41 @@ class TestCheckUnfoldCommand:
         # the piecewise-constant identity is exact up to roundoff
         pwc = next(ln for ln in data if ln.startswith("integration_pwc"))
         assert float(pwc.split(",")[4]) <= 1e-12
+
+    def test_rotated_lattices_at_two_epsilons(self, tmp_path):
+        code = main(["check-unfold", "--scenario", "plywood2d",
+                     "--eps", "1/8,1/16", "--outdir", str(tmp_path)])
+        assert code == 0
+        text = (tmp_path / "check_unfold.csv").read_text().splitlines()
+        data = [ln.split(",") for ln in text if ln and not ln.startswith("#")
+                and not ln.startswith("check_name")]
+        assert len(data) == 6
+        assert sorted({float(row[1]) for row in data}) == [1 / 16, 1 / 8]
+        assert all(row[-1] == "true" for row in data)
+        for row in data:
+            if row[0] == "integration_pwc":
+                assert float(row[4]) <= 1e-12
+
+
+class TestBenchmarkHooks:
+    def test_every_hook_finds_its_target(self):
+        # perfbench wraps module attributes by name; a renamed attribute
+        # would silently drop the metrics that depend on it
+        root = Path(__file__).resolve().parents[1]
+        code = ("import json\n"
+                "from tracing import Tracer, install_lphom_hooks\n"
+                "t = Tracer()\n"
+                "install_lphom_hooks(t)\n"
+                "print(json.dumps({'missing': t.missing,"
+                " 'installed': sorted(t.installed)}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["missing"] == []
+        assert len(out["installed"]) == 17
 
 
 class TestCellCommand:

@@ -15,11 +15,14 @@ from lphom.geometry import (
     rotation_matrix,
 )
 from lphom.scenarios import (
+    SCENARIO_NAMES,
     epithelial_scenario,
+    get_scenario,
     periodic_scenario,
     plywood2d_scenario,
     radius_gradient_scenario,
 )
+from lphom import unfolding
 from lphom.unfolding import (
     GammaQuadrature,
     GridFunction,
@@ -505,3 +508,132 @@ class TestPairingAndDiagnostics:
             vals.append(norm_unfold_of_lp_minus_psi(psi, part, epi.transform,
                                                     4, LO, HI, eps / 8))
         assert vals[0] > vals[1] > vals[2]
+
+
+def reference_pwc_eval(partition, cell_values, fill, X):
+    """The per-point dict lookup lattice_pwc_field used to evaluate with."""
+    n, xi, _, lam = locate_batch(partition, X)
+    out = np.full(len(X), fill)
+    for i in range(len(X)):
+        if not lam[i]:
+            out[i] = cell_values.get((int(n[i]), tuple(int(t) for t in xi[i])),
+                                     fill)
+    return out
+
+
+def reference_interpolate_Q(phi, partition, transform, points_per_axis):
+    """interpolate_Q and eval_cells with a dict of node values and a set of
+    Xi_hat tuples per subdomain."""
+    ug = unfold(phi, partition, transform, 4, eval_mode="exact")
+    means = ug.mean_over_Y()
+    d = partition.d
+    node_values = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])):
+                   float(means[e]) for e in range(ug.n_entries)}
+    offsets = [np.array(c) for c in np.ndindex(*(2,) * d)]
+    usable = {}
+    for s in partition.subdomains:
+        hat = set(map(tuple, s.xi_hat))
+        good = [xi for xi in s.xi_hat
+                if all(tuple(int(t) for t in xi + c) in hat for c in offsets)]
+        usable[s.n] = np.array(good, dtype=int).reshape(-1, d)
+    y = (np.arange(points_per_axis) + 0.5) / points_per_axis
+    y = np.stack(np.meshgrid(y, y, indexing="ij"), axis=-1).reshape(-1, d)
+    corners = np.stack([np.array(c, dtype=float)
+                        for c in np.ndindex(*(2,) * d)])
+    wts = np.ones((len(y), len(corners)))
+    for ax in range(d):
+        wts *= np.where(corners[None, :, ax] > 0.5, y[:, None, ax],
+                        1.0 - y[:, None, ax])
+    q_all = []
+    for s in partition.subdomains:
+        cells = usable[s.n]
+        if not len(cells):
+            continue
+        corner_vals = np.array([
+            [node_values[(s.n, tuple(int(t) for t in (xi + c).astype(int)))]
+             for c in corners] for xi in cells])
+        q_all.append((corner_vals @ wts.T).ravel())
+    return usable, np.concatenate(q_all) if q_all else np.zeros(0)
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestVectorizedLookups:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_pwc_table_matches_the_dict_loop(self, name, eps):
+        tf = get_scenario(name).transform
+        part = build_partition((LO, HI), eps, 0.5, tf)
+        rng = np.random.default_rng(11)
+        # every third Xi_hat cell unlisted, so it falls back to fill
+        table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
+                 for s in part.subdomains for xi in s.xi_hat
+                 if rng.random() < 2 / 3}
+        s0 = part.subdomains[0]
+        outside = tuple(int(t) for t in s0.xi_hat.max(axis=0) + 1)
+        assert not part.xi_hat_contains(0, np.array(outside))[0]
+        table[(0, outside)] = 5.0
+        table[(part.n_subdomains, tuple(int(t) for t in s0.xi_hat[0]))] = 6.0
+        # a negative n must not wrap around to the last subdomain
+        last = part.subdomains[-1]
+        table[(-1, tuple(int(t) for t in last.xi_hat[0]))] = 7.0
+        h = 1 / 256
+        phi = lattice_pwc_field(part, table, LO, HI, h, fill=0.7)
+        X = phi.centers().reshape(-1, 2)
+        assert locate_batch(part, X)[3].any()       # leftover points
+        ref = reference_pwc_eval(part, table, 0.7, X)
+        assert np.count_nonzero(ref == 0.7) > 0
+        assert_same_bits(phi.values.ravel(), ref)
+        Y = np.random.default_rng(5).uniform(0, 1, size=(3000, 2))
+        assert_same_bits(phi.exact_eval(Y), reference_pwc_eval(part, table,
+                                                               0.7, Y))
+
+    def test_row_blocks_match_one_shot_evaluation(self, monkeypatch):
+        # 301 rows of 257 points: 255 rows per block, the last one partial
+        calls = []
+        f = smooth_field()
+
+        def recording(X):
+            calls.append(len(X))
+            return f(X)
+
+        hi = np.array([301, 257]) / 256
+        phi = grid_function_from_callable(recording, LO, hi, 1 / 256)
+        assert calls == [255 * 257, 46 * 257]
+        X = phi.centers().reshape(-1, 2)
+        assert_same_bits(phi.values, f(X).reshape(301, 257))
+        # a single row longer than the block is still evaluated whole
+        monkeypatch.setattr(unfolding, "_ROW_BLOCK", 100)
+        calls.clear()
+        phi = grid_function_from_callable(recording, LO, hi, 1 / 256)
+        assert calls == [257] * 301
+        assert_same_bits(phi.values, f(X).reshape(301, 257))
+
+    def test_chunked_pwc_grid_matches_one_shot(self):
+        part = build_partition((LO, HI), 1 / 32, 0.5,
+                               plywood2d_scenario().transform)
+        rng = np.random.default_rng(2)
+        table = {(s.n, tuple(int(t) for t in xi)): float(rng.normal())
+                 for s in part.subdomains for xi in s.xi_hat}
+        phi = lattice_pwc_field(part, table, LO, HI, 1 / 600)
+        X = phi.centers().reshape(-1, 2)
+        assert_same_bits(phi.values.ravel(), phi.exact_eval(X))
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
+    def test_q_tables_match_the_dict_and_set(self, name, eps):
+        tf = get_scenario(name).transform
+        part = build_partition((LO, HI), eps, 0.5, tf)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128,
+                                          keep_exact=True)
+        qi = interpolate_Q(phi, part, tf)
+        usable, q_ref = reference_interpolate_Q(phi, part, tf, 4)
+        assert len(q_ref) or eps == 1 / 8
+        assert sorted(qi.usable_cells) == sorted(usable)
+        for n in usable:
+            assert_same_bits(qi.usable_cells[n], usable[n])
+        assert_same_bits(qi.eval_cells(phi, 4)[0], q_ref)

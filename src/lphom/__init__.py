@@ -6,88 +6,49 @@ corrector solves producing space-dependent effective tensors, a
 microscopic signaling solver on perforated grids, the homogenized
 macroscopic solver, and a convergence-study harness comparing the two
 across an epsilon sweep. The command line front end lives in lphom.cli.
+
+The namespace is lazy: ``import lphom`` loads no submodule, and each
+public name imports its home submodule on first access. geometry,
+scenarios and unfolding need only numpy; cell_problem, micro, macro and
+harness bring in scipy's sparse solvers when first imported.
 """
 
-from .cell_problem import (
-    EffectiveTensorField,
-    effective_tensor,
-    solve_cell,
-    tensor_field,
-)
-from .geometry import (
-    Partition,
-    TransformField,
-    UnitCellSpec,
-    build_partition,
-    indicator_perforated,
-    locate,
-    locate_batch,
-)
-from .harness import (
-    ConvergenceReport,
-    EpsilonResult,
-    StudyConfig,
-    convergence_study,
-    write_convergence_csv,
-)
-from .macro import MacroConfig, MacroRun, assemble_macro, macro_nodes, run_macro
-from .micro import MicroConfig, MicroRun, build_micro_grid, run_micro
-from .scenarios import SCENARIO_NAMES, CoefficientSuite, Scenario, get_scenario
-from .unfolding import (
-    GammaQuadrature,
-    check_boundary_identity,
-    check_integration_identity,
-    grid_function_from_callable,
-    interpolate_Q,
-    lattice_pwc_field,
-    local_average,
-    lts_pairing,
-    remainder_R,
-    unfold,
-    unfold_boundary,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientSuite",
-    "ConvergenceReport",
-    "EffectiveTensorField",
-    "EpsilonResult",
-    "GammaQuadrature",
-    "MacroConfig",
-    "MacroRun",
-    "MicroConfig",
-    "MicroRun",
-    "Partition",
-    "SCENARIO_NAMES",
-    "Scenario",
-    "StudyConfig",
-    "TransformField",
-    "UnitCellSpec",
-    "assemble_macro",
-    "build_micro_grid",
-    "build_partition",
-    "check_boundary_identity",
-    "check_integration_identity",
-    "convergence_study",
-    "effective_tensor",
-    "get_scenario",
-    "grid_function_from_callable",
-    "indicator_perforated",
-    "interpolate_Q",
-    "lattice_pwc_field",
-    "local_average",
-    "locate",
-    "locate_batch",
-    "lts_pairing",
-    "macro_nodes",
-    "remainder_R",
-    "run_macro",
-    "run_micro",
-    "solve_cell",
-    "tensor_field",
-    "unfold",
-    "unfold_boundary",
-    "write_convergence_csv",
-]
+# home submodule -> the public names it defines
+_EXPORTS = {
+    "cell_problem": ("EffectiveTensorField", "effective_tensor", "solve_cell",
+                     "tensor_field"),
+    "geometry": ("Partition", "TransformField", "UnitCellSpec",
+                 "build_partition", "indicator_perforated", "locate",
+                 "locate_batch"),
+    "harness": ("ConvergenceReport", "EpsilonResult", "StudyConfig",
+                "convergence_study", "write_convergence_csv"),
+    "macro": ("MacroConfig", "MacroRun", "assemble_macro", "macro_nodes",
+              "run_macro"),
+    "micro": ("MicroConfig", "MicroRun", "build_micro_grid", "run_micro"),
+    "scenarios": ("SCENARIO_NAMES", "CoefficientSuite", "Scenario",
+                  "get_scenario"),
+    "unfolding": ("GammaQuadrature", "check_boundary_identity",
+                  "check_integration_identity", "grid_function_from_callable",
+                  "interpolate_Q", "lattice_pwc_field", "local_average",
+                  "lts_pairing", "remainder_R", "unfold", "unfold_boundary"),
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    mod = _HOME.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{mod}", __name__), name)
+    globals()[name] = value     # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -19,15 +19,14 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .cell_problem import EffectiveTensorField, tensor_field
+# the solver modules (cell_problem, harness, macro, micro) load scipy's
+# sparse solvers, so each command imports them itself: geom and
+# check-unfold run on numpy alone
 from .geometry import build_partition
-from .harness import StudyConfig, convergence_study, write_convergence_csv
-from .macro import MacroConfig, macro_nodes, run_macro
-from .micro import MicroConfig, run_micro
 from .scenarios import SCENARIO_NAMES, CoefficientSuite, get_scenario
 from .unfolding import (
     GammaQuadrature,
@@ -36,6 +35,9 @@ from .unfolding import (
     grid_function_from_callable,
     lattice_pwc_field,
 )
+
+if TYPE_CHECKING:
+    from .cell_problem import EffectiveTensorField
 
 COEFF_KEYS = ("mu1", "mu2", "mu3", "kappa1", "kappa2", "kappa3",
               "alpha", "beta", "dl", "df", "db")
@@ -175,7 +177,7 @@ def _cmd_geom(vals: dict, args) -> int:
 
 # -------------------------------------------------------- check-unfold
 
-def _unfold_checks(sc, eps: float, r: float, n_gamma: int) -> list:
+def _unfold_checks(sc, eps: float, r: float, quad: GammaQuadrature) -> list:
     """Identity suite for one epsilon: list of (name, lhs, rhs, gap, ok)."""
     lo, hi = np.zeros(2), np.ones(2)
     part = build_partition((lo, hi), eps, r, sc.transform)
@@ -202,7 +204,6 @@ def _unfold_checks(sc, eps: float, r: float, n_gamma: int) -> list:
                                                 eval_mode="exact")
     rows.append(("integration_smooth", lhs, rhs, gap8, gap8 <= 1.1 * gap4 / 4))
 
-    quad = GammaQuadrature(sc.cell, n_gamma)
     lhs, rhs, gap = check_boundary_identity(
         lambda X: 1.0 + X[:, 0], part, sc.transform, sc.cell, quad)
     rows.append(("boundary_identity", lhs, rhs, gap, gap <= 1e-10))
@@ -213,12 +214,14 @@ def _cmd_check_unfold(vals: dict, args) -> int:
     sc = _scenario_from(vals)
     eps_list = vals.get("epsilon_list", (1 / 8, 1 / 16, 1 / 32))
     r = vals.get("r", 0.5)
-    n_gamma = vals.get("nGamma", 16)
+    # the boundary quadrature does not depend on eps; building it first
+    # rejects a bad nGamma before any partition is built
+    quad = GammaQuadrature(sc.cell, vals.get("nGamma", 16))
     lines = _provenance(vals, ("scenario", "a", "r", "nGamma"))
     lines.append("check_name,epsilon,lhs,rhs,gap,pass")
     all_ok = True
     for eps in eps_list:
-        for name, lhs, rhs, gap, ok in _unfold_checks(sc, eps, r, n_gamma):
+        for name, lhs, rhs, gap, ok in _unfold_checks(sc, eps, r, quad):
             all_ok &= ok
             lines.append(",".join([name, _fmt(eps), _fmt(lhs), _fmt(rhs),
                                    _fmt(gap), "true" if ok else "false"]))
@@ -260,6 +263,8 @@ def _tensor_csv_lines(vals: dict, fld: EffectiveTensorField) -> list:
 
 
 def _cmd_cell(vals: dict, args) -> int:
+    from .cell_problem import tensor_field
+
     sc = _scenario_from(vals)
     if args.points is not None:
         pts = _parse_points(args.points)
@@ -276,6 +281,8 @@ def _cmd_cell(vals: dict, args) -> int:
 
 
 def _read_tensor_csv(path: str) -> EffectiveTensorField:
+    from .cell_problem import EffectiveTensorField
+
     pts, tens, theta, resid, nc = [], [], [], [], 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -335,6 +342,8 @@ def _dt_from(vals: dict, args) -> Optional[float]:
 
 
 def _cmd_micro(vals: dict, args) -> int:
+    from .micro import MicroConfig, run_micro
+
     sc = _scenario_from(vals)
     eps = _single_eps(vals, 1 / 16)
     cfg = MicroConfig(sc, eps, r=vals.get("r", 0.5),
@@ -365,6 +374,8 @@ def _cmd_micro(vals: dict, args) -> int:
 
 
 def _cmd_macro(vals: dict, args) -> int:
+    from .macro import MacroConfig, macro_nodes, run_macro
+
     sc = _scenario_from(vals)
     tensors = _read_tensor_csv(args.tensors) if args.tensors else None
     cfg = MacroConfig(sc, H=vals.get("H", 1 / 32), T=vals.get("T", 0.5),
@@ -395,6 +406,8 @@ def _cmd_macro(vals: dict, args) -> int:
 # ------------------------------------------------------------ converge
 
 def _cmd_converge(vals: dict, args) -> int:
+    from .harness import StudyConfig, convergence_study, write_convergence_csv
+
     sc = _scenario_from(vals)
     study = StudyConfig(
         scenario=sc,

@@ -170,15 +170,11 @@ class Subdomain:
     def xi_all(self) -> np.ndarray:
         """(m2, d) int, cells intersecting the subdomain.
 
-        One separating-axis test per candidate cell in Python, so it is
-        computed on first read; only the geometry report needs it.
+        Computed on first read; only the geometry report needs it.
         """
         cand, pts = _candidate_cells(self.lo, self.hi, self.eps, self.D,
                                      self.Dinv, self.shift)
-        inter = np.array([_cell_box_intersects(pts[i], self.lo, self.hi,
-                                               self.D)
-                          for i in range(len(cand))])
-        return cand[inter]
+        return cand[_cells_box_intersect(pts, self.lo, self.hi, self.D)]
 
 
 class Partition:
@@ -359,9 +355,10 @@ def _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift):
     return cand[inside]
 
 
-def _cell_box_intersects(cell_pts, b_lo, b_hi, D) -> bool:
-    """Separating-axis test: mapped lattice cell (parallelepiped given by its
-    corner points) versus an axis-aligned box, open-interior overlap."""
+def _cells_box_intersect(cell_pts, b_lo, b_hi, D) -> np.ndarray:
+    """Separating-axis test: mapped lattice cells (parallelepipeds given by
+    their corner points, (ncand, 2^d, d)) versus one axis-aligned box,
+    open-interior overlap. Returns one bool per cell."""
     d = len(b_lo)
     box_pts = np.stack([np.where(np.array(c), b_hi, b_lo)
                         for c in np.ndindex(*(2,) * d)])
@@ -374,12 +371,12 @@ def _cell_box_intersects(cell_pts, b_lo, b_hi, D) -> bool:
                 cr = np.cross(D[:, i], np.eye(3)[j])
                 if np.linalg.norm(cr) > 1e-14:
                     axes.append(cr)
-    for ax in axes:
-        p1 = cell_pts @ ax
-        p2 = box_pts @ ax
-        if p1.max() <= p2.min() + _GEOM_ATOL or p2.max() <= p1.min() + _GEOM_ATOL:
-            return False
-    return True
+    ax = np.stack(axes, axis=1)                 # (d, n_axes)
+    p1 = cell_pts @ ax                          # (ncand, 2^d, n_axes)
+    p2 = box_pts @ ax                           # (2^d, n_axes)
+    apart = ((p1.max(axis=1) <= p2.min(axis=0) + _GEOM_ATOL)
+             | (p2.max(axis=0) <= p1.min(axis=1) + _GEOM_ATOL))
+    return ~apart.any(axis=1)
 
 
 def locate_batch(partition: Partition, X: np.ndarray):

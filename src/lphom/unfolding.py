@@ -264,6 +264,8 @@ class GammaQuadrature:
     def __post_init__(self):
         if self.cell.inclusion == "none":
             raise ValueError("boundary quadrature needs an inclusion")
+        if self.n_gamma < 1:
+            raise ValueError(f"n_gamma must be at least 1, got {self.n_gamma}")
         th = 2.0 * math.pi * (np.arange(self.n_gamma) + 0.5) / self.n_gamma
         a = self.cell.a
         self.theta = th

@@ -8,7 +8,8 @@ from lphom.geometry import (
     ScalarFieldOnCells,
     TransformField,
     UnitCellSpec,
-    _cell_box_intersects,
+    _candidate_cells,
+    _cells_box_intersect,
     build_partition,
     identity_transform,
     indicator_perforated,
@@ -161,6 +162,31 @@ def single_subdomain_partition(eps, transform, anchor_rule="lower-corner"):
     return build_partition(UNIT_BOX, eps, 0.01, transform, anchor_rule=anchor_rule)
 
 
+def reference_cell_box_intersects(cell_pts, b_lo, b_hi, D) -> bool:
+    """The scalar separating-axis test xi_all ran once per candidate cell:
+    one mapped lattice cell (its corner points) versus an axis-aligned box,
+    open-interior overlap."""
+    atol = 1e-12
+    d = len(b_lo)
+    box_pts = np.stack([np.where(np.array(c), b_hi, b_lo)
+                        for c in np.ndindex(*(2,) * d)])
+    axes = [np.eye(d)[i] for i in range(d)]
+    Dinv_T = np.linalg.inv(D).T
+    axes += [Dinv_T[:, i] for i in range(d)]
+    if d == 3:
+        for i in range(3):
+            for j in range(3):
+                cr = np.cross(D[:, i], np.eye(3)[j])
+                if np.linalg.norm(cr) > 1e-14:
+                    axes.append(cr)
+    for ax in axes:
+        p1 = cell_pts @ ax
+        p2 = box_pts @ ax
+        if p1.max() <= p2.min() + atol or p2.max() <= p1.min() + atol:
+            return False
+    return True
+
+
 def reference_xi_all(s, eps):
     """Xi of one subdomain as build_partition computed it eagerly."""
     d = len(s.lo)
@@ -176,7 +202,7 @@ def reference_xi_all(s, eps):
                      for c in np.ndindex(*(2,) * d)])
     pts = s.shift + eps * np.einsum("ij,ckj->cki", s.D,
                                     cand[:, None, :] + unit[None, :, :])
-    inter = np.array([_cell_box_intersects(pts[i], s.lo, s.hi, s.D)
+    inter = np.array([reference_cell_box_intersects(pts[i], s.lo, s.hi, s.D)
                       for i in range(len(cand))])
     return cand[inter]
 
@@ -193,6 +219,55 @@ class TestLazyXiAll:
                 ref = reference_xi_all(s, eps)
                 assert np.array_equal(s.xi_all, ref)
                 assert s.xi_all is s.xi_all
+
+
+def constant_transform_3d(M) -> TransformField:
+    I = np.eye(3)
+    return TransformField(d=3, D=lambda x: M, K=lambda x: I,
+                          detD_bounds=(0.1, 10.0), detK_bounds=(1.0, 1.0),
+                          lipschitz_budget=0.0, name="const-3d")
+
+
+class TestVectorizedSeparatingAxes:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_fine_partitions_match_the_scalar_test(self, name):
+        tf = get_scenario(name).transform
+        for s in build_partition(UNIT_BOX, 1 / 64, 0.5, tf).subdomains:
+            assert np.array_equal(s.xi_all, reference_xi_all(s, 1 / 64))
+
+    @pytest.mark.parametrize("alpha, sheared", [(0.3, False),
+                                                (math.pi / 4, True)])
+    def test_three_dimensional_cells_use_the_cross_axes(self, alpha, sheared):
+        M = np.linalg.inv(rotation_matrix(alpha, 3))
+        if sheared:
+            M = M @ np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2],
+                              [0.1, 0.0, 1.1]])
+        # side 0.76: a 2 x 2 x 2 covering
+        p = build_partition(((0.0,) * 3, (1.0,) * 3), 1 / 4, 0.2,
+                            constant_transform_3d(M))
+        assert p.n_subdomains == 8
+        for s in p.subdomains:
+            got = s.xi_all
+            assert np.array_equal(got, reference_xi_all(s, 1 / 4))
+            assert len(got) > len(s.xi_hat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 2 * math.pi), st.floats(0.5, 2.0),
+           st.floats(-0.4, 0.4), st.floats(0.05, 0.95), st.floats(0.05, 0.95),
+           st.floats(0.05, 0.5))
+    def test_random_boxes_match_the_scalar_test(self, alpha, stretch, shear,
+                                                x0, y0, side):
+        D = np.linalg.inv(rotation_matrix(alpha, 2)) @ np.array(
+            [[stretch, shear], [0.0, 1.0]])
+        lo = np.array([x0, y0])
+        hi = lo + side
+        eps = 1 / 16
+        shift = eps * D @ np.round(np.linalg.inv(D) @ lo / eps)
+        cand, pts = _candidate_cells(lo, hi, eps, D, np.linalg.inv(D), shift)
+        got = _cells_box_intersect(pts, lo, hi, D)
+        ref = [reference_cell_box_intersects(c, lo, hi, D) for c in pts]
+        assert got.dtype == bool and got.shape == (len(cand),)
+        assert got.tolist() == ref
 
 
 def reference_locate_batch(partition, X):

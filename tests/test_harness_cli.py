@@ -177,6 +177,21 @@ class TestCheckUnfoldCommand:
             if row[0] == "integration_pwc":
                 assert float(row[4]) <= 1e-12
 
+    @pytest.mark.parametrize("n_gamma", ["0", "-3"])
+    def test_bad_n_gamma_is_rejected_before_any_work(self, n_gamma, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_partition(*args, **kwargs):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr(cli, "build_partition", no_partition)
+        code = main(["check-unfold", "--scenario", "periodic", "--eps", "1/8",
+                     "--n-gamma", n_gamma, "--outdir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: n_gamma must be at least 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "check_unfold.csv").exists()
+
 
 class TestBenchmarkHooks:
     def test_every_hook_finds_its_target(self):

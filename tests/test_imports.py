@@ -1,0 +1,130 @@
+"""The lazy package namespace and the import boundary of the CLI.
+
+``import lphom`` and the geom and check-unfold commands must run on numpy
+alone; the solver modules load scipy when they are first imported.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lphom
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every public name with the submodule that defines it, as the package
+# exported them when it imported all of its submodules eagerly
+HOME = {
+    "EffectiveTensorField": "cell_problem",
+    "effective_tensor": "cell_problem",
+    "solve_cell": "cell_problem",
+    "tensor_field": "cell_problem",
+    "Partition": "geometry",
+    "TransformField": "geometry",
+    "UnitCellSpec": "geometry",
+    "build_partition": "geometry",
+    "indicator_perforated": "geometry",
+    "locate": "geometry",
+    "locate_batch": "geometry",
+    "ConvergenceReport": "harness",
+    "EpsilonResult": "harness",
+    "StudyConfig": "harness",
+    "convergence_study": "harness",
+    "write_convergence_csv": "harness",
+    "MacroConfig": "macro",
+    "MacroRun": "macro",
+    "assemble_macro": "macro",
+    "macro_nodes": "macro",
+    "run_macro": "macro",
+    "MicroConfig": "micro",
+    "MicroRun": "micro",
+    "build_micro_grid": "micro",
+    "run_micro": "micro",
+    "SCENARIO_NAMES": "scenarios",
+    "CoefficientSuite": "scenarios",
+    "Scenario": "scenarios",
+    "get_scenario": "scenarios",
+    "GammaQuadrature": "unfolding",
+    "check_boundary_identity": "unfolding",
+    "check_integration_identity": "unfolding",
+    "grid_function_from_callable": "unfolding",
+    "interpolate_Q": "unfolding",
+    "lattice_pwc_field": "unfolding",
+    "local_average": "unfolding",
+    "lts_pairing": "unfolding",
+    "remainder_R": "unfolding",
+    "unfold": "unfolding",
+    "unfold_boundary": "unfolding",
+}
+
+
+def run_python(code: str) -> dict:
+    """Run code in a fresh interpreter on the source tree; its last stdout
+    line is JSON."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestLazyNamespace:
+    def test_all_lists_the_public_names(self):
+        assert len(HOME) == 40
+        assert sorted(lphom.__all__) == sorted(HOME)
+
+    @pytest.mark.parametrize("name", sorted(HOME))
+    def test_name_is_the_home_object(self, name):
+        module = __import__(f"lphom.{HOME[name]}", fromlist=[name])
+        assert getattr(lphom, name) is getattr(module, name)
+
+    def test_dir(self):
+        names = dir(lphom)
+        assert "__all__" in names
+        assert set(HOME) <= set(names)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lphom.no_such_name
+        assert not hasattr(lphom, "no_such_name")
+
+    def test_submodules_still_import_by_name(self):
+        from lphom import cell_problem, geometry
+        assert cell_problem.__name__ == "lphom.cell_problem"
+        assert geometry.__name__ == "lphom.geometry"
+
+    def test_star_import_binds_every_name(self):
+        out = run_python(
+            "import json\n"
+            "ns = {}\n"
+            "exec('from lphom import *', ns)\n"
+            "print(json.dumps(sorted(k for k in ns if k != '__builtins__')))\n")
+        assert out == sorted(HOME)
+
+
+class TestImportBoundary:
+    def test_unfold_path_runs_without_scipy(self, tmp_path):
+        out = run_python(
+            "import json, sys\n"
+            "import lphom, lphom.cli\n"
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"outdir = {str(tmp_path)!r}\n"
+            "codes = [lphom.cli.main(['check-unfold', '--scenario', 'plywood2d',\n"
+            "                         '--eps', '1/8', '--outdir', outdir]),\n"
+            "         lphom.cli.main(['geom', '--scenario', 'plywood2d',\n"
+            "                         '--eps', '1/8', '--outdir', outdir])]\n"
+            "after = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import lphom.harness\n"
+            "print(json.dumps({'before': before, 'after': after, 'codes': codes,\n"
+            "                  'harness': 'scipy.sparse.linalg' in sys.modules}))\n")
+        assert out["codes"] == [0, 0]
+        assert out["before"] == []
+        assert out["after"] == []
+        # the converge set-up still pays for the solver stack on import
+        assert out["harness"] is True
+        assert (tmp_path / "check_unfold.csv").exists()
+        assert (tmp_path / "geom.csv").exists()

@@ -368,6 +368,11 @@ class TestBoundaryUnfolding:
             quad = GammaQuadrature(cell, n)
             assert abs(quad.reference_measure - 2 * math.pi * 0.25) <= 1e-10
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_quadrature_needs_a_node(self, n):
+        with pytest.raises(ValueError, match="n_gamma must be at least 1"):
+            GammaQuadrature(UnitCellSpec(a=0.25), n)
+
     def test_all_scenarios_tight(self):
         for scen in (periodic_scenario(), epithelial_scenario(),
                      plywood2d_scenario(), radius_gradient_scenario()):

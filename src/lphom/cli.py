@@ -184,9 +184,9 @@ def _unfold_checks(sc, eps: float, r: float, quad: GammaQuadrature) -> list:
     rows = []
 
     # a field constant on each lattice cell is integrated exactly
-    rng = np.random.default_rng(7)
-    table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1.0, 1.0))
-             for s in part.subdomains for xi in s.xi_hat}
+    keys = [(s.n, tuple(xi)) for s in part.subdomains for xi in s.xi_hat.tolist()]
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(keys))
+    table = dict(zip(keys, draws.tolist()))
     h_pwc = 1.0 / max(64, 8 * int(round(1.0 / eps)))
     phi_pwc = lattice_pwc_field(part, table, lo, hi, h_pwc)
     lhs, rhs, gap = check_integration_identity(phi_pwc, part, sc.transform, 4,

@@ -8,7 +8,8 @@ the pairing functional used to diagnose locally periodic two-scale limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,12 +19,12 @@ from .geometry import (
     ScalarFieldOnCells,
     TransformField,
     UnitCellSpec,
-    locate_batch,
+    locate_slots,
     lp_approx_batch,
+    map_cells,
 )
 
 
-@dataclass
 class GridFunction:
     """Cell-centered values on a uniform Cartesian grid over a box.
 
@@ -33,25 +34,28 @@ class GridFunction:
     reproduced exactly everywhere. exact_eval, when set, is the underlying
     analytic field; consumers may sample it instead of interpolating to keep
     interpolation error out of convergence diagnostics.
+
+    values is an array, or a function of the grid that returns it, called
+    on the first read of values; shape, mask and copy_with do not read it.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    h: float
-    values: np.ndarray
-    mask: Optional[np.ndarray] = None
-    exact_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    def __init__(self, lo, hi, h: float, values, mask=None,
+                 exact_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        self.h = h
+        if callable(values):
+            self._sample = values
+            self.shape = tuple(int(round(t)) for t in (self.hi - self.lo) / h)
+        else:
+            self.values = np.asarray(values, dtype=float)
+            self.shape = self.values.shape
+        self.mask = np.ones(self.shape, dtype=bool) if mask is None else mask
+        self.exact_eval = exact_eval
 
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.mask is None:
-            self.mask = np.ones_like(self.values, dtype=bool)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._sample(self)
 
     def axis_centers(self, axis: int) -> np.ndarray:
         n = self.shape[axis]
@@ -62,7 +66,9 @@ class GridFunction:
         return np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
 
     def eval(self, X: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation at points X of shape (m, d)."""
+        """Bilinear interpolation at points X of shape (m, 2)."""
+        if len(self.shape) != 2:
+            raise ValueError(f"bilinear evaluation needs a 2-D grid, got {self.shape}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         t = (X - self.lo) / self.h - 0.5
         n = np.array(self.shape)
@@ -83,8 +89,22 @@ class GridFunction:
                             values, self.mask.copy(), exact_eval)
 
 
-# points per evaluation of f in grid_function_from_callable
+# points per evaluation of f when a grid_function_from_callable is sampled
 _ROW_BLOCK = 1 << 16
+
+
+def _sample_rows(f: Callable[[np.ndarray], np.ndarray],
+                 grid: GridFunction) -> np.ndarray:
+    """Cell-center values of f, in blocks of whole rows (first axis)."""
+    n = grid.shape
+    xs = [grid.axis_centers(i) for i in range(len(n))]
+    vals = np.empty(n)
+    rows = max(1, _ROW_BLOCK // math.prod(n[1:]))
+    for r0 in range(0, n[0], rows):
+        X = np.stack(np.meshgrid(xs[0][r0:r0 + rows], *xs[1:], indexing="ij"),
+                     axis=-1).reshape(-1, len(n))
+        vals[r0:r0 + rows] = np.asarray(f(X), dtype=float).reshape((-1,) + n[1:])
+    return vals
 
 
 def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
@@ -92,24 +112,14 @@ def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
                                 keep_exact: bool = True) -> GridFunction:
     """Cell-center samples of f on the grid of spacing h over [lo, hi].
 
-    f is called on blocks of whole rows (first axis) of at most _ROW_BLOCK
-    points, at least one row, and each result is written into the
-    preallocated value array, so the working memory of f is bounded by the
-    block and not by the grid. f must act point by point.
+    The samples are taken on the first read of values, so a consumer of
+    exact_eval alone samples nothing. f is called on blocks of whole rows
+    (first axis) of at most _ROW_BLOCK points, at least one row, written
+    into the preallocated value array, so the working memory of f is
+    bounded by the block and not by the grid. f must act point by point.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    d = len(lo)
-    n = [int(round((hi[i] - lo[i]) / h)) for i in range(d)]
-    xs = [lo[i] + (np.arange(n[i]) + 0.5) * h for i in range(d)]
-    vals = np.empty(n)
-    rows = max(1, _ROW_BLOCK // math.prod(n[1:]))
-    for r0 in range(0, n[0], rows):
-        X = np.stack(np.meshgrid(xs[0][r0:r0 + rows], *xs[1:], indexing="ij"),
-                     axis=-1).reshape(-1, d)
-        vals[r0:r0 + rows] = np.asarray(f(X), dtype=float).reshape(
-            (-1,) + tuple(n[1:]))
-    return GridFunction(lo, hi, h, vals, exact_eval=f if keep_exact else None)
+    return GridFunction(lo, hi, h, lambda grid: _sample_rows(f, grid),
+                        exact_eval=f if keep_exact else None)
 
 
 def lattice_pwc_field(partition: Partition, cell_values: dict,
@@ -119,22 +129,17 @@ def lattice_pwc_field(partition: Partition, cell_values: dict,
     Values default to fill on leftover regions and unlisted cells; keys
     outside Xi_hat are never read. The dict is written once into a table
     over the partition's cell slots, and the evaluator indexes that table
-    with the (n, xi) of each point that locate_batch finds in Xi_hat.
+    with the slot that locate_slots returns for each point.
     """
-    table = np.full(partition.n_cell_slots, fill)
+    # one entry past the slots holds fill, read through slot -1 (leftover)
+    table = np.full(partition.n_cell_slots + 1, fill)
     keys = [k for k in cell_values if 0 <= k[0] < partition.n_subdomains]
-    if keys:
-        slots = partition.cell_slots([k[0] for k in keys],
-                                     [k[1] for k in keys])
-        ok = slots >= 0
-        table[slots[ok]] = np.array([cell_values[k] for k in keys])[ok]
+    slots = partition.cell_slots([k[0] for k in keys], [k[1] for k in keys])
+    ok = slots >= 0
+    table[slots[ok]] = np.array([cell_values[k] for k in keys])[ok]
 
     def f(X: np.ndarray) -> np.ndarray:
-        n, xi, _, lam = locate_batch(partition, X)
-        out = np.full(len(X), fill)
-        act = ~lam
-        out[act] = table[partition.cell_slots(n[act], xi[act])]
-        return out
+        return table[locate_slots(partition, X)[3]]
 
     return grid_function_from_callable(f, lo, hi, h, keep_exact=True)
 
@@ -209,7 +214,6 @@ def unfold(phi: GridFunction, partition: Partition, transform: TransformField,
         raise ValueError(f"unknown eval mode {eval_mode!r}")
     d = partition.d
     y_nodes = _unit_cell_nodes(m_y, d)
-    sample_mask = None
     if mask_mode == "perforated":
         if cell is None:
             raise ValueError("perforated mode needs the unit cell")
@@ -224,12 +228,13 @@ def unfold(phi: GridFunction, partition: Partition, transform: TransformField,
             raise ValueError("grid function carries no exact evaluation")
         evaluate = phi.exact_eval
 
-    subs, xis, vals, wts = [], [], [], []
+    # empty first entries keep shapes and dtypes when no subdomain has cells
+    subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
+    vals, wts = [np.zeros((0, len(y_nodes)))], [np.zeros(0)]
     for s in partition.subdomains:
         if not len(s.xi_hat):
             continue
-        pts = s.shift + partition.eps * np.einsum(
-            "ij,ckj->cki", s.D, s.xi_hat[:, None, :].astype(float) + y_nodes[None, :, :])
+        pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, y_nodes)
         v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
             len(s.xi_hat), len(y_nodes))
         subs.append(np.full(len(s.xi_hat), s.n))
@@ -237,20 +242,12 @@ def unfold(phi: GridFunction, partition: Partition, transform: TransformField,
         vals.append(v)
         wts.append(np.full(len(s.xi_hat),
                            partition.eps**d * s.detD / len(y_nodes)))
-    if subs:
-        sub_index = np.concatenate(subs)
-        xi = np.concatenate(xis)
-        values = np.concatenate(vals)
-        weight = np.concatenate(wts)
-    else:
-        sub_index = np.zeros(0, dtype=int)
-        xi = np.zeros((0, d), dtype=int)
-        values = np.zeros((0, len(y_nodes)))
-        weight = np.zeros(0)
-    if mask_mode == "perforated":
-        sample_mask = np.broadcast_to(keep, values.shape).copy()
-    return UnfoldedGrid(m_y=m_y, d=d, sub_index=sub_index, xi=xi,
-                        values=values, weight=weight, y_nodes=y_nodes,
+    values = np.concatenate(vals)
+    sample_mask = (np.broadcast_to(keep, values.shape).copy()
+                   if mask_mode == "perforated" else None)
+    return UnfoldedGrid(m_y=m_y, d=d, sub_index=np.concatenate(subs),
+                        xi=np.concatenate(xis), values=values,
+                        weight=np.concatenate(wts), y_nodes=y_nodes,
                         sample_mask=sample_mask)
 
 
@@ -327,38 +324,29 @@ def unfold_boundary(psi, partition: Partition, transform: TransformField,
     evaluate = psi.eval if hasattr(psi, "eval") else psi
     d = partition.d
     c = cell.center
-    subs, xis, vals, mets, dets, pts_all = [], [], [], [], [], []
+    S = quad.n_gamma   # lists start empty-shaped, as in unfold
+    subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
+    vals, mets = [np.zeros((0, S))], [np.zeros((0, S))]
+    dets, pts_all = [np.zeros(0)], [np.zeros((0, S, d))]
     for s in partition.subdomains:
         if not len(s.xi_hat):
             continue
         mapped_y = c + (quad.nodes - c) @ s.K.T          # (S, d)
-        pts = s.shift + partition.eps * np.einsum(
-            "ij,ckj->cki", s.D,
-            s.xi_hat[:, None, :].astype(float) + mapped_y[None, :, :])
+        pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, mapped_y)
         v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
-            len(s.xi_hat), quad.n_gamma)
+            len(s.xi_hat), S)
         g = np.linalg.norm((s.D @ s.K @ quad.tangents.T), axis=0)   # (S,)
         subs.append(np.full(len(s.xi_hat), s.n))
         xis.append(s.xi_hat)
         vals.append(v)
-        mets.append(np.broadcast_to(g, v.shape).copy())
+        mets.append(np.broadcast_to(g, v.shape))
         dets.append(np.full(len(s.xi_hat), s.detD))
         pts_all.append(pts)
-    if subs:
-        return BoundaryUnfolded(
-            eps=partition.eps, d=d,
-            sub_index=np.concatenate(subs), xi=np.concatenate(xis),
-            values=np.concatenate(vals), ref_weights=quad.ref_weights,
-            metric=np.concatenate(mets), detD=np.concatenate(dets),
-            mapped_points=np.concatenate(pts_all))
-    return BoundaryUnfolded(eps=partition.eps, d=d,
-                            sub_index=np.zeros(0, dtype=int),
-                            xi=np.zeros((0, d), dtype=int),
-                            values=np.zeros((0, quad.n_gamma)),
-                            ref_weights=quad.ref_weights,
-                            metric=np.zeros((0, quad.n_gamma)),
-                            detD=np.zeros(0),
-                            mapped_points=np.zeros((0, quad.n_gamma, d)))
+    return BoundaryUnfolded(
+        eps=partition.eps, d=d, sub_index=np.concatenate(subs),
+        xi=np.concatenate(xis), values=np.concatenate(vals),
+        ref_weights=quad.ref_weights, metric=np.concatenate(mets),
+        detD=np.concatenate(dets), mapped_points=np.concatenate(pts_all))
 
 
 def local_average(phi: GridFunction, partition: Partition,
@@ -386,8 +374,9 @@ def _interpolant_cell_integral(phi: GridFunction, lo_pt: np.ndarray,
     Per-axis hat-function weights; the interpolant extends linearly beyond
     the outermost cell centers.
     """
+    if len(phi.shape) != 2:
+        raise ValueError(f"the interpolant integral needs a 2-D grid, got {phi.shape}")
     wvecs = []
-    idx0 = []
     for ax in range(2):
         centers = phi.axis_centers(ax)
         n = len(centers)
@@ -406,7 +395,6 @@ def _interpolant_cell_integral(phi: GridFunction, lo_pt: np.ndarray,
                 w[j] += 0.5 * (s1 - s0) * (1.0 - u)
                 w[j + 1] += 0.5 * (s1 - s0) * u
         wvecs.append(w)
-        idx0.append(0)
     return float(wvecs[0] @ phi.values @ wvecs[1])
 
 
@@ -443,9 +431,7 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
         for s in partition.subdomains:
             if not len(s.xi_hat):
                 continue
-            pts = s.shift + partition.eps * np.einsum(
-                "ij,ckj->cki", s.D,
-                s.xi_hat[:, None, :].astype(float) + y_f[None, :, :])
+            pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, y_f)
             v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
             rhs += partition.eps**d * s.detD * float(v.sum()) / len(y_f)
     return lhs, rhs, abs(lhs - rhs)
@@ -493,33 +479,28 @@ class QInterpolant:
         d = part.d
         y = _unit_cell_nodes(points_per_axis, d)
         corners = np.array(list(np.ndindex(*(2,) * d)))          # (2^d, d)
-        q_all, r_all, p_all, w_all = [], [], [], []
+        # multilinear weights in the fractional coordinate
+        wts = np.ones((len(y), len(corners)))
+        for ax in range(d):
+            wts *= np.where(corners[None, :, ax] > 0.5,
+                            y[:, None, ax], 1.0 - y[:, None, ax])
+        evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
+        z = np.zeros(0)   # empty-shaped first entries, as in unfold
+        q_all, r_all, p_all, w_all = [z], [z], [np.zeros((0, d))], [z]
         for s in part.subdomains:
             cells = self.usable_cells.get(s.n)
             if cells is None or not len(cells):
                 continue
-            n = np.full(len(cells), s.n)
             corner_vals = np.stack([
-                self.node_values[part.cell_slots(n, cells + c)]
+                self.node_values[part.cell_slots(s.n, cells + c)]
                 for c in corners], axis=1)                        # (m, 2^d)
-            # multilinear weights in the fractional coordinate
-            wts = np.ones((len(y), len(corners)))
-            for ax in range(d):
-                wax = np.where(corners[None, :, ax] > 0.5,
-                               y[:, None, ax], 1.0 - y[:, None, ax])
-                wts *= wax
             qv = corner_vals @ wts.T                              # (m, S)
-            pts = s.shift + part.eps * np.einsum(
-                "ij,ckj->cki", s.D, cells[:, None, :].astype(float) + y[None, :, :])
-            fv = (phi.exact_eval if phi.exact_eval is not None else phi.eval)(
-                pts.reshape(-1, d)).reshape(qv.shape)
+            pts = map_cells(s.shift, part.eps, s.D, cells, y).reshape(-1, d)
+            fv = evaluate(pts).reshape(qv.shape)
             q_all.append(qv.ravel())
             r_all.append((fv - qv).ravel())
-            p_all.append(pts.reshape(-1, d))
+            p_all.append(pts)
             w_all.append(np.full(qv.size, part.eps**d * s.detD / len(y)))
-        if not q_all:
-            z = np.zeros(0)
-            return z, z, np.zeros((0, d)), z
         return (np.concatenate(q_all), np.concatenate(r_all),
                 np.concatenate(p_all), np.concatenate(w_all))
 
@@ -611,22 +592,17 @@ def norm_unfold_of_lp_minus_psi(psi: ScalarFieldOnCells, partition: Partition,
         lambda X: lp_approx_batch(psi, partition, X, variant="L"),
         lo, hi, h, keep_exact=True)
     ug = unfold(lp_field, partition, transform, m_y, eval_mode="exact")
-    d = partition.d
+    m = len(ug.y_nodes)
+    Yrep = np.tile(ug.y_nodes, (m, 1))
     total = 0.0
     for s in partition.subdomains:
         sel = np.where(ug.sub_index == s.n)[0]
         if not len(sel):
             continue
-        pts = s.shift + partition.eps * np.einsum(
-            "ij,ckj->cki", s.D,
-            ug.xi[sel][:, None, :].astype(float) + ug.y_nodes[None, :, :])
-        m = len(ug.y_nodes)
+        pts = map_cells(s.shift, partition.eps, s.D, ug.xi[sel], ug.y_nodes)
         for row, e in enumerate(sel):
-            x_samples = pts[row]                       # (m, d)
-            # psi_tilde(x_t, y_s) on the product of sample sets
-            Xrep = np.repeat(x_samples, m, axis=0)
-            Yrep = np.tile(ug.y_nodes, (m, 1))
-            ps = psi.f(Xrep, Yrep).reshape(m, m)
+            # psi_tilde(x_t, y_s) on the product of the sample sets
+            ps = psi.f(np.repeat(pts[row], m, axis=0), Yrep).reshape(m, m)
             diff = ug.values[e][None, :] - ps
             total += ug.weight[e] / m * float(np.sum(diff**2))
     return math.sqrt(total)

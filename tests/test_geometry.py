@@ -16,8 +16,10 @@ from lphom.geometry import (
     indicator_plywood,
     locate,
     locate_batch,
+    locate_slots,
     lp_approx,
     lp_approx_batch,
+    map_cells,
     rotation_matrix,
 )
 from lphom.micro import _micro_partition
@@ -270,6 +272,61 @@ class TestVectorizedSeparatingAxes:
         assert got.tolist() == ref
 
 
+def reference_map_cells(shift, eps, D, xi, y):
+    """The einsum contraction that map_cells replaces in 2-D."""
+    return shift + eps * np.einsum("ij,ckj->cki", D,
+                                   xi[:, None, :].astype(float) + y[None, :, :])
+
+
+def unit_cell_nodes(m, d):
+    one = (np.arange(m) + 0.5) / m
+    return np.stack(np.meshgrid(*([one] * d), indexing="ij"),
+                    axis=-1).reshape(-1, d)
+
+
+def assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestMapCells:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 12, 1 / 32, 1 / 128])
+    def test_matches_einsum_bit_for_bit(self, name, eps):
+        sc = get_scenario(name)
+        p = build_partition(UNIT_BOX, eps, 0.5, sc.transform)
+        c = sc.cell.center
+        th = 2.0 * math.pi * (np.arange(16) + 0.5) / 16
+        circle = c + 0.25 * np.column_stack([np.cos(th), np.sin(th)])
+        for s in p.subdomains:
+            sets = [unit_cell_nodes(m, 2) for m in (4, 8, 13, 25)]
+            sets.append(c + (circle - c) @ s.K.T)   # boundary nodes
+            for y in sets:
+                assert_same_bits(map_cells(s.shift, eps, s.D, s.xi_hat, y),
+                                 reference_map_cells(s.shift, eps, s.D,
+                                                     s.xi_hat, y))
+
+    @pytest.mark.parametrize("alpha, sheared", [(0.3, False),
+                                                (math.pi / 4, True)])
+    def test_three_dimensional_cells(self, alpha, sheared):
+        M = np.linalg.inv(rotation_matrix(alpha, 3))
+        if sheared:
+            M = M @ np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2],
+                              [0.1, 0.0, 1.1]])
+        p = build_partition(((0.0,) * 3, (1.0,) * 3), 1 / 4, 0.2,
+                            constant_transform_3d(M))
+        for s in p.subdomains:
+            for y in (unit_cell_nodes(3, 3), unit_cell_nodes(2, 3)):
+                assert_same_bits(map_cells(s.shift, 1 / 4, s.D, s.xi_all, y),
+                                 reference_map_cells(s.shift, 1 / 4, s.D,
+                                                     s.xi_all, y))
+
+    def test_no_cells(self):
+        got = map_cells(np.zeros(2), 1 / 8, np.eye(2), np.zeros((0, 2), int),
+                        unit_cell_nodes(4, 2))
+        assert got.shape == (0, 16, 2)
+
+
 def reference_locate_batch(partition, X):
     """locate_batch with one np.where pass per subdomain, and Xi_hat
     membership from a set of tuples."""
@@ -318,12 +375,21 @@ class TestGroupedLocate:
             for g, r in zip(got, ref):
                 assert g.dtype == r.dtype and g.shape == r.shape
                 assert g.tobytes() == r.tobytes()
+            # locate_slots: the same location, and the slot of each Xi_hat cell
+            n, xi, y, slot = locate_slots(p, X)
+            cell = p.cell_slots(n, xi)
+            in_hat = (cell >= 0) & p._in_hat[cell]
+            assert in_hat.any() and not in_hat.all()
+            assert_same_bits(slot, np.where(in_hat, cell, -1))
+            for g, r in zip((n, xi, y, slot < 0), got):
+                assert_same_bits(g, r)
 
     def test_empty_input(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2))
         n, xi, y, lam = locate_batch(p, np.zeros((0, 2)))
         assert n.shape == (0,) and xi.shape == y.shape == (0, 2)
         assert lam.shape == (0,)
+        assert locate_slots(p, np.zeros((0, 2)))[3].shape == (0,)
 
 
 class TestCellSlots:
@@ -335,6 +401,13 @@ class TestCellSlots:
         slots = p.cell_slots(n, xi)
         assert slots.min() >= 0 and slots.max() < p.n_cell_slots
         assert len(np.unique(slots)) == len(slots)
+
+    def test_one_subdomain_for_all_rows(self):
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
+        for s in p.subdomains:
+            probes = np.concatenate([s.xi_hat, s.xi_hat.max(axis=0) + [[1, 0]]])
+            assert_same_bits(p.cell_slots(s.n, probes),
+                             p.cell_slots(np.full(len(probes), s.n), probes))
 
     def test_outside_the_box_is_minus_one(self):
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)

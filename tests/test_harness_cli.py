@@ -193,6 +193,39 @@ class TestCheckUnfoldCommand:
         assert not (tmp_path / "check_unfold.csv").exists()
 
 
+GOLDEN = Path(__file__).resolve().parent / "data"
+
+
+class TestCheckUnfoldGolden:
+    @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
+                                      "radius-gradient"])
+    def test_output_is_byte_identical(self, name, tmp_path):
+        code = main(["check-unfold", "--scenario", name,
+                     "--eps", "1/8,1/16,1/32", "--outdir", str(tmp_path)])
+        assert code == 0
+        got = (tmp_path / "check_unfold.csv").read_bytes()
+        assert got == (GOLDEN / f"check_unfold_{name}.csv").read_bytes()
+
+    def test_no_grid_is_sampled(self, tmp_path, monkeypatch):
+        from lphom import unfolding
+
+        sampled = []
+        sample_rows = unfolding._sample_rows
+
+        def counting(f, grid):
+            sampled.append(grid.shape)
+            return sample_rows(f, grid)
+
+        monkeypatch.setattr(unfolding, "_sample_rows", counting)
+        assert main(["check-unfold", "--scenario", "plywood2d",
+                     "--eps", "1/8,1/16", "--outdir", str(tmp_path)]) == 0
+        assert sampled == []
+        # the wrapper does count a read of values
+        unfolding.grid_function_from_callable(
+            lambda X: X[:, 0], np.zeros(2), np.ones(2), 1 / 8).values
+        assert sampled == [(8, 8)]
+
+
 class TestBenchmarkHooks:
     def test_every_hook_finds_its_target(self):
         # perfbench wraps module attributes by name; a renamed attribute

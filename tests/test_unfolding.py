@@ -608,15 +608,17 @@ class TestVectorizedLookups:
 
         hi = np.array([301, 257]) / 256
         phi = grid_function_from_callable(recording, LO, hi, 1 / 256)
+        values = phi.values
         assert calls == [255 * 257, 46 * 257]
         X = phi.centers().reshape(-1, 2)
-        assert_same_bits(phi.values, f(X).reshape(301, 257))
+        assert_same_bits(values, f(X).reshape(301, 257))
         # a single row longer than the block is still evaluated whole
         monkeypatch.setattr(unfolding, "_ROW_BLOCK", 100)
         calls.clear()
         phi = grid_function_from_callable(recording, LO, hi, 1 / 256)
+        values = phi.values
         assert calls == [257] * 301
-        assert_same_bits(phi.values, f(X).reshape(301, 257))
+        assert_same_bits(values, f(X).reshape(301, 257))
 
     def test_chunked_pwc_grid_matches_one_shot(self):
         part = build_partition((LO, HI), 1 / 32, 0.5,
@@ -642,3 +644,76 @@ class TestVectorizedLookups:
         for n in usable:
             assert_same_bits(qi.usable_cells[n], usable[n])
         assert_same_bits(qi.eval_cells(phi, 4)[0], q_ref)
+
+
+class TestLazySampling:
+    def counting(self, f):
+        calls = []
+
+        def g(X):
+            calls.append(len(X))
+            return f(X)
+        return g, calls
+
+    def test_values_are_sampled_on_first_read_only(self):
+        f, calls = self.counting(smooth_field())
+        phi = grid_function_from_callable(f, LO, HI, 1 / 64)
+        assert phi.shape == (64, 64) and phi.mask.shape == (64, 64)
+        copy = phi.copy_with(np.zeros((64, 64)))
+        assert calls == []
+        X = phi.centers().reshape(-1, 2)
+        assert_same_bits(phi.values, smooth_field()(X).reshape(64, 64))
+        assert calls == [64 * 64]
+        assert phi.values is phi.values and calls == [64 * 64]
+        assert copy.integrate() == 0.0
+
+    def test_exact_consumers_sample_nothing(self, monkeypatch):
+        sampled = []
+        sample_rows = unfolding._sample_rows
+
+        def counting_rows(f, grid):
+            sampled.append(grid.shape)
+            return sample_rows(f, grid)
+
+        monkeypatch.setattr(unfolding, "_sample_rows", counting_rows)
+        f, calls = self.counting(smooth_field())
+        part = build_partition((LO, HI), 1 / 16, 0.5,
+                               plywood2d_scenario().transform)
+        tf = part.transform
+        phi = grid_function_from_callable(f, LO, HI, 1 / 128)
+        check_integration_identity(phi, part, tf, 4, eval_mode="exact")
+        avg = local_average(phi, part, tf)
+        assert avg.mask.shape == (128, 128)
+        assert calls and sampled == []
+        avg.values
+        assert sampled == [(128, 128)]
+
+    def test_pwc_grid_is_not_sampled_when_built(self, monkeypatch):
+        part = build_partition((LO, HI), 1 / 16, 0.5,
+                               plywood2d_scenario().transform)
+        counted = []
+        located = unfolding.locate_slots
+
+        def counting_locate(partition, X):
+            counted.append(len(X))
+            return located(partition, X)
+
+        monkeypatch.setattr(unfolding, "locate_slots", counting_locate)
+        phi = lattice_pwc_field(part, {}, LO, HI, 1 / 128, fill=0.5)
+        assert counted == []
+        assert np.all(phi.values == 0.5) and sum(counted) == 128 * 128
+
+
+class TestGridDimension:
+    def cube(self):
+        return grid_function_from_callable(lambda X: X.sum(axis=1),
+                                           np.zeros(3), np.ones(3), 1 / 8)
+
+    def test_eval_needs_a_2d_grid(self):
+        with pytest.raises(ValueError, match="2-D grid"):
+            self.cube().eval(np.full((1, 3), 0.5))
+
+    def test_interpolant_integral_needs_a_2d_grid(self):
+        with pytest.raises(ValueError, match="2-D grid"):
+            unfolding._interpolant_cell_integral(self.cube(), np.zeros(3),
+                                                 np.full(3, 0.5))

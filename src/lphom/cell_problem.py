@@ -227,10 +227,6 @@ class CellGeometry:
     _S_unit: object = field(default=None, repr=False)
     _bxy: object = field(default=None, repr=False)
 
-    @property
-    def fluid_fraction(self) -> float:
-        return self.fluid_area
-
     def _node_ids(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         N = self.N_c
         base_i, base_j = ii % N, jj % N

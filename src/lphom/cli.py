@@ -177,51 +177,73 @@ def _cmd_geom(vals: dict, args) -> int:
 
 # -------------------------------------------------------- check-unfold
 
-def _unfold_checks(sc, eps: float, r: float, quad: GammaQuadrature) -> list:
-    """Identity suite for one epsilon: list of (name, lhs, rhs, gap, ok)."""
+def _pwc_identity(sc, part):
+    """A field constant on each lattice cell is integrated exactly."""
     lo, hi = np.zeros(2), np.ones(2)
-    part = build_partition((lo, hi), eps, r, sc.transform)
-    rows = []
-
-    # a field constant on each lattice cell is integrated exactly
     keys = [(s.n, tuple(xi)) for s in part.subdomains for xi in s.xi_hat.tolist()]
     draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(keys))
     table = dict(zip(keys, draws.tolist()))
-    h_pwc = 1.0 / max(64, 8 * int(round(1.0 / eps)))
+    h_pwc = 1.0 / max(64, 8 * int(round(1.0 / part.eps)))
     phi_pwc = lattice_pwc_field(part, table, lo, hi, h_pwc)
-    lhs, rhs, gap = check_integration_identity(phi_pwc, part, sc.transform, 4,
-                                               eval_mode="exact")
-    rows.append(("integration_pwc", lhs, rhs, gap, gap <= 1e-12))
+    return check_integration_identity(phi_pwc, part, sc.transform, 4,
+                                      eval_mode="exact")
 
-    # smooth field: the quadrature gap is O((eps/m_y)^2), so the coarse run
-    # calibrates the constant and bounds the fine one
-    phi = grid_function_from_callable(
-        lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-        lo, hi, 1 / 128, keep_exact=True)
-    gap4 = check_integration_identity(phi, part, sc.transform, 4,
-                                      eval_mode="exact")[2]
-    lhs, rhs, gap8 = check_integration_identity(phi, part, sc.transform, 8,
-                                                eval_mode="exact")
-    rows.append(("integration_smooth", lhs, rhs, gap8, gap8 <= 1.1 * gap4 / 4))
 
-    lhs, rhs, gap = check_boundary_identity(
-        lambda X: 1.0 + X[:, 0], part, sc.transform, sc.cell, quad)
-    rows.append(("boundary_identity", lhs, rhs, gap, gap <= 1e-10))
-    return rows
+def _unfold_tasks(sc, part, quad: GammaQuadrature, smooth) -> list:
+    """The independent checks of one partition, each returning (lhs, rhs,
+    gap): piecewise constant, smooth at m_y = 4 and 8, boundary."""
+    return [
+        lambda: _pwc_identity(sc, part),
+        lambda: check_integration_identity(smooth, part, sc.transform, 4,
+                                           eval_mode="exact"),
+        lambda: check_integration_identity(smooth, part, sc.transform, 8,
+                                           eval_mode="exact"),
+        lambda: check_boundary_identity(lambda X: 1.0 + X[:, 0], part,
+                                        sc.transform, sc.cell, quad),
+    ]
 
 
 def _cmd_check_unfold(vals: dict, args) -> int:
+    # imported here, like the solver modules, so that no other command
+    # loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     sc = _scenario_from(vals)
     eps_list = vals.get("epsilon_list", (1 / 8, 1 / 16, 1 / 32))
     r = vals.get("r", 0.5)
+    lo, hi = np.zeros(2), np.ones(2)
     # the boundary quadrature does not depend on eps; building it first
-    # rejects a bad nGamma before any partition is built
+    # rejects a bad nGamma before any partition is built, and building
+    # every partition rejects a bad eps before any check starts
     quad = GammaQuadrature(sc.cell, vals.get("nGamma", 16))
+    parts = [build_partition((lo, hi), eps, r, sc.transform)
+             for eps in eps_list]
+    smooth = grid_function_from_callable(
+        lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
+        lo, hi, 1 / 128, keep_exact=True)
+    # the checks only read the partitions, so they share one pool, finest
+    # eps (the longest checks) first; results are read in row order
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        futures = [None] * len(parts)
+        for k in sorted(range(len(parts)), key=lambda k: eps_list[k]):
+            futures[k] = [pool.submit(task) for task in
+                          _unfold_tasks(sc, parts[k], quad, smooth)]
+        try:
+            results = [[f.result() for f in fs] for fs in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     lines = _provenance(vals, ("scenario", "a", "r", "nGamma"))
     lines.append("check_name,epsilon,lhs,rhs,gap,pass")
     all_ok = True
-    for eps in eps_list:
-        for name, lhs, rhs, gap, ok in _unfold_checks(sc, eps, r, quad):
+    for eps, (pwc, smooth4, smooth8, bnd) in zip(eps_list, results):
+        # the smooth field's quadrature gap is O((eps/m_y)^2), so the
+        # coarse run calibrates the constant and bounds the fine one
+        for name, (lhs, rhs, gap), ok in (
+                ("integration_pwc", pwc, pwc[2] <= 1e-12),
+                ("integration_smooth", smooth8,
+                 smooth8[2] <= 1.1 * smooth4[2] / 4),
+                ("boundary_identity", bnd, bnd[2] <= 1e-10)):
             all_ok &= ok
             lines.append(",".join([name, _fmt(eps), _fmt(lhs), _fmt(rhs),
                                    _fmt(gap), "true" if ok else "false"]))

@@ -78,7 +78,10 @@ class Scenario:
 
 
 def _cell(d: int, a: float) -> UnitCellSpec:
-    if a <= 0.0:
+    """The unit cell with an inclusion of radius a; a = 0 is unperforated."""
+    if not a >= 0.0:
+        raise ValueError(f"inclusion radius must be at least 0, got {a!r}")
+    if a == 0.0:
         return UnitCellSpec(d=d, inclusion="none", a=0.25)
     shape = "disk" if d == 2 else "cylinder"
     return UnitCellSpec(d=d, inclusion=shape, a=a)

@@ -128,16 +128,24 @@ def lattice_pwc_field(partition: Partition, cell_values: dict,
 
     Values default to fill on leftover regions and unlisted cells; keys
     outside Xi_hat are never read. The dict is written once into a table
-    over the partition's cell slots, and the evaluator indexes that table
-    with the slot that locate_slots returns for each point.
+    over the partition's cell slots, read as in _slot_table_field.
     """
-    # one entry past the slots holds fill, read through slot -1 (leftover)
     table = np.full(partition.n_cell_slots + 1, fill)
     keys = [k for k in cell_values if 0 <= k[0] < partition.n_subdomains]
     slots = partition.cell_slots([k[0] for k in keys], [k[1] for k in keys])
     ok = slots >= 0
     table[slots[ok]] = np.array([cell_values[k] for k in keys])[ok]
+    return _slot_table_field(partition, table, lo, hi, h)
 
+
+def _slot_table_field(partition: Partition, table: np.ndarray,
+                      lo, hi, h: float) -> GridFunction:
+    """Piecewise constant field read from a table over the cell slots.
+
+    The evaluator indexes the table with the slot that locate_slots returns
+    for each point; the entry past the slots, read through slot -1, holds
+    the value of the leftover region. Exact-evaluable.
+    """
     def f(X: np.ndarray) -> np.ndarray:
         return table[locate_slots(partition, X)[3]]
 
@@ -359,10 +367,9 @@ def local_average(phi: GridFunction, partition: Partition,
     """
     mode = "exact" if phi.exact_eval is not None else "grid"
     ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
-    means = ug.mean_over_Y()
-    table = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])): means[e]
-             for e in range(ug.n_entries)}
-    out = lattice_pwc_field(partition, table, phi.lo, phi.hi, phi.h, fill=0.0)
+    table = np.zeros(partition.n_cell_slots + 1)
+    table[partition.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
+    out = _slot_table_field(partition, table, phi.lo, phi.hi, phi.h)
     out.mask = phi.mask.copy()
     return out
 

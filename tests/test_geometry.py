@@ -732,6 +732,13 @@ class TestUnitCellSpec:
         with pytest.raises(ValueError):
             UnitCellSpec(d=2, inclusion="disk", a=-0.1)
 
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_scenarios_reject_a_negative_radius(self, name):
+        # a = 0 is the unperforated cell; a negative radius is no cell
+        with pytest.raises(ValueError, match="inclusion radius"):
+            get_scenario(name, a=-0.3)
+        assert get_scenario(name, a=0.0).cell.inclusion == "none"
+
     def test_inclusion_measure(self):
         cell = UnitCellSpec(d=2, inclusion="disk", a=0.25)
         assert cell.inclusion_measure() == pytest.approx(math.pi * 0.0625, rel=1e-15)

@@ -120,6 +120,20 @@ class TestExitCodes:
         assert main(["geom", "--config", str(p)]) == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,csv", [
+        (["geom"], "geom.csv"),
+        (["check-unfold", "--eps", "1/8"], "check_unfold.csv"),
+        (["micro", "--eps", "1/8", "--cells-per-eps", "8", "--T", "0.05"],
+         "micro_series.csv")], ids=["geom", "check-unfold", "micro"])
+    def test_negative_radius_is_rejected(self, command, csv, tmp_path,
+                                         capsys):
+        code = main(command + ["--scenario", "periodic", "--a", "-0.3",
+                               "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "error: inclusion radius must be at least 0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
+
     def test_single_eps_subcommands_reject_sweeps(self, capsys):
         code = main(["micro", "--scenario", "periodic",
                      "--eps", "1/4,1/8", "--outdir", "/tmp"])
@@ -192,6 +206,52 @@ class TestCheckUnfoldCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "check_unfold.csv").exists()
 
+    def test_bad_epsilon_is_rejected_before_any_check(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "check_integration_identity", no_check)
+        monkeypatch.setattr(cli, "check_boundary_identity", no_check)
+        code = main(["check-unfold", "--scenario", "periodic",
+                     "--eps", "1/8,1/2", "--outdir", str(tmp_path)])
+        assert code == 2
+        assert "cannot hold one full cell" in capsys.readouterr().err
+        assert not (tmp_path / "check_unfold.csv").exists()
+
+    def test_failing_check_exits_1_without_csv(self, tmp_path, capsys,
+                                               monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boundary quadrature broke")
+
+        monkeypatch.setattr(cli, "check_boundary_identity", broken)
+        code = main(["check-unfold", "--scenario", "periodic",
+                     "--eps", "1/8,1/16", "--outdir", str(tmp_path)])
+        assert code == 1
+        assert "error: boundary quadrature broke" in capsys.readouterr().err
+        assert not (tmp_path / "check_unfold.csv").exists()
+
+    def test_checks_overlap_on_two_workers(self, tmp_path, monkeypatch):
+        # the first integration check waits for a second one to start,
+        # which only a second worker can run; the timeout bounds the test
+        first, second = threading.Event(), threading.Event()
+        met = []
+        real = cli.check_integration_identity
+
+        def waiting(*args, **kwargs):
+            if first.is_set():
+                second.set()
+            else:
+                first.set()
+                met.append(second.wait(timeout=5.0))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "check_integration_identity", waiting)
+        assert main(["check-unfold", "--scenario", "periodic", "--eps", "1/8",
+                     "--outdir", str(tmp_path)]) == 0
+        assert met == [True]
+
 
 GOLDEN = Path(__file__).resolve().parent / "data"
 
@@ -203,6 +263,34 @@ class TestCheckUnfoldGolden:
         code = main(["check-unfold", "--scenario", name,
                      "--eps", "1/8,1/16,1/32", "--outdir", str(tmp_path)])
         assert code == 0
+        got = (tmp_path / "check_unfold.csv").read_bytes()
+        assert got == (GOLDEN / f"check_unfold_{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
+                                      "radius-gradient"])
+    def test_output_does_not_depend_on_the_pool_size(self, name, workers,
+                                                     tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(workers)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # threads switch often
+        try:
+            code = main(["check-unfold", "--scenario", name,
+                         "--eps", "1/8,1/16,1/32", "--outdir", str(tmp_path)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0 and sizes == [workers]
         got = (tmp_path / "check_unfold.csv").read_bytes()
         assert got == (GOLDEN / f"check_unfold_{name}.csv").read_bytes()
 

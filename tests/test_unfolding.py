@@ -561,6 +561,18 @@ def reference_interpolate_Q(phi, partition, transform, points_per_axis):
     return usable, np.concatenate(q_all) if q_all else np.zeros(0)
 
 
+def reference_local_average(phi, partition, transform, m_y=4):
+    """local_average through a dict keyed by (n, xi) and lattice_pwc_field."""
+    mode = "exact" if phi.exact_eval is not None else "grid"
+    ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
+    means = ug.mean_over_Y()
+    table = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])): means[e]
+             for e in range(ug.n_entries)}
+    out = lattice_pwc_field(partition, table, phi.lo, phi.hi, phi.h, fill=0.0)
+    out.mask = phi.mask.copy()
+    return out
+
+
 def assert_same_bits(got, ref):
     got, ref = np.asarray(got), np.asarray(ref)
     assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -596,6 +608,20 @@ class TestVectorizedLookups:
         Y = np.random.default_rng(5).uniform(0, 1, size=(3000, 2))
         assert_same_bits(phi.exact_eval(Y), reference_pwc_eval(part, table,
                                                                0.7, Y))
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_local_average_matches_the_dict_path(self, name, eps):
+        tf = get_scenario(name).transform
+        part = build_partition((LO, HI), eps, 0.5, tf)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256,
+                                          keep_exact=True)
+        avg = local_average(phi, part, tf)
+        ref = reference_local_average(phi, part, tf)
+        assert_same_bits(avg.mask, ref.mask)
+        assert_same_bits(avg.values, ref.values)
+        Y = np.random.default_rng(8).uniform(0, 1, size=(3000, 2))
+        assert_same_bits(avg.exact_eval(Y), ref.exact_eval(Y))
 
     def test_row_blocks_match_one_shot_evaluation(self, monkeypatch):
         # 301 rows of 257 points: 255 rows per block, the last one partial

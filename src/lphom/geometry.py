@@ -172,8 +172,9 @@ class Subdomain:
 
         Computed on first read; only the geometry report needs it.
         """
-        cand, pts = _candidate_cells(self.lo, self.hi, self.eps, self.D,
-                                     self.Dinv, self.shift)
+        [(_, cand, pts)] = _candidate_cells(
+            self.lo[None], self.hi[None], self.eps, self.D[None],
+            self.Dinv[None], self.shift[None])
         return cand[_cells_box_intersect(pts, self.lo, self.hi, self.D)]
 
 
@@ -205,17 +206,21 @@ class Partition:
         # row-major, as one flat index space for per-cell tables (see
         # cell_slots); _in_hat marks the slots of Xi_hat cells
         d = self.d
+        counts = np.array([len(s.xi_hat) for s in subdomains], dtype=int)
+        hat = np.concatenate([s.xi_hat for s in subdomains]).reshape(-1, d)
+        owner = np.repeat(np.arange(len(subdomains)), counts)
+        full = counts > 0
+        starts = (np.cumsum(counts) - counts)[full]
         self._xi_min = np.zeros((len(subdomains), d), dtype=int)
         self._box_shape = np.ones((len(subdomains), d), dtype=int)
-        for i, s in enumerate(subdomains):
-            if len(s.xi_hat):
-                self._xi_min[i] = s.xi_hat.min(axis=0)
-                self._box_shape[i] = s.xi_hat.max(axis=0) - self._xi_min[i] + 1
+        if len(hat):
+            self._xi_min[full] = np.minimum.reduceat(hat, starts, axis=0)
+            self._box_shape[full] = (np.maximum.reduceat(hat, starts, axis=0)
+                                     - self._xi_min[full] + 1)
         self._box_offset = np.concatenate(
             ([0], np.cumsum(np.prod(self._box_shape, axis=1))))
         self._in_hat = np.zeros(self.n_cell_slots, dtype=bool)
-        for i, s in enumerate(subdomains):
-            self._in_hat[self.cell_slots(i, s.xi_hat)] = True
+        self._in_hat[self.cell_slots(owner, hat)] = True
 
     @property
     def n_subdomains(self) -> int:
@@ -255,25 +260,41 @@ class Partition:
         """
         n = np.asarray(n, dtype=int)
         xi = np.asarray(xi, dtype=int).reshape(-1, self.d)
-        rel = xi - self._xi_min[n]
-        shape = self._box_shape[n]
-        inside = np.all((rel >= 0) & (rel < shape), axis=1)
-        flat = rel[:, 0]
-        for ax in range(1, self.d):
-            flat = flat * shape[..., ax] + rel[:, ax]
-        return np.where(inside, self._box_offset[n] + flat, -1)
+        slots = np.zeros(len(xi), dtype=int)
+        inside = np.ones(len(xi), dtype=bool)
+        rel = np.empty(len(xi), dtype=int)
+        for ax in range(self.d):
+            size = self._box_shape[n, ax]
+            np.subtract(xi[:, ax], self._xi_min[n, ax], out=rel)
+            # one unsigned test for 0 <= rel < size
+            inside &= rel.view(np.uint64) < size.view(np.uint64)
+            slots *= size
+            slots += rel
+        slots += self._box_offset[n]
+        slots[~inside] = -1
+        return slots
 
     def _hat_slots(self, n, xi: np.ndarray) -> np.ndarray:
         """cell_slots, with -1 also for the cells of the box outside Xi_hat."""
         slots = self.cell_slots(n, xi)
-        return np.where((slots >= 0) & self._in_hat[slots], slots, -1)
+        # slot -1 reads the last flag and stays -1 either way
+        slots[~self._in_hat[slots]] = -1
+        return slots
 
     def subdomain_of(self, X: np.ndarray) -> np.ndarray:
         """Flat subdomain index per point. Floor convention on faces."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        k = np.floor((X - self.domain_lo) / self.side).astype(int)
-        k = np.clip(k, 0, np.asarray(self.n_sub) - 1)
-        return np.ravel_multi_index(tuple(k.T), self.n_sub)
+        flat = np.zeros(len(X))
+        k = np.empty(len(X))
+        for ax in range(self.d):
+            np.subtract(X[:, ax], self.domain_lo[ax], out=k)
+            k /= self.side
+            np.floor(k, out=k)
+            np.maximum(k, 0, out=k)
+            np.minimum(k, self.n_sub[ax] - 1, out=k)
+            flat *= self.n_sub[ax]
+            flat += k
+        return flat.astype(int)
 
 
 @dataclass
@@ -305,71 +326,107 @@ def build_partition(domain, eps: float, r: float, transform: TransformField,
     side = eps**r
     n_sub = tuple(int(math.ceil((hi[i] - lo[i]) / side - 1e-9)) for i in range(d))
 
-    subs: list[Subdomain] = []
-    flat = 0
-    for k in np.ndindex(*n_sub):
-        k_arr = np.array(k)
-        s_lo = lo + k_arr * side
-        s_hi = np.minimum(lo + (k_arr + 1) * side, hi)
-        anchor = (s_lo + s_hi) / 2.0 if anchor_rule == "subdomain-center" else s_lo.copy()
-        D = transform.D_at(anchor)
-        K = transform.K_at(anchor)
-        Dinv = np.linalg.inv(D)
-        Kinv = np.linalg.inv(K)
-        detD = abs(float(np.linalg.det(D)))
-        if side < 2.0 * eps * np.linalg.norm(D, 2):
-            raise ValueError(
-                f"subdomain side {side:.4g} cannot hold one full cell "
-                f"(needs at least {2.0 * eps * np.linalg.norm(D, 2):.4g})")
-        xi0 = np.round(Dinv @ s_lo / eps).astype(int)
-        shift = eps * D @ xi0
-        xi_hat = _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift)
-        subs.append(Subdomain(n=flat, k=k, lo=s_lo, hi=s_hi, anchor=anchor,
-                              D=D, Dinv=Dinv, K=K, Kinv=Kinv, detD=detD,
-                              xi0=xi0, shift=shift, xi_hat=xi_hat, eps=eps))
-        flat += 1
+    ks = list(np.ndindex(*n_sub))
+    k = np.array(ks)
+    s_lo = lo + k * side
+    s_hi = np.minimum(lo + (k + 1) * side, hi)
+    anchor = (s_lo + s_hi) / 2.0 if anchor_rule == "subdomain-center" else s_lo.copy()
+    D = np.array([transform.D_at(a) for a in anchor])
+    need = 2.0 * eps * np.linalg.norm(D, 2, axis=(1, 2))
+    small = np.flatnonzero(side < need)
+    if len(small):
+        raise ValueError(
+            f"subdomain side {side:.4g} cannot hold one full cell "
+            f"(needs at least {need[small[0]]:.4g})")
+    K = np.array([transform.K_at(a) for a in anchor])
+    subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K)
     return Partition(lo, hi, eps, r, transform, anchor_rule, subs, n_sub, side)
 
 
-def _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
-    """Lattice cells near a subdomain and their mapped corners.
+def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
+                      on_corner: bool = False) -> list[Subdomain]:
+    """The subdomains of a covering, built in one batched pass.
 
-    Returns the integer cells (ncand, d) of the index box around the
-    subdomain's preimage and their corner points (ncand, 2^d, d).
+    Row i of s_lo, s_hi, anchor (S, d) and of the frozen maps D, K (S, d, d)
+    belongs to the subdomain with multi-index ks[i]. Each lattice passes
+    through the lattice point eps D xi0 nearest the subdomain's lower
+    corner, or through the corner itself with on_corner.
     """
-    d = len(s_lo)
-    corners_box = np.stack([np.where(np.array(c), s_hi, s_lo)
-                            for c in np.ndindex(*(2,) * d)])
-    z = (Dinv @ (corners_box - shift).T).T / eps
-    ximin = np.floor(z.min(axis=0)).astype(int) - 1
-    ximax = np.ceil(z.max(axis=0)).astype(int) + 1
-    ranges = [np.arange(ximin[i], ximax[i] + 1) for i in range(d)]
-    cand = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
-    unit = np.stack([np.array(c, dtype=float) for c in np.ndindex(*(2,) * d)])
-    return cand, map_cells(shift, eps, D, cand, unit)
+    Dinv, Kinv = np.linalg.inv(D), np.linalg.inv(K)
+    detD = np.abs(np.linalg.det(D)).tolist()
+    # matmul on stacked (d, 1) columns runs the same product per row as
+    # Dinv @ s_lo on one subdomain
+    xi0 = np.round(np.matmul(Dinv, s_lo[..., None])[..., 0] / eps).astype(int)
+    shift = s_lo.copy() if on_corner else np.matmul(eps * D, xi0[..., None])[..., 0]
+    # Xi_hat: the cells whose corners all lie in their subdomain
+    owners, cells = [], []
+    for owner, cand, pts in _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
+        inside = np.all((pts >= s_lo[owner, None] - _GEOM_ATOL)
+                        & (pts <= s_hi[owner, None] + _GEOM_ATOL), axis=(1, 2))
+        owners.append(owner[inside])
+        cells.append(cand[inside])
+    counts = np.bincount(np.concatenate(owners), minlength=len(ks))
+    xi_hat = np.split(np.concatenate(cells), np.cumsum(counts)[:-1])
+    return [Subdomain(n=n, k=k, lo=s_lo[n], hi=s_hi[n], anchor=anchor[n],
+                      D=D[n], Dinv=Dinv[n], K=K[n], Kinv=Kinv[n],
+                      detD=detD[n], xi0=xi0[n], shift=shift[n],
+                      xi_hat=xi_hat[n], eps=eps)
+            for n, k in enumerate(ks)]
+
+
+# candidate cells mapped at once; bounds the corner arrays of a covering
+_CELL_BLOCK = 8192
+
+
+def _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
+    """Lattice cells near each subdomain and their mapped corners.
+
+    One row of the stacked arguments per subdomain. Yields, per block of
+    whole subdomains with about _CELL_BLOCK cells, (owner, cand, pts): the
+    subdomain row of each cell (c,), the integer cells (c, d) of the index
+    box around that subdomain's preimage, row-major box after box, and
+    their corner points (c, 2^d, d).
+    """
+    d = s_lo.shape[1]
+    unit = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+    corners = np.where(unit > 0, s_hi[:, None, :], s_lo[:, None, :])
+    # the preimage's index box, padded by one cell: its last bits do not
+    # change which cells pass a test
+    z = np.einsum("sij,skj->ski", Dinv, corners - shift[:, None, :]) / eps
+    ximin = np.floor(z.min(axis=1)).astype(int) - 1
+    size = np.ceil(z.max(axis=1)).astype(int) + 2 - ximin
+    counts = np.prod(size, axis=1)
+    first = np.cumsum(counts) - counts
+    cuts = np.flatnonzero(np.diff(first // _CELL_BLOCK)) + 1
+    for rows in np.split(np.arange(len(s_lo)), cuts):
+        owner = np.repeat(rows, counts[rows])
+        rest = np.arange(len(owner)) - np.repeat(first[rows] - first[rows[0]],
+                                                 counts[rows])
+        cand = np.empty((len(owner), d), dtype=int)
+        for ax in range(d - 1, -1, -1):
+            rest, cand[:, ax] = np.divmod(rest, size[owner, ax])
+        cand += ximin[owner]
+        yield owner, cand, map_cells(shift[owner], eps, D[owner], cand, unit)
 
 
 def map_cells(shift, eps: float, D, xi, y) -> np.ndarray:
     """Points shift + eps D (xi + y), (c, k, d), of cells xi (c, d) and unit-
-    cell points y (k, d). In 2-D, per-axis sums of two contiguous products
+    cell points y (k, d). D (d, d) and shift (d,) may also be given per cell,
+    (c, d, d) and (c, d). In 2-D, per-axis sums of two contiguous products
     give the bits of the einsum used for other d, about 4x faster."""
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(D) != 2:
+    D = np.asarray(D, dtype=float)
+    shift = np.asarray(shift, dtype=float)
+    if D.shape[-1] != 2:
         # einsum adds three or more terms in an order of its own
-        return shift + eps * np.einsum("ij,ckj->cki", D,
-                                       xi[:, None, :] + y[None, :, :])
+        spec = "ij,ckj->cki" if D.ndim == 2 else "cij,ckj->cki"
+        return shift[..., None, :] + eps * np.einsum(
+            spec, D, xi[:, None, :] + y[None, :, :])
     a0 = xi[:, None, 0] + y[None, :, 0]
     a1 = xi[:, None, 1] + y[None, :, 1]
-    return np.stack([(D[i, 0] * a0 + D[i, 1] * a1) * eps + shift[i]
-                     for i in range(2)], axis=-1)
-
-
-def _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift):
-    """Xi_hat: the lattice cells fully inside the subdomain (corner tests)."""
-    cand, pts = _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift)
-    inside = np.all((pts >= s_lo - _GEOM_ATOL) & (pts <= s_hi + _GEOM_ATOL), axis=(1, 2))
-    return cand[inside]
+    return np.stack([(D[..., i, 0, None] * a0 + D[..., i, 1, None] * a1) * eps
+                     + shift[..., i, None] for i in range(2)], axis=-1)
 
 
 def _cells_box_intersect(cell_pts, b_lo, b_hi, D) -> np.ndarray:
@@ -402,29 +459,51 @@ def locate_slots(partition: Partition, X: np.ndarray):
     Returns (n, xi, y, slot): flat subdomain index, integer lattice cell,
     fractional in-cell coordinate in [0,1)^d, and the cell's slot in the
     per-cell tables (Partition.cell_slots), -1 in the leftover region (xi
-    outside Xi_hat). Plain floor convention throughout.
+    outside Xi_hat). Plain floor convention throughout. A point outside
+    the domain, or with a NaN coordinate, raises ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lo, hi = partition.domain_lo, partition.domain_hi
-    if np.any(X < lo - _GEOM_ATOL) or np.any(X > hi + _GEOM_ATOL):
-        raise ValueError("point outside the domain")
+    for ax in range(partition.d):
+        c = X[:, ax]
+        # min and max carry a NaN, and every comparison with it is False
+        if len(c) and not (c.min() >= lo[ax] - _GEOM_ATOL
+                           and c.max() <= hi[ax] + _GEOM_ATOL):
+            raise ValueError("point outside the domain")
     n = partition.subdomain_of(X)
+    # unfolding passes its points grouped by subdomain already
+    if np.all(n[1:] >= n[:-1]):
+        return (n,) + _locate_runs(partition, X, n)
+    # one stable sort groups them, each group in ascending point order
+    order = np.argsort(n, kind="stable")
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return (n,) + tuple(a[back] for a in
+                        _locate_runs(partition, X[order], n[order]))
+
+
+def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
+    """(xi, y, slot) of locate_slots for points grouped by subdomain n."""
     d = partition.d
     xi = np.empty((len(X), d), dtype=int)
     y = np.empty((len(X), d), dtype=float)
     slot = np.empty(len(X), dtype=int)
-    # one stable sort groups the points by subdomain, each group in
-    # ascending point order
-    order = np.argsort(n, kind="stable")
-    starts = np.flatnonzero(np.diff(n[order])) + 1
-    for idx in np.split(order, starts) if len(X) else ():
-        nn = n[idx[0]]
-        z = (partition._Dinv[nn] @ (X[idx] - partition._shift[nn]).T).T / partition.eps
-        xi_n = np.floor(z).astype(int)
-        xi[idx] = xi_n
-        y[idx] = z - xi_n
-        slot[idx] = partition._hat_slots(nn, xi_n)
-    return n, xi, y, slot
+    edges = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(X)]
+    for a, b in zip(edges[:-1], edges[1:]) if len(X) else ():
+        nn = n[a]
+        # u holds X - shift laid out as (X - shift).T, so Dinv @ u is the
+        # product of the per-subdomain passes, bit for bit; it is a view of
+        # y, which gets the fraction in the end
+        u = y[a:b].T
+        for ax in range(d):
+            np.subtract(X[a:b, ax], partition._shift[nn, ax], out=u[ax])
+        z = partition._Dinv[nn] @ u
+        z /= partition.eps
+        np.floor(z, out=u)
+        xi[a:b] = u.T
+        np.subtract(z, u, out=u)
+        slot[a:b] = partition._hat_slots(nn, xi[a:b])
+    return xi, y, slot
 
 
 def locate_batch(partition: Partition, X: np.ndarray):
@@ -473,12 +552,6 @@ def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,
     n, _, y, _ = locate_batch(partition, X)
     x_slow = X if variant == "L" else partition._anchor[n]
     return psi.f(x_slow, y)
-
-
-def lp_approx(psi: ScalarFieldOnCells, partition: Partition,
-              transform: TransformField, x, variant: str = "L") -> float:
-    return float(lp_approx_batch(psi, partition, np.asarray(x, dtype=float)[None, :],
-                                 variant=variant)[0])
 
 
 def indicator_perforated(partition: Partition, transform: TransformField,

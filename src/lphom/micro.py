@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import (Partition, Subdomain, _lattice_xi_hat, build_partition,
+from .geometry import (Partition, _frozen_subdomains, build_partition,
                        indicator_perforated, locate_batch, mask_connected)
 from .scenarios import CoefficientSuite, Scenario
 
@@ -268,11 +268,12 @@ class _SnappedPartition(Partition):
 
     def subdomain_of(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        k = np.empty((len(X), self.d), dtype=int)
+        flat = np.zeros(len(X), dtype=int)
         for i, b in enumerate(self._breaks):
-            k[:, i] = np.clip(np.searchsorted(b, X[:, i], side="right") - 1,
-                              0, len(b) - 2)
-        return np.ravel_multi_index(tuple(k.T), self.n_sub)
+            k = np.searchsorted(b, X[:, i], side="right") - 1
+            flat *= len(b) - 1
+            flat += np.clip(k, 0, len(b) - 2)
+        return flat
 
 
 def _micro_partition(eps: float, r: float, transform) -> Partition:
@@ -293,24 +294,15 @@ def _micro_partition(eps: float, r: float, transform) -> Partition:
         return build_partition(domain, eps, _commensurate_r(eps, r), transform)
     breaks = [_axis_breaks(eps, r, f) for f in fs]
     n_sub = tuple(len(b) - 1 for b in breaks)
-    subs: list[Subdomain] = []
-    flat = 0
-    for k in np.ndindex(*n_sub):
-        s_lo = np.array([breaks[0][k[0]], breaks[1][k[1]]])
-        s_hi = np.array([breaks[0][k[0] + 1], breaks[1][k[1] + 1]])
-        anchor = 0.5 * (s_lo + s_hi)
-        D = transform.D_at(anchor)
-        K = transform.K_at(anchor)
-        Dinv = np.linalg.inv(D)
-        Kinv = np.linalg.inv(K)
-        detD = abs(float(np.linalg.det(D)))
-        shift = s_lo.copy()   # lattice anchored at the lower corner
-        xi0 = np.round(Dinv @ shift / eps).astype(int)
-        xi_hat = _lattice_xi_hat(s_lo, s_hi, eps, D, Dinv, shift)
-        subs.append(Subdomain(n=flat, k=k, lo=s_lo, hi=s_hi, anchor=anchor,
-                              D=D, Dinv=Dinv, K=K, Kinv=Kinv, detD=detD,
-                              xi0=xi0, shift=shift, xi_hat=xi_hat, eps=eps))
-        flat += 1
+    ks = list(np.ndindex(*n_sub))
+    k = np.array(ks)
+    s_lo = np.column_stack([b[k[:, i]] for i, b in enumerate(breaks)])
+    s_hi = np.column_stack([b[k[:, i] + 1] for i, b in enumerate(breaks)])
+    anchor = 0.5 * (s_lo + s_hi)
+    D = np.array([transform.D_at(a) for a in anchor])
+    K = np.array([transform.K_at(a) for a in anchor])
+    # lattices anchored at the lower corner
+    subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K, on_corner=True)
     return _SnappedPartition(breaks, domain[0], domain[1], eps, r, transform,
                              "subdomain-center", subs, n_sub, eps**r)
 

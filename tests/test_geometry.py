@@ -17,12 +17,11 @@ from lphom.geometry import (
     locate,
     locate_batch,
     locate_slots,
-    lp_approx,
     lp_approx_batch,
     map_cells,
     rotation_matrix,
 )
-from lphom.micro import _micro_partition
+from lphom.micro import _axis_breaks, _diagonal_steps, _micro_partition
 from lphom.scenarios import (
     SCENARIO_NAMES,
     epithelial_scenario,
@@ -265,7 +264,10 @@ class TestVectorizedSeparatingAxes:
         hi = lo + side
         eps = 1 / 16
         shift = eps * D @ np.round(np.linalg.inv(D) @ lo / eps)
-        cand, pts = _candidate_cells(lo, hi, eps, D, np.linalg.inv(D), shift)
+        [(rows, cand, pts)] = _candidate_cells(
+            lo[None], hi[None], eps, D[None], np.linalg.inv(D)[None],
+            shift[None])
+        assert not rows.any()
         got = _cells_box_intersect(pts, lo, hi, D)
         ref = [reference_cell_box_intersects(c, lo, hi, D) for c in pts]
         assert got.dtype == bool and got.shape == (len(cand),)
@@ -327,11 +329,212 @@ class TestMapCells:
         assert got.shape == (0, 16, 2)
 
 
+def reference_candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
+    """The candidate cells and corners of one subdomain as build_partition
+    enumerated them, one subdomain at a time."""
+    d = len(s_lo)
+    corners_box = np.stack([np.where(np.array(c), s_hi, s_lo)
+                            for c in np.ndindex(*(2,) * d)])
+    z = (Dinv @ (corners_box - shift).T).T / eps
+    ximin = np.floor(z.min(axis=0)).astype(int) - 1
+    ximax = np.ceil(z.max(axis=0)).astype(int) + 1
+    ranges = [np.arange(ximin[i], ximax[i] + 1) for i in range(d)]
+    cand = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
+    unit = np.stack([np.array(c, dtype=float) for c in np.ndindex(*(2,) * d)])
+    return cand, reference_map_cells(shift, eps, D, cand, unit)
+
+
+def reference_subdomain(n, k, s_lo, s_hi, anchor, D, K, eps, shift=None):
+    """The fields of one subdomain as the per-subdomain loop built them;
+    shift None snaps the lattice to the point nearest the lower corner."""
+    Dinv = np.linalg.inv(D)
+    Kinv = np.linalg.inv(K)
+    detD = abs(float(np.linalg.det(D)))
+    if shift is None:
+        xi0 = np.round(Dinv @ s_lo / eps).astype(int)
+        shift = eps * D @ xi0
+    else:
+        xi0 = np.round(Dinv @ shift / eps).astype(int)
+    cand, pts = reference_candidate_cells(s_lo, s_hi, eps, D, Dinv, shift)
+    inside = np.all((pts >= s_lo - 1e-12) & (pts <= s_hi + 1e-12), axis=(1, 2))
+    return dict(n=n, k=k, lo=s_lo, hi=s_hi, anchor=anchor, D=D, Dinv=Dinv,
+                K=K, Kinv=Kinv, detD=detD, xi0=xi0, shift=shift,
+                xi_hat=cand[inside], eps=eps)
+
+
+def reference_build_partition(domain, eps, r, transform,
+                              anchor_rule="subdomain-center"):
+    """build_partition's subdomain fields, one subdomain at a time."""
+    lo = np.asarray(domain[0], dtype=float)
+    hi = np.asarray(domain[1], dtype=float)
+    d = transform.d
+    side = eps**r
+    n_sub = tuple(int(math.ceil((hi[i] - lo[i]) / side - 1e-9))
+                  for i in range(d))
+    subs = []
+    for flat, k in enumerate(np.ndindex(*n_sub)):
+        k_arr = np.array(k)
+        s_lo = lo + k_arr * side
+        s_hi = np.minimum(lo + (k_arr + 1) * side, hi)
+        anchor = ((s_lo + s_hi) / 2.0 if anchor_rule == "subdomain-center"
+                  else s_lo.copy())
+        D = transform.D_at(anchor)
+        if side < 2.0 * eps * np.linalg.norm(D, 2):
+            raise ValueError(
+                f"subdomain side {side:.4g} cannot hold one full cell "
+                f"(needs at least {2.0 * eps * np.linalg.norm(D, 2):.4g})")
+        subs.append(reference_subdomain(flat, k, s_lo, s_hi, anchor, D,
+                                        transform.K_at(anchor), eps))
+    return subs
+
+
+def reference_micro_subdomains(eps, r, transform):
+    """_micro_partition's subdomain fields on a separable transform."""
+    fs = _diagonal_steps(transform)
+    breaks = [_axis_breaks(eps, r, f) for f in fs]
+    subs = []
+    for flat, k in enumerate(np.ndindex(*(len(b) - 1 for b in breaks))):
+        s_lo = np.array([breaks[0][k[0]], breaks[1][k[1]]])
+        s_hi = np.array([breaks[0][k[0] + 1], breaks[1][k[1] + 1]])
+        anchor = 0.5 * (s_lo + s_hi)
+        subs.append(reference_subdomain(
+            flat, k, s_lo, s_hi, anchor, transform.D_at(anchor),
+            transform.K_at(anchor), eps, shift=s_lo.copy()))
+    return subs
+
+
+def reference_slot_tables(subs, d):
+    """The Partition slot tables, filled one subdomain at a time."""
+    xi_min = np.zeros((len(subs), d), dtype=int)
+    box_shape = np.ones((len(subs), d), dtype=int)
+    for i, s in enumerate(subs):
+        if len(s["xi_hat"]):
+            xi_min[i] = s["xi_hat"].min(axis=0)
+            box_shape[i] = s["xi_hat"].max(axis=0) - xi_min[i] + 1
+    box_offset = np.concatenate(([0], np.cumsum(np.prod(box_shape, axis=1))))
+    in_hat = np.zeros(box_offset[-1], dtype=bool)
+    for i, s in enumerate(subs):
+        rel = s["xi_hat"] - xi_min[i]
+        flat = rel[:, 0]
+        for ax in range(1, d):
+            flat = flat * box_shape[i, ax] + rel[:, ax]
+        in_hat[box_offset[i] + flat] = True
+    return dict(_xi_min=xi_min, _box_shape=box_shape, _box_offset=box_offset,
+                _in_hat=in_hat)
+
+
+def assert_same_partition(p, ref_subs):
+    assert p.n_subdomains == len(ref_subs)
+    for s, ref in zip(p.subdomains, ref_subs):
+        for name, want in ref.items():
+            got = getattr(s, name)
+            if isinstance(want, np.ndarray):
+                assert_same_bits(np.asarray(got), want)
+            elif isinstance(want, float):
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            else:
+                assert got == want and type(got) is type(want)
+    for name, want in reference_slot_tables(ref_subs, p.d).items():
+        assert_same_bits(getattr(p, name), want)
+    for name in ("D", "Dinv", "Kinv", "shift", "anchor", "detD"):
+        assert_same_bits(getattr(p, f"_{name}"),
+                         np.array([ref[name] for ref in ref_subs]))
+
+
+def varying_stretch_transform() -> TransformField:
+    """D = diag(0.8 + 0.4 x_1, 1): |D| grows with x_1 from 1 to 1.2."""
+    I = np.eye(2)
+    return TransformField(d=2, D=lambda x: np.diag([0.8 + 0.4 * x[0], 1.0]),
+                          K=lambda x: I, detD_bounds=(0.8, 1.2),
+                          detK_bounds=(1.0, 1.0), lipschitz_budget=0.4,
+                          name="stretch")
+
+
+class TestBatchedPartition:
+    @pytest.mark.parametrize("anchor_rule", ["subdomain-center",
+                                             "lower-corner"])
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 12, 1 / 16, 1 / 32, 1 / 64,
+                                     1 / 128])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_matches_the_per_subdomain_loop(self, name, eps, anchor_rule):
+        tf = get_scenario(name).transform
+        p = build_partition(UNIT_BOX, eps, 0.5, tf, anchor_rule=anchor_rule)
+        assert_same_partition(p, reference_build_partition(
+            UNIT_BOX, eps, 0.5, tf, anchor_rule))
+
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    @pytest.mark.parametrize("name", ["periodic", "epithelial",
+                                      "radius-gradient"])
+    def test_micro_covering_matches_the_per_subdomain_loop(self, name, eps):
+        tf = get_scenario(name).transform
+        assert _diagonal_steps(tf) is not None
+        assert_same_partition(_micro_partition(eps, 0.5, tf),
+                              reference_micro_subdomains(eps, 0.5, tf))
+
+    @pytest.mark.parametrize("alpha, sheared", [(0.3, False),
+                                                (math.pi / 4, True)])
+    def test_three_dimensional_coverings(self, alpha, sheared):
+        M = np.linalg.inv(rotation_matrix(alpha, 3))
+        if sheared:
+            M = M @ np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2],
+                              [0.1, 0.0, 1.1]])
+        box = ((0.0,) * 3, (1.0,) * 3)
+        tf = constant_transform_3d(M)
+        for eps, r in ((1 / 4, 0.2), (1 / 8, 0.3)):
+            p = build_partition(box, eps, r, tf)
+            assert_same_partition(p, reference_build_partition(box, eps, r, tf))
+
+    def test_blocks_split_between_whole_subdomains(self, monkeypatch):
+        from lphom import geometry
+
+        tf = plywood2d_scenario().transform
+        ref = reference_build_partition(UNIT_BOX, 1 / 32, 0.5, tf)
+        for block in (1, 100, 10**9):
+            monkeypatch.setattr(geometry, "_CELL_BLOCK", block)
+            assert_same_partition(build_partition(UNIT_BOX, 1 / 32, 0.5, tf),
+                                  ref)
+
+    @pytest.mark.parametrize("eps, r, tf", [
+        (1 / 4, 0.5, varying_stretch_transform()),     # the second fails
+        (1 / 4, 0.99, identity_transform(2)),
+        (1 / 8, 0.9, plywood2d_scenario().transform),
+        (1 / 8, 0.9, epithelial_scenario().transform),
+        (1 / 16, 0.95, radius_gradient_scenario().transform),
+    ])
+    def test_too_small_subdomains_give_the_same_message(self, eps, r, tf):
+        with pytest.raises(ValueError, match="full cell") as want:
+            reference_build_partition(UNIT_BOX, eps, r, tf)
+        with pytest.raises(ValueError, match="full cell") as got:
+            build_partition(UNIT_BOX, eps, r, tf)
+        assert str(got.value) == str(want.value)
+
+    def test_the_first_failing_subdomain_is_named(self):
+        # subdomain (0, 0) holds a cell, (1, 0) does not
+        with pytest.raises(ValueError) as exc:
+            build_partition(UNIT_BOX, 1 / 4, 0.5, varying_stretch_transform())
+        assert str(exc.value) == ("subdomain side 0.5 cannot hold one full "
+                                  "cell (needs at least 0.55)")
+
+
+def reference_subdomain_of(partition, X):
+    """Partition.subdomain_of (and the snapped covering's) with a clipped
+    multi-index and ravel_multi_index."""
+    if hasattr(partition, "_breaks"):
+        k = np.stack([np.clip(np.searchsorted(b, X[:, i], side="right") - 1,
+                              0, len(b) - 2)
+                      for i, b in enumerate(partition._breaks)], axis=1)
+    else:
+        k = np.floor((X - partition.domain_lo) / partition.side).astype(int)
+        k = np.clip(k, 0, np.asarray(partition.n_sub) - 1)
+    return np.ravel_multi_index(tuple(k.T), partition.n_sub)
+
+
 def reference_locate_batch(partition, X):
     """locate_batch with one np.where pass per subdomain, and Xi_hat
     membership from a set of tuples."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = partition.subdomain_of(X)
+    n = reference_subdomain_of(partition, X)
     d = partition.d
     xi = np.empty((len(X), d), dtype=int)
     y = np.empty((len(X), d), dtype=float)
@@ -383,6 +586,56 @@ class TestGroupedLocate:
             assert_same_bits(slot, np.where(in_hat, cell, -1))
             for g, r in zip((n, xi, y, slot < 0), got):
                 assert_same_bits(g, r)
+
+    @staticmethod
+    def assert_matches_reference(p, X):
+        got = locate_batch(p, X)
+        for g, r in zip(got, reference_locate_batch(p, X)):
+            assert_same_bits(g, r)
+        n, xi, y, slot = locate_slots(p, X)
+        cell = p.cell_slots(n, xi)
+        assert_same_bits(slot, np.where((cell >= 0) & p._in_hat[cell],
+                                        cell, -1))
+        return got
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_input_grouped_by_subdomain(self, name, eps):
+        # the mapped unit-cell nodes of every Xi_hat cell, subdomain after
+        # subdomain, as unfold passes them
+        tf = get_scenario(name).transform
+        y = unit_cell_nodes(4, 2)
+        for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
+                  _micro_partition(eps, 0.5, tf)):
+            per_sub = [map_cells(s.shift, eps, s.D, s.xi_hat, y).reshape(-1, 2)
+                       for s in p.subdomains]
+            for X in per_sub[:3] + [np.concatenate(per_sub)]:
+                n = self.assert_matches_reference(p, X)[0]
+                assert np.all(np.diff(n) >= 0)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_single_points(self, name):
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, 1 / 16, 0.5, tf),
+                  _micro_partition(1 / 16, 0.5, tf)):
+            for x in locate_probe_points(p, 5)[::97]:
+                self.assert_matches_reference(p, x)
+                self.assert_matches_reference(p, x[None])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_non_finite_points(self, bad, axis):
+        tf = plywood2d_scenario().transform
+        for p in (build_partition(UNIT_BOX, 1 / 16, 0.5, tf),
+                  _micro_partition(1 / 16, 0.5, periodic_scenario().transform)):
+            X = np.full((5, 2), 0.5)
+            X[3, axis] = bad
+            for call in (lambda: locate(p, tf, X[3]),
+                         lambda: locate_batch(p, X),
+                         lambda: locate_slots(p, X),
+                         lambda: locate_slots(p, X[::-1])):
+                with pytest.raises(ValueError, match="point outside the domain"):
+                    call()
 
     def test_empty_input(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2))
@@ -498,15 +751,17 @@ class TestLpApprox:
         x = np.array([0.37, 0.81])
         res = locate(p, p.transform, x)
         anchor = p.subdomains[res.n].anchor
-        assert lp_approx(g, p, p.transform, x, "L") == pytest.approx(0.37**2 + 3.0, abs=1e-14)
-        assert lp_approx(g, p, p.transform, x, "L0") == pytest.approx(anchor[0] ** 2 + 3.0, abs=1e-14)
+        assert lp_approx_batch(g, p, x[None], "L")[0] == pytest.approx(
+            0.37**2 + 3.0, abs=1e-14)
+        assert lp_approx_batch(g, p, x[None], "L0")[0] == pytest.approx(
+            anchor[0] ** 2 + 3.0, abs=1e-14)
 
     def test_pure_oscillation_identity_lattice(self):
         psi = ScalarFieldOnCells(f=lambda x, y: np.sin(2 * np.pi * y[:, 0]), name="osc")
         p = single_subdomain_partition(1 / 4, identity_transform(2))
         for x in ([0.3, 0.6], [0.11, 0.52], [0.77, 0.23]):
-            v = lp_approx(psi, p, p.transform, np.array(x), "L")
-            v0 = lp_approx(psi, p, p.transform, np.array(x), "L0")
+            [v] = lp_approx_batch(psi, p, np.array([x]), "L")
+            [v0] = lp_approx_batch(psi, p, np.array([x]), "L0")
             want = math.sin(2 * math.pi * x[0] / (1 / 4))
             assert v == pytest.approx(want, abs=1e-12)
             assert v0 == pytest.approx(want, abs=1e-12)
@@ -541,8 +796,7 @@ class TestLpApprox:
     def test_rejects_unknown_variant(self):
         psi = ScalarFieldOnCells(f=lambda x, y: y[:, 0], name="y1")
         with pytest.raises(ValueError):
-            lp_approx(psi, _EPI_PARTITION, _EPI_PARTITION.transform,
-                      np.array([0.5, 0.5]), "L2")
+            lp_approx_batch(psi, _EPI_PARTITION, np.array([[0.5, 0.5]]), "L2")
 
     def test_periodicity_checker(self):
         good = ScalarFieldOnCells(f=lambda x, y: np.cos(2 * np.pi * y[:, 0]), name="ok")

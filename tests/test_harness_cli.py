@@ -256,6 +256,17 @@ class TestCheckUnfoldCommand:
 GOLDEN = Path(__file__).resolve().parent / "data"
 
 
+class TestGeomGolden:
+    @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
+                                      "radius-gradient"])
+    def test_output_is_byte_identical(self, name, tmp_path):
+        code = main(["geom", "--scenario", name, "--eps", "1/8,1/16,1/32,1/64",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        got = (tmp_path / "geom.csv").read_bytes()
+        assert got == (GOLDEN / f"geom_{name}.csv").read_bytes()
+
+
 class TestCheckUnfoldGolden:
     @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
                                       "radius-gradient"])

@@ -325,6 +325,24 @@ class TestCheckUnfoldGolden:
         assert sampled == [(8, 8)]
 
 
+class TestSolverGolden:
+    # pinned at the commit before the micro and macro solvers shared one
+    # time-stepping driver; the driver must keep every byte
+    @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
+                                      "radius-gradient"])
+    @pytest.mark.parametrize("command, args", [
+        ("micro", ["--eps", "1/8", "--cells-per-eps", "8"]),
+        ("macro", ["--H", "1/8", "--Nc", "32"]),
+    ])
+    def test_output_is_byte_identical(self, command, args, name, tmp_path):
+        code = main([command, "--scenario", name, *args, "--T", "0.05",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        for kind in ("series", "field"):
+            got = (tmp_path / f"{command}_{kind}.csv").read_bytes()
+            assert got == (GOLDEN / f"{command}_{kind}_{name}.csv").read_bytes()
+
+
 class TestBenchmarkHooks:
     def test_every_hook_finds_its_target(self):
         # perfbench wraps module attributes by name; a renamed attribute
@@ -430,6 +448,8 @@ class TestConvergeCommand:
         assert E[0] > E[1]
         assert abs(E[0] - 3.768372569783e-03) < 1e-9
         assert abs(E[1] - 2.918703893225e-03) < 1e-9
+        assert (tmp_path / "convergence.csv").read_bytes() \
+            == (GOLDEN / "converge_small.csv").read_bytes()
 
 
 def row_bits(row):

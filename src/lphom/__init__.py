@@ -8,7 +8,7 @@ macroscopic solver, and a convergence-study harness comparing the two
 across an epsilon sweep. The command line front end lives in lphom.cli.
 
 The namespace is lazy: ``import lphom`` loads no submodule, and each
-public name imports its home submodule on first access. geometry,
+public name imports its home submodule on first access. geometry, imex,
 scenarios and unfolding need only numpy; cell_problem, micro, macro and
 harness bring in scipy's sparse solvers when first imported.
 """
@@ -26,9 +26,9 @@ _EXPORTS = {
                  "locate_batch"),
     "harness": ("ConvergenceReport", "EpsilonResult", "StudyConfig",
                 "convergence_study", "write_convergence_csv"),
-    "macro": ("MacroConfig", "MacroRun", "assemble_macro", "macro_nodes",
-              "run_macro"),
-    "micro": ("MicroConfig", "MicroRun", "build_micro_grid", "run_micro"),
+    "imex": ("Run",),
+    "macro": ("MacroConfig", "assemble_macro", "macro_nodes", "run_macro"),
+    "micro": ("MicroConfig", "build_micro_grid", "run_micro"),
     "scenarios": ("SCENARIO_NAMES", "CoefficientSuite", "Scenario",
                   "get_scenario"),
     "unfolding": ("GammaQuadrature", "check_boundary_identity",

@@ -27,6 +27,7 @@ import numpy as np
 # sparse solvers, so each command imports them itself: geom and
 # check-unfold run on numpy alone
 from .geometry import build_partition
+from .imex import OBSERVABLES
 from .scenarios import SCENARIO_NAMES, CoefficientSuite, get_scenario
 from .unfolding import (
     GammaQuadrature,
@@ -334,17 +335,13 @@ def _read_tensor_csv(path: str) -> EffectiveTensorField:
 
 # -------------------------------------------------------- micro / macro
 
-_SERIES_COLS = ("t", "l2_norm", "min_l", "max_l", "energy",
-                "rf_mass", "rb_mass")
-
-
 def _series_lines(vals: dict, prov_keys, observables: dict) -> list:
     lines = _provenance(vals, prov_keys)
-    lines.append(",".join(_SERIES_COLS))
+    lines.append(",".join(OBSERVABLES))
     n = len(observables["t"])
     for i in range(n):
         lines.append(",".join(_fmt(float(observables[c][i]))
-                              for c in _SERIES_COLS))
+                              for c in OBSERVABLES))
     return lines
 
 
@@ -376,7 +373,7 @@ def _cmd_micro(vals: dict, args) -> int:
     prov = ("scenario", "a", "r", "cells_per_eps", "T", "dt_rule")
     series = _out_path(vals, "micro_series.csv")
     _write_lines(series, _series_lines(vals, prov, run.observables))
-    grid = run.grid
+    grid = run.model
     ii, jj = np.nonzero(grid.mask)
     lines = _provenance(vals, prov)
     lines.append("x1,x2,l")

@@ -25,8 +25,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cell_problem import tensor_field
-from .macro import MacroConfig, MacroRun, assemble_macro, macro_nodes, run_macro
-from .micro import MicroConfig, MicroRun, run_micro
+from .imex import Run
+from .macro import MacroConfig, assemble_macro, macro_nodes, run_macro
+from .micro import MicroConfig, run_micro
 from .scenarios import Scenario
 
 __all__ = [
@@ -120,7 +121,7 @@ class ConvergenceReport:
     monotone: bool
     total_drop: float           # E(first) / E(last), nan if any row failed
     passed: bool
-    macro_run: Optional[MacroRun] = None
+    macro_run: Optional[Run] = None
     micro_runs: dict = field(default_factory=dict)
 
     def ok(self) -> bool:
@@ -157,9 +158,9 @@ def _time_integral(vals, ts) -> float:
     return float(np.trapezoid(vals, ts))
 
 
-def _receptor_pairing_micro(run: MicroRun) -> float:
+def _receptor_pairing_micro(run: Run) -> float:
     # eps * sum over boundary faces of r_b * face length * (1 + x1)
-    faces = run.grid.faces
+    faces = run.model.faces
     if len(faces.length) == 0:
         return 0.0
     phi = 1.0 + faces.midpoint[:, 0]
@@ -167,9 +168,9 @@ def _receptor_pairing_micro(run: MicroRun) -> float:
         run.final_state.r_b * faces.length * phi))
 
 
-def _receptor_pairing_macro(run: MacroRun) -> float:
+def _receptor_pairing_macro(run: Run) -> float:
     # per node: H^2 * (1 + x1) * (quadrature-weighted r_b) / cell measure
-    op = run.operator
+    op = run.model
     if op.gamma_w.shape[1] == 0:
         return 0.0
     phi = 1.0 + op.nodes[:, 0]
@@ -177,12 +178,12 @@ def _receptor_pairing_macro(run: MacroRun) -> float:
     return float(op.H ** 2 * np.sum(phi * per_node))
 
 
-def _compare(mic: MicroRun, mac: MacroRun) -> EpsilonResult:
+def _compare(mic: Run, mac: Run) -> EpsilonResult:
     ts = mic.observables["t"]
     if not np.allclose(ts, mac.observables["t"], atol=1e-12):
         raise RuntimeError("micro and macro sample times diverged")
 
-    grid = mic.grid
+    grid = mic.model
     ii, jj = np.nonzero(grid.mask)
     pts = np.column_stack(((ii + 0.5) * grid.h, (jj + 0.5) * grid.h))
     h2 = grid.h ** 2
@@ -227,7 +228,7 @@ def convergence_study(study: StudyConfig, max_workers: int = 3) -> ConvergenceRe
     """
     sc = study.scenario
 
-    def macro_job() -> MacroRun:
+    def macro_job() -> Run:
         mac_cfg = MacroConfig(sc, H=study.H, T=study.T, dt=study.macro_dt(),
                               n_gamma=study.n_gamma, N_c=study.N_c)
         mac_cfg.tensors = tensor_field(macro_nodes(mac_cfg), sc.suite.A,
@@ -236,13 +237,13 @@ def convergence_study(study: StudyConfig, max_workers: int = 3) -> ConvergenceRe
         return run_macro(mac_cfg, op=op, n_samples=study.n_samples,
                          keep_fields=True)
 
-    def micro_job(eps: float) -> MicroRun:
+    def micro_job(eps: float) -> Run:
         cfg = MicroConfig(sc, eps, r=study.r,
                           cells_per_eps=study.cells_per_eps, T=study.T,
                           dt=study.micro_dt(eps))
         return run_micro(cfg, n_samples=study.n_samples, keep_fields=True)
 
-    mac_run: Optional[MacroRun] = None
+    mac_run: Optional[Run] = None
     macro_error: Optional[str] = None
     micro_runs: dict = {}
     rows = []

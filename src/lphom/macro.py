@@ -5,21 +5,24 @@ effective tensor, coupled to receptor ODE fields resolved at quadrature
 points on the reference perforation boundary of each macro node. Space:
 flux-form finite volumes with a 9-point stencil (the off-diagonal tensor
 entries add cross-derivative terms, one-sided next to the outer walls),
-zero-flux closure. Time: the same IMEX splitting as the microscopic
-solver, with the porosity entering as the time-derivative weight.
+zero-flux closure. Time: MacroOperator is the second model of the
+lphom.imex driver, the same IMEX splitting as the microscopic solver with
+the porosity entering as the time-derivative weight.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import imex
 from .cell_problem import EffectiveTensorField, tensor_field
+from .imex import Run, State
 from .micro import face_dirichlet_form
 from .scenarios import CoefficientSuite, Scenario
 
@@ -65,16 +68,12 @@ def macro_nodes(config: MacroConfig) -> np.ndarray:
 
 
 @dataclass
-class MacroState:
-    t: float
-    l: np.ndarray            # (n, n)
-    r_f: np.ndarray          # (P, S) per (node, quadrature point)
-    r_b: np.ndarray          # (P, S)
-
-
-@dataclass
 class MacroOperator:
-    """Assembled diffusion operator, porosity weights and Γ quadrature."""
+    """Diffusion operator, porosity weights and Γ quadrature: the macro model.
+
+    State.l is (n, n); r_f and r_b are (P, S), one value per node and
+    boundary quadrature point.
+    """
 
     config: MacroConfig
     n: int
@@ -90,6 +89,43 @@ class MacroOperator:
     def gamma_measure(self) -> np.ndarray:
         # per-node boundary measure is defined as the quadrature total
         return self.gamma_w.sum(axis=1)
+
+    @property
+    def width(self) -> float:
+        return self.H
+
+    @property
+    def sigma(self) -> float:
+        """Largest surface density |Γ| / (θ |Y|) over the nodes."""
+        if not self.gamma_w.shape[1]:
+            return 0.0
+        return float((self.gamma_measure
+                      / (self.theta * self.cell_measure)).max())
+
+    def factor(self, dt: float):
+        return spla.splu((sp.diags(self.theta) - dt * self.L).tocsc())
+
+    def initial_state(self) -> State:
+        s = self.config.suite
+        P, S = self.gamma_w.shape
+        return State(t=0.0, l=np.full((self.n, self.n), float(s.l0)),
+                     r_f=np.full((P, S), float(s.rf0)),
+                     r_b=np.full((P, S), float(s.rb0)))
+
+    def step(self, st: State, lu, dt: float):
+        """One IMEX step, mirroring the microscopic update."""
+        s = self.config.suite
+        l = st.l.ravel()
+        bulk = self.theta * (s.F(l) - s.dl * l)
+        exchange, r_f, r_b = imex.receptors(s, l[:, None], st, dt)
+        gain = bulk + (self.gamma_w * exchange).sum(axis=1) / self.cell_measure
+        l_new = lu.solve(self.theta * l + dt * gain)
+        return imex.advance(st, dt, l_new, r_f, r_b)
+
+    def observe(self, st: State):
+        surf = self.H**2 * self.gamma_w / self.cell_measure[:, None]
+        return (st.l, macro_energy(st, self), float(np.sum(st.r_f * surf)),
+                float(np.sum(st.r_b * surf)))
 
 
 def _gamma_quadrature(config: MacroConfig, nodes: np.ndarray) -> np.ndarray:
@@ -223,45 +259,7 @@ def assemble_macro(config: MacroConfig) -> MacroOperator:
                          gamma_w=gamma_w, cell_measure=cell_measure)
 
 
-class _MacroStepper:
-    """Backward-Euler factorization of (Θ - Δt L) for a fixed step size."""
-
-    def __init__(self, op: MacroOperator, dt: float):
-        self.op = op
-        self.dt = dt
-        M = sp.diags(op.theta) - dt * op.L
-        self.lu = spla.splu(M.tocsc())
-
-
-def macro_step(state: MacroState, stepper: _MacroStepper) -> MacroState:
-    """One IMEX step, mirroring the microscopic update."""
-    op = stepper.op
-    s = op.config.suite
-    dt = stepper.dt
-    l = state.l.ravel()
-
-    bulk = op.theta * (s.F(l) - s.dl * l)
-    exchange = s.beta * state.r_b - s.alpha * l[:, None] * state.r_f
-    deposit = (op.gamma_w * exchange).sum(axis=1) / op.cell_measure
-
-    r_f = state.r_f + dt * (s.p(state.r_b)
-                            - s.alpha * l[:, None] * state.r_f
-                            + s.beta * state.r_b - s.df * state.r_f)
-    r_b = state.r_b + dt * (s.alpha * l[:, None] * state.r_f
-                            - s.beta * state.r_b - s.db * state.r_b)
-
-    rhs = op.theta * l + dt * (bulk + deposit)
-    l_new = stepper.lu.solve(rhs)
-    for name, arr in (("ligand", l_new), ("free receptors", r_f),
-                      ("bound receptors", r_b)):
-        if not np.all(np.isfinite(arr)):
-            raise RuntimeError(f"{name} field became non-finite at "
-                               f"t={state.t + dt:.6g}")
-    return MacroState(t=state.t + dt, l=l_new.reshape(op.n, op.n),
-                      r_f=r_f, r_b=r_b)
-
-
-def macro_energy(state: MacroState, op: MacroOperator) -> float:
+def macro_energy(state: State, op: MacroOperator) -> float:
     """Homogenized Dirichlet form ⟨𝒜∇l, ∇l⟩ over the macro grid.
 
     Diagonal entries use the same weighted face form as the micro energy;
@@ -281,102 +279,13 @@ def macro_energy(state: MacroState, op: MacroOperator) -> float:
     return total
 
 
-@dataclass
-class MacroRun:
-    """Trajectory observables and the final state of one macro solve."""
-
-    config: MacroConfig
-    operator: MacroOperator
-    observables: dict
-    final_state: MacroState
-    barrier_M: float
-    barrier_B: float
-    failures: list = field(default_factory=list)
-    fields: Optional[list] = None       # ligand snapshots at sample times
-
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def initial_macro_state(config: MacroConfig, op: MacroOperator) -> MacroState:
-    s = config.suite
-    n = op.n
-    P, S = op.gamma_w.shape
-    return MacroState(t=0.0, l=np.full((n, n), float(s.l0)),
-                      r_f=np.full((P, S), float(s.rf0)),
-                      r_b=np.full((P, S), float(s.rb0)))
-
-
-def _barrier_rate(op: MacroOperator, M: float) -> float:
-    s = op.config.suite
-    if s.mu3 > 0.0:
-        f_sup, f_lin = s.mu1 / s.mu3, 0.0
-    else:
-        f_sup, f_lin = 0.0, s.mu1 / max(s.mu2, 1e-300)
-    sigma = 0.0
-    if op.gamma_w.shape[1]:
-        sigma = float((op.gamma_measure
-                       / (op.theta * op.cell_measure)).max())
-    rate = f_sup + s.beta * s.receptor_bound * sigma
-    return f_lin + rate / max(M, 1e-9)
-
-
 def run_macro(config: MacroConfig, op: Optional[MacroOperator] = None,
-              n_samples: int = 20, keep_fields: bool = False) -> MacroRun:
-    """Integrate to T, recording the same observable schema as run_micro."""
+              n_samples: int = 20, keep_fields: bool = False) -> Run:
+    """Integrate to T, recording the same observable schema as run_micro.
+
+    T and dt come from config, also with a prebuilt operator.
+    """
     if op is None:
         op = assemble_macro(config)
-    s = config.suite
-    if config.T > 0.0:
-        dt_req = config.dt if config.dt is not None else config.H
-        if dt_req * s.bulk_lipschitz > 0.5:
-            raise ValueError(
-                f"dt={dt_req:g} exceeds the explicit reaction budget "
-                f"0.5/{s.bulk_lipschitz:g}")
-        window = config.T / n_samples
-        n_sub = max(1, int(math.ceil(window / dt_req - 1e-12)))
-        dt = window / n_sub
-        stepper = _MacroStepper(op, dt)
-    else:
-        n_sub, stepper = 0, None
-
-    state = initial_macro_state(config, op)
-    M = float(state.l.max(initial=0.0))
-    B = _barrier_rate(op, M)
-    H2 = op.H ** 2
-    rows = {k: [] for k in ("t", "l2_norm", "min_l", "max_l", "energy",
-                            "rf_mass", "rb_mass")}
-    failures: list = []
-    surf = H2 * op.gamma_w / op.cell_measure[:, None]   # (P, S) mass weights
-    snapshots: Optional[list] = [] if keep_fields else None
-
-    def record(st: MacroState):
-        if snapshots is not None:
-            snapshots.append(st.l.copy())
-        mx = float(st.l.max())
-        mn = float(st.l.min())
-        rows["t"].append(st.t)
-        rows["l2_norm"].append(math.sqrt(float(np.sum(st.l ** 2)) * H2))
-        rows["min_l"].append(mn)
-        rows["max_l"].append(mx)
-        rows["energy"].append(macro_energy(st, op))
-        rows["rf_mass"].append(float(np.sum(st.r_f * surf)))
-        rows["rb_mass"].append(float(np.sum(st.r_b * surf)))
-        if mn < -1e-12 or st.r_f.min(initial=0.0) < -1e-12 \
-                or st.r_b.min(initial=0.0) < -1e-12:
-            failures.append(f"negative concentration at t={st.t:.6g}")
-        barrier = max(M, 1e-9) * math.exp(min(B * st.t, 700.0)) + 1e-6
-        if mx > barrier:
-            failures.append(f"L-infinity barrier violated at t={st.t:.6g}")
-
-    record(state)
-    if config.T > 0.0:
-        for _ in range(n_samples):
-            for _ in range(n_sub):
-                state = macro_step(state, stepper)
-            record(state)
-
-    observables = {k: np.array(v) for k, v in rows.items()}
-    return MacroRun(config=config, operator=op, observables=observables,
-                    final_state=state, barrier_M=M, barrier_B=B,
-                    failures=failures, fields=snapshots)
+    return imex.integrate(config, op, imex.schedule(config, op, n_samples),
+                          n_samples, keep_fields)

@@ -5,25 +5,28 @@ condition on the perforation boundaries, and free/bound receptor ODEs on
 boundary faces. Space: masked 5-point finite volumes at resolution h; the
 perforation boundary is polygonalized by marching squares inside each
 boundary-crossing cell and each segment deposits its exchange flux into an
-adjacent fluid cell. Time: IMEX, explicit reactions and boundary exchange
-from the step-start state (so the alpha/beta terms cancel exactly in the
-receptor balance), implicit backward-Euler diffusion factorized once per
-run.
+adjacent fluid cell. Time: MicroGrid is a model of the lphom.imex driver,
+explicit reactions and boundary exchange from the step-start state (so the
+alpha/beta terms cancel exactly in the receptor balance), implicit
+backward-Euler diffusion factorized once per run.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import imex
 from .geometry import (Partition, _frozen_subdomains, build_partition,
                        indicator_perforated, locate_batch, mask_connected)
+from .imex import Run, State
 from .scenarios import CoefficientSuite, Scenario
 
 # held by run_micro around the grid build and the factorization, so that
@@ -94,7 +97,11 @@ class MicroFaces:
 
 @dataclass
 class MicroGrid:
-    """Masked grid, boundary faces and the factorized diffusion operator."""
+    """Masked grid and boundary faces: the micro model of lphom.imex.
+
+    State.l is (n, n), zero outside the fluid mask; r_f and r_b are (F,),
+    one value per boundary face.
+    """
 
     config: MicroConfig
     partition: Partition
@@ -106,13 +113,49 @@ class MicroGrid:
     def fluid_count(self) -> int:
         return int(self.mask.sum())
 
+    @property
+    def width(self) -> float:
+        return self.h
 
-@dataclass
-class MicroState:
-    t: float
-    l: np.ndarray            # (n, n), zero outside the fluid mask
-    r_f: np.ndarray          # (F,)
-    r_b: np.ndarray          # (F,)
+    @cached_property
+    def face_scale(self) -> np.ndarray:
+        # per-face surface density eps * len / h^2 of the explicit deposit
+        return self.config.eps * self.faces.length / self.h**2
+
+    @property
+    def sigma(self) -> float:
+        """Largest per-cell surface density eps * sum(len) / h^2."""
+        if not len(self.faces):
+            return 0.0
+        per_cell = np.zeros(self.n * self.n)
+        np.add.at(per_cell, self.faces.cell, self.faces.length)
+        return self.config.eps * float(per_cell.max()) / self.h**2
+
+    def factor(self, dt: float):
+        return spla.splu(_diffusion_matrix(self, dt))
+
+    def initial_state(self) -> State:
+        s = self.config.suite
+        F = len(self.faces)
+        return State(t=0.0, l=np.where(self.mask, s.l0, 0.0),
+                     r_f=np.full(F, s.rf0), r_b=np.full(F, s.rb0))
+
+    def step(self, st: State, lu, dt: float):
+        """One IMEX step: explicit reactions and exchange, then diffusion."""
+        s = self.config.suite
+        l = st.l.ravel()
+        l_face = l[self.faces.cell]                 # step-start trace per face
+        gain = (s.F(l) - s.dl * l) * self.mask.ravel()
+        lstar = l + dt * gain
+        exchange, r_f, r_b = imex.receptors(s, l_face, st, dt)
+        np.add.at(lstar, self.faces.cell, dt * self.face_scale * exchange)
+        return imex.advance(st, dt, lu.solve(lstar), r_f, r_b)
+
+    def observe(self, st: State):
+        eps, length = self.config.eps, self.faces.length
+        return (st.l[self.mask], micro_energy(st, self),
+                eps * float(np.sum(st.r_f * length)),
+                eps * float(np.sum(st.r_b * length)))
 
 
 # marching-squares connectivity: per corner sign code, the pairs of edges
@@ -413,49 +456,6 @@ def _diffusion_matrix(grid: MicroGrid, dt: float) -> sp.csc_matrix:
     return M.tocsc()
 
 
-class MicroOperator:
-    """Factorized backward-Euler diffusion operator and face tables."""
-
-    def __init__(self, grid: MicroGrid, dt: float):
-        cfg = grid.config
-        self.lu = spla.splu(_diffusion_matrix(grid, dt))
-        self.grid = grid
-        self.dt = dt
-        self.fluid = grid.mask.ravel()
-        self.face_cell = grid.faces.cell
-        # per-cell surface density sigma = eps * sum(len) / h^2 used by the
-        # explicit exchange deposit
-        self.face_scale = cfg.eps * grid.faces.length / grid.h**2
-
-
-def micro_step(state: MicroState, op: MicroOperator) -> MicroState:
-    """One IMEX step: explicit reactions and exchange, implicit diffusion."""
-    cfg = op.grid.config
-    s = cfg.suite
-    dt = op.dt
-    l = state.l.ravel()
-    l_face = l[op.face_cell]                    # step-start trace per face
-
-    bulk = s.F(l) - s.dl * l
-    lstar = l + dt * bulk * op.fluid
-    exchange = s.beta * state.r_b - s.alpha * l_face * state.r_f
-    np.add.at(lstar, op.face_cell, dt * op.face_scale * exchange)
-
-    r_f = state.r_f + dt * (s.p(state.r_b) - s.alpha * l_face * state.r_f
-                            + s.beta * state.r_b - s.df * state.r_f)
-    r_b = state.r_b + dt * (s.alpha * l_face * state.r_f
-                            - s.beta * state.r_b - s.db * state.r_b)
-
-    l_new = op.lu.solve(lstar)
-    for name, arr in (("ligand", l_new), ("free receptors", r_f),
-                      ("bound receptors", r_b)):
-        if not np.all(np.isfinite(arr)):
-            raise RuntimeError(f"{name} field became non-finite at "
-                               f"t={state.t + dt:.6g}")
-    return MicroState(t=state.t + dt, l=l_new.reshape(op.grid.n, op.grid.n),
-                      r_f=r_f, r_b=r_b)
-
-
 def face_dirichlet_form(l: np.ndarray, tx: np.ndarray,
                         ty: np.ndarray) -> float:
     """Weighted face sum of coefficient times squared difference quotient.
@@ -480,7 +480,7 @@ def face_dirichlet_form(l: np.ndarray, tx: np.ndarray,
     return total
 
 
-def micro_energy(state: MicroState, grid: MicroGrid) -> float:
+def micro_energy(state: State, grid: MicroGrid) -> float:
     """Dirichlet form of the ligand field on interior fluid faces."""
     mask = grid.mask
     A = grid.config.suite.A
@@ -488,114 +488,16 @@ def micro_energy(state: MicroState, grid: MicroGrid) -> float:
                                A * (mask[:, :-1] & mask[:, 1:]))
 
 
-def _barrier_rate(grid: MicroGrid, M: float) -> float:
-    """Additive growth rate of max l from the a priori bound constants."""
-    s = grid.config.suite
-    if s.mu3 > 0.0:
-        f_sup, f_lin = s.mu1 / s.mu3, 0.0
-    else:
-        f_sup, f_lin = 0.0, s.mu1 / max(s.mu2, 1e-300)
-    sigma = 0.0
-    if len(grid.faces):
-        per_cell = np.zeros(grid.n * grid.n)
-        np.add.at(per_cell, grid.faces.cell, grid.faces.length)
-        sigma = grid.config.eps * float(per_cell.max()) / grid.h**2
-    rate = f_sup + s.beta * s.receptor_bound * sigma
-    return f_lin + rate / max(M, 1e-9)
-
-
-@dataclass
-class MicroRun:
-    """Trajectory observables and the final state of one micro solve."""
-
-    config: MicroConfig
-    grid: MicroGrid
-    observables: dict            # arrays keyed t, l2_norm, min_l, max_l,
-                                 # energy, rf_mass, rb_mass
-    final_state: MicroState
-    barrier_M: float
-    barrier_B: float
-    failures: list = field(default_factory=list)
-    fields: Optional[list] = None       # ligand snapshots at sample times
-
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def initial_micro_state(config: MicroConfig, grid: MicroGrid) -> MicroState:
-    s = config.suite
-    l = np.where(grid.mask, s.l0, 0.0)
-    F = len(grid.faces)
-    return MicroState(t=0.0, l=l, r_f=np.full(F, s.rf0),
-                      r_b=np.full(F, s.rb0))
-
-
 def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,
-              n_samples: int = 20, keep_fields: bool = False) -> MicroRun:
+              n_samples: int = 20, keep_fields: bool = False) -> Run:
     """Integrate to T, recording observables at T/n_samples intervals.
 
-    With keep_fields, a copy of the ligand field is stored at every
-    sample time (run.fields), which the convergence study consumes. Runs on
-    several threads build their grids and factorize one at a time, so the
-    set-up memory peaks do not stack; the step loops still overlap.
+    T and dt come from config, also with a prebuilt grid. Runs on several
+    threads build their grids and factorize one at a time, so the set-up
+    memory peaks do not stack; the step loops still overlap.
     """
-    s = config.suite
     with _SETUP_LOCK:
         if grid is None:
             grid = build_micro_grid(config)
-        if config.T > 0.0:
-            dt_req = config.dt if config.dt is not None else grid.h
-            if dt_req * s.bulk_lipschitz > 0.5:
-                raise ValueError(
-                    f"dt={dt_req:g} exceeds the explicit reaction budget "
-                    f"0.5/{s.bulk_lipschitz:g}")
-            window = config.T / n_samples
-            n_sub = max(1, int(math.ceil(window / dt_req - 1e-12)))
-            dt = window / n_sub
-            op = MicroOperator(grid, dt)
-        else:
-            n_sub, dt, op = 0, 0.0, None
-
-    state = initial_micro_state(config, grid)
-    M = float(state.l.max(initial=0.0))
-    B = _barrier_rate(grid, M)
-    h2 = grid.h**2
-    fluid = grid.mask
-    rows = {k: [] for k in ("t", "l2_norm", "min_l", "max_l", "energy",
-                            "rf_mass", "rb_mass")}
-    failures: list = []
-    snapshots: Optional[list] = [] if keep_fields else None
-
-    def record(st: MicroState):
-        if snapshots is not None:
-            snapshots.append(st.l.copy())
-        lf = st.l[fluid]
-        mx = float(lf.max())
-        mn = float(lf.min())
-        rows["t"].append(st.t)
-        rows["l2_norm"].append(math.sqrt(float(np.sum(lf**2)) * h2))
-        rows["min_l"].append(mn)
-        rows["max_l"].append(mx)
-        rows["energy"].append(micro_energy(st, grid))
-        rows["rf_mass"].append(config.eps
-                               * float(np.sum(st.r_f * grid.faces.length)))
-        rows["rb_mass"].append(config.eps
-                               * float(np.sum(st.r_b * grid.faces.length)))
-        if mn < -1e-12 or st.r_f.min(initial=0.0) < -1e-12 \
-                or st.r_b.min(initial=0.0) < -1e-12:
-            failures.append(f"negative concentration at t={st.t:.6g}")
-        barrier = max(M, 1e-9) * math.exp(min(B * st.t, 700.0)) + 1e-6
-        if mx > barrier:
-            failures.append(f"L-infinity barrier violated at t={st.t:.6g}")
-
-    record(state)
-    if config.T > 0.0:
-        for _ in range(n_samples):
-            for _ in range(n_sub):
-                state = micro_step(state, op)
-            record(state)
-
-    observables = {k: np.array(v) for k, v in rows.items()}
-    return MicroRun(config=config, grid=grid, observables=observables,
-                    final_state=state, barrier_M=M, barrier_B=B,
-                    failures=failures, fields=snapshots)
+        plan = imex.schedule(config, grid, n_samples)
+    return imex.integrate(config, grid, plan, n_samples, keep_fields)

@@ -222,7 +222,7 @@ class TestSolverInvariants:
 
         ref = solve_ivp(rhs, (0.0, cfg.T), [s.l0, s.rf0, s.rb0],
                         rtol=1e-11, atol=1e-13)
-        got = np.array([run.final_state.l[run.grid.mask].mean(),
+        got = np.array([run.final_state.l[run.model.mask].mean(),
                         run.final_state.r_f.mean(),
                         run.final_state.r_b.mean()])
         assert np.max(np.abs(got - ref.y[:, -1])) <= 1e-4
@@ -271,7 +271,7 @@ class TestConvergenceStudies:
     def test_finest_run_is_resolved(self, periodic_study):
         # the eps = 1/32 run must be a real resolution-scale solve
         run = periodic_study.micro_runs[1 / 32]
-        assert run.grid.n >= 448
+        assert run.model.n >= 448
         steps = round(run.config.T / run.config.dt)
         assert steps >= 200
 

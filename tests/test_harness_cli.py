@@ -339,8 +339,9 @@ class TestSolverGolden:
                      "--outdir", str(tmp_path)])
         assert code == 0
         for kind in ("series", "field"):
-            got = (tmp_path / f"{command}_{kind}.csv").read_bytes()
-            assert got == (GOLDEN / f"{command}_{kind}_{name}.csv").read_bytes()
+            name_kind = f"{command}_{kind}"
+            got = (tmp_path / f"{name_kind}.csv").read_bytes()
+            assert got == (GOLDEN / f"{name_kind}_{name}.csv").read_bytes()
 
 
 class TestBenchmarkHooks:

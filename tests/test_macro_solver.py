@@ -17,15 +17,12 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
 from lphom.cell_problem import EffectiveTensorField
+from lphom.imex import State
 from lphom.macro import (
     MacroConfig,
-    MacroState,
-    _MacroStepper,
     assemble_macro,
-    initial_macro_state,
     macro_energy,
     macro_nodes,
-    macro_step,
     run_macro,
 )
 from lphom.micro import MicroConfig, run_micro
@@ -252,11 +249,11 @@ class TestStep:
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1, N_c=32)
         op = assemble_macro(cfg)
-        stepper = _MacroStepper(op, 1e-3)
-        st = initial_macro_state(cfg, op)
+        lu = op.factor(1e-3)
+        st = op.initial_state()
         st.l[3, 3] = np.nan
         with pytest.raises(RuntimeError, match="ligand"):
-            macro_step(st, stepper)
+            op.step(st, lu, 1e-3)
 
     def test_conservation_with_sources_off(self):
         # F = 0, d_l = 0, alpha = beta = 0: the weighted integral of l is
@@ -266,14 +263,14 @@ class TestStep:
         cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.5, suite=suite,
                           N_c=48)
         op = assemble_macro(cfg)
-        st = initial_macro_state(cfg, op)
+        st = op.initial_state()
         X = op.nodes[:, 0].reshape(op.n, op.n)
         Y = op.nodes[:, 1].reshape(op.n, op.n)
         st.l = 1.0 + 0.5 * np.sin(2 * math.pi * X) * np.cos(math.pi * Y)
-        stepper = _MacroStepper(op, 5e-3)
+        lu = op.factor(5e-3)
         m0 = float(np.sum(op.theta * st.l.ravel()))
         for _ in range(100):
-            st = macro_step(st, stepper)
+            st = op.step(st, lu, 5e-3)
         m1 = float(np.sum(op.theta * st.l.ravel()))
         assert abs(m1 - m0) < 1e-10 * abs(m0)
 
@@ -283,14 +280,14 @@ class TestStep:
         cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.3, suite=suite,
                           N_c=48)
         op = assemble_macro(cfg)
-        st = initial_macro_state(cfg, op)
+        st = op.initial_state()
         X = op.nodes[:, 0].reshape(op.n, op.n)
         Y = op.nodes[:, 1].reshape(op.n, op.n)
         st.l = 1.0 + 0.5 * np.sin(2 * math.pi * X) * np.cos(math.pi * Y)
-        stepper = _MacroStepper(op, 5e-3)
+        lu = op.factor(5e-3)
         e_prev = macro_energy(st, op)
         for _ in range(30):
-            st = macro_step(st, stepper)
+            st = op.step(st, lu, 5e-3)
             e = macro_energy(st, op)
             assert e < e_prev
             e_prev = e
@@ -372,7 +369,7 @@ class TestEnergy:
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0, N_c=32)
         op = assemble_macro(cfg)
-        st = initial_macro_state(cfg, op)
+        st = op.initial_state()
         assert macro_energy(st, op) == 0.0
 
     def test_affine_field_full_tensor(self):
@@ -386,6 +383,6 @@ class TestEnergy:
         op = assemble_macro(MacroConfig(scenario=scen, H=1 / 16, T=0.0,
                                         tensors=fld))
         l = (nodes[:, 0] + nodes[:, 1]).reshape(op.n, op.n)
-        st = MacroState(t=0.0, l=l, r_f=np.zeros((len(nodes), 0)),
-                        r_b=np.zeros((len(nodes), 0)))
+        st = State(t=0.0, l=l, r_f=np.zeros((len(nodes), 0)),
+                   r_b=np.zeros((len(nodes), 0)))
         assert macro_energy(st, op) == pytest.approx(A.sum(), abs=1e-12)

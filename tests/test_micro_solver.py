@@ -20,17 +20,14 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
 from lphom.geometry import mask_connected
+from lphom.imex import State
 from lphom.micro import (
     MicroConfig,
-    MicroOperator,
-    MicroState,
     _deposit_cells,
     _diffusion_matrix,
     _face_segments,
     build_micro_grid,
-    initial_micro_state,
     micro_energy,
-    micro_step,
     run_micro,
 )
 from lphom.scenarios import SCENARIO_NAMES, get_scenario
@@ -144,7 +141,7 @@ class TestGridBuild:
             assert abs(per[k] - analytic) / analytic < 0.02
 
     def test_deposit_cells_are_fluid(self, default_run):
-        grid = default_run.grid
+        grid = default_run.model
         assert grid.mask.ravel()[grid.faces.cell].all()
 
     def test_midpoints_near_hole_boundary(self):
@@ -198,13 +195,14 @@ class TestStep:
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.1,
                           dt=2e-3)
         grid = build_micro_grid(cfg)
-        op = MicroOperator(grid, 2e-3)
-        st = initial_micro_state(cfg, grid)
+        dt = 2e-3
+        lu = grid.factor(dt)
+        st = grid.initial_state()
         s = cfg.suite
         q = st.r_f + st.r_b
         for _ in range(50):
-            q = q + op.dt * (s.p(st.r_b) - s.df * st.r_f - s.db * st.r_b)
-            st = micro_step(st, op)
+            q = q + dt * (s.p(st.r_b) - s.df * st.r_f - s.db * st.r_b)
+            st = grid.step(st, lu, dt)
             assert np.abs(st.r_f + st.r_b - q).max() < 1e-13
 
     def test_mass_ledger(self):
@@ -213,29 +211,30 @@ class TestStep:
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.1,
                           dt=2e-3)
         grid = build_micro_grid(cfg)
-        op = MicroOperator(grid, 2e-3)
-        st = initial_micro_state(cfg, grid)
+        dt = 2e-3
+        lu = grid.factor(dt)
+        st = grid.initial_state()
         s = cfg.suite
         h2 = grid.h ** 2
         for _ in range(50):
             l = st.l.ravel()
-            bulk = h2 * float(np.sum((s.F(l) - s.dl * l) * op.fluid))
-            ex = s.beta * st.r_b - s.alpha * l[op.face_cell] * st.r_f
+            bulk = h2 * float(np.sum((s.F(l) - s.dl * l) * grid.mask.ravel()))
+            ex = s.beta * st.r_b - s.alpha * l[grid.faces.cell] * st.r_f
             flux = cfg.eps * float(np.sum(ex * grid.faces.length))
             m0 = h2 * float(st.l.sum())
-            st = micro_step(st, op)
+            st = grid.step(st, lu, dt)
             m1 = h2 * float(st.l.sum())
-            assert abs(m1 - m0 - op.dt * (bulk + flux)) < 1e-10 * abs(m1)
+            assert abs(m1 - m0 - dt * (bulk + flux)) < 1e-10 * abs(m1)
 
     def test_nan_abort_names_field(self):
         scen = get_scenario("periodic")
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.1)
         grid = build_micro_grid(cfg)
-        op = MicroOperator(grid, 1e-3)
-        st = initial_micro_state(cfg, grid)
+        lu = grid.factor(1e-3)
+        st = grid.initial_state()
         st.l[5, 5] = np.nan
         with pytest.raises(RuntimeError, match="ligand"):
-            micro_step(st, op)
+            grid.step(st, lu, 1e-3)
 
 
 class TestRun:
@@ -247,7 +246,7 @@ class TestRun:
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=1.0,
                           dt=1e-3, suite=s)
         run = run_micro(cfg)
-        lf = run.final_state.l[run.grid.mask]
+        lf = run.final_state.l[run.model.mask]
         assert lf.max() - lf.min() < 1e-11
         assert np.ptp(run.final_state.r_f) == 0.0
         assert np.ptp(run.final_state.r_b) == 0.0
@@ -324,7 +323,7 @@ class TestEnergy:
         scen = get_scenario("periodic")
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.0)
         grid = build_micro_grid(cfg)
-        assert micro_energy(initial_micro_state(cfg, grid), grid) == 0.0
+        assert micro_energy(grid.initial_state(), grid) == 0.0
 
     def test_affine_field_exact(self):
         # l = x1 on the unperforated square: energy is |Omega| = 1 exactly
@@ -332,9 +331,9 @@ class TestEnergy:
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.0)
         grid = build_micro_grid(cfg)
         x = (np.arange(grid.n) + 0.5) * grid.h
-        st = MicroState(t=0.0, l=np.broadcast_to(x[:, None],
-                                                 (grid.n, grid.n)).copy(),
-                        r_f=np.zeros(0), r_b=np.zeros(0))
+        st = State(t=0.0, l=np.broadcast_to(x[:, None],
+                                            (grid.n, grid.n)).copy(),
+                   r_f=np.zeros(0), r_b=np.zeros(0))
         assert abs(micro_energy(st, grid) - 1.0) < 1e-12
 
     def test_refinement_agreement(self):
@@ -545,7 +544,7 @@ class TestVectorizedGridPieces:
 
 
 def reference_diffusion_matrix(grid, dt):
-    """The backward-Euler matrix as MicroOperator built it inline."""
+    """The backward-Euler matrix as the micro operator once built it inline."""
     n, h = grid.n, grid.h
     mask = grid.mask
     A = grid.config.suite.A

@@ -4,10 +4,11 @@ Both integrate ligand diffusion by backward Euler, factorized once per run,
 with explicit reactions and receptor exchange from the step-start state.
 A model supplies what differs: width (mesh width, the default step), sigma
 (largest surface density, for the L-infinity barrier), factor(dt), step(st,
-lu, dt) -> next State, initial_state() and observe(st) -> (fluid ligand
-values, energy, rf_mass, rb_mass). The driver owns the explicit-budget
-check, the sampling windows and the positivity and barrier checks. numpy
-only: each model factorizes through its own module.
+lu, dt) -> (next State, ligand added per unit time), initial_state(),
+observe(st) -> (fluid ligand values, energy, rf_mass, rb_mass) and mass(st).
+The driver owns the explicit-budget check, the sampling windows, the
+positivity and barrier checks and the mass ledger, checked on every step.
+numpy only: each model factorizes through its own module.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+LEDGER_TOL = 1e-10      # relative mass-ledger residual allowed per step
 OBSERVABLES = ("t", "l2_norm", "min_l", "max_l", "energy", "rf_mass",
                "rb_mass")
 
@@ -40,6 +42,7 @@ class Run:
     final_state: State
     barrier_M: float
     barrier_B: float
+    ledger_max: float = 0.0     # largest relative mass-ledger residual
     failures: list = field(default_factory=list)
     fields: Optional[list] = None       # ligand snapshots at sample times
 
@@ -75,6 +78,15 @@ def barrier_rate(s, sigma: float, M: float) -> float:
         f_sup, f_lin = 0.0, s.mu1 / max(s.mu2, 1e-300)
     rate = f_sup + s.beta * s.receptor_bound * sigma
     return f_lin + rate / max(M, 1e-9)
+
+
+def check_prebuilt(config, built, keys) -> None:
+    """Reject a prebuilt model whose suite or mesh differs from config's."""
+    for key in ("suite", *keys):
+        want, got = getattr(config, key), getattr(built, key)
+        if want != got:
+            raise ValueError(f"prebuilt model has {key}={got!r} but the "
+                             f"run's config has {key}={want!r}")
 
 
 def schedule(config, model, n_samples: int):
@@ -127,12 +139,20 @@ def integrate(config, model, plan, n_samples: int = 20,
             failures.append(f"L-infinity barrier violated at t={st.t:.6g}")
 
     record(state)
+    ledger_max, m0 = 0.0, model.mass(state)
     for _ in range(n_samples if n_sub else 0):
+        worst = (0.0, state.t)          # the window's largest residual
         for _ in range(n_sub):
-            state = model.step(state, lu, dt)
+            state, source = model.step(state, lu, dt)
+            m1 = model.mass(state)
+            res = abs(m1 - m0 - dt * source) / max(abs(m0), abs(m1), 1e-300)
+            worst, m0 = max(worst, (res, state.t)), m1
+        ledger_max = max(ledger_max, worst[0])
+        if worst[0] > LEDGER_TOL:
+            failures.append("mass ledger residual %.3g at t=%.6g" % worst)
         record(state)
 
     observables = dict(zip(OBSERVABLES, map(np.array, zip(*rows))))
     return Run(config=config, model=model, observables=observables,
                final_state=state, barrier_M=M, barrier_B=B,
-               failures=failures, fields=snapshots)
+               ledger_max=ledger_max, failures=failures, fields=snapshots)

@@ -7,7 +7,8 @@ flux-form finite volumes with a 9-point stencil (the off-diagonal tensor
 entries add cross-derivative terms, one-sided next to the outer walls),
 zero-flux closure. Time: MacroOperator is the second model of the
 lphom.imex driver, the same IMEX splitting as the microscopic solver with
-the porosity entering as the time-derivative weight.
+the porosity entering as the time-derivative weight; the driver checks the
+mass ledger H^2 sum(theta l) on every step.
 """
 
 from __future__ import annotations
@@ -120,12 +121,16 @@ class MacroOperator:
         exchange, r_f, r_b = imex.receptors(s, l[:, None], st, dt)
         gain = bulk + (self.gamma_w * exchange).sum(axis=1) / self.cell_measure
         l_new = lu.solve(self.theta * l + dt * gain)
-        return imex.advance(st, dt, l_new, r_f, r_b)
+        return imex.advance(st, dt, l_new, r_f, r_b), \
+            self.H**2 * float(np.sum(gain))
 
     def observe(self, st: State):
         surf = self.H**2 * self.gamma_w / self.cell_measure[:, None]
         return (st.l, macro_energy(st, self), float(np.sum(st.r_f * surf)),
                 float(np.sum(st.r_b * surf)))
+
+    def mass(self, st: State) -> float:
+        return self.H**2 * float(np.sum(self.theta * st.l.ravel()))
 
 
 def _gamma_quadrature(config: MacroConfig, nodes: np.ndarray) -> np.ndarray:
@@ -283,9 +288,12 @@ def run_macro(config: MacroConfig, op: Optional[MacroOperator] = None,
               n_samples: int = 20, keep_fields: bool = False) -> Run:
     """Integrate to T, recording the same observable schema as run_micro.
 
-    T and dt come from config, also with a prebuilt operator.
+    A prebuilt operator must match config in the suite, H and n_gamma; T
+    and dt may differ.
     """
     if op is None:
         op = assemble_macro(config)
+    else:
+        imex.check_prebuilt(config, op.config, ("H", "n_gamma"))
     return imex.integrate(config, op, imex.schedule(config, op, n_samples),
                           n_samples, keep_fields)

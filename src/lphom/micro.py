@@ -8,7 +8,8 @@ boundary-crossing cell and each segment deposits its exchange flux into an
 adjacent fluid cell. Time: MicroGrid is a model of the lphom.imex driver,
 explicit reactions and boundary exchange from the step-start state (so the
 alpha/beta terms cancel exactly in the receptor balance), implicit
-backward-Euler diffusion factorized once per run.
+backward-Euler diffusion factorized once per run; the driver checks the
+mass ledger h^2 sum(l) on every step.
 """
 
 from __future__ import annotations
@@ -149,13 +150,18 @@ class MicroGrid:
         lstar = l + dt * gain
         exchange, r_f, r_b = imex.receptors(s, l_face, st, dt)
         np.add.at(lstar, self.faces.cell, dt * self.face_scale * exchange)
-        return imex.advance(st, dt, lu.solve(lstar), r_f, r_b)
+        source = (self.h**2 * float(np.sum(gain)) + self.config.eps
+                  * float(np.sum(exchange * self.faces.length)))
+        return imex.advance(st, dt, lu.solve(lstar), r_f, r_b), source
 
     def observe(self, st: State):
         eps, length = self.config.eps, self.faces.length
         return (st.l[self.mask], micro_energy(st, self),
                 eps * float(np.sum(st.r_f * length)),
                 eps * float(np.sum(st.r_b * length)))
+
+    def mass(self, st: State) -> float:
+        return self.h**2 * float(st.l.sum())
 
 
 # marching-squares connectivity: per corner sign code, the pairs of edges
@@ -492,10 +498,13 @@ def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,
               n_samples: int = 20, keep_fields: bool = False) -> Run:
     """Integrate to T, recording observables at T/n_samples intervals.
 
-    T and dt come from config, also with a prebuilt grid. Runs on several
-    threads build their grids and factorize one at a time, so the set-up
-    memory peaks do not stack; the step loops still overlap.
+    A prebuilt grid must match config in the suite, eps, r and
+    cells_per_eps; T and dt may differ. Runs on several threads build their
+    grids and factorize one at a time, so the set-up memory peaks do not
+    stack; the step loops still overlap.
     """
+    if grid is not None:
+        imex.check_prebuilt(config, grid.config, ("eps", "r", "cells_per_eps"))
     with _SETUP_LOCK:
         if grid is None:
             grid = build_micro_grid(config)

@@ -364,6 +364,43 @@ class TestBenchmarkHooks:
         assert out["missing"] == []
         assert len(out["installed"]) == 17
 
+    def test_solver_layers_are_attributed(self):
+        # a factorization or solve the hooks cannot see (say, through a
+        # module-level `from scipy.sparse.linalg import splu`) would drop
+        # these metrics silently; every step is one recorded LU solve
+        root = Path(__file__).resolve().parents[1]
+        code = ("import json\n"
+                "from tracing import Tracer, install_lphom_hooks, "
+                "layer_metrics\n"
+                "t = Tracer()\n"
+                "install_lphom_hooks(t)\n"
+                "from lphom.harness import StudyConfig, convergence_study\n"
+                "from lphom.scenarios import get_scenario\n"
+                "study = StudyConfig(get_scenario('periodic'),"
+                " eps_list=(1/4, 1/8), cells_per_eps=8, N_c=32, H=1/8,"
+                " T=0.5, n_samples=4)\n"
+                "with t.span('study'):\n"
+                "    rows = convergence_study(study, max_workers=2).rows\n"
+                "assert all(r.error is None for r in rows)\n"
+                "print(json.dumps({k: v['value'] for k, v in"
+                " layer_metrics(t).items()}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        for name in ("micro.factor_s", "macro.fill_nnz", "micro.steps",
+                     "macro.steps"):
+            assert got.get(name, 0) > 0, name
+
+        def steps(dt):          # n_samples windows of whole sub-steps
+            return 4 * math.ceil(0.5 / 4 / dt - 1e-12)
+
+        # dt = h for each micro run, the finest h for the macro run
+        assert got["micro.steps"] == steps(1 / 32) + steps(1 / 64)
+        assert got["macro.steps"] == steps(1 / 64)
+
 
 class TestCellCommand:
     def test_matches_direct_solve_and_roundtrips(self, tmp_path):

@@ -270,7 +270,7 @@ class TestStep:
         lu = op.factor(5e-3)
         m0 = float(np.sum(op.theta * st.l.ravel()))
         for _ in range(100):
-            st = op.step(st, lu, 5e-3)
+            st, _ = op.step(st, lu, 5e-3)
         m1 = float(np.sum(op.theta * st.l.ravel()))
         assert abs(m1 - m0) < 1e-10 * abs(m0)
 
@@ -287,7 +287,7 @@ class TestStep:
         lu = op.factor(5e-3)
         e_prev = macro_energy(st, op)
         for _ in range(30):
-            st = op.step(st, lu, 5e-3)
+            st, _ = op.step(st, lu, 5e-3)
             e = macro_energy(st, op)
             assert e < e_prev
             e_prev = e
@@ -319,6 +319,19 @@ class TestRun:
         for t, mx in zip(o["t"], o["max_l"]):
             assert mx <= M * math.exp(B * t) + 1e-6
         assert run.ok()
+        assert 0.0 < run.ledger_max < 1e-12
+
+    @pytest.mark.parametrize("change", [
+        dict(H=1 / 16), dict(n_gamma=8),
+        dict(suite=replace(get_scenario("periodic").suite, beta=0.5))])
+    def test_mismatched_operator_is_rejected(self, change):
+        # T and dt may differ from the operator's config, nothing else may
+        base = dict(scenario=get_scenario("periodic"), H=1 / 8, T=0.05,
+                    N_c=32)
+        op = assemble_macro(MacroConfig(**base))
+        (key,) = change
+        with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
+            run_macro(MacroConfig(**{**base, **change}, dt=1e-3), op=op)
 
     def test_observable_schema(self):
         scen = get_scenario("periodic")

@@ -10,6 +10,7 @@ reference loops kept here.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
+from lphom import micro
 from lphom.geometry import mask_connected
 from lphom.imex import State
 from lphom.micro import (
@@ -202,7 +204,7 @@ class TestStep:
         q = st.r_f + st.r_b
         for _ in range(50):
             q = q + dt * (s.p(st.r_b) - s.df * st.r_f - s.db * st.r_b)
-            st = grid.step(st, lu, dt)
+            st, _ = grid.step(st, lu, dt)
             assert np.abs(st.r_f + st.r_b - q).max() < 1e-13
 
     def test_mass_ledger(self):
@@ -222,9 +224,11 @@ class TestStep:
             ex = s.beta * st.r_b - s.alpha * l[grid.faces.cell] * st.r_f
             flux = cfg.eps * float(np.sum(ex * grid.faces.length))
             m0 = h2 * float(st.l.sum())
-            st = grid.step(st, lu, dt)
+            st, source = grid.step(st, lu, dt)
             m1 = h2 * float(st.l.sum())
             assert abs(m1 - m0 - dt * (bulk + flux)) < 1e-10 * abs(m1)
+            # the step reports the same ligand gain the ledger balances
+            assert source == pytest.approx(bulk + flux, rel=1e-12)
 
     def test_nan_abort_names_field(self):
         scen = get_scenario("periodic")
@@ -316,6 +320,39 @@ class TestRun:
         assert o["rb_mass"][0] == 0.0
         assert o["rb_mass"][-1] > 0.0
         assert o["rf_mass"][-1] < o["rf_mass"][0]
+
+    def test_mass_ledger_checked_on_every_run(self, default_run):
+        assert 0.0 < default_run.ledger_max < 1e-12
+
+    def test_dropped_deposit_breaks_the_ledger(self):
+        # the step still reports the exchange it no longer deposits
+        cfg = MicroConfig(scenario=get_scenario("periodic"), eps=1 / 8,
+                          cells_per_eps=8, T=0.05)
+        grid = build_micro_grid(cfg)
+        grid.face_scale = np.zeros(len(grid.faces))
+        run = run_micro(cfg, grid=grid, n_samples=4)
+        assert not run.ok()
+        assert run.ledger_max > 1e-10
+        assert len(run.failures) == 4
+        assert all(f.startswith("mass ledger residual ") and " at t=" in f
+                   for f in run.failures)
+
+    @pytest.mark.parametrize("change", [
+        dict(eps=1 / 16), dict(r=0.6), dict(cells_per_eps=16),
+        dict(suite=replace(get_scenario("periodic").suite, alpha=2.0))])
+    def test_mismatched_grid_is_rejected(self, change, monkeypatch):
+        # T and dt may differ from the grid's config, nothing else may
+        base = dict(scenario=get_scenario("periodic"), eps=1 / 8,
+                    cells_per_eps=8, T=0.05)
+        grid = build_micro_grid(MicroConfig(**base))
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("factorized a mismatched grid")
+
+        monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=no_splu))
+        (key,) = change
+        with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
+            run_micro(MicroConfig(**{**base, **change}, dt=1e-3), grid=grid)
 
 
 class TestEnergy:

@@ -224,7 +224,6 @@ class CellGeometry:
     fluid_area: float            # quadrature measure of the fluid part
     active: np.ndarray = field(default=None)   # (N*N,) node mask
     _S: object = field(default=None, repr=False)
-    _S_unit: object = field(default=None, repr=False)
     _bxy: object = field(default=None, repr=False)
 
     def _node_ids(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -236,15 +235,12 @@ class CellGeometry:
             base_i * N + (jj + 1) % N,
             ((ii + 1) % N) * N + (jj + 1) % N], axis=1)
 
-    def assemble(self, unit: bool = False):
+    def assemble(self):
         """Stiffness matrix (and unit-forcing vectors on the first call)."""
-        if unit and self._S_unit is not None:
-            return self._S_unit
-        if not unit and self._S is not None:
+        if self._S is not None:
             return self._S
         N = self.N_c
-        b11 = 1.0 if unit else self.B11
-        b22 = 1.0 if unit else self.B22
+        b11, b22 = self.B11, self.B22
 
         rows_all, cols_all, data_all = [], [], []
         full_ij = np.argwhere(self.kind == 1)
@@ -273,9 +269,6 @@ class CellGeometry:
             (np.concatenate(data_all),
              (np.concatenate(rows_all), np.concatenate(cols_all))),
             shape=(N * N, N * N))
-        if unit:
-            self._S_unit = S
-            return S
         self._S = S
         self._bxy = (bx, by)
         diag = S.diagonal()
@@ -469,12 +462,6 @@ class CellSolution:
                     val += g.fluid_area * Bdiag[a]
                 G[a, c] = G[c, a] = val
         return G
-
-    def corrector_energy(self, j: int) -> float:
-        """Dirichlet energy of corrector j with unit coefficient."""
-        S1 = self.geometry.assemble(unit=True)
-        w = self.correctors[j].ravel()
-        return float(w @ (S1 @ w))
 
 
 def solve_cell(x, A: CoefficientLike, transform: TransformField,

@@ -2,7 +2,7 @@
 
 Transform fields D(x), K(x), partition coverings with frozen per-subdomain
 lattices, lattice point location, locally periodic approximation operators,
-and membership indicators for perforated and plywood-like domains.
+and the membership indicator of perforated domains.
 """
 
 from __future__ import annotations
@@ -97,48 +97,6 @@ class TransformField:
     def K_at(self, x: Point) -> Matrix:
         return np.asarray(self.K(np.asarray(x, dtype=float)), dtype=float)
 
-    def check_sampled(self, lo: Point, hi: Point, n: int = 9,
-                      cell: Optional[UnitCellSpec] = None) -> dict:
-        """Sampling-based verification of determinant bounds, the Lipschitz
-        budget, and (if a cell is given) strict containment of K(x) Y0 in Y.
-
-        Raises ValueError on the first violated bound.
-        """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(self.d)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d)
-        Ds = np.array([self.D_at(x) for x in pts])
-        Ks = np.array([self.K_at(x) for x in pts])
-        detD = np.abs(np.linalg.det(Ds))
-        detK = np.abs(np.linalg.det(Ks))
-        D1, D2 = self.detD_bounds
-        K1, K2 = self.detK_bounds
-        if detD.min() < D1 - 1e-12 or detD.max() > D2 + 1e-12:
-            raise ValueError("det D out of declared bounds")
-        if detK.min() < K1 - 1e-12 or detK.max() > K2 + 1e-12:
-            raise ValueError("det K out of declared bounds")
-        # difference quotients against the budget, nearest-neighbor pairs only
-        lip = 0.0
-        for i in range(len(pts) - 1):
-            dx = np.linalg.norm(pts[i + 1] - pts[i])
-            if dx == 0.0:
-                continue
-            lip = max(lip,
-                      np.linalg.norm(Ds[i + 1] - Ds[i], 2) / dx,
-                      np.linalg.norm(Ks[i + 1] - Ks[i], 2) / dx)
-        if lip > self.lipschitz_budget + 1e-9:
-            raise ValueError(f"sampled Lipschitz quotient {lip:.3g} exceeds budget")
-        if cell is not None and cell.inclusion != "none":
-            c = cell.center
-            for Km in Ks:
-                reach = cell.a * np.linalg.norm(Km, axis=1)  # extent per axis
-                if np.any(c - reach <= 0.0) or np.any(c + reach >= 1.0):
-                    raise ValueError("K(x) Y0 leaves the unit cell")
-        return {"detD": (detD.min(), detD.max()),
-                "detK": (detK.min(), detK.max()),
-                "lipschitz": lip}
-
 
 def identity_transform(d: int = 2) -> TransformField:
     I = np.eye(d)
@@ -179,21 +137,23 @@ class Subdomain:
 
 
 class Partition:
-    """Covering of the domain by cubes of side eps^r with frozen lattices."""
+    """Covering of the box domain by the boxes between per-axis breakpoints,
+    each with a lattice frozen at its anchor.
 
-    def __init__(self, domain_lo, domain_hi, eps: float, r: float,
-                 transform: TransformField, anchor_rule: str,
-                 subdomains: list[Subdomain], n_sub: tuple[int, ...],
-                 side: float):
+    Subdomain n is the box [breaks[i][k_i], breaks[i][k_i + 1]] on every
+    axis i, with k its multi-index in row-major order.
+    """
+
+    def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float,
+                 transform: TransformField, subdomains: list[Subdomain]):
         self.domain_lo = np.asarray(domain_lo, dtype=float)
         self.domain_hi = np.asarray(domain_hi, dtype=float)
+        self.breaks = breaks
+        self.n_sub = tuple(len(b) - 1 for b in breaks)
         self.eps = eps
         self.r = r
         self.transform = transform
-        self.anchor_rule = anchor_rule
         self.subdomains = subdomains
-        self.n_sub = n_sub
-        self.side = side
         self.d = transform.d
         # packed per-subdomain arrays for vectorized location
         self._Dinv = np.array([s.Dinv for s in subdomains])
@@ -221,6 +181,11 @@ class Partition:
             ([0], np.cumsum(np.prod(self._box_shape, axis=1))))
         self._in_hat = np.zeros(self.n_cell_slots, dtype=bool)
         self._in_hat[self.cell_slots(owner, hat)] = True
+
+    @property
+    def side(self) -> float:
+        """Nominal subdomain side eps^r."""
+        return self.eps**self.r
 
     @property
     def n_subdomains(self) -> int:
@@ -282,19 +247,17 @@ class Partition:
         return slots
 
     def subdomain_of(self, X: np.ndarray) -> np.ndarray:
-        """Flat subdomain index per point. Floor convention on faces."""
+        """Flat subdomain index per point.
+
+        A point on an interior break belongs to the subdomain above it; a
+        point beyond the first or last break to the first or last one.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        flat = np.zeros(len(X))
-        k = np.empty(len(X))
-        for ax in range(self.d):
-            np.subtract(X[:, ax], self.domain_lo[ax], out=k)
-            k /= self.side
-            np.floor(k, out=k)
-            np.maximum(k, 0, out=k)
-            np.minimum(k, self.n_sub[ax] - 1, out=k)
-            flat *= self.n_sub[ax]
-            flat += k
-        return flat.astype(int)
+        flat = np.zeros(len(X), dtype=int)
+        for ax, b in enumerate(self.breaks):
+            flat *= len(b) - 1
+            flat += np.searchsorted(b[1:-1], X[:, ax], side="right")
+        return flat
 
 
 @dataclass
@@ -324,23 +287,43 @@ def build_partition(domain, eps: float, r: float, transform: TransformField,
     if lo.shape != (d,) or hi.shape != (d,) or np.any(hi <= lo):
         raise ValueError("domain must be a nonempty box of matching dimension")
     side = eps**r
-    n_sub = tuple(int(math.ceil((hi[i] - lo[i]) / side - 1e-9)) for i in range(d))
+    n_sub = [int(math.ceil((hi[i] - lo[i]) / side - 1e-9)) for i in range(d)]
+    # breaks lo + k side, the last one clipped to hi (or just below it, when
+    # (hi - lo) / side lies within 1e-9 above a whole number)
+    breaks = [np.minimum(lo[i] + np.arange(n + 1) * side, hi[i])
+              for i, n in enumerate(n_sub)]
+    return _covering(lo, hi, breaks, eps, r, transform,
+                     lower_corner=anchor_rule == "lower-corner",
+                     check_side=True)
 
-    ks = list(np.ndindex(*n_sub))
+
+def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
+              lower_corner: bool = False, on_corner: bool = False,
+              check_side: bool = False) -> Partition:
+    """The Partition of the box [lo, hi] with the given per-axis breaks.
+
+    Each subdomain's maps are frozen at its anchor, the box centre or, with
+    lower_corner, its lower corner; on_corner is _frozen_subdomains'. With
+    check_side, a nominal side eps^r that cannot hold one full cell at some
+    anchor is rejected, naming the first such subdomain.
+    """
+    ks = list(np.ndindex(*(len(b) - 1 for b in breaks)))
     k = np.array(ks)
-    s_lo = lo + k * side
-    s_hi = np.minimum(lo + (k + 1) * side, hi)
-    anchor = (s_lo + s_hi) / 2.0 if anchor_rule == "subdomain-center" else s_lo.copy()
+    s_lo = np.column_stack([b[k[:, i]] for i, b in enumerate(breaks)])
+    s_hi = np.column_stack([b[k[:, i] + 1] for i, b in enumerate(breaks)])
+    anchor = s_lo.copy() if lower_corner else 0.5 * (s_lo + s_hi)
     D = np.array([transform.D_at(a) for a in anchor])
-    need = 2.0 * eps * np.linalg.norm(D, 2, axis=(1, 2))
-    small = np.flatnonzero(side < need)
-    if len(small):
-        raise ValueError(
-            f"subdomain side {side:.4g} cannot hold one full cell "
-            f"(needs at least {need[small[0]]:.4g})")
+    if check_side:
+        side = eps**r
+        need = 2.0 * eps * np.linalg.norm(D, 2, axis=(1, 2))
+        small = np.flatnonzero(side < need)
+        if len(small):
+            raise ValueError(
+                f"subdomain side {side:.4g} cannot hold one full cell "
+                f"(needs at least {need[small[0]]:.4g})")
     K = np.array([transform.K_at(a) for a in anchor])
-    subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K)
-    return Partition(lo, hi, eps, r, transform, anchor_rule, subs, n_sub, side)
+    subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K, on_corner)
+    return Partition(lo, hi, breaks, eps, r, transform, subs)
 
 
 def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
@@ -529,15 +512,6 @@ class ScalarFieldOnCells:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
 
-    def check_periodicity(self, X: np.ndarray, Y: np.ndarray, tol: float = 1e-12):
-        d = X.shape[1]
-        base = self.f(X, Y)
-        for j in range(d):
-            shifted = Y.copy()
-            shifted[:, j] += 1.0
-            if np.max(np.abs(self.f(X, shifted) - base)) > tol:
-                raise ValueError(f"field {self.name!r} is not Y-periodic in axis {j}")
-
 
 def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,
                     X: np.ndarray, variant: str = "L") -> np.ndarray:
@@ -574,39 +548,6 @@ def indicator_perforated(partition: Partition, transform: TransformField,
         t = cell.transverse_axes
         dist = np.sqrt(np.sum(u[:, t]**2, axis=1))
         out[act] = dist > cell.a
-    return out
-
-
-def indicator_plywood(partition: Partition, gamma: Callable[[float], float],
-                      a: float, rho: Callable[[Point], float],
-                      X: np.ndarray) -> np.ndarray:
-    """Fiber membership for the plywood-like structure.
-
-    The partition must be built with D = R(gamma(x_last))^{-1}; fibers run
-    along the first lattice axis and the transverse radius is rho(x_n) * a,
-    tested on fractional coordinates centered at the cell midpoint. Leftover
-    regions carry no fibers.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = partition.d
-    n, _, y, lam = locate_batch(partition, X)
-    out = np.zeros(len(X), dtype=bool)
-    act = ~lam
-    if not act.any():
-        return out
-    anchors = partition._anchor[n]
-    rho_n = np.array([float(rho(p)) for p in anchors])
-    if np.any(rho_n * a >= 0.5):
-        raise ValueError("rho(x) * a must stay below 1/2")
-    # consistency of the caller-supplied angle field with the frozen lattice
-    for nn in np.unique(n[act]):
-        R = rotation_matrix(float(gamma(partition._anchor[nn][d - 1])), d)
-        if np.max(np.abs(np.linalg.inv(R) - partition._D[nn])) > 1e-9:
-            raise ValueError("partition was not built with this angle field")
-    yhat = y[act] - 0.5
-    trans = yhat[:, 1:d]
-    dist = np.sqrt(np.sum(trans**2, axis=1)) / rho_n[act]
-    out[act] = dist <= a
     return out
 
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cell_problem import tensor_field
-from .imex import Run
+from .imex import Run, check_budget
 from .macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 from .micro import MicroConfig, run_micro
 from .scenarios import Scenario
@@ -88,6 +88,10 @@ class StudyConfig:
                         dt=self.micro_dt(e))
         MacroConfig(self.scenario, H=self.H, T=self.T, dt=self.macro_dt(),
                     n_gamma=self.n_gamma, N_c=self.N_c)
+        # the explicit budget of imex.schedule, on the largest step of any run
+        if self.T > 0.0:
+            check_budget(self.scenario.suite,
+                         max(self.micro_dt(eps[0]), self.macro_dt()))
 
     def micro_dt(self, eps: float) -> float:
         if self.dt_rule == "h":

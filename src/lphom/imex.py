@@ -89,6 +89,13 @@ def check_prebuilt(config, built, keys) -> None:
                              f"run's config has {key}={want!r}")
 
 
+def check_budget(suite, dt: float) -> None:
+    """Reject a step that takes the explicit reactions over budget."""
+    if dt * suite.bulk_lipschitz > 0.5:
+        raise ValueError(f"dt={dt:g} exceeds the explicit reaction "
+                         f"budget 0.5/{suite.bulk_lipschitz:g}")
+
+
 def schedule(config, model, n_samples: int):
     """(n_sub, dt, lu): sub-steps per sampling window, step, factorization.
 
@@ -97,11 +104,8 @@ def schedule(config, model, n_samples: int):
     """
     if config.T <= 0.0:
         return 0, 0.0, None
-    s = config.suite
     dt_req = config.dt if config.dt is not None else model.width
-    if dt_req * s.bulk_lipschitz > 0.5:
-        raise ValueError(f"dt={dt_req:g} exceeds the explicit reaction "
-                         f"budget 0.5/{s.bulk_lipschitz:g}")
+    check_budget(config.suite, dt_req)
     window = config.T / n_samples
     n_sub = max(1, int(math.ceil(window / dt_req - 1e-12)))
     dt = window / n_sub

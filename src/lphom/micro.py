@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import imex
-from .geometry import (Partition, _frozen_subdomains, build_partition,
+from .geometry import (Partition, _covering, build_partition,
                        indicator_perforated, locate_batch, mask_connected)
 from .imex import Run, State
 from .scenarios import CoefficientSuite, Scenario
@@ -81,19 +81,9 @@ class MicroFaces:
     cell: np.ndarray         # (F,) flat deposit-cell index
     length: np.ndarray      # (F,) physical segment length
     midpoint: np.ndarray    # (F, 2)
-    subdomain: np.ndarray   # (F,) subdomain index of the hosting cell
 
     def __len__(self) -> int:
         return len(self.length)
-
-    def total_length(self) -> float:
-        return float(self.length.sum())
-
-    def per_subdomain(self) -> dict:
-        out: dict = {}
-        for n in np.unique(self.subdomain):
-            out[int(n)] = float(self.length[self.subdomain == n].sum())
-        return out
 
 
 @dataclass
@@ -110,9 +100,6 @@ class MicroGrid:
     faces: MicroFaces
     n: int
     h: float
-
-    def fluid_count(self) -> int:
-        return int(self.mask.sum())
 
     @property
     def width(self) -> float:
@@ -308,23 +295,6 @@ def _axis_breaks(eps: float, r: float, f) -> np.ndarray:
         breaks.append(p)
 
 
-class _SnappedPartition(Partition):
-    """Covering with per-axis breakpoints instead of one uniform side."""
-
-    def __init__(self, breaks, *args):
-        super().__init__(*args)
-        self._breaks = breaks
-
-    def subdomain_of(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        flat = np.zeros(len(X), dtype=int)
-        for i, b in enumerate(self._breaks):
-            k = np.searchsorted(b, X[:, i], side="right") - 1
-            flat *= len(b) - 1
-            flat += np.clip(k, 0, len(b) - 2)
-        return flat
-
-
 def _micro_partition(eps: float, r: float, transform) -> Partition:
     """Covering used by the micro grid.
 
@@ -342,18 +312,9 @@ def _micro_partition(eps: float, r: float, transform) -> Partition:
     if fs is None:
         return build_partition(domain, eps, _commensurate_r(eps, r), transform)
     breaks = [_axis_breaks(eps, r, f) for f in fs]
-    n_sub = tuple(len(b) - 1 for b in breaks)
-    ks = list(np.ndindex(*n_sub))
-    k = np.array(ks)
-    s_lo = np.column_stack([b[k[:, i]] for i, b in enumerate(breaks)])
-    s_hi = np.column_stack([b[k[:, i] + 1] for i, b in enumerate(breaks)])
-    anchor = 0.5 * (s_lo + s_hi)
-    D = np.array([transform.D_at(a) for a in anchor])
-    K = np.array([transform.K_at(a) for a in anchor])
     # lattices anchored at the lower corner
-    subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K, on_corner=True)
-    return _SnappedPartition(breaks, domain[0], domain[1], eps, r, transform,
-                             "subdomain-center", subs, n_sub, eps**r)
+    return _covering(*np.asarray(domain), breaks, eps, r, transform,
+                     on_corner=True)
 
 
 def build_micro_grid(config: MicroConfig) -> MicroGrid:
@@ -389,8 +350,7 @@ def build_micro_grid(config: MicroConfig) -> MicroGrid:
     keep = length > 1e-14 * h
     hosts, length, mid = hosts[keep], length[keep], mid[keep]
     faces = MicroFaces(cell=_deposit_cells(hosts, mid, mask, h),
-                       length=length, midpoint=mid,
-                       subdomain=partition.subdomain_of(mid))
+                       length=length, midpoint=mid)
 
     return MicroGrid(config=config, partition=partition, mask=mask,
                      faces=faces, n=n, h=h)

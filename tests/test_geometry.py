@@ -13,7 +13,6 @@ from lphom.geometry import (
     build_partition,
     identity_transform,
     indicator_perforated,
-    indicator_plywood,
     locate,
     locate_batch,
     locate_slots,
@@ -423,8 +422,17 @@ def reference_slot_tables(subs, d):
                 _in_hat=in_hat)
 
 
+def assert_breaks_bound_the_subdomains(p):
+    """Partition.breaks hold every Subdomain's lo and hi, bit for bit."""
+    assert [b[0] for b in p.breaks] == list(p.domain_lo)
+    for s in p.subdomains:
+        for i, b in enumerate(p.breaks):
+            assert b[s.k[i]] == s.lo[i] and b[s.k[i] + 1] == s.hi[i]
+
+
 def assert_same_partition(p, ref_subs):
     assert p.n_subdomains == len(ref_subs)
+    assert_breaks_bound_the_subdomains(p)
     for s, ref in zip(p.subdomains, ref_subs):
         for name, want in ref.items():
             got = getattr(s, name)
@@ -518,15 +526,11 @@ class TestBatchedPartition:
 
 
 def reference_subdomain_of(partition, X):
-    """Partition.subdomain_of (and the snapped covering's) with a clipped
-    multi-index and ravel_multi_index."""
-    if hasattr(partition, "_breaks"):
-        k = np.stack([np.clip(np.searchsorted(b, X[:, i], side="right") - 1,
-                              0, len(b) - 2)
-                      for i, b in enumerate(partition._breaks)], axis=1)
-    else:
-        k = np.floor((X - partition.domain_lo) / partition.side).astype(int)
-        k = np.clip(k, 0, np.asarray(partition.n_sub) - 1)
+    """Partition.subdomain_of with a clipped multi-index searched in the full
+    breaks of every axis, and ravel_multi_index."""
+    k = np.stack([np.clip(np.searchsorted(b, X[:, i], side="right") - 1,
+                          0, len(b) - 2)
+                  for i, b in enumerate(partition.breaks)], axis=1)
     return np.ravel_multi_index(tuple(k.T), partition.n_sub)
 
 
@@ -552,11 +556,12 @@ def reference_locate_batch(partition, X):
 
 
 def locate_probe_points(p, seed):
-    """Random points, a row-major grid, and points on subdomain faces."""
+    """Random points, a row-major grid, and points on the breaks and on the
+    multiples of the nominal side."""
     rng = np.random.default_rng(seed)
     g = (np.arange(97) + 0.5) / 97
     GX, GY = np.meshgrid(g, g, indexing="ij")
-    faces = np.arange(p.n_sub[0] + 1) * p.side
+    faces = np.concatenate([np.arange(p.n_sub[0] + 1) * p.side, p.breaks[0]])
     F = np.column_stack([np.repeat(faces, 9), np.tile(np.linspace(0, 1, 9),
                                                       len(faces))])
     return np.clip(np.concatenate([rng.uniform(0, 1, size=(5000, 2)),
@@ -586,6 +591,26 @@ class TestGroupedLocate:
             assert_same_bits(slot, np.where(in_hat, cell, -1))
             for g, r in zip((n, xi, y, slot < 0), got):
                 assert_same_bits(g, r)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
+    def test_a_point_on_a_break_belongs_to_the_subdomain_above(self, name,
+                                                                eps):
+        # every subdomain owns its lower faces: a point on the subdomain's
+        # lo along one axis (or all), at its centre along the others, is
+        # located in that subdomain
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
+                  _micro_partition(eps, 0.5, tf)):
+            lo = np.array([s.lo for s in p.subdomains])
+            mid = 0.5 * (lo + np.array([s.hi for s in p.subdomains]))
+            want = np.arange(p.n_subdomains)
+            for ax in range(p.d):
+                X = mid.copy()
+                X[:, ax] = lo[:, ax]
+                assert_same_bits(p.subdomain_of(X), want)
+                assert_same_bits(locate_slots(p, X)[0], want)
+            assert_same_bits(p.subdomain_of(lo), want)
 
     @staticmethod
     def assert_matches_reference(p, X):
@@ -798,16 +823,6 @@ class TestLpApprox:
         with pytest.raises(ValueError):
             lp_approx_batch(psi, _EPI_PARTITION, np.array([[0.5, 0.5]]), "L2")
 
-    def test_periodicity_checker(self):
-        good = ScalarFieldOnCells(f=lambda x, y: np.cos(2 * np.pi * y[:, 0]), name="ok")
-        bad = ScalarFieldOnCells(f=lambda x, y: y[:, 0], name="bad")
-        rng = np.random.default_rng(1)
-        X = rng.uniform(0, 1, (50, 2))
-        Y = rng.uniform(0, 1, (50, 2))
-        good.check_periodicity(X, Y)
-        with pytest.raises(ValueError):
-            bad.check_periodicity(X, Y)
-
 
 class TestIndicatorPerforated:
     def test_center_of_disk_is_perforation(self):
@@ -874,64 +889,9 @@ class TestIndicatorPerforated:
             assert abs(frac - expected) / expected <= 0.01
 
 
-class TestIndicatorPlywood:
-    def test_zero_rotation_reduces_to_periodic_fiber_test(self):
-        sc = plywood2d_scenario(gamma_rate=0.0, k2=1.0)
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
-        rng = np.random.default_rng(4)
-        X = rng.uniform(0, 1, size=(400, 2))
-        fib = indicator_plywood(p, lambda t: 0.0, 0.25, lambda x: 1.0, X)
-        _, _, y, lam = locate_batch(p, X)
-        expected = (~lam) & (np.abs(y[:, 1] - 0.5) <= 0.25)
-        assert np.array_equal(fib, expected)
-
-    def test_fiber_axis_point_always_inside(self):
-        sc = plywood2d_scenario()
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
-        for s in p.subdomains:
-            if not len(s.xi_hat):
-                continue
-            xi = s.xi_hat[0]
-            x = s.shift + p.eps * s.D @ (xi + np.array([0.3, 0.5]))
-            got = indicator_plywood(p, sc.gamma, 0.25, lambda q: 1.0, x[None, :])
-            assert got[0]
-
-    def test_composition_oracle_on_grid(self):
-        # independent pipeline: rotation, fractional part, transverse test
-        gamma_rate = math.pi / 2
-        sc = plywood2d_scenario(gamma_rate=gamma_rate, k2=1.0)
-        eps = 1 / 8
-        p = build_partition(UNIT_BOX, eps, 0.5, sc.transform)
-        xs = np.linspace(0.02, 0.98, 33)
-        X = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
-        got = indicator_plywood(p, sc.gamma, 0.2, lambda q: 1.0, X)
-        for i, x in enumerate(X):
-            k = np.minimum(np.floor(x / p.side).astype(int),
-                           np.array(p.n_sub) - 1)
-            s = p.subdomains[int(np.ravel_multi_index(tuple(k), p.n_sub))]
-            R = rotation_matrix(gamma_rate * s.anchor[1], 2)
-            z = R @ (x - s.shift) / eps
-            y = z - np.floor(z)
-            in_hat = bool(p.xi_hat_contains(s.n, np.floor(z).astype(int)[None, :])[0])
-            expected = in_hat and abs(y[1] - 0.5) <= 0.2
-            assert bool(got[i]) == expected
-
-    def test_agrees_with_perforated_complement(self):
-        # fibers are the material removed by the perforation view: on the
-        # covered region the two indicators are complementary, on leftover
-        # regions the fiber indicator is False and the perforated one True
-        sc = plywood2d_scenario(gamma_rate=0.0, k2=1.0)
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
-        rng = np.random.default_rng(12)
-        X = rng.uniform(0, 1, size=(500, 2))
-        cell_strip = UnitCellSpec(d=2, inclusion="disk", a=0.25)
-        fib = indicator_plywood(p, lambda t: 0.0, 0.25, lambda q: 1.0, X)
-        _, _, y, lam = locate_batch(p, X)
-        # disk versus transverse-strip inclusion differ; compare on the strip
-        strip = (~lam) & (np.abs(y[:, 1] - 0.5) <= 0.25)
-        assert np.array_equal(fib, strip)
-
-    def test_agrees_with_perforated_complement_3d_cylinder(self):
+    def test_cylinder_in_three_dimensions(self):
+        # axis along the first lattice axis: a point is material unless it
+        # lies in Xi_hat within transverse distance a of the cell's axis
         I3 = np.eye(3)
         tf = TransformField(d=3, D=lambda x: I3, K=lambda x: I3,
                             detD_bounds=(1, 1), detK_bounds=(1, 1),
@@ -940,43 +900,35 @@ class TestIndicatorPlywood:
         cell = UnitCellSpec(d=3, inclusion="cylinder", a=0.2)
         rng = np.random.default_rng(21)
         X = rng.uniform(0, 1, size=(400, 3))
-        fib = indicator_plywood(p, lambda t: 0.0, 0.2, lambda q: 1.0, X)
         mat = indicator_perforated(p, tf, cell, X)
-        _, _, _, lam = locate_batch(p, X)
-        assert np.array_equal(fib[~lam], ~mat[~lam])
-        assert np.all(~fib[lam]) and np.all(mat[lam])
-
-    def test_rejects_fat_fibers(self):
-        sc = plywood2d_scenario()
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
-        with pytest.raises(ValueError, match="1/2"):
-            indicator_plywood(p, sc.gamma, 0.3, lambda q: 2.0,
-                              np.array([[0.5, 0.5]]))
+        _, _, y, lam = locate_batch(p, X)
+        expected = lam | (np.hypot(y[:, 1] - 0.5, y[:, 2] - 0.5) > 0.2)
+        assert np.array_equal(mat, expected)
+        assert not mat.all() and mat[~lam].any()
 
 
 class TestTransformField:
-    def test_sampled_checks_pass_for_registry(self):
-        for name in ("periodic", "epithelial", "plywood2d", "radius-gradient"):
-            sc = get_scenario(name)
-            rep = sc.transform.check_sampled((0, 0), (1, 1), n=7, cell=sc.cell)
-            assert rep["lipschitz"] <= sc.transform.lipschitz_budget + 1e-9
-
-    def test_sampled_checks_fail_on_wrong_bounds(self):
-        sc = epithelial_scenario()
-        bad = TransformField(d=2, D=sc.transform.D, K=sc.transform.K,
-                             detD_bounds=(0.99, 1.0), detK_bounds=(1.0, 1.0),
-                             lipschitz_budget=10.0, name="bad")
-        with pytest.raises(ValueError, match="det D"):
-            bad.check_sampled((0, 0), (1, 1), n=5)
-
-    def test_inclusion_containment_fail(self):
-        Km = np.diag([2.5, 2.5])
-        tf = TransformField(d=2, D=lambda x: np.eye(2), K=lambda x: Km,
-                            detD_bounds=(1, 1), detK_bounds=(6.25, 6.25),
-                            lipschitz_budget=0.0, name="fat")
-        with pytest.raises(ValueError, match="unit cell"):
-            tf.check_sampled((0, 0), (1, 1), n=3,
-                             cell=UnitCellSpec(d=2, inclusion="disk", a=0.25))
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_registry_transforms_keep_their_declared_bounds(self, name):
+        # on a 7 x 7 grid: det D and det K within the declared bounds,
+        # neighbour difference quotients within the Lipschitz budget, and
+        # K(x) Y0 strictly inside Y
+        sc = get_scenario(name)
+        tf = sc.transform
+        g = np.linspace(0.0, 1.0, 7)
+        pts = [np.array([a, b]) for a in g for b in g]
+        Ds = np.array([tf.D_at(x) for x in pts]).reshape(7, 7, 2, 2)
+        Ks = np.array([tf.K_at(x) for x in pts]).reshape(7, 7, 2, 2)
+        for M, (lo, hi) in ((Ds, tf.detD_bounds), (Ks, tf.detK_bounds)):
+            det = np.abs(np.linalg.det(M))
+            assert det.min() >= lo - 1e-12 and det.max() <= hi + 1e-12
+            for ax in (0, 1):
+                quot = np.linalg.norm(np.diff(M, axis=ax), 2,
+                                      axis=(-2, -1)) / (g[1] - g[0])
+                assert quot.max() <= tf.lipschitz_budget + 1e-9
+        if sc.cell.inclusion != "none":
+            # extent of K Y0 per axis about the cell centre 1/2
+            assert np.all(sc.cell.a * np.linalg.norm(Ks, axis=-1) < 0.5)
 
 
 class TestUnitCellSpec:

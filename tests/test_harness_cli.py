@@ -134,6 +134,21 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not (tmp_path / csv).exists()
 
+    def test_over_budget_dt_rule_exits_2_without_csv(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # 0.2 exceeds periodic's explicit budget 0.5/3.2: a usage error
+        # before the tensor field, not three failed rows
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(harness, "tensor_field", no_solve)
+        code = main(["converge", "--scenario", "periodic", "--dt-rule", "0.2",
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        assert ("error: dt=0.2 exceeds the explicit reaction budget"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_single_eps_subcommands_reject_sweeps(self, capsys):
         code = main(["micro", "--scenario", "periodic",
                      "--eps", "1/4,1/8", "--outdir", "/tmp"])
@@ -402,6 +417,40 @@ class TestBenchmarkHooks:
         assert got["macro.steps"] == steps(1 / 64)
 
 
+    def test_partition_builds_are_traced(self, tmp_path):
+        # perfbench wraps micro.build_partition and cli.build_partition; a
+        # covering built past those bindings would drop its span silently
+        root = Path(__file__).resolve().parents[1]
+        code = ("import json, sys\n"
+                "from tracing import Tracer, install_lphom_hooks\n"
+                "t = Tracer()\n"
+                "install_lphom_hooks(t)\n"
+                "from lphom import cli, micro\n"
+                "from lphom.scenarios import get_scenario\n"
+                "def cells():\n"
+                "    return [s['attrs']['lattice_cells'] for s in t.spans\n"
+                "            if s['name'] == 'geometry.partition']\n"
+                "micro.build_micro_grid(micro.MicroConfig(\n"
+                "    get_scenario('plywood2d'), 1 / 8, cells_per_eps=8,"
+                " T=0.0))\n"
+                "grid = cells()\n"
+                "assert cli.main(['check-unfold', '--scenario', 'plywood2d',"
+                " '--eps', '1/8,1/16,1/32,1/64,1/128',"
+                " '--outdir', sys.argv[1]]) == 0\n"
+                "print(json.dumps({'grid': grid,"
+                " 'unfold': cells()[len(grid):]}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert len(got["grid"]) == 1
+        assert len(got["unfold"]) == 5
+        assert sum(got["unfold"]) == 28022
+
+
 class TestCellCommand:
     def test_matches_direct_solve_and_roundtrips(self, tmp_path):
         code = main(["cell", "--scenario", "plywood2d",
@@ -619,6 +668,15 @@ class TestStudyConfigValidation:
             StudyConfig(scenario=sc, dt_rule="fast")
         with pytest.raises(ValueError, match="positive"):
             StudyConfig(scenario=sc, dt_rule="-0.01")
+
+    def test_over_budget_dt_rule(self):
+        sc = get_scenario("periodic")
+        assert sc.suite.bulk_lipschitz == 3.2
+        with pytest.raises(ValueError, match="explicit reaction budget"):
+            StudyConfig(scenario=sc, dt_rule="0.2")
+        StudyConfig(scenario=sc, dt_rule="0.15")
+        # a study with no steps checks no budget, as imex.schedule
+        StudyConfig(scenario=sc, dt_rule="0.2", T=0.0)
 
     def test_bad_sample_count(self):
         with pytest.raises(ValueError, match="n_samples"):

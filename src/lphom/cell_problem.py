@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,18 +203,12 @@ class CellGeometry:
     """Reference perforated cell at one macro point, ready for assembly.
 
     kind marks each grid cell 0 = solid (dropped), 1 = full, 2 = cut by the
-    inclusion boundary; cut cells carry exact fluid moments. fluid is the
-    cells with positive fluid area.
+    inclusion boundary; cut cells carry exact fluid moments.
     """
 
-    x: np.ndarray
-    D: np.ndarray
-    K: np.ndarray
-    detD: float
     N_c: int
     h: float
     cell: UnitCellSpec
-    fluid: np.ndarray            # (N, N) bool
     kind: np.ndarray             # (N, N) int8
     cut_idx: np.ndarray          # (m, 2) int
     cut_moments: np.ndarray      # (m, 5)
@@ -308,7 +302,6 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
         raise NotImplementedError("cell solver is two-dimensional")
     D = transform.D_at(x)
     K = transform.K_at(x)
-    detD = abs(float(np.linalg.det(D)))
 
     Bmat = _cell_coefficient(A, transform, x)
     scale = float(np.max(np.abs(Bmat)))
@@ -372,11 +365,9 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
         cut_m = np.array(m_list).reshape(-1, 5)
         fluid_area = (float(np.sum(kind == 1)) + float(cut_m[:, 0].sum())) * h * h
 
-    fluid = kind > 0
-    if not mask_connected(fluid, periodic=True):
+    if not mask_connected(kind > 0, periodic=True):
         raise ValueError("fluid region of the cell mask is disconnected")
-    return CellGeometry(x=x, D=D, K=K, detD=detD, N_c=N_c, h=h, cell=cell,
-                        fluid=fluid, kind=kind, cut_idx=cut_idx,
+    return CellGeometry(N_c=N_c, h=h, cell=cell, kind=kind, cut_idx=cut_idx,
                         cut_moments=cut_m, B11=float(Bmat[0, 0]),
                         B22=float(Bmat[1, 1]), forcing=D.T.copy(),
                         fluid_area=fluid_area)

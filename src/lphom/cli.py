@@ -178,7 +178,7 @@ def _cmd_geom(vals: dict, args) -> int:
 
 # -------------------------------------------------------- check-unfold
 
-def _pwc_identity(sc, part):
+def _pwc_identity(part):
     """A field constant on each lattice cell is integrated exactly."""
     lo, hi = np.zeros(2), np.ones(2)
     keys = [(s.n, tuple(xi)) for s in part.subdomains for xi in s.xi_hat.tolist()]
@@ -186,21 +186,17 @@ def _pwc_identity(sc, part):
     table = dict(zip(keys, draws.tolist()))
     h_pwc = 1.0 / max(64, 8 * int(round(1.0 / part.eps)))
     phi_pwc = lattice_pwc_field(part, table, lo, hi, h_pwc)
-    return check_integration_identity(phi_pwc, part, sc.transform, 4,
-                                      eval_mode="exact")
+    return check_integration_identity(phi_pwc, part, 4, eval_mode="exact")
 
 
-def _unfold_tasks(sc, part, quad: GammaQuadrature, smooth) -> list:
+def _unfold_tasks(part, quad: GammaQuadrature, smooth) -> list:
     """The independent checks of one partition, each returning (lhs, rhs,
     gap): piecewise constant, smooth at m_y = 4 and 8, boundary."""
     return [
-        lambda: _pwc_identity(sc, part),
-        lambda: check_integration_identity(smooth, part, sc.transform, 4,
-                                           eval_mode="exact"),
-        lambda: check_integration_identity(smooth, part, sc.transform, 8,
-                                           eval_mode="exact"),
-        lambda: check_boundary_identity(lambda X: 1.0 + X[:, 0], part,
-                                        sc.transform, sc.cell, quad),
+        lambda: _pwc_identity(part),
+        lambda: check_integration_identity(smooth, part, 4, eval_mode="exact"),
+        lambda: check_integration_identity(smooth, part, 8, eval_mode="exact"),
+        lambda: check_boundary_identity(lambda X: 1.0 + X[:, 0], part, quad),
     ]
 
 
@@ -228,7 +224,7 @@ def _cmd_check_unfold(vals: dict, args) -> int:
         futures = [None] * len(parts)
         for k in sorted(range(len(parts)), key=lambda k: eps_list[k]):
             futures[k] = [pool.submit(task) for task in
-                          _unfold_tasks(sc, parts[k], quad, smooth)]
+                          _unfold_tasks(parts[k], quad, smooth)]
         try:
             results = [[f.result() for f in fs] for fs in futures]
         except BaseException:
@@ -438,7 +434,6 @@ def _cmd_converge(vals: dict, args) -> int:
         n_gamma=vals.get("nGamma", 16),
         T=vals.get("T", 0.5),
         dt_rule=vals.get("dt_rule", "h"),
-        outdir=vals.get("outdir", "."),
     )
     report = convergence_study(study)
     path = _out_path(vals, "convergence.csv")

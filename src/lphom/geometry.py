@@ -495,9 +495,8 @@ def locate_batch(partition: Partition, X: np.ndarray):
     return n, xi, y, slot < 0
 
 
-def locate(partition: Partition, transform: TransformField, x) -> LocateResult:
-    """Locate one point; see locate_batch. The transform argument is accepted
-    for interface symmetry, the partition already carries the frozen maps."""
+def locate(partition: Partition, x) -> LocateResult:
+    """Locate one point; see locate_batch."""
     n, xi, y, lam = locate_batch(partition, np.asarray(x, dtype=float)[None, :])
     return LocateResult(n=int(n[0]), xi=xi[0], y=y[0], in_lambda=bool(lam[0]))
 
@@ -528,8 +527,8 @@ def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,
     return psi.f(x_slow, y)
 
 
-def indicator_perforated(partition: Partition, transform: TransformField,
-                         cell: UnitCellSpec, X: np.ndarray) -> np.ndarray:
+def indicator_perforated(partition: Partition, cell: UnitCellSpec,
+                         X: np.ndarray) -> np.ndarray:
     """Membership in the perforated domain (True = outside every perforation).
 
     Leftover regions carry no perforations and are solid material. Membership

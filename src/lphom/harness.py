@@ -58,7 +58,6 @@ class StudyConfig:
     T: float = 0.5
     dt_rule: str = "h"
     n_samples: int = 20
-    outdir: Optional[str] = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -74,12 +73,12 @@ class StudyConfig:
         if self.dt_rule != "h":
             try:
                 dt = float(self.dt_rule)
-            except ValueError:
+            except (TypeError, ValueError):
+                dt = math.nan
+            if not (math.isfinite(dt) and dt > 0.0):
                 raise ValueError(
-                    f"dt_rule must be 'h' or a positive number, got "
-                    f"{self.dt_rule!r}") from None
-            if dt <= 0.0:
-                raise ValueError("a numeric dt_rule must be positive")
+                    f"dt_rule must be 'h' or a finite positive number, got "
+                    f"{self.dt_rule!r}")
         # the sub-configs own the remaining range checks; building them here
         # rejects a bad study before any solve starts
         for e in eps:

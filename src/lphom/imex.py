@@ -89,6 +89,16 @@ def check_prebuilt(config, built, keys) -> None:
                              f"run's config has {key}={want!r}")
 
 
+def check_times(T: float, dt: Optional[float]) -> None:
+    """Reject a final time that is not finite and nonnegative, or a step
+    that is given but not finite and positive."""
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"final time must be finite and nonnegative, "
+                         f"got {T!r}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+
+
 def check_budget(suite, dt: float) -> None:
     """Reject a step that takes the explicit reactions over budget."""
     if dt * suite.bulk_lipschitz > 0.5:

@@ -13,7 +13,6 @@ mass ledger H^2 sum(theta l) on every step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +25,7 @@ from .cell_problem import EffectiveTensorField, tensor_field
 from .imex import Run, State
 from .micro import face_dirichlet_form
 from .scenarios import CoefficientSuite, Scenario
+from .unfolding import GammaQuadrature
 
 
 @dataclass
@@ -46,12 +46,9 @@ class MacroConfig:
             raise ValueError("macro spacing H must lie in (0, 1/2]")
         if abs(round(1.0 / self.H) - 1.0 / self.H) > 1e-9:
             raise ValueError("1/H must be an integer number of grid cells")
-        if self.T < 0.0:
-            raise ValueError("final time must be nonnegative")
+        imex.check_times(self.T, self.dt)
         if self.n_gamma < 4:
             raise ValueError("need at least 4 boundary quadrature points")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.suite is None:
             self.suite = self.scenario.suite
 
@@ -131,24 +128,6 @@ class MacroOperator:
 
     def mass(self, st: State) -> float:
         return self.H**2 * float(np.sum(self.theta * st.l.ravel()))
-
-
-def _gamma_quadrature(config: MacroConfig, nodes: np.ndarray) -> np.ndarray:
-    """Weights w_s = a |D K u'(φ_s)| Δφ on the reference hole boundary."""
-    scen = config.scenario
-    P = len(nodes)
-    S = config.n_gamma
-    if scen.cell.inclusion == "none":
-        return np.zeros((P, 0))
-    a = scen.cell.a
-    dphi = 2.0 * math.pi / S
-    phi = (np.arange(S) + 0.5) * dphi
-    tang = np.column_stack([-np.sin(phi), np.cos(phi)])    # (S, 2)
-    w = np.empty((P, S))
-    for p, x in enumerate(nodes):
-        DK = scen.transform.D_at(x) @ scen.transform.K_at(x)
-        w[p] = a * np.linalg.norm(tang @ DK.T, axis=1) * dphi
-    return w
 
 
 def _flux_stencil(H: float, ann: np.ndarray, ant: np.ndarray,
@@ -256,9 +235,18 @@ def assemble_macro(config: MacroConfig) -> MacroOperator:
                       shape=(P, P))
     L.sum_duplicates()
 
-    gamma_w = _gamma_quadrature(config, nodes)
-    cell_measure = np.array(
-        [abs(np.linalg.det(scen.transform.D_at(x))) for x in nodes])
+    # Γ weights: the reference arc weights times the metric |D K τ_s| of
+    # the maps at each node; no inclusion leaves no Γ points
+    quad = (GammaQuadrature(scen.cell, config.n_gamma)
+            if scen.cell.inclusion != "none" else None)
+    gamma_w = np.zeros((P, 0 if quad is None else config.n_gamma))
+    cell_measure = np.empty(P)
+    tf = scen.transform
+    for p, x in enumerate(nodes):
+        D = tf.D_at(x)
+        cell_measure[p] = abs(np.linalg.det(D))
+        if quad is not None:
+            gamma_w[p] = quad.ref_weights * quad.metric(D, tf.K_at(x))
     return MacroOperator(config=config, n=n, H=H, nodes=nodes,
                          theta=fld.theta.copy(), tensors=tensors, L=L,
                          gamma_w=gamma_w, cell_measure=cell_measure)

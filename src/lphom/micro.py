@@ -53,17 +53,16 @@ class MicroConfig:
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
+        if not (0.0 < self.r < 1.0):
+            raise ValueError("r must lie in (0, 1)")
         if self.cells_per_eps < 8:
             raise ValueError("need at least 8 cells per eps (h <= eps/8)")
-        if self.T < 0.0:
-            raise ValueError("final time must be nonnegative")
+        imex.check_times(self.T, self.dt)
         if self.suite is None:
             self.suite = self.scenario.suite
         n = self.eps / self.cells_per_eps
         if abs(round(1.0 / n) - 1.0 / n) > 1e-9:
             raise ValueError("1/h must be an integer number of grid cells")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
 
     @property
     def h(self) -> float:
@@ -326,8 +325,7 @@ def build_micro_grid(config: MicroConfig) -> MicroGrid:
     idx = (np.arange(n) + 0.5) * h
     CX, CY = np.meshgrid(idx, idx, indexing="ij")
     centers = np.column_stack([CX.ravel(), CY.ravel()])
-    mask = indicator_perforated(partition, scen.transform, scen.cell,
-                                centers).reshape(n, n)
+    mask = indicator_perforated(partition, scen.cell, centers).reshape(n, n)
     if not mask_connected(mask):
         raise ValueError("fluid region of the micro grid is disconnected")
 

@@ -8,8 +8,8 @@ configurable scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class Scenario:
     transform: TransformField
     cell: UnitCellSpec
     suite: CoefficientSuite = field(default_factory=CoefficientSuite)
-    # scalar fields kept for introspection and for the plywood indicator
-    gamma: Optional[Callable[[float], float]] = None
-    kappa: Optional[Callable[[float], float]] = None
-    rho: Optional[Callable[[np.ndarray], float]] = None
 
 
 def _cell(d: int, a: float) -> UnitCellSpec:
@@ -114,7 +110,7 @@ def epithelial_scenario(a: float = 0.25, kappa_base: float = 0.7,
     tf = TransformField(d=2, D=D, K=lambda x: I,
                         detD_bounds=(k_lo, k_hi), detK_bounds=(1.0, 1.0),
                         lipschitz_budget=abs(kappa_slope) + 0.1, name="epithelial")
-    return Scenario("epithelial", tf, _cell(2, a), suite, kappa=kappa)
+    return Scenario("epithelial", tf, _cell(2, a), suite)
 
 
 def plywood2d_scenario(a: float = 0.25, gamma_rate: float = math.pi / 2,
@@ -134,7 +130,7 @@ def plywood2d_scenario(a: float = 0.25, gamma_rate: float = math.pi / 2,
     tf = TransformField(d=2, D=D, K=lambda x: Kmat,
                         detD_bounds=(1.0, 1.0), detK_bounds=(k2, k2),
                         lipschitz_budget=abs(gamma_rate) + 0.1, name="plywood2d")
-    return Scenario("plywood2d", tf, _cell(2, a), suite, gamma=gamma)
+    return Scenario("plywood2d", tf, _cell(2, a), suite)
 
 
 def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
@@ -157,7 +153,7 @@ def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
                         detD_bounds=(1.0, 1.0), detK_bounds=(r_lo**2, r_hi**2),
                         lipschitz_budget=2.0 * abs(rho_slope) + 0.1,
                         name="radius-gradient")
-    return Scenario("radius-gradient", tf, _cell(2, a), suite, rho=rho)
+    return Scenario("radius-gradient", tf, _cell(2, a), suite)
 
 
 SCENARIO_NAMES = ("periodic", "epithelial", "plywood2d", "radius-gradient")

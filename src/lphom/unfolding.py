@@ -17,7 +17,6 @@ import numpy as np
 from .geometry import (
     Partition,
     ScalarFieldOnCells,
-    TransformField,
     UnitCellSpec,
     locate_slots,
     lp_approx_batch,
@@ -203,9 +202,8 @@ class UnfoldedGrid:
             np.sum(m, axis=1), 1)
 
 
-def unfold(phi: GridFunction, partition: Partition, transform: TransformField,
-           m_y: int, mask_mode: str = "bulk",
-           cell: Optional[UnitCellSpec] = None,
+def unfold(phi: GridFunction, partition: Partition, m_y: int,
+           mask_mode: str = "bulk", cell: Optional[UnitCellSpec] = None,
            eval_mode: str = "grid") -> UnfoldedGrid:
     """Discrete locally periodic unfolding.
 
@@ -273,7 +271,6 @@ class GammaQuadrature:
             raise ValueError(f"n_gamma must be at least 1, got {self.n_gamma}")
         th = 2.0 * math.pi * (np.arange(self.n_gamma) + 0.5) / self.n_gamma
         a = self.cell.a
-        self.theta = th
         self.nodes = self.cell.center + a * np.stack(
             [np.cos(th), np.sin(th)], axis=1)          # on the reference circle
         self.tangents = np.stack([-np.sin(th), np.cos(th)], axis=1)  # unit
@@ -283,13 +280,18 @@ class GammaQuadrature:
     def reference_measure(self) -> float:
         return float(self.ref_weights.sum())
 
+    def metric(self, D: np.ndarray, K: np.ndarray) -> np.ndarray:
+        """Mapped tangent length |D K tau_s| per node, (S,): the ratio of
+        mapped to reference arc length under the maps D, K."""
+        return np.linalg.norm(D @ K @ self.tangents.T, axis=0)
+
 
 @dataclass
 class BoundaryUnfolded:
     """Boundary unfolding samples indexed by (subdomain, cell, arc node).
 
-    metric holds the mapped tangent length |D_n K_n u(theta_s)|, the ratio of
-    mapped to reference surface measure.
+    metric holds GammaQuadrature.metric of each subdomain's D_n, K_n, the
+    ratio of mapped to reference surface measure.
     """
 
     eps: float
@@ -300,7 +302,6 @@ class BoundaryUnfolded:
     ref_weights: np.ndarray     # (S,)
     metric: np.ndarray          # (E, S)
     detD: np.ndarray            # (E,)
-    mapped_points: np.ndarray   # (E, S, d)
 
     def surface_measure(self) -> float:
         """Quadrature measure of the mapped interior boundary."""
@@ -321,8 +322,8 @@ class BoundaryUnfolded:
         return float(np.sum(np.abs(self.values) ** p * ds))
 
 
-def unfold_boundary(psi, partition: Partition, transform: TransformField,
-                    cell: UnitCellSpec, quad: GammaQuadrature) -> BoundaryUnfolded:
+def unfold_boundary(psi, partition: Partition,
+                    quad: GammaQuadrature) -> BoundaryUnfolded:
     """Boundary unfolding on the mapped inclusion boundaries.
 
     psi is a callable on the domain or any object with an eval(X) method.
@@ -331,11 +332,11 @@ def unfold_boundary(psi, partition: Partition, transform: TransformField,
     """
     evaluate = psi.eval if hasattr(psi, "eval") else psi
     d = partition.d
-    c = cell.center
+    c = quad.cell.center
     S = quad.n_gamma   # lists start empty-shaped, as in unfold
     subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
     vals, mets = [np.zeros((0, S))], [np.zeros((0, S))]
-    dets, pts_all = [np.zeros(0)], [np.zeros((0, S, d))]
+    dets = [np.zeros(0)]
     for s in partition.subdomains:
         if not len(s.xi_hat):
             continue
@@ -343,22 +344,20 @@ def unfold_boundary(psi, partition: Partition, transform: TransformField,
         pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, mapped_y)
         v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
             len(s.xi_hat), S)
-        g = np.linalg.norm((s.D @ s.K @ quad.tangents.T), axis=0)   # (S,)
         subs.append(np.full(len(s.xi_hat), s.n))
         xis.append(s.xi_hat)
         vals.append(v)
-        mets.append(np.broadcast_to(g, v.shape))
+        mets.append(np.broadcast_to(quad.metric(s.D, s.K), v.shape))
         dets.append(np.full(len(s.xi_hat), s.detD))
-        pts_all.append(pts)
     return BoundaryUnfolded(
         eps=partition.eps, d=d, sub_index=np.concatenate(subs),
         xi=np.concatenate(xis), values=np.concatenate(vals),
         ref_weights=quad.ref_weights, metric=np.concatenate(mets),
-        detD=np.concatenate(dets), mapped_points=np.concatenate(pts_all))
+        detD=np.concatenate(dets))
 
 
 def local_average(phi: GridFunction, partition: Partition,
-                  transform: TransformField, m_y: int = 4) -> GridFunction:
+                  m_y: int = 4) -> GridFunction:
     """Local average: per lattice cell the mean over Y, zero on leftovers.
 
     Uses the exact evaluation path of phi when available so that repeated
@@ -366,7 +365,7 @@ def local_average(phi: GridFunction, partition: Partition,
     constant per lattice cell and carries an exact evaluator.
     """
     mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y, eval_mode=mode)
     table = np.zeros(partition.n_cell_slots + 1)
     table[partition.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
     out = _slot_table_field(partition, table, phi.lo, phi.hi, phi.h)
@@ -406,8 +405,7 @@ def _interpolant_cell_integral(phi: GridFunction, lo_pt: np.ndarray,
 
 
 def check_integration_identity(phi: GridFunction, partition: Partition,
-                               transform: TransformField, m_y: int,
-                               eval_mode: str = "grid"):
+                               m_y: int, eval_mode: str = "grid"):
     """Integration identity of the unfolding operator.
 
     lhs: weighted sum of the unfolded samples per unit cell volume.
@@ -416,7 +414,7 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
     midpoint subsampling otherwise (and for the exact evaluation path).
     Returns (lhs, rhs, gap).
     """
-    ug = unfold(phi, partition, transform, m_y, eval_mode=eval_mode)
+    ug = unfold(phi, partition, m_y, eval_mode=eval_mode)
     lhs = ug.weighted_sum()
 
     d = partition.d
@@ -444,8 +442,7 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
     return lhs, rhs, abs(lhs - rhs)
 
 
-def check_boundary_identity(psi, partition: Partition, transform: TransformField,
-                            cell: UnitCellSpec, quad: GammaQuadrature,
+def check_boundary_identity(psi, partition: Partition, quad: GammaQuadrature,
                             p: float = 2.0):
     """Boundary unfolding identity.
 
@@ -453,7 +450,7 @@ def check_boundary_identity(psi, partition: Partition, transform: TransformField
     weights. rhs: eps times the direct quadrature of |psi|^p over the mapped
     interior boundary, same nodes. Returns (lhs, rhs, gap).
     """
-    bu = unfold_boundary(psi, partition, transform, cell, quad)
+    bu = unfold_boundary(psi, partition, quad)
     lhs = bu.weighted_power_sum(p)
     rhs = partition.eps * bu.direct_surface_integral(p)
     return lhs, rhs, abs(lhs - rhs)
@@ -513,12 +510,12 @@ class QInterpolant:
 
 
 def interpolate_Q(phi: GridFunction, partition: Partition,
-                  transform: TransformField, m_y: int = 4) -> QInterpolant:
+                  m_y: int = 4) -> QInterpolant:
     """Micro-macro interpolant: the node at lattice point xi carries the
     average of phi over the cell anchored at xi; values inside a cell are the
     multilinear interpolant of its corner node values."""
     mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y, eval_mode=mode)
     node_values = np.full(partition.n_cell_slots, np.nan)
     node_values[partition.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
 
@@ -533,8 +530,7 @@ def interpolate_Q(phi: GridFunction, partition: Partition,
                         usable_cells=usable)
 
 
-def remainder_R(phi: GridFunction, partition: Partition,
-                transform: TransformField, m_y: int = 4,
+def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
                 points_per_axis: int = 4, grad=None):
     """Remainder diagnostics of the micro-macro interpolant on usable cells.
 
@@ -542,7 +538,7 @@ def remainder_R(phi: GridFunction, partition: Partition,
     and of the gradient of phi over the same region. grad is an optional
     callable X -> (m, d); central differences of phi otherwise.
     """
-    qi = interpolate_Q(phi, partition, transform, m_y=m_y)
+    qi = interpolate_Q(phi, partition, m_y=m_y)
     _, r, pts, w = qi.eval_cells(phi, points_per_axis)
     r_norm = math.sqrt(float(np.sum(w * r**2)))
     if len(pts) == 0:
@@ -562,8 +558,8 @@ def remainder_R(phi: GridFunction, partition: Partition,
     return r_norm, grad_norm, float(np.sum(w))
 
 
-def lts_pairing(u: GridFunction, psi: ScalarFieldOnCells, partition: Partition,
-                transform: TransformField) -> float:
+def lts_pairing(u: GridFunction, psi: ScalarFieldOnCells,
+                partition: Partition) -> float:
     """Grid quadrature of u times the locally periodic approximation of psi."""
     d = len(u.shape)
     X = u.centers().reshape(-1, d)
@@ -573,7 +569,7 @@ def lts_pairing(u: GridFunction, psi: ScalarFieldOnCells, partition: Partition,
 
 
 def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
-                               transform: TransformField, m_y: int) -> float:
+                               m_y: int) -> float:
     """L2 distance between the unfolded field and the field itself.
 
     Both arguments of |T(phi)(x, y) - phi(x)| are sampled on the same
@@ -581,7 +577,7 @@ def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
     double quadrature on the product of the cell with Y.
     """
     mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y, eval_mode=mode)
     total = 0.0
     for e in range(ug.n_entries):
         v = ug.values[e]
@@ -591,14 +587,13 @@ def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
 
 
 def norm_unfold_of_lp_minus_psi(psi: ScalarFieldOnCells, partition: Partition,
-                                transform: TransformField, m_y: int,
-                                lo, hi, h: float) -> float:
+                                m_y: int, lo, hi, h: float) -> float:
     """L2 distance between the unfolded locally periodic approximation and
     the two-scale field itself, sampled per cell in (x, y)."""
     lp_field = grid_function_from_callable(
         lambda X: lp_approx_batch(psi, partition, X, variant="L"),
         lo, hi, h, keep_exact=True)
-    ug = unfold(lp_field, partition, transform, m_y, eval_mode="exact")
+    ug = unfold(lp_field, partition, m_y, eval_mode="exact")
     m = len(ug.y_nodes)
     Yrep = np.tile(ug.y_nodes, (m, 1))
     total = 0.0

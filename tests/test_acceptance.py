@@ -82,8 +82,7 @@ class TestUnfoldingIdentities:
         table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
                  for s in part.subdomains for xi in s.xi_hat}
         phi = lattice_pwc_field(part, table, LO, HI, 1 / 128)
-        _, _, gap = check_integration_identity(phi, part, sc.transform, 4,
-                                               eval_mode="exact")
+        _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
         assert gap <= 1e-12
 
     def test_integration_identity_smooth_quadrature_order(self):
@@ -94,10 +93,8 @@ class TestUnfoldingIdentities:
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
             LO, HI, 1 / 128, keep_exact=True)
-        gap4 = check_integration_identity(phi, part, sc.transform, 4,
-                                          eval_mode="exact")[2]
-        gap8 = check_integration_identity(phi, part, sc.transform, 8,
-                                          eval_mode="exact")[2]
+        gap4 = check_integration_identity(phi, part, 4, eval_mode="exact")[2]
+        gap8 = check_integration_identity(phi, part, 8, eval_mode="exact")[2]
         assert gap8 > 0.0
         assert gap4 / gap8 >= 4.0
 
@@ -108,7 +105,7 @@ class TestUnfoldingIdentities:
             part = build_partition((LO, HI), 1 / 16, 0.5, sc.transform)
             quad = GammaQuadrature(sc.cell, 16)
             _, _, gap = check_boundary_identity(
-                lambda X: 1.0 + X[:, 0], part, sc.transform, sc.cell, quad)
+                lambda X: 1.0 + X[:, 0], part, quad)
             assert gap <= 1e-10, name
 
     def test_unfolded_field_approaches_the_field(self):
@@ -119,8 +116,7 @@ class TestUnfoldingIdentities:
             phi = grid_function_from_callable(
                 lambda X: np.sin(np.pi * X[:, 0]) * np.cos(np.pi * X[:, 1]),
                 LO, HI, eps / 8, keep_exact=True)
-            vals.append(norm_unfold_minus_identity(phi, part, sc.transform,
-                                                   m_y=4))
+            vals.append(norm_unfold_minus_identity(phi, part, m_y=4))
         assert vals[0] > vals[1] > vals[2]
 
     def test_unfolded_approximation_approaches_the_two_scale_field(self):
@@ -131,8 +127,8 @@ class TestUnfoldingIdentities:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
-            vals.append(norm_unfold_of_lp_minus_psi(psi, part, sc.transform,
-                                                    4, LO, HI, eps / 8))
+            vals.append(norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
+                                                    eps / 8))
         assert vals[0] > vals[1] > vals[2]
 
     def test_remainder_is_first_order_uniformly(self):
@@ -148,7 +144,7 @@ class TestUnfoldingIdentities:
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
             phi = grid_function_from_callable(f, LO, HI, eps / 8,
                                               keep_exact=True)
-            rn, gn, meas = remainder_R(phi, part, sc.transform, grad=g)
+            rn, gn, meas = remainder_R(phi, part, grad=g)
             assert meas > 0.0
             ratios.append(rn / (eps * gn))
         assert max(ratios) / min(ratios) <= 1.5

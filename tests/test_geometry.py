@@ -655,7 +655,7 @@ class TestGroupedLocate:
                   _micro_partition(1 / 16, 0.5, periodic_scenario().transform)):
             X = np.full((5, 2), 0.5)
             X[3, axis] = bad
-            for call in (lambda: locate(p, tf, X[3]),
+            for call in (lambda: locate(p, X[3]),
                          lambda: locate_batch(p, X),
                          lambda: locate_slots(p, X),
                          lambda: locate_slots(p, X[::-1])):
@@ -702,13 +702,13 @@ class TestCellSlots:
 class TestLocate:
     def test_identity_single_subdomain(self):
         p = single_subdomain_partition(1 / 4, identity_transform(2))
-        res = locate(p, p.transform, np.array([0.3, 0.6]))
+        res = locate(p, np.array([0.3, 0.6]))
         assert tuple(res.xi) == (1, 2)
         assert np.allclose(res.y, [0.2, 0.4], atol=1e-12)
 
     def test_exact_lattice_corner_floor_convention(self):
         p = single_subdomain_partition(1 / 4, identity_transform(2))
-        res = locate(p, p.transform, np.array([0.5, 0.25]))
+        res = locate(p, np.array([0.5, 0.25]))
         assert tuple(res.xi) == (2, 1)
         assert np.allclose(res.y, [0.0, 0.0], atol=0)
 
@@ -719,7 +719,7 @@ class TestLocate:
         tf = constant_rotation_transform(math.pi / 6)
         p = build_partition(UNIT_BOX, eps, 0.5, tf)
         x = np.array([0.40, 0.35])
-        res = locate(p, tf, x)
+        res = locate(p, x)
         Dm = np.linalg.inv(rotation_matrix(math.pi / 6, 2))
         k = np.floor(x / p.side).astype(int)
         lo = k * p.side
@@ -732,7 +732,7 @@ class TestLocate:
     def test_rejects_point_outside_domain(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2))
         with pytest.raises(ValueError, match="outside"):
-            locate(p, p.transform, np.array([1.2, 0.5]))
+            locate(p, np.array([1.2, 0.5]))
 
     @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
                                       "radius-gradient"])
@@ -749,7 +749,7 @@ class TestLocate:
     @settings(deadline=None, max_examples=60)
     def test_reconstruction_property_epithelial(self, x1, x2):
         p = _EPI_PARTITION
-        res = locate(p, p.transform, np.array([x1, x2]))
+        res = locate(p, np.array([x1, x2]))
         s = p.subdomains[res.n]
         rec = s.shift + p.eps * s.D @ (res.xi + res.y)
         assert np.max(np.abs(rec - np.array([x1, x2]))) <= 1e-12
@@ -774,7 +774,7 @@ class TestLpApprox:
         g = ScalarFieldOnCells(f=lambda x, y: x[:, 0] ** 2 + 3.0, name="g")
         p = _EPI_PARTITION
         x = np.array([0.37, 0.81])
-        res = locate(p, p.transform, x)
+        res = locate(p, x)
         anchor = p.subdomains[res.n].anchor
         assert lp_approx_batch(g, p, x[None], "L")[0] == pytest.approx(
             0.37**2 + 3.0, abs=1e-14)
@@ -832,7 +832,7 @@ class TestIndicatorPerforated:
         s = p.subdomains[5]
         xi = s.xi_hat[0]
         x = s.shift + p.eps * s.D @ (xi + np.array([0.5, 0.5]))
-        assert not indicator_perforated(p, sc.transform, sc.cell, x[None, :])[0]
+        assert not indicator_perforated(p, sc.cell, x[None, :])[0]
 
     def test_cell_corner_is_material(self):
         sc = periodic_scenario()
@@ -840,7 +840,7 @@ class TestIndicatorPerforated:
         s = p.subdomains[5]
         xi = s.xi_hat[0]
         x = s.shift + p.eps * s.D @ (xi + np.array([0.01, 0.01]))
-        assert indicator_perforated(p, sc.transform, sc.cell, x[None, :])[0]
+        assert indicator_perforated(p, sc.cell, x[None, :])[0]
 
     def test_scaled_perforation_distance_threshold(self):
         # K = 1.5 I, a = 0.25: physical in-cell radius is 0.375, so distance
@@ -852,7 +852,7 @@ class TestIndicatorPerforated:
         for dist, expected in ((0.37, False), (0.38, True)):
             y = np.array([0.5, 0.5]) + dist * np.array([1.0, 0.0])
             x = s.shift + p.eps * s.D @ (xi + y)
-            assert indicator_perforated(p, sc.transform, sc.cell, x[None, :])[0] == expected
+            assert indicator_perforated(p, sc.cell, x[None, :])[0] == expected
 
     def test_lambda_region_is_material(self):
         sc = plywood2d_scenario()
@@ -860,7 +860,7 @@ class TestIndicatorPerforated:
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(500, 2))
         _, _, _, lam = locate_batch(p, X)
-        ind = indicator_perforated(p, sc.transform, sc.cell, X)
+        ind = indicator_perforated(p, sc.cell, X)
         assert np.all(ind[lam])
 
     def test_no_inclusion_everything_material(self):
@@ -868,7 +868,7 @@ class TestIndicatorPerforated:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, size=(200, 2))
-        assert np.all(indicator_perforated(p, sc.transform, sc.cell, X))
+        assert np.all(indicator_perforated(p, sc.cell, X))
 
     def test_volume_fraction_converges_to_mean_inclusion_measure(self):
         sc = radius_gradient_scenario()
@@ -883,7 +883,7 @@ class TestIndicatorPerforated:
             xs = (np.arange(ng) + 0.5) / ng
             X = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
             _, _, _, lam = locate_batch(p, X)
-            fluid = indicator_perforated(p, sc.transform, sc.cell, X)
+            fluid = indicator_perforated(p, sc.cell, X)
             inhat = ~lam
             frac = np.sum(inhat & ~fluid) / np.sum(inhat)
             assert abs(frac - expected) / expected <= 0.01
@@ -900,7 +900,7 @@ class TestIndicatorPerforated:
         cell = UnitCellSpec(d=3, inclusion="cylinder", a=0.2)
         rng = np.random.default_rng(21)
         X = rng.uniform(0, 1, size=(400, 3))
-        mat = indicator_perforated(p, tf, cell, X)
+        mat = indicator_perforated(p, cell, X)
         _, _, y, lam = locate_batch(p, X)
         expected = lam | (np.hypot(y[:, 1] - 0.5, y[:, 2] - 0.5) > 0.2)
         assert np.array_equal(mat, expected)

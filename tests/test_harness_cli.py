@@ -149,6 +149,32 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (tmp_path / "convergence.csv").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["converge", "--dt-rule", "nan"], "dt_rule must be"),
+        (["micro", "--eps", "1/8", "--r", "1.5"], "r must lie in (0, 1)"),
+    ], ids=["converge-nan-dt-rule", "micro-r-above-1"])
+    def test_bad_run_parameter_exits_2_before_any_solve(
+            self, argv, message, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(harness, "tensor_field", no_solve)
+        monkeypatch.setattr(micro, "build_micro_grid", no_solve)
+        code = main(argv + ["--scenario", "periodic",
+                            "--outdir", str(tmp_path)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_dt_rule_in_a_config_file_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("scenario=periodic\ndt_rule=nan\n")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(p),
+                     "--outdir", str(out)]) == 2
+        assert "error: dt_rule must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_eps_subcommands_reject_sweeps(self, capsys):
         code = main(["micro", "--scenario", "periodic",
                      "--eps", "1/4,1/8", "--outdir", "/tmp"])
@@ -668,6 +694,16 @@ class TestStudyConfigValidation:
             StudyConfig(scenario=sc, dt_rule="fast")
         with pytest.raises(ValueError, match="positive"):
             StudyConfig(scenario=sc, dt_rule="-0.01")
+        for rule in ("nan", "inf", "-inf", None):
+            with pytest.raises(ValueError, match="finite positive"):
+                StudyConfig(scenario=sc, dt_rule=rule)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("T", math.nan, "final time"), ("T", math.inf, "final time"),
+        ("r", math.nan, "r must lie"), ("r", 1.5, "r must lie")])
+    def test_non_finite_or_out_of_range_parameters(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            StudyConfig(scenario=get_scenario("periodic"), **{key: value})
 
     def test_over_budget_dt_rule(self):
         sc = get_scenario("periodic")

@@ -4,6 +4,7 @@
 alone; the solver modules load scipy when they are first imported.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -127,3 +128,42 @@ class TestImportBoundary:
         assert out["harness"] is True
         assert (tmp_path / "check_unfold.csv").exists()
         assert (tmp_path / "geom.csv").exists()
+
+
+class TestGeometryArguments:
+    """The partition carries D_n, K_n and the transform, and the Γ
+    quadrature carries the unit cell: no routine takes either twice."""
+
+    @staticmethod
+    def kinds():
+        """{qualified name: set of argument kinds} of every public function
+        of geometry and unfolding; a parameter counts by name and by its
+        annotation."""
+        from lphom import geometry, unfolding
+        aliases = {"Partition": "partition", "TransformField": "transform",
+                   "UnitCellSpec": "cell", "GammaQuadrature": "quad"}
+        out = {}
+        for module in (geometry, unfolding):
+            for name, obj in vars(module).items():
+                if (name.startswith("_") or not inspect.isfunction(obj)
+                        or obj.__module__ != module.__name__):
+                    continue
+                params = inspect.signature(obj).parameters.values()
+                out[f"{module.__name__}.{name}"] = (
+                    {p.name for p in params}
+                    | {aliases.get(str(p.annotation), "") for p in params})
+        return out
+
+    def test_the_walk_reaches_the_unexported_routines(self):
+        assert {"lphom.unfolding.norm_unfold_minus_identity",
+                "lphom.unfolding.norm_unfold_of_lp_minus_psi",
+                "lphom.geometry.locate",
+                "lphom.geometry.indicator_perforated"} <= set(self.kinds())
+
+    def test_no_routine_takes_a_partition_and_a_transform(self):
+        assert [name for name, k in self.kinds().items()
+                if {"partition", "transform"} <= k] == []
+
+    def test_no_routine_takes_a_cell_and_a_quadrature(self):
+        assert [name for name, k in self.kinds().items()
+                if {"cell", "quad"} <= k] == []

@@ -17,6 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
 from lphom.cell_problem import EffectiveTensorField
+from lphom.geometry import build_partition
 from lphom.imex import State
 from lphom.macro import (
     MacroConfig,
@@ -26,7 +27,8 @@ from lphom.macro import (
     run_macro,
 )
 from lphom.micro import MicroConfig, run_micro
-from lphom.scenarios import get_scenario
+from lphom.scenarios import SCENARIO_NAMES, get_scenario
+from lphom.unfolding import GammaQuadrature, unfold_boundary
 
 
 def constant_field(nodes, A, theta=1.0):
@@ -50,6 +52,15 @@ class TestConfig:
     def test_quadrature_count(self):
         with pytest.raises(ValueError):
             MacroConfig(scenario=get_scenario("periodic"), H=1 / 8, n_gamma=2)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("T", math.nan, "final time"), ("T", math.inf, "final time"),
+        ("T", -1.0, "final time"), ("dt", math.nan, "dt must be"),
+        ("dt", math.inf, "dt must be"), ("dt", -0.1, "dt must be")])
+    def test_non_finite_or_out_of_range_times(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            MacroConfig(scenario=get_scenario("periodic"), H=1 / 8,
+                        **{key: value})
 
     def test_reaction_budget(self):
         cfg = MacroConfig(scenario=get_scenario("periodic"), H=1 / 8,
@@ -180,6 +191,27 @@ class TestAssemble:
         op = assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0))
         assert op.gamma_w.shape == (64, 0)
         assert (op.theta == 1.0).all()
+
+    @pytest.mark.parametrize("n_gamma", [8, 12, 16])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_gamma_weights_are_the_boundary_unfolding_metric(self, name,
+                                                             n_gamma):
+        # at eps = 1/16, r = 1/2 the subdomains are the H = 1/4 macro cells,
+        # so each anchor is a macro node and both models freeze the same
+        # D, K there: the macro Γ weights are the unfolding's, bit for bit
+        scen = get_scenario(name)
+        cfg = MacroConfig(scenario=scen, H=1 / 4, T=0.0, n_gamma=n_gamma)
+        cfg.tensors = constant_field(macro_nodes(cfg), np.eye(2))
+        op = assemble_macro(cfg)
+        part = build_partition(((0.0, 0.0), (1.0, 1.0)), 1 / 16, 0.5,
+                               scen.transform)
+        bu = unfold_boundary(lambda X: np.ones(len(X)), part,
+                             GammaQuadrature(scen.cell, n_gamma))
+        assert part.n_subdomains == len(op.nodes) == 16
+        for s in part.subdomains:
+            assert np.array_equal(s.anchor, op.nodes[s.n])
+            rows = bu.metric[bu.sub_index == s.n] * bu.ref_weights
+            assert len(rows) and (rows == op.gamma_w[s.n]).all()
 
 
 class TestStep:

@@ -69,6 +69,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             MicroConfig(scenario=get_scenario("periodic"), eps=1 / 8, T=-1.0)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("T", math.nan, "final time"), ("T", math.inf, "final time"),
+        ("dt", math.nan, "dt must be"), ("dt", math.inf, "dt must be"),
+        ("dt", 0.0, "dt must be"), ("r", 1.5, "r must lie"),
+        ("r", 0.0, "r must lie"), ("r", math.nan, "r must lie")])
+    def test_non_finite_or_out_of_range_parameters(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            MicroConfig(scenario=get_scenario("periodic"), eps=1 / 8,
+                        **{key: value})
+
     def test_reaction_budget(self):
         # dt * bulk Lipschitz constant must stay below 1/2
         cfg = MicroConfig(scenario=get_scenario("periodic"), eps=1 / 8,

@@ -25,7 +25,6 @@ from lphom.scenarios import (
 from lphom import unfolding
 from lphom.unfolding import (
     GammaQuadrature,
-    GridFunction,
     check_boundary_identity,
     check_integration_identity,
     grid_function_from_callable,
@@ -85,7 +84,7 @@ class TestUnfold:
         part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
         phi = grid_function_from_callable(lambda X: np.full(len(X), 3.25),
                                           LO, HI, 1 / 64)
-        ug = unfold(phi, part, identity_transform(2), 4)
+        ug = unfold(phi, part, 4)
         assert np.max(np.abs(ug.values - 3.25)) <= 1e-13
 
     def test_affine_entry_values(self):
@@ -94,7 +93,7 @@ class TestUnfold:
         eps = 1 / 4
         part = single_subdomain_partition(eps)
         phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32)
-        ug = unfold(phi, part, identity_transform(2), 4)
+        ug = unfold(phi, part, 4)
         expected = eps * (ug.xi[:, None, 0] + ug.y_nodes[None, :, 0])
         assert np.max(np.abs(ug.values - expected)) <= 1e-12
 
@@ -110,7 +109,7 @@ class TestUnfold:
         phi = grid_function_from_callable(
             lambda X: lp_approx_batch(psi, part, X, variant="L"),
             LO, HI, eps / 8, keep_exact=True)
-        ug = unfold(phi, part, epi.transform, 3, eval_mode="exact")
+        ug = unfold(phi, part, 3, eval_mode="exact")
         xs = mapped_points(part, ug)
         oracle = np.cos(2 * np.pi * ug.y_nodes[None, :, 0]) * (1 + xs[:, :, 1])
         assert np.max(np.abs(ug.values - oracle)) <= 1e-12
@@ -123,7 +122,7 @@ class TestUnfold:
             part = build_partition((LO, HI), 1 / 16, 0.5, scen.transform)
             phi = grid_function_from_callable(lambda X: np.ones(len(X)),
                                               LO, HI, 1 / 64)
-            ug = unfold(phi, part, scen.transform, 2)
+            ug = unfold(phi, part, 2)
             for s in part.subdomains:
                 sel = ug.sub_index == s.n
                 assert part.xi_hat_contains(s.n, ug.xi[sel]).all()
@@ -133,7 +132,7 @@ class TestUnfold:
         part = build_partition((LO, HI), 1 / 8, 0.5, epithelial_scenario().transform)
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 32)
         m_y = 3
-        ug = unfold(phi, part, epithelial_scenario().transform, m_y)
+        ug = unfold(phi, part, m_y)
         for s in part.subdomains:
             sel = ug.sub_index == s.n
             expected = part.eps**2 * s.detD / m_y**2
@@ -144,9 +143,9 @@ class TestUnfold:
         f1 = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         f2 = grid_function_from_callable(lambda X: X[:, 0] ** 2, LO, HI, 1 / 64)
         comb = f1.copy_with(2.5 * f1.values - 1.25 * f2.values)
-        u1 = unfold(f1, part, identity_transform(2), 4)
-        u2 = unfold(f2, part, identity_transform(2), 4)
-        uc = unfold(comb, part, identity_transform(2), 4)
+        u1 = unfold(f1, part, 4)
+        u2 = unfold(f2, part, 4)
+        uc = unfold(comb, part, 4)
         assert np.max(np.abs(uc.values - (2.5 * u1.values - 1.25 * u2.values))) <= 1e-13
 
     @given(st.floats(-3, 3), st.floats(-3, 3))
@@ -156,9 +155,9 @@ class TestUnfold:
         f1 = grid_function_from_callable(lambda X: X[:, 0] * X[:, 1], LO, HI, 1 / 16)
         f2 = grid_function_from_callable(lambda X: np.cos(X[:, 1]), LO, HI, 1 / 16)
         comb = f1.copy_with(a * f1.values + b * f2.values)
-        u1 = unfold(f1, part, identity_transform(2), 2)
-        u2 = unfold(f2, part, identity_transform(2), 2)
-        uc = unfold(comb, part, identity_transform(2), 2)
+        u1 = unfold(f1, part, 2)
+        u2 = unfold(f2, part, 2)
+        uc = unfold(comb, part, 2)
         assert np.max(np.abs(uc.values - (a * u1.values + b * u2.values))) <= 1e-12
 
     def test_norm_contraction_piecewise_constant(self):
@@ -170,7 +169,7 @@ class TestUnfold:
         table = {(s.n, tuple(int(t) for t in xi)): float(rng.normal())
                  for s in part.subdomains for xi in s.xi_hat}
         phi = lattice_pwc_field(part, table, LO, HI, 1 / 128, fill=0.7)
-        ug = unfold(phi, part, epi.transform, 4, eval_mode="exact")
+        ug = unfold(phi, part, 4, eval_mode="exact")
         exact_sq = sum(part.eps**2 * part.subdomains[n].detD * v**2
                        for (n, _), v in table.items())
         full_norm = math.sqrt(exact_sq + 0.7**2 * part.lambda_measure)
@@ -180,8 +179,7 @@ class TestUnfold:
         cell = UnitCellSpec()
         part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
-        ug = unfold(phi, part, identity_transform(2), 8,
-                    mask_mode="perforated", cell=cell)
+        ug = unfold(phi, part, 8, mask_mode="perforated", cell=cell)
         kept = ug.total_weight() / part.omega_hat_measure
         assert abs(kept - (1 - math.pi * 0.25**2)) <= 0.02
 
@@ -190,14 +188,13 @@ class TestUnfold:
         part = build_partition((LO, HI), 1 / 8, 0.5, rad.transform)
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 32)
         with pytest.raises(ValueError):
-            unfold(phi, part, rad.transform, 4, mask_mode="perforated",
-                   cell=rad.cell)
+            unfold(phi, part, 4, mask_mode="perforated", cell=rad.cell)
 
     def test_rejects_small_m_y(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 32)
         with pytest.raises(ValueError):
-            unfold(phi, part, identity_transform(2), 1)
+            unfold(phi, part, 1)
 
 
 class TestLocalAverage:
@@ -205,7 +202,7 @@ class TestLocalAverage:
         part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
         phi = grid_function_from_callable(lambda X: np.full(len(X), 1.5),
                                           LO, HI, 1 / 64, keep_exact=True)
-        avg = local_average(phi, part, identity_transform(2))
+        avg = local_average(phi, part)
         X = part.subdomains[0].shift + 1 / 8 * (part.subdomains[0].xi_hat + 0.5)
         assert np.max(np.abs(avg.exact_eval(X) - 1.5)) <= 1e-13
 
@@ -215,7 +212,7 @@ class TestLocalAverage:
         part = single_subdomain_partition(eps)
         phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32,
                                           keep_exact=True)
-        avg = local_average(phi, part, identity_transform(2))
+        avg = local_average(phi, part)
         probe = np.array([[eps * (1 + 0.3), eps * (2 + 0.6)]])   # cell (1, 2)
         assert abs(float(avg.exact_eval(probe)[0]) - eps * 1.5) <= 1e-13
 
@@ -224,8 +221,8 @@ class TestLocalAverage:
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64,
                                           keep_exact=True)
-        a1 = local_average(phi, part, epi.transform)
-        a2 = local_average(a1, part, epi.transform)
+        a1 = local_average(phi, part)
+        a2 = local_average(a1, part)
         probe = np.random.default_rng(3).uniform(0.05, 0.95, size=(200, 2))
         assert np.max(np.abs(a1.exact_eval(probe) - a2.exact_eval(probe))) == 0.0
 
@@ -234,8 +231,8 @@ class TestLocalAverage:
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64,
                                           keep_exact=True)
-        ug = unfold(phi, part, epi.transform, 4, eval_mode="exact")
-        avg = local_average(phi, part, epi.transform, m_y=4)
+        ug = unfold(phi, part, 4, eval_mode="exact")
+        avg = local_average(phi, part, m_y=4)
         means = ug.mean_over_Y()
         xs = mapped_points(part, ug)[:, :, :].mean(axis=1)   # cell midpoints
         assert np.max(np.abs(avg.exact_eval(xs) - means)) <= 1e-14
@@ -245,7 +242,7 @@ class TestLocalAverage:
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI,
                                           1 / 64, keep_exact=True)
-        avg = local_average(phi, part, epi.transform)
+        avg = local_average(phi, part)
         n, xi, y, lam = locate_batch(part, np.array([[0.98, 0.98]]))
         if lam[0]:
             assert avg.exact_eval(np.array([[0.98, 0.98]]))[0] == 0.0
@@ -255,8 +252,7 @@ class TestIntegrationIdentity:
     def test_constant(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
-        lhs, rhs, gap = check_integration_identity(phi, part,
-                                                   identity_transform(2), 4)
+        lhs, rhs, gap = check_integration_identity(phi, part, 4)
         assert abs(lhs - part.omega_hat_measure) <= 1e-12
         assert gap <= 1e-12
 
@@ -266,8 +262,7 @@ class TestIntegrationIdentity:
         table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
                  for s in part.subdomains for xi in s.xi_hat}
         phi = lattice_pwc_field(part, table, LO, HI, 1 / 128)
-        _, _, gap = check_integration_identity(phi, part, identity_transform(2),
-                                               4, eval_mode="exact")
+        _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
         assert gap <= 1e-12
 
     def test_piecewise_constant_general_lattice(self):
@@ -279,16 +274,14 @@ class TestIntegrationIdentity:
         table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
                  for s in part.subdomains for xi in s.xi_hat}
         phi = lattice_pwc_field(part, table, LO, HI, 1 / 128)
-        _, _, gap = check_integration_identity(phi, part, ply.transform, 4,
-                                               eval_mode="exact")
+        _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
         assert gap <= 1e-12
 
     def test_smooth_gap_shrinks_with_m_y(self):
         part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256,
                                           keep_exact=True)
-        gaps = [check_integration_identity(phi, part, identity_transform(2), m,
-                                           eval_mode="exact")[2]
+        gaps = [check_integration_identity(phi, part, m, eval_mode="exact")[2]
                 for m in (2, 4)]
         assert gaps[1] <= gaps[0] / 4
 
@@ -300,10 +293,8 @@ class TestIntegrationIdentity:
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
             LO, HI, 1 / 256, keep_exact=True)
-        gap4 = check_integration_identity(phi, part, identity_transform(2), 4,
-                                          eval_mode="exact")[2]
-        gap8 = check_integration_identity(phi, part, identity_transform(2), 8,
-                                          eval_mode="exact")[2]
+        gap4 = check_integration_identity(phi, part, 4, eval_mode="exact")[2]
+        gap8 = check_integration_identity(phi, part, 8, eval_mode="exact")[2]
         C = gap4 / (eps / 4) ** 2
         assert gap8 <= 1.1 * C * (eps / 8) ** 2
 
@@ -317,13 +308,12 @@ class TestBoundaryUnfolding:
         per = periodic_scenario()
         part = build_partition((LO, HI), eps, 0.5, per.transform)
         quad = GammaQuadrature(per.cell, 16)
-        bu = unfold_boundary(lambda X: np.ones(len(X)), part, per.transform,
-                             per.cell, quad)
+        bu = unfold_boundary(lambda X: np.ones(len(X)), part, quad)
         assert np.max(np.abs(bu.values - 1.0)) == 0.0
         n_cells = sum(len(s.xi_hat) for s in part.subdomains)
         assert abs(bu.surface_measure() - n_cells * eps * 2 * math.pi * 0.25) <= 1e-10
         lhs, rhs, gap = check_boundary_identity(
-            lambda X: np.ones(len(X)), part, per.transform, per.cell, quad)
+            lambda X: np.ones(len(X)), part, quad)
         assert gap <= 1e-12
         assert abs(lhs - eps * bu.surface_measure()) <= 1e-12
 
@@ -331,8 +321,7 @@ class TestBoundaryUnfolding:
         per = periodic_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, per.transform)
         quad = GammaQuadrature(per.cell, 12)
-        bu = unfold_boundary(lambda X: X[:, 1], part, per.transform, per.cell,
-                             quad)
+        bu = unfold_boundary(lambda X: X[:, 1], part, quad)
         assert np.max(np.abs(bu.metric - 1.0)) <= 1e-14
 
     def test_scaled_hole_metric_oracle(self):
@@ -341,15 +330,14 @@ class TestBoundaryUnfolding:
         cell = UnitCellSpec(a=0.25)
         part = build_partition((LO, HI), 1 / 8, 0.5, tf)
         quad = GammaQuadrature(cell, 12)
-        bu = unfold_boundary(lambda X: np.ones(len(X)), part, tf, cell, quad)
+        bu = unfold_boundary(lambda X: np.ones(len(X)), part, quad)
         assert np.max(np.abs(bu.metric - 1.5)) <= 1e-14
 
     def test_identity_psi_affine(self):
         per = periodic_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, per.transform)
         quad = GammaQuadrature(per.cell, 16)
-        _, _, gap = check_boundary_identity(lambda X: X[:, 1], part,
-                                            per.transform, per.cell, quad)
+        _, _, gap = check_boundary_identity(lambda X: X[:, 1], part, quad)
         assert gap <= 1e-12
 
     def test_rotated_scaled_identity(self):
@@ -359,7 +347,7 @@ class TestBoundaryUnfolding:
         part = build_partition((LO, HI), 1 / 8, 0.5, tf)
         quad = GammaQuadrature(cell, 16)
         _, _, gap = check_boundary_identity(
-            lambda X: np.sin(X[:, 0]) + X[:, 1] ** 2, part, tf, cell, quad)
+            lambda X: np.sin(X[:, 0]) + X[:, 1] ** 2, part, quad)
         assert gap <= 1e-10
 
     def test_quadrature_reference_measure(self):
@@ -379,8 +367,7 @@ class TestBoundaryUnfolding:
             part = build_partition((LO, HI), 1 / 16, 0.5, scen.transform)
             quad = GammaQuadrature(scen.cell, 16)
             _, _, gap = check_boundary_identity(
-                lambda X: 1 + X[:, 0] * X[:, 1], part, scen.transform,
-                scen.cell, quad)
+                lambda X: 1 + X[:, 0] * X[:, 1], part, quad)
             assert gap <= 1e-10
 
 
@@ -390,7 +377,7 @@ class TestQInterpolant:
         part = build_partition((LO, HI), 1 / 16, 0.5, epi.transform)
         phi = grid_function_from_callable(lambda X: np.full(len(X), 2.5),
                                           LO, HI, 1 / 128, keep_exact=True)
-        qi = interpolate_Q(phi, part, epi.transform)
+        qi = interpolate_Q(phi, part)
         _, r, _, w = qi.eval_cells(phi, 4)
         assert len(r) and np.max(np.abs(r)) == 0.0
 
@@ -402,7 +389,7 @@ class TestQInterpolant:
         part = build_partition((LO, HI), eps, 0.5, epi.transform)
         aff = lambda X: 3.0 + 2.0 * X[:, 0] - 1.25 * X[:, 1]
         phi = grid_function_from_callable(aff, LO, HI, 1 / 256, keep_exact=True)
-        qi = interpolate_Q(phi, part, epi.transform)
+        qi = interpolate_Q(phi, part)
         q, r, pts, w = qi.eval_cells(phi, 4)
         off = 0
         for s in part.subdomains:
@@ -426,7 +413,7 @@ class TestQInterpolant:
             part = build_partition((LO, HI), eps, 0.5, per.transform)
             phi = grid_function_from_callable(f, LO, HI, eps / 8,
                                               keep_exact=True)
-            rn, gn, meas = remainder_R(phi, part, per.transform, grad=g)
+            rn, gn, meas = remainder_R(phi, part, grad=g)
             assert meas > 0
             ratios.append(rn / (eps * gn))
         assert max(ratios) <= 1.0          # order eps with a modest constant
@@ -437,7 +424,7 @@ class TestQInterpolant:
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64,
                                           keep_exact=True)
-        qi = interpolate_Q(phi, part, epi.transform)
+        qi = interpolate_Q(phi, part)
         for s in part.subdomains:
             hat = set(map(tuple, s.xi_hat))
             for xi in qi.usable_cells[s.n]:
@@ -451,7 +438,7 @@ class TestPairingAndDiagnostics:
         part = build_partition((LO, HI), 1 / 8, 0.5, per.transform)
         u = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
         one = ScalarFieldOnCells(lambda X, Y: np.ones(len(X)), name="one")
-        assert abs(lts_pairing(u, one, part, per.transform) - 1.0) <= 1e-12
+        assert abs(lts_pairing(u, one, part) - 1.0) <= 1e-12
 
     def test_oscillation_mean_limit(self):
         # cos^2 of the fast variable pairs against 1 to the mean 1/2
@@ -462,7 +449,7 @@ class TestPairingAndDiagnostics:
             u = grid_function_from_callable(
                 lambda X, e=eps: np.cos(2 * np.pi * X[:, 0] / e) ** 2,
                 LO, HI, eps / 16)
-            assert abs(lts_pairing(u, one, part, per.transform) - 0.5) <= 1e-10
+            assert abs(lts_pairing(u, one, part) - 0.5) <= 1e-10
 
     def test_epithelial_two_scale_limit(self):
         # pairing of the approximation against its own generator converges to
@@ -487,7 +474,7 @@ class TestPairingAndDiagnostics:
             u = grid_function_from_callable(
                 lambda X: lp_approx_batch(psi, part, X, variant="L"),
                 LO, HI, eps / 16)
-            gaps.append(abs(lts_pairing(u, psi, part, epi.transform) - ref))
+            gaps.append(abs(lts_pairing(u, psi, part) - ref))
         assert gaps[1] < gaps[0]
         assert gaps[1] <= 5e-3
 
@@ -498,8 +485,7 @@ class TestPairingAndDiagnostics:
             part = build_partition((LO, HI), eps, 0.5, epi.transform)
             phi = grid_function_from_callable(smooth_field(), LO, HI, eps / 8,
                                               keep_exact=True)
-            vals.append(norm_unfold_minus_identity(phi, part, epi.transform,
-                                                   m_y=4))
+            vals.append(norm_unfold_minus_identity(phi, part, m_y=4))
         assert vals[0] > vals[1] > vals[2]
 
     def test_unfold_of_approximation_distance_decreases(self):
@@ -510,8 +496,8 @@ class TestPairingAndDiagnostics:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, epi.transform)
-            vals.append(norm_unfold_of_lp_minus_psi(psi, part, epi.transform,
-                                                    4, LO, HI, eps / 8))
+            vals.append(norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
+                                                    eps / 8))
         assert vals[0] > vals[1] > vals[2]
 
 
@@ -526,10 +512,10 @@ def reference_pwc_eval(partition, cell_values, fill, X):
     return out
 
 
-def reference_interpolate_Q(phi, partition, transform, points_per_axis):
+def reference_interpolate_Q(phi, partition, points_per_axis):
     """interpolate_Q and eval_cells with a dict of node values and a set of
     Xi_hat tuples per subdomain."""
-    ug = unfold(phi, partition, transform, 4, eval_mode="exact")
+    ug = unfold(phi, partition, 4, eval_mode="exact")
     means = ug.mean_over_Y()
     d = partition.d
     node_values = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])):
@@ -561,10 +547,10 @@ def reference_interpolate_Q(phi, partition, transform, points_per_axis):
     return usable, np.concatenate(q_all) if q_all else np.zeros(0)
 
 
-def reference_local_average(phi, partition, transform, m_y=4):
+def reference_local_average(phi, partition, m_y=4):
     """local_average through a dict keyed by (n, xi) and lattice_pwc_field."""
     mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, transform, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y, eval_mode=mode)
     means = ug.mean_over_Y()
     table = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])): means[e]
              for e in range(ug.n_entries)}
@@ -612,12 +598,11 @@ class TestVectorizedLookups:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
     def test_local_average_matches_the_dict_path(self, name, eps):
-        tf = get_scenario(name).transform
-        part = build_partition((LO, HI), eps, 0.5, tf)
+        part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256,
                                           keep_exact=True)
-        avg = local_average(phi, part, tf)
-        ref = reference_local_average(phi, part, tf)
+        avg = local_average(phi, part)
+        ref = reference_local_average(phi, part)
         assert_same_bits(avg.mask, ref.mask)
         assert_same_bits(avg.values, ref.values)
         Y = np.random.default_rng(8).uniform(0, 1, size=(3000, 2))
@@ -659,12 +644,11 @@ class TestVectorizedLookups:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
     def test_q_tables_match_the_dict_and_set(self, name, eps):
-        tf = get_scenario(name).transform
-        part = build_partition((LO, HI), eps, 0.5, tf)
+        part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128,
                                           keep_exact=True)
-        qi = interpolate_Q(phi, part, tf)
-        usable, q_ref = reference_interpolate_Q(phi, part, tf, 4)
+        qi = interpolate_Q(phi, part)
+        usable, q_ref = reference_interpolate_Q(phi, part, 4)
         assert len(q_ref) or eps == 1 / 8
         assert sorted(qi.usable_cells) == sorted(usable)
         for n in usable:
@@ -705,10 +689,9 @@ class TestLazySampling:
         f, calls = self.counting(smooth_field())
         part = build_partition((LO, HI), 1 / 16, 0.5,
                                plywood2d_scenario().transform)
-        tf = part.transform
         phi = grid_function_from_callable(f, LO, HI, 1 / 128)
-        check_integration_identity(phi, part, tf, 4, eval_mode="exact")
-        avg = local_average(phi, part, tf)
+        check_integration_identity(phi, part, 4, eval_mode="exact")
+        avg = local_average(phi, part)
         assert avg.mask.shape == (128, 128)
         assert calls and sampled == []
         avg.values

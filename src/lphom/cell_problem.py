@@ -20,7 +20,6 @@ keeps it symmetric by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -85,15 +84,25 @@ def pullback_coefficient(A: CoefficientLike, transform: TransformField,
     return B
 
 
-def _clip_interval(lo: np.ndarray, hi: np.ndarray):
-    lo = np.clip(lo, 0.0, 1.0)
-    hi = np.clip(hi, 0.0, 1.0)
-    return lo, np.maximum(hi, lo)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of stacked vectors along the last axis, each one summed
+    as the 1-d product u @ v sums it."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _cut_cell_moments(i: int, j: int, h: float, Kinv: np.ndarray,
-                      center: np.ndarray, a: float):
-    """Fluid moments (area, int xi, int xi^2, int eta, int eta^2) of one cell.
+def _roots01(ca: float, cb: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """Real roots of ca t^2 + cb t + cc in (0, 1), (..., 2) with NaN where
+    absent; ca != 0."""
+    disc = cb * cb - 4.0 * ca * cc
+    sq = np.sqrt(np.where(disc > 0.0, disc, np.nan))
+    t = np.stack([(-cb - sq) / (2 * ca), (-cb + sq) / (2 * ca)], axis=-1)
+    return np.where((t > 0.0) & (t < 1.0), t, np.nan)
+
+
+def _cut_cell_moments(cells: np.ndarray, h: float, Kinv: np.ndarray,
+                      center: np.ndarray, a: float) -> np.ndarray:
+    """Fluid moments (area, int xi, int xi^2, int eta, int eta^2) of the
+    (m, 2) grid cells, as an (m, 5) array.
 
     Local coordinates (xi, eta) in [0,1]^2; the inclusion boundary cuts the
     cell. Column integration: for fixed xi the inside part is one interval in
@@ -103,70 +112,93 @@ def _cut_cell_moments(i: int, j: int, h: float, Kinv: np.ndarray,
     """
     # eta-interval of the inside region per column:
     # q(eta) = q0 + eta*v, |q|^2 <= a^2 with q0 affine in xi
-    p0 = np.array([i * h, j * h], dtype=float)
     ex = Kinv @ np.array([h, 0.0])
     ev = Kinv @ np.array([0.0, h])
-    q00 = Kinv @ (p0 - center)
-
+    q00 = (Kinv @ (cells * h - center)[:, :, None])[:, :, 0]
     vv = float(ev @ ev)
-    breaks = {0.0, 1.0}
-
-    def add_roots(ca, cb, cc):
-        # real roots of ca t^2 + cb t + cc in (0, 1)
-        if abs(ca) < 1e-300:
-            if abs(cb) > 1e-300:
-                t = -cc / cb
-                if 0.0 < t < 1.0:
-                    breaks.add(float(t))
-            return
-        disc = cb * cb - 4.0 * ca * cc
-        if disc <= 0.0:
-            return
-        sq = math.sqrt(disc)
-        for t in ((-cb - sq) / (2 * ca), (-cb + sq) / (2 * ca)):
-            if 0.0 < t < 1.0:
-                breaks.add(float(t))
-
+    qev = _dot(q00, ev)
     # silhouette: discriminant in eta vanishes; it is quadratic in xi
-    # disc(xi) = (q0.v)^2 - vv (|q0|^2 - a^2), q0 = q00 + xi*ex
-    c2 = (ex @ ev) ** 2 - vv * (ex @ ex)
-    c1 = 2.0 * (q00 @ ev) * (ex @ ev) - vv * 2.0 * (q00 @ ex)
-    c0 = (q00 @ ev) ** 2 - vv * (q00 @ q00 - a * a)
-    add_roots(c2, c1, c0)
+    # disc(xi) = (q0.v)^2 - vv (|q0|^2 - a^2), q0 = q00 + xi*ex, with
+    # leading coefficient -(ex x ev)^2 < 0; float_power squares through
+    # libm pow, as a numpy scalar ** does
+    sil = _roots01((ex @ ev) ** 2 - vv * (ex @ ex),
+                   2.0 * qev * (ex @ ev) - vv * 2.0 * _dot(q00, ex),
+                   np.float_power(qev, 2) - vv * (_dot(q00, q00) - a * a))
     # edge crossings: |q0 + s*ev|^2 = a^2 at s = 0 and s = 1, quadratic in xi
-    for s in (0.0, 1.0):
-        base = q00 + s * ev
-        add_roots(ex @ ex, 2.0 * base @ ex, base @ base - a * a)
+    base = q00[:, None, :] + np.array([0.0, 1.0])[:, None] * ev
+    edge = _roots01(ex @ ex, _dot(2.0 * base, ex), _dot(base, base) - a * a)
+    # sorted breakpoints, absent roots last as 1.0: repeated breakpoints
+    # leave zero-width pieces, which the width test drops
+    t = np.sort(np.column_stack([np.zeros(len(cells)), np.ones(len(cells)),
+                                 sil, edge.reshape(len(cells), 4)]), axis=1)
+    t[np.isnan(t)] = 1.0
+    width = np.diff(t, axis=1)
+    owner, piece = np.nonzero(width > 1e-15)
+    xi = t[owner, piece, None] + width[owner, piece, None] * _GL_X
+    w = width[owner, piece, None] * _GL_W
+    q0 = q00[owner, None, :] + xi[..., None] * ex     # (pieces, nodes, 2)
+    qb = q0 @ ev
+    qc = np.sum(q0 * q0, axis=-1) - a * a
+    disc = qb * qb - vv * qc
+    inside = disc > 0.0
+    sq = np.sqrt(np.where(inside, disc, 0.0))
+    lo_i = np.clip(np.where(inside, (-qb - sq) / vv, 0.0), 0.0, 1.0)
+    hi_i = np.maximum(np.clip(np.where(inside, (-qb + sq) / vv, 0.0), 0.0, 1.0),
+                      lo_i)
+    length = 1.0 - (hi_i - lo_i)
+    m1 = 0.5 - 0.5 * (hi_i**2 - lo_i**2)
+    m2 = 1.0 / 3.0 - (hi_i**3 - lo_i**3) / 3.0
+    f = np.stack([length, xi * length, xi**2 * length, m1, m2], axis=1)
+    sums = np.zeros(width.shape + (5,))
+    sums[owner, piece] = _dot(w[:, None, :], f)
+    # each cell adds up its pieces in breakpoint order
+    return np.cumsum(sums, axis=1)[:, -1]
 
-    xs = np.sort(np.fromiter(breaks, dtype=float))
-    a0 = ax = ax2 = ay = ay2 = 0.0
-    for lo_b, hi_b in zip(xs[:-1], xs[1:]):
-        width = hi_b - lo_b
-        if width <= 1e-15:
-            continue
-        xi = lo_b + width * _GL_X
-        w = width * _GL_W
-        q0 = q00[None, :] + xi[:, None] * ex[None, :]
-        qb = q0 @ ev
-        qc = np.sum(q0 * q0, axis=1) - a * a
-        disc = qb * qb - vv * qc
-        inside = disc > 0.0
-        lo_i = np.zeros_like(xi)
-        hi_i = np.zeros_like(xi)
-        if np.any(inside):
-            sq = np.sqrt(disc[inside])
-            lo_i[inside] = (-qb[inside] - sq) / vv
-            hi_i[inside] = (-qb[inside] + sq) / vv
-        lo_i, hi_i = _clip_interval(lo_i, hi_i)
-        length = 1.0 - (hi_i - lo_i)
-        m1 = 0.5 - 0.5 * (hi_i**2 - lo_i**2)
-        m2 = 1.0 / 3.0 - (hi_i**3 - lo_i**3) / 3.0
-        a0 += float(w @ length)
-        ax += float(w @ (xi * length))
-        ax2 += float(w @ (xi**2 * length))
-        ay += float(w @ m1)
-        ay2 += float(w @ m2)
-    return a0, ax, ax2, ay, ay2
+
+def _cell_cuts(N: int, K: np.ndarray, cell: UnitCellSpec):
+    """Grid cells of the reference cell against the inclusion K Y0.
+
+    Returns kind, (N, N) int8 with 0 = solid, 1 = full and 2 = cut by the
+    inclusion boundary, and the (m, 2) cut cells in row-major order with
+    their (m, 5) exact fluid moments.
+    """
+    h = 1.0 / N
+    kind = np.ones((N, N), dtype=np.int8)
+    if cell.inclusion == "none":
+        return kind, np.zeros((0, 2), dtype=int), np.zeros((0, 5))
+    Kinv = np.linalg.inv(K)
+    center = np.asarray(cell.center, dtype=float)
+    reach = cell.a * np.linalg.norm(K, axis=1)
+    if np.any(center - reach <= 0.0) or np.any(center + reach >= 1.0):
+        raise ValueError(
+            "inclusion reaches the unit-cell boundary; the perforation "
+            "must stay strictly inside the cell")
+    # node inside flags classify most cells; cells near the silhouette
+    # extremes are checked by exact moments
+    g = np.arange(N + 1) * h
+    GX, GY = np.meshgrid(g, g, indexing="ij")
+    rel = np.stack([GX - center[0], GY - center[1]], axis=-1)
+    z = rel @ Kinv.T
+    node_in = np.hypot(z[..., 0], z[..., 1]) <= cell.a
+    corners_in = (node_in[:-1, :-1].astype(int) + node_in[1:, :-1]
+                  + node_in[:-1, 1:] + node_in[1:, 1:])
+    candidate = (corners_in > 0) & (corners_in < 4)
+    # silhouette extremes can poke through a cell edge without moving any
+    # corner flag, so take the 3x3 patch around each extreme point
+    extremes = center + np.concatenate([-np.diag(reach), np.diag(reach)])
+    c = np.clip(np.floor(extremes / h), 0, N - 1).astype(int)
+    patch = (c[:, None, :] + np.indices((3, 3)).reshape(2, -1).T
+             - 1).reshape(-1, 2)
+    patch = patch[np.all((patch >= 0) & (patch < N), axis=1)]
+    candidate[patch[:, 0], patch[:, 1]] = True
+
+    cells = np.argwhere(candidate)
+    moments = _cut_cell_moments(cells, h, Kinv, center, cell.a)
+    area = moments[:, 0]
+    exact = np.where(area <= 1e-12, 0, np.where(area >= 1.0 - 1e-12, 1, 2))
+    kind[corners_in == 4] = 0
+    kind[cells[:, 0], cells[:, 1]] = exact
+    return kind, cells[exact == 2], moments[exact == 2]
 
 
 # local bilinear stiffness structure; node order (00, 10, 01, 11)
@@ -174,105 +206,76 @@ _SGN_X = np.array([-1.0, 1.0, -1.0, 1.0])
 _TYP_X = np.array([0, 0, 1, 1])
 _SGN_Y = np.array([-1.0, -1.0, 1.0, 1.0])
 _TYP_Y = np.array([0, 1, 0, 1])
+_FULL_MOMENTS = np.array([1.0, 0.5, 1.0 / 3.0, 0.5, 1.0 / 3.0])
 
 
 def _local_from_moments(a0, ax, ax2, ay, ay2):
-    """Per-cell 4x4 stiffness factors and forcing factors from moments.
+    """Per-cell 4x4 stiffness factors and forcing factors from the moment
+    arrays (m,).
 
-    Returns (Lx, Ly, gx, gy): Lx carries the grad-x products (multiply by
-    B11), Ly the grad-y products (by B22); gx[a] = int over the fluid part of
-    d/dx phi_a times h, gy likewise.
+    Returns (Lx, Ly, gx, gy), (m, 4, 4) and (m, 4): Lx carries the grad-x
+    products (multiply by B11), Ly the grad-y products (by B22); gx[:, a] =
+    int over the fluid part of d/dx phi_a times h, gy likewise.
     """
     # quadratics in eta for the x-part: P[0,0]=int (1-eta)^2 etc.
-    P = np.array([[a0 - 2 * ay + ay2, ay - ay2], [ay - ay2, ay2]])
-    Q = np.array([[a0 - 2 * ax + ax2, ax - ax2], [ax - ax2, ax2]])
-    Lx = _SGN_X[:, None] * _SGN_X[None, :] * P[_TYP_X[:, None], _TYP_X[None, :]]
-    Ly = _SGN_Y[:, None] * _SGN_Y[None, :] * Q[_TYP_Y[:, None], _TYP_Y[None, :]]
-    Gx = np.array([a0 - ay, ay])
-    Gy = np.array([a0 - ax, ax])
-    gx = _SGN_X * Gx[_TYP_X]
-    gy = _SGN_Y * Gy[_TYP_Y]
+    P = np.moveaxis(np.array([[a0 - 2 * ay + ay2, ay - ay2], [ay - ay2, ay2]]),
+                    -1, 0)
+    Q = np.moveaxis(np.array([[a0 - 2 * ax + ax2, ax - ax2], [ax - ax2, ax2]]),
+                    -1, 0)
+    Lx = _SGN_X[:, None] * _SGN_X[None, :] * P[:, _TYP_X[:, None], _TYP_X]
+    Ly = _SGN_Y[:, None] * _SGN_Y[None, :] * Q[:, _TYP_Y[:, None], _TYP_Y]
+    gx = _SGN_X * np.column_stack([a0 - ay, ay])[:, _TYP_X]
+    gy = _SGN_Y * np.column_stack([a0 - ax, ax])[:, _TYP_Y]
     return Lx, Ly, gx, gy
 
 
-_FULL = _local_from_moments(1.0, 0.5, 1.0 / 3.0, 0.5, 1.0 / 3.0)
+def _assemble(kind: np.ndarray, cut_idx: np.ndarray, cut_moments: np.ndarray,
+              b11: float, b22: float):
+    """Periodic stiffness matrix and the (2, N*N) loads of the unit forcings.
+
+    Full cells come first, then the cut cells in order, so duplicate
+    entries and loads are summed in that order; every full cell shares one
+    local matrix.
+    """
+    N = len(kind)
+    full = np.argwhere(kind == 1)
+    i, j = np.concatenate([full, cut_idx]).T
+    nodes = np.stack([i * N + j, ((i + 1) % N) * N + j,
+                      i * N + (j + 1) % N, ((i + 1) % N) * N + (j + 1) % N],
+                     axis=1)
+    Lx, Ly, gx, gy = _local_from_moments(
+        *np.vstack([_FULL_MOMENTS, cut_moments]).T)
+    local = np.concatenate([np.zeros(len(full), dtype=int),
+                            np.arange(1, len(cut_idx) + 1)])
+    S = sp.csr_matrix(
+        ((b11 * Lx + b22 * Ly)[local].ravel(),
+         (np.repeat(nodes, 4, axis=1).ravel(), np.tile(nodes, (1, 4)).ravel())),
+        shape=(N * N, N * N))
+    loads = np.zeros((2, N * N))
+    h = 1.0 / N
+    np.add.at(loads[0], nodes, (-h * b11 * gx)[local])
+    np.add.at(loads[1], nodes, (-h * b22 * gy)[local])
+    return S, loads
 
 
 @dataclass
 class CellGeometry:
-    """Reference perforated cell at one macro point, ready for assembly.
+    """Reference perforated cell at one macro point, assembled.
 
-    kind marks each grid cell 0 = solid (dropped), 1 = full, 2 = cut by the
-    inclusion boundary; cut cells carry exact fluid moments.
+    S is the stiffness matrix of bilinear elements on the fluid part of the
+    N_c x N_c periodic grid, cut cells integrated with their exact fluid
+    moments; unit_forcings row j is the load of the forcing e_j.
     """
 
     N_c: int
-    h: float
     cell: UnitCellSpec
-    kind: np.ndarray             # (N, N) int8
-    cut_idx: np.ndarray          # (m, 2) int
-    cut_moments: np.ndarray      # (m, 5)
     B11: float
     B22: float
     forcing: np.ndarray          # (d, d): column j is D^T e_j
     fluid_area: float            # quadrature measure of the fluid part
-    active: np.ndarray = field(default=None)   # (N*N,) node mask
-    _S: object = field(default=None, repr=False)
-    _bxy: object = field(default=None, repr=False)
-
-    def _node_ids(self, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-        N = self.N_c
-        base_i, base_j = ii % N, jj % N
-        return np.stack([
-            base_i * N + base_j,
-            ((ii + 1) % N) * N + base_j,
-            base_i * N + (jj + 1) % N,
-            ((ii + 1) % N) * N + (jj + 1) % N], axis=1)
-
-    def assemble(self):
-        """Stiffness matrix (and unit-forcing vectors on the first call)."""
-        if self._S is not None:
-            return self._S
-        N = self.N_c
-        b11, b22 = self.B11, self.B22
-
-        rows_all, cols_all, data_all = [], [], []
-        full_ij = np.argwhere(self.kind == 1)
-        bx = np.zeros(N * N)
-        by = np.zeros(N * N)
-        if len(full_ij):
-            nodes = self._node_ids(full_ij[:, 0], full_ij[:, 1])   # (m, 4)
-            loc = b11 * _FULL[0] + b22 * _FULL[1]                  # (4, 4)
-            rows_all.append(np.repeat(nodes, 4, axis=1).ravel())
-            cols_all.append(np.tile(nodes, (1, 4)).ravel())
-            data_all.append(np.tile(loc.ravel(), len(nodes)))
-            np.add.at(bx, nodes, -self.h * b11 * _FULL[2][None, :])
-            np.add.at(by, nodes, -self.h * b22 * _FULL[3][None, :])
-        if len(self.cut_idx):
-            nodes = self._node_ids(self.cut_idx[:, 0], self.cut_idx[:, 1])
-            for k in range(len(self.cut_idx)):
-                Lx, Ly, gx, gy = _local_from_moments(*self.cut_moments[k])
-                loc = b11 * Lx + b22 * Ly
-                nd = nodes[k]
-                rows_all.append(np.repeat(nd, 4))
-                cols_all.append(np.tile(nd, 4))
-                data_all.append(loc.ravel())
-                np.add.at(bx, nd, -self.h * b11 * gx)
-                np.add.at(by, nd, -self.h * b22 * gy)
-        S = sp.csr_matrix(
-            (np.concatenate(data_all),
-             (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=(N * N, N * N))
-        self._S = S
-        self._bxy = (bx, by)
-        diag = S.diagonal()
-        self.active = diag > 1e-12 * float(diag.max())
-        return S
-
-    def unit_forcing_vectors(self):
-        if self._bxy is None:
-            self.assemble()
-        return self._bxy
+    S: sp.csr_matrix             # (N*N, N*N)
+    unit_forcings: np.ndarray    # (2, N*N)
+    active: np.ndarray           # (N*N,) nodes with a nonzero diagonal
 
 
 def _cell_coefficient(A: CoefficientLike, transform: TransformField,
@@ -291,18 +294,19 @@ def _cell_coefficient(A: CoefficientLike, transform: TransformField,
     return Bmat
 
 
-def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
-                        cell: UnitCellSpec, N_c: int) -> CellGeometry:
-    """Mask, cut-cell moments and coefficient data for the problem at x."""
+def check_cell_grid(N_c: int) -> None:
+    """The cell grid must resolve the inclusion: N_c >= 32."""
     if N_c < 32:
         raise ValueError("cell grid too coarse, need N_c >= 32")
-    x = np.asarray(x, dtype=float)
-    d = transform.d
-    if d != 2:
-        raise NotImplementedError("cell solver is two-dimensional")
-    D = transform.D_at(x)
-    K = transform.K_at(x)
 
+
+def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
+                        cell: UnitCellSpec, N_c: int) -> CellGeometry:
+    """Cut cells, stiffness matrix and unit forcings of the problem at x."""
+    check_cell_grid(N_c)
+    x = np.asarray(x, dtype=float)
+    if transform.d != 2:
+        raise NotImplementedError("cell solver is two-dimensional")
     Bmat = _cell_coefficient(A, transform, x)
     scale = float(np.max(np.abs(Bmat)))
     if abs(Bmat[0, 1]) > 1e-12 * scale:
@@ -310,67 +314,19 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
             "pulled-back coefficient has cross terms; the tensor-product "
             "cell discretization supports diagonal B only")
 
-    h = 1.0 / N_c
-    N = N_c
-    if cell.inclusion == "none":
-        kind = np.ones((N, N), dtype=np.int8)
-        cut_idx = np.zeros((0, 2), dtype=int)
-        cut_m = np.zeros((0, 5))
-        fluid_area = 1.0
-    else:
-        Kinv = np.linalg.inv(K)
-        center = np.asarray(cell.center, dtype=float)
-        span = cell.a * np.linalg.norm(K, axis=1)
-        if np.any(center - span <= 0.0) or np.any(center + span >= 1.0):
-            raise ValueError(
-                "inclusion reaches the unit-cell boundary; the perforation "
-                "must stay strictly inside the cell")
-        # node inside flags classify most cells; cells near the silhouette
-        # extremes are checked by exact moments
-        g = np.arange(N + 1) * h
-        GX, GY = np.meshgrid(g, g, indexing="ij")
-        rel = np.stack([GX - center[0], GY - center[1]], axis=-1)
-        z = rel @ Kinv.T
-        node_in = np.hypot(z[..., 0], z[..., 1]) <= cell.a
-        corners_in = (node_in[:-1, :-1].astype(int) + node_in[1:, :-1]
-                      + node_in[:-1, 1:] + node_in[1:, 1:])
-        candidates = set(map(tuple, np.argwhere((corners_in > 0)
-                                                & (corners_in < 4))))
-        # silhouette extremes can poke through a cell edge without moving any
-        # corner flag, so sweep a 3x3 patch around each extreme point
-        reach = cell.a * np.linalg.norm(K, axis=1)
-        for sgn in (-1.0, 1.0):
-            for ax in range(2):
-                p = center.copy()
-                p[ax] += sgn * reach[ax]
-                ci = int(np.clip(np.floor(p[0] / h), 0, N - 1))
-                cj = int(np.clip(np.floor(p[1] / h), 0, N - 1))
-                for di in (-1, 0, 1):
-                    for dj in (-1, 0, 1):
-                        if 0 <= ci + di < N and 0 <= cj + dj < N:
-                            candidates.add((ci + di, cj + dj))
-        kind = np.where(corners_in == 4, 0, 1).astype(np.int8)
-        cut_list, m_list = [], []
-        for (ci, cj) in sorted(candidates):
-            m = _cut_cell_moments(ci, cj, h, Kinv, center, cell.a)
-            if m[0] <= 1e-12:
-                kind[ci, cj] = 0
-            elif m[0] >= 1.0 - 1e-12:
-                kind[ci, cj] = 1
-            else:
-                kind[ci, cj] = 2
-                cut_list.append((ci, cj))
-                m_list.append(m)
-        cut_idx = np.array(cut_list, dtype=int).reshape(-1, 2)
-        cut_m = np.array(m_list).reshape(-1, 5)
-        fluid_area = (float(np.sum(kind == 1)) + float(cut_m[:, 0].sum())) * h * h
-
+    kind, cut_idx, cut_m = _cell_cuts(N_c, transform.K_at(x), cell)
     if not mask_connected(kind > 0, periodic=True):
         raise ValueError("fluid region of the cell mask is disconnected")
-    return CellGeometry(N_c=N_c, h=h, cell=cell, kind=kind, cut_idx=cut_idx,
-                        cut_moments=cut_m, B11=float(Bmat[0, 0]),
-                        B22=float(Bmat[1, 1]), forcing=D.T.copy(),
-                        fluid_area=fluid_area)
+    h = 1.0 / N_c
+    fluid_area = 1.0 if cell.inclusion == "none" else (
+        (float(np.sum(kind == 1)) + float(cut_m[:, 0].sum())) * h * h)
+    B11, B22 = float(Bmat[0, 0]), float(Bmat[1, 1])
+    S, loads = _assemble(kind, cut_idx, cut_m, B11, B22)
+    diag = S.diagonal()
+    return CellGeometry(N_c=N_c, cell=cell, B11=B11, B22=B22,
+                        forcing=transform.D_at(x).T.copy(),
+                        fluid_area=fluid_area, S=S, unit_forcings=loads,
+                        active=diag > 1e-12 * float(diag.max()))
 
 
 def _unit_correctors(geom: CellGeometry):
@@ -385,10 +341,9 @@ def _unit_correctors(geom: CellGeometry):
     correctors and the true relative residuals ||S w - b|| / ||b|| on the
     active nodes.
     """
-    S = geom.assemble()
     act = geom.active
-    S_act = S[act][:, act]
-    b = np.column_stack([v[act] for v in geom.unit_forcing_vectors()])
+    S_act = geom.S[act][:, act]
+    b = np.column_stack([v[act] for v in geom.unit_forcings])
     b -= b.mean(axis=0)
     lu = spla.splu(S_act[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -439,8 +394,7 @@ class CellSolution:
         as the stiffness matrix; filled from its upper triangle.
         """
         g = self.geometry
-        S = g.assemble()
-        b = g.unit_forcing_vectors()
+        S, b = g.S, g.unit_forcings
         w = [u.ravel() for u in self.unit_correctors]
         Bdiag = (g.B11, g.B22)
         G = np.zeros((2, 2))
@@ -480,15 +434,11 @@ def solve_cell(x, A: CoefficientLike, transform: TransformField,
 
 def porosity(transform: TransformField, cell: UnitCellSpec, x) -> float:
     """theta(x) = 1 - |K_x Y0|; the lattice Jacobians cancel in the ratio."""
-    if cell.inclusion == "none":
-        return 1.0
-    K = transform.K_at(np.asarray(x, dtype=float))
-    detK = abs(float(np.linalg.det(K)))
-    return 1.0 - math.pi * cell.a**2 * detK
+    return float(1.0 - cell.inclusion_measure(
+        transform.K_at(np.asarray(x, dtype=float))))
 
 
-def effective_tensor(x, A: CoefficientLike, transform: TransformField,
-                     sol: CellSolution):
+def effective_tensor(x, transform: TransformField, sol: CellSolution):
     """Effective diffusion tensor and porosity at macro point x.
 
     The corrector of the forcing D^T e_j is the matching combination of the
@@ -540,6 +490,7 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
     rotated lattices with isotropic A, cost a single solve regardless of
     the sample count.
     """
+    check_cell_grid(N_c)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(pts)
     d = transform.d
@@ -568,7 +519,7 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
             residual[k] = np.nan
             errors[k] = sol
         else:
-            tensors[k] = effective_tensor(x, A, transform, sol)[0]
+            tensors[k] = effective_tensor(x, transform, sol)[0]
             residual[k] = sol.residual
         theta[k] = porosity(transform, cell, x)
     return EffectiveTensorField(points=pts, tensors=tensors, theta=theta,

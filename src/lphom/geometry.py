@@ -145,16 +145,15 @@ class Partition:
     """
 
     def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float,
-                 transform: TransformField, subdomains: list[Subdomain]):
+                 subdomains: list[Subdomain]):
         self.domain_lo = np.asarray(domain_lo, dtype=float)
         self.domain_hi = np.asarray(domain_hi, dtype=float)
         self.breaks = breaks
         self.n_sub = tuple(len(b) - 1 for b in breaks)
         self.eps = eps
         self.r = r
-        self.transform = transform
         self.subdomains = subdomains
-        self.d = transform.d
+        self.d = len(breaks)
         # packed per-subdomain arrays for vectorized location
         self._Dinv = np.array([s.Dinv for s in subdomains])
         self._D = np.array([s.D for s in subdomains])
@@ -323,7 +322,7 @@ def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
                 f"(needs at least {need[small[0]]:.4g})")
     K = np.array([transform.K_at(a) for a in anchor])
     subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K, on_corner)
-    return Partition(lo, hi, breaks, eps, r, transform, subs)
+    return Partition(lo, hi, breaks, eps, r, subs)
 
 
 def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,

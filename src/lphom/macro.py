@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import imex
-from .cell_problem import EffectiveTensorField, tensor_field
+from .cell_problem import EffectiveTensorField, check_cell_grid, tensor_field
 from .imex import Run, State
 from .micro import face_dirichlet_form
 from .scenarios import CoefficientSuite, Scenario
@@ -49,6 +49,7 @@ class MacroConfig:
         imex.check_times(self.T, self.dt)
         if self.n_gamma < 4:
             raise ValueError("need at least 4 boundary quadrature points")
+        check_cell_grid(self.N_c)
         if self.suite is None:
             self.suite = self.scenario.suite
 

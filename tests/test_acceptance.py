@@ -69,7 +69,7 @@ def disk_refinements():
     out = {}
     for N in (256, 512):
         sol = solve_cell(x0, 1.0, tf, disk, N_c=N)
-        out[N] = effective_tensor(x0, 1.0, tf, sol)[0]
+        out[N] = effective_tensor(x0, tf, sol)[0]
     return out
 
 
@@ -155,7 +155,7 @@ class TestEffectiveTensors:
         cell = UnitCellSpec(d=2, inclusion="none", a=0.25)
         x0 = np.array([0.5, 0.5])
         sol = solve_cell(x0, 1.0, const_tf(I2), cell, N_c=64)
-        A_eff, theta = effective_tensor(x0, 1.0, const_tf(I2), sol)
+        A_eff, theta = effective_tensor(x0, const_tf(I2), sol)
         assert np.max(np.abs(sol.correctors)) <= 1e-10
         assert np.max(np.abs(A_eff - I2)) <= 1e-10
         assert theta == 1.0
@@ -179,12 +179,12 @@ class TestEffectiveTensors:
         K = sc.transform.K_at(np.array([0.5, 0.5]))
         x0 = np.array([0.5, 0.5])
         sol0 = solve_cell(x0, 1.0, const_tf(I2, K), sc.cell, N_c=128)
-        A0, _ = effective_tensor(x0, 1.0, const_tf(I2, K), sol0)
+        A0, _ = effective_tensor(x0, const_tf(I2, K), sol0)
         for gamma in (math.pi / 6, math.pi / 4):
             R = rotation_matrix(gamma, 2)
             D = np.linalg.inv(R)
             sol = solve_cell(x0, 1.0, const_tf(D, K), sc.cell, N_c=128)
-            Ag, _ = effective_tensor(x0, 1.0, const_tf(D, K), sol)
+            Ag, _ = effective_tensor(x0, const_tf(D, K), sol)
             predicted = D @ A0 @ R
             rel = np.linalg.norm(Ag - predicted) / np.linalg.norm(A0)
             assert rel <= 1e-3, gamma

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from lphom import cell_problem
 from lphom.cell_problem import (
@@ -128,7 +129,7 @@ class TestGeometryBuild:
 class TestNoInclusion:
     def test_identity_lattice_exact(self):
         sol = solve_cell(X0, 1.0, const_tf(I2), NONE, N_c=64)
-        A_eff, theta = effective_tensor(X0, 1.0, const_tf(I2), sol)
+        A_eff, theta = effective_tensor(X0, const_tf(I2), sol)
         assert np.max(np.abs(A_eff - I2)) < 1e-12
         assert np.max(np.abs(sol.correctors)) < 1e-12
         assert theta == 1.0
@@ -136,7 +137,7 @@ class TestNoInclusion:
     def test_rotated_lattice_exact(self):
         D = np.linalg.inv(rotation_matrix(np.pi / 6, 2))
         sol = solve_cell(X0, 1.0, const_tf(D), NONE, N_c=64)
-        A_eff, _ = effective_tensor(X0, 1.0, const_tf(D), sol)
+        A_eff, _ = effective_tensor(X0, const_tf(D), sol)
         assert np.max(np.abs(A_eff - I2)) < 1e-12
 
     def test_stretched_lattice_exact(self):
@@ -144,7 +145,7 @@ class TestNoInclusion:
         D = np.diag([2.0, 1.0])
         A = np.diag([2.0, 1.0])
         sol = solve_cell(X0, A, const_tf(D), NONE, N_c=64)
-        A_eff, _ = effective_tensor(X0, A, const_tf(D), sol)
+        A_eff, _ = effective_tensor(X0, const_tf(D), sol)
         assert np.max(np.abs(A_eff - A)) < 1e-12
 
 
@@ -154,7 +155,7 @@ def disk_solutions():
     out = {}
     for N in (128, 256, 512):
         sol = solve_cell(X0, 1.0, const_tf(I2), DISK, N_c=N)
-        A_eff, theta = effective_tensor(X0, 1.0, const_tf(I2), sol)
+        A_eff, theta = effective_tensor(X0, const_tf(I2), sol)
         out[N] = (sol, A_eff, theta)
     return out
 
@@ -223,8 +224,8 @@ class TestDiskCell:
     def test_reported_residual_is_the_true_one(self, disk_solutions):
         sol = disk_solutions[128][0]
         g = sol.geometry
-        S = g.assemble()
-        for j, b in enumerate(g.unit_forcing_vectors()):
+        S = g.S
+        for j, b in enumerate(g.unit_forcings):
             b = np.where(g.active, b - b[g.active].mean(), 0.0)
             r = (S @ sol.unit_correctors[j].ravel() - b)[g.active]
             true = np.linalg.norm(r) / np.linalg.norm(b)
@@ -235,7 +236,7 @@ class TestDiskCell:
         # Dirichlet form
         def energy(sol):
             w = sol.correctors[0].ravel()
-            return float(w @ (sol.geometry.assemble() @ w))
+            return float(w @ (sol.geometry.S @ w))
 
         e256 = energy(disk_solutions[256][0])
         e512 = energy(disk_solutions[512][0])
@@ -253,11 +254,11 @@ class TestRotationCovariance:
     def test_elliptic_inclusion(self, gamma):
         K = np.diag([1.0, 1.4])
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=128)
-        A0, _ = effective_tensor(X0, 1.0, const_tf(I2, K), sol0)
+        A0, _ = effective_tensor(X0, const_tf(I2, K), sol0)
         R = rotation_matrix(gamma, 2)
         Dg = np.linalg.inv(R)
         solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=128)
-        Ag, _ = effective_tensor(X0, 1.0, const_tf(Dg, K), solg)
+        Ag, _ = effective_tensor(X0, const_tf(Dg, K), solg)
         predicted = Dg @ A0 @ Dg.T
         rel = np.max(np.abs(Ag - predicted)) / np.max(np.abs(A0))
         assert rel < 1e-3
@@ -275,7 +276,7 @@ class TestScenarioTensors:
         scen = get_scenario("epithelial")
         x = np.array([0.3, 0.5])
         sol = solve_cell(x, scen.suite.A, scen.transform, scen.cell, N_c=64)
-        A_eff, theta = effective_tensor(x, scen.suite.A, scen.transform, sol)
+        A_eff, theta = effective_tensor(x, scen.transform, sol)
         # compression packs the holes closer along x2 and blocks that
         # direction harder
         assert A_eff[1, 1] < A_eff[0, 0]
@@ -301,7 +302,7 @@ class TestScenarioTensors:
                              scen.cell, N_c=64)
         K = scen.transform.K_at(x)
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), scen.cell, N_c=64)
-        A0, _ = effective_tensor(X0, 1.0, const_tf(I2, K), sol0)
+        A0, _ = effective_tensor(X0, const_tf(I2, K), sol0)
         D = scen.transform.D_at(x)
         predicted = D @ A0 @ D.T
         assert np.max(np.abs(field.tensors[0] - predicted)) < 1e-3
@@ -322,7 +323,7 @@ class TestTensorField:
         field = tensor_field(np.array([X0]), scen.suite.A, scen.transform,
                              scen.cell, N_c=64)
         sol = solve_cell(X0, scen.suite.A, scen.transform, scen.cell, N_c=64)
-        A_eff, theta = effective_tensor(X0, scen.suite.A, scen.transform, sol)
+        A_eff, theta = effective_tensor(X0, scen.transform, sol)
         assert np.array_equal(field.tensors[0], A_eff)
         assert field.theta[0] == theta
 
@@ -354,7 +355,7 @@ class TestTensorField:
         for k, x in enumerate(pts):
             sol = solve_cell(x, scen.suite.A, scen.transform, scen.cell,
                              N_c=64)
-            direct, _ = effective_tensor(x, scen.suite.A, scen.transform, sol)
+            direct, _ = effective_tensor(x, scen.transform, sol)
             rel = np.max(np.abs(field.tensors[k] - direct)) \
                 / np.max(np.abs(direct))
             assert rel <= 1e-12
@@ -364,12 +365,20 @@ class TestTensorField:
         K = np.diag([1.0, 1.4])
         Dg = np.linalg.inv(rotation_matrix(gamma, 2))
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=64)
-        reused, _ = effective_tensor(X0, 1.0, const_tf(Dg, K), sol0)
+        reused, _ = effective_tensor(X0, const_tf(Dg, K), sol0)
         solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=64)
-        direct, _ = effective_tensor(X0, 1.0, const_tf(Dg, K), solg)
+        direct, _ = effective_tensor(X0, const_tf(Dg, K), solg)
         rel = np.max(np.abs(reused - direct)) / np.max(np.abs(direct))
         assert rel <= 1e-12
         assert reused[0, 1] == reused[1, 0]
+
+    def test_coarse_grid_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cell_problem, "solve_cell", no_solve)
+        with pytest.raises(ValueError, match="N_c >= 32"):
+            tensor_field(np.array([X0]), 1.0, const_tf(I2), DISK, N_c=16)
 
     def test_tolerance_is_a_hard_check(self):
         with pytest.raises(RuntimeError, match="residual"):
@@ -401,3 +410,219 @@ class TestTensorField:
         assert np.all(np.isnan(field.tensors[1]))
         assert not field.ok()
         assert np.isfinite(field.tensors[0]).all()
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference: the per-cell moments, candidate sweep and assembly that
+# the array passes of cell_problem replace, kept verbatim in arithmetic.
+
+def _ref_moments(i, j, h, Kinv, center, a):
+    p0 = np.array([i * h, j * h], dtype=float)
+    ex = Kinv @ np.array([h, 0.0])
+    ev = Kinv @ np.array([0.0, h])
+    q00 = Kinv @ (p0 - center)
+    vv = float(ev @ ev)
+    breaks = {0.0, 1.0}
+
+    def add_roots(ca, cb, cc):
+        if abs(ca) < 1e-300:
+            if abs(cb) > 1e-300:
+                t = -cc / cb
+                if 0.0 < t < 1.0:
+                    breaks.add(float(t))
+            return
+        disc = cb * cb - 4.0 * ca * cc
+        if disc <= 0.0:
+            return
+        sq = math.sqrt(disc)
+        for t in ((-cb - sq) / (2 * ca), (-cb + sq) / (2 * ca)):
+            if 0.0 < t < 1.0:
+                breaks.add(float(t))
+
+    add_roots((ex @ ev) ** 2 - vv * (ex @ ex),
+              2.0 * (q00 @ ev) * (ex @ ev) - vv * 2.0 * (q00 @ ex),
+              (q00 @ ev) ** 2 - vv * (q00 @ q00 - a * a))
+    for s in (0.0, 1.0):
+        base = q00 + s * ev
+        add_roots(ex @ ex, 2.0 * base @ ex, base @ base - a * a)
+
+    xs = np.sort(np.fromiter(breaks, dtype=float))
+    a0 = ax = ax2 = ay = ay2 = 0.0
+    for lo_b, hi_b in zip(xs[:-1], xs[1:]):
+        width = hi_b - lo_b
+        if width <= 1e-15:
+            continue
+        xi = lo_b + width * cell_problem._GL_X
+        w = width * cell_problem._GL_W
+        q0 = q00[None, :] + xi[:, None] * ex[None, :]
+        qb = q0 @ ev
+        qc = np.sum(q0 * q0, axis=1) - a * a
+        disc = qb * qb - vv * qc
+        inside = disc > 0.0
+        lo_i = np.zeros_like(xi)
+        hi_i = np.zeros_like(xi)
+        if np.any(inside):
+            sq = np.sqrt(disc[inside])
+            lo_i[inside] = (-qb[inside] - sq) / vv
+            hi_i[inside] = (-qb[inside] + sq) / vv
+        lo_i = np.clip(lo_i, 0.0, 1.0)
+        hi_i = np.maximum(np.clip(hi_i, 0.0, 1.0), lo_i)
+        length = 1.0 - (hi_i - lo_i)
+        m1 = 0.5 - 0.5 * (hi_i**2 - lo_i**2)
+        m2 = 1.0 / 3.0 - (hi_i**3 - lo_i**3) / 3.0
+        a0 += float(w @ length)
+        ax += float(w @ (xi * length))
+        ax2 += float(w @ (xi**2 * length))
+        ay += float(w @ m1)
+        ay2 += float(w @ m2)
+    return a0, ax, ax2, ay, ay2
+
+
+def _ref_candidates(N, K, cell):
+    """Sorted candidate cells and the kind array before the moment sweep."""
+    h = 1.0 / N
+    Kinv = np.linalg.inv(K)
+    center = np.asarray(cell.center, dtype=float)
+    g = np.arange(N + 1) * h
+    GX, GY = np.meshgrid(g, g, indexing="ij")
+    z = np.stack([GX - center[0], GY - center[1]], axis=-1) @ Kinv.T
+    node_in = np.hypot(z[..., 0], z[..., 1]) <= cell.a
+    corners_in = (node_in[:-1, :-1].astype(int) + node_in[1:, :-1]
+                  + node_in[:-1, 1:] + node_in[1:, 1:])
+    candidates = set(map(tuple, np.argwhere((corners_in > 0)
+                                            & (corners_in < 4))))
+    reach = cell.a * np.linalg.norm(K, axis=1)
+    for sgn in (-1.0, 1.0):
+        for ax in range(2):
+            p = center.copy()
+            p[ax] += sgn * reach[ax]
+            ci = int(np.clip(np.floor(p[0] / h), 0, N - 1))
+            cj = int(np.clip(np.floor(p[1] / h), 0, N - 1))
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if 0 <= ci + di < N and 0 <= cj + dj < N:
+                        candidates.add((ci + di, cj + dj))
+    return sorted(candidates), np.where(corners_in == 4, 0, 1).astype(np.int8)
+
+
+def _ref_cuts(N, K, cell):
+    h = 1.0 / N
+    Kinv = np.linalg.inv(K)
+    center = np.asarray(cell.center, dtype=float)
+    candidates, kind = _ref_candidates(N, K, cell)
+    cut_list, m_list = [], []
+    for (ci, cj) in candidates:
+        m = _ref_moments(ci, cj, h, Kinv, center, cell.a)
+        if m[0] <= 1e-12:
+            kind[ci, cj] = 0
+        elif m[0] >= 1.0 - 1e-12:
+            kind[ci, cj] = 1
+        else:
+            kind[ci, cj] = 2
+            cut_list.append((ci, cj))
+            m_list.append(m)
+    return (kind, np.array(cut_list, dtype=int).reshape(-1, 2),
+            np.array(m_list).reshape(-1, 5))
+
+
+def _ref_local(a0, ax, ax2, ay, ay2):
+    sx, tx = np.array([-1.0, 1.0, -1.0, 1.0]), np.array([0, 0, 1, 1])
+    sy, ty = np.array([-1.0, -1.0, 1.0, 1.0]), np.array([0, 1, 0, 1])
+    P = np.array([[a0 - 2 * ay + ay2, ay - ay2], [ay - ay2, ay2]])
+    Q = np.array([[a0 - 2 * ax + ax2, ax - ax2], [ax - ax2, ax2]])
+    Lx = sx[:, None] * sx[None, :] * P[tx[:, None], tx[None, :]]
+    Ly = sy[:, None] * sy[None, :] * Q[ty[:, None], ty[None, :]]
+    gx = sx * np.array([a0 - ay, ay])[tx]
+    gy = sy * np.array([a0 - ax, ax])[ty]
+    return Lx, Ly, gx, gy
+
+
+def _ref_assemble(kind, cut_idx, cut_moments, b11, b22):
+    N = len(kind)
+    h = 1.0 / N
+
+    def node_ids(ii, jj):
+        return np.stack([(ii % N) * N + jj % N, ((ii + 1) % N) * N + jj % N,
+                         (ii % N) * N + (jj + 1) % N,
+                         ((ii + 1) % N) * N + (jj + 1) % N], axis=1)
+
+    full = _ref_local(1.0, 0.5, 1.0 / 3.0, 0.5, 1.0 / 3.0)
+    rows, cols, data = [], [], []
+    bx, by = np.zeros(N * N), np.zeros(N * N)
+    full_ij = np.argwhere(kind == 1)
+    if len(full_ij):
+        nodes = node_ids(full_ij[:, 0], full_ij[:, 1])
+        loc = b11 * full[0] + b22 * full[1]
+        rows.append(np.repeat(nodes, 4, axis=1).ravel())
+        cols.append(np.tile(nodes, (1, 4)).ravel())
+        data.append(np.tile(loc.ravel(), len(nodes)))
+        np.add.at(bx, nodes, -h * b11 * full[2][None, :])
+        np.add.at(by, nodes, -h * b22 * full[3][None, :])
+    if len(cut_idx):
+        nodes = node_ids(cut_idx[:, 0], cut_idx[:, 1])
+        for k in range(len(cut_idx)):
+            Lx, Ly, gx, gy = _ref_local(*cut_moments[k])
+            rows.append(np.repeat(nodes[k], 4))
+            cols.append(np.tile(nodes[k], 4))
+            data.append((b11 * Lx + b22 * Ly).ravel())
+            np.add.at(bx, nodes[k], -h * b11 * gx)
+            np.add.at(by, nodes[k], -h * b22 * gy)
+    S = scipy.sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N * N, N * N))
+    return S, bx, by
+
+
+SCENARIOS = ["periodic", "epithelial", "plywood2d", "radius-gradient"]
+POINTS = [(0.5, 0.5), (0.7, 0.3), (0.1, 0.9)]
+
+
+class TestArrayPassesMatchTheScalarReference:
+    """The array passes reproduce the per-cell routines bit for bit."""
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_moments(self, name, N):
+        # the candidate cells, plus a sweep of full and solid cells
+        scen = get_scenario(name)
+        center = np.asarray(scen.cell.center, dtype=float)
+        h = 1.0 / N
+        for x in POINTS:
+            K = scen.transform.K_at(np.array(x))
+            Kinv = np.linalg.inv(K)
+            candidates, _ = _ref_candidates(N, K, scen.cell)
+            cells = np.concatenate([np.array(candidates, dtype=int),
+                                    np.argwhere(np.ones((N, N)))[::61]])
+            got = cell_problem._cut_cell_moments(cells, h, Kinv, center,
+                                                 scen.cell.a)
+            ref = np.array([_ref_moments(i, j, h, Kinv, center, scen.cell.a)
+                            for i, j in cells])
+            assert got.shape == (len(cells), 5)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("N", [32, 64, 128])
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_cut_cells_and_stiffness(self, name, N):
+        scen = get_scenario(name)
+        for x in POINTS:
+            K = scen.transform.K_at(np.array(x))
+            got = cell_problem._cell_cuts(N, K, scen.cell)
+            ref = _ref_cuts(N, K, scen.cell)
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype and np.array_equal(g, r)
+            geom = build_cell_geometry(np.array(x), scen.suite.A,
+                                       scen.transform, scen.cell, N_c=N)
+            S, bx, by = _ref_assemble(*ref, geom.B11, geom.B22)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(geom.S, attr),
+                                      getattr(S, attr))
+            assert np.array_equal(geom.unit_forcings, np.stack([bx, by]))
+
+    def test_no_inclusion(self):
+        geom = build_cell_geometry(X0, 1.0, const_tf(I2), NONE, N_c=32)
+        kind = np.ones((32, 32), dtype=np.int8)
+        S, bx, by = _ref_assemble(kind, np.zeros((0, 2), dtype=int),
+                                  np.zeros((0, 5)), 1.0, 1.0)
+        assert (geom.S != S).nnz == 0
+        assert np.array_equal(geom.unit_forcings, np.stack([bx, by]))
+        assert geom.fluid_area == 1.0 and geom.active.all()

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from lphom import cli, harness, micro
+from lphom import cell_problem, cli, harness, micro
 from lphom.cell_problem import tensor_field
 from lphom.cli import UsageError, load_config_file, main
 from lphom.harness import (
@@ -30,6 +30,7 @@ from lphom.harness import (
     _sample_bilinear,
     convergence_study,
 )
+from lphom.macro import MacroConfig
 from lphom.scenarios import get_scenario
 
 
@@ -164,6 +165,23 @@ class TestExitCodes:
                             "--outdir", str(tmp_path)])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["converge"], ["macro", "--H", "1/8"],
+                                      ["cell"]],
+                             ids=["converge", "macro", "cell"])
+    def test_coarse_cell_grid_exits_2_before_any_solve(
+            self, argv, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cell_problem, "solve_cell", no_solve)
+        monkeypatch.setattr(micro, "build_micro_grid", no_solve)
+        code = main(argv + ["--scenario", "periodic", "--Nc", "16",
+                            "--outdir", str(tmp_path)])
+        assert code == 2
+        assert ("error: cell grid too coarse, need N_c >= 32"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     def test_nan_dt_rule_in_a_config_file_exits_2(self, tmp_path, capsys):
@@ -306,6 +324,19 @@ class TestGeomGolden:
         assert code == 0
         got = (tmp_path / "geom.csv").read_bytes()
         assert got == (GOLDEN / f"geom_{name}.csv").read_bytes()
+
+
+class TestCellGolden:
+    # pinned before the cut-cell geometry and the stiffness became array
+    # passes; they must keep every byte
+    @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
+                                      "radius-gradient"])
+    def test_output_is_byte_identical(self, name, tmp_path):
+        code = main(["cell", "--scenario", name, "--Nc", "64",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        got = (tmp_path / "cell_tensors.csv").read_bytes()
+        assert got == (GOLDEN / f"cell_{name}.csv").read_bytes()
 
 
 class TestCheckUnfoldGolden:
@@ -713,6 +744,14 @@ class TestStudyConfigValidation:
         StudyConfig(scenario=sc, dt_rule="0.15")
         # a study with no steps checks no budget, as imex.schedule
         StudyConfig(scenario=sc, dt_rule="0.2", T=0.0)
+
+    def test_coarse_cell_grid(self):
+        sc = get_scenario("periodic")
+        with pytest.raises(ValueError, match="N_c >= 32"):
+            StudyConfig(scenario=sc, N_c=16)
+        with pytest.raises(ValueError, match="N_c >= 32"):
+            MacroConfig(sc, H=1 / 8, N_c=16)
+        StudyConfig(scenario=sc, N_c=32)
 
     def test_bad_sample_count(self):
         with pytest.raises(ValueError, match="n_samples"):

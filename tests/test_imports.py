@@ -4,6 +4,7 @@
 alone; the solver modules load scipy when they are first imported.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -131,8 +132,8 @@ class TestImportBoundary:
 
 
 class TestGeometryArguments:
-    """The partition carries D_n, K_n and the transform, and the Γ
-    quadrature carries the unit cell: no routine takes either twice."""
+    """The partition carries the frozen D_n, K_n, and the Γ quadrature
+    carries the unit cell: no routine takes either twice."""
 
     @staticmethod
     def kinds():
@@ -167,3 +168,53 @@ class TestGeometryArguments:
     def test_no_routine_takes_a_cell_and_a_quadrature(self):
         assert [name for name, k in self.kinds().items()
                 if {"cell", "quad"} <= k] == []
+
+
+def unread_parameters(tree: ast.AST) -> list:
+    """"line name(param)" for every parameter its function never reads.
+
+    The _cmd_* handlers share one signature, and a lambda that reads none
+    of its parameters is a constant map; both are exempt.
+    """
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg] if p is not None}
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("_cmd_") or (isinstance(node, ast.Lambda)
+                                         and not params & read):
+            continue
+        out += [f"{node.lineno} {name}({p})" for p in sorted(params - read)]
+    return out
+
+
+class TestParametersAreRead:
+    """No function of the package takes an argument that changes nothing."""
+
+    def test_every_parameter_is_read(self):
+        found = []
+        for path in sorted((ROOT / "src" / "lphom").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{u}" for u in unread_parameters(tree)]
+        assert found == []
+
+    def test_the_scan_flags_an_unread_parameter(self):
+        tree = ast.parse(
+            "def f(a, b, *rest, c=1, **kw):\n"
+            "    a = 2\n"
+            "    return c, kw, lambda y: 0\n"
+            "def _cmd_x(vals, args):\n"
+            "    return vals\n"
+            "def g(x):\n"
+            "    def inner():\n"
+            "        return x\n"
+            "    return inner\n"
+            "k = lambda x: x + 1\n")
+        assert unread_parameters(tree) == ["1 f(a)", "1 f(b)", "1 f(rest)"]

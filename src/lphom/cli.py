@@ -48,8 +48,12 @@ STR_KEYS = ("scenario", "dt_rule", "outdir")
 CONFIG_KEYS = frozenset(("epsilon_list",) + FLOAT_KEYS + INT_KEYS + STR_KEYS)
 
 
-class UsageError(Exception):
-    """Bad invocation or configuration; maps to exit code 2."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad invocation or configuration; maps to exit code 2.
+
+    An ArgumentTypeError, so that argparse reports one raised by a type=
+    converter as an error on its flag; main reports the others.
+    """
 
 
 def _number(text: str) -> float:

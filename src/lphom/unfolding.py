@@ -183,23 +183,46 @@ class UnfoldedGrid:
             return np.ones_like(self.values, dtype=bool)
         return self.sample_mask
 
+    def _masked(self) -> np.ndarray:
+        """values with the masked-out samples set to 0; values itself in
+        bulk mode, where np.where(True, v, 0) would be a copy of the same
+        bits."""
+        if self.sample_mask is None:
+            return self.values
+        return np.where(self.sample_mask, self.values, 0.0)
+
     def weighted_sum(self) -> float:
-        m = self._m()
-        return float(np.sum(self.weight[:, None] * np.where(m, self.values, 0.0)))
+        return float(np.sum(self.weight[:, None] * self._masked()))
 
     def total_weight(self) -> float:
         return float(np.sum(self.weight[:, None] * self._m()))
 
     def weighted_l2(self) -> float:
-        m = self._m()
         return math.sqrt(float(np.sum(self.weight[:, None]
-                                      * np.where(m, self.values, 0.0) ** 2)))
+                                      * self._masked() ** 2)))
 
     def mean_over_Y(self) -> np.ndarray:
         """Per-entry mean over the unit cell (equal midpoint weights)."""
-        m = self._m()
-        return np.sum(np.where(m, self.values, 0.0), axis=1) / np.maximum(
-            np.sum(m, axis=1), 1)
+        return np.sum(self._masked(), axis=1) / np.maximum(
+            np.sum(self._m(), axis=1), 1)
+
+
+def _xi_hat_rows(partition: Partition):
+    """Row layout of unfolded samples: one row per Xi_hat cell, subdomain
+    after subdomain. Returns the subdomain index (E,) and xi (E, d) of every
+    row and (subdomain, row slice) for each subdomain with cells, so that
+    sample arrays are allocated once and filled block by block."""
+    blocks, stop = [], 0
+    for s in partition.subdomains:
+        if len(s.xi_hat):
+            blocks.append((s, slice(stop, stop + len(s.xi_hat))))
+            stop += len(s.xi_hat)
+    sub_index = np.empty(stop, dtype=int)
+    xi = np.empty((stop, partition.d), dtype=int)
+    for s, rows in blocks:
+        sub_index[rows] = s.n
+        xi[rows] = s.xi_hat
+    return sub_index, xi, blocks
 
 
 def unfold(phi: GridFunction, partition: Partition, m_y: int,
@@ -234,26 +257,17 @@ def unfold(phi: GridFunction, partition: Partition, m_y: int,
             raise ValueError("grid function carries no exact evaluation")
         evaluate = phi.exact_eval
 
-    # empty first entries keep shapes and dtypes when no subdomain has cells
-    subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
-    vals, wts = [np.zeros((0, len(y_nodes)))], [np.zeros(0)]
-    for s in partition.subdomains:
-        if not len(s.xi_hat):
-            continue
+    sub_index, xi, blocks = _xi_hat_rows(partition)
+    m = len(y_nodes)
+    values, weight = np.empty((len(xi), m)), np.empty(len(xi))
+    for s, rows in blocks:
         pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, y_nodes)
-        v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
-            len(s.xi_hat), len(y_nodes))
-        subs.append(np.full(len(s.xi_hat), s.n))
-        xis.append(s.xi_hat)
-        vals.append(v)
-        wts.append(np.full(len(s.xi_hat),
-                           partition.eps**d * s.detD / len(y_nodes)))
-    values = np.concatenate(vals)
+        values[rows] = np.reshape(evaluate(pts.reshape(-1, d)), (-1, m))
+        weight[rows] = partition.eps**d * s.detD / m
     sample_mask = (np.broadcast_to(keep, values.shape).copy()
                    if mask_mode == "perforated" else None)
-    return UnfoldedGrid(m_y=m_y, d=d, sub_index=np.concatenate(subs),
-                        xi=np.concatenate(xis), values=values,
-                        weight=np.concatenate(wts), y_nodes=y_nodes,
+    return UnfoldedGrid(m_y=m_y, d=d, sub_index=sub_index, xi=xi,
+                        values=values, weight=weight, y_nodes=y_nodes,
                         sample_mask=sample_mask)
 
 
@@ -312,14 +326,24 @@ class BoundaryUnfolded:
         """Unfolded surface functional: the x-integral of the weighted
         Gamma-integral of |values|^p with the metric ratio and the local cell
         measure |Y_n| = |det D_n|."""
-        integrand = np.abs(self.values) ** p * self.metric * self.ref_weights[None, :]
+        # |values|^p * metric * ref_weights in one work array, in the
+        # order of the operations, which the bits of the sum depend on
+        integrand = np.abs(self.values)
+        integrand **= p
+        integrand *= self.metric
+        integrand *= self.ref_weights
         percell = integrand.sum(axis=1) / self.detD
         return float(np.sum(self.eps ** self.d * self.detD * percell))
 
     def direct_surface_integral(self, p: float = 2.0) -> float:
         """Direct quadrature of |psi|^p over the mapped boundary, same nodes."""
-        ds = self.eps ** (self.d - 1) * self.metric * self.ref_weights[None, :]
-        return float(np.sum(np.abs(self.values) ** p * ds))
+        # |values|^p * (eps^(d-1) * metric * ref_weights), in that order
+        ds = self.eps ** (self.d - 1) * self.metric
+        ds *= self.ref_weights
+        integrand = np.abs(self.values)
+        integrand **= p
+        integrand *= ds
+        return float(np.sum(integrand))
 
 
 def unfold_boundary(psi, partition: Partition,
@@ -333,27 +357,19 @@ def unfold_boundary(psi, partition: Partition,
     evaluate = psi.eval if hasattr(psi, "eval") else psi
     d = partition.d
     c = quad.cell.center
-    S = quad.n_gamma   # lists start empty-shaped, as in unfold
-    subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
-    vals, mets = [np.zeros((0, S))], [np.zeros((0, S))]
-    dets = [np.zeros(0)]
-    for s in partition.subdomains:
-        if not len(s.xi_hat):
-            continue
+    S = quad.n_gamma
+    sub_index, xi, blocks = _xi_hat_rows(partition)
+    values, metric = np.empty((len(xi), S)), np.empty((len(xi), S))
+    detD = np.empty(len(xi))
+    for s, rows in blocks:
         mapped_y = c + (quad.nodes - c) @ s.K.T          # (S, d)
         pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, mapped_y)
-        v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
-            len(s.xi_hat), S)
-        subs.append(np.full(len(s.xi_hat), s.n))
-        xis.append(s.xi_hat)
-        vals.append(v)
-        mets.append(np.broadcast_to(quad.metric(s.D, s.K), v.shape))
-        dets.append(np.full(len(s.xi_hat), s.detD))
+        values[rows] = np.reshape(evaluate(pts.reshape(-1, d)), (-1, S))
+        metric[rows] = quad.metric(s.D, s.K)
+        detD[rows] = s.detD
     return BoundaryUnfolded(
-        eps=partition.eps, d=d, sub_index=np.concatenate(subs),
-        xi=np.concatenate(xis), values=np.concatenate(vals),
-        ref_weights=quad.ref_weights, metric=np.concatenate(mets),
-        detD=np.concatenate(dets))
+        eps=partition.eps, d=d, sub_index=sub_index, xi=xi, values=values,
+        ref_weights=quad.ref_weights, metric=metric, detD=detD)
 
 
 def local_average(phi: GridFunction, partition: Partition,
@@ -489,7 +505,8 @@ class QInterpolant:
             wts *= np.where(corners[None, :, ax] > 0.5,
                             y[:, None, ax], 1.0 - y[:, None, ax])
         evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
-        z = np.zeros(0)   # empty-shaped first entries, as in unfold
+        # empty first entries keep shapes and dtypes when no cell is usable
+        z = np.zeros(0)
         q_all, r_all, p_all, w_all = [z], [z], [np.zeros((0, d))], [z]
         for s in part.subdomains:
             cells = self.usable_cells.get(s.n)

@@ -193,6 +193,36 @@ class TestExitCodes:
         assert "error: dt_rule must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["converge", "--eps", "abc"], "--eps"),
+        (["converge", "--eps", "1/0"], "--eps"),
+        (["micro", "--T", "x"], "--T"),
+        (["check-unfold", "--eps", ","], "--eps"),
+        (["geom", "--r", "nan"], "--r"),
+    ], ids=["converge-eps-word", "converge-eps-zero-denominator",
+            "micro-T-word", "check-unfold-eps-empty", "geom-r-nan"])
+    def test_malformed_number_flag_exits_2(self, argv, flag, tmp_path,
+                                           capsys):
+        code = main(argv + ["--scenario", "periodic",
+                            "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_number_flag_prints_no_traceback(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lphom.cli", "converge", "--scenario",
+             "periodic", "--eps", "abc", "--outdir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "error: argument --eps: not a number: 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_eps_subcommands_reject_sweeps(self, capsys):
         code = main(["micro", "--scenario", "periodic",
                      "--eps", "1/4,1/8", "--outdir", "/tmp"])

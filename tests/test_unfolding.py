@@ -1,4 +1,7 @@
+import functools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -726,3 +729,188 @@ class TestGridDimension:
         with pytest.raises(ValueError, match="2-D grid"):
             unfolding._interpolant_cell_integral(self.cube(), np.zeros(3),
                                                  np.full(3, 0.5))
+
+
+def reference_unfold(phi, partition, m_y, mask_mode, cell, eval_mode):
+    """unfold as it was: one block per subdomain, joined by np.concatenate,
+    with an all-true mask in bulk mode."""
+    d = partition.d
+    y_nodes = unfolding._unit_cell_nodes(m_y, d)
+    evaluate = phi.exact_eval if eval_mode == "exact" else phi.eval
+    subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
+    vals, wts = [np.zeros((0, len(y_nodes)))], [np.zeros(0)]
+    for s in partition.subdomains:
+        if not len(s.xi_hat):
+            continue
+        pts = unfolding.map_cells(s.shift, partition.eps, s.D, s.xi_hat,
+                                  y_nodes)
+        v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
+            len(s.xi_hat), len(y_nodes))
+        subs.append(np.full(len(s.xi_hat), s.n))
+        xis.append(s.xi_hat)
+        vals.append(v)
+        wts.append(np.full(len(s.xi_hat),
+                           partition.eps**d * s.detD / len(y_nodes)))
+    values = np.concatenate(vals)
+    if mask_mode == "perforated":
+        keep = np.linalg.norm(y_nodes - cell.center, axis=1) > cell.a
+        mask = np.broadcast_to(keep, values.shape).copy()
+    else:
+        mask = np.ones_like(values, dtype=bool)
+    weight = np.concatenate(wts)
+    masked = np.where(mask, values, 0.0)
+    return SimpleNamespace(
+        sub_index=np.concatenate(subs), xi=np.concatenate(xis), values=values,
+        weight=weight, sample_mask=mask,
+        weighted_sum=float(np.sum(weight[:, None] * masked)),
+        weighted_l2=math.sqrt(float(np.sum(weight[:, None] * masked ** 2))),
+        mean_over_Y=np.sum(masked, axis=1) / np.maximum(np.sum(mask, axis=1),
+                                                        1))
+
+
+def reference_unfold_boundary(psi, partition, quad, p):
+    """unfold_boundary and its two reductions as they were: blocks joined
+    by np.concatenate, a broadcast metric copied per subdomain, and a new
+    array for every operation."""
+    d = partition.d
+    c = quad.cell.center
+    S = quad.n_gamma
+    subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
+    vals, mets = [np.zeros((0, S))], [np.zeros((0, S))]
+    dets = [np.zeros(0)]
+    for s in partition.subdomains:
+        if not len(s.xi_hat):
+            continue
+        mapped_y = c + (quad.nodes - c) @ s.K.T
+        pts = unfolding.map_cells(s.shift, partition.eps, s.D, s.xi_hat,
+                                  mapped_y)
+        v = np.asarray(psi(pts.reshape(-1, d)), dtype=float).reshape(
+            len(s.xi_hat), S)
+        subs.append(np.full(len(s.xi_hat), s.n))
+        xis.append(s.xi_hat)
+        vals.append(v)
+        mets.append(np.broadcast_to(quad.metric(s.D, s.K), v.shape))
+        dets.append(np.full(len(s.xi_hat), s.detD))
+    values, metric = np.concatenate(vals), np.concatenate(mets)
+    detD, eps, w = np.concatenate(dets), partition.eps, quad.ref_weights
+    integrand = np.abs(values) ** p * metric * w[None, :]
+    percell = integrand.sum(axis=1) / detD
+    ds = eps ** (d - 1) * metric * w[None, :]
+    return SimpleNamespace(
+        sub_index=np.concatenate(subs), xi=np.concatenate(xis), values=values,
+        metric=metric, detD=detD,
+        weighted_power_sum=float(np.sum(eps ** d * detD * percell)),
+        direct_surface_integral=float(np.sum(np.abs(values) ** p * ds)))
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_partition(name, eps):
+    return build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
+
+
+class TestOneCopyMatchesTheConcatenatingReference:
+    """unfold and unfold_boundary fill one preallocated array per quantity
+    and reduce in place; every array and sum must keep the bits of the
+    list-and-concatenate code."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    @pytest.mark.parametrize("mask_mode", ["bulk", "perforated"])
+    @pytest.mark.parametrize("eval_mode", ["grid", "exact"])
+    def test_unfold(self, name, eps, mask_mode, eval_mode):
+        part = scenario_partition(name, eps)
+        cell = get_scenario(name).cell
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128,
+                                          keep_exact=True)
+        if mask_mode == "perforated" and any(
+                np.max(np.abs(s.K - np.eye(2))) > 1e-13
+                for s in part.subdomains):
+            # a K that is not the identity has no perforated mode
+            with pytest.raises(ValueError, match="K = I only"):
+                unfold(phi, part, 8, mask_mode, cell, eval_mode)
+            return
+        ug = unfold(phi, part, 8, mask_mode, cell, eval_mode)
+        ref = reference_unfold(phi, part, 8, mask_mode, cell, eval_mode)
+        for key in ("sub_index", "xi", "values", "weight"):
+            assert_same_bits(getattr(ug, key), getattr(ref, key))
+        assert ug.values.flags.c_contiguous
+        if mask_mode == "bulk":
+            assert ug.sample_mask is None
+        else:
+            assert_same_bits(ug.sample_mask, ref.sample_mask)
+        assert ug.weighted_sum() == ref.weighted_sum
+        assert ug.weighted_l2() == ref.weighted_l2
+        assert_same_bits(ug.mean_over_Y(), ref.mean_over_Y)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_unfold_boundary(self, name, eps, p):
+        part = scenario_partition(name, eps)
+        quad = GammaQuadrature(get_scenario(name).cell, 16)
+
+        def psi(X):
+            # changes sign, so the absolute value matters
+            return np.sin(3 * X[:, 0]) - X[:, 1]
+
+        bu = unfold_boundary(psi, part, quad)
+        ref = reference_unfold_boundary(psi, part, quad, p)
+        for key in ("sub_index", "xi", "values", "metric", "detD"):
+            assert_same_bits(getattr(bu, key), getattr(ref, key))
+        assert bu.weighted_power_sum(p) == ref.weighted_power_sum
+        assert bu.direct_surface_integral(p) == ref.direct_surface_integral
+
+    def test_empty_covering_keeps_shapes(self):
+        part = scenario_partition("periodic", 1 / 8)
+        empty = SimpleNamespace(d=2, eps=part.eps, subdomains=[
+            SimpleNamespace(xi_hat=np.zeros((0, 2), dtype=int))])
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
+        ug = unfold(phi, empty, 4)
+        assert ug.values.shape == (0, 16) and ug.xi.shape == (0, 2)
+        assert ug.sub_index.dtype == ug.xi.dtype == np.dtype(int)
+        assert ug.weighted_sum() == 0.0
+        quad = GammaQuadrature(UnitCellSpec(a=0.25), 8)
+        bu = unfold_boundary(lambda X: X[:, 0], empty, quad)
+        assert bu.values.shape == bu.metric.shape == (0, 8)
+        assert bu.weighted_power_sum() == bu.direct_surface_integral() == 0.0
+
+
+def traced_peak(fn):
+    """Peak traced allocation of fn() above what was allocated before it;
+    fn runs once untraced first, so lazy caches are already built."""
+    fn()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestUnfoldingMemory:
+    """Each check holds its samples once: the working memory of a check is
+    a small multiple of the bytes of the samples it reads (plywood2d,
+    eps = 1/128, the check-unfold settings)."""
+
+    def test_smooth_check_peak(self):
+        part = scenario_partition("plywood2d", 1 / 128)
+        smooth = grid_function_from_callable(
+            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
+            LO, HI, 1 / 128, keep_exact=True)
+        n_cells = sum(len(s.xi_hat) for s in part.subdomains)
+        peak = traced_peak(lambda: check_integration_identity(
+            smooth, part, 8, eval_mode="exact"))
+        assert peak <= 2.5 * n_cells * 64 * 8
+
+    def test_boundary_check_peak(self):
+        part = scenario_partition("plywood2d", 1 / 128)
+        quad = GammaQuadrature(plywood2d_scenario().cell, 16)
+        n_cells = sum(len(s.xi_hat) for s in part.subdomains)
+        peak = traced_peak(lambda: check_boundary_identity(
+            lambda X: 1.0 + X[:, 0], part, quad))
+        assert peak <= 4.6 * n_cells * 16 * 8

@@ -185,11 +185,10 @@ def _cmd_geom(vals: dict, args) -> int:
 def _pwc_identity(part):
     """A field constant on each lattice cell is integrated exactly."""
     lo, hi = np.zeros(2), np.ones(2)
-    keys = [(s.n, tuple(xi)) for s in part.subdomains for xi in s.xi_hat.tolist()]
-    draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(keys))
-    table = dict(zip(keys, draws.tolist()))
+    # one draw per Xi_hat row
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(part.hat_n))
     h_pwc = 1.0 / max(64, 8 * int(round(1.0 / part.eps)))
-    phi_pwc = lattice_pwc_field(part, table, lo, hi, h_pwc)
+    phi_pwc = lattice_pwc_field(part, draws, lo, hi, h_pwc)
     return check_integration_identity(phi_pwc, part, 4, eval_mode="exact")
 
 
@@ -221,7 +220,7 @@ def _cmd_check_unfold(vals: dict, args) -> int:
              for eps in eps_list]
     smooth = grid_function_from_callable(
         lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-        lo, hi, 1 / 128, keep_exact=True)
+        lo, hi, 1 / 128)
     # the checks only read the partitions, so they share one pool, finest
     # eps (the longest checks) first; results are read in row order
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:

@@ -142,6 +142,12 @@ class Partition:
 
     Subdomain n is the box [breaks[i][k_i], breaks[i][k_i + 1]] on every
     axis i, with k its multi-index in row-major order.
+
+    The Xi_hat row layout, one row per Xi_hat cell, subdomain after
+    subdomain, is the order of every per-cell table and unfolded sample
+    array. Its read-only arrays: the subdomain hat_n (E,), cell hat_xi
+    (E, d) and cell slot hat_slot (E,) of each row, and hat_start, the
+    first row of each subdomain and, last, E.
     """
 
     def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float,
@@ -166,10 +172,12 @@ class Partition:
         # cell_slots); _in_hat marks the slots of Xi_hat cells
         d = self.d
         counts = np.array([len(s.xi_hat) for s in subdomains], dtype=int)
-        hat = np.concatenate([s.xi_hat for s in subdomains]).reshape(-1, d)
-        owner = np.repeat(np.arange(len(subdomains)), counts)
+        self.hat_start = np.concatenate(([0], np.cumsum(counts)))
+        self.hat_n = np.repeat(np.arange(len(subdomains)), counts)
+        hat = self.hat_xi = np.concatenate(
+            [s.xi_hat for s in subdomains]).reshape(-1, d)
         full = counts > 0
-        starts = (np.cumsum(counts) - counts)[full]
+        starts = self.hat_start[:-1][full]
         self._xi_min = np.zeros((len(subdomains), d), dtype=int)
         self._box_shape = np.ones((len(subdomains), d), dtype=int)
         if len(hat):
@@ -178,8 +186,11 @@ class Partition:
                                      - self._xi_min[full] + 1)
         self._box_offset = np.concatenate(
             ([0], np.cumsum(np.prod(self._box_shape, axis=1))))
+        self.hat_slot = self.cell_slots(self.hat_n, hat)
+        for a in (self.hat_start, self.hat_n, hat, self.hat_slot):
+            a.flags.writeable = False
         self._in_hat = np.zeros(self.n_cell_slots, dtype=bool)
-        self._in_hat[self.cell_slots(owner, hat)] = True
+        self._in_hat[self.hat_slot] = True
 
     @property
     def side(self) -> float:
@@ -197,16 +208,21 @@ class Partition:
 
     @property
     def omega_hat_measure(self) -> float:
-        counts = np.array([len(s.xi_hat) for s in self.subdomains])
-        return float(np.sum(counts * self.cell_measures))
+        return float(np.sum(np.diff(self.hat_start) * self.cell_measures))
 
     @property
     def lambda_measure(self) -> float:
         total = float(np.prod(self.domain_hi - self.domain_lo))
         return total - self.omega_hat_measure
 
+    def hat_blocks(self) -> list[tuple[Subdomain, slice]]:
+        """(subdomain, slice of its rows) of each subdomain with cells."""
+        bounds = self.hat_start.tolist()
+        return [(s, slice(a, b)) for s, a, b in
+                zip(self.subdomains, bounds[:-1], bounds[1:]) if a < b]
+
     def xi_hat_contains(self, n: int, xi: np.ndarray) -> np.ndarray:
-        """Vectorized membership of lattice indices in Xi_hat of subdomain n."""
+        """Whether cells xi lie in Xi_hat of subdomain n, as in cell_slots."""
         return self._hat_slots(n, xi) >= 0
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,8 +88,16 @@ class GridFunction:
                             values, self.mask.copy(), exact_eval)
 
 
-# points per evaluation of f when a grid_function_from_callable is sampled
+# points per evaluation of f when a grid_function_from_callable is sampled,
+# and per array pass of the row-blocked reductions
 _ROW_BLOCK = 1 << 16
+
+
+def _row_blocks(n_rows: int, per_row: int) -> list:
+    """Slices of at most _ROW_BLOCK // per_row rows, at least one, that
+    cover range(n_rows) in order."""
+    step = max(1, _ROW_BLOCK // per_row)
+    return [slice(r0, r0 + step) for r0 in range(0, n_rows, step)]
 
 
 def _sample_rows(f: Callable[[np.ndarray], np.ndarray],
@@ -98,18 +106,17 @@ def _sample_rows(f: Callable[[np.ndarray], np.ndarray],
     n = grid.shape
     xs = [grid.axis_centers(i) for i in range(len(n))]
     vals = np.empty(n)
-    rows = max(1, _ROW_BLOCK // math.prod(n[1:]))
-    for r0 in range(0, n[0], rows):
-        X = np.stack(np.meshgrid(xs[0][r0:r0 + rows], *xs[1:], indexing="ij"),
+    for rows in _row_blocks(n[0], math.prod(n[1:])):
+        X = np.stack(np.meshgrid(xs[0][rows], *xs[1:], indexing="ij"),
                      axis=-1).reshape(-1, len(n))
-        vals[r0:r0 + rows] = np.asarray(f(X), dtype=float).reshape((-1,) + n[1:])
+        vals[rows] = np.asarray(f(X), dtype=float).reshape((-1,) + n[1:])
     return vals
 
 
 def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
-                                lo, hi, h: float,
-                                keep_exact: bool = True) -> GridFunction:
-    """Cell-center samples of f on the grid of spacing h over [lo, hi].
+                                lo, hi, h: float) -> GridFunction:
+    """Cell-center samples of f on the grid of spacing h over [lo, hi],
+    with f as the exact evaluation.
 
     The samples are taken on the first read of values, so a consumer of
     exact_eval alone samples nothing. f is called on blocks of whole rows
@@ -118,37 +125,25 @@ def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
     bounded by the block and not by the grid. f must act point by point.
     """
     return GridFunction(lo, hi, h, lambda grid: _sample_rows(f, grid),
-                        exact_eval=f if keep_exact else None)
+                        exact_eval=f)
 
 
-def lattice_pwc_field(partition: Partition, cell_values: dict,
+def lattice_pwc_field(partition: Partition, values: np.ndarray,
                       lo, hi, h: float, fill: float = 0.0) -> GridFunction:
-    """Piecewise constant per lattice cell, keyed by (n, xi); exact-evaluable.
+    """Piecewise constant per lattice cell; exact-evaluable.
 
-    Values default to fill on leftover regions and unlisted cells; keys
-    outside Xi_hat are never read. The dict is written once into a table
-    over the partition's cell slots, read as in _slot_table_field.
+    values holds one value per row of the partition's Xi_hat row layout;
+    the field is fill on leftover regions. The values are written into a
+    table over the cell slots whose entry past the slots, read through the
+    slot -1 that locate_slots returns there, holds fill.
     """
     table = np.full(partition.n_cell_slots + 1, fill)
-    keys = [k for k in cell_values if 0 <= k[0] < partition.n_subdomains]
-    slots = partition.cell_slots([k[0] for k in keys], [k[1] for k in keys])
-    ok = slots >= 0
-    table[slots[ok]] = np.array([cell_values[k] for k in keys])[ok]
-    return _slot_table_field(partition, table, lo, hi, h)
+    table[partition.hat_slot] = values
 
-
-def _slot_table_field(partition: Partition, table: np.ndarray,
-                      lo, hi, h: float) -> GridFunction:
-    """Piecewise constant field read from a table over the cell slots.
-
-    The evaluator indexes the table with the slot that locate_slots returns
-    for each point; the entry past the slots, read through slot -1, holds
-    the value of the leftover region. Exact-evaluable.
-    """
     def f(X: np.ndarray) -> np.ndarray:
         return table[locate_slots(partition, X)[3]]
 
-    return grid_function_from_callable(f, lo, hi, h, keep_exact=True)
+    return grid_function_from_callable(f, lo, hi, h)
 
 
 def _unit_cell_nodes(m_y: int, d: int) -> np.ndarray:
@@ -161,14 +156,14 @@ def _unit_cell_nodes(m_y: int, d: int) -> np.ndarray:
 class UnfoldedGrid:
     """Samples of the unfolded function indexed by (subdomain, cell, node).
 
-    weight is the macro weight per sample, eps^d |det D_n| / m_y^d; entries
-    exist only for cells in Xi_hat, the operator vanishes on leftover regions.
+    The rows are the partition's Xi_hat row layout, whose subdomain and
+    cell arrays sub_index and xi are. weight is the macro weight per
+    sample, eps^d |det D_n| / m_y^d; entries exist only for cells in
+    Xi_hat, the operator vanishes on leftover regions.
     """
 
-    m_y: int
-    d: int
-    sub_index: np.ndarray          # (E,)
-    xi: np.ndarray                 # (E, d)
+    sub_index: np.ndarray          # (E,) Partition.hat_n
+    xi: np.ndarray                 # (E, d) Partition.hat_xi
     values: np.ndarray             # (E, m)
     weight: np.ndarray             # (E,) per-sample macro weight
     y_nodes: np.ndarray            # (m, d)
@@ -207,24 +202,6 @@ class UnfoldedGrid:
             np.sum(self._m(), axis=1), 1)
 
 
-def _xi_hat_rows(partition: Partition):
-    """Row layout of unfolded samples: one row per Xi_hat cell, subdomain
-    after subdomain. Returns the subdomain index (E,) and xi (E, d) of every
-    row and (subdomain, row slice) for each subdomain with cells, so that
-    sample arrays are allocated once and filled block by block."""
-    blocks, stop = [], 0
-    for s in partition.subdomains:
-        if len(s.xi_hat):
-            blocks.append((s, slice(stop, stop + len(s.xi_hat))))
-            stop += len(s.xi_hat)
-    sub_index = np.empty(stop, dtype=int)
-    xi = np.empty((stop, partition.d), dtype=int)
-    for s, rows in blocks:
-        sub_index[rows] = s.n
-        xi[rows] = s.xi_hat
-    return sub_index, xi, blocks
-
-
 def unfold(phi: GridFunction, partition: Partition, m_y: int,
            mask_mode: str = "bulk", cell: Optional[UnitCellSpec] = None,
            eval_mode: str = "grid") -> UnfoldedGrid:
@@ -257,18 +234,18 @@ def unfold(phi: GridFunction, partition: Partition, m_y: int,
             raise ValueError("grid function carries no exact evaluation")
         evaluate = phi.exact_eval
 
-    sub_index, xi, blocks = _xi_hat_rows(partition)
     m = len(y_nodes)
-    values, weight = np.empty((len(xi), m)), np.empty(len(xi))
-    for s, rows in blocks:
-        pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, y_nodes)
+    values = np.empty((len(partition.hat_n), m))
+    for s, rows in partition.hat_blocks():
+        pts = map_cells(s.shift, partition.eps, s.D, partition.hat_xi[rows],
+                        y_nodes)
         values[rows] = np.reshape(evaluate(pts.reshape(-1, d)), (-1, m))
-        weight[rows] = partition.eps**d * s.detD / m
     sample_mask = (np.broadcast_to(keep, values.shape).copy()
                    if mask_mode == "perforated" else None)
-    return UnfoldedGrid(m_y=m_y, d=d, sub_index=sub_index, xi=xi,
-                        values=values, weight=weight, y_nodes=y_nodes,
-                        sample_mask=sample_mask)
+    return UnfoldedGrid(sub_index=partition.hat_n,
+                        xi=partition.hat_xi, values=values,
+                        weight=(partition.cell_measures / m)[partition.hat_n],
+                        y_nodes=y_nodes, sample_mask=sample_mask)
 
 
 @dataclass
@@ -304,23 +281,20 @@ class GammaQuadrature:
 class BoundaryUnfolded:
     """Boundary unfolding samples indexed by (subdomain, cell, arc node).
 
-    metric holds GammaQuadrature.metric of each subdomain's D_n, K_n, the
-    ratio of mapped to reference surface measure.
+    The rows of values are the partition's Xi_hat row layout. metric holds
+    GammaQuadrature.metric of each subdomain's D_n, K_n, the ratio of
+    mapped to reference surface measure, one row per subdomain.
     """
 
-    eps: float
-    d: int
-    sub_index: np.ndarray       # (E,)
-    xi: np.ndarray              # (E, d)
+    partition: Partition
     values: np.ndarray          # (E, S)
     ref_weights: np.ndarray     # (S,)
-    metric: np.ndarray          # (E, S)
-    detD: np.ndarray            # (E,)
+    metric: np.ndarray          # (n_subdomains, S)
 
     def surface_measure(self) -> float:
         """Quadrature measure of the mapped interior boundary."""
-        return float(self.eps ** (self.d - 1)
-                     * np.sum(self.metric * self.ref_weights[None, :]))
+        return float(self.partition.eps ** (self.partition.d - 1) * np.sum(
+            self.metric[self.partition.hat_n] * self.ref_weights))
 
     def weighted_power_sum(self, p: float = 2.0) -> float:
         """Unfolded surface functional: the x-integral of the weighted
@@ -330,19 +304,23 @@ class BoundaryUnfolded:
         # order of the operations, which the bits of the sum depend on
         integrand = np.abs(self.values)
         integrand **= p
-        integrand *= self.metric
+        for s, rows in self.partition.hat_blocks():
+            integrand[rows] *= self.metric[s.n]
         integrand *= self.ref_weights
-        percell = integrand.sum(axis=1) / self.detD
-        return float(np.sum(self.eps ** self.d * self.detD * percell))
+        detD = self.partition._detD[self.partition.hat_n]
+        percell = integrand.sum(axis=1) / detD
+        return float(np.sum(self.partition.eps ** self.partition.d
+                            * detD * percell))
 
     def direct_surface_integral(self, p: float = 2.0) -> float:
         """Direct quadrature of |psi|^p over the mapped boundary, same nodes."""
         # |values|^p * (eps^(d-1) * metric * ref_weights), in that order
-        ds = self.eps ** (self.d - 1) * self.metric
+        ds = self.partition.eps ** (self.partition.d - 1) * self.metric
         ds *= self.ref_weights
         integrand = np.abs(self.values)
         integrand **= p
-        integrand *= ds
+        for s, rows in self.partition.hat_blocks():
+            integrand[rows] *= ds[s.n]
         return float(np.sum(integrand))
 
 
@@ -358,18 +336,15 @@ def unfold_boundary(psi, partition: Partition,
     d = partition.d
     c = quad.cell.center
     S = quad.n_gamma
-    sub_index, xi, blocks = _xi_hat_rows(partition)
-    values, metric = np.empty((len(xi), S)), np.empty((len(xi), S))
-    detD = np.empty(len(xi))
-    for s, rows in blocks:
+    values = np.empty((len(partition.hat_n), S))
+    for s, rows in partition.hat_blocks():
         mapped_y = c + (quad.nodes - c) @ s.K.T          # (S, d)
-        pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, mapped_y)
+        pts = map_cells(s.shift, partition.eps, s.D, partition.hat_xi[rows],
+                        mapped_y)
         values[rows] = np.reshape(evaluate(pts.reshape(-1, d)), (-1, S))
-        metric[rows] = quad.metric(s.D, s.K)
-        detD[rows] = s.detD
-    return BoundaryUnfolded(
-        eps=partition.eps, d=d, sub_index=sub_index, xi=xi, values=values,
-        ref_weights=quad.ref_weights, metric=metric, detD=detD)
+    metric = np.array([quad.metric(s.D, s.K) for s in partition.subdomains])
+    return BoundaryUnfolded(partition=partition, values=values,
+                            ref_weights=quad.ref_weights, metric=metric)
 
 
 def local_average(phi: GridFunction, partition: Partition,
@@ -382,9 +357,8 @@ def local_average(phi: GridFunction, partition: Partition,
     """
     mode = "exact" if phi.exact_eval is not None else "grid"
     ug = unfold(phi, partition, m_y, eval_mode=mode)
-    table = np.zeros(partition.n_cell_slots + 1)
-    table[partition.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
-    out = _slot_table_field(partition, table, phi.lo, phi.hi, phi.h)
+    out = lattice_pwc_field(partition, ug.mean_over_Y(), phi.lo, phi.hi,
+                            phi.h)
     out.mask = phi.mask.copy()
     return out
 
@@ -449,10 +423,9 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
         m_ref = 3 * m_y + 1   # independent of the lhs sample set
         y_f = _unit_cell_nodes(m_ref, d)
         evaluate = phi.exact_eval if (eval_mode == "exact") else phi.eval
-        for s in partition.subdomains:
-            if not len(s.xi_hat):
-                continue
-            pts = map_cells(s.shift, partition.eps, s.D, s.xi_hat, y_f)
+        for s, rows in partition.hat_blocks():
+            pts = map_cells(s.shift, partition.eps, s.D,
+                            partition.hat_xi[rows], y_f)
             v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
             rhs += partition.eps**d * s.detD * float(v.sum()) / len(y_f)
     return lhs, rhs, abs(lhs - rhs)
@@ -483,17 +456,19 @@ class QInterpolant:
     exact half-cell shift of the argument, so the remainder of a smooth field
     is of first order in eps. node_values is a table over the partition's
     cell slots (Partition.cell_slots); slots without a cell average hold NaN.
+    usable_rows are the rows of the usable cells in the partition's Xi_hat
+    row layout.
     """
 
     partition: Partition
     node_values: np.ndarray      # (n_cell_slots,) node value per cell slot
-    usable_cells: dict           # n -> (m, d) int array
+    usable_rows: np.ndarray      # (m,) ascending Xi_hat rows
 
     def eval_cells(self, phi: GridFunction, points_per_axis: int):
         """Q and R = phi - Q sampled on a midpoint grid of each usable cell.
 
         Returns (q_vals, r_vals, points, weights) flattened over cells and
-        samples.
+        samples, cell after cell in row order.
         """
         part = self.partition
         d = part.d
@@ -505,25 +480,22 @@ class QInterpolant:
             wts *= np.where(corners[None, :, ax] > 0.5,
                             y[:, None, ax], 1.0 - y[:, None, ax])
         evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
-        # empty first entries keep shapes and dtypes when no cell is usable
-        z = np.zeros(0)
-        q_all, r_all, p_all, w_all = [z], [z], [np.zeros((0, d))], [z]
-        for s in part.subdomains:
-            cells = self.usable_cells.get(s.n)
-            if cells is None or not len(cells):
-                continue
-            corner_vals = np.stack([
-                self.node_values[part.cell_slots(s.n, cells + c)]
-                for c in corners], axis=1)                        # (m, 2^d)
-            qv = corner_vals @ wts.T                              # (m, S)
-            pts = map_cells(s.shift, part.eps, s.D, cells, y).reshape(-1, d)
-            fv = evaluate(pts).reshape(qv.shape)
-            q_all.append(qv.ravel())
-            r_all.append((fv - qv).ravel())
-            p_all.append(pts)
-            w_all.append(np.full(qv.size, part.eps**d * s.detD / len(y)))
-        return (np.concatenate(q_all), np.concatenate(r_all),
-                np.concatenate(p_all), np.concatenate(w_all))
+        n = part.hat_n[self.usable_rows]
+        cells = part.hat_xi[self.usable_rows]
+        # the points first: their temporaries are the largest
+        pts = map_cells(part._shift[n], part.eps, part._D[n], cells,
+                        y).reshape(-1, d)
+        corner_vals = np.stack([self.node_values[part.cell_slots(n, cells + c)]
+                                for c in corners], axis=1)        # (m, 2^d)
+        # one product per subdomain: BLAS rounds the product of a single
+        # row (a matrix-vector call) unlike that row in a larger product
+        q = np.empty((len(n), len(y)))                            # (m, S)
+        edges = np.searchsorted(n, np.arange(part.n_subdomains + 1))
+        for a, b in zip(edges[:-1], edges[1:]):
+            q[a:b] = corner_vals[a:b] @ wts.T
+        r = np.reshape(evaluate(pts), q.shape) - q
+        w = np.repeat(part.cell_measures[n] / len(y), len(y))
+        return q.ravel(), r.ravel(), pts, w
 
 
 def interpolate_Q(phi: GridFunction, partition: Partition,
@@ -534,17 +506,13 @@ def interpolate_Q(phi: GridFunction, partition: Partition,
     mode = "exact" if phi.exact_eval is not None else "grid"
     ug = unfold(phi, partition, m_y, eval_mode=mode)
     node_values = np.full(partition.n_cell_slots, np.nan)
-    node_values[partition.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
-
-    offsets = list(np.ndindex(*(2,) * partition.d))
-    usable = {}
-    for s in partition.subdomains:
-        good = np.ones(len(s.xi_hat), dtype=bool)
-        for c in offsets:
-            good &= partition.xi_hat_contains(s.n, s.xi_hat + c)
-        usable[s.n] = s.xi_hat[good]
+    node_values[partition.hat_slot] = ug.mean_over_Y()
+    good = np.ones(len(partition.hat_n), dtype=bool)
+    for c in np.ndindex(*(2,) * partition.d):
+        good &= partition.xi_hat_contains(partition.hat_n,
+                                          partition.hat_xi + c)
     return QInterpolant(partition=partition, node_values=node_values,
-                        usable_cells=usable)
+                        usable_rows=np.flatnonzero(good))
 
 
 def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
@@ -553,26 +521,39 @@ def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
 
     Returns (r_norm, grad_norm, region_measure): the L2 norms of phi - Q(phi)
     and of the gradient of phi over the same region. grad is an optional
-    callable X -> (m, d); central differences of phi otherwise.
+    callable X -> (m, d) acting point by point; central differences of phi
+    otherwise. The gradient is taken in blocks of points.
     """
     qi = interpolate_Q(phi, partition, m_y=m_y)
-    _, r, pts, w = qi.eval_cells(phi, points_per_axis)
+    r, pts, w = qi.eval_cells(phi, points_per_axis)[1:]
     r_norm = math.sqrt(float(np.sum(w * r**2)))
-    if len(pts) == 0:
-        return r_norm, 0.0, 0.0
-    if grad is not None:
-        g = np.asarray(grad(pts), dtype=float)
-    else:
+    del r               # the gradient reads the points and weights only
+    if grad is None:
         evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
-        delta = 1e-6
-        g = np.empty_like(pts)
-        for ax in range(pts.shape[1]):
-            dp, dm = pts.copy(), pts.copy()
-            dp[:, ax] += delta
-            dm[:, ax] -= delta
-            g[:, ax] = (evaluate(dp) - evaluate(dm)) / (2 * delta)
-    grad_norm = math.sqrt(float(np.sum(w * np.sum(g**2, axis=1))))
+        grad = partial(_central_gradient, evaluate)
+    g2 = np.empty(len(pts))             # |grad phi|^2 per point
+    for rows in _row_blocks(len(pts), pts.shape[1]):
+        g2[rows] = np.sum(np.asarray(grad(pts[rows]), dtype=float) ** 2,
+                          axis=1)
+    grad_norm = math.sqrt(float(np.sum(w * g2)))
     return r_norm, grad_norm, float(np.sum(w))
+
+
+def _central_gradient(evaluate: Callable[[np.ndarray], np.ndarray],
+                      X: np.ndarray) -> np.ndarray:
+    """Central differences of evaluate at the points X, (m, d)."""
+    delta = 1e-6
+    g = np.empty_like(X)
+    # one copy of the points, moved along one axis at a time
+    moved = X.copy()
+    for ax in range(X.shape[1]):
+        np.add(X[:, ax], delta, out=moved[:, ax])
+        g[:, ax] = evaluate(moved)
+        np.subtract(X[:, ax], delta, out=moved[:, ax])
+        g[:, ax] -= evaluate(moved)
+        g[:, ax] /= 2 * delta
+        moved[:, ax] = X[:, ax]
+    return g
 
 
 def lts_pairing(u: GridFunction, psi: ScalarFieldOnCells,
@@ -595,11 +576,13 @@ def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
     """
     mode = "exact" if phi.exact_eval is not None else "grid"
     ug = unfold(phi, partition, m_y, eval_mode=mode)
+    m = len(ug.y_nodes)
     total = 0.0
-    for e in range(ug.n_entries):
-        v = ug.values[e]
-        diff = v[None, :] - v[:, None]      # x-sample index first
-        total += ug.weight[e] / len(v) * float(np.sum(diff**2))
+    for rows in _row_blocks(ug.n_entries, m * m):
+        v = ug.values[rows]
+        diff = v[:, None, :] - v[:, :, None]      # x-sample index first
+        diff **= 2
+        total += float(np.sum(ug.weight[rows] / m * diff.sum(axis=(1, 2))))
     return math.sqrt(total)
 
 
@@ -609,19 +592,19 @@ def norm_unfold_of_lp_minus_psi(psi: ScalarFieldOnCells, partition: Partition,
     the two-scale field itself, sampled per cell in (x, y)."""
     lp_field = grid_function_from_callable(
         lambda X: lp_approx_batch(psi, partition, X, variant="L"),
-        lo, hi, h, keep_exact=True)
+        lo, hi, h)
     ug = unfold(lp_field, partition, m_y, eval_mode="exact")
-    m = len(ug.y_nodes)
-    Yrep = np.tile(ug.y_nodes, (m, 1))
+    m, d = len(ug.y_nodes), partition.d
     total = 0.0
-    for s in partition.subdomains:
-        sel = np.where(ug.sub_index == s.n)[0]
-        if not len(sel):
-            continue
-        pts = map_cells(s.shift, partition.eps, s.D, ug.xi[sel], ug.y_nodes)
-        for row, e in enumerate(sel):
-            # psi_tilde(x_t, y_s) on the product of the sample sets
-            ps = psi.f(np.repeat(pts[row], m, axis=0), Yrep).reshape(m, m)
-            diff = ug.values[e][None, :] - ps
-            total += ug.weight[e] / m * float(np.sum(diff**2))
+    for rows in _row_blocks(ug.n_entries, m * m):
+        n = partition.hat_n[rows]
+        pts = map_cells(partition._shift[n], partition.eps, partition._D[n],
+                        partition.hat_xi[rows], ug.y_nodes)
+        # psi_tilde(x_t, y_s) on the product of the sample sets of each row
+        X = np.repeat(pts, m, axis=1).reshape(-1, d)
+        Y = np.tile(ug.y_nodes, (len(n) * m, 1))
+        diff = (ug.values[rows][:, None, :]
+                - np.reshape(psi.f(X, Y), (len(n), m, m)))
+        diff **= 2
+        total += float(np.sum(ug.weight[rows] / m * diff.sum(axis=(1, 2))))
     return math.sqrt(total)

@@ -78,10 +78,8 @@ class TestUnfoldingIdentities:
         # a field constant on every lattice cell is integrated exactly
         sc = get_scenario("periodic")
         part = build_partition((LO, HI), 1 / 16, 0.5, sc.transform)
-        rng = np.random.default_rng(7)
-        table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
-                 for s in part.subdomains for xi in s.xi_hat}
-        phi = lattice_pwc_field(part, table, LO, HI, 1 / 128)
+        values = np.random.default_rng(7).uniform(-1, 1, len(part.hat_n))
+        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
         _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
         assert gap <= 1e-12
 
@@ -92,7 +90,7 @@ class TestUnfoldingIdentities:
         part = build_partition((LO, HI), 1 / 16, 0.5, sc.transform)
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 128, keep_exact=True)
+            LO, HI, 1 / 128)
         gap4 = check_integration_identity(phi, part, 4, eval_mode="exact")[2]
         gap8 = check_integration_identity(phi, part, 8, eval_mode="exact")[2]
         assert gap8 > 0.0
@@ -115,7 +113,7 @@ class TestUnfoldingIdentities:
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
             phi = grid_function_from_callable(
                 lambda X: np.sin(np.pi * X[:, 0]) * np.cos(np.pi * X[:, 1]),
-                LO, HI, eps / 8, keep_exact=True)
+                LO, HI, eps / 8)
             vals.append(norm_unfold_minus_identity(phi, part, m_y=4))
         assert vals[0] > vals[1] > vals[2]
 
@@ -142,8 +140,7 @@ class TestUnfoldingIdentities:
         ratios = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
-            phi = grid_function_from_callable(f, LO, HI, eps / 8,
-                                              keep_exact=True)
+            phi = grid_function_from_callable(f, LO, HI, eps / 8)
             rn, gn, meas = remainder_R(phi, part, grad=g)
             assert meas > 0.0
             ratios.append(rn / (eps * gn))

@@ -505,8 +505,10 @@ class TestBenchmarkHooks:
 
 
     def test_partition_builds_are_traced(self, tmp_path):
-        # perfbench wraps micro.build_partition and cli.build_partition; a
-        # covering built past those bindings would drop its span silently
+        # perfbench wraps micro.build_partition and cli.build_partition, and
+        # the check-unfold checks through their lphom.cli bindings; a
+        # covering or check run past those bindings would drop its span
+        # silently
         root = Path(__file__).resolve().parents[1]
         code = ("import json, sys\n"
                 "from tracing import Tracer, install_lphom_hooks\n"
@@ -524,8 +526,11 @@ class TestBenchmarkHooks:
                 "assert cli.main(['check-unfold', '--scenario', 'plywood2d',"
                 " '--eps', '1/8,1/16,1/32,1/64,1/128',"
                 " '--outdir', sys.argv[1]]) == 0\n"
+                "spans = [s['name'] for s in t.spans]\n"
                 "print(json.dumps({'grid': grid,"
-                " 'unfold': cells()[len(grid):]}))\n")
+                " 'unfold': cells()[len(grid):],"
+                " 'checks': {k: spans.count('unfolding.' + k) for k in"
+                " ('pwc_field', 'integration', 'boundary')}}))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), str(root / "perfbench")]))
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
@@ -536,6 +541,10 @@ class TestBenchmarkHooks:
         assert len(got["grid"]) == 1
         assert len(got["unfold"]) == 5
         assert sum(got["unfold"]) == 28022
+        # per eps: one piecewise-constant field, three integration checks
+        # (piecewise constant, smooth at m_y = 4 and 8), one boundary check
+        assert got["checks"] == {"pwc_field": 5, "integration": 15,
+                                 "boundary": 5}
 
 
 class TestCellCommand:

@@ -210,7 +210,7 @@ class TestAssemble:
         assert part.n_subdomains == len(op.nodes) == 16
         for s in part.subdomains:
             assert np.array_equal(s.anchor, op.nodes[s.n])
-            rows = bu.metric[bu.sub_index == s.n] * bu.ref_weights
+            rows = bu.metric[part.hat_n][part.hat_n == s.n] * bu.ref_weights
             assert len(rows) and (rows == op.gamma_w[s.n]).all()
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lphom.geometry import (
     ScalarFieldOnCells,
+    _covering,
     TransformField,
     UnitCellSpec,
     build_partition,
@@ -111,7 +112,7 @@ class TestUnfold:
             name="two-scale")
         phi = grid_function_from_callable(
             lambda X: lp_approx_batch(psi, part, X, variant="L"),
-            LO, HI, eps / 8, keep_exact=True)
+            LO, HI, eps / 8)
         ug = unfold(phi, part, 3, eval_mode="exact")
         xs = mapped_points(part, ug)
         oracle = np.cos(2 * np.pi * ug.y_nodes[None, :, 0]) * (1 + xs[:, :, 1])
@@ -168,13 +169,10 @@ class TestUnfold:
         # field that the cell quadrature integrates exactly
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        rng = np.random.default_rng(7)
-        table = {(s.n, tuple(int(t) for t in xi)): float(rng.normal())
-                 for s in part.subdomains for xi in s.xi_hat}
-        phi = lattice_pwc_field(part, table, LO, HI, 1 / 128, fill=0.7)
+        values = np.random.default_rng(7).normal(size=len(part.hat_n))
+        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128, fill=0.7)
         ug = unfold(phi, part, 4, eval_mode="exact")
-        exact_sq = sum(part.eps**2 * part.subdomains[n].detD * v**2
-                       for (n, _), v in table.items())
+        exact_sq = float(np.sum(part.cell_measures[part.hat_n] * values**2))
         full_norm = math.sqrt(exact_sq + 0.7**2 * part.lambda_measure)
         assert ug.weighted_l2() <= full_norm + 1e-8
 
@@ -204,7 +202,7 @@ class TestLocalAverage:
     def test_constant(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
         phi = grid_function_from_callable(lambda X: np.full(len(X), 1.5),
-                                          LO, HI, 1 / 64, keep_exact=True)
+                                          LO, HI, 1 / 64)
         avg = local_average(phi, part)
         X = part.subdomains[0].shift + 1 / 8 * (part.subdomains[0].xi_hat + 0.5)
         assert np.max(np.abs(avg.exact_eval(X) - 1.5)) <= 1e-13
@@ -213,8 +211,7 @@ class TestLocalAverage:
         # average of x1 over the lattice cell anchored at xi is eps*(xi1 + 1/2)
         eps = 1 / 4
         part = single_subdomain_partition(eps)
-        phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32)
         avg = local_average(phi, part)
         probe = np.array([[eps * (1 + 0.3), eps * (2 + 0.6)]])   # cell (1, 2)
         assert abs(float(avg.exact_eval(probe)[0]) - eps * 1.5) <= 1e-13
@@ -222,8 +219,7 @@ class TestLocalAverage:
     def test_idempotence_exact(self):
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         a1 = local_average(phi, part)
         a2 = local_average(a1, part)
         probe = np.random.default_rng(3).uniform(0.05, 0.95, size=(200, 2))
@@ -232,8 +228,7 @@ class TestLocalAverage:
     def test_consistency_with_unfold_mean(self):
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         ug = unfold(phi, part, 4, eval_mode="exact")
         avg = local_average(phi, part, m_y=4)
         means = ug.mean_over_Y()
@@ -244,7 +239,7 @@ class TestLocalAverage:
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI,
-                                          1 / 64, keep_exact=True)
+                                          1 / 64)
         avg = local_average(phi, part)
         n, xi, y, lam = locate_batch(part, np.array([[0.98, 0.98]]))
         if lam[0]:
@@ -261,10 +256,8 @@ class TestIntegrationIdentity:
 
     def test_piecewise_constant_exact(self):
         part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
-        rng = np.random.default_rng(11)
-        table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
-                 for s in part.subdomains for xi in s.xi_hat}
-        phi = lattice_pwc_field(part, table, LO, HI, 1 / 128)
+        values = np.random.default_rng(11).uniform(-1, 1, len(part.hat_n))
+        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
         _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
         assert gap <= 1e-12
 
@@ -273,17 +266,14 @@ class TestIntegrationIdentity:
         # constant per lattice cell is integrated exactly there too
         ply = plywood2d_scenario()
         part = build_partition((LO, HI), 1 / 16, 0.5, ply.transform)
-        rng = np.random.default_rng(12)
-        table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
-                 for s in part.subdomains for xi in s.xi_hat}
-        phi = lattice_pwc_field(part, table, LO, HI, 1 / 128)
+        values = np.random.default_rng(12).uniform(-1, 1, len(part.hat_n))
+        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
         _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
         assert gap <= 1e-12
 
     def test_smooth_gap_shrinks_with_m_y(self):
         part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256)
         gaps = [check_integration_identity(phi, part, m, eval_mode="exact")[2]
                 for m in (2, 4)]
         assert gaps[1] <= gaps[0] / 4
@@ -295,7 +285,7 @@ class TestIntegrationIdentity:
         part = build_partition((LO, HI), eps, 0.5, identity_transform(2))
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 256, keep_exact=True)
+            LO, HI, 1 / 256)
         gap4 = check_integration_identity(phi, part, 4, eval_mode="exact")[2]
         gap8 = check_integration_identity(phi, part, 8, eval_mode="exact")[2]
         C = gap4 / (eps / 4) ** 2
@@ -379,7 +369,7 @@ class TestQInterpolant:
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 16, 0.5, epi.transform)
         phi = grid_function_from_callable(lambda X: np.full(len(X), 2.5),
-                                          LO, HI, 1 / 128, keep_exact=True)
+                                          LO, HI, 1 / 128)
         qi = interpolate_Q(phi, part)
         _, r, _, w = qi.eval_cells(phi, 4)
         assert len(r) and np.max(np.abs(r)) == 0.0
@@ -391,20 +381,15 @@ class TestQInterpolant:
         epi = epithelial_scenario()
         part = build_partition((LO, HI), eps, 0.5, epi.transform)
         aff = lambda X: 3.0 + 2.0 * X[:, 0] - 1.25 * X[:, 1]
-        phi = grid_function_from_callable(aff, LO, HI, 1 / 256, keep_exact=True)
+        phi = grid_function_from_callable(aff, LO, HI, 1 / 256)
         qi = interpolate_Q(phi, part)
         q, r, pts, w = qi.eval_cells(phi, 4)
-        off = 0
-        for s in part.subdomains:
-            cells = qi.usable_cells.get(s.n)
-            if cells is None or not len(cells):
-                continue
-            m = len(cells) * 16
-            shift_vec = eps * s.D @ np.array([0.5, 0.5])
-            pred = aff(pts[off:off + m]) - aff(pts[off:off + m] + shift_vec)
-            assert np.max(np.abs(r[off:off + m] - pred)) <= 1e-12
-            off += m
-        assert off == len(r)
+        assert len(r) == 16 * len(qi.usable_rows)
+        # each sample's subdomain, cell after cell in row order
+        n = np.repeat(part.hat_n[qi.usable_rows], 16)
+        shift_vec = eps * part._D[n] @ np.array([0.5, 0.5])
+        pred = aff(pts) - aff(pts + shift_vec)
+        assert np.max(np.abs(r - pred)) <= 1e-12
 
     def test_remainder_first_order_band(self):
         per = periodic_scenario()
@@ -414,8 +399,7 @@ class TestQInterpolant:
         ratios = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, per.transform)
-            phi = grid_function_from_callable(f, LO, HI, eps / 8,
-                                              keep_exact=True)
+            phi = grid_function_from_callable(f, LO, HI, eps / 8)
             rn, gn, meas = remainder_R(phi, part, grad=g)
             assert meas > 0
             ratios.append(rn / (eps * gn))
@@ -425,14 +409,14 @@ class TestQInterpolant:
     def test_usable_cells_have_full_corner_stencil(self):
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         qi = interpolate_Q(phi, part)
-        for s in part.subdomains:
-            hat = set(map(tuple, s.xi_hat))
-            for xi in qi.usable_cells[s.n]:
-                for c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    assert (xi[0] + c[0], xi[1] + c[1]) in hat
+        hats = [set(map(tuple, s.xi_hat)) for s in part.subdomains]
+        assert len(qi.usable_rows)
+        for e in qi.usable_rows:
+            xi = part.hat_xi[e]
+            for c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                assert (xi[0] + c[0], xi[1] + c[1]) in hats[part.hat_n[e]]
 
 
 class TestPairingAndDiagnostics:
@@ -486,8 +470,7 @@ class TestPairingAndDiagnostics:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, epi.transform)
-            phi = grid_function_from_callable(smooth_field(), LO, HI, eps / 8,
-                                              keep_exact=True)
+            phi = grid_function_from_callable(smooth_field(), LO, HI, eps / 8)
             vals.append(norm_unfold_minus_identity(phi, part, m_y=4))
         assert vals[0] > vals[1] > vals[2]
 
@@ -551,15 +534,25 @@ def reference_interpolate_Q(phi, partition, points_per_axis):
 
 
 def reference_local_average(phi, partition, m_y=4):
-    """local_average through a dict keyed by (n, xi) and lattice_pwc_field."""
+    """local_average through a dict keyed by (n, xi) and the per-point dict
+    lookup."""
     mode = "exact" if phi.exact_eval is not None else "grid"
     ug = unfold(phi, partition, m_y, eval_mode=mode)
     means = ug.mean_over_Y()
     table = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])): means[e]
              for e in range(ug.n_entries)}
-    out = lattice_pwc_field(partition, table, phi.lo, phi.hi, phi.h, fill=0.0)
+    out = grid_function_from_callable(
+        lambda X: reference_pwc_eval(partition, table, 0.0, X),
+        phi.lo, phi.hi, phi.h)
     out.mask = phi.mask.copy()
     return out
+
+
+def row_values(partition, table, fill):
+    """One value per Xi_hat row from a dict keyed by (n, xi); unlisted
+    cells get fill."""
+    return np.array([table.get((n, tuple(xi)), fill) for n, xi in
+                     zip(partition.hat_n.tolist(), partition.hat_xi.tolist())])
 
 
 def assert_same_bits(got, ref):
@@ -588,7 +581,8 @@ class TestVectorizedLookups:
         last = part.subdomains[-1]
         table[(-1, tuple(int(t) for t in last.xi_hat[0]))] = 7.0
         h = 1 / 256
-        phi = lattice_pwc_field(part, table, LO, HI, h, fill=0.7)
+        phi = lattice_pwc_field(part, row_values(part, table, 0.7), LO, HI, h,
+                                fill=0.7)
         X = phi.centers().reshape(-1, 2)
         assert locate_batch(part, X)[3].any()       # leftover points
         ref = reference_pwc_eval(part, table, 0.7, X)
@@ -602,8 +596,7 @@ class TestVectorizedLookups:
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
     def test_local_average_matches_the_dict_path(self, name, eps):
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256)
         avg = local_average(phi, part)
         ref = reference_local_average(phi, part)
         assert_same_bits(avg.mask, ref.mask)
@@ -637,10 +630,8 @@ class TestVectorizedLookups:
     def test_chunked_pwc_grid_matches_one_shot(self):
         part = build_partition((LO, HI), 1 / 32, 0.5,
                                plywood2d_scenario().transform)
-        rng = np.random.default_rng(2)
-        table = {(s.n, tuple(int(t) for t in xi)): float(rng.normal())
-                 for s in part.subdomains for xi in s.xi_hat}
-        phi = lattice_pwc_field(part, table, LO, HI, 1 / 600)
+        values = np.random.default_rng(2).normal(size=len(part.hat_n))
+        phi = lattice_pwc_field(part, values, LO, HI, 1 / 600)
         X = phi.centers().reshape(-1, 2)
         assert_same_bits(phi.values.ravel(), phi.exact_eval(X))
 
@@ -648,14 +639,16 @@ class TestVectorizedLookups:
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
     def test_q_tables_match_the_dict_and_set(self, name, eps):
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
         qi = interpolate_Q(phi, part)
         usable, q_ref = reference_interpolate_Q(phi, part, 4)
         assert len(q_ref) or eps == 1 / 8
-        assert sorted(qi.usable_cells) == sorted(usable)
-        for n in usable:
-            assert_same_bits(qi.usable_cells[n], usable[n])
+        # the usable rows as a dict from n to cells
+        n, xi = part.hat_n[qi.usable_rows], part.hat_xi[qi.usable_rows]
+        usable_cells = {s.n: xi[n == s.n] for s in part.subdomains}
+        assert sorted(usable_cells) == sorted(usable)
+        for k in usable:
+            assert_same_bits(usable_cells[k], usable[k])
         assert_same_bits(qi.eval_cells(phi, 4)[0], q_ref)
 
 
@@ -711,7 +704,8 @@ class TestLazySampling:
             return located(partition, X)
 
         monkeypatch.setattr(unfolding, "locate_slots", counting_locate)
-        phi = lattice_pwc_field(part, {}, LO, HI, 1 / 128, fill=0.5)
+        phi = lattice_pwc_field(part, np.full(len(part.hat_n), 0.5), LO, HI,
+                                1 / 128, fill=0.5)
         assert counted == []
         assert np.all(phi.values == 0.5) and sum(counted) == 128 * 128
 
@@ -820,8 +814,7 @@ class TestOneCopyMatchesTheConcatenatingReference:
     def test_unfold(self, name, eps, mask_mode, eval_mode):
         part = scenario_partition(name, eps)
         cell = get_scenario(name).cell
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128,
-                                          keep_exact=True)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
         if mask_mode == "perforated" and any(
                 np.max(np.abs(s.K - np.eye(2))) > 1e-13
                 for s in part.subdomains):
@@ -855,15 +848,26 @@ class TestOneCopyMatchesTheConcatenatingReference:
 
         bu = unfold_boundary(psi, part, quad)
         ref = reference_unfold_boundary(psi, part, quad, p)
+        # the rows are the partition's row layout, and the metric and
+        # |det D_n| are kept once per subdomain: gathered per row, they
+        # are the broadcast reference
+        assert bu.partition is part
+        got = {"sub_index": part.hat_n, "xi": part.hat_xi,
+               "values": bu.values, "metric": bu.metric[part.hat_n],
+               "detD": part._detD[part.hat_n]}
         for key in ("sub_index", "xi", "values", "metric", "detD"):
-            assert_same_bits(getattr(bu, key), getattr(ref, key))
+            assert_same_bits(got[key], getattr(ref, key))
+        assert bu.metric.shape == (part.n_subdomains, 16)
         assert bu.weighted_power_sum(p) == ref.weighted_power_sum
         assert bu.direct_surface_integral(p) == ref.direct_surface_integral
 
     def test_empty_covering_keeps_shapes(self):
-        part = scenario_partition("periodic", 1 / 8)
-        empty = SimpleNamespace(d=2, eps=part.eps, subdomains=[
-            SimpleNamespace(xi_hat=np.zeros((0, 2), dtype=int))])
+        # cells of side 2 fit in none of the four half-domain subdomains
+        half = np.array([0.0, 0.5, 1.0])
+        empty = _covering(LO, HI, [half, half], 2.0, 0.5,
+                          identity_transform(2))
+        assert empty.n_subdomains == 4
+        assert all(len(s.xi_hat) == 0 for s in empty.subdomains)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         ug = unfold(phi, empty, 4)
         assert ug.values.shape == (0, 16) and ug.xi.shape == (0, 2)
@@ -871,8 +875,152 @@ class TestOneCopyMatchesTheConcatenatingReference:
         assert ug.weighted_sum() == 0.0
         quad = GammaQuadrature(UnitCellSpec(a=0.25), 8)
         bu = unfold_boundary(lambda X: X[:, 0], empty, quad)
-        assert bu.values.shape == bu.metric.shape == (0, 8)
+        assert bu.values.shape == bu.metric[empty.hat_n].shape == (0, 8)
         assert bu.weighted_power_sum() == bu.direct_surface_integral() == 0.0
+
+
+def reference_norm_unfold_minus_identity(phi, partition, m_y):
+    """norm_unfold_minus_identity as it was: a Python loop over entries."""
+    mode = "exact" if phi.exact_eval is not None else "grid"
+    ug = unfold(phi, partition, m_y, eval_mode=mode)
+    total = 0.0
+    for e in range(ug.n_entries):
+        v = ug.values[e]
+        diff = v[None, :] - v[:, None]      # x-sample index first
+        total += ug.weight[e] / len(v) * float(np.sum(diff**2))
+    return math.sqrt(total)
+
+
+def reference_norm_unfold_of_lp_minus_psi(psi, partition, m_y, lo, hi, h):
+    """norm_unfold_of_lp_minus_psi as it was: per subdomain, a Python loop
+    over its entries."""
+    lp_field = grid_function_from_callable(
+        lambda X: lp_approx_batch(psi, partition, X, variant="L"), lo, hi, h)
+    ug = unfold(lp_field, partition, m_y, eval_mode="exact")
+    m = len(ug.y_nodes)
+    Yrep = np.tile(ug.y_nodes, (m, 1))
+    total = 0.0
+    for s in partition.subdomains:
+        sel = np.where(ug.sub_index == s.n)[0]
+        if not len(sel):
+            continue
+        pts = unfolding.map_cells(s.shift, partition.eps, s.D, ug.xi[sel],
+                                  ug.y_nodes)
+        for row, e in enumerate(sel):
+            # psi_tilde(x_t, y_s) on the product of the sample sets
+            ps = psi.f(np.repeat(pts[row], m, axis=0), Yrep).reshape(m, m)
+            diff = ug.values[e][None, :] - ps
+            total += ug.weight[e] / m * float(np.sum(diff**2))
+    return math.sqrt(total)
+
+
+def reference_eval_cells(phi, partition, points_per_axis, m_y=4):
+    """interpolate_Q and eval_cells as they were: a dict from n to the
+    usable cells of subdomain n, and per-subdomain blocks joined by
+    np.concatenate."""
+    part = partition
+    ug = unfold(phi, part, m_y, eval_mode="exact")
+    node_values = np.full(part.n_cell_slots, np.nan)
+    node_values[part.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
+    usable = {}
+    for s in part.subdomains:
+        good = np.ones(len(s.xi_hat), dtype=bool)
+        for c in np.ndindex(*(2,) * part.d):
+            good &= part.xi_hat_contains(s.n, s.xi_hat + c)
+        usable[s.n] = s.xi_hat[good]
+    d = part.d
+    y = unfolding._unit_cell_nodes(points_per_axis, d)
+    corners = np.array(list(np.ndindex(*(2,) * d)))
+    wts = np.ones((len(y), len(corners)))
+    for ax in range(d):
+        wts *= np.where(corners[None, :, ax] > 0.5,
+                        y[:, None, ax], 1.0 - y[:, None, ax])
+    z = np.zeros(0)
+    q_all, r_all, p_all, w_all = [z], [z], [np.zeros((0, d))], [z]
+    for s in part.subdomains:
+        cells = usable.get(s.n)
+        if cells is None or not len(cells):
+            continue
+        corner_vals = np.stack([
+            node_values[part.cell_slots(s.n, cells + c)]
+            for c in corners], axis=1)
+        qv = corner_vals @ wts.T
+        pts = unfolding.map_cells(s.shift, part.eps, s.D, cells,
+                                  y).reshape(-1, d)
+        fv = phi.exact_eval(pts).reshape(qv.shape)
+        q_all.append(qv.ravel())
+        r_all.append((fv - qv).ravel())
+        p_all.append(pts)
+        w_all.append(np.full(qv.size, part.eps**d * s.detD / len(y)))
+    return (np.concatenate(q_all), np.concatenate(r_all),
+            np.concatenate(p_all), np.concatenate(w_all))
+
+
+def reference_remainder_R(phi, partition, grad=None):
+    """remainder_R as it was, on reference_eval_cells, with two shifted
+    copies of the points per axis for the central differences."""
+    _, r, pts, w = reference_eval_cells(phi, partition, 4)
+    r_norm = math.sqrt(float(np.sum(w * r**2)))
+    if len(pts) == 0:
+        return r_norm, 0.0, 0.0
+    if grad is not None:
+        g = np.asarray(grad(pts), dtype=float)
+    else:
+        delta = 1e-6
+        g = np.empty_like(pts)
+        for ax in range(pts.shape[1]):
+            dp, dm = pts.copy(), pts.copy()
+            dp[:, ax] += delta
+            dm[:, ax] -= delta
+            g[:, ax] = (phi.exact_eval(dp) - phi.exact_eval(dm)) / (2 * delta)
+    grad_norm = math.sqrt(float(np.sum(w * np.sum(g**2, axis=1))))
+    return r_norm, grad_norm, float(np.sum(w))
+
+
+def smooth_gradient(X):
+    return 2 * np.pi * np.stack(
+        [np.cos(2 * np.pi * X[:, 0]) * np.sin(2 * np.pi * X[:, 1]),
+         np.sin(2 * np.pi * X[:, 0]) * np.cos(2 * np.pi * X[:, 1])], axis=1)
+
+
+class TestRowPassesMatchThePerEntryReference:
+    """The norms, Q and R run array passes over the Xi_hat rows; they must
+    agree with the per-entry and per-subdomain code they replace."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
+    def test_norm_unfold_minus_identity(self, name, eps):
+        part = scenario_partition(name, eps)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, eps / 8)
+        got = norm_unfold_minus_identity(phi, part, m_y=4)
+        ref = reference_norm_unfold_minus_identity(phi, part, 4)
+        assert ref > 0 and abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
+    def test_norm_unfold_of_lp_minus_psi(self, name, eps):
+        part = scenario_partition(name, eps)
+        psi = ScalarFieldOnCells(
+            lambda X, Y: (np.sin(2 * np.pi * Y[:, 0]) * (1 + 0.5 * X[:, 1])
+                          + X[:, 0] * Y[:, 1]), name="two-scale test field")
+        got = norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI, eps / 8)
+        ref = reference_norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
+                                                    eps / 8)
+        assert ref > 0 and abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_eval_cells_and_remainder(self, name, eps):
+        part = scenario_partition(name, eps)
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
+        got = interpolate_Q(phi, part).eval_cells(phi, 4)
+        ref = reference_eval_cells(phi, part, 4)
+        assert len(ref[0]) or eps == 1 / 8
+        for a, b in zip(got, ref):
+            assert_same_bits(a, b)
+        for grad in (None, smooth_gradient):
+            assert (remainder_R(phi, part, grad=grad)
+                    == reference_remainder_R(phi, part, grad))
 
 
 def traced_peak(fn):
@@ -901,7 +1049,7 @@ class TestUnfoldingMemory:
         part = scenario_partition("plywood2d", 1 / 128)
         smooth = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 128, keep_exact=True)
+            LO, HI, 1 / 128)
         n_cells = sum(len(s.xi_hat) for s in part.subdomains)
         peak = traced_peak(lambda: check_integration_identity(
             smooth, part, 8, eval_mode="exact"))
@@ -913,4 +1061,13 @@ class TestUnfoldingMemory:
         n_cells = sum(len(s.xi_hat) for s in part.subdomains)
         peak = traced_peak(lambda: check_boundary_identity(
             lambda X: 1.0 + X[:, 0], part, quad))
-        assert peak <= 4.6 * n_cells * 16 * 8
+        assert peak <= 2.5 * n_cells * 16 * 8
+
+    def test_remainder_peak(self):
+        part = scenario_partition("plywood2d", 1 / 128)
+        smooth = grid_function_from_callable(
+            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
+            LO, HI, 1 / 128)
+        r = interpolate_Q(smooth, part).eval_cells(smooth, 4)[1]
+        peak = traced_peak(lambda: remainder_R(smooth, part))
+        assert peak <= 7.6 * r.nbytes

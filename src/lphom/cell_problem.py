@@ -41,16 +41,16 @@ _GL_W = 0.5 * _GL_W
 
 
 def _coefficient_matrix(A: CoefficientLike, x: np.ndarray,
-                        y_phys: np.ndarray, d: int) -> np.ndarray:
-    """Microscopic coefficient as a (d, d) SPD matrix at one point."""
+                        y_phys: np.ndarray) -> np.ndarray:
+    """Microscopic coefficient as a (2, 2) SPD matrix at one point."""
     if callable(A):
         M = np.asarray(A(x, y_phys), dtype=float)
     elif np.ndim(A) == 0:
-        M = float(A) * np.eye(d)
+        M = float(A) * np.eye(2)
     else:
         M = np.asarray(A, dtype=float)
-    if M.shape != (d, d):
-        raise ValueError(f"coefficient must be {d}x{d}, got {M.shape}")
+    if M.shape != (2, 2):
+        raise ValueError(f"coefficient must be 2x2, got {M.shape}")
     if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, float(np.max(np.abs(M)))):
         raise ValueError("coefficient matrix must be symmetric")
     if np.min(np.linalg.eigvalsh(M)) <= 0:
@@ -73,12 +73,11 @@ def pullback_coefficient(A: CoefficientLike, transform: TransformField,
     Dinv = np.linalg.inv(D)
 
     if not callable(A):
-        M = _coefficient_matrix(A, x, np.zeros_like(x), transform.d)
+        M = _coefficient_matrix(A, x, np.zeros_like(x))
         return detD * Dinv @ M @ Dinv.T
 
     def B(y: np.ndarray) -> np.ndarray:
-        M = _coefficient_matrix(A, x, D @ np.asarray(y, dtype=float),
-                                transform.d)
+        M = _coefficient_matrix(A, x, D @ np.asarray(y, dtype=float))
         return detD * Dinv @ M @ Dinv.T
 
     return B
@@ -271,7 +270,7 @@ class CellGeometry:
     cell: UnitCellSpec
     B11: float
     B22: float
-    forcing: np.ndarray          # (d, d): column j is D^T e_j
+    forcing: np.ndarray          # (2, 2): column j is D^T e_j
     fluid_area: float            # quadrature measure of the fluid part
     S: sp.csr_matrix             # (N*N, N*N)
     unit_forcings: np.ndarray    # (2, N*N)
@@ -305,8 +304,6 @@ def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
     """Cut cells, stiffness matrix and unit forcings of the problem at x."""
     check_cell_grid(N_c)
     x = np.asarray(x, dtype=float)
-    if transform.d != 2:
-        raise NotImplementedError("cell solver is two-dimensional")
     Bmat = _cell_coefficient(A, transform, x)
     scale = float(np.max(np.abs(Bmat)))
     if abs(Bmat[0, 1]) > 1e-12 * scale:
@@ -363,10 +360,10 @@ class CellSolution:
     """Correctors of one macro point, nodal fields on the reference grid."""
 
     geometry: CellGeometry
-    unit_correctors: np.ndarray  # (d, N, N) for forcings e_x, e_y; zero
+    unit_correctors: np.ndarray  # (2, N, N) for forcings e_x, e_y; zero
                                  # outside fluid
-    residuals: np.ndarray        # (d,) relative residuals of the unit solves
-    iterations: np.ndarray       # (d,) solver iterations, 0 for the direct
+    residuals: np.ndarray        # (2,) relative residuals of the unit solves
+    iterations: np.ndarray       # (2,) solver iterations, 0 for the direct
                                  # solve
 
     @property
@@ -450,10 +447,9 @@ def effective_tensor(x, transform: TransformField, sol: CellSolution):
     G = sol.unit_tensor
     D = transform.D_at(np.asarray(x, dtype=float))
     detD = abs(float(np.linalg.det(D)))
-    d = D.shape[0]
-    A_eff = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
+    A_eff = np.empty((2, 2))
+    for i in range(2):
+        for j in range(i, 2):
             A_eff[i, j] = A_eff[j, i] = float(D[i] @ G @ D[j]) / detD
     return A_eff, porosity(transform, sol.geometry.cell, x)
 
@@ -462,8 +458,8 @@ def effective_tensor(x, transform: TransformField, sol: CellSolution):
 class EffectiveTensorField:
     """Effective tensors at a list of macro sample points."""
 
-    points: np.ndarray           # (m, d)
-    tensors: np.ndarray          # (m, d, d)
+    points: np.ndarray           # (m, 2)
+    tensors: np.ndarray          # (m, 2, 2)
     theta: np.ndarray            # (m,)
     residual: np.ndarray         # (m,)
     N_c: int
@@ -493,15 +489,15 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
     check_cell_grid(N_c)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(pts)
-    d = transform.d
-    tensors = np.zeros((m, d, d))
-    theta = np.zeros(m)
+    tensors = np.zeros((m, 2, 2))
+    theta = np.full(m, np.nan)
     residual = np.zeros(m)
     errors: list = [None] * m
     cache: dict = {}            # (B, K) key -> CellSolution or error message
     for k in range(m):
         x = pts[k]
         try:
+            theta[k] = porosity(transform, cell, x)
             key = _cache_key(_cell_coefficient(A, transform, x),
                              transform.K_at(x))
         except (ValueError, NotImplementedError) as exc:
@@ -521,6 +517,5 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
         else:
             tensors[k] = effective_tensor(x, transform, sol)[0]
             residual[k] = sol.residual
-        theta[k] = porosity(transform, cell, x)
     return EffectiveTensorField(points=pts, tensors=tensors, theta=theta,
                                 residual=residual, N_c=N_c, errors=errors)

@@ -168,11 +168,11 @@ def _cmd_geom(vals: dict, args) -> int:
                  "detD,cells_interior,cells_all")
     for eps in eps_list:
         part = build_partition(((0.0, 0.0), (1.0, 1.0)), eps, r, sc.transform)
-        for s in part.subdomains:
+        for s, interior in zip(part.subdomains, np.diff(part.hat_start)):
             row = [_fmt(eps), str(s.n), str(s.k[0]), str(s.k[1]),
                    _fmt(s.anchor[0]), _fmt(s.anchor[1]),
                    _fmt(s.shift[0]), _fmt(s.shift[1]), _fmt(s.detD),
-                   str(len(s.xi_hat)), str(len(s.xi_all))]
+                   str(interior), str(len(s.xi_all))]
             lines.append(",".join(row))
     path = _out_path(vals, "geom.csv")
     _write_lines(path, lines)

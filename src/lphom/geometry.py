@@ -1,4 +1,4 @@
-"""Locally periodic microstructure geometry.
+"""Locally periodic microstructure geometry in two dimensions.
 
 Transform fields D(x), K(x), partition coverings with frozen per-subdomain
 lattices, lattice point location, locally periodic approximation operators,
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -23,67 +23,54 @@ Point = np.ndarray
 _GEOM_ATOL = 1e-12
 
 
-def rotation_matrix(alpha: float, d: int) -> Matrix:
-    """Rotation block used by plywood-like structures.
-
-    d=3 rotates about the third axis; d=2 is the upper-left block.
-    """
-    if d not in (2, 3):
-        raise ValueError(f"unsupported dimension {d}")
+def rotation_matrix(alpha: float) -> Matrix:
+    """Rotation block used by plywood-like structures."""
     if not math.isfinite(alpha):
         raise ValueError("angle must be finite")
     c, s = math.cos(alpha), math.sin(alpha)
-    if d == 2:
-        return np.array([[c, s], [-s, c]])
-    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([[c, s], [-s, c]])
 
 
 @dataclass(frozen=True)
 class UnitCellSpec:
-    """Reference unit cell Y = (0,1)^d with an optional inclusion Y0.
+    """Reference unit cell Y = (0,1)^2 with an optional inclusion Y0.
 
-    inclusion: "disk" (d=2), "cylinder" (d=3, axis 0), or "none".
-    The inclusion is centered at the cell midpoint.
+    inclusion: "disk" or "none". The disk is centered at the cell midpoint.
     """
 
-    d: int = 2
     inclusion: str = "disk"
     a: float = 0.25
+    # the cell midpoint, shared by every cell and read-only
+    center: ClassVar[Point] = np.full(2, 0.5)
+    center.flags.writeable = False
 
     def __post_init__(self):
-        if self.inclusion not in ("disk", "cylinder", "none"):
+        if self.inclusion not in ("disk", "none"):
             raise ValueError(f"unknown inclusion {self.inclusion!r}")
         if self.inclusion != "none" and not (0.0 < self.a < 0.5):
             raise ValueError("inclusion radius must satisfy 0 < a < 1/2")
-        if self.inclusion == "disk" and self.d != 2:
-            raise ValueError("disk inclusion requires d=2")
-        if self.inclusion == "cylinder" and self.d != 3:
-            raise ValueError("cylinder inclusion requires d=3")
-
-    @property
-    def center(self) -> Point:
-        return np.full(self.d, 0.5)
-
-    @property
-    def transverse_axes(self) -> tuple[int, ...]:
-        # disk: all axes; cylinder: the two axes transverse to the fiber
-        if self.inclusion == "cylinder":
-            return (1, 2)
-        return tuple(range(self.d))
 
     def inclusion_measure(self, K: Optional[Matrix] = None) -> float:
-        """|K Y0| for the centered inclusion (unit fiber length for cylinders)."""
+        """|K Y0| for the centered inclusion."""
         if self.inclusion == "none":
             return 0.0
         detK = 1.0 if K is None else abs(np.linalg.det(K))
         return math.pi * self.a**2 * detK
 
 
+def _matrix_at(f: Callable[[Point], Matrix], x: Point, name: str) -> Matrix:
+    """f(x) as a float array, which must be 2x2."""
+    M = np.asarray(f(np.asarray(x, dtype=float)), dtype=float)
+    if M.shape != (2, 2):
+        raise ValueError(f"{name}(x) must be 2x2, got shape {M.shape}")
+    return M
+
+
 @dataclass(frozen=True)
 class TransformField:
-    """The maps D(x), K(x) defining local periodicity and perforation shape."""
+    """The 2x2 maps D(x), K(x) defining local periodicity and perforation
+    shape."""
 
-    d: int
     D: Callable[[Point], Matrix]
     K: Callable[[Point], Matrix]
     detD_bounds: tuple[float, float] = (0.5, 2.0)
@@ -92,15 +79,15 @@ class TransformField:
     name: str = ""
 
     def D_at(self, x: Point) -> Matrix:
-        return np.asarray(self.D(np.asarray(x, dtype=float)), dtype=float)
+        return _matrix_at(self.D, x, "D")
 
     def K_at(self, x: Point) -> Matrix:
-        return np.asarray(self.K(np.asarray(x, dtype=float)), dtype=float)
+        return _matrix_at(self.K, x, "K")
 
 
-def identity_transform(d: int = 2) -> TransformField:
-    I = np.eye(d)
-    return TransformField(d=d, D=lambda x: I, K=lambda x: I,
+def identity_transform() -> TransformField:
+    I = np.eye(2)
+    return TransformField(D=lambda x: I, K=lambda x: I,
                           detD_bounds=(1.0, 1.0), detK_bounds=(1.0, 1.0),
                           lipschitz_budget=0.0, name="identity")
 
@@ -121,12 +108,11 @@ class Subdomain:
     detD: float
     xi0: np.ndarray            # lattice point defining the shift
     shift: Point               # x_tilde_n = eps * D @ xi0
-    xi_hat: np.ndarray         # (m, d) int, cells fully inside
     eps: float                 # lattice scale, read by xi_all
 
     @cached_property
     def xi_all(self) -> np.ndarray:
-        """(m2, d) int, cells intersecting the subdomain.
+        """(m2, 2) int, cells intersecting the subdomain.
 
         Computed on first read; only the geometry report needs it.
         """
@@ -145,13 +131,15 @@ class Partition:
 
     The Xi_hat row layout, one row per Xi_hat cell, subdomain after
     subdomain, is the order of every per-cell table and unfolded sample
-    array. Its read-only arrays: the subdomain hat_n (E,), cell hat_xi
-    (E, d) and cell slot hat_slot (E,) of each row, and hat_start, the
-    first row of each subdomain and, last, E.
+    array, and the one copy of the cells. Its read-only arrays: the
+    subdomain hat_n (E,), cell hat_xi (E, 2) and cell slot hat_slot (E,)
+    of each row, and hat_start, the first row of each subdomain and, last,
+    E.
     """
 
     def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float,
-                 subdomains: list[Subdomain]):
+                 subdomains: list[Subdomain], hat_xi: np.ndarray,
+                 hat_start: np.ndarray):
         self.domain_lo = np.asarray(domain_lo, dtype=float)
         self.domain_hi = np.asarray(domain_hi, dtype=float)
         self.breaks = breaks
@@ -159,7 +147,6 @@ class Partition:
         self.eps = eps
         self.r = r
         self.subdomains = subdomains
-        self.d = len(breaks)
         # packed per-subdomain arrays for vectorized location
         self._Dinv = np.array([s.Dinv for s in subdomains])
         self._D = np.array([s.D for s in subdomains])
@@ -170,16 +157,14 @@ class Partition:
         # the bounding box of each Xi_hat, laid out one after another,
         # row-major, as one flat index space for per-cell tables (see
         # cell_slots); _in_hat marks the slots of Xi_hat cells
-        d = self.d
-        counts = np.array([len(s.xi_hat) for s in subdomains], dtype=int)
-        self.hat_start = np.concatenate(([0], np.cumsum(counts)))
+        self.hat_start = hat_start
+        counts = np.diff(hat_start)
         self.hat_n = np.repeat(np.arange(len(subdomains)), counts)
-        hat = self.hat_xi = np.concatenate(
-            [s.xi_hat for s in subdomains]).reshape(-1, d)
+        hat = self.hat_xi = hat_xi
         full = counts > 0
         starts = self.hat_start[:-1][full]
-        self._xi_min = np.zeros((len(subdomains), d), dtype=int)
-        self._box_shape = np.ones((len(subdomains), d), dtype=int)
+        self._xi_min = np.zeros((len(subdomains), 2), dtype=int)
+        self._box_shape = np.ones((len(subdomains), 2), dtype=int)
         if len(hat):
             self._xi_min[full] = np.minimum.reduceat(hat, starts, axis=0)
             self._box_shape[full] = (np.maximum.reduceat(hat, starts, axis=0)
@@ -203,8 +188,8 @@ class Partition:
 
     @property
     def cell_measures(self) -> np.ndarray:
-        """Measure of one lattice cell per subdomain, eps^d |det D_n|."""
-        return self.eps**self.d * self._detD
+        """Measure of one lattice cell per subdomain, eps^2 |det D_n|."""
+        return self.eps**2 * self._detD
 
     @property
     def omega_hat_measure(self) -> float:
@@ -239,11 +224,11 @@ class Partition:
         every Xi_hat cell. Cells outside the box of their subdomain get -1.
         """
         n = np.asarray(n, dtype=int)
-        xi = np.asarray(xi, dtype=int).reshape(-1, self.d)
+        xi = np.asarray(xi, dtype=int).reshape(-1, 2)
         slots = np.zeros(len(xi), dtype=int)
         inside = np.ones(len(xi), dtype=bool)
         rel = np.empty(len(xi), dtype=int)
-        for ax in range(self.d):
+        for ax in range(2):
             size = self._box_shape[n, ax]
             np.subtract(xi[:, ax], self._xi_min[n, ax], out=rel)
             # one unsigned test for 0 <= rel < size
@@ -298,11 +283,10 @@ def build_partition(domain, eps: float, r: float, transform: TransformField,
         raise ValueError(f"unknown anchor rule {anchor_rule!r}")
     lo = np.asarray(domain[0], dtype=float)
     hi = np.asarray(domain[1], dtype=float)
-    d = transform.d
-    if lo.shape != (d,) or hi.shape != (d,) or np.any(hi <= lo):
-        raise ValueError("domain must be a nonempty box of matching dimension")
+    if lo.shape != (2,) or hi.shape != (2,) or np.any(hi <= lo):
+        raise ValueError("domain must be a nonempty box in the plane")
     side = eps**r
-    n_sub = [int(math.ceil((hi[i] - lo[i]) / side - 1e-9)) for i in range(d)]
+    n_sub = [int(math.ceil((hi[i] - lo[i]) / side - 1e-9)) for i in range(2)]
     # breaks lo + k side, the last one clipped to hi (or just below it, when
     # (hi - lo) / side lies within 1e-9 above a whole number)
     breaks = [np.minimum(lo[i] + np.arange(n + 1) * side, hi[i])
@@ -337,22 +321,25 @@ def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
                 f"subdomain side {side:.4g} cannot hold one full cell "
                 f"(needs at least {need[small[0]]:.4g})")
     K = np.array([transform.K_at(a) for a in anchor])
-    subs = _frozen_subdomains(ks, s_lo, s_hi, anchor, eps, D, K, on_corner)
-    return Partition(lo, hi, breaks, eps, r, subs)
+    return Partition(lo, hi, breaks, eps, r, *_frozen_subdomains(
+        ks, s_lo, s_hi, anchor, eps, D, K, on_corner))
 
 
 def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
-                      on_corner: bool = False) -> list[Subdomain]:
-    """The subdomains of a covering, built in one batched pass.
+                       on_corner: bool = False):
+    """The subdomains of a covering, built in one batched pass, and their
+    Xi_hat cells: (subdomains, hat_xi, hat_start) for Partition.
 
-    Row i of s_lo, s_hi, anchor (S, d) and of the frozen maps D, K (S, d, d)
+    Row i of s_lo, s_hi, anchor (S, 2) and of the frozen maps D, K (S, 2, 2)
     belongs to the subdomain with multi-index ks[i]. Each lattice passes
     through the lattice point eps D xi0 nearest the subdomain's lower
-    corner, or through the corner itself with on_corner.
+    corner, or through the corner itself with on_corner. The cells come
+    grouped by subdomain, in subdomain order, as _candidate_cells yields
+    them.
     """
     Dinv, Kinv = np.linalg.inv(D), np.linalg.inv(K)
     detD = np.abs(np.linalg.det(D)).tolist()
-    # matmul on stacked (d, 1) columns runs the same product per row as
+    # matmul on stacked (2, 1) columns runs the same product per row as
     # Dinv @ s_lo on one subdomain
     xi0 = np.round(np.matmul(Dinv, s_lo[..., None])[..., 0] / eps).astype(int)
     shift = s_lo.copy() if on_corner else np.matmul(eps * D, xi0[..., None])[..., 0]
@@ -364,12 +351,11 @@ def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
         owners.append(owner[inside])
         cells.append(cand[inside])
     counts = np.bincount(np.concatenate(owners), minlength=len(ks))
-    xi_hat = np.split(np.concatenate(cells), np.cumsum(counts)[:-1])
-    return [Subdomain(n=n, k=k, lo=s_lo[n], hi=s_hi[n], anchor=anchor[n],
+    subs = [Subdomain(n=n, k=k, lo=s_lo[n], hi=s_hi[n], anchor=anchor[n],
                       D=D[n], Dinv=Dinv[n], K=K[n], Kinv=Kinv[n],
-                      detD=detD[n], xi0=xi0[n], shift=shift[n],
-                      xi_hat=xi_hat[n], eps=eps)
+                      detD=detD[n], xi0=xi0[n], shift=shift[n], eps=eps)
             for n, k in enumerate(ks)]
+    return subs, np.concatenate(cells), np.append(0, np.cumsum(counts))
 
 
 # candidate cells mapped at once; bounds the corner arrays of a covering
@@ -381,12 +367,11 @@ def _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
 
     One row of the stacked arguments per subdomain. Yields, per block of
     whole subdomains with about _CELL_BLOCK cells, (owner, cand, pts): the
-    subdomain row of each cell (c,), the integer cells (c, d) of the index
+    subdomain row of each cell (c,), the integer cells (c, 2) of the index
     box around that subdomain's preimage, row-major box after box, and
-    their corner points (c, 2^d, d).
+    their corner points (c, 4, 2).
     """
-    d = s_lo.shape[1]
-    unit = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+    unit = np.array(list(np.ndindex(2, 2)), dtype=float)
     corners = np.where(unit > 0, s_hi[:, None, :], s_lo[:, None, :])
     # the preimage's index box, padded by one cell: its last bits do not
     # change which cells pass a test
@@ -400,27 +385,22 @@ def _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
         owner = np.repeat(rows, counts[rows])
         rest = np.arange(len(owner)) - np.repeat(first[rows] - first[rows[0]],
                                                  counts[rows])
-        cand = np.empty((len(owner), d), dtype=int)
-        for ax in range(d - 1, -1, -1):
+        cand = np.empty((len(owner), 2), dtype=int)
+        for ax in (1, 0):
             rest, cand[:, ax] = np.divmod(rest, size[owner, ax])
         cand += ximin[owner]
         yield owner, cand, map_cells(shift[owner], eps, D[owner], cand, unit)
 
 
 def map_cells(shift, eps: float, D, xi, y) -> np.ndarray:
-    """Points shift + eps D (xi + y), (c, k, d), of cells xi (c, d) and unit-
-    cell points y (k, d). D (d, d) and shift (d,) may also be given per cell,
-    (c, d, d) and (c, d). In 2-D, per-axis sums of two contiguous products
-    give the bits of the einsum used for other d, about 4x faster."""
+    """Points shift + eps D (xi + y), (c, k, 2), of cells xi (c, 2) and unit-
+    cell points y (k, 2). D (2, 2) and shift (2,) may also be given per
+    cell, (c, 2, 2) and (c, 2). Per-axis sums of two contiguous products
+    give the bits of the einsum contraction, about 4x faster."""
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
     D = np.asarray(D, dtype=float)
     shift = np.asarray(shift, dtype=float)
-    if D.shape[-1] != 2:
-        # einsum adds three or more terms in an order of its own
-        spec = "ij,ckj->cki" if D.ndim == 2 else "cij,ckj->cki"
-        return shift[..., None, :] + eps * np.einsum(
-            spec, D, xi[:, None, :] + y[None, :, :])
     a0 = xi[:, None, 0] + y[None, :, 0]
     a1 = xi[:, None, 1] + y[None, :, 1]
     return np.stack([(D[..., i, 0, None] * a0 + D[..., i, 1, None] * a1) * eps
@@ -429,23 +409,14 @@ def map_cells(shift, eps: float, D, xi, y) -> np.ndarray:
 
 def _cells_box_intersect(cell_pts, b_lo, b_hi, D) -> np.ndarray:
     """Separating-axis test: mapped lattice cells (parallelepipeds given by
-    their corner points, (ncand, 2^d, d)) versus one axis-aligned box,
+    their corner points, (ncand, 4, 2)) versus one axis-aligned box,
     open-interior overlap. Returns one bool per cell."""
-    d = len(b_lo)
     box_pts = np.stack([np.where(np.array(c), b_hi, b_lo)
-                        for c in np.ndindex(*(2,) * d)])
-    axes = [np.eye(d)[i] for i in range(d)]
-    Dinv_T = np.linalg.inv(D).T
-    axes += [Dinv_T[:, i] for i in range(d)]  # face normals of the mapped cell
-    if d == 3:
-        for i in range(3):
-            for j in range(3):
-                cr = np.cross(D[:, i], np.eye(3)[j])
-                if np.linalg.norm(cr) > 1e-14:
-                    axes.append(cr)
-    ax = np.stack(axes, axis=1)                 # (d, n_axes)
-    p1 = cell_pts @ ax                          # (ncand, 2^d, n_axes)
-    p2 = box_pts @ ax                           # (2^d, n_axes)
+                        for c in np.ndindex(2, 2)])
+    # the box's face normals, then the mapped cell's
+    ax = np.hstack([np.eye(2), np.linalg.inv(D).T])     # (2, 4)
+    p1 = cell_pts @ ax                          # (ncand, 4, 4)
+    p2 = box_pts @ ax                           # (4, 4)
     apart = ((p1.max(axis=1) <= p2.min(axis=0) + _GEOM_ATOL)
              | (p2.max(axis=0) <= p1.min(axis=1) + _GEOM_ATOL))
     return ~apart.any(axis=1)
@@ -455,14 +426,14 @@ def locate_slots(partition: Partition, X: np.ndarray):
     """Vectorized lattice location.
 
     Returns (n, xi, y, slot): flat subdomain index, integer lattice cell,
-    fractional in-cell coordinate in [0,1)^d, and the cell's slot in the
+    fractional in-cell coordinate in [0,1)^2, and the cell's slot in the
     per-cell tables (Partition.cell_slots), -1 in the leftover region (xi
     outside Xi_hat). Plain floor convention throughout. A point outside
     the domain, or with a NaN coordinate, raises ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lo, hi = partition.domain_lo, partition.domain_hi
-    for ax in range(partition.d):
+    for ax in range(2):
         c = X[:, ax]
         # min and max carry a NaN, and every comparison with it is False
         if len(c) and not (c.min() >= lo[ax] - _GEOM_ATOL
@@ -482,9 +453,8 @@ def locate_slots(partition: Partition, X: np.ndarray):
 
 def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
     """(xi, y, slot) of locate_slots for points grouped by subdomain n."""
-    d = partition.d
-    xi = np.empty((len(X), d), dtype=int)
-    y = np.empty((len(X), d), dtype=float)
+    xi = np.empty((len(X), 2), dtype=int)
+    y = np.empty((len(X), 2), dtype=float)
     slot = np.empty(len(X), dtype=int)
     edges = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(X)]
     for a, b in zip(edges[:-1], edges[1:]) if len(X) else ():
@@ -493,7 +463,7 @@ def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
         # product of the per-subdomain passes, bit for bit; it is a view of
         # y, which gets the fraction in the end
         u = y[a:b].T
-        for ax in range(d):
+        for ax in range(2):
             np.subtract(X[a:b, ax], partition._shift[nn, ax], out=u[ax])
         z = partition._Dinv[nn] @ u
         z /= partition.eps
@@ -520,7 +490,7 @@ def locate(partition: Partition, x) -> LocateResult:
 class ScalarFieldOnCells:
     """A function psi_tilde(x, y) continuous in x and Y-periodic in y.
 
-    f must accept arrays of shape (m, d) for both arguments.
+    f must accept arrays of shape (m, 2) for both arguments.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -559,9 +529,7 @@ def indicator_perforated(partition: Partition, cell: UnitCellSpec,
     act = ~lam
     if act.any():
         u = np.einsum("pij,pj->pi", partition._Kinv[n[act]], y[act] - c)
-        t = cell.transverse_axes
-        dist = np.sqrt(np.sum(u[:, t]**2, axis=1))
-        out[act] = dist > cell.a
+        out[act] = np.sqrt(np.sum(u**2, axis=1)) > cell.a
     return out
 
 

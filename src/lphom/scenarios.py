@@ -73,22 +73,21 @@ class Scenario:
     suite: CoefficientSuite = field(default_factory=CoefficientSuite)
 
 
-def _cell(d: int, a: float) -> UnitCellSpec:
-    """The unit cell with an inclusion of radius a; a = 0 is unperforated."""
+def _cell(a: float) -> UnitCellSpec:
+    """The unit cell with a disk of radius a; a = 0 is unperforated."""
     if not a >= 0.0:
         raise ValueError(f"inclusion radius must be at least 0, got {a!r}")
     if a == 0.0:
-        return UnitCellSpec(d=d, inclusion="none", a=0.25)
-    shape = "disk" if d == 2 else "cylinder"
-    return UnitCellSpec(d=d, inclusion=shape, a=a)
+        return UnitCellSpec(inclusion="none", a=0.25)
+    return UnitCellSpec(inclusion="disk", a=a)
 
 
 def periodic_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
     I = np.eye(2)
-    tf = TransformField(d=2, D=lambda x: I, K=lambda x: I,
+    tf = TransformField(D=lambda x: I, K=lambda x: I,
                         detD_bounds=(1.0, 1.0), detK_bounds=(1.0, 1.0),
                         lipschitz_budget=0.0, name="periodic")
-    return Scenario("periodic", tf, _cell(2, a), suite)
+    return Scenario("periodic", tf, _cell(a), suite)
 
 
 def epithelial_scenario(a: float = 0.25, kappa_base: float = 0.7,
@@ -107,10 +106,10 @@ def epithelial_scenario(a: float = 0.25, kappa_base: float = 0.7,
     k_hi = max(kappa(0.0), kappa(1.0))
     if not (0.0 < k_lo and k_hi < 1.0):
         raise ValueError("epithelial compression must stay in (0, 1)")
-    tf = TransformField(d=2, D=D, K=lambda x: I,
+    tf = TransformField(D=D, K=lambda x: I,
                         detD_bounds=(k_lo, k_hi), detK_bounds=(1.0, 1.0),
                         lipschitz_budget=abs(kappa_slope) + 0.1, name="epithelial")
-    return Scenario("epithelial", tf, _cell(2, a), suite)
+    return Scenario("epithelial", tf, _cell(a), suite)
 
 
 def plywood2d_scenario(a: float = 0.25, gamma_rate: float = math.pi / 2,
@@ -122,15 +121,15 @@ def plywood2d_scenario(a: float = 0.25, gamma_rate: float = math.pi / 2,
         return gamma_rate * x2
 
     def D(x):
-        return np.linalg.inv(rotation_matrix(gamma(x[1]), 2))
+        return np.linalg.inv(rotation_matrix(gamma(x[1])))
 
     Kmat = np.diag([1.0, k2])
     if k2 * a >= 0.5 or a >= 0.5:
         raise ValueError("elliptical inclusion leaves the unit cell")
-    tf = TransformField(d=2, D=D, K=lambda x: Kmat,
+    tf = TransformField(D=D, K=lambda x: Kmat,
                         detD_bounds=(1.0, 1.0), detK_bounds=(k2, k2),
                         lipschitz_budget=abs(gamma_rate) + 0.1, name="plywood2d")
-    return Scenario("plywood2d", tf, _cell(2, a), suite)
+    return Scenario("plywood2d", tf, _cell(a), suite)
 
 
 def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
@@ -149,11 +148,11 @@ def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
     r_hi = max(rho([0.0, 0.0]), rho([1.0, 0.0]))
     if r_hi * a >= 0.5:
         raise ValueError("scaled perforation leaves the unit cell")
-    tf = TransformField(d=2, D=lambda x: I, K=K,
+    tf = TransformField(D=lambda x: I, K=K,
                         detD_bounds=(1.0, 1.0), detK_bounds=(r_lo**2, r_hi**2),
                         lipschitz_budget=2.0 * abs(rho_slope) + 0.1,
                         name="radius-gradient")
-    return Scenario("radius-gradient", tf, _cell(2, a), suite)
+    return Scenario("radius-gradient", tf, _cell(a), suite)
 
 
 SCENARIO_NAMES = ("periodic", "epithelial", "plywood2d", "radius-gradient")

@@ -25,7 +25,7 @@ from .geometry import (
 
 
 class GridFunction:
-    """Cell-centered values on a uniform Cartesian grid over a box.
+    """Cell-centered values on a uniform Cartesian grid over a 2-D box.
 
     mask marks active cells (inside the domain, or inside the perforated
     domain). Point evaluation is bilinear in the cell-center values with
@@ -49,6 +49,9 @@ class GridFunction:
         else:
             self.values = np.asarray(values, dtype=float)
             self.shape = self.values.shape
+        if len(self.shape) != 2:
+            raise ValueError(f"a grid function needs a 2-D grid, got "
+                             f"{self.shape}")
         self.mask = np.ones(self.shape, dtype=bool) if mask is None else mask
         self.exact_eval = exact_eval
 
@@ -61,13 +64,11 @@ class GridFunction:
         return self.lo[axis] + (np.arange(n) + 0.5) * self.h
 
     def centers(self) -> np.ndarray:
-        xs = [self.axis_centers(i) for i in range(len(self.shape))]
-        return np.stack(np.meshgrid(*xs, indexing="ij"), axis=-1)
+        return np.stack(np.meshgrid(self.axis_centers(0), self.axis_centers(1),
+                                    indexing="ij"), axis=-1)
 
     def eval(self, X: np.ndarray) -> np.ndarray:
         """Bilinear interpolation at points X of shape (m, 2)."""
-        if len(self.shape) != 2:
-            raise ValueError(f"bilinear evaluation needs a 2-D grid, got {self.shape}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         t = (X - self.lo) / self.h - 0.5
         n = np.array(self.shape)
@@ -81,7 +82,7 @@ class GridFunction:
 
     def integrate(self) -> float:
         """Grid integral over active cells (midpoint rule)."""
-        return float(self.h ** len(self.shape) * self.values[self.mask].sum())
+        return float(self.h ** 2 * self.values[self.mask].sum())
 
     def copy_with(self, values: np.ndarray, exact_eval=None) -> "GridFunction":
         return GridFunction(self.lo.copy(), self.hi.copy(), self.h,
@@ -103,13 +104,12 @@ def _row_blocks(n_rows: int, per_row: int) -> list:
 def _sample_rows(f: Callable[[np.ndarray], np.ndarray],
                  grid: GridFunction) -> np.ndarray:
     """Cell-center values of f, in blocks of whole rows (first axis)."""
-    n = grid.shape
-    xs = [grid.axis_centers(i) for i in range(len(n))]
-    vals = np.empty(n)
-    for rows in _row_blocks(n[0], math.prod(n[1:])):
-        X = np.stack(np.meshgrid(xs[0][rows], *xs[1:], indexing="ij"),
-                     axis=-1).reshape(-1, len(n))
-        vals[rows] = np.asarray(f(X), dtype=float).reshape((-1,) + n[1:])
+    x0, x1 = grid.axis_centers(0), grid.axis_centers(1)
+    vals = np.empty(grid.shape)
+    for rows in _row_blocks(len(x0), len(x1)):
+        X = np.stack(np.meshgrid(x0[rows], x1, indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+        vals[rows] = np.asarray(f(X), dtype=float).reshape(-1, len(x1))
     return vals
 
 
@@ -146,10 +146,10 @@ def lattice_pwc_field(partition: Partition, values: np.ndarray,
     return grid_function_from_callable(f, lo, hi, h)
 
 
-def _unit_cell_nodes(m_y: int, d: int) -> np.ndarray:
-    """Tensor midpoint nodes over Y = (0,1)^d."""
+def _unit_cell_nodes(m_y: int) -> np.ndarray:
+    """Tensor midpoint nodes over Y = (0,1)^2."""
     one = (np.arange(m_y) + 0.5) / m_y
-    return np.stack(np.meshgrid(*([one] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    return np.stack(np.meshgrid(one, one, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 @dataclass
@@ -158,15 +158,15 @@ class UnfoldedGrid:
 
     The rows are the partition's Xi_hat row layout, whose subdomain and
     cell arrays sub_index and xi are. weight is the macro weight per
-    sample, eps^d |det D_n| / m_y^d; entries exist only for cells in
+    sample, eps^2 |det D_n| / m_y^2; entries exist only for cells in
     Xi_hat, the operator vanishes on leftover regions.
     """
 
     sub_index: np.ndarray          # (E,) Partition.hat_n
-    xi: np.ndarray                 # (E, d) Partition.hat_xi
+    xi: np.ndarray                 # (E, 2) Partition.hat_xi
     values: np.ndarray             # (E, m)
     weight: np.ndarray             # (E,) per-sample macro weight
-    y_nodes: np.ndarray            # (m, d)
+    y_nodes: np.ndarray            # (m, 2)
     sample_mask: Optional[np.ndarray] = None   # (E, m), perforated mode
 
     @property
@@ -218,13 +218,12 @@ def unfold(phi: GridFunction, partition: Partition, m_y: int,
         raise ValueError(f"unknown mask mode {mask_mode!r}")
     if eval_mode not in ("grid", "exact"):
         raise ValueError(f"unknown eval mode {eval_mode!r}")
-    d = partition.d
-    y_nodes = _unit_cell_nodes(m_y, d)
+    y_nodes = _unit_cell_nodes(m_y)
     if mask_mode == "perforated":
         if cell is None:
             raise ValueError("perforated mode needs the unit cell")
         for s in partition.subdomains:
-            if np.max(np.abs(s.K - np.eye(d))) > 1e-13:
+            if np.max(np.abs(s.K - np.eye(2))) > 1e-13:
                 raise ValueError("perforated unfolding supports K = I only")
         keep = np.linalg.norm(y_nodes - cell.center, axis=1) > cell.a \
             if cell.inclusion != "none" else np.ones(len(y_nodes), dtype=bool)
@@ -239,7 +238,7 @@ def unfold(phi: GridFunction, partition: Partition, m_y: int,
     for s, rows in partition.hat_blocks():
         pts = map_cells(s.shift, partition.eps, s.D, partition.hat_xi[rows],
                         y_nodes)
-        values[rows] = np.reshape(evaluate(pts.reshape(-1, d)), (-1, m))
+        values[rows] = np.reshape(evaluate(pts.reshape(-1, 2)), (-1, m))
     sample_mask = (np.broadcast_to(keep, values.shape).copy()
                    if mask_mode == "perforated" else None)
     return UnfoldedGrid(sub_index=partition.hat_n,
@@ -293,7 +292,7 @@ class BoundaryUnfolded:
 
     def surface_measure(self) -> float:
         """Quadrature measure of the mapped interior boundary."""
-        return float(self.partition.eps ** (self.partition.d - 1) * np.sum(
+        return float(self.partition.eps * np.sum(
             self.metric[self.partition.hat_n] * self.ref_weights))
 
     def weighted_power_sum(self, p: float = 2.0) -> float:
@@ -309,13 +308,12 @@ class BoundaryUnfolded:
         integrand *= self.ref_weights
         detD = self.partition._detD[self.partition.hat_n]
         percell = integrand.sum(axis=1) / detD
-        return float(np.sum(self.partition.eps ** self.partition.d
-                            * detD * percell))
+        return float(np.sum(self.partition.eps ** 2 * detD * percell))
 
     def direct_surface_integral(self, p: float = 2.0) -> float:
         """Direct quadrature of |psi|^p over the mapped boundary, same nodes."""
-        # |values|^p * (eps^(d-1) * metric * ref_weights), in that order
-        ds = self.partition.eps ** (self.partition.d - 1) * self.metric
+        # |values|^p * (eps * metric * ref_weights), in that order
+        ds = self.partition.eps * self.metric
         ds *= self.ref_weights
         integrand = np.abs(self.values)
         integrand **= p
@@ -333,15 +331,14 @@ def unfold_boundary(psi, partition: Partition,
     inclusion is centered at the cell midpoint and K acts about it.
     """
     evaluate = psi.eval if hasattr(psi, "eval") else psi
-    d = partition.d
     c = quad.cell.center
     S = quad.n_gamma
     values = np.empty((len(partition.hat_n), S))
     for s, rows in partition.hat_blocks():
-        mapped_y = c + (quad.nodes - c) @ s.K.T          # (S, d)
+        mapped_y = c + (quad.nodes - c) @ s.K.T          # (S, 2)
         pts = map_cells(s.shift, partition.eps, s.D, partition.hat_xi[rows],
                         mapped_y)
-        values[rows] = np.reshape(evaluate(pts.reshape(-1, d)), (-1, S))
+        values[rows] = np.reshape(evaluate(pts.reshape(-1, 2)), (-1, S))
     metric = np.array([quad.metric(s.D, s.K) for s in partition.subdomains])
     return BoundaryUnfolded(partition=partition, values=values,
                             ref_weights=quad.ref_weights, metric=metric)
@@ -363,35 +360,34 @@ def local_average(phi: GridFunction, partition: Partition,
     return out
 
 
-def _interpolant_cell_integral(phi: GridFunction, lo_pt: np.ndarray,
-                               hi_pt: np.ndarray) -> float:
-    """Exact integral of the bilinear interpolant over an axis-aligned box.
+def _interpolant_box_integrals(phi: GridFunction, lo_pts: np.ndarray,
+                               hi_pts: np.ndarray) -> float:
+    """Sum of the exact integrals of the bilinear interpolant over the
+    axis-aligned boxes [lo_pts[i], hi_pts[i]], (m, 2) each.
 
-    Per-axis hat-function weights; the interpolant extends linearly beyond
-    the outermost cell centers.
-    """
-    if len(phi.shape) != 2:
-        raise ValueError(f"the interpolant integral needs a 2-D grid, got {phi.shape}")
-    wvecs = []
+    Each box side is cut at the cell centers, where the interpolant bends,
+    into pieces padded with pieces of width 0; on a product of two pieces
+    the interpolant is bilinear, so its integral is the area times its
+    value at the midpoint."""
+    pieces = []
     for ax in range(2):
         centers = phi.axis_centers(ax)
-        n = len(centers)
-        p, q = float(lo_pt[ax]), float(hi_pt[ax])
-        # segment breakpoints: centers strictly inside (p, q), plus p and q
-        inner = centers[(centers > p) & (centers < q)]
-        brk = np.concatenate(([p], inner, [q]))
-        w = np.zeros(n)
-        for s0, s1 in zip(brk[:-1], brk[1:]):
-            # linear on [s0, s1]; express endpoint values in the two
-            # bracketing center values (extrapolated at the edges)
-            mid = 0.5 * (s0 + s1)
-            j = int(np.clip(np.floor((mid - phi.lo[ax]) / phi.h - 0.5), 0, n - 2))
-            for s in (s0, s1):
-                u = (s - centers[j]) / phi.h
-                w[j] += 0.5 * (s1 - s0) * (1.0 - u)
-                w[j + 1] += 0.5 * (s1 - s0) * u
-        wvecs.append(w)
-    return float(wvecs[0] @ phi.values @ wvecs[1])
+        p, q = lo_pts[:, ax, None], hi_pts[:, ax, None]
+        first = np.searchsorted(centers, p, side="right")
+        inner = np.searchsorted(centers, q, side="left") - first
+        t = np.arange(int(np.max(inner, initial=0)) + 2)
+        brk = np.where(t > inner, q, centers[np.clip(first + t - 1, 0,
+                                                     len(centers) - 1)])
+        brk[:, 0] = p[:, 0]
+        pieces.append((0.5 * (brk[:, :-1] + brk[:, 1:]), np.diff(brk, axis=1)))
+    (mx, wx), (my, wy) = pieces
+    total = 0.0
+    for rows in _row_blocks(len(mx), mx.shape[1] * my.shape[1]):
+        X = np.stack(np.broadcast_arrays(mx[rows, :, None], my[rows, None, :]),
+                     axis=-1)
+        v = phi.eval(X.reshape(-1, 2)).reshape(X.shape[:-1])
+        total += float(np.einsum("ca,cab,cb->", wx[rows], v, wy[rows]))
+    return total
 
 
 def check_integration_identity(phi: GridFunction, partition: Partition,
@@ -407,27 +403,24 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
     ug = unfold(phi, partition, m_y, eval_mode=eval_mode)
     lhs = ug.weighted_sum()
 
-    d = partition.d
     rhs = 0.0
-    diag_ok = all(np.max(np.abs(s.D - np.diag(np.diag(s.D)))) < 1e-14
-                  for s in partition.subdomains)
-    if diag_ok and eval_mode == "grid":
-        for s in partition.subdomains:
-            diagD = np.diag(s.D)
-            for xi in s.xi_hat:
-                p0 = s.shift + partition.eps * diagD * xi
-                p1 = s.shift + partition.eps * diagD * (xi + 1)
-                lo_pt, hi_pt = np.minimum(p0, p1), np.maximum(p0, p1)
-                rhs += _interpolant_cell_integral(phi, lo_pt, hi_pt)
+    diagD = np.diagonal(partition._D, axis1=1, axis2=2)
+    if eval_mode == "grid" and np.all(
+            np.abs(partition._D - diagD[..., None] * np.eye(2)) < 1e-14):
+        n, xi = partition.hat_n, partition.hat_xi
+        p0 = partition._shift[n] + partition.eps * diagD[n] * xi
+        p1 = partition._shift[n] + partition.eps * diagD[n] * (xi + 1)
+        rhs = _interpolant_box_integrals(phi, np.minimum(p0, p1),
+                                         np.maximum(p0, p1))
     else:
         m_ref = 3 * m_y + 1   # independent of the lhs sample set
-        y_f = _unit_cell_nodes(m_ref, d)
+        y_f = _unit_cell_nodes(m_ref)
         evaluate = phi.exact_eval if (eval_mode == "exact") else phi.eval
         for s, rows in partition.hat_blocks():
             pts = map_cells(s.shift, partition.eps, s.D,
                             partition.hat_xi[rows], y_f)
-            v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
-            rhs += partition.eps**d * s.detD * float(v.sum()) / len(y_f)
+            v = np.asarray(evaluate(pts.reshape(-1, 2)), dtype=float)
+            rhs += partition.eps**2 * s.detD * float(v.sum()) / len(y_f)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -451,7 +444,7 @@ class QInterpolant:
 
     The node at lattice point xi carries the average of phi over the cell
     anchored there; a lattice cell is usable when the full averaging stencil
-    (the 2^d cells anchored at its corners) lies inside the covered region.
+    (the 4 cells anchored at its corners) lies inside the covered region.
     Constants are reproduced exactly; affine fields are reproduced up to an
     exact half-cell shift of the argument, so the remainder of a smooth field
     is of first order in eps. node_values is a table over the partition's
@@ -471,22 +464,20 @@ class QInterpolant:
         samples, cell after cell in row order.
         """
         part = self.partition
-        d = part.d
-        y = _unit_cell_nodes(points_per_axis, d)
-        corners = np.array(list(np.ndindex(*(2,) * d)))          # (2^d, d)
-        # multilinear weights in the fractional coordinate
-        wts = np.ones((len(y), len(corners)))
-        for ax in range(d):
-            wts *= np.where(corners[None, :, ax] > 0.5,
-                            y[:, None, ax], 1.0 - y[:, None, ax])
+        y = _unit_cell_nodes(points_per_axis)
+        corners = np.array(list(np.ndindex(2, 2)))                # (4, 2)
+        # bilinear weights in the fractional coordinate, corner by corner
+        u, v = y[:, :1], y[:, 1:]
+        wts = np.hstack([(1.0 - u) * (1.0 - v), (1.0 - u) * v,
+                         u * (1.0 - v), u * v])
         evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
         n = part.hat_n[self.usable_rows]
         cells = part.hat_xi[self.usable_rows]
         # the points first: their temporaries are the largest
         pts = map_cells(part._shift[n], part.eps, part._D[n], cells,
-                        y).reshape(-1, d)
+                        y).reshape(-1, 2)
         corner_vals = np.stack([self.node_values[part.cell_slots(n, cells + c)]
-                                for c in corners], axis=1)        # (m, 2^d)
+                                for c in corners], axis=1)        # (m, 4)
         # one product per subdomain: BLAS rounds the product of a single
         # row (a matrix-vector call) unlike that row in a larger product
         q = np.empty((len(n), len(y)))                            # (m, S)
@@ -508,7 +499,7 @@ def interpolate_Q(phi: GridFunction, partition: Partition,
     node_values = np.full(partition.n_cell_slots, np.nan)
     node_values[partition.hat_slot] = ug.mean_over_Y()
     good = np.ones(len(partition.hat_n), dtype=bool)
-    for c in np.ndindex(*(2,) * partition.d):
+    for c in np.ndindex(2, 2):
         good &= partition.xi_hat_contains(partition.hat_n,
                                           partition.hat_xi + c)
     return QInterpolant(partition=partition, node_values=node_values,
@@ -521,7 +512,7 @@ def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
 
     Returns (r_norm, grad_norm, region_measure): the L2 norms of phi - Q(phi)
     and of the gradient of phi over the same region. grad is an optional
-    callable X -> (m, d) acting point by point; central differences of phi
+    callable X -> (m, 2) acting point by point; central differences of phi
     otherwise. The gradient is taken in blocks of points.
     """
     qi = interpolate_Q(phi, partition, m_y=m_y)
@@ -541,7 +532,7 @@ def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
 
 def _central_gradient(evaluate: Callable[[np.ndarray], np.ndarray],
                       X: np.ndarray) -> np.ndarray:
-    """Central differences of evaluate at the points X, (m, d)."""
+    """Central differences of evaluate at the points X, (m, 2)."""
     delta = 1e-6
     g = np.empty_like(X)
     # one copy of the points, moved along one axis at a time
@@ -559,11 +550,10 @@ def _central_gradient(evaluate: Callable[[np.ndarray], np.ndarray],
 def lts_pairing(u: GridFunction, psi: ScalarFieldOnCells,
                 partition: Partition) -> float:
     """Grid quadrature of u times the locally periodic approximation of psi."""
-    d = len(u.shape)
-    X = u.centers().reshape(-1, d)
+    X = u.centers().reshape(-1, 2)
     act = u.mask.ravel()
     vals = lp_approx_batch(psi, partition, X[act], variant="L")
-    return float(u.h**d * np.sum(u.values.ravel()[act] * vals))
+    return float(u.h**2 * np.sum(u.values.ravel()[act] * vals))
 
 
 def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
@@ -594,14 +584,14 @@ def norm_unfold_of_lp_minus_psi(psi: ScalarFieldOnCells, partition: Partition,
         lambda X: lp_approx_batch(psi, partition, X, variant="L"),
         lo, hi, h)
     ug = unfold(lp_field, partition, m_y, eval_mode="exact")
-    m, d = len(ug.y_nodes), partition.d
+    m = len(ug.y_nodes)
     total = 0.0
     for rows in _row_blocks(ug.n_entries, m * m):
         n = partition.hat_n[rows]
         pts = map_cells(partition._shift[n], partition.eps, partition._D[n],
                         partition.hat_xi[rows], ug.y_nodes)
         # psi_tilde(x_t, y_s) on the product of the sample sets of each row
-        X = np.repeat(pts, m, axis=1).reshape(-1, d)
+        X = np.repeat(pts, m, axis=1).reshape(-1, 2)
         Y = np.tile(ug.y_nodes, (len(n) * m, 1))
         diff = (ug.values[rows][:, None, :]
                 - np.reshape(psi.f(X, Y), (len(n), m, m)))

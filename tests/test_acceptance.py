@@ -47,7 +47,7 @@ I2 = np.eye(2)
 def const_tf(D, K=None):
     D = np.asarray(D, dtype=float)
     K = I2 if K is None else np.asarray(K, dtype=float)
-    return TransformField(d=2, D=lambda x: D, K=lambda x: K)
+    return TransformField(D=lambda x: D, K=lambda x: K)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def epithelial_study():
 def disk_refinements():
     """Reference disk tensors at two nested cell grids."""
     tf = const_tf(I2)
-    disk = UnitCellSpec(d=2, inclusion="disk", a=0.25)
+    disk = UnitCellSpec(inclusion="disk", a=0.25)
     x0 = np.array([0.5, 0.5])
     out = {}
     for N in (256, 512):
@@ -149,7 +149,7 @@ class TestUnfoldingIdentities:
 
 class TestEffectiveTensors:
     def test_unperforated_identity_solve_is_exact(self):
-        cell = UnitCellSpec(d=2, inclusion="none", a=0.25)
+        cell = UnitCellSpec(inclusion="none", a=0.25)
         x0 = np.array([0.5, 0.5])
         sol = solve_cell(x0, 1.0, const_tf(I2), cell, N_c=64)
         A_eff, theta = effective_tensor(x0, const_tf(I2), sol)
@@ -178,7 +178,7 @@ class TestEffectiveTensors:
         sol0 = solve_cell(x0, 1.0, const_tf(I2, K), sc.cell, N_c=128)
         A0, _ = effective_tensor(x0, const_tf(I2, K), sol0)
         for gamma in (math.pi / 6, math.pi / 4):
-            R = rotation_matrix(gamma, 2)
+            R = rotation_matrix(gamma)
             D = np.linalg.inv(R)
             sol = solve_cell(x0, 1.0, const_tf(D, K), sc.cell, N_c=128)
             Ag, _ = effective_tensor(x0, const_tf(D, K), sol)

@@ -27,14 +27,14 @@ from lphom.scenarios import get_scenario
 
 I2 = np.eye(2)
 X0 = np.array([0.5, 0.5])
-DISK = UnitCellSpec(d=2, inclusion="disk", a=0.25)
-NONE = UnitCellSpec(d=2, inclusion="none", a=0.25)
+DISK = UnitCellSpec(inclusion="disk", a=0.25)
+NONE = UnitCellSpec(inclusion="none", a=0.25)
 
 
 def const_tf(D, K=None):
     D = np.asarray(D, dtype=float)
     K = I2 if K is None else np.asarray(K, dtype=float)
-    return TransformField(d=2, D=lambda x: D, K=lambda x: K)
+    return TransformField(D=lambda x: D, K=lambda x: K)
 
 
 class TestPullback:
@@ -53,7 +53,7 @@ class TestPullback:
         assert np.max(np.abs(B - np.diag([0.5, 2.0]))) < 1e-14
 
     def test_rotation_lattice_is_invisible(self):
-        D = np.linalg.inv(rotation_matrix(np.pi / 6, 2))
+        D = np.linalg.inv(rotation_matrix(np.pi / 6))
         B = pullback_coefficient(1.0, const_tf(D), X0)
         assert np.max(np.abs(B - I2)) < 1e-14
 
@@ -135,7 +135,7 @@ class TestNoInclusion:
         assert theta == 1.0
 
     def test_rotated_lattice_exact(self):
-        D = np.linalg.inv(rotation_matrix(np.pi / 6, 2))
+        D = np.linalg.inv(rotation_matrix(np.pi / 6))
         sol = solve_cell(X0, 1.0, const_tf(D), NONE, N_c=64)
         A_eff, _ = effective_tensor(X0, const_tf(D), sol)
         assert np.max(np.abs(A_eff - I2)) < 1e-12
@@ -255,7 +255,7 @@ class TestRotationCovariance:
         K = np.diag([1.0, 1.4])
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=128)
         A0, _ = effective_tensor(X0, const_tf(I2, K), sol0)
-        R = rotation_matrix(gamma, 2)
+        R = rotation_matrix(gamma)
         Dg = np.linalg.inv(R)
         solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=128)
         Ag, _ = effective_tensor(X0, const_tf(Dg, K), solg)
@@ -363,7 +363,7 @@ class TestTensorField:
     @pytest.mark.parametrize("gamma", [np.pi / 6, np.pi / 4, 2.0])
     def test_rotated_lattice_reuses_the_unrotated_solve(self, gamma):
         K = np.diag([1.0, 1.4])
-        Dg = np.linalg.inv(rotation_matrix(gamma, 2))
+        Dg = np.linalg.inv(rotation_matrix(gamma))
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=64)
         reused, _ = effective_tensor(X0, const_tf(Dg, K), sol0)
         solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=64)
@@ -402,13 +402,26 @@ class TestTensorField:
         def K(x):
             return (1.0 + 2.0 * x[0]) * np.eye(2)
 
-        tf = TransformField(d=2, D=lambda x: I2, K=K)
+        tf = TransformField(D=lambda x: I2, K=K)
         pts = np.array([[0.0, 0.5], [0.9, 0.5]])
         field = tensor_field(pts, 1.0, tf, DISK, N_c=64)
         assert field.errors[0] is None
         assert field.errors[1] is not None
         assert np.all(np.isnan(field.tensors[1]))
         assert not field.ok()
+        assert np.isfinite(field.tensors[0]).all()
+
+    @pytest.mark.parametrize("which", ["D", "K"])
+    def test_a_map_that_is_not_2x2_becomes_an_error_record(self, which):
+        # 3x3 at the second point only, like the singular D of
+        # test_rejects_singular_lattice, it is one point's error
+        maps = {"D": lambda x: I2, "K": lambda x: I2,
+                which: lambda x: np.eye(3) if x[0] > 0.5 else I2}
+        pts = np.array([[0.25, 0.5], [0.75, 0.5]])
+        field = tensor_field(pts, 1.0, TransformField(**maps), DISK, N_c=32)
+        assert field.errors == [None,
+                                f"{which}(x) must be 2x2, got shape (3, 3)"]
+        assert np.all(np.isnan(field.tensors[1])) and not field.ok()
         assert np.isfinite(field.tensors[0]).all()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,46 +34,43 @@ from lphom.scenarios import (
 UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
 
 
+def hat_cells(p, n):
+    """The Xi_hat cells of subdomain n: its rows of the partition's Xi_hat
+    row layout."""
+    return p.hat_xi[p.hat_start[n]:p.hat_start[n + 1]]
+
+
 def constant_rotation_transform(alpha: float) -> TransformField:
-    Dm = np.linalg.inv(rotation_matrix(alpha, 2))
+    Dm = np.linalg.inv(rotation_matrix(alpha))
     I = np.eye(2)
-    return TransformField(d=2, D=lambda x: Dm, K=lambda x: I,
+    return TransformField(D=lambda x: Dm, K=lambda x: I,
                           detD_bounds=(1.0, 1.0), detK_bounds=(1.0, 1.0),
                           lipschitz_budget=0.0, name="const-rot")
 
 
 class TestRotationMatrix:
     def test_identity_at_zero_angle(self):
-        assert np.allclose(rotation_matrix(0.0, 3), np.eye(3), atol=0)
+        assert np.allclose(rotation_matrix(0.0), np.eye(2), atol=0)
 
     def test_quarter_turn_2d(self):
-        R = rotation_matrix(math.pi / 2, 2)
+        R = rotation_matrix(math.pi / 2)
         assert np.allclose(R, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
-
-    def test_orthogonality_3d(self):
-        R = rotation_matrix(0.7, 3)
-        assert np.max(np.abs(R @ R.T - np.eye(3))) <= 1e-14
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            rotation_matrix(0.1, 4)
 
     @given(st.floats(-10, 10))
     @settings(deadline=None, max_examples=50)
     def test_orthogonality_property(self, alpha):
-        for d in (2, 3):
-            R = rotation_matrix(alpha, d)
-            assert np.max(np.abs(R @ R.T - np.eye(d))) <= 1e-13
+        R = rotation_matrix(alpha)
+        assert np.max(np.abs(R @ R.T - np.eye(2))) <= 1e-13
 
 
 class TestBuildPartition:
     def test_sixteen_subdomains(self):
-        p = build_partition(UNIT_BOX, 1 / 16, 0.5, identity_transform(2))
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, identity_transform())
         assert p.n_subdomains == 16
         assert p.side == pytest.approx(0.25, abs=0)
 
     def test_four_subdomains(self):
-        p = build_partition(UNIT_BOX, 1 / 4, 0.5, identity_transform(2))
+        p = build_partition(UNIT_BOX, 1 / 4, 0.5, identity_transform())
         assert p.n_subdomains == 4
         assert p.side == pytest.approx(0.5, abs=0)
 
@@ -80,7 +78,7 @@ class TestBuildPartition:
         # independent oracle: enumerate candidate cells and corner-test them
         # directly, without the library's lattice machinery
         eps, r = 1 / 16, 0.5
-        p = build_partition(UNIT_BOX, eps, r, identity_transform(2),
+        p = build_partition(UNIT_BOX, eps, r, identity_transform(),
                             anchor_rule="lower-corner")
         side = eps**r
         for s in p.subdomains:
@@ -95,7 +93,7 @@ class TestBuildPartition:
                                              np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
                     if np.all(corners >= lo - 1e-12) and np.all(corners <= hi + 1e-12):
                         expected.add((i, j))
-            got = set(map(tuple, s.xi_hat))
+            got = set(map(tuple, hat_cells(p, s.n)))
             assert got == expected
             assert len(got) == 16
 
@@ -114,7 +112,7 @@ class TestBuildPartition:
                     pts = s.shift + eps * (corners_unit + [i, j]) @ s.D.T
                     if np.all(pts >= s.lo - 1e-12) and np.all(pts <= s.hi + 1e-12):
                         expected.add((i, j))
-            assert set(map(tuple, s.xi_hat)) == expected
+            assert set(map(tuple, hat_cells(p, s.n))) == expected
 
     def test_subdomains_cover_domain_without_overlap(self):
         p = build_partition(UNIT_BOX, 1 / 32, 0.5, epithelial_scenario().transform)
@@ -127,7 +125,7 @@ class TestBuildPartition:
 
     def test_anchor_inside_subdomain_for_both_rules(self):
         for rule in ("subdomain-center", "lower-corner"):
-            p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2),
+            p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(),
                                 anchor_rule=rule)
             for s in p.subdomains:
                 assert np.all(s.anchor >= s.lo - 1e-15)
@@ -144,15 +142,15 @@ class TestBuildPartition:
 
     def test_rejects_subdomain_too_small_for_one_cell(self):
         with pytest.raises(ValueError, match="full cell"):
-            build_partition(UNIT_BOX, 1 / 4, 0.99, identity_transform(2))
+            build_partition(UNIT_BOX, 1 / 4, 0.99, identity_transform())
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            build_partition(UNIT_BOX, -1.0, 0.5, identity_transform(2))
+            build_partition(UNIT_BOX, -1.0, 0.5, identity_transform())
         with pytest.raises(ValueError):
-            build_partition(UNIT_BOX, 1 / 8, 1.5, identity_transform(2))
+            build_partition(UNIT_BOX, 1 / 8, 1.5, identity_transform())
         with pytest.raises(ValueError):
-            build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2),
+            build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(),
                             anchor_rule="median")
 
 
@@ -173,12 +171,6 @@ def reference_cell_box_intersects(cell_pts, b_lo, b_hi, D) -> bool:
     axes = [np.eye(d)[i] for i in range(d)]
     Dinv_T = np.linalg.inv(D).T
     axes += [Dinv_T[:, i] for i in range(d)]
-    if d == 3:
-        for i in range(3):
-            for j in range(3):
-                cr = np.cross(D[:, i], np.eye(3)[j])
-                if np.linalg.norm(cr) > 1e-14:
-                    axes.append(cr)
     for ax in axes:
         p1 = cell_pts @ ax
         p2 = box_pts @ ax
@@ -221,13 +213,6 @@ class TestLazyXiAll:
                 assert s.xi_all is s.xi_all
 
 
-def constant_transform_3d(M) -> TransformField:
-    I = np.eye(3)
-    return TransformField(d=3, D=lambda x: M, K=lambda x: I,
-                          detD_bounds=(0.1, 10.0), detK_bounds=(1.0, 1.0),
-                          lipschitz_budget=0.0, name="const-3d")
-
-
 class TestVectorizedSeparatingAxes:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_fine_partitions_match_the_scalar_test(self, name):
@@ -235,29 +220,13 @@ class TestVectorizedSeparatingAxes:
         for s in build_partition(UNIT_BOX, 1 / 64, 0.5, tf).subdomains:
             assert np.array_equal(s.xi_all, reference_xi_all(s, 1 / 64))
 
-    @pytest.mark.parametrize("alpha, sheared", [(0.3, False),
-                                                (math.pi / 4, True)])
-    def test_three_dimensional_cells_use_the_cross_axes(self, alpha, sheared):
-        M = np.linalg.inv(rotation_matrix(alpha, 3))
-        if sheared:
-            M = M @ np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2],
-                              [0.1, 0.0, 1.1]])
-        # side 0.76: a 2 x 2 x 2 covering
-        p = build_partition(((0.0,) * 3, (1.0,) * 3), 1 / 4, 0.2,
-                            constant_transform_3d(M))
-        assert p.n_subdomains == 8
-        for s in p.subdomains:
-            got = s.xi_all
-            assert np.array_equal(got, reference_xi_all(s, 1 / 4))
-            assert len(got) > len(s.xi_hat)
-
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 2 * math.pi), st.floats(0.5, 2.0),
            st.floats(-0.4, 0.4), st.floats(0.05, 0.95), st.floats(0.05, 0.95),
            st.floats(0.05, 0.5))
     def test_random_boxes_match_the_scalar_test(self, alpha, stretch, shear,
                                                 x0, y0, side):
-        D = np.linalg.inv(rotation_matrix(alpha, 2)) @ np.array(
+        D = np.linalg.inv(rotation_matrix(alpha)) @ np.array(
             [[stretch, shear], [0.0, 1.0]])
         lo = np.array([x0, y0])
         hi = lo + side
@@ -303,24 +272,9 @@ class TestMapCells:
             sets = [unit_cell_nodes(m, 2) for m in (4, 8, 13, 25)]
             sets.append(c + (circle - c) @ s.K.T)   # boundary nodes
             for y in sets:
-                assert_same_bits(map_cells(s.shift, eps, s.D, s.xi_hat, y),
-                                 reference_map_cells(s.shift, eps, s.D,
-                                                     s.xi_hat, y))
-
-    @pytest.mark.parametrize("alpha, sheared", [(0.3, False),
-                                                (math.pi / 4, True)])
-    def test_three_dimensional_cells(self, alpha, sheared):
-        M = np.linalg.inv(rotation_matrix(alpha, 3))
-        if sheared:
-            M = M @ np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2],
-                              [0.1, 0.0, 1.1]])
-        p = build_partition(((0.0,) * 3, (1.0,) * 3), 1 / 4, 0.2,
-                            constant_transform_3d(M))
-        for s in p.subdomains:
-            for y in (unit_cell_nodes(3, 3), unit_cell_nodes(2, 3)):
-                assert_same_bits(map_cells(s.shift, 1 / 4, s.D, s.xi_all, y),
-                                 reference_map_cells(s.shift, 1 / 4, s.D,
-                                                     s.xi_all, y))
+                xi = hat_cells(p, s.n)
+                assert_same_bits(map_cells(s.shift, eps, s.D, xi, y),
+                                 reference_map_cells(s.shift, eps, s.D, xi, y))
 
     def test_no_cells(self):
         got = map_cells(np.zeros(2), 1 / 8, np.eye(2), np.zeros((0, 2), int),
@@ -366,7 +320,7 @@ def reference_build_partition(domain, eps, r, transform,
     """build_partition's subdomain fields, one subdomain at a time."""
     lo = np.asarray(domain[0], dtype=float)
     hi = np.asarray(domain[1], dtype=float)
-    d = transform.d
+    d = 2
     side = eps**r
     n_sub = tuple(int(math.ceil((hi[i] - lo[i]) / side - 1e-9))
                   for i in range(d))
@@ -435,7 +389,8 @@ def assert_same_partition(p, ref_subs):
     assert_breaks_bound_the_subdomains(p)
     for s, ref in zip(p.subdomains, ref_subs):
         for name, want in ref.items():
-            got = getattr(s, name)
+            got = (hat_cells(p, s.n) if name == "xi_hat"
+                   else getattr(s, name))
             if isinstance(want, np.ndarray):
                 assert_same_bits(np.asarray(got), want)
             elif isinstance(want, float):
@@ -443,7 +398,7 @@ def assert_same_partition(p, ref_subs):
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
             else:
                 assert got == want and type(got) is type(want)
-    for name, want in reference_slot_tables(ref_subs, p.d).items():
+    for name, want in reference_slot_tables(ref_subs, 2).items():
         assert_same_bits(getattr(p, name), want)
     for name in ("D", "Dinv", "Kinv", "shift", "anchor", "detD"):
         assert_same_bits(getattr(p, f"_{name}"),
@@ -453,7 +408,7 @@ def assert_same_partition(p, ref_subs):
 def varying_stretch_transform() -> TransformField:
     """D = diag(0.8 + 0.4 x_1, 1): |D| grows with x_1 from 1 to 1.2."""
     I = np.eye(2)
-    return TransformField(d=2, D=lambda x: np.diag([0.8 + 0.4 * x[0], 1.0]),
+    return TransformField(D=lambda x: np.diag([0.8 + 0.4 * x[0], 1.0]),
                           K=lambda x: I, detD_bounds=(0.8, 1.2),
                           detK_bounds=(1.0, 1.0), lipschitz_budget=0.4,
                           name="stretch")
@@ -480,19 +435,6 @@ class TestBatchedPartition:
         assert_same_partition(_micro_partition(eps, 0.5, tf),
                               reference_micro_subdomains(eps, 0.5, tf))
 
-    @pytest.mark.parametrize("alpha, sheared", [(0.3, False),
-                                                (math.pi / 4, True)])
-    def test_three_dimensional_coverings(self, alpha, sheared):
-        M = np.linalg.inv(rotation_matrix(alpha, 3))
-        if sheared:
-            M = M @ np.array([[1.2, 0.3, 0.0], [0.0, 0.9, 0.2],
-                              [0.1, 0.0, 1.1]])
-        box = ((0.0,) * 3, (1.0,) * 3)
-        tf = constant_transform_3d(M)
-        for eps, r in ((1 / 4, 0.2), (1 / 8, 0.3)):
-            p = build_partition(box, eps, r, tf)
-            assert_same_partition(p, reference_build_partition(box, eps, r, tf))
-
     def test_blocks_split_between_whole_subdomains(self, monkeypatch):
         from lphom import geometry
 
@@ -505,7 +447,7 @@ class TestBatchedPartition:
 
     @pytest.mark.parametrize("eps, r, tf", [
         (1 / 4, 0.5, varying_stretch_transform()),     # the second fails
-        (1 / 4, 0.99, identity_transform(2)),
+        (1 / 4, 0.99, identity_transform()),
         (1 / 8, 0.9, plywood2d_scenario().transform),
         (1 / 8, 0.9, epithelial_scenario().transform),
         (1 / 16, 0.95, radius_gradient_scenario().transform),
@@ -539,7 +481,7 @@ def reference_locate_batch(partition, X):
     membership from a set of tuples."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = reference_subdomain_of(partition, X)
-    d = partition.d
+    d = 2
     xi = np.empty((len(X), d), dtype=int)
     y = np.empty((len(X), d), dtype=float)
     lam = np.ones(len(X), dtype=bool)
@@ -550,7 +492,7 @@ def reference_locate_batch(partition, X):
         xi_n = np.floor(z).astype(int)
         xi[idx] = xi_n
         y[idx] = z - xi_n
-        hat = set(map(tuple, partition.subdomains[nn].xi_hat))
+        hat = set(map(tuple, hat_cells(partition, nn)))
         lam[idx] = [tuple(t) not in hat for t in xi_n]
     return n, xi, y, lam
 
@@ -605,7 +547,7 @@ class TestGroupedLocate:
             lo = np.array([s.lo for s in p.subdomains])
             mid = 0.5 * (lo + np.array([s.hi for s in p.subdomains]))
             want = np.arange(p.n_subdomains)
-            for ax in range(p.d):
+            for ax in range(2):
                 X = mid.copy()
                 X[:, ax] = lo[:, ax]
                 assert_same_bits(p.subdomain_of(X), want)
@@ -632,8 +574,8 @@ class TestGroupedLocate:
         y = unit_cell_nodes(4, 2)
         for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
                   _micro_partition(eps, 0.5, tf)):
-            per_sub = [map_cells(s.shift, eps, s.D, s.xi_hat, y).reshape(-1, 2)
-                       for s in p.subdomains]
+            per_sub = [map_cells(s.shift, eps, s.D, hat_cells(p, s.n),
+                                 y).reshape(-1, 2) for s in p.subdomains]
             for X in per_sub[:3] + [np.concatenate(per_sub)]:
                 n = self.assert_matches_reference(p, X)[0]
                 assert np.all(np.diff(n) >= 0)
@@ -663,7 +605,7 @@ class TestGroupedLocate:
                     call()
 
     def test_empty_input(self):
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2))
+        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform())
         n, xi, y, lam = locate_batch(p, np.zeros((0, 2)))
         assert n.shape == (0,) and xi.shape == y.shape == (0, 2)
         assert lam.shape == (0,)
@@ -674,8 +616,9 @@ class TestCellSlots:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_xi_hat_cells_get_distinct_in_range_slots(self, name):
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, get_scenario(name).transform)
-        n = np.concatenate([np.full(len(s.xi_hat), s.n) for s in p.subdomains])
-        xi = np.concatenate([s.xi_hat for s in p.subdomains])
+        n = np.concatenate([np.full(len(hat_cells(p, s.n)), s.n)
+                            for s in p.subdomains])
+        xi = np.concatenate([hat_cells(p, s.n) for s in p.subdomains])
         slots = p.cell_slots(n, xi)
         assert slots.min() >= 0 and slots.max() < p.n_cell_slots
         assert len(np.unique(slots)) == len(slots)
@@ -683,14 +626,15 @@ class TestCellSlots:
     def test_one_subdomain_for_all_rows(self):
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
         for s in p.subdomains:
-            probes = np.concatenate([s.xi_hat, s.xi_hat.max(axis=0) + [[1, 0]]])
+            cells = hat_cells(p, s.n)
+            probes = np.concatenate([cells, cells.max(axis=0) + [[1, 0]]])
             assert_same_bits(p.cell_slots(s.n, probes),
                              p.cell_slots(np.full(len(probes), s.n), probes))
 
     def test_outside_the_box_is_minus_one(self):
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
         for s in p.subdomains:
-            lo, hi = s.xi_hat.min(axis=0), s.xi_hat.max(axis=0)
+            lo, hi = hat_cells(p, s.n).min(axis=0), hat_cells(p, s.n).max(axis=0)
             probes = np.array([lo - [1, 0], lo - [0, 1], hi + [1, 0],
                                hi + [0, 1], lo, hi])
             slots = p.cell_slots(np.full(len(probes), s.n), probes)
@@ -701,13 +645,13 @@ class TestCellSlots:
 
 class TestLocate:
     def test_identity_single_subdomain(self):
-        p = single_subdomain_partition(1 / 4, identity_transform(2))
+        p = single_subdomain_partition(1 / 4, identity_transform())
         res = locate(p, np.array([0.3, 0.6]))
         assert tuple(res.xi) == (1, 2)
         assert np.allclose(res.y, [0.2, 0.4], atol=1e-12)
 
     def test_exact_lattice_corner_floor_convention(self):
-        p = single_subdomain_partition(1 / 4, identity_transform(2))
+        p = single_subdomain_partition(1 / 4, identity_transform())
         res = locate(p, np.array([0.5, 0.25]))
         assert tuple(res.xi) == (2, 1)
         assert np.allclose(res.y, [0.0, 0.0], atol=0)
@@ -720,7 +664,7 @@ class TestLocate:
         p = build_partition(UNIT_BOX, eps, 0.5, tf)
         x = np.array([0.40, 0.35])
         res = locate(p, x)
-        Dm = np.linalg.inv(rotation_matrix(math.pi / 6, 2))
+        Dm = np.linalg.inv(rotation_matrix(math.pi / 6))
         k = np.floor(x / p.side).astype(int)
         lo = k * p.side
         xi0 = np.round(np.linalg.solve(Dm, lo) / eps)
@@ -730,7 +674,7 @@ class TestLocate:
         assert np.allclose(res.y, z - np.floor(z), atol=1e-12)
 
     def test_rejects_point_outside_domain(self):
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(2))
+        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform())
         with pytest.raises(ValueError, match="outside"):
             locate(p, np.array([1.2, 0.5]))
 
@@ -783,7 +727,7 @@ class TestLpApprox:
 
     def test_pure_oscillation_identity_lattice(self):
         psi = ScalarFieldOnCells(f=lambda x, y: np.sin(2 * np.pi * y[:, 0]), name="osc")
-        p = single_subdomain_partition(1 / 4, identity_transform(2))
+        p = single_subdomain_partition(1 / 4, identity_transform())
         for x in ([0.3, 0.6], [0.11, 0.52], [0.77, 0.23]):
             [v] = lp_approx_batch(psi, p, np.array([x]), "L")
             [v0] = lp_approx_batch(psi, p, np.array([x]), "L0")
@@ -830,7 +774,7 @@ class TestIndicatorPerforated:
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, sc.transform)
         # image of the unit-cell center for some interior cell
         s = p.subdomains[5]
-        xi = s.xi_hat[0]
+        xi = hat_cells(p, s.n)[0]
         x = s.shift + p.eps * s.D @ (xi + np.array([0.5, 0.5]))
         assert not indicator_perforated(p, sc.cell, x[None, :])[0]
 
@@ -838,7 +782,7 @@ class TestIndicatorPerforated:
         sc = periodic_scenario()
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, sc.transform)
         s = p.subdomains[5]
-        xi = s.xi_hat[0]
+        xi = hat_cells(p, s.n)[0]
         x = s.shift + p.eps * s.D @ (xi + np.array([0.01, 0.01]))
         assert indicator_perforated(p, sc.cell, x[None, :])[0]
 
@@ -848,7 +792,7 @@ class TestIndicatorPerforated:
         sc = radius_gradient_scenario(rho_base=1.5, rho_slope=0.0)
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, sc.transform)
         s = p.subdomains[5]
-        xi = s.xi_hat[0]
+        xi = hat_cells(p, s.n)[0]
         for dist, expected in ((0.37, False), (0.38, True)):
             y = np.array([0.5, 0.5]) + dist * np.array([1.0, 0.0])
             x = s.shift + p.eps * s.D @ (xi + y)
@@ -875,7 +819,7 @@ class TestIndicatorPerforated:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         num = den = 0.0
         for s in p.subdomains:
-            m = len(s.xi_hat) * p.eps**2 * s.detD
+            m = len(hat_cells(p, s.n)) * p.eps**2 * s.detD
             num += m * sc.cell.inclusion_measure(s.K)
             den += m
         expected = num / den
@@ -888,23 +832,6 @@ class TestIndicatorPerforated:
             frac = np.sum(inhat & ~fluid) / np.sum(inhat)
             assert abs(frac - expected) / expected <= 0.01
 
-
-    def test_cylinder_in_three_dimensions(self):
-        # axis along the first lattice axis: a point is material unless it
-        # lies in Xi_hat within transverse distance a of the cell's axis
-        I3 = np.eye(3)
-        tf = TransformField(d=3, D=lambda x: I3, K=lambda x: I3,
-                            detD_bounds=(1, 1), detK_bounds=(1, 1),
-                            lipschitz_budget=0.0, name="id3")
-        p = build_partition(((0, 0, 0), (1, 1, 1)), 1 / 4, 0.5, tf)
-        cell = UnitCellSpec(d=3, inclusion="cylinder", a=0.2)
-        rng = np.random.default_rng(21)
-        X = rng.uniform(0, 1, size=(400, 3))
-        mat = indicator_perforated(p, cell, X)
-        _, _, y, lam = locate_batch(p, X)
-        expected = lam | (np.hypot(y[:, 1] - 0.5, y[:, 2] - 0.5) > 0.2)
-        assert np.array_equal(mat, expected)
-        assert not mat.all() and mat[~lam].any()
 
 
 class TestTransformField:
@@ -931,12 +858,22 @@ class TestTransformField:
             assert np.all(sc.cell.a * np.linalg.norm(Ks, axis=-1) < 0.5)
 
 
+    @pytest.mark.parametrize("which", ["D", "K"])
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 3)])
+    def test_a_map_that_is_not_2x2_is_rejected(self, which, shape):
+        maps = {"D": lambda x: np.eye(2), "K": lambda x: np.eye(2),
+                which: lambda x: np.ones(shape)}
+        want = re.escape(f"{which}(x) must be 2x2, got shape {shape}")
+        with pytest.raises(ValueError, match=want):
+            build_partition(UNIT_BOX, 1 / 8, 0.5, TransformField(**maps))
+
+
 class TestUnitCellSpec:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            UnitCellSpec(d=2, inclusion="disk", a=0.5)
+            UnitCellSpec(inclusion="disk", a=0.5)
         with pytest.raises(ValueError):
-            UnitCellSpec(d=2, inclusion="disk", a=-0.1)
+            UnitCellSpec(inclusion="disk", a=-0.1)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenarios_reject_a_negative_radius(self, name):
@@ -946,9 +883,9 @@ class TestUnitCellSpec:
         assert get_scenario(name, a=0.0).cell.inclusion == "none"
 
     def test_inclusion_measure(self):
-        cell = UnitCellSpec(d=2, inclusion="disk", a=0.25)
+        cell = UnitCellSpec(inclusion="disk", a=0.25)
         assert cell.inclusion_measure() == pytest.approx(math.pi * 0.0625, rel=1e-15)
         K = np.diag([1.5, 1.5])
         assert cell.inclusion_measure(K) == pytest.approx(math.pi * 0.0625 * 2.25, rel=1e-14)
-        none = UnitCellSpec(d=2, inclusion="none")
+        none = UnitCellSpec(inclusion="none")
         assert none.inclusion_measure() == 0.0

@@ -218,3 +218,86 @@ class TestParametersAreRead:
             "    return inner\n"
             "k = lambda x: x + 1\n")
         assert unread_parameters(tree) == ["1 f(a)", "1 f(b)", "1 f(rest)"]
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """(name, statement) of every private module-level function, class and
+    constant; dunder names are the language's, not the module's."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        out += [(name, stmt) for name in names
+                if name.startswith("_") and not name.startswith("__")]
+    return out
+
+
+def referenced_names(stmt: ast.AST) -> set:
+    """Names read in stmt: loaded names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def unreferenced_private_names(trees: dict) -> list:
+    """"file name" for every private module-level definition that no
+    top-level statement of any module other than its own definitions
+    reads."""
+    reads = [(stmt, referenced_names(stmt))
+             for t in trees.values() for stmt in t.body]
+    out = []
+    for f, t in trees.items():
+        pairs = private_definitions(t)
+        for name in dict.fromkeys(n for n, _ in pairs):
+            own = {id(stmt) for n, stmt in pairs if n == name}
+            if not any(name in names for stmt, names in reads
+                       if id(stmt) not in own):
+                out.append(f"{f} {name}")
+    return out
+
+
+class TestPrivateNamesAreUsed:
+    """No private function, class or constant of the package is left
+    behind by the code that used it."""
+
+    def test_every_private_name_is_referenced(self):
+        trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+                 for p in sorted((ROOT / "src" / "lphom").glob("*.py"))}
+        assert unreferenced_private_names(trees) == []
+
+    def test_the_scan_flags_an_unreferenced_name(self):
+        trees = {
+            "a.py": ast.parse(
+                "_USED = 1\n"
+                "_LEFT = 2\n"
+                "_LEFT = _LEFT + 1\n"
+                "def _recursive(n):\n"
+                "    return _recursive(n - 1)\n"
+                "class _Imported:\n"
+                "    pass\n"
+                "def _attr():\n"
+                "    pass\n"
+                "__all__ = []\n"
+                "def f():\n"
+                "    return _USED\n"),
+            "b.py": ast.parse(
+                "from a import _Imported\n"
+                "import a\n"
+                "a._attr()\n"),
+        }
+        assert unreferenced_private_names(trees) == ["a.py _LEFT",
+                                                     "a.py _recursive"]

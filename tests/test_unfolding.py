@@ -47,10 +47,16 @@ LO = np.zeros(2)
 HI = np.ones(2)
 
 
+def hat_cells(part, n):
+    """The Xi_hat cells of subdomain n: its rows of the partition's Xi_hat
+    row layout."""
+    return part.hat_xi[part.hat_start[n]:part.hat_start[n + 1]]
+
+
 def single_subdomain_partition(eps, transform=None):
     # r close to 0 makes the subdomain side ~ 1, so the whole domain is one
     # frozen lattice with zero shift
-    tf = transform if transform is not None else identity_transform(2)
+    tf = transform if transform is not None else identity_transform()
     return build_partition((LO, HI), eps, 0.01, tf)
 
 
@@ -59,7 +65,7 @@ def constant_transform(D, K=None):
     Km = np.eye(2) if K is None else np.asarray(K, dtype=float)
     dd = abs(float(np.linalg.det(Dm)))
     dk = abs(float(np.linalg.det(Km)))
-    return TransformField(d=2, D=lambda x: Dm, K=lambda x: Km,
+    return TransformField(D=lambda x: Dm, K=lambda x: Km,
                           detD_bounds=(dd, dd), detK_bounds=(dk, dk),
                           lipschitz_budget=0.0, name="const")
 
@@ -72,7 +78,7 @@ def smooth_field(eps_over=8):
 
 def mapped_points(part, ug):
     """x-coordinates of every unfolded sample, entry by entry."""
-    pts = np.empty((ug.n_entries, len(ug.y_nodes), part.d))
+    pts = np.empty((ug.n_entries, len(ug.y_nodes), 2))
     for s in part.subdomains:
         sel = np.flatnonzero(ug.sub_index == s.n)
         if not len(sel):
@@ -85,7 +91,7 @@ def mapped_points(part, ug):
 
 class TestUnfold:
     def test_constant_entries(self):
-        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform())
         phi = grid_function_from_callable(lambda X: np.full(len(X), 3.25),
                                           LO, HI, 1 / 64)
         ug = unfold(phi, part, 4)
@@ -143,7 +149,7 @@ class TestUnfold:
             assert np.allclose(ug.weight[sel], expected, rtol=0, atol=1e-16)
 
     def test_linearity(self):
-        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform())
         f1 = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         f2 = grid_function_from_callable(lambda X: X[:, 0] ** 2, LO, HI, 1 / 64)
         comb = f1.copy_with(2.5 * f1.values - 1.25 * f2.values)
@@ -155,7 +161,7 @@ class TestUnfold:
     @given(st.floats(-3, 3), st.floats(-3, 3))
     @settings(deadline=None, max_examples=20)
     def test_linearity_property(self, a, b):
-        part = build_partition((LO, HI), 1 / 4, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 4, 0.5, identity_transform())
         f1 = grid_function_from_callable(lambda X: X[:, 0] * X[:, 1], LO, HI, 1 / 16)
         f2 = grid_function_from_callable(lambda X: np.cos(X[:, 1]), LO, HI, 1 / 16)
         comb = f1.copy_with(a * f1.values + b * f2.values)
@@ -178,7 +184,7 @@ class TestUnfold:
 
     def test_perforated_mask_fraction(self):
         cell = UnitCellSpec()
-        part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform())
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
         ug = unfold(phi, part, 8, mask_mode="perforated", cell=cell)
         kept = ug.total_weight() / part.omega_hat_measure
@@ -192,7 +198,7 @@ class TestUnfold:
             unfold(phi, part, 4, mask_mode="perforated", cell=rad.cell)
 
     def test_rejects_small_m_y(self):
-        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform())
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 32)
         with pytest.raises(ValueError):
             unfold(phi, part, 1)
@@ -200,11 +206,11 @@ class TestUnfold:
 
 class TestLocalAverage:
     def test_constant(self):
-        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform())
         phi = grid_function_from_callable(lambda X: np.full(len(X), 1.5),
                                           LO, HI, 1 / 64)
         avg = local_average(phi, part)
-        X = part.subdomains[0].shift + 1 / 8 * (part.subdomains[0].xi_hat + 0.5)
+        X = part.subdomains[0].shift + 1 / 8 * (hat_cells(part, 0) + 0.5)
         assert np.max(np.abs(avg.exact_eval(X) - 1.5)) <= 1e-13
 
     def test_single_cell_closed_form(self):
@@ -248,14 +254,14 @@ class TestLocalAverage:
 
 class TestIntegrationIdentity:
     def test_constant(self):
-        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 8, 0.5, identity_transform())
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
         lhs, rhs, gap = check_integration_identity(phi, part, 4)
         assert abs(lhs - part.omega_hat_measure) <= 1e-12
         assert gap <= 1e-12
 
     def test_piecewise_constant_exact(self):
-        part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform())
         values = np.random.default_rng(11).uniform(-1, 1, len(part.hat_n))
         phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
         _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
@@ -272,7 +278,7 @@ class TestIntegrationIdentity:
         assert gap <= 1e-12
 
     def test_smooth_gap_shrinks_with_m_y(self):
-        part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), 1 / 16, 0.5, identity_transform())
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256)
         gaps = [check_integration_identity(phi, part, m, eval_mode="exact")[2]
                 for m in (2, 4)]
@@ -282,7 +288,7 @@ class TestIntegrationIdentity:
         # estimate the quadrature constant from the coarse run, then bound
         # the fine one: gap(m) ~ C (eps/m)^2
         eps = 1 / 16
-        part = build_partition((LO, HI), eps, 0.5, identity_transform(2))
+        part = build_partition((LO, HI), eps, 0.5, identity_transform())
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
             LO, HI, 1 / 256)
@@ -303,7 +309,7 @@ class TestBoundaryUnfolding:
         quad = GammaQuadrature(per.cell, 16)
         bu = unfold_boundary(lambda X: np.ones(len(X)), part, quad)
         assert np.max(np.abs(bu.values - 1.0)) == 0.0
-        n_cells = sum(len(s.xi_hat) for s in part.subdomains)
+        n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
         assert abs(bu.surface_measure() - n_cells * eps * 2 * math.pi * 0.25) <= 1e-10
         lhs, rhs, gap = check_boundary_identity(
             lambda X: np.ones(len(X)), part, quad)
@@ -334,7 +340,7 @@ class TestBoundaryUnfolding:
         assert gap <= 1e-12
 
     def test_rotated_scaled_identity(self):
-        tf = constant_transform(np.linalg.inv(rotation_matrix(math.pi / 6, 2)),
+        tf = constant_transform(np.linalg.inv(rotation_matrix(math.pi / 6)),
                                 1.2 * np.eye(2))
         cell = UnitCellSpec(a=0.25)
         part = build_partition((LO, HI), 1 / 8, 0.5, tf)
@@ -411,7 +417,7 @@ class TestQInterpolant:
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         qi = interpolate_Q(phi, part)
-        hats = [set(map(tuple, s.xi_hat)) for s in part.subdomains]
+        hats = [set(map(tuple, hat_cells(part, s.n))) for s in part.subdomains]
         assert len(qi.usable_rows)
         for e in qi.usable_rows:
             xi = part.hat_xi[e]
@@ -503,14 +509,15 @@ def reference_interpolate_Q(phi, partition, points_per_axis):
     Xi_hat tuples per subdomain."""
     ug = unfold(phi, partition, 4, eval_mode="exact")
     means = ug.mean_over_Y()
-    d = partition.d
+    d = 2
     node_values = {(int(ug.sub_index[e]), tuple(int(t) for t in ug.xi[e])):
                    float(means[e]) for e in range(ug.n_entries)}
     offsets = [np.array(c) for c in np.ndindex(*(2,) * d)]
     usable = {}
     for s in partition.subdomains:
-        hat = set(map(tuple, s.xi_hat))
-        good = [xi for xi in s.xi_hat
+        xi_hat = hat_cells(partition, s.n)
+        hat = set(map(tuple, xi_hat))
+        good = [xi for xi in xi_hat
                 if all(tuple(int(t) for t in xi + c) in hat for c in offsets)]
         usable[s.n] = np.array(good, dtype=int).reshape(-1, d)
     y = (np.arange(points_per_axis) + 0.5) / points_per_axis
@@ -570,16 +577,16 @@ class TestVectorizedLookups:
         rng = np.random.default_rng(11)
         # every third Xi_hat cell unlisted, so it falls back to fill
         table = {(s.n, tuple(int(t) for t in xi)): float(rng.uniform(-1, 1))
-                 for s in part.subdomains for xi in s.xi_hat
+                 for s in part.subdomains for xi in hat_cells(part, s.n)
                  if rng.random() < 2 / 3}
-        s0 = part.subdomains[0]
-        outside = tuple(int(t) for t in s0.xi_hat.max(axis=0) + 1)
+        outside = tuple(int(t) for t in hat_cells(part, 0).max(axis=0) + 1)
         assert not part.xi_hat_contains(0, np.array(outside))[0]
         table[(0, outside)] = 5.0
-        table[(part.n_subdomains, tuple(int(t) for t in s0.xi_hat[0]))] = 6.0
+        table[(part.n_subdomains,
+               tuple(int(t) for t in hat_cells(part, 0)[0]))] = 6.0
         # a negative n must not wrap around to the last subdomain
-        last = part.subdomains[-1]
-        table[(-1, tuple(int(t) for t in last.xi_hat[0]))] = 7.0
+        last = part.n_subdomains - 1
+        table[(-1, tuple(int(t) for t in hat_cells(part, last)[0]))] = 7.0
         h = 1 / 256
         phi = lattice_pwc_field(part, row_values(part, table, 0.7), LO, HI, h,
                                 fill=0.7)
@@ -721,29 +728,78 @@ class TestGridDimension:
 
     def test_interpolant_integral_needs_a_2d_grid(self):
         with pytest.raises(ValueError, match="2-D grid"):
-            unfolding._interpolant_cell_integral(self.cube(), np.zeros(3),
-                                                 np.full(3, 0.5))
+            unfolding._interpolant_box_integrals(self.cube(), np.zeros((1, 3)),
+                                                 np.full((1, 3), 0.5))
+
+
+def reference_interpolant_cell_integral(phi, lo_pt, hi_pt):
+    """The exact integral of the bilinear interpolant over one box as the
+    grid branch of check_integration_identity took it: per-axis hat
+    weights, segment by segment."""
+    wvecs = []
+    for ax in range(2):
+        centers = phi.axis_centers(ax)
+        n = len(centers)
+        p, q = float(lo_pt[ax]), float(hi_pt[ax])
+        # segment breakpoints: centers strictly inside (p, q), plus p and q
+        inner = centers[(centers > p) & (centers < q)]
+        brk = np.concatenate(([p], inner, [q]))
+        w = np.zeros(n)
+        for s0, s1 in zip(brk[:-1], brk[1:]):
+            mid = 0.5 * (s0 + s1)
+            j = int(np.clip(np.floor((mid - phi.lo[ax]) / phi.h - 0.5), 0,
+                            n - 2))
+            for s in (s0, s1):
+                u = (s - centers[j]) / phi.h
+                w[j] += 0.5 * (s1 - s0) * (1.0 - u)
+                w[j + 1] += 0.5 * (s1 - s0) * u
+        wvecs.append(w)
+    return float(wvecs[0] @ phi.values @ wvecs[1])
+
+
+class TestGridIntegralMatchesThePerCellLoop:
+    @pytest.mark.parametrize("h", [1 / 256, 1 / 100])
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 64])
+    @pytest.mark.parametrize("name", ["periodic", "epithelial",
+                                      "radius-gradient"])
+    def test_sin_sin(self, name, eps, h):
+        # h = 1/100 puts the cell edges anywhere between the centers
+        part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
+        phi = grid_function_from_callable(
+            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
+            LO, HI, h)
+        ref = 0.0
+        for s, rows in part.hat_blocks():
+            diagD = np.diag(s.D)
+            for xi in part.hat_xi[rows]:
+                p0 = s.shift + part.eps * diagD * xi
+                p1 = s.shift + part.eps * diagD * (xi + 1)
+                ref += reference_interpolant_cell_integral(
+                    phi, np.minimum(p0, p1), np.maximum(p0, p1))
+        rhs = check_integration_identity(phi, part, 4)[1]
+        assert abs(rhs - ref) <= 1e-13 * abs(ref)
 
 
 def reference_unfold(phi, partition, m_y, mask_mode, cell, eval_mode):
     """unfold as it was: one block per subdomain, joined by np.concatenate,
     with an all-true mask in bulk mode."""
-    d = partition.d
-    y_nodes = unfolding._unit_cell_nodes(m_y, d)
+    d = 2
+    y_nodes = unfolding._unit_cell_nodes(m_y)
     evaluate = phi.exact_eval if eval_mode == "exact" else phi.eval
     subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
     vals, wts = [np.zeros((0, len(y_nodes)))], [np.zeros(0)]
     for s in partition.subdomains:
-        if not len(s.xi_hat):
+        xi_hat = hat_cells(partition, s.n)
+        if not len(xi_hat):
             continue
-        pts = unfolding.map_cells(s.shift, partition.eps, s.D, s.xi_hat,
+        pts = unfolding.map_cells(s.shift, partition.eps, s.D, xi_hat,
                                   y_nodes)
         v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
-            len(s.xi_hat), len(y_nodes))
-        subs.append(np.full(len(s.xi_hat), s.n))
-        xis.append(s.xi_hat)
+            len(xi_hat), len(y_nodes))
+        subs.append(np.full(len(xi_hat), s.n))
+        xis.append(xi_hat)
         vals.append(v)
-        wts.append(np.full(len(s.xi_hat),
+        wts.append(np.full(len(xi_hat),
                            partition.eps**d * s.detD / len(y_nodes)))
     values = np.concatenate(vals)
     if mask_mode == "perforated":
@@ -766,25 +822,26 @@ def reference_unfold_boundary(psi, partition, quad, p):
     """unfold_boundary and its two reductions as they were: blocks joined
     by np.concatenate, a broadcast metric copied per subdomain, and a new
     array for every operation."""
-    d = partition.d
+    d = 2
     c = quad.cell.center
     S = quad.n_gamma
     subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
     vals, mets = [np.zeros((0, S))], [np.zeros((0, S))]
     dets = [np.zeros(0)]
     for s in partition.subdomains:
-        if not len(s.xi_hat):
+        xi_hat = hat_cells(partition, s.n)
+        if not len(xi_hat):
             continue
         mapped_y = c + (quad.nodes - c) @ s.K.T
-        pts = unfolding.map_cells(s.shift, partition.eps, s.D, s.xi_hat,
+        pts = unfolding.map_cells(s.shift, partition.eps, s.D, xi_hat,
                                   mapped_y)
         v = np.asarray(psi(pts.reshape(-1, d)), dtype=float).reshape(
-            len(s.xi_hat), S)
-        subs.append(np.full(len(s.xi_hat), s.n))
-        xis.append(s.xi_hat)
+            len(xi_hat), S)
+        subs.append(np.full(len(xi_hat), s.n))
+        xis.append(xi_hat)
         vals.append(v)
         mets.append(np.broadcast_to(quad.metric(s.D, s.K), v.shape))
-        dets.append(np.full(len(s.xi_hat), s.detD))
+        dets.append(np.full(len(xi_hat), s.detD))
     values, metric = np.concatenate(vals), np.concatenate(mets)
     detD, eps, w = np.concatenate(dets), partition.eps, quad.ref_weights
     integrand = np.abs(values) ** p * metric * w[None, :]
@@ -865,9 +922,9 @@ class TestOneCopyMatchesTheConcatenatingReference:
         # cells of side 2 fit in none of the four half-domain subdomains
         half = np.array([0.0, 0.5, 1.0])
         empty = _covering(LO, HI, [half, half], 2.0, 0.5,
-                          identity_transform(2))
+                          identity_transform())
         assert empty.n_subdomains == 4
-        assert all(len(s.xi_hat) == 0 for s in empty.subdomains)
+        assert all(len(hat_cells(empty, s.n)) == 0 for s in empty.subdomains)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         ug = unfold(phi, empty, 4)
         assert ug.values.shape == (0, 16) and ug.xi.shape == (0, 2)
@@ -924,12 +981,13 @@ def reference_eval_cells(phi, partition, points_per_axis, m_y=4):
     node_values[part.cell_slots(ug.sub_index, ug.xi)] = ug.mean_over_Y()
     usable = {}
     for s in part.subdomains:
-        good = np.ones(len(s.xi_hat), dtype=bool)
-        for c in np.ndindex(*(2,) * part.d):
-            good &= part.xi_hat_contains(s.n, s.xi_hat + c)
-        usable[s.n] = s.xi_hat[good]
-    d = part.d
-    y = unfolding._unit_cell_nodes(points_per_axis, d)
+        xi_hat = hat_cells(part, s.n)
+        good = np.ones(len(xi_hat), dtype=bool)
+        for c in np.ndindex(2, 2):
+            good &= part.xi_hat_contains(s.n, xi_hat + c)
+        usable[s.n] = xi_hat[good]
+    d = 2
+    y = unfolding._unit_cell_nodes(points_per_axis)
     corners = np.array(list(np.ndindex(*(2,) * d)))
     wts = np.ones((len(y), len(corners)))
     for ax in range(d):
@@ -1050,7 +1108,7 @@ class TestUnfoldingMemory:
         smooth = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
             LO, HI, 1 / 128)
-        n_cells = sum(len(s.xi_hat) for s in part.subdomains)
+        n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
         peak = traced_peak(lambda: check_integration_identity(
             smooth, part, 8, eval_mode="exact"))
         assert peak <= 2.5 * n_cells * 64 * 8
@@ -1058,7 +1116,7 @@ class TestUnfoldingMemory:
     def test_boundary_check_peak(self):
         part = scenario_partition("plywood2d", 1 / 128)
         quad = GammaQuadrature(plywood2d_scenario().cell, 16)
-        n_cells = sum(len(s.xi_hat) for s in part.subdomains)
+        n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
         peak = traced_peak(lambda: check_boundary_identity(
             lambda X: 1.0 + X[:, 0], part, quad))
         assert peak <= 2.5 * n_cells * 16 * 8

@@ -171,7 +171,7 @@ def _cmd_geom(vals: dict, args) -> int:
         for s, interior in zip(part.subdomains, np.diff(part.hat_start)):
             row = [_fmt(eps), str(s.n), str(s.k[0]), str(s.k[1]),
                    _fmt(s.anchor[0]), _fmt(s.anchor[1]),
-                   _fmt(s.shift[0]), _fmt(s.shift[1]), _fmt(s.detD),
+                   _fmt(s.shift[0]), _fmt(s.shift[1]), _fmt(part.detD[s.n]),
                    str(interior), str(len(s.xi_all))]
             lines.append(",".join(row))
     path = _out_path(vals, "geom.csv")

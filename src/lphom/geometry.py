@@ -2,7 +2,7 @@
 
 Transform fields D(x), K(x), partition coverings with frozen per-subdomain
 lattices, lattice point location, locally periodic approximation operators,
-and the membership indicator of perforated domains.
+and the level and membership indicator of perforated domains.
 """
 
 from __future__ import annotations
@@ -100,14 +100,13 @@ class Subdomain:
     k: tuple[int, ...]         # multi-index in the subdomain grid
     lo: Point
     hi: Point
+    # read-only views of row n of the Partition's stacked maps
     anchor: Point              # x_n
     D: Matrix
     Dinv: Matrix
     K: Matrix
     Kinv: Matrix
-    detD: float
-    xi0: np.ndarray            # lattice point defining the shift
-    shift: Point               # x_tilde_n = eps * D @ xi0
+    shift: Point               # x_tilde_n: the lattice is shift + eps D Z^2
     eps: float                 # lattice scale, read by xi_all
 
     @cached_property
@@ -119,7 +118,7 @@ class Subdomain:
         [(_, cand, pts)] = _candidate_cells(
             self.lo[None], self.hi[None], self.eps, self.D[None],
             self.Dinv[None], self.shift[None])
-        return cand[_cells_box_intersect(pts, self.lo, self.hi, self.D)]
+        return cand[_cells_box_intersect(pts, self.lo, self.hi, self.Dinv)]
 
 
 class Partition:
@@ -129,6 +128,10 @@ class Partition:
     Subdomain n is the box [breaks[i][k_i], breaks[i][k_i + 1]] on every
     axis i, with k its multi-index in row-major order.
 
+    Its read-only arrays, one row per subdomain, are the one copy of the
+    frozen maps, which every Subdomain views: anchor (S, 2), D, Dinv, K,
+    Kinv (S, 2, 2), shift (S, 2) and detD = |det D_n| (S,).
+
     The Xi_hat row layout, one row per Xi_hat cell, subdomain after
     subdomain, is the order of every per-cell table and unfolded sample
     array, and the one copy of the cells. Its read-only arrays: the
@@ -137,9 +140,9 @@ class Partition:
     E.
     """
 
-    def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float,
-                 subdomains: list[Subdomain], hat_xi: np.ndarray,
-                 hat_start: np.ndarray):
+    def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float, *,
+                 subdomains: list[Subdomain], anchor, D, Dinv, K, Kinv, shift,
+                 detD, hat_xi: np.ndarray, hat_start: np.ndarray):
         self.domain_lo = np.asarray(domain_lo, dtype=float)
         self.domain_hi = np.asarray(domain_hi, dtype=float)
         self.breaks = breaks
@@ -147,13 +150,8 @@ class Partition:
         self.eps = eps
         self.r = r
         self.subdomains = subdomains
-        # packed per-subdomain arrays for vectorized location
-        self._Dinv = np.array([s.Dinv for s in subdomains])
-        self._D = np.array([s.D for s in subdomains])
-        self._shift = np.array([s.shift for s in subdomains])
-        self._Kinv = np.array([s.Kinv for s in subdomains])
-        self._anchor = np.array([s.anchor for s in subdomains])
-        self._detD = np.array([s.detD for s in subdomains])
+        self.anchor, self.shift, self.detD = anchor, shift, detD
+        self.D, self.Dinv, self.K, self.Kinv = D, Dinv, K, Kinv
         # the bounding box of each Xi_hat, laid out one after another,
         # row-major, as one flat index space for per-cell tables (see
         # cell_slots); _in_hat marks the slots of Xi_hat cells
@@ -189,7 +187,7 @@ class Partition:
     @property
     def cell_measures(self) -> np.ndarray:
         """Measure of one lattice cell per subdomain, eps^2 |det D_n|."""
-        return self.eps**2 * self._detD
+        return self.eps**2 * self.detD
 
     @property
     def omega_hat_measure(self) -> float:
@@ -321,14 +319,14 @@ def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
                 f"subdomain side {side:.4g} cannot hold one full cell "
                 f"(needs at least {need[small[0]]:.4g})")
     K = np.array([transform.K_at(a) for a in anchor])
-    return Partition(lo, hi, breaks, eps, r, *_frozen_subdomains(
+    return Partition(lo, hi, breaks, eps, r, **_frozen_subdomains(
         ks, s_lo, s_hi, anchor, eps, D, K, on_corner))
 
 
 def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
-                       on_corner: bool = False):
-    """The subdomains of a covering, built in one batched pass, and their
-    Xi_hat cells: (subdomains, hat_xi, hat_start) for Partition.
+                       on_corner: bool = False) -> dict:
+    """The subdomains of a covering, their stacked frozen maps and Xi_hat
+    cells, built in one batched pass: the keyword arguments of Partition.
 
     Row i of s_lo, s_hi, anchor (S, 2) and of the frozen maps D, K (S, 2, 2)
     belongs to the subdomain with multi-index ks[i]. Each lattice passes
@@ -338,11 +336,14 @@ def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
     them.
     """
     Dinv, Kinv = np.linalg.inv(D), np.linalg.inv(K)
-    detD = np.abs(np.linalg.det(D)).tolist()
     # matmul on stacked (2, 1) columns runs the same product per row as
     # Dinv @ s_lo on one subdomain
     xi0 = np.round(np.matmul(Dinv, s_lo[..., None])[..., 0] / eps).astype(int)
     shift = s_lo.copy() if on_corner else np.matmul(eps * D, xi0[..., None])[..., 0]
+    maps = dict(anchor=anchor, D=D, Dinv=Dinv, K=K, Kinv=Kinv, shift=shift,
+                detD=np.abs(np.linalg.det(D)))
+    for a in maps.values():     # read-only, and so are the views below
+        a.flags.writeable = False
     # Xi_hat: the cells whose corners all lie in their subdomain
     owners, cells = [], []
     for owner, cand, pts in _candidate_cells(s_lo, s_hi, eps, D, Dinv, shift):
@@ -353,9 +354,10 @@ def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
     counts = np.bincount(np.concatenate(owners), minlength=len(ks))
     subs = [Subdomain(n=n, k=k, lo=s_lo[n], hi=s_hi[n], anchor=anchor[n],
                       D=D[n], Dinv=Dinv[n], K=K[n], Kinv=Kinv[n],
-                      detD=detD[n], xi0=xi0[n], shift=shift[n], eps=eps)
+                      shift=shift[n], eps=eps)
             for n, k in enumerate(ks)]
-    return subs, np.concatenate(cells), np.append(0, np.cumsum(counts))
+    return dict(maps, subdomains=subs, hat_xi=np.concatenate(cells),
+                hat_start=np.append(0, np.cumsum(counts)))
 
 
 # candidate cells mapped at once; bounds the corner arrays of a covering
@@ -407,14 +409,14 @@ def map_cells(shift, eps: float, D, xi, y) -> np.ndarray:
                      + shift[..., i, None] for i in range(2)], axis=-1)
 
 
-def _cells_box_intersect(cell_pts, b_lo, b_hi, D) -> np.ndarray:
-    """Separating-axis test: mapped lattice cells (parallelepipeds given by
-    their corner points, (ncand, 4, 2)) versus one axis-aligned box,
-    open-interior overlap. Returns one bool per cell."""
+def _cells_box_intersect(cell_pts, b_lo, b_hi, Dinv) -> np.ndarray:
+    """Separating-axis test: lattice cells of the map with inverse Dinv
+    (parallelepipeds given by their corner points, (ncand, 4, 2)) versus one
+    axis-aligned box, open-interior overlap. Returns one bool per cell."""
     box_pts = np.stack([np.where(np.array(c), b_hi, b_lo)
                         for c in np.ndindex(2, 2)])
     # the box's face normals, then the mapped cell's
-    ax = np.hstack([np.eye(2), np.linalg.inv(D).T])     # (2, 4)
+    ax = np.hstack([np.eye(2), Dinv.T])                 # (2, 4)
     p1 = cell_pts @ ax                          # (ncand, 4, 4)
     p2 = box_pts @ ax                           # (4, 4)
     apart = ((p1.max(axis=1) <= p2.min(axis=0) + _GEOM_ATOL)
@@ -464,8 +466,8 @@ def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
         # y, which gets the fraction in the end
         u = y[a:b].T
         for ax in range(2):
-            np.subtract(X[a:b, ax], partition._shift[nn, ax], out=u[ax])
-        z = partition._Dinv[nn] @ u
+            np.subtract(X[a:b, ax], partition.shift[nn, ax], out=u[ax])
+        z = partition.Dinv[nn] @ u
         z /= partition.eps
         np.floor(z, out=u)
         xi[a:b] = u.T
@@ -508,29 +510,32 @@ def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,
         raise ValueError(f"unknown variant {variant!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, _, y, _ = locate_batch(partition, X)
-    x_slow = X if variant == "L" else partition._anchor[n]
+    x_slow = X if variant == "L" else partition.anchor[n]
     return psi.f(x_slow, y)
+
+
+def perforation_level(partition: Partition, cell: UnitCellSpec,
+                      X: np.ndarray) -> np.ndarray:
+    """|K_n^-1 (y - c)| - a at the points X, negative inside a perforation:
+    y is a point's in-cell coordinate, c the cell midpoint, a the inclusion
+    radius. Leftover regions carry no perforations and get 1, as does every
+    point when the cell has no inclusion."""
+    if cell.inclusion == "none":
+        return np.ones(len(np.atleast_2d(X)))
+    n, _, y, lam = locate_batch(partition, X)
+    level = np.ones(len(n))
+    act = ~lam
+    u = np.einsum("pij,pj->pi", partition.Kinv[n[act]], y[act] - cell.center)
+    level[act] = np.linalg.norm(u, axis=1) - cell.a
+    return level
 
 
 def indicator_perforated(partition: Partition, cell: UnitCellSpec,
                          X: np.ndarray) -> np.ndarray:
-    """Membership in the perforated domain (True = outside every perforation).
-
-    Leftover regions carry no perforations and are solid material. Membership
-    of the inclusion is tested via the K-inverse pullback of the in-cell
-    coordinate, with the inclusion centered at the cell midpoint.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    out = np.ones(len(X), dtype=bool)
-    if cell.inclusion == "none":
-        return out
-    n, _, y, lam = locate_batch(partition, X)
-    c = cell.center
-    act = ~lam
-    if act.any():
-        u = np.einsum("pij,pj->pi", partition._Kinv[n[act]], y[act] - c)
-        out[act] = np.sqrt(np.sum(u**2, axis=1)) > cell.a
-    return out
+    """Membership in the perforated domain, perforation_level > 0 (True =
+    outside every perforation). Leftover regions carry no perforations: they
+    belong to the perforated domain and are fluid in the micro grid."""
+    return perforation_level(partition, cell, X) > 0.0
 
 
 def mask_connected(mask: np.ndarray, periodic: bool = False) -> bool:

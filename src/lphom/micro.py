@@ -26,7 +26,8 @@ import scipy.sparse.linalg as spla
 
 from . import imex
 from .geometry import (Partition, _covering, build_partition,
-                       indicator_perforated, locate_batch, mask_connected)
+                       indicator_perforated, mask_connected,
+                       perforation_level)
 from .imex import Run, State
 from .scenarios import CoefficientSuite, Scenario
 
@@ -322,27 +323,15 @@ def build_micro_grid(config: MicroConfig) -> MicroGrid:
     n = config.n_cells
     h = config.h
     partition = _micro_partition(config.eps, config.r, scen.transform)
-    idx = (np.arange(n) + 0.5) * h
-    CX, CY = np.meshgrid(idx, idx, indexing="ij")
-    centers = np.column_stack([CX.ravel(), CY.ravel()])
+    centers, nodes = (
+        np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        for g in ((np.arange(n) + 0.5) * h, np.arange(n + 1) * h))
     mask = indicator_perforated(partition, scen.cell, centers).reshape(n, n)
     if not mask_connected(mask):
         raise ValueError("fluid region of the micro grid is disconnected")
 
-    hosts = np.zeros((0, 2), dtype=int)
-    p0 = p1 = np.zeros((0, 2))
-    if scen.cell.inclusion != "none":
-        # node level values of the perforation boundary, +1 in leftover
-        # regions (no perforations there)
-        g = np.arange(n + 1) * h
-        GX, GY = np.meshgrid(g, g, indexing="ij")
-        nodes = np.column_stack([GX.ravel(), GY.ravel()])
-        sub_n, _, y, lam = locate_batch(partition, nodes)
-        c = scen.cell.center
-        u = np.einsum("pij,pj->pi", partition._Kinv[sub_n], y - c)
-        level = np.linalg.norm(u, axis=1) - scen.cell.a
-        level[lam] = 1.0
-        hosts, p0, p1 = _face_segments(level.reshape(n + 1, n + 1), h)
+    level = perforation_level(partition, scen.cell, nodes)
+    hosts, p0, p1 = _face_segments(level.reshape(n + 1, n + 1), h)
     length = np.linalg.norm(p1 - p0, axis=1)
     mid = 0.5 * (p0 + p1)
     keep = length > 1e-14 * h

@@ -19,6 +19,7 @@ from lphom.geometry import (
     locate_slots,
     lp_approx_batch,
     map_cells,
+    perforation_level,
     rotation_matrix,
 )
 from lphom.micro import _axis_breaks, _diagonal_steps, _micro_partition
@@ -236,7 +237,7 @@ class TestVectorizedSeparatingAxes:
             lo[None], hi[None], eps, D[None], np.linalg.inv(D)[None],
             shift[None])
         assert not rows.any()
-        got = _cells_box_intersect(pts, lo, hi, D)
+        got = _cells_box_intersect(pts, lo, hi, np.linalg.inv(D))
         ref = [reference_cell_box_intersects(c, lo, hi, D) for c in pts]
         assert got.dtype == bool and got.shape == (len(cand),)
         assert got.tolist() == ref
@@ -304,14 +305,11 @@ def reference_subdomain(n, k, s_lo, s_hi, anchor, D, K, eps, shift=None):
     Kinv = np.linalg.inv(K)
     detD = abs(float(np.linalg.det(D)))
     if shift is None:
-        xi0 = np.round(Dinv @ s_lo / eps).astype(int)
-        shift = eps * D @ xi0
-    else:
-        xi0 = np.round(Dinv @ shift / eps).astype(int)
+        shift = eps * D @ np.round(Dinv @ s_lo / eps).astype(int)
     cand, pts = reference_candidate_cells(s_lo, s_hi, eps, D, Dinv, shift)
     inside = np.all((pts >= s_lo - 1e-12) & (pts <= s_hi + 1e-12), axis=(1, 2))
     return dict(n=n, k=k, lo=s_lo, hi=s_hi, anchor=anchor, D=D, Dinv=Dinv,
-                K=K, Kinv=Kinv, detD=detD, xi0=xi0, shift=shift,
+                K=K, Kinv=Kinv, detD=detD, shift=shift,
                 xi_hat=cand[inside], eps=eps)
 
 
@@ -389,6 +387,8 @@ def assert_same_partition(p, ref_subs):
     assert_breaks_bound_the_subdomains(p)
     for s, ref in zip(p.subdomains, ref_subs):
         for name, want in ref.items():
+            if name == "detD":
+                continue            # a Partition array only, compared below
             got = (hat_cells(p, s.n) if name == "xi_hat"
                    else getattr(s, name))
             if isinstance(want, np.ndarray):
@@ -400,8 +400,8 @@ def assert_same_partition(p, ref_subs):
                 assert got == want and type(got) is type(want)
     for name, want in reference_slot_tables(ref_subs, 2).items():
         assert_same_bits(getattr(p, name), want)
-    for name in ("D", "Dinv", "Kinv", "shift", "anchor", "detD"):
-        assert_same_bits(getattr(p, f"_{name}"),
+    for name in ("D", "Dinv", "K", "Kinv", "shift", "anchor", "detD"):
+        assert_same_bits(getattr(p, name),
                          np.array([ref[name] for ref in ref_subs]))
 
 
@@ -487,7 +487,7 @@ def reference_locate_batch(partition, X):
     lam = np.ones(len(X), dtype=bool)
     for nn in np.unique(n):
         idx = np.where(n == nn)[0]
-        z = (partition._Dinv[nn] @ (X[idx] - partition._shift[nn]).T).T \
+        z = (partition.Dinv[nn] @ (X[idx] - partition.shift[nn]).T).T \
             / partition.eps
         xi_n = np.floor(z).astype(int)
         xi[idx] = xi_n
@@ -686,7 +686,7 @@ class TestLocate:
         rng = np.random.default_rng(7)
         X = rng.uniform(0.0, 1.0, size=(500, 2))
         n, xi, y, _ = locate_batch(p, X)
-        rec = p._shift[n] + p.eps * np.einsum("pij,pj->pi", p._D[n], xi + y)
+        rec = p.shift[n] + p.eps * np.einsum("pij,pj->pi", p.D[n], xi + y)
         assert np.max(np.abs(rec - X)) <= 1e-12
 
     @given(st.floats(0, 1), st.floats(0, 1))
@@ -819,7 +819,7 @@ class TestIndicatorPerforated:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         num = den = 0.0
         for s in p.subdomains:
-            m = len(hat_cells(p, s.n)) * p.eps**2 * s.detD
+            m = len(hat_cells(p, s.n)) * p.eps**2 * p.detD[s.n]
             num += m * sc.cell.inclusion_measure(s.K)
             den += m
         expected = num / den
@@ -832,6 +832,98 @@ class TestIndicatorPerforated:
             frac = np.sum(inhat & ~fluid) / np.sum(inhat)
             assert abs(frac - expected) / expected <= 0.01
 
+
+
+def reference_center_mask(p, cell, X):
+    """The fluid test indicator_perforated ran itself: sqrt(sum(u**2)) > a
+    on the points outside the leftover regions, True elsewhere."""
+    out = np.ones(len(X), dtype=bool)
+    if cell.inclusion == "none":
+        return out
+    n, _, y, lam = locate_batch(p, X)
+    act = ~lam
+    if act.any():
+        u = np.einsum("pij,pj->pi", p.Kinv[n[act]], y[act] - cell.center)
+        out[act] = np.sqrt(np.sum(u**2, axis=1)) > cell.a
+    return out
+
+
+def reference_node_level(p, cell, X):
+    """The node level build_micro_grid computed itself: norm(u) - a at every
+    point, then +1 at the leftover ones."""
+    n, _, y, lam = locate_batch(p, X)
+    u = np.einsum("pij,pj->pi", p.Kinv[n], y - cell.center)
+    level = np.linalg.norm(u, axis=1) - cell.a
+    level[lam] = 1.0
+    return level
+
+
+def micro_grid_points(eps, cells_per_eps=15):
+    """The cell centres and the nodes of the micro grid at eps."""
+    n = int(round(cells_per_eps / eps))
+    h = eps / cells_per_eps
+    out = []
+    for g in ((np.arange(n) + 0.5) * h, np.arange(n + 1) * h):
+        GX, GY = np.meshgrid(g, g, indexing="ij")
+        out.append(np.column_stack([GX.ravel(), GY.ravel()]))
+    return out
+
+
+class TestPerforationLevel:
+    """One level routine gives both old perforation tests, bit for bit."""
+
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_matches_the_center_mask_and_the_node_level(self, name, eps):
+        sc = get_scenario(name)
+        p = _micro_partition(eps, 0.5, sc.transform)
+        centers, nodes = micro_grid_points(eps)
+        want = reference_center_mask(p, sc.cell, centers)
+        assert np.array_equal(perforation_level(p, sc.cell, centers) > 0.0,
+                              want)
+        assert np.array_equal(indicator_perforated(p, sc.cell, centers), want)
+        assert not want.all() and want.any()
+        assert_same_bits(perforation_level(p, sc.cell, nodes),
+                         reference_node_level(p, sc.cell, nodes))
+
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
+    def test_no_inclusion_is_all_fluid(self, eps):
+        sc = periodic_scenario(a=0.0)
+        assert sc.cell.inclusion == "none"
+        p = _micro_partition(eps, 0.5, sc.transform)
+        for X in micro_grid_points(eps):
+            assert_same_bits(perforation_level(p, sc.cell, X),
+                             np.ones(len(X)))
+            assert indicator_perforated(p, sc.cell, X).all()
+            assert reference_center_mask(p, sc.cell, X).all()
+
+
+# the frozen maps of a Partition, each also a field of every Subdomain
+MAP_NAMES = ("anchor", "D", "Dinv", "K", "Kinv", "shift")
+
+
+class TestOneCopyOfTheMaps:
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_subdomain_maps_are_views_of_the_partition_rows(self, name, eps):
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
+                  _micro_partition(eps, 0.5, tf)):
+            assert p.detD.shape == (p.n_subdomains,)
+            for s in p.subdomains:
+                for m in MAP_NAMES:
+                    got, row = getattr(s, m), getattr(p, m)[s.n]
+                    assert np.shares_memory(got, row)
+                    assert_same_bits(got, row)
+
+    def test_the_maps_are_read_only(self):
+        p = build_partition(UNIT_BOX, 1 / 8, 0.5,
+                            plywood2d_scenario().transform)
+        s = p.subdomains[0]
+        for a in ([getattr(p, m) for m in MAP_NAMES + ("detD",)]
+                  + [getattr(s, m) for m in MAP_NAMES]):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
 
 
 class TestTransformField:

@@ -301,3 +301,67 @@ class TestPrivateNamesAreUsed:
         }
         assert unreferenced_private_names(trees) == ["a.py _LEFT",
                                                      "a.py _recursive"]
+
+
+def private_attributes(tree: ast.Module) -> set:
+    """Private names a module defines: its functions, classes and methods,
+    and every name and attribute it assigns; dunder names are the
+    language's."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            out.add(n.attr)
+    return {name for name in out
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def foreign_private_reads(trees: dict) -> list:
+    """"file:line obj._name" for every read of a private attribute, on an
+    object other than self, that another module defines."""
+    defined = {f: private_attributes(t) for f, t in trees.items()}
+    out = []
+    for f, t in trees.items():
+        foreign = set().union(*(d for g, d in defined.items() if g != f))
+        out += [f"{f}:{n.lineno} {ast.unparse(n)}" for n in ast.walk(t)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load) and n.attr in foreign
+                and not (isinstance(n.value, ast.Name)
+                         and n.value.id == "self")]
+    return out
+
+
+class TestPrivateAttributesStayHome:
+    """No module reads another module's private state: what one module
+    needs of another is public and documented."""
+
+    def test_no_module_reads_a_foreign_private_attribute(self):
+        trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+                 for p in sorted((ROOT / "src" / "lphom").glob("*.py"))}
+        assert foreign_private_reads(trees) == []
+
+    def test_the_scan_flags_a_planted_read(self):
+        trees = {
+            "a.py": ast.parse(
+                "class P:\n"
+                "    def __init__(self):\n"
+                "        self._rows = []\n"
+                "        self.__dict__.clear()\n"
+                "    def _slots(self):\n"
+                "        return self._rows\n"
+                "def own(p):\n"
+                "    return p._rows, p._slots()\n"),
+            "b.py": ast.parse(
+                "def peek(p, q):\n"
+                "    _local = p._rows\n"
+                "    return q.part._slots(), p._unknown, p.__dict__\n"
+                "class Q:\n"
+                "    def f(self):\n"
+                "        return self._rows\n"),
+        }
+        assert foreign_private_reads(trees) == ["b.py:2 p._rows",
+                                                "b.py:3 q.part._slots"]

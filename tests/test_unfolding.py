@@ -145,7 +145,7 @@ class TestUnfold:
         ug = unfold(phi, part, m_y)
         for s in part.subdomains:
             sel = ug.sub_index == s.n
-            expected = part.eps**2 * s.detD / m_y**2
+            expected = part.eps**2 * part.detD[s.n] / m_y**2
             assert np.allclose(ug.weight[sel], expected, rtol=0, atol=1e-16)
 
     def test_linearity(self):
@@ -393,7 +393,7 @@ class TestQInterpolant:
         assert len(r) == 16 * len(qi.usable_rows)
         # each sample's subdomain, cell after cell in row order
         n = np.repeat(part.hat_n[qi.usable_rows], 16)
-        shift_vec = eps * part._D[n] @ np.array([0.5, 0.5])
+        shift_vec = eps * part.D[n] @ np.array([0.5, 0.5])
         pred = aff(pts) - aff(pts + shift_vec)
         assert np.max(np.abs(r - pred)) <= 1e-12
 
@@ -799,8 +799,8 @@ def reference_unfold(phi, partition, m_y, mask_mode, cell, eval_mode):
         subs.append(np.full(len(xi_hat), s.n))
         xis.append(xi_hat)
         vals.append(v)
-        wts.append(np.full(len(xi_hat),
-                           partition.eps**d * s.detD / len(y_nodes)))
+        wts.append(np.full(len(xi_hat), partition.eps**d
+                           * partition.detD[s.n] / len(y_nodes)))
     values = np.concatenate(vals)
     if mask_mode == "perforated":
         keep = np.linalg.norm(y_nodes - cell.center, axis=1) > cell.a
@@ -841,7 +841,7 @@ def reference_unfold_boundary(psi, partition, quad, p):
         xis.append(xi_hat)
         vals.append(v)
         mets.append(np.broadcast_to(quad.metric(s.D, s.K), v.shape))
-        dets.append(np.full(len(xi_hat), s.detD))
+        dets.append(np.full(len(xi_hat), partition.detD[s.n]))
     values, metric = np.concatenate(vals), np.concatenate(mets)
     detD, eps, w = np.concatenate(dets), partition.eps, quad.ref_weights
     integrand = np.abs(values) ** p * metric * w[None, :]
@@ -911,7 +911,7 @@ class TestOneCopyMatchesTheConcatenatingReference:
         assert bu.partition is part
         got = {"sub_index": part.hat_n, "xi": part.hat_xi,
                "values": bu.values, "metric": bu.metric[part.hat_n],
-               "detD": part._detD[part.hat_n]}
+               "detD": part.detD[part.hat_n]}
         for key in ("sub_index", "xi", "values", "metric", "detD"):
             assert_same_bits(got[key], getattr(ref, key))
         assert bu.metric.shape == (part.n_subdomains, 16)
@@ -1009,7 +1009,8 @@ def reference_eval_cells(phi, partition, points_per_axis, m_y=4):
         q_all.append(qv.ravel())
         r_all.append((fv - qv).ravel())
         p_all.append(pts)
-        w_all.append(np.full(qv.size, part.eps**d * s.detD / len(y)))
+        w_all.append(np.full(qv.size,
+                             part.eps**d * part.detD[s.n] / len(y)))
     return (np.concatenate(q_all), np.concatenate(r_all),
             np.concatenate(p_all), np.concatenate(w_all))
 

@@ -22,8 +22,7 @@ _EXPORTS = {
     "cell_problem": ("EffectiveTensorField", "effective_tensor", "solve_cell",
                      "tensor_field"),
     "geometry": ("Partition", "TransformField", "UnitCellSpec",
-                 "build_partition", "indicator_perforated", "locate",
-                 "locate_batch"),
+                 "build_partition", "indicator_perforated"),
     "harness": ("ConvergenceReport", "EpsilonResult", "StudyConfig",
                 "convergence_study", "write_convergence_csv"),
     "imex": ("Run",),

@@ -2,35 +2,33 @@
 
 The corrector problems live on the transformed, perforated unit cell at each
 macro point. A change of variables pulls them back to the reference square:
-the physical operator becomes div(B grad .) with B = |det D| D^-1 A D^-T and
-forcing vectors D^T e_j. Bilinear elements on an N_c x N_c Cartesian grid,
-periodic wrap-around, with cells cut by the inclusion boundary integrated
-exactly (column-wise closed-form moments of the ellipse complement), give
-one stiffness matrix per point. It is factorized once by a sparse LU on the
-active nodes, with one node pinned to remove the constant mode and the mean
-subtracted afterwards, and that factor solves the two unit forcings. The
-corrector of the forcing D^T e_j is the same combination of the two unit
-correctors, so A_eff(x) = D G D^T / |det D| where G depends on B and K
-only: points sharing (B, K), such as every node of a rotated lattice with
-isotropic A, share one solve. Because the discrete space is conforming on
-the perforated cell and nested under dyadic refinement, the effective tensor
-converges monotonically from above at second order; the energy-form assembly
-keeps it symmetric by construction.
+the physical operator becomes div(B grad .) with B = |det D| D^-1 A D^-T for
+the scalar diffusivity A, and forcing vectors D^T e_j. Bilinear elements on
+an N_c x N_c Cartesian grid, periodic wrap-around, with cells cut by the
+inclusion boundary integrated exactly (column-wise closed-form moments of
+the ellipse complement), give one stiffness matrix per point. It is
+factorized once by a sparse LU on the active nodes, with one node pinned to
+remove the constant mode and the mean subtracted afterwards, and that factor
+solves the two unit forcings. The corrector of the forcing D^T e_j is the
+same combination of the two unit correctors, so A_eff(x) = D G D^T / |det D|
+where G depends on B and K only: points sharing (B, K), such as every node
+of a rotated lattice, share one solve. Because the discrete space is
+conforming on the perforated cell and nested under dyadic refinement, the
+effective tensor converges monotonically from above at second order; the
+energy-form assembly keeps it symmetric by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import TransformField, UnitCellSpec, mask_connected
-
-CoefficientLike = Union[float, np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 # 48-point Gauss-Legendre rule on [0, 1]; cut-cell column integrands are
 # analytic between breakpoints except for a square-root endpoint at the
@@ -40,47 +38,21 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-def _coefficient_matrix(A: CoefficientLike, x: np.ndarray,
-                        y_phys: np.ndarray) -> np.ndarray:
-    """Microscopic coefficient as a (2, 2) SPD matrix at one point."""
-    if callable(A):
-        M = np.asarray(A(x, y_phys), dtype=float)
-    elif np.ndim(A) == 0:
-        M = float(A) * np.eye(2)
-    else:
-        M = np.asarray(A, dtype=float)
-    if M.shape != (2, 2):
-        raise ValueError(f"coefficient must be 2x2, got {M.shape}")
-    if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, float(np.max(np.abs(M)))):
-        raise ValueError("coefficient matrix must be symmetric")
-    if np.min(np.linalg.eigvalsh(M)) <= 0:
-        raise ValueError("coefficient matrix must be positive definite")
-    return M
-
-
-def pullback_coefficient(A: CoefficientLike, transform: TransformField,
-                         x: np.ndarray):
-    """Coefficient of the reference-cell problem at macro point x.
-
-    B(y) = |det D_x| D_x^-1 A(x, D_x y) D_x^-T. Returns a constant matrix for
-    constant A, otherwise a callable on reference coordinates.
-    """
+def pullback_coefficient(A: float, transform: TransformField,
+                         x: np.ndarray) -> np.ndarray:
+    """Coefficient B = |det D_x| D_x^-1 (A I) D_x^-T of the reference-cell
+    problem at macro point x, for the scalar diffusivity A, which must be
+    finite and positive."""
+    A = float(A)
+    if not (math.isfinite(A) and A > 0.0):
+        raise ValueError(f"diffusivity must be finite and positive, got {A!r}")
     x = np.asarray(x, dtype=float)
     D = transform.D_at(x)
     detD = abs(float(np.linalg.det(D)))
     if detD < 1e-14:
         raise ValueError("singular lattice matrix at the requested point")
     Dinv = np.linalg.inv(D)
-
-    if not callable(A):
-        M = _coefficient_matrix(A, x, np.zeros_like(x))
-        return detD * Dinv @ M @ Dinv.T
-
-    def B(y: np.ndarray) -> np.ndarray:
-        M = _coefficient_matrix(A, x, D @ np.asarray(y, dtype=float))
-        return detD * Dinv @ M @ Dinv.T
-
-    return B
+    return detD * Dinv @ (A * np.eye(2)) @ Dinv.T
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -277,34 +249,18 @@ class CellGeometry:
     active: np.ndarray           # (N*N,) nodes with a nonzero diagonal
 
 
-def _cell_coefficient(A: CoefficientLike, transform: TransformField,
-                      x: np.ndarray) -> np.ndarray:
-    """Pulled-back coefficient B at x, which must be constant on the cell."""
-    Bfun = pullback_coefficient(A, transform, x)
-    if not callable(Bfun):
-        return Bfun
-    # A may vary with the macro point but not inside the unit cell
-    Bmat = Bfun(np.array([0.5, 0.5]))
-    probe = Bfun(np.array([0.125, 0.625]))
-    if np.max(np.abs(probe - Bmat)) > 1e-12 * max(1.0, np.max(np.abs(Bmat))):
-        raise NotImplementedError(
-            "cell coefficients varying inside the unit cell are not "
-            "supported; A may depend on the macro point only")
-    return Bmat
-
-
 def check_cell_grid(N_c: int) -> None:
     """The cell grid must resolve the inclusion: N_c >= 32."""
     if N_c < 32:
         raise ValueError("cell grid too coarse, need N_c >= 32")
 
 
-def build_cell_geometry(x, A: CoefficientLike, transform: TransformField,
+def build_cell_geometry(x, A: float, transform: TransformField,
                         cell: UnitCellSpec, N_c: int) -> CellGeometry:
     """Cut cells, stiffness matrix and unit forcings of the problem at x."""
     check_cell_grid(N_c)
     x = np.asarray(x, dtype=float)
-    Bmat = _cell_coefficient(A, transform, x)
+    Bmat = pullback_coefficient(A, transform, x)
     scale = float(np.max(np.abs(Bmat)))
     if abs(Bmat[0, 1]) > 1e-12 * scale:
         raise NotImplementedError(
@@ -406,7 +362,7 @@ class CellSolution:
         return G
 
 
-def solve_cell(x, A: CoefficientLike, transform: TransformField,
+def solve_cell(x, A: float, transform: TransformField,
                cell: UnitCellSpec, N_c: int = 128,
                tol: float = 1e-10) -> CellSolution:
     """Solve the corrector problems at macro point x.
@@ -475,7 +431,7 @@ def _cache_key(*mats: np.ndarray) -> tuple:
     return tuple((np.round(M, 12) + 0.0).tobytes() for M in mats)
 
 
-def tensor_field(points, A: CoefficientLike, transform: TransformField,
+def tensor_field(points, A: float, transform: TransformField,
                  cell: UnitCellSpec, N_c: int = 128,
                  tol: float = 1e-10) -> EffectiveTensorField:
     """Effective tensor at every requested macro point.
@@ -483,8 +439,7 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
     Points sharing the pulled-back coefficient B and the inclusion matrix K
     (to 12 digits) reuse one cell solve, and effective_tensor maps it to
     each point's lattice matrix D: constant-transform scenarios, and
-    rotated lattices with isotropic A, cost a single solve regardless of
-    the sample count.
+    rotated lattices, cost a single solve regardless of the sample count.
     """
     check_cell_grid(N_c)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -498,9 +453,9 @@ def tensor_field(points, A: CoefficientLike, transform: TransformField,
         x = pts[k]
         try:
             theta[k] = porosity(transform, cell, x)
-            key = _cache_key(_cell_coefficient(A, transform, x),
+            key = _cache_key(pullback_coefficient(A, transform, x),
                              transform.K_at(x))
-        except (ValueError, NotImplementedError) as exc:
+        except ValueError as exc:
             sol = str(exc)
         else:
             if key not in cache:

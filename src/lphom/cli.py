@@ -423,21 +423,19 @@ def _cmd_macro(vals: dict, args) -> int:
 
 # ------------------------------------------------------------ converge
 
+# config key -> StudyConfig field
+_STUDY_FIELDS = {"epsilon_list": "eps_list", "r": "r",
+                 "cells_per_eps": "cells_per_eps", "Nc": "N_c", "H": "H",
+                 "nGamma": "n_gamma", "T": "T", "dt_rule": "dt_rule"}
+
+
 def _cmd_converge(vals: dict, args) -> int:
     from .harness import StudyConfig, convergence_study, write_convergence_csv
 
     sc = _scenario_from(vals)
-    study = StudyConfig(
-        scenario=sc,
-        eps_list=vals.get("epsilon_list", (1 / 8, 1 / 16, 1 / 32)),
-        r=vals.get("r", 0.5),
-        cells_per_eps=vals.get("cells_per_eps", 15),
-        N_c=vals.get("Nc", 128),
-        H=vals.get("H", 1 / 32),
-        n_gamma=vals.get("nGamma", 16),
-        T=vals.get("T", 0.5),
-        dt_rule=vals.get("dt_rule", "h"),
-    )
+    # StudyConfig holds the defaults of the keys the user left out
+    study = StudyConfig(sc, **{field: vals[key] for key, field in
+                               _STUDY_FIELDS.items() if key in vals})
     report = convergence_study(study)
     path = _out_path(vals, "convergence.csv")
     write_convergence_csv(report, path)

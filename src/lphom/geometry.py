@@ -73,10 +73,6 @@ class TransformField:
 
     D: Callable[[Point], Matrix]
     K: Callable[[Point], Matrix]
-    detD_bounds: tuple[float, float] = (0.5, 2.0)
-    detK_bounds: tuple[float, float] = (0.5, 4.0)
-    lipschitz_budget: float = 2.0
-    name: str = ""
 
     def D_at(self, x: Point) -> Matrix:
         return _matrix_at(self.D, x, "D")
@@ -87,9 +83,7 @@ class TransformField:
 
 def identity_transform() -> TransformField:
     I = np.eye(2)
-    return TransformField(D=lambda x: I, K=lambda x: I,
-                          detD_bounds=(1.0, 1.0), detK_bounds=(1.0, 1.0),
-                          lipschitz_budget=0.0, name="identity")
+    return TransformField(D=lambda x: I, K=lambda x: I)
 
 
 @dataclass(frozen=True)
@@ -105,7 +99,6 @@ class Subdomain:
     D: Matrix
     Dinv: Matrix
     K: Matrix
-    Kinv: Matrix
     shift: Point               # x_tilde_n: the lattice is shift + eps D Z^2
     eps: float                 # lattice scale, read by xi_all
 
@@ -129,8 +122,9 @@ class Partition:
     axis i, with k its multi-index in row-major order.
 
     Its read-only arrays, one row per subdomain, are the one copy of the
-    frozen maps, which every Subdomain views: anchor (S, 2), D, Dinv, K,
-    Kinv (S, 2, 2), shift (S, 2) and detD = |det D_n| (S,).
+    frozen maps: anchor (S, 2), D, Dinv, K, Kinv (S, 2, 2), shift (S, 2)
+    and detD = |det D_n| (S,). Every Subdomain views its rows of anchor, D,
+    Dinv, K and shift.
 
     The Xi_hat row layout, one row per Xi_hat cell, subdomain after
     subdomain, is the order of every per-cell table and unfolded sample
@@ -258,17 +252,10 @@ class Partition:
         return flat
 
 
-@dataclass
-class LocateResult:
-    n: int
-    xi: np.ndarray
-    y: np.ndarray
-    in_lambda: bool
-
-
-def build_partition(domain, eps: float, r: float, transform: TransformField,
-                    anchor_rule: str = "subdomain-center") -> Partition:
-    """Cover the box domain by cubes of side eps^r with frozen lattices.
+def build_partition(domain, eps: float, r: float,
+                    transform: TransformField) -> Partition:
+    """Cover the box domain by cubes of side eps^r with lattices frozen at
+    the subdomain centres.
 
     The shift x_tilde_n = eps D_n xi0 snaps each subdomain lattice to the
     lattice point nearest the subdomain's lower corner, so the frozen lattice
@@ -277,8 +264,6 @@ def build_partition(domain, eps: float, r: float, transform: TransformField,
     """
     if not (eps > 0.0 and 0.0 < r < 1.0):
         raise ValueError("need eps > 0 and 0 < r < 1")
-    if anchor_rule not in ("subdomain-center", "lower-corner"):
-        raise ValueError(f"unknown anchor rule {anchor_rule!r}")
     lo = np.asarray(domain[0], dtype=float)
     hi = np.asarray(domain[1], dtype=float)
     if lo.shape != (2,) or hi.shape != (2,) or np.any(hi <= lo):
@@ -289,26 +274,23 @@ def build_partition(domain, eps: float, r: float, transform: TransformField,
     # (hi - lo) / side lies within 1e-9 above a whole number)
     breaks = [np.minimum(lo[i] + np.arange(n + 1) * side, hi[i])
               for i, n in enumerate(n_sub)]
-    return _covering(lo, hi, breaks, eps, r, transform,
-                     lower_corner=anchor_rule == "lower-corner",
-                     check_side=True)
+    return _covering(lo, hi, breaks, eps, r, transform, check_side=True)
 
 
 def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
-              lower_corner: bool = False, on_corner: bool = False,
-              check_side: bool = False) -> Partition:
+              on_corner: bool = False, check_side: bool = False) -> Partition:
     """The Partition of the box [lo, hi] with the given per-axis breaks.
 
-    Each subdomain's maps are frozen at its anchor, the box centre or, with
-    lower_corner, its lower corner; on_corner is _frozen_subdomains'. With
-    check_side, a nominal side eps^r that cannot hold one full cell at some
-    anchor is rejected, naming the first such subdomain.
+    Each subdomain's maps are frozen at its anchor, the box centre;
+    on_corner is _frozen_subdomains'. With check_side, a nominal side eps^r
+    that cannot hold one full cell at some anchor is rejected, naming the
+    first such subdomain.
     """
     ks = list(np.ndindex(*(len(b) - 1 for b in breaks)))
     k = np.array(ks)
     s_lo = np.column_stack([b[k[:, i]] for i, b in enumerate(breaks)])
     s_hi = np.column_stack([b[k[:, i] + 1] for i, b in enumerate(breaks)])
-    anchor = s_lo.copy() if lower_corner else 0.5 * (s_lo + s_hi)
+    anchor = 0.5 * (s_lo + s_hi)
     D = np.array([transform.D_at(a) for a in anchor])
     if check_side:
         side = eps**r
@@ -353,8 +335,8 @@ def _frozen_subdomains(ks, s_lo, s_hi, anchor, eps: float, D, K,
         cells.append(cand[inside])
     counts = np.bincount(np.concatenate(owners), minlength=len(ks))
     subs = [Subdomain(n=n, k=k, lo=s_lo[n], hi=s_hi[n], anchor=anchor[n],
-                      D=D[n], Dinv=Dinv[n], K=K[n], Kinv=Kinv[n],
-                      shift=shift[n], eps=eps)
+                      D=D[n], Dinv=Dinv[n], K=K[n], shift=shift[n],
+                      eps=eps)
             for n, k in enumerate(ks)]
     return dict(maps, subdomains=subs, hat_xi=np.concatenate(cells),
                 hat_start=np.append(0, np.cumsum(counts)))
@@ -476,18 +458,6 @@ def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
     return xi, y, slot
 
 
-def locate_batch(partition: Partition, X: np.ndarray):
-    """locate_slots with the leftover flag slot < 0: (n, xi, y, in_lambda)."""
-    n, xi, y, slot = locate_slots(partition, X)
-    return n, xi, y, slot < 0
-
-
-def locate(partition: Partition, x) -> LocateResult:
-    """Locate one point; see locate_batch."""
-    n, xi, y, lam = locate_batch(partition, np.asarray(x, dtype=float)[None, :])
-    return LocateResult(n=int(n[0]), xi=xi[0], y=y[0], in_lambda=bool(lam[0]))
-
-
 @dataclass(frozen=True)
 class ScalarFieldOnCells:
     """A function psi_tilde(x, y) continuous in x and Y-periodic in y.
@@ -509,7 +479,7 @@ def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,
     if variant not in ("L", "L0"):
         raise ValueError(f"unknown variant {variant!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, _, y, _ = locate_batch(partition, X)
+    n, _, y, _ = locate_slots(partition, X)
     x_slow = X if variant == "L" else partition.anchor[n]
     return psi.f(x_slow, y)
 
@@ -522,9 +492,9 @@ def perforation_level(partition: Partition, cell: UnitCellSpec,
     point when the cell has no inclusion."""
     if cell.inclusion == "none":
         return np.ones(len(np.atleast_2d(X)))
-    n, _, y, lam = locate_batch(partition, X)
+    n, _, y, slot = locate_slots(partition, X)
     level = np.ones(len(n))
-    act = ~lam
+    act = slot >= 0
     u = np.einsum("pij,pj->pi", partition.Kinv[n[act]], y[act] - cell.center)
     level[act] = np.linalg.norm(u, axis=1) - cell.a
     return level

@@ -37,7 +37,6 @@ class MacroConfig:
     T: float = 0.5
     dt: Optional[float] = None          # default: dt = H
     n_gamma: int = 16
-    suite: Optional[CoefficientSuite] = None
     tensors: Optional[EffectiveTensorField] = None
     N_c: int = 64                       # cell resolution if tensors not given
 
@@ -50,8 +49,11 @@ class MacroConfig:
         if self.n_gamma < 4:
             raise ValueError("need at least 4 boundary quadrature points")
         check_cell_grid(self.N_c)
-        if self.suite is None:
-            self.suite = self.scenario.suite
+
+    @property
+    def suite(self) -> CoefficientSuite:
+        """The run's coefficients: its scenario's."""
+        return self.scenario.suite
 
     @property
     def n_cells(self) -> int:

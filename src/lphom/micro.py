@@ -49,7 +49,6 @@ class MicroConfig:
     cells_per_eps: int = 15
     T: float = 0.5
     dt: Optional[float] = None          # default: dt = h
-    suite: Optional[CoefficientSuite] = None
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -59,11 +58,14 @@ class MicroConfig:
         if self.cells_per_eps < 8:
             raise ValueError("need at least 8 cells per eps (h <= eps/8)")
         imex.check_times(self.T, self.dt)
-        if self.suite is None:
-            self.suite = self.scenario.suite
         n = self.eps / self.cells_per_eps
         if abs(round(1.0 / n) - 1.0 / n) > 1e-9:
             raise ValueError("1/h must be an integer number of grid cells")
+
+    @property
+    def suite(self) -> CoefficientSuite:
+        """The run's coefficients: its scenario's."""
+        return self.scenario.suite
 
     @property
     def h(self) -> float:
@@ -300,7 +302,7 @@ def _micro_partition(eps: float, r: float, transform) -> Partition:
 
     Where the frozen maps are diagonal with each entry a function of its own
     axis only, the subdomain edges are snapped per axis to whole multiples of
-    the local lattice step and each lattice is anchored at its subdomain's
+    the local lattice step and each lattice passes through its subdomain's
     lower corner, so the cells tile every subdomain exactly. Without the snap
     each subdomain seam sheds a band of excluded cells whose receptor deficit
     decays too slowly in eps to observe convergence under it. Transforms that
@@ -312,7 +314,7 @@ def _micro_partition(eps: float, r: float, transform) -> Partition:
     if fs is None:
         return build_partition(domain, eps, _commensurate_r(eps, r), transform)
     breaks = [_axis_breaks(eps, r, f) for f in fs]
-    # lattices anchored at the lower corner
+    # lattices through the lower corners
     return _covering(*np.asarray(domain), breaks, eps, r, transform,
                      on_corner=True)
 

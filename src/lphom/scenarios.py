@@ -22,6 +22,8 @@ class CoefficientSuite:
 
     F(xi) = mu1 xi / (mu2 + mu3 xi) is the ligand production term and
     p(xi) = kappa1 xi / (kappa2 + kappa3 xi) the receptor production term.
+    The receptor decay rates df and db must be finite and positive: the
+    receptor bound divides by them.
     """
 
     mu1: float = 1.0
@@ -39,6 +41,13 @@ class CoefficientSuite:
     l0: float = 1.0
     rf0: float = 1.0
     rb0: float = 0.0
+
+    def __post_init__(self):
+        for name in ("df", "db"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate > 0.0):
+                raise ValueError(f"decay rate {name} must be finite and "
+                                 f"positive, got {rate!r}")
 
     def F(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -84,9 +93,7 @@ def _cell(a: float) -> UnitCellSpec:
 
 def periodic_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
     I = np.eye(2)
-    tf = TransformField(D=lambda x: I, K=lambda x: I,
-                        detD_bounds=(1.0, 1.0), detK_bounds=(1.0, 1.0),
-                        lipschitz_budget=0.0, name="periodic")
+    tf = TransformField(D=lambda x: I, K=lambda x: I)
     return Scenario("periodic", tf, _cell(a), suite)
 
 
@@ -102,13 +109,9 @@ def epithelial_scenario(a: float = 0.25, kappa_base: float = 0.7,
         return np.diag([1.0, kappa(x[1])])
 
     I = np.eye(2)
-    k_lo = min(kappa(0.0), kappa(1.0))
-    k_hi = max(kappa(0.0), kappa(1.0))
-    if not (0.0 < k_lo and k_hi < 1.0):
+    if not all(0.0 < kappa(t) < 1.0 for t in (0.0, 1.0)):
         raise ValueError("epithelial compression must stay in (0, 1)")
-    tf = TransformField(D=D, K=lambda x: I,
-                        detD_bounds=(k_lo, k_hi), detK_bounds=(1.0, 1.0),
-                        lipschitz_budget=abs(kappa_slope) + 0.1, name="epithelial")
+    tf = TransformField(D=D, K=lambda x: I)
     return Scenario("epithelial", tf, _cell(a), suite)
 
 
@@ -126,9 +129,7 @@ def plywood2d_scenario(a: float = 0.25, gamma_rate: float = math.pi / 2,
     Kmat = np.diag([1.0, k2])
     if k2 * a >= 0.5 or a >= 0.5:
         raise ValueError("elliptical inclusion leaves the unit cell")
-    tf = TransformField(D=D, K=lambda x: Kmat,
-                        detD_bounds=(1.0, 1.0), detK_bounds=(k2, k2),
-                        lipschitz_budget=abs(gamma_rate) + 0.1, name="plywood2d")
+    tf = TransformField(D=D, K=lambda x: Kmat)
     return Scenario("plywood2d", tf, _cell(a), suite)
 
 
@@ -144,14 +145,9 @@ def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
         return np.diag([rho(x), rho(x)])
 
     I = np.eye(2)
-    r_lo = min(rho([0.0, 0.0]), rho([1.0, 0.0]))
-    r_hi = max(rho([0.0, 0.0]), rho([1.0, 0.0]))
-    if r_hi * a >= 0.5:
+    if max(rho_base, rho_base + rho_slope) * a >= 0.5:
         raise ValueError("scaled perforation leaves the unit cell")
-    tf = TransformField(D=lambda x: I, K=K,
-                        detD_bounds=(1.0, 1.0), detK_bounds=(r_lo**2, r_hi**2),
-                        lipschitz_budget=2.0 * abs(rho_slope) + 0.1,
-                        name="radius-gradient")
+    tf = TransformField(D=lambda x: I, K=K)
     return Scenario("radius-gradient", tf, _cell(a), suite)
 
 

@@ -203,8 +203,8 @@ class TestSolverInvariants:
         # uniform and (l, r_f, r_b) follow a 3-variable system
         sc = get_scenario("periodic")
         s = replace(sc.suite, alpha=0.0, beta=0.0, rb0=0.5)
-        cfg = MicroConfig(scenario=sc, eps=1 / 8, cells_per_eps=16, T=1.0,
-                          dt=1e-3, suite=s)
+        cfg = MicroConfig(scenario=replace(sc, suite=s), eps=1 / 8,
+                          cells_per_eps=16, T=1.0, dt=1e-3)
         run = run_micro(cfg)
 
         def rhs(t, u):

@@ -14,8 +14,6 @@ from lphom.geometry import (
     build_partition,
     identity_transform,
     indicator_perforated,
-    locate,
-    locate_batch,
     locate_slots,
     lp_approx_batch,
     map_cells,
@@ -44,9 +42,7 @@ def hat_cells(p, n):
 def constant_rotation_transform(alpha: float) -> TransformField:
     Dm = np.linalg.inv(rotation_matrix(alpha))
     I = np.eye(2)
-    return TransformField(D=lambda x: Dm, K=lambda x: I,
-                          detD_bounds=(1.0, 1.0), detK_bounds=(1.0, 1.0),
-                          lipschitz_budget=0.0, name="const-rot")
+    return TransformField(D=lambda x: Dm, K=lambda x: I)
 
 
 class TestRotationMatrix:
@@ -79,8 +75,7 @@ class TestBuildPartition:
         # independent oracle: enumerate candidate cells and corner-test them
         # directly, without the library's lattice machinery
         eps, r = 1 / 16, 0.5
-        p = build_partition(UNIT_BOX, eps, r, identity_transform(),
-                            anchor_rule="lower-corner")
+        p = build_partition(UNIT_BOX, eps, r, identity_transform())
         side = eps**r
         for s in p.subdomains:
             lo = np.array(s.k) * side
@@ -124,13 +119,14 @@ class TestBuildPartition:
         for s in p.subdomains:
             assert np.all(s.anchor >= s.lo) and np.all(s.anchor <= s.hi)
 
-    def test_anchor_inside_subdomain_for_both_rules(self):
-        for rule in ("subdomain-center", "lower-corner"):
-            p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(),
-                                anchor_rule=rule)
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_anchor_is_the_subdomain_centre(self, name):
+        # in the uniform covering and in the micro grid's snapped one
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, 1 / 8, 0.5, tf),
+                  _micro_partition(1 / 8, 0.5, tf)):
             for s in p.subdomains:
-                assert np.all(s.anchor >= s.lo - 1e-15)
-                assert np.all(s.anchor <= s.hi + 1e-15)
+                assert_same_bits(s.anchor, 0.5 * (s.lo + s.hi))
 
     def test_lambda_measure_bounded_by_eps_power(self):
         # measured ratios stay below 2.4 for every registry scenario; C = 4
@@ -150,15 +146,12 @@ class TestBuildPartition:
             build_partition(UNIT_BOX, -1.0, 0.5, identity_transform())
         with pytest.raises(ValueError):
             build_partition(UNIT_BOX, 1 / 8, 1.5, identity_transform())
-        with pytest.raises(ValueError):
-            build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform(),
-                            anchor_rule="median")
 
 
-def single_subdomain_partition(eps, transform, anchor_rule="lower-corner"):
+def single_subdomain_partition(eps, transform):
     # r small enough that one subdomain covers almost all of the unit square;
     # points tested stay inside the first subdomain
-    return build_partition(UNIT_BOX, eps, 0.01, transform, anchor_rule=anchor_rule)
+    return build_partition(UNIT_BOX, eps, 0.01, transform)
 
 
 def reference_cell_box_intersects(cell_pts, b_lo, b_hi, D) -> bool:
@@ -313,8 +306,7 @@ def reference_subdomain(n, k, s_lo, s_hi, anchor, D, K, eps, shift=None):
                 xi_hat=cand[inside], eps=eps)
 
 
-def reference_build_partition(domain, eps, r, transform,
-                              anchor_rule="subdomain-center"):
+def reference_build_partition(domain, eps, r, transform):
     """build_partition's subdomain fields, one subdomain at a time."""
     lo = np.asarray(domain[0], dtype=float)
     hi = np.asarray(domain[1], dtype=float)
@@ -327,8 +319,7 @@ def reference_build_partition(domain, eps, r, transform,
         k_arr = np.array(k)
         s_lo = lo + k_arr * side
         s_hi = np.minimum(lo + (k_arr + 1) * side, hi)
-        anchor = ((s_lo + s_hi) / 2.0 if anchor_rule == "subdomain-center"
-                  else s_lo.copy())
+        anchor = (s_lo + s_hi) / 2.0
         D = transform.D_at(anchor)
         if side < 2.0 * eps * np.linalg.norm(D, 2):
             raise ValueError(
@@ -387,8 +378,8 @@ def assert_same_partition(p, ref_subs):
     assert_breaks_bound_the_subdomains(p)
     for s, ref in zip(p.subdomains, ref_subs):
         for name, want in ref.items():
-            if name == "detD":
-                continue            # a Partition array only, compared below
+            if name in ("detD", "Kinv"):
+                continue            # Partition arrays only, compared below
             got = (hat_cells(p, s.n) if name == "xi_hat"
                    else getattr(s, name))
             if isinstance(want, np.ndarray):
@@ -409,22 +400,18 @@ def varying_stretch_transform() -> TransformField:
     """D = diag(0.8 + 0.4 x_1, 1): |D| grows with x_1 from 1 to 1.2."""
     I = np.eye(2)
     return TransformField(D=lambda x: np.diag([0.8 + 0.4 * x[0], 1.0]),
-                          K=lambda x: I, detD_bounds=(0.8, 1.2),
-                          detK_bounds=(1.0, 1.0), lipschitz_budget=0.4,
-                          name="stretch")
+                          K=lambda x: I)
 
 
 class TestBatchedPartition:
-    @pytest.mark.parametrize("anchor_rule", ["subdomain-center",
-                                             "lower-corner"])
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 12, 1 / 16, 1 / 32, 1 / 64,
                                      1 / 128])
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    def test_matches_the_per_subdomain_loop(self, name, eps, anchor_rule):
+    def test_matches_the_per_subdomain_loop(self, name, eps):
         tf = get_scenario(name).transform
-        p = build_partition(UNIT_BOX, eps, 0.5, tf, anchor_rule=anchor_rule)
-        assert_same_partition(p, reference_build_partition(
-            UNIT_BOX, eps, 0.5, tf, anchor_rule))
+        p = build_partition(UNIT_BOX, eps, 0.5, tf)
+        assert_same_partition(p, reference_build_partition(UNIT_BOX, eps,
+                                                           0.5, tf))
 
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     @pytest.mark.parametrize("name", ["periodic", "epithelial",
@@ -476,9 +463,10 @@ def reference_subdomain_of(partition, X):
     return np.ravel_multi_index(tuple(k.T), partition.n_sub)
 
 
-def reference_locate_batch(partition, X):
-    """locate_batch with one np.where pass per subdomain, and Xi_hat
-    membership from a set of tuples."""
+def reference_locate(partition, X):
+    """locate_slots, with the leftover flag slot < 0 in place of the slot,
+    from one np.where pass per subdomain, and Xi_hat membership from a set
+    of tuples."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = reference_subdomain_of(partition, X)
     d = 2
@@ -519,20 +507,16 @@ class TestGroupedLocate:
         for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
                   _micro_partition(eps, 0.5, tf)):
             X = locate_probe_points(p, 3)
-            got = locate_batch(p, X)
-            ref = reference_locate_batch(p, X)
-            assert len(np.unique(got[0])) == p.n_subdomains
-            for g, r in zip(got, ref):
+            n, xi, y, slot = locate_slots(p, X)
+            assert len(np.unique(n)) == p.n_subdomains
+            for g, r in zip((n, xi, y, slot < 0), reference_locate(p, X)):
                 assert g.dtype == r.dtype and g.shape == r.shape
                 assert g.tobytes() == r.tobytes()
-            # locate_slots: the same location, and the slot of each Xi_hat cell
-            n, xi, y, slot = locate_slots(p, X)
+            # the slot of each Xi_hat cell
             cell = p.cell_slots(n, xi)
             in_hat = (cell >= 0) & p._in_hat[cell]
             assert in_hat.any() and not in_hat.all()
             assert_same_bits(slot, np.where(in_hat, cell, -1))
-            for g, r in zip((n, xi, y, slot < 0), got):
-                assert_same_bits(g, r)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
@@ -556,10 +540,9 @@ class TestGroupedLocate:
 
     @staticmethod
     def assert_matches_reference(p, X):
-        got = locate_batch(p, X)
-        for g, r in zip(got, reference_locate_batch(p, X)):
+        n, xi, y, slot = got = locate_slots(p, X)
+        for g, r in zip((n, xi, y, slot < 0), reference_locate(p, X)):
             assert_same_bits(g, r)
-        n, xi, y, slot = locate_slots(p, X)
         cell = p.cell_slots(n, xi)
         assert_same_bits(slot, np.where((cell >= 0) & p._in_hat[cell],
                                         cell, -1))
@@ -597,8 +580,7 @@ class TestGroupedLocate:
                   _micro_partition(1 / 16, 0.5, periodic_scenario().transform)):
             X = np.full((5, 2), 0.5)
             X[3, axis] = bad
-            for call in (lambda: locate(p, X[3]),
-                         lambda: locate_batch(p, X),
+            for call in (lambda: locate_slots(p, X[3]),
                          lambda: locate_slots(p, X),
                          lambda: locate_slots(p, X[::-1])):
                 with pytest.raises(ValueError, match="point outside the domain"):
@@ -606,10 +588,9 @@ class TestGroupedLocate:
 
     def test_empty_input(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform())
-        n, xi, y, lam = locate_batch(p, np.zeros((0, 2)))
-        assert n.shape == (0,) and xi.shape == y.shape == (0, 2)
-        assert lam.shape == (0,)
-        assert locate_slots(p, np.zeros((0, 2)))[3].shape == (0,)
+        n, xi, y, slot = locate_slots(p, np.zeros((0, 2)))
+        assert n.shape == slot.shape == (0,)
+        assert xi.shape == y.shape == (0, 2)
 
 
 class TestCellSlots:
@@ -646,15 +627,15 @@ class TestCellSlots:
 class TestLocate:
     def test_identity_single_subdomain(self):
         p = single_subdomain_partition(1 / 4, identity_transform())
-        res = locate(p, np.array([0.3, 0.6]))
-        assert tuple(res.xi) == (1, 2)
-        assert np.allclose(res.y, [0.2, 0.4], atol=1e-12)
+        _, [xi], [y], _ = locate_slots(p, np.array([0.3, 0.6]))
+        assert tuple(xi) == (1, 2)
+        assert np.allclose(y, [0.2, 0.4], atol=1e-12)
 
     def test_exact_lattice_corner_floor_convention(self):
         p = single_subdomain_partition(1 / 4, identity_transform())
-        res = locate(p, np.array([0.5, 0.25]))
-        assert tuple(res.xi) == (2, 1)
-        assert np.allclose(res.y, [0.0, 0.0], atol=0)
+        _, [xi], [y], _ = locate_slots(p, np.array([0.5, 0.25]))
+        assert tuple(xi) == (2, 1)
+        assert np.allclose(y, [0.0, 0.0], atol=0)
 
     def test_rotated_lattice_against_direct_arithmetic(self):
         # oracle: direct evaluation of Dinv (x - shift) / eps with its own
@@ -663,20 +644,20 @@ class TestLocate:
         tf = constant_rotation_transform(math.pi / 6)
         p = build_partition(UNIT_BOX, eps, 0.5, tf)
         x = np.array([0.40, 0.35])
-        res = locate(p, x)
+        _, [xi], [y], _ = locate_slots(p, x)
         Dm = np.linalg.inv(rotation_matrix(math.pi / 6))
         k = np.floor(x / p.side).astype(int)
         lo = k * p.side
         xi0 = np.round(np.linalg.solve(Dm, lo) / eps)
         shift = eps * Dm @ xi0
         z = np.linalg.solve(Dm, x - shift) / eps
-        assert np.allclose(res.xi, np.floor(z), atol=0)
-        assert np.allclose(res.y, z - np.floor(z), atol=1e-12)
+        assert np.allclose(xi, np.floor(z), atol=0)
+        assert np.allclose(y, z - np.floor(z), atol=1e-12)
 
     def test_rejects_point_outside_domain(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform())
         with pytest.raises(ValueError, match="outside"):
-            locate(p, np.array([1.2, 0.5]))
+            locate_slots(p, np.array([1.2, 0.5]))
 
     @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
                                       "radius-gradient"])
@@ -685,7 +666,7 @@ class TestLocate:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(7)
         X = rng.uniform(0.0, 1.0, size=(500, 2))
-        n, xi, y, _ = locate_batch(p, X)
+        n, xi, y, _ = locate_slots(p, X)
         rec = p.shift[n] + p.eps * np.einsum("pij,pj->pi", p.D[n], xi + y)
         assert np.max(np.abs(rec - X)) <= 1e-12
 
@@ -693,9 +674,9 @@ class TestLocate:
     @settings(deadline=None, max_examples=60)
     def test_reconstruction_property_epithelial(self, x1, x2):
         p = _EPI_PARTITION
-        res = locate(p, np.array([x1, x2]))
-        s = p.subdomains[res.n]
-        rec = s.shift + p.eps * s.D @ (res.xi + res.y)
+        [n], [xi], [y], _ = locate_slots(p, np.array([x1, x2]))
+        s = p.subdomains[n]
+        rec = s.shift + p.eps * s.D @ (xi + y)
         assert np.max(np.abs(rec - np.array([x1, x2]))) <= 1e-12
 
     def test_lambda_flag_consistent_with_xi_hat(self):
@@ -703,10 +684,10 @@ class TestLocate:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(3)
         X = rng.uniform(0.0, 1.0, size=(400, 2))
-        n, xi, _, lam = locate_batch(p, X)
+        n, xi, _, slot = locate_slots(p, X)
         for i in range(len(X)):
             member = bool(p.xi_hat_contains(n[i], xi[i][None, :])[0])
-            assert member == (not lam[i])
+            assert member == (slot[i] >= 0)
 
 
 _EPI_PARTITION = build_partition(UNIT_BOX, 1 / 8, 0.5,
@@ -718,8 +699,8 @@ class TestLpApprox:
         g = ScalarFieldOnCells(f=lambda x, y: x[:, 0] ** 2 + 3.0, name="g")
         p = _EPI_PARTITION
         x = np.array([0.37, 0.81])
-        res = locate(p, x)
-        anchor = p.subdomains[res.n].anchor
+        [n] = locate_slots(p, x)[0]
+        anchor = p.subdomains[n].anchor
         assert lp_approx_batch(g, p, x[None], "L")[0] == pytest.approx(
             0.37**2 + 3.0, abs=1e-14)
         assert lp_approx_batch(g, p, x[None], "L0")[0] == pytest.approx(
@@ -803,7 +784,7 @@ class TestIndicatorPerforated:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(500, 2))
-        _, _, _, lam = locate_batch(p, X)
+        lam = locate_slots(p, X)[3] < 0
         ind = indicator_perforated(p, sc.cell, X)
         assert np.all(ind[lam])
 
@@ -826,9 +807,8 @@ class TestIndicatorPerforated:
         for ng in (512, 1024):
             xs = (np.arange(ng) + 0.5) / ng
             X = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
-            _, _, _, lam = locate_batch(p, X)
+            inhat = locate_slots(p, X)[3] >= 0
             fluid = indicator_perforated(p, sc.cell, X)
-            inhat = ~lam
             frac = np.sum(inhat & ~fluid) / np.sum(inhat)
             assert abs(frac - expected) / expected <= 0.01
 
@@ -840,8 +820,8 @@ def reference_center_mask(p, cell, X):
     out = np.ones(len(X), dtype=bool)
     if cell.inclusion == "none":
         return out
-    n, _, y, lam = locate_batch(p, X)
-    act = ~lam
+    n, _, y, slot = locate_slots(p, X)
+    act = slot >= 0
     if act.any():
         u = np.einsum("pij,pj->pi", p.Kinv[n[act]], y[act] - cell.center)
         out[act] = np.sqrt(np.sum(u**2, axis=1)) > cell.a
@@ -851,10 +831,10 @@ def reference_center_mask(p, cell, X):
 def reference_node_level(p, cell, X):
     """The node level build_micro_grid computed itself: norm(u) - a at every
     point, then +1 at the leftover ones."""
-    n, _, y, lam = locate_batch(p, X)
+    n, _, y, slot = locate_slots(p, X)
     u = np.einsum("pij,pj->pi", p.Kinv[n], y - cell.center)
     level = np.linalg.norm(u, axis=1) - cell.a
-    level[lam] = 1.0
+    level[slot < 0] = 1.0
     return level
 
 
@@ -898,8 +878,9 @@ class TestPerforationLevel:
             assert reference_center_mask(p, sc.cell, X).all()
 
 
-# the frozen maps of a Partition, each also a field of every Subdomain
-MAP_NAMES = ("anchor", "D", "Dinv", "K", "Kinv", "shift")
+# the frozen maps of a Partition that every Subdomain also views; Kinv and
+# detD are Partition arrays only
+MAP_NAMES = ("anchor", "D", "Dinv", "K", "shift")
 
 
 class TestOneCopyOfTheMaps:
@@ -920,10 +901,20 @@ class TestOneCopyOfTheMaps:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5,
                             plywood2d_scenario().transform)
         s = p.subdomains[0]
-        for a in ([getattr(p, m) for m in MAP_NAMES + ("detD",)]
+        for a in ([getattr(p, m) for m in MAP_NAMES + ("Kinv", "detD")]
                   + [getattr(s, m) for m in MAP_NAMES]):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
+
+
+# each registry scenario's bounds at its default parameters: |det D|, |det K|
+# and a Lipschitz budget of both maps
+DECLARED_BOUNDS = {
+    "periodic": ((1.0, 1.0), (1.0, 1.0), 0.0),
+    "epithelial": ((0.7, 0.95), (1.0, 1.0), 0.25 + 0.1),
+    "plywood2d": ((1.0, 1.0), (1.4, 1.4), math.pi / 2 + 0.1),
+    "radius-gradient": ((1.0, 1.0), (1.0, 1.5**2), 2.0 * 0.5 + 0.1),
+}
 
 
 class TestTransformField:
@@ -934,17 +925,18 @@ class TestTransformField:
         # K(x) Y0 strictly inside Y
         sc = get_scenario(name)
         tf = sc.transform
+        detD_bounds, detK_bounds, budget = DECLARED_BOUNDS[name]
         g = np.linspace(0.0, 1.0, 7)
         pts = [np.array([a, b]) for a in g for b in g]
         Ds = np.array([tf.D_at(x) for x in pts]).reshape(7, 7, 2, 2)
         Ks = np.array([tf.K_at(x) for x in pts]).reshape(7, 7, 2, 2)
-        for M, (lo, hi) in ((Ds, tf.detD_bounds), (Ks, tf.detK_bounds)):
+        for M, (lo, hi) in ((Ds, detD_bounds), (Ks, detK_bounds)):
             det = np.abs(np.linalg.det(M))
             assert det.min() >= lo - 1e-12 and det.max() <= hi + 1e-12
             for ax in (0, 1):
                 quot = np.linalg.norm(np.diff(M, axis=ax), 2,
                                       axis=(-2, -1)) / (g[1] - g[0])
-                assert quot.max() <= tf.lipschitz_budget + 1e-9
+                assert quot.max() <= budget + 1e-9
         if sc.cell.inclusion != "none":
             # extent of K Y0 per axis about the cell centre 1/2
             assert np.all(sc.cell.a * np.linalg.norm(Ks, axis=-1) < 0.5)

@@ -31,7 +31,7 @@ from lphom.harness import (
     convergence_study,
 )
 from lphom.macro import MacroConfig
-from lphom.scenarios import get_scenario
+from lphom.scenarios import CoefficientSuite, get_scenario
 
 
 def read_csv(path):
@@ -183,6 +183,32 @@ class TestExitCodes:
         assert ("error: cell grid too coarse, need N_c >= 32"
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rate", ["df", "db"])
+    @pytest.mark.parametrize("argv", [
+        ["micro", "--eps", "1/4", "--T", "0.01"],
+        ["macro", "--H", "1/8", "--T", "0.01"],
+        ["converge"]], ids=["micro", "macro", "converge"])
+    def test_zero_decay_rate_exits_2_before_any_solve(
+            self, argv, rate, tmp_path, capsys, monkeypatch):
+        # the receptor bound divides by the decay rates
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(harness, "tensor_field", no_solve)
+        monkeypatch.setattr(cell_problem, "solve_cell", no_solve)
+        monkeypatch.setattr(micro, "build_micro_grid", no_solve)
+        p = tmp_path / "c.cfg"
+        p.write_text(f"{rate}=0\n")
+        out = tmp_path / "out"
+        code = main(argv + ["--scenario", "periodic", "--config", str(p),
+                            "--outdir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"error: decay rate {rate} must be finite and positive, "
+                f"got 0.0") in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_nan_dt_rule_in_a_config_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
@@ -634,6 +660,22 @@ class TestConvergeCommand:
         assert (tmp_path / "convergence.csv").read_bytes() \
             == (GOLDEN / "converge_small.csv").read_bytes()
 
+    def test_keys_left_out_take_the_study_defaults(self, tmp_path,
+                                                   monkeypatch):
+        studies = []
+
+        def stop(study, *args, **kwargs):
+            studies.append(study)
+            raise RuntimeError("stopped before the solves")
+
+        monkeypatch.setattr(harness, "convergence_study", stop)
+        assert main(["converge", "--scenario", "periodic", "--eps", "1/4,1/8",
+                     "--Nc", "64", "--n-gamma", "8",
+                     "--outdir", str(tmp_path)]) == 1
+        [study] = studies
+        assert study == StudyConfig(study.scenario, eps_list=(1 / 4, 1 / 8),
+                                    N_c=64, n_gamma=8)
+
 
 def row_bits(row):
     """Everything a study row reports, floats as exact hex strings."""
@@ -746,6 +788,19 @@ class TestUnperforatedStudy:
             assert row.error is None
             assert row.E <= 1e-10
             assert row.lts_gap <= 1e-10
+
+
+class TestCoefficientSuite:
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("rate", ["df", "db"])
+    def test_decay_rates_must_be_finite_and_positive(self, rate, value):
+        with pytest.raises(ValueError, match=f"decay rate {rate} must be"):
+            CoefficientSuite(**{rate: value})
+
+    def test_other_zero_coefficients_stay_valid(self):
+        s = CoefficientSuite(alpha=0.0, beta=0.0, mu1=0.0, dl=0.0, l0=0.0,
+                             rf0=0.0, rb0=0.0)
+        assert s.receptor_bound == 10.0
 
 
 class TestStudyConfigValidation:

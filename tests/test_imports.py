@@ -30,8 +30,6 @@ HOME = {
     "UnitCellSpec": "geometry",
     "build_partition": "geometry",
     "indicator_perforated": "geometry",
-    "locate": "geometry",
-    "locate_batch": "geometry",
     "ConvergenceReport": "harness",
     "EpsilonResult": "harness",
     "StudyConfig": "harness",
@@ -75,7 +73,7 @@ def run_python(code: str) -> dict:
 
 class TestLazyNamespace:
     def test_all_lists_the_public_names(self):
-        assert len(HOME) == 39
+        assert len(HOME) == 37
         assert sorted(lphom.__all__) == sorted(HOME)
 
     @pytest.mark.parametrize("name", sorted(HOME))
@@ -158,7 +156,7 @@ class TestGeometryArguments:
     def test_the_walk_reaches_the_unexported_routines(self):
         assert {"lphom.unfolding.norm_unfold_minus_identity",
                 "lphom.unfolding.norm_unfold_of_lp_minus_psi",
-                "lphom.geometry.locate",
+                "lphom.geometry.locate_slots",
                 "lphom.geometry.indicator_perforated"} <= set(self.kinds())
 
     def test_no_routine_takes_a_partition_and_a_transform(self):
@@ -365,3 +363,71 @@ class TestPrivateAttributesStayHome:
         }
         assert foreign_private_reads(trees) == ["b.py:2 p._rows",
                                                 "b.py:3 q.part._slots"]
+
+
+def frozen_fields(tree: ast.Module) -> list:
+    """(class name, field name) of every field of a frozen dataclass;
+    ClassVar annotations are class constants, not fields."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        frozen = any(isinstance(d, ast.Call)
+                     and getattr(d.func, "id", None) == "dataclass"
+                     and any(k.arg == "frozen" and getattr(k.value, "value",
+                                                            None) is True
+                             for k in d.keywords)
+                     for d in cls.decorator_list)
+        out += [(cls.name, stmt.target.id) for stmt in cls.body if frozen
+                and isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and "ClassVar" not in ast.unparse(stmt.annotation)]
+    return out
+
+
+def unread_fields(trees: dict, readers: list) -> list:
+    """"file Class.field" for every frozen dataclass field of trees that no
+    attribute load (obj.field) in trees or readers reads.
+
+    Matching is by name. A field's declaration, and the keyword arguments
+    that set it, are no reads; a read in the class's own methods
+    (self.field) is one, as CoefficientSuite.p reads kappa1 to kappa3.
+    """
+    loads = {n.attr for t in [*trees.values(), *readers] for n in ast.walk(t)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{f} {c}.{name}" for f, t in trees.items()
+            for c, name in frozen_fields(t) if name not in loads]
+
+
+class TestFrozenFieldsAreRead:
+    """No frozen dataclass of the package keeps a value that neither the
+    package nor the benchmark harness reads."""
+
+    def test_every_frozen_field_is_read(self):
+        trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+                 for p in sorted((ROOT / "src" / "lphom").glob("*.py"))}
+        readers = [ast.parse(p.read_text(encoding="utf-8"))
+                   for p in sorted((ROOT / "perfbench").glob("*.py"))]
+        assert trees and readers
+        assert unread_fields(trees, readers) == []
+
+    def test_the_scan_flags_an_unread_field(self):
+        trees = {
+            "a.py": ast.parse(
+                "from dataclasses import dataclass\n"
+                "from typing import ClassVar\n"
+                "@dataclass(frozen=True)\n"
+                "class T:\n"
+                "    D: object\n"
+                "    bounds: tuple = (0.5, 2.0)\n"
+                "    scale: float = 1.0\n"
+                "    unit: ClassVar[float] = 1.0\n"
+                "    def area(self):\n"
+                "        return self.scale\n"
+                "@dataclass\n"
+                "class Mutable:\n"
+                "    kept: int = 0\n"
+                "t = T(D=1, bounds=(1.0, 1.0))\n"),
+            "b.py": ast.parse("def use(t):\n    return t.D\n"),
+        }
+        assert unread_fields(trees, []) == ["a.py T.bounds"]

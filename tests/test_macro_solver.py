@@ -218,8 +218,8 @@ class TestStep:
     def test_zero_fixed_point(self):
         scen = get_scenario("periodic")
         suite = replace(scen.suite, l0=0.0, rf0=0.0, rb0=0.0)
-        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.2, suite=suite,
-                          N_c=32)
+        cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 16,
+                          T=0.2, N_c=32)
         run = run_macro(cfg)
         assert np.abs(run.final_state.l).max() == 0.0
         assert np.abs(run.final_state.r_f).max() == 0.0
@@ -260,8 +260,8 @@ class TestStep:
         errs = []
         for dt in (2e-3, 1e-3):
             suite = replace(scen.suite, alpha=0.0, rb0=0.8)
-            cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.5, dt=dt,
-                              suite=suite, N_c=48)
+            cfg = MacroConfig(scenario=replace(scen, suite=suite),
+                              H=1 / 32, T=0.5, dt=dt, N_c=48)
             run = run_macro(cfg)
             exact = 0.8 * math.exp(-(suite.beta + suite.db) * 0.5)
             errs.append(abs(run.final_state.r_b[0, 0] - exact))
@@ -292,8 +292,8 @@ class TestStep:
         # invariant under the theta-weighted backward Euler step
         scen = get_scenario("periodic")
         suite = replace(scen.suite, mu1=0.0, dl=0.0, alpha=0.0, beta=0.0)
-        cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.5, suite=suite,
-                          N_c=48)
+        cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 32,
+                          T=0.5, N_c=48)
         op = assemble_macro(cfg)
         st = op.initial_state()
         X = op.nodes[:, 0].reshape(op.n, op.n)
@@ -309,8 +309,8 @@ class TestStep:
     def test_pure_diffusion_energy_decays(self):
         scen = get_scenario("periodic")
         suite = replace(scen.suite, mu1=0.0, dl=0.0, alpha=0.0, beta=0.0)
-        cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.3, suite=suite,
-                          N_c=48)
+        cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 32,
+                          T=0.3, N_c=48)
         op = assemble_macro(cfg)
         st = op.initial_state()
         X = op.nodes[:, 0].reshape(op.n, op.n)
@@ -355,13 +355,15 @@ class TestRun:
 
     @pytest.mark.parametrize("change", [
         dict(H=1 / 16), dict(n_gamma=8),
-        dict(suite=replace(get_scenario("periodic").suite, beta=0.5))])
+        dict(scenario=get_scenario("periodic", suite=replace(
+            get_scenario("periodic").suite, beta=0.5)))])
     def test_mismatched_operator_is_rejected(self, change):
         # T and dt may differ from the operator's config, nothing else may
         base = dict(scenario=get_scenario("periodic"), H=1 / 8, T=0.05,
                     N_c=32)
         op = assemble_macro(MacroConfig(**base))
         (key,) = change
+        key = {"scenario": "suite"}.get(key, key)   # the scenario's suite
         with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
             run_macro(MacroConfig(**{**base, **change}, dt=1e-3), op=op)
 

@@ -168,9 +168,9 @@ class TestGridBuild:
         scen = get_scenario("periodic")
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.0)
         grid = build_micro_grid(cfg)
-        from lphom.geometry import locate_batch
-        _, _, y, lam = locate_batch(grid.partition, grid.faces.midpoint)
-        assert not lam.any()
+        from lphom.geometry import locate_slots
+        _, _, y, slot = locate_slots(grid.partition, grid.faces.midpoint)
+        assert (slot >= 0).all()
         dev = np.abs(np.hypot(*(y - scen.cell.center).T) - scen.cell.a)
         assert dev.max() < 1e-2
 
@@ -188,8 +188,8 @@ class TestStep:
         # F(0) = p(0) = 0, so zero data stays exactly zero
         scen = get_scenario("periodic")
         suite = replace(scen.suite, l0=0.0, rf0=0.0, rb0=0.0)
-        cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.2,
-                          suite=suite)
+        cfg = MicroConfig(scenario=replace(scen, suite=suite), eps=1 / 8,
+                          cells_per_eps=16, T=0.2)
         run = run_micro(cfg)
         assert np.abs(run.final_state.l).max() == 0.0
         assert np.abs(run.final_state.r_f).max() == 0.0
@@ -264,8 +264,8 @@ class TestRun:
         # spatially uniform and (l, r_f, r_b) follow a 3-variable system
         scen = get_scenario("periodic")
         s = replace(scen.suite, alpha=0.0, beta=0.0, rb0=0.5)
-        cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=1.0,
-                          dt=1e-3, suite=s)
+        cfg = MicroConfig(scenario=replace(scen, suite=s), eps=1 / 8,
+                          cells_per_eps=16, T=1.0, dt=1e-3)
         run = run_micro(cfg)
         lf = run.final_state.l[run.model.mask]
         assert lf.max() - lf.min() < 1e-11
@@ -356,7 +356,8 @@ class TestRun:
 
     @pytest.mark.parametrize("change", [
         dict(eps=1 / 16), dict(r=0.6), dict(cells_per_eps=16),
-        dict(suite=replace(get_scenario("periodic").suite, alpha=2.0))])
+        dict(scenario=get_scenario("periodic", suite=replace(
+            get_scenario("periodic").suite, alpha=2.0)))])
     def test_mismatched_grid_is_rejected(self, change, monkeypatch):
         # T and dt may differ from the grid's config, nothing else may
         base = dict(scenario=get_scenario("periodic"), eps=1 / 8,
@@ -368,6 +369,7 @@ class TestRun:
 
         monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=no_splu))
         (key,) = change
+        key = {"scenario": "suite"}.get(key, key)   # the scenario's suite
         with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
             run_micro(MicroConfig(**{**base, **change}, dt=1e-3), grid=grid)
 

@@ -62,6 +62,18 @@ class TestPullback:
         with pytest.raises(ValueError, match="finite and positive"):
             pullback_coefficient(A, const_tf(I2), X0)
 
+    @pytest.mark.parametrize("A", [
+        np.array([[1.0, 0.5], [0.0, 1.0]]),
+        np.diag([1.0, -2.0]),
+        np.diag([0.825, 1.0 / 0.825]),
+        lambda x, y: (1.0 + x[0]) * np.eye(2),
+    ], ids=["nonsymmetric", "indefinite", "diagonal", "macro-dependent"])
+    def test_rejects_a_diffusivity_that_is_not_a_scalar(self, A):
+        # matrix and callable coefficients are not supported, even those
+        # that would be valid tensors
+        with pytest.raises(TypeError):
+            pullback_coefficient(A, const_tf(I2), X0)
+
     def test_rejects_singular_lattice(self):
         with pytest.raises(ValueError):
             pullback_coefficient(1.0, const_tf(np.zeros((2, 2))), X0)
@@ -92,6 +104,11 @@ class TestGeometryBuild:
         D = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(NotImplementedError, match="diagonal"):
             build_cell_geometry(X0, 1.0, const_tf(D), DISK, N_c=64)
+
+    def test_cell_varying_coefficient_rejected(self):
+        A = lambda x, y: (1.0 + y[0]) * np.eye(2)
+        with pytest.raises(TypeError):
+            build_cell_geometry(X0, A, const_tf(I2), DISK, N_c=64)
 
     def test_connectivity_detector(self):
         full = np.ones((8, 8), dtype=bool)

@@ -359,14 +359,24 @@ def _dt_from(vals: dict, args) -> Optional[float]:
     return dt
 
 
+# config key -> MicroConfig / MacroConfig field
+_MICRO_FIELDS = {"r": "r", "cells_per_eps": "cells_per_eps", "T": "T"}
+_MACRO_FIELDS = {"T": "T", "nGamma": "n_gamma", "Nc": "N_c"}
+
+
+def _given(vals: dict, fields: dict) -> dict:
+    """The config fields of the keys the user gave, by field name."""
+    return {field: vals[key] for key, field in fields.items() if key in vals}
+
+
 def _cmd_micro(vals: dict, args) -> int:
     from .micro import MicroConfig, run_micro
 
     sc = _scenario_from(vals)
     eps = _single_eps(vals, 1 / 16)
-    cfg = MicroConfig(sc, eps, r=vals.get("r", 0.5),
-                      cells_per_eps=vals.get("cells_per_eps", 15),
-                      T=vals.get("T", 0.5), dt=_dt_from(vals, args))
+    # MicroConfig holds the defaults of the keys the user left out
+    cfg = MicroConfig(sc, eps, dt=_dt_from(vals, args),
+                      **_given(vals, _MICRO_FIELDS))
     run = run_micro(cfg, n_samples=20)
 
     prov = ("scenario", "a", "r", "cells_per_eps", "T", "dt_rule")
@@ -396,9 +406,10 @@ def _cmd_macro(vals: dict, args) -> int:
 
     sc = _scenario_from(vals)
     tensors = _read_tensor_csv(args.tensors) if args.tensors else None
-    cfg = MacroConfig(sc, H=vals.get("H", 1 / 32), T=vals.get("T", 0.5),
-                      dt=_dt_from(vals, args), n_gamma=vals.get("nGamma", 16),
-                      tensors=tensors, N_c=vals.get("Nc", 64))
+    # MacroConfig holds the defaults of the keys the user left out, but H
+    # has none there
+    cfg = MacroConfig(sc, H=vals.get("H", 1 / 32), dt=_dt_from(vals, args),
+                      tensors=tensors, **_given(vals, _MACRO_FIELDS))
     run = run_macro(cfg, n_samples=20)
 
     prov = ("scenario", "a", "H", "T", "dt_rule", "nGamma", "Nc")
@@ -434,8 +445,7 @@ def _cmd_converge(vals: dict, args) -> int:
 
     sc = _scenario_from(vals)
     # StudyConfig holds the defaults of the keys the user left out
-    study = StudyConfig(sc, **{field: vals[key] for key, field in
-                               _STUDY_FIELDS.items() if key in vals})
+    study = StudyConfig(sc, **_given(vals, _STUDY_FIELDS))
     report = convergence_study(study)
     path = _out_path(vals, "convergence.csv")
     write_convergence_csv(report, path)

@@ -466,7 +466,6 @@ class ScalarFieldOnCells:
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = ""
 
 
 def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,

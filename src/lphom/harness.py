@@ -18,6 +18,7 @@ list (which the config requires to be strictly decreasing itself).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -222,14 +223,23 @@ def _compare(mic: Run, mac: Run) -> EpsilonResult:
                          error="; ".join(notes) if notes else None)
 
 
-def convergence_study(study: StudyConfig, max_workers: int = 3) -> ConvergenceReport:
+def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceReport:
     """Run the full study. Sub-run failures become per-epsilon records.
 
-    The macro job (tensor field, assembly, run) and the micro runs share one
-    thread pool, since the micro runs do not need the tensors; the micro
-    runs are submitted finest epsilon first, the longest first.
+    With max_workers >= 2 the runs go in two lanes. Lane A, a worker
+    thread, runs the finest micro run, the longest. Lane B, the calling
+    thread, waits until that run's grid build and factorization have
+    returned or raised, then runs the macro job (tensor field, assembly,
+    run) and the coarser micro runs one at a time, finest first. So
+    nothing else runs during the finest set-up, whose factorization is the
+    study's largest, and at most two runs are in progress at once: a third
+    would raise the memory peak and slow the finest run's SuperLU solves,
+    which share the process with it. max_workers=1 runs the macro job and
+    then the micro runs finest first, on the calling thread. The rows do
+    not depend on the schedule.
     """
     sc = study.scenario
+    finest, *coarser = reversed(study.eps_list)
 
     def macro_job() -> Run:
         mac_cfg = MacroConfig(sc, H=study.H, T=study.T, dt=study.macro_dt(),
@@ -240,38 +250,62 @@ def convergence_study(study: StudyConfig, max_workers: int = 3) -> ConvergenceRe
         return run_macro(mac_cfg, op=op, n_samples=study.n_samples,
                          keep_fields=True)
 
-    def micro_job(eps: float) -> Run:
+    def micro_job(eps: float, set_up: Optional[threading.Event] = None) -> Run:
         cfg = MicroConfig(sc, eps, r=study.r,
                           cells_per_eps=study.cells_per_eps, T=study.T,
                           dt=study.micro_dt(eps))
-        return run_micro(cfg, n_samples=study.n_samples, keep_fields=True)
+        return run_micro(cfg, n_samples=study.n_samples, keep_fields=True,
+                         set_up=set_up)
 
-    mac_run: Optional[Run] = None
-    macro_error: Optional[str] = None
+    def attempt(job, *args) -> tuple:
+        # (run, None), or (None, the error message)
+        try:
+            return job(*args), None
+        except Exception as exc:                    # noqa: BLE001
+            return None, str(exc)
+
+    def macro_then(order) -> tuple:
+        # the macro job, then the micro runs in order; after a failed macro
+        # job no row can be compared, so they are skipped
+        macro = attempt(macro_job)
+        if macro[1] is not None:
+            return macro, {}
+        return macro, {eps: attempt(micro_job, eps) for eps in order}
+
+    if max_workers <= 1:
+        (mac_run, macro_error), outcomes = macro_then([finest, *coarser])
+    else:
+        set_up = threading.Event()
+
+        def lane_a() -> tuple:
+            try:
+                return attempt(micro_job, finest, set_up)
+            finally:                # a run that failed before its set-up
+                set_up.set()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            finest_future = pool.submit(lane_a)
+            set_up.wait()
+            (mac_run, macro_error), outcomes = macro_then(coarser)  # lane B
+            outcomes[finest] = finest_future.result()
+
     micro_runs: dict = {}
     rows = []
-    workers = max(1, min(max_workers, len(study.eps_list) + 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        macro_future = pool.submit(macro_job)
-        micro_futures = {eps: pool.submit(micro_job, eps)
-                         for eps in sorted(study.eps_list)}
-        try:
-            mac_run = macro_future.result()
-        except Exception as exc:                    # noqa: BLE001
-            macro_error = f"macro run failed: {exc}"
-            for fut in micro_futures.values():
-                fut.cancel()
-        for eps in study.eps_list:
-            if macro_error is not None:
-                rows.append(EpsilonResult(epsilon=eps, error=macro_error))
-                continue
+    for eps in study.eps_list:
+        if macro_error is not None:
+            rows.append(EpsilonResult(epsilon=eps,
+                                      error=f"macro run failed: {macro_error}"))
+            continue
+        mic, error = outcomes[eps]
+        if error is None:
+            micro_runs[eps] = mic
             try:
-                mic = micro_futures[eps].result()
-                micro_runs[eps] = mic
                 rows.append(_compare(mic, mac_run))
+                continue
             except Exception as exc:                # noqa: BLE001
-                rows.append(EpsilonResult(epsilon=eps,
-                                          error=f"micro run failed: {exc}"))
+                error = str(exc)
+        rows.append(EpsilonResult(epsilon=eps,
+                                  error=f"micro run failed: {error}"))
 
     all_passed = all(r.passed for r in rows)
     Es = [r.E for r in rows]

@@ -121,7 +121,7 @@ class TestUnfoldingIdentities:
         sc = get_scenario("epithelial")
         psi = ScalarFieldOnCells(
             lambda X, Y: (np.sin(2 * np.pi * Y[:, 0]) * (1 + 0.5 * X[:, 1])
-                          + X[:, 0] * Y[:, 1]), name="two-scale test field")
+                          + X[:, 0] * Y[:, 1]))
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, sc.transform)

@@ -696,7 +696,7 @@ _EPI_PARTITION = build_partition(UNIT_BOX, 1 / 8, 0.5,
 
 class TestLpApprox:
     def test_no_fast_dependence(self):
-        g = ScalarFieldOnCells(f=lambda x, y: x[:, 0] ** 2 + 3.0, name="g")
+        g = ScalarFieldOnCells(f=lambda x, y: x[:, 0] ** 2 + 3.0)
         p = _EPI_PARTITION
         x = np.array([0.37, 0.81])
         [n] = locate_slots(p, x)[0]
@@ -707,7 +707,7 @@ class TestLpApprox:
             anchor[0] ** 2 + 3.0, abs=1e-14)
 
     def test_pure_oscillation_identity_lattice(self):
-        psi = ScalarFieldOnCells(f=lambda x, y: np.sin(2 * np.pi * y[:, 0]), name="osc")
+        psi = ScalarFieldOnCells(f=lambda x, y: np.sin(2 * np.pi * y[:, 0]))
         p = single_subdomain_partition(1 / 4, identity_transform())
         for x in ([0.3, 0.6], [0.11, 0.52], [0.77, 0.23]):
             [v] = lp_approx_batch(psi, p, np.array([x]), "L")
@@ -721,7 +721,7 @@ class TestLpApprox:
         # the fractional decomposition by hand
         sc = plywood2d_scenario()
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
-        psi = ScalarFieldOnCells(f=lambda x, y: x[:, 0] * y[:, 1], name="xy")
+        psi = ScalarFieldOnCells(f=lambda x, y: x[:, 0] * y[:, 1])
         rng = np.random.default_rng(11)
         X = rng.uniform(0.0, 1.0, size=(100, 2))
         got = lp_approx_batch(psi, p, X, "L")
@@ -734,8 +734,8 @@ class TestLpApprox:
             assert got[i] == pytest.approx(x[0] * y[1], abs=1e-12)
 
     def test_variants_agree_without_x_dependence(self):
-        psi = ScalarFieldOnCells(f=lambda x, y: np.cos(2 * np.pi * y[:, 0]) + y[:, 1],
-                                 name="yonly")
+        psi = ScalarFieldOnCells(
+            f=lambda x, y: np.cos(2 * np.pi * y[:, 0]) + y[:, 1])
         p = _EPI_PARTITION
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(200, 2))
@@ -744,7 +744,7 @@ class TestLpApprox:
         assert np.max(np.abs(vL - vL0)) <= 1e-14
 
     def test_rejects_unknown_variant(self):
-        psi = ScalarFieldOnCells(f=lambda x, y: y[:, 0], name="y1")
+        psi = ScalarFieldOnCells(f=lambda x, y: y[:, 0])
         with pytest.raises(ValueError):
             lp_approx_batch(psi, _EPI_PARTITION, np.array([[0.5, 0.5]]), "L2")
 

@@ -8,6 +8,7 @@ process through main(), so exit codes and output files are checked
 without spawning interpreters.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -492,6 +493,34 @@ class TestBenchmarkHooks:
         assert out["missing"] == []
         assert len(out["installed"]) == 17
 
+    def test_hooks_install_in_process_and_are_restored(self):
+        # the same check in this process: every hook target exists, and
+        # putting back what install_lphom_hooks replaced leaves the
+        # modules as they were for the tests that follow
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", root / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        modules = (cell_problem, cli, harness, micro, spla)
+        before = [dict(vars(m)) for m in modules]
+        tracer = tracing.Tracer()
+        try:
+            tracing.install_lphom_hooks(tracer)
+        finally:
+            patched = set()
+            for m, attrs in zip(modules, before):
+                for name, value in attrs.items():
+                    if getattr(m, name) is not value:
+                        patched.add(f"{m.__name__}.{name}")
+                        setattr(m, name, value)
+        assert tracer.missing == []
+        assert {"lphom.harness.run_micro", "lphom.harness.tensor_field",
+                "scipy.sparse.linalg.splu"} <= patched
+        assert len(patched) == 13       # 12 lphom attributes and splu
+        for m, attrs in zip(modules, before):
+            assert all(getattr(m, k) is v for k, v in attrs.items())
+
     def test_solver_layers_are_attributed(self):
         # a factorization or solve the hooks cannot see (say, through a
         # module-level `from scipy.sparse.linalg import splu`) would drop
@@ -696,17 +725,19 @@ class TestScheduler:
     def serial(self, study):
         return convergence_study(study, max_workers=1)
 
-    def test_rows_do_not_depend_on_pool_size(self, study, serial):
-        threaded = convergence_study(study, max_workers=3)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_rows_do_not_depend_on_pool_size(self, study, serial, workers):
+        threaded = convergence_study(study, max_workers=workers)
         assert [r.epsilon for r in serial.rows] == list(study.eps_list)
         assert all(r.passed for r in serial.rows)
         assert [row_bits(r) for r in threaded.rows] \
             == [row_bits(r) for r in serial.rows]
 
-    def test_micro_factorizations_run_one_at_a_time(self, study, serial,
+    def test_micro_factorizations_run_one_at_a_time(self, study,
                                                     monkeypatch):
-        # the first factorization waits for a second one to start, which
-        # only the set-up lock keeps out; its timeout bounds the test
+        # two runs started together on their own threads: the first
+        # factorization waits for a second one to start, which only the
+        # set-up lock keeps out; its timeout bounds the test
         intervals = []
         first, second = threading.Event(), threading.Event()
 
@@ -722,12 +753,96 @@ class TestScheduler:
             return lu
 
         monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=recording_splu))
-        threaded = convergence_study(study, max_workers=2)
+        cfgs = [micro.MicroConfig(study.scenario, eps, cells_per_eps=8,
+                                  T=study.T) for eps in (1 / 8, 1 / 16)]
+        threads = [threading.Thread(target=micro.run_micro, args=(cfg,))
+                   for cfg in cfgs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         spans = sorted(intervals)
-        assert len(spans) == 3
-        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
-        assert [row_bits(r) for r in threaded.rows] \
+        assert len(spans) == 2
+        assert spans[0][1] <= spans[1][0]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_macro_job_waits_for_the_finest_set_up(self, study, serial,
+                                                   workers, monkeypatch):
+        # the tensor field starts once the finest (largest) factorization
+        # has returned, and at most two runs are in progress at any time
+        order, live, most = [], set(), [0]
+        lock = threading.Lock()
+        real_micro = harness.run_micro
+        real_field, real_macro = harness.tensor_field, harness.run_macro
+
+        def note(event, start=None, end=None):
+            with lock:
+                order.append(event)
+                live.add(start)
+                live.discard(end)
+                most[0] = max(most[0], len(live - {None}))
+
+        def recording_splu(A, *args, **kwargs):
+            lu = spla.splu(A, *args, **kwargs)
+            note(("factored", A.shape[0]))
+            return lu
+
+        def run_micro(cfg, *args, **kwargs):
+            note(("micro", cfg.eps), start=cfg.eps)
+            try:
+                return real_micro(cfg, *args, **kwargs)
+            finally:
+                note(("micro done", cfg.eps), end=cfg.eps)
+
+        def field(*args, **kwargs):
+            note("tensor_field", start="macro")
+            return real_field(*args, **kwargs)
+
+        def run_macro(*args, **kwargs):
+            try:
+                return real_macro(*args, **kwargs)
+            finally:
+                note("macro done", end="macro")
+
+        monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=recording_splu))
+        monkeypatch.setattr(harness, "run_micro", run_micro)
+        monkeypatch.setattr(harness, "tensor_field", field)
+        monkeypatch.setattr(harness, "run_macro", run_macro)
+        rep = convergence_study(study, max_workers=workers)
+        factored = [e for e in order if e[0] == "factored"]
+        assert len(factored) == 3
+        assert order.index(max(factored)) < order.index("tensor_field")
+        assert most[0] <= 2
+        assert [row_bits(r) for r in rep.rows] \
             == [row_bits(r) for r in serial.rows]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("target", ["build_micro_grid", "run_micro"])
+    def test_failed_finest_set_up_releases_the_other_lane(
+            self, study, serial, workers, target, monkeypatch):
+        # a finest run that fails in its grid build, or before its set-up
+        # starts, must not leave the macro job and coarser runs waiting
+        module = micro if target == "build_micro_grid" else harness
+        real = getattr(module, target)
+
+        def broken(cfg, *args, **kwargs):
+            if cfg.eps == study.eps_list[-1]:
+                raise RuntimeError("grid broke")
+            return real(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(module, target, broken)
+        done = []
+        worker = threading.Thread(target=lambda: done.append(
+            convergence_study(study, max_workers=workers)), daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert done, "the study did not finish"
+        rows = done[0].rows
+        assert rows[2].error == "micro run failed: grid broke"
+        assert math.isnan(rows[2].E) and not done[0].passed
+        assert [row_bits(r) for r in rows[:2]] \
+            == [row_bits(r) for r in serial.rows[:2]]
 
     def test_serial_order_is_macro_then_finest_first(self, study,
                                                      monkeypatch):

@@ -110,8 +110,7 @@ class TestUnfold:
         epi = epithelial_scenario()
         part = build_partition((LO, HI), eps, 0.5, epi.transform)
         psi = ScalarFieldOnCells(
-            lambda X, Y: np.cos(2 * np.pi * Y[:, 0]) * (1 + X[:, 1]),
-            name="two-scale")
+            lambda X, Y: np.cos(2 * np.pi * Y[:, 0]) * (1 + X[:, 1]))
         phi = grid_function_from_callable(
             lambda X: lp_approx_batch(psi, part, X, variant="L"),
             LO, HI, eps / 8)
@@ -425,13 +424,13 @@ class TestPairingAndDiagnostics:
         per = periodic_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, per.transform)
         u = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
-        one = ScalarFieldOnCells(lambda X, Y: np.ones(len(X)), name="one")
+        one = ScalarFieldOnCells(lambda X, Y: np.ones(len(X)))
         assert abs(lts_pairing(u, one, part) - 1.0) <= 1e-12
 
     def test_oscillation_mean_limit(self):
         # cos^2 of the fast variable pairs against 1 to the mean 1/2
         per = periodic_scenario()
-        one = ScalarFieldOnCells(lambda X, Y: np.ones(len(X)), name="one")
+        one = ScalarFieldOnCells(lambda X, Y: np.ones(len(X)))
         for eps in (1 / 8, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, per.transform)
             u = grid_function_from_callable(
@@ -444,8 +443,7 @@ class TestPairingAndDiagnostics:
         # the x-averaged unit-cell mean of psi^2, computed by fine quadrature
         epi = epithelial_scenario()
         psi = ScalarFieldOnCells(
-            lambda X, Y: (1 + X[:, 0]) * np.cos(2 * np.pi * Y[:, 1]),
-            name="psi")
+            lambda X, Y: (1 + X[:, 0]) * np.cos(2 * np.pi * Y[:, 1]))
         # reference: tensor midpoint quadrature of psi(x, y)^2 over Omega x Y
         nx, ny = 128, 64
         xg = (np.arange(nx) + 0.5) / nx
@@ -479,7 +477,7 @@ class TestPairingAndDiagnostics:
         epi = epithelial_scenario()
         psi = ScalarFieldOnCells(
             lambda X, Y: (np.sin(2 * np.pi * Y[:, 0]) * (1 + 0.5 * X[:, 1])
-                          + X[:, 0] * Y[:, 1]), name="two-scale test field")
+                          + X[:, 0] * Y[:, 1]))
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, epi.transform)
@@ -1056,7 +1054,7 @@ class TestRowPassesMatchThePerEntryReference:
         part = scenario_partition(name, eps)
         psi = ScalarFieldOnCells(
             lambda X, Y: (np.sin(2 * np.pi * Y[:, 0]) * (1 + 0.5 * X[:, 1])
-                          + X[:, 0] * Y[:, 1]), name="two-scale test field")
+                          + X[:, 0] * Y[:, 1]))
         got = norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI, eps / 8)
         ref = reference_norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
                                                     eps / 8)

@@ -222,8 +222,11 @@ def _cmd_check_unfold(vals: dict, args) -> int:
         lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
         lo, hi, 1 / 128)
     # the checks only read the partitions, so they share one pool, finest
-    # eps (the longest checks) first; results are read in row order
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+    # eps (the longest checks) first; results are read in row order. Only
+    # some Unix platforms have os.sched_getaffinity
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
         futures = [None] * len(parts)
         for k in sorted(range(len(parts)), key=lambda k: eps_list[k]):
             futures[k] = [pool.submit(task) for task in

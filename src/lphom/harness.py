@@ -234,9 +234,10 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
     nothing else runs during the finest set-up, whose factorization is the
     study's largest, and at most two runs are in progress at once: a third
     would raise the memory peak and slow the finest run's SuperLU solves,
-    which share the process with it. max_workers=1 runs the macro job and
-    then the micro runs finest first, on the calling thread. The rows do
-    not depend on the schedule.
+    which share the process with it. A failed macro job stops the finest
+    run at its next step, as no row can be compared without the macro run.
+    max_workers=1 runs the macro job and then the micro runs finest first,
+    on the calling thread. The rows do not depend on the schedule.
     """
     sc = study.scenario
     finest, *coarser = reversed(study.eps_list)
@@ -250,12 +251,13 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
         return run_macro(mac_cfg, op=op, n_samples=study.n_samples,
                          keep_fields=True)
 
-    def micro_job(eps: float, set_up: Optional[threading.Event] = None) -> Run:
+    def micro_job(eps: float, set_up: Optional[threading.Event] = None,
+                  stop: Optional[threading.Event] = None) -> Run:
         cfg = MicroConfig(sc, eps, r=study.r,
                           cells_per_eps=study.cells_per_eps, T=study.T,
                           dt=study.micro_dt(eps))
         return run_micro(cfg, n_samples=study.n_samples, keep_fields=True,
-                         set_up=set_up)
+                         set_up=set_up, stop=stop)
 
     def attempt(job, *args) -> tuple:
         # (run, None), or (None, the error message)
@@ -275,11 +277,11 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
     if max_workers <= 1:
         (mac_run, macro_error), outcomes = macro_then([finest, *coarser])
     else:
-        set_up = threading.Event()
+        set_up, stop = threading.Event(), threading.Event()
 
         def lane_a() -> tuple:
             try:
-                return attempt(micro_job, finest, set_up)
+                return attempt(micro_job, finest, set_up, stop)
             finally:                # a run that failed before its set-up
                 set_up.set()
 
@@ -287,6 +289,8 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
             finest_future = pool.submit(lane_a)
             set_up.wait()
             (mac_run, macro_error), outcomes = macro_then(coarser)  # lane B
+            if macro_error is not None:
+                stop.set()
             outcomes[finest] = finest_future.result()
 
     micro_runs: dict = {}

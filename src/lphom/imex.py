@@ -14,6 +14,7 @@ numpy only: each model factorizes through its own module.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -123,11 +124,13 @@ def schedule(config, model, n_samples: int):
 
 
 def integrate(config, model, plan, n_samples: int = 20,
-              keep_fields: bool = False) -> Run:
+              keep_fields: bool = False,
+              stop: Optional[threading.Event] = None) -> Run:
     """Step a scheduled model to T, recording at every window's end.
 
     With keep_fields, a copy of the ligand field is stored at every sample
-    time (run.fields).
+    time (run.fields). Once stop, if given, is set, the next step raises a
+    RuntimeError instead.
     """
     n_sub, dt, lu = plan
     state = model.initial_state()
@@ -157,6 +160,8 @@ def integrate(config, model, plan, n_samples: int = 20,
     for _ in range(n_samples if n_sub else 0):
         worst = (0.0, state.t)          # the window's largest residual
         for _ in range(n_sub):
+            if stop is not None and stop.is_set():
+                raise RuntimeError(f"run stopped at t={state.t:.6g}")
             state, source = model.step(state, lu, dt)
             m1 = model.mass(state)
             res = abs(m1 - m0 - dt * source) / max(abs(m0), abs(m1), 1e-300)

@@ -445,14 +445,16 @@ def micro_energy(state: State, grid: MicroGrid) -> float:
 
 def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,
               n_samples: int = 20, keep_fields: bool = False,
-              set_up: Optional[threading.Event] = None) -> Run:
+              set_up: Optional[threading.Event] = None,
+              stop: Optional[threading.Event] = None) -> Run:
     """Integrate to T, recording observables at T/n_samples intervals.
 
     A prebuilt grid must match config in the suite, eps, r and
     cells_per_eps; T and dt may differ. Runs on several threads build their
     grids and factorize one at a time, so the set-up memory peaks do not
     stack; the step loops still overlap. set_up, if given, is set once the
-    grid build and factorization have returned or raised.
+    grid build and factorization have returned or raised; once stop, if
+    given, is set, the next step raises a RuntimeError.
     """
     try:
         if grid is not None:
@@ -465,4 +467,4 @@ def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,
     finally:
         if set_up is not None:
             set_up.set()
-    return imex.integrate(config, grid, plan, n_samples, keep_fields)
+    return imex.integrate(config, grid, plan, n_samples, keep_fields, stop)

@@ -186,9 +186,6 @@ class UnfoldedGrid:
             return self.values
         return np.where(self.sample_mask, self.values, 0.0)
 
-    def weighted_sum(self) -> float:
-        return float(np.sum(self.weight[:, None] * self._masked()))
-
     def total_weight(self) -> float:
         return float(np.sum(self.weight[:, None] * self._m()))
 
@@ -404,8 +401,12 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
     midpoint subsampling otherwise (and for the exact evaluation path).
     Returns (lhs, rhs, gap).
     """
-    ug = unfold(phi, partition, m_y, eval_mode=eval_mode)
-    lhs = ug.weighted_sum()
+    # weighted in place and released before the rhs pass, so the check
+    # holds its samples once; products commute, so the lhs keeps its bits
+    samples = unfold(phi, partition, m_y, eval_mode=eval_mode)
+    samples.values *= samples.weight[:, None]
+    lhs = float(np.sum(samples.values))
+    del samples
 
     rhs = 0.0
     diagD = np.diagonal(partition.D, axis1=1, axis2=2)

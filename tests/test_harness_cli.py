@@ -406,6 +406,40 @@ class TestCheckUnfoldGolden:
         got = (tmp_path / "check_unfold.csv").read_bytes()
         assert got == (GOLDEN / f"check_unfold_{name}.csv").read_bytes()
 
+    # pinned down to the benchmark's finest eps before the integration
+    # check weighted its samples in place; they must keep every byte
+    @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
+                                      "radius-gradient"])
+    def test_fine_output_is_byte_identical(self, name, tmp_path):
+        code = main(["check-unfold", "--scenario", name,
+                     "--eps", "1/8,1/16,1/32,1/64,1/128",
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        got = (tmp_path / "check_unfold.csv").read_bytes()
+        assert got == (GOLDEN / f"check_unfold_{name}_fine.csv").read_bytes()
+
+    def test_pool_is_sized_without_sched_getaffinity(self, tmp_path,
+                                                      monkeypatch):
+        # os.sched_getaffinity is missing on macOS and Windows; the pool
+        # then takes the CPU count
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        code = main(["check-unfold", "--scenario", "periodic",
+                     "--eps", "1/8,1/16,1/32", "--outdir", str(tmp_path)])
+        assert code == 0 and sizes == [3]
+        got = (tmp_path / "check_unfold.csv").read_bytes()
+        assert got == (GOLDEN / "check_unfold_periodic.csv").read_bytes()
+
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
                                       "radius-gradient"])
@@ -871,6 +905,36 @@ class TestScheduler:
         assert [r.error for r in rep.rows] \
             == ["macro run failed: factorization broke"] * 3
         assert rep.macro_run is None and not rep.passed
+
+    def test_macro_failure_stops_the_finest_run(self, study, monkeypatch):
+        # the finest run's first step waits until the macro job has failed,
+        # and each later step gives lane B time to record the failure
+        failed = threading.Event()
+        finest, times = study.eps_list[-1], []
+        real_step = micro.MicroGrid.step
+
+        def broken(*args, **kwargs):
+            failed.set()
+            raise RuntimeError("factorization broke")
+
+        def held_step(grid, st, lu, dt):
+            if grid.config.eps != finest:
+                return real_step(grid, st, lu, dt)
+            if times:
+                time.sleep(0.02)
+            else:
+                failed.wait(timeout=60)
+            out = real_step(grid, st, lu, dt)
+            times.append(out[0].t)
+            return out
+
+        monkeypatch.setattr(harness, "run_macro", broken)
+        monkeypatch.setattr(micro.MicroGrid, "step", held_step)
+        rep = convergence_study(study, max_workers=2)
+        assert failed.is_set() and times
+        assert times[-1] < study.T * (1 - 1 / study.n_samples)
+        assert [r.error for r in rep.rows] \
+            == ["macro run failed: factorization broke"] * 3
 
     def test_micro_failure_stays_in_its_row(self, study, serial,
                                             monkeypatch):

@@ -81,11 +81,6 @@ class TransformField:
         return _matrix_at(self.K, x, "K")
 
 
-def identity_transform() -> TransformField:
-    I = np.eye(2)
-    return TransformField(D=lambda x: I, K=lambda x: I)
-
-
 @dataclass(frozen=True)
 class Subdomain:
     """One axis-aligned subdomain of the covering with its frozen lattice."""
@@ -123,8 +118,9 @@ class Partition:
 
     Its read-only arrays, one row per subdomain, are the one copy of the
     frozen maps: anchor (S, 2), D, Dinv, K, Kinv (S, 2, 2), shift (S, 2)
-    and detD = |det D_n| (S,). Every Subdomain views its rows of anchor, D,
-    Dinv, K and shift.
+    and detD = |det D_n| (S,). The package reads the maps only from these
+    arrays; each Subdomain, the record of the geometry report, views its
+    rows of anchor, D, Dinv, K and shift.
 
     The Xi_hat row layout, one row per Xi_hat cell, subdomain after
     subdomain, is the order of every per-cell table and unfolded sample
@@ -134,7 +130,7 @@ class Partition:
     E.
     """
 
-    def __init__(self, domain_lo, domain_hi, breaks, eps: float, r: float, *,
+    def __init__(self, domain_lo, domain_hi, breaks, eps: float, *,
                  subdomains: list[Subdomain], anchor, D, Dinv, K, Kinv, shift,
                  detD, hat_xi: np.ndarray, hat_start: np.ndarray):
         self.domain_lo = np.asarray(domain_lo, dtype=float)
@@ -142,7 +138,6 @@ class Partition:
         self.breaks = breaks
         self.n_sub = tuple(len(b) - 1 for b in breaks)
         self.eps = eps
-        self.r = r
         self.subdomains = subdomains
         self.anchor, self.shift, self.detD = anchor, shift, detD
         self.D, self.Dinv, self.K, self.Kinv = D, Dinv, K, Kinv
@@ -151,12 +146,12 @@ class Partition:
         # cell_slots); _in_hat marks the slots of Xi_hat cells
         self.hat_start = hat_start
         counts = np.diff(hat_start)
-        self.hat_n = np.repeat(np.arange(len(subdomains)), counts)
+        self.hat_n = np.repeat(np.arange(len(anchor)), counts)
         hat = self.hat_xi = hat_xi
         full = counts > 0
         starts = self.hat_start[:-1][full]
-        self._xi_min = np.zeros((len(subdomains), 2), dtype=int)
-        self._box_shape = np.ones((len(subdomains), 2), dtype=int)
+        self._xi_min = np.zeros((len(anchor), 2), dtype=int)
+        self._box_shape = np.ones((len(anchor), 2), dtype=int)
         if len(hat):
             self._xi_min[full] = np.minimum.reduceat(hat, starts, axis=0)
             self._box_shape[full] = (np.maximum.reduceat(hat, starts, axis=0)
@@ -170,13 +165,8 @@ class Partition:
         self._in_hat[self.hat_slot] = True
 
     @property
-    def side(self) -> float:
-        """Nominal subdomain side eps^r."""
-        return self.eps**self.r
-
-    @property
     def n_subdomains(self) -> int:
-        return len(self.subdomains)
+        return len(self.anchor)
 
     @property
     def cell_measures(self) -> np.ndarray:
@@ -192,11 +182,11 @@ class Partition:
         total = float(np.prod(self.domain_hi - self.domain_lo))
         return total - self.omega_hat_measure
 
-    def hat_blocks(self) -> list[tuple[Subdomain, slice]]:
-        """(subdomain, slice of its rows) of each subdomain with cells."""
+    def hat_blocks(self) -> list[tuple[int, slice]]:
+        """(n, slice of its rows) of each subdomain n with cells."""
         bounds = self.hat_start.tolist()
-        return [(s, slice(a, b)) for s, a, b in
-                zip(self.subdomains, bounds[:-1], bounds[1:]) if a < b]
+        return [(n, slice(a, b)) for n, (a, b) in
+                enumerate(zip(bounds[:-1], bounds[1:])) if a < b]
 
     def xi_hat_contains(self, n: int, xi: np.ndarray) -> np.ndarray:
         """Whether cells xi lie in Xi_hat of subdomain n, as in cell_slots."""
@@ -274,17 +264,23 @@ def build_partition(domain, eps: float, r: float,
     # (hi - lo) / side lies within 1e-9 above a whole number)
     breaks = [np.minimum(lo[i] + np.arange(n + 1) * side, hi[i])
               for i, n in enumerate(n_sub)]
-    return _covering(lo, hi, breaks, eps, r, transform, check_side=True)
+    return _covering(lo, hi, breaks, eps, transform, side=side)
 
 
-def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
-              on_corner: bool = False, check_side: bool = False) -> Partition:
+# relative slack of the side check: a side snapped to its bound and passed
+# as an exponent, eps**r, may come back a few ulps below it
+_SIDE_RTOL = 4 * np.finfo(float).eps
+
+
+def _covering(lo, hi, breaks, eps: float, transform: TransformField,
+              on_corner: bool = False, side: Optional[float] = None
+              ) -> Partition:
     """The Partition of the box [lo, hi] with the given per-axis breaks.
 
     Each subdomain's maps are frozen at its anchor, the box centre;
-    on_corner is _frozen_subdomains'. With check_side, a nominal side eps^r
-    that cannot hold one full cell at some anchor is rejected, naming the
-    first such subdomain.
+    on_corner is _frozen_subdomains'. A nominal side, when given, that
+    cannot hold one full cell at some anchor beyond _SIDE_RTOL is rejected,
+    naming the first such subdomain.
     """
     ks = list(np.ndindex(*(len(b) - 1 for b in breaks)))
     k = np.array(ks)
@@ -292,16 +288,15 @@ def _covering(lo, hi, breaks, eps: float, r: float, transform: TransformField,
     s_hi = np.column_stack([b[k[:, i] + 1] for i, b in enumerate(breaks)])
     anchor = 0.5 * (s_lo + s_hi)
     D = np.array([transform.D_at(a) for a in anchor])
-    if check_side:
-        side = eps**r
+    if side is not None:
         need = 2.0 * eps * np.linalg.norm(D, 2, axis=(1, 2))
-        small = np.flatnonzero(side < need)
+        small = np.flatnonzero(side < need * (1.0 - _SIDE_RTOL))
         if len(small):
             raise ValueError(
                 f"subdomain side {side:.4g} cannot hold one full cell "
                 f"(needs at least {need[small[0]]:.4g})")
     K = np.array([transform.K_at(a) for a in anchor])
-    return Partition(lo, hi, breaks, eps, r, **_frozen_subdomains(
+    return Partition(lo, hi, breaks, eps, **_frozen_subdomains(
         ks, s_lo, s_hi, anchor, eps, D, K, on_corner))
 
 
@@ -458,29 +453,16 @@ def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
     return xi, y, slot
 
 
-@dataclass(frozen=True)
-class ScalarFieldOnCells:
-    """A function psi_tilde(x, y) continuous in x and Y-periodic in y.
+def lp_approx_batch(psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    partition: Partition, X: np.ndarray) -> np.ndarray:
+    """Locally periodic approximation psi(x, y) at many points x, with y
+    the in-cell coordinate of x.
 
-    f must accept arrays of shape (m, 2) for both arguments.
+    psi is continuous in x and Y-periodic in y, and takes arrays of shape
+    (m, 2) for both arguments.
     """
-
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def lp_approx_batch(psi: ScalarFieldOnCells, partition: Partition,
-                    X: np.ndarray, variant: str = "L") -> np.ndarray:
-    """Locally periodic approximation at many points.
-
-    variant "L" evaluates psi_tilde(x, .), variant "L0" freezes the slow
-    argument at the subdomain anchor x_n.
-    """
-    if variant not in ("L", "L0"):
-        raise ValueError(f"unknown variant {variant!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n, _, y, _ = locate_slots(partition, X)
-    x_slow = X if variant == "L" else partition.anchor[n]
-    return psi.f(x_slow, y)
+    return psi(X, locate_slots(partition, X)[2])
 
 
 def perforation_level(partition: Partition, cell: UnitCellSpec,

@@ -128,9 +128,6 @@ class ConvergenceReport:
     macro_run: Optional[Run] = None
     micro_runs: dict = field(default_factory=dict)
 
-    def ok(self) -> bool:
-        return self.passed
-
 
 def _sample_bilinear(values: np.ndarray, H: float, pts: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of a cell-centered field at arbitrary points.

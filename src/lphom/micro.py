@@ -315,7 +315,7 @@ def _micro_partition(eps: float, r: float, transform) -> Partition:
         return build_partition(domain, eps, _commensurate_r(eps, r), transform)
     breaks = [_axis_breaks(eps, r, f) for f in fs]
     # lattices through the lower corners
-    return _covering(*np.asarray(domain), breaks, eps, r, transform,
+    return _covering(*np.asarray(domain), breaks, eps, transform,
                      on_corner=True)
 
 

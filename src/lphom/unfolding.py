@@ -1,6 +1,6 @@
 """Discrete locally periodic unfolding operators and their integral identities.
 
-Bulk and perforated unfolding, boundary unfolding with metric factors, the
+Bulk unfolding, boundary unfolding with metric factors, the
 local average operator, the micro-macro interpolant Q with remainder R, and
 the pairing functional used to diagnose locally periodic two-scale limits.
 """
@@ -16,7 +16,6 @@ import numpy as np
 
 from .geometry import (
     Partition,
-    ScalarFieldOnCells,
     UnitCellSpec,
     locate_slots,
     lp_approx_batch,
@@ -35,7 +34,7 @@ class GridFunction:
     interpolation error out of convergence diagnostics.
 
     values is an array, or a function of the grid that returns it, called
-    on the first read of values; shape, mask and copy_with do not read it.
+    on the first read of values; shape and mask do not read it.
     """
 
     def __init__(self, lo, hi, h: float, values, mask=None,
@@ -83,10 +82,6 @@ class GridFunction:
     def integrate(self) -> float:
         """Grid integral over active cells (midpoint rule)."""
         return float(self.h ** 2 * self.values[self.mask].sum())
-
-    def copy_with(self, values: np.ndarray, exact_eval=None) -> "GridFunction":
-        return GridFunction(self.lo.copy(), self.hi.copy(), self.h,
-                            values, self.mask.copy(), exact_eval)
 
 
 # points per evaluation of f when a grid_function_from_callable is sampled,
@@ -156,74 +151,38 @@ def _unit_cell_nodes(m_y: int) -> np.ndarray:
 class UnfoldedGrid:
     """Samples of the unfolded function indexed by (subdomain, cell, node).
 
-    The rows are the partition's Xi_hat row layout, whose subdomain and
-    cell arrays sub_index and xi are. weight is the macro weight per
+    The rows are the partition's Xi_hat row layout: row e belongs to
+    subdomain hat_n[e] and cell hat_xi[e]. weight is the macro weight per
     sample, eps^2 |det D_n| / m_y^2; entries exist only for cells in
     Xi_hat, the operator vanishes on leftover regions.
     """
 
-    sub_index: np.ndarray          # (E,) Partition.hat_n
-    xi: np.ndarray                 # (E, 2) Partition.hat_xi
     values: np.ndarray             # (E, m)
     weight: np.ndarray             # (E,) per-sample macro weight
     y_nodes: np.ndarray            # (m, 2)
-    sample_mask: Optional[np.ndarray] = None   # (E, m), perforated mode
 
     @property
     def n_entries(self) -> int:
-        return len(self.xi)
-
-    def _m(self) -> np.ndarray:
-        if self.sample_mask is None:
-            return np.ones_like(self.values, dtype=bool)
-        return self.sample_mask
-
-    def _masked(self) -> np.ndarray:
-        """values with the masked-out samples set to 0; values itself in
-        bulk mode, where np.where(True, v, 0) would be a copy of the same
-        bits."""
-        if self.sample_mask is None:
-            return self.values
-        return np.where(self.sample_mask, self.values, 0.0)
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weight[:, None] * self._m()))
-
-    def weighted_l2(self) -> float:
-        return math.sqrt(float(np.sum(self.weight[:, None]
-                                      * self._masked() ** 2)))
+        return len(self.values)
 
     def mean_over_Y(self) -> np.ndarray:
         """Per-entry mean over the unit cell (equal midpoint weights)."""
-        return np.sum(self._masked(), axis=1) / np.maximum(
-            np.sum(self._m(), axis=1), 1)
+        return np.sum(self.values, axis=1) / self.values.shape[1]
 
 
 def unfold(phi: GridFunction, partition: Partition, m_y: int,
-           mask_mode: str = "bulk", cell: Optional[UnitCellSpec] = None,
            eval_mode: str = "grid") -> UnfoldedGrid:
     """Discrete locally periodic unfolding.
 
     Samples phi at the mapped points shift_n + eps D_n (xi + y) for every
-    xi in Xi_hat_n and y on an m_y x m_y midpoint grid over Y. Perforated
-    mode drops sample nodes inside the reference inclusion (supported for
-    K = I only). eval_mode "exact" samples phi.exact_eval when available.
+    xi in Xi_hat_n and y on an m_y x m_y midpoint grid over Y. eval_mode
+    "exact" samples phi.exact_eval when available.
     """
     if m_y < 2:
         raise ValueError("m_y must be at least 2")
-    if mask_mode not in ("bulk", "perforated"):
-        raise ValueError(f"unknown mask mode {mask_mode!r}")
     if eval_mode not in ("grid", "exact"):
         raise ValueError(f"unknown eval mode {eval_mode!r}")
     y_nodes = _unit_cell_nodes(m_y)
-    if mask_mode == "perforated":
-        if cell is None:
-            raise ValueError("perforated mode needs the unit cell")
-        for s in partition.subdomains:
-            if np.max(np.abs(s.K - np.eye(2))) > 1e-13:
-                raise ValueError("perforated unfolding supports K = I only")
-        keep = np.linalg.norm(y_nodes - cell.center, axis=1) > cell.a \
-            if cell.inclusion != "none" else np.ones(len(y_nodes), dtype=bool)
     evaluate = phi.eval
     if eval_mode == "exact":
         if phi.exact_eval is None:
@@ -232,16 +191,13 @@ def unfold(phi: GridFunction, partition: Partition, m_y: int,
 
     m = len(y_nodes)
     values = np.empty((len(partition.hat_n), m))
-    for s, rows in partition.hat_blocks():
-        pts = map_cells(s.shift, partition.eps, s.D, partition.hat_xi[rows],
-                        y_nodes)
+    for n, rows in partition.hat_blocks():
+        pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
+                        partition.hat_xi[rows], y_nodes)
         values[rows] = np.reshape(evaluate(pts.reshape(-1, 2)), (-1, m))
-    sample_mask = (np.broadcast_to(keep, values.shape).copy()
-                   if mask_mode == "perforated" else None)
-    return UnfoldedGrid(sub_index=partition.hat_n,
-                        xi=partition.hat_xi, values=values,
+    return UnfoldedGrid(values=values,
                         weight=(partition.cell_measures / m)[partition.hat_n],
-                        y_nodes=y_nodes, sample_mask=sample_mask)
+                        y_nodes=y_nodes)
 
 
 @dataclass
@@ -263,10 +219,6 @@ class GammaQuadrature:
         self.tangents = np.stack([-np.sin(th), np.cos(th)], axis=1)  # unit
         self.ref_weights = np.full(self.n_gamma, 2.0 * math.pi * a / self.n_gamma)
 
-    @property
-    def reference_measure(self) -> float:
-        return float(self.ref_weights.sum())
-
     def metric(self, D: np.ndarray, K: np.ndarray) -> np.ndarray:
         """Mapped tangent length |D K tau_s| per node, (S,): the ratio of
         mapped to reference arc length under the maps D, K."""
@@ -287,11 +239,6 @@ class BoundaryUnfolded:
     ref_weights: np.ndarray     # (S,)
     metric: np.ndarray          # (n_subdomains, S)
 
-    def surface_measure(self) -> float:
-        """Quadrature measure of the mapped interior boundary."""
-        return float(self.partition.eps * np.sum(
-            self.metric[self.partition.hat_n] * self.ref_weights))
-
     def weighted_power_sum(self, p: float = 2.0) -> float:
         """Unfolded surface functional: the x-integral of the weighted
         Gamma-integral of |values|^p with the metric ratio and the local cell
@@ -303,8 +250,8 @@ class BoundaryUnfolded:
         # check from 2.26x its samples to 3.0x, past its 2.5x test gate
         integrand = np.abs(self.values)
         integrand **= p
-        for s, rows in self.partition.hat_blocks():
-            integrand[rows] *= self.metric[s.n]
+        for n, rows in self.partition.hat_blocks():
+            integrand[rows] *= self.metric[n]
         integrand *= self.ref_weights
         detD = self.partition.detD[self.partition.hat_n]
         percell = integrand.sum(axis=1) / detD
@@ -318,8 +265,8 @@ class BoundaryUnfolded:
         ds *= self.ref_weights
         integrand = np.abs(self.values)
         integrand **= p
-        for s, rows in self.partition.hat_blocks():
-            integrand[rows] *= ds[s.n]
+        for n, rows in self.partition.hat_blocks():
+            integrand[rows] *= ds[n]
         return float(np.sum(integrand))
 
 
@@ -335,12 +282,13 @@ def unfold_boundary(psi, partition: Partition,
     c = quad.cell.center
     S = quad.n_gamma
     values = np.empty((len(partition.hat_n), S))
-    for s, rows in partition.hat_blocks():
-        mapped_y = c + (quad.nodes - c) @ s.K.T          # (S, 2)
-        pts = map_cells(s.shift, partition.eps, s.D, partition.hat_xi[rows],
-                        mapped_y)
+    for n, rows in partition.hat_blocks():
+        mapped_y = c + (quad.nodes - c) @ partition.K[n].T          # (S, 2)
+        pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
+                        partition.hat_xi[rows], mapped_y)
         values[rows] = np.reshape(evaluate(pts.reshape(-1, 2)), (-1, S))
-    metric = np.array([quad.metric(s.D, s.K) for s in partition.subdomains])
+    metric = np.array([quad.metric(D, K)
+                       for D, K in zip(partition.D, partition.K)])
     return BoundaryUnfolded(partition=partition, values=values,
                             ref_weights=quad.ref_weights, metric=metric)
 
@@ -422,11 +370,11 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
         y_f = _unit_cell_nodes(m_ref)
         evaluate = phi.exact_eval if (eval_mode == "exact") else phi.eval
         detD = partition.detD.tolist()
-        for s, rows in partition.hat_blocks():
-            pts = map_cells(s.shift, partition.eps, s.D,
+        for n, rows in partition.hat_blocks():
+            pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
                             partition.hat_xi[rows], y_f)
             v = np.asarray(evaluate(pts.reshape(-1, 2)), dtype=float)
-            rhs += partition.eps**2 * detD[s.n] * float(v.sum()) / len(y_f)
+            rhs += partition.eps**2 * detD[n] * float(v.sum()) / len(y_f)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -553,12 +501,14 @@ def _central_gradient(evaluate: Callable[[np.ndarray], np.ndarray],
     return g
 
 
-def lts_pairing(u: GridFunction, psi: ScalarFieldOnCells,
+def lts_pairing(u: GridFunction,
+                psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 partition: Partition) -> float:
-    """Grid quadrature of u times the locally periodic approximation of psi."""
+    """Grid quadrature of u times the locally periodic approximation of
+    psi(x, y)."""
     X = u.centers().reshape(-1, 2)
     act = u.mask.ravel()
-    vals = lp_approx_batch(psi, partition, X[act], variant="L")
+    vals = lp_approx_batch(psi, partition, X[act])
     return float(u.h**2 * np.sum(u.values.ravel()[act] * vals))
 
 
@@ -582,13 +532,13 @@ def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
     return math.sqrt(total)
 
 
-def norm_unfold_of_lp_minus_psi(psi: ScalarFieldOnCells, partition: Partition,
-                                m_y: int, lo, hi, h: float) -> float:
+def norm_unfold_of_lp_minus_psi(
+        psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        partition: Partition, m_y: int, lo, hi, h: float) -> float:
     """L2 distance between the unfolded locally periodic approximation and
-    the two-scale field itself, sampled per cell in (x, y)."""
+    the two-scale field psi(x, y) itself, sampled per cell in (x, y)."""
     lp_field = grid_function_from_callable(
-        lambda X: lp_approx_batch(psi, partition, X, variant="L"),
-        lo, hi, h)
+        lambda X: lp_approx_batch(psi, partition, X), lo, hi, h)
     ug = unfold(lp_field, partition, m_y, eval_mode="exact")
     m = len(ug.y_nodes)
     total = 0.0
@@ -600,7 +550,7 @@ def norm_unfold_of_lp_minus_psi(psi: ScalarFieldOnCells, partition: Partition,
         X = np.repeat(pts, m, axis=1).reshape(-1, 2)
         Y = np.tile(ug.y_nodes, (len(n) * m, 1))
         diff = (ug.values[rows][:, None, :]
-                - np.reshape(psi.f(X, Y), (len(n), m, m)))
+                - np.reshape(psi(X, Y), (len(n), m, m)))
         diff **= 2
         total += float(np.sum(ug.weight[rows] / m * diff.sum(axis=(1, 2))))
     return math.sqrt(total)

@@ -18,7 +18,6 @@ from scipy.integrate import solve_ivp
 
 from lphom.cell_problem import effective_tensor, solve_cell
 from lphom.geometry import (
-    ScalarFieldOnCells,
     TransformField,
     UnitCellSpec,
     build_partition,
@@ -119,7 +118,7 @@ class TestUnfoldingIdentities:
 
     def test_unfolded_approximation_approaches_the_two_scale_field(self):
         sc = get_scenario("epithelial")
-        psi = ScalarFieldOnCells(
+        psi = (
             lambda X, Y: (np.sin(2 * np.pi * Y[:, 0]) * (1 + 0.5 * X[:, 1])
                           + X[:, 0] * Y[:, 1]))
         vals = []

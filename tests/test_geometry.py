@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lphom.geometry import (
-    ScalarFieldOnCells,
     TransformField,
     UnitCellSpec,
     _candidate_cells,
     _cells_box_intersect,
     build_partition,
-    identity_transform,
     indicator_perforated,
     locate_slots,
     lp_approx_batch,
@@ -31,6 +29,7 @@ from lphom.scenarios import (
 )
 
 UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
+IDENTITY = TransformField(D=lambda x: np.eye(2), K=lambda x: np.eye(2))
 
 
 def hat_cells(p, n):
@@ -62,20 +61,22 @@ class TestRotationMatrix:
 
 class TestBuildPartition:
     def test_sixteen_subdomains(self):
-        p = build_partition(UNIT_BOX, 1 / 16, 0.5, identity_transform())
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, IDENTITY)
         assert p.n_subdomains == 16
-        assert p.side == pytest.approx(0.25, abs=0)
+        for b in p.breaks:
+            assert_same_bits(b, np.arange(5) * 0.25)
 
     def test_four_subdomains(self):
-        p = build_partition(UNIT_BOX, 1 / 4, 0.5, identity_transform())
+        p = build_partition(UNIT_BOX, 1 / 4, 0.5, IDENTITY)
         assert p.n_subdomains == 4
-        assert p.side == pytest.approx(0.5, abs=0)
+        for b in p.breaks:
+            assert_same_bits(b, np.arange(3) * 0.5)
 
     def test_xi_hat_counts_match_brute_force_enumeration(self):
         # independent oracle: enumerate candidate cells and corner-test them
         # directly, without the library's lattice machinery
         eps, r = 1 / 16, 0.5
-        p = build_partition(UNIT_BOX, eps, r, identity_transform())
+        p = build_partition(UNIT_BOX, eps, r, IDENTITY)
         side = eps**r
         for s in p.subdomains:
             lo = np.array(s.k) * side
@@ -139,13 +140,13 @@ class TestBuildPartition:
 
     def test_rejects_subdomain_too_small_for_one_cell(self):
         with pytest.raises(ValueError, match="full cell"):
-            build_partition(UNIT_BOX, 1 / 4, 0.99, identity_transform())
+            build_partition(UNIT_BOX, 1 / 4, 0.99, IDENTITY)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            build_partition(UNIT_BOX, -1.0, 0.5, identity_transform())
+            build_partition(UNIT_BOX, -1.0, 0.5, IDENTITY)
         with pytest.raises(ValueError):
-            build_partition(UNIT_BOX, 1 / 8, 1.5, identity_transform())
+            build_partition(UNIT_BOX, 1 / 8, 1.5, IDENTITY)
 
 
 def single_subdomain_partition(eps, transform):
@@ -434,7 +435,7 @@ class TestBatchedPartition:
 
     @pytest.mark.parametrize("eps, r, tf", [
         (1 / 4, 0.5, varying_stretch_transform()),     # the second fails
-        (1 / 4, 0.99, identity_transform()),
+        (1 / 4, 0.99, IDENTITY),
         (1 / 8, 0.9, plywood2d_scenario().transform),
         (1 / 8, 0.9, epithelial_scenario().transform),
         (1 / 16, 0.95, radius_gradient_scenario().transform),
@@ -487,11 +488,12 @@ def reference_locate(partition, X):
 
 def locate_probe_points(p, seed):
     """Random points, a row-major grid, and points on the breaks and on the
-    multiples of the nominal side."""
+    multiples of the nominal side eps^r at r = 0.5, every caller's r."""
     rng = np.random.default_rng(seed)
     g = (np.arange(97) + 0.5) / 97
     GX, GY = np.meshgrid(g, g, indexing="ij")
-    faces = np.concatenate([np.arange(p.n_sub[0] + 1) * p.side, p.breaks[0]])
+    faces = np.concatenate([np.arange(p.n_sub[0] + 1) * p.eps**0.5,
+                            p.breaks[0]])
     F = np.column_stack([np.repeat(faces, 9), np.tile(np.linspace(0, 1, 9),
                                                       len(faces))])
     return np.clip(np.concatenate([rng.uniform(0, 1, size=(5000, 2)),
@@ -587,7 +589,7 @@ class TestGroupedLocate:
                     call()
 
     def test_empty_input(self):
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform())
+        p = build_partition(UNIT_BOX, 1 / 8, 0.5, IDENTITY)
         n, xi, y, slot = locate_slots(p, np.zeros((0, 2)))
         assert n.shape == slot.shape == (0,)
         assert xi.shape == y.shape == (0, 2)
@@ -626,13 +628,13 @@ class TestCellSlots:
 
 class TestLocate:
     def test_identity_single_subdomain(self):
-        p = single_subdomain_partition(1 / 4, identity_transform())
+        p = single_subdomain_partition(1 / 4, IDENTITY)
         _, [xi], [y], _ = locate_slots(p, np.array([0.3, 0.6]))
         assert tuple(xi) == (1, 2)
         assert np.allclose(y, [0.2, 0.4], atol=1e-12)
 
     def test_exact_lattice_corner_floor_convention(self):
-        p = single_subdomain_partition(1 / 4, identity_transform())
+        p = single_subdomain_partition(1 / 4, IDENTITY)
         _, [xi], [y], _ = locate_slots(p, np.array([0.5, 0.25]))
         assert tuple(xi) == (2, 1)
         assert np.allclose(y, [0.0, 0.0], atol=0)
@@ -646,8 +648,8 @@ class TestLocate:
         x = np.array([0.40, 0.35])
         _, [xi], [y], _ = locate_slots(p, x)
         Dm = np.linalg.inv(rotation_matrix(math.pi / 6))
-        k = np.floor(x / p.side).astype(int)
-        lo = k * p.side
+        k = np.floor(x / eps**0.5).astype(int)
+        lo = k * eps**0.5
         xi0 = np.round(np.linalg.solve(Dm, lo) / eps)
         shift = eps * Dm @ xi0
         z = np.linalg.solve(Dm, x - shift) / eps
@@ -655,7 +657,7 @@ class TestLocate:
         assert np.allclose(y, z - np.floor(z), atol=1e-12)
 
     def test_rejects_point_outside_domain(self):
-        p = build_partition(UNIT_BOX, 1 / 8, 0.5, identity_transform())
+        p = build_partition(UNIT_BOX, 1 / 8, 0.5, IDENTITY)
         with pytest.raises(ValueError, match="outside"):
             locate_slots(p, np.array([1.2, 0.5]))
 
@@ -694,24 +696,30 @@ _EPI_PARTITION = build_partition(UNIT_BOX, 1 / 8, 0.5,
                                  epithelial_scenario().transform)
 
 
+def frozen_lp_approx(psi, p, X):
+    """The approximation with the slow argument frozen at the anchor x_n."""
+    n, _, y, _ = locate_slots(p, X)
+    return psi(p.anchor[n], y)
+
+
 class TestLpApprox:
     def test_no_fast_dependence(self):
-        g = ScalarFieldOnCells(f=lambda x, y: x[:, 0] ** 2 + 3.0)
+        g = lambda x, y: x[:, 0] ** 2 + 3.0
         p = _EPI_PARTITION
         x = np.array([0.37, 0.81])
         [n] = locate_slots(p, x)[0]
         anchor = p.subdomains[n].anchor
-        assert lp_approx_batch(g, p, x[None], "L")[0] == pytest.approx(
+        assert lp_approx_batch(g, p, x[None])[0] == pytest.approx(
             0.37**2 + 3.0, abs=1e-14)
-        assert lp_approx_batch(g, p, x[None], "L0")[0] == pytest.approx(
+        assert frozen_lp_approx(g, p, x[None])[0] == pytest.approx(
             anchor[0] ** 2 + 3.0, abs=1e-14)
 
     def test_pure_oscillation_identity_lattice(self):
-        psi = ScalarFieldOnCells(f=lambda x, y: np.sin(2 * np.pi * y[:, 0]))
-        p = single_subdomain_partition(1 / 4, identity_transform())
+        psi = lambda x, y: np.sin(2 * np.pi * y[:, 0])
+        p = single_subdomain_partition(1 / 4, IDENTITY)
         for x in ([0.3, 0.6], [0.11, 0.52], [0.77, 0.23]):
-            [v] = lp_approx_batch(psi, p, np.array([x]), "L")
-            [v0] = lp_approx_batch(psi, p, np.array([x]), "L0")
+            [v] = lp_approx_batch(psi, p, np.array([x]))
+            [v0] = frozen_lp_approx(psi, p, np.array([x]))
             want = math.sin(2 * math.pi * x[0] / (1 / 4))
             assert v == pytest.approx(want, abs=1e-12)
             assert v0 == pytest.approx(want, abs=1e-12)
@@ -721,12 +729,12 @@ class TestLpApprox:
         # the fractional decomposition by hand
         sc = plywood2d_scenario()
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
-        psi = ScalarFieldOnCells(f=lambda x, y: x[:, 0] * y[:, 1])
+        psi = lambda x, y: x[:, 0] * y[:, 1]
         rng = np.random.default_rng(11)
         X = rng.uniform(0.0, 1.0, size=(100, 2))
-        got = lp_approx_batch(psi, p, X, "L")
+        got = lp_approx_batch(psi, p, X)
         for i, x in enumerate(X):
-            k = np.minimum(np.floor(x / p.side).astype(int),
+            k = np.minimum(np.floor(x / (1 / 8) ** 0.5).astype(int),
                            np.array(p.n_sub) - 1)
             s = p.subdomains[int(np.ravel_multi_index(tuple(k), p.n_sub))]
             z = np.linalg.solve(s.D, x - s.shift) / p.eps
@@ -734,18 +742,18 @@ class TestLpApprox:
             assert got[i] == pytest.approx(x[0] * y[1], abs=1e-12)
 
     def test_variants_agree_without_x_dependence(self):
-        psi = ScalarFieldOnCells(
-            f=lambda x, y: np.cos(2 * np.pi * y[:, 0]) + y[:, 1])
+        psi = lambda x, y: np.cos(2 * np.pi * y[:, 0]) + y[:, 1]
         p = _EPI_PARTITION
         rng = np.random.default_rng(5)
         X = rng.uniform(0, 1, size=(200, 2))
-        vL = lp_approx_batch(psi, p, X, "L")
-        vL0 = lp_approx_batch(psi, p, X, "L0")
+        vL = lp_approx_batch(psi, p, X)
+        vL0 = frozen_lp_approx(psi, p, X)
         assert np.max(np.abs(vL - vL0)) <= 1e-14
 
     def test_rejects_unknown_variant(self):
-        psi = ScalarFieldOnCells(f=lambda x, y: y[:, 0])
-        with pytest.raises(ValueError):
+        # the approximation has one form: a variant argument is an error
+        psi = lambda x, y: y[:, 0]
+        with pytest.raises(TypeError):
             lp_approx_batch(psi, _EPI_PARTITION, np.array([[0.5, 0.5]]), "L2")
 
 

@@ -182,6 +182,16 @@ class TestGridBuild:
         with pytest.raises(ValueError, match="disconnected"):
             build_micro_grid(cfg)
 
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
+    def test_every_r_builds(self, name, r):
+        # plywood2d at r = 0.75 snaps its side to 2 eps, the least that
+        # holds a rotated cell; eps**r then comes back one ulp below it
+        for eps in (1 / 8, 1 / 16, 1 / 32):
+            grid = build_micro_grid(MicroConfig(get_scenario(name), eps, r=r,
+                                                T=0.0))
+            assert len(grid.partition.hat_xi) and grid.mask.any()
+
 
 class TestStep:
     def test_zero_fixed_point(self):

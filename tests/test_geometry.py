@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from lphom.geometry import (
     TransformField,
     UnitCellSpec,
+    _SIDE_RTOL,
     _candidate_cells,
+    _covering,
     _cells_box_intersect,
     build_partition,
     indicator_perforated,
@@ -453,6 +455,60 @@ class TestBatchedPartition:
             build_partition(UNIT_BOX, 1 / 4, 0.5, varying_stretch_transform())
         assert str(exc.value) == ("subdomain side 0.5 cannot hold one full "
                                   "cell (needs at least 0.55)")
+
+
+def snapped_breaks(eps):
+    """Per-axis breaks of the unit box at whole multiples of 2 eps."""
+    b = np.linspace(0.0, 1.0, int(round(1 / (2 * eps))) + 1)
+    return [b, b]
+
+
+class TestSideSlack:
+    # plywood2d rotates its cells, so the side 2 eps is the least that holds
+    # one; a side snapped to it and passed as eps**r may come back a few
+    # ulps below
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    def test_a_side_a_few_ulps_below_the_bound_builds(self, eps):
+        tf = plywood2d_scenario().transform
+        side = 2 * eps
+        for _ in range(4):
+            p = _covering(np.zeros(2), np.ones(2), snapped_breaks(eps), eps,
+                          tf, side=side)
+            assert len(p.hat_xi)
+            side = np.nextafter(side, 0.0)
+
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
+    def test_a_side_beyond_the_slack_is_rejected(self, eps):
+        tf = plywood2d_scenario().transform
+        side = 2 * eps * (1.0 - 1e3 * _SIDE_RTOL)
+        with pytest.raises(ValueError, match="full cell"):
+            _covering(np.zeros(2), np.ones(2), snapped_breaks(eps), eps, tf,
+                      side=side)
+
+
+class TestHatBlocks:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_blocks_are_the_subdomains_with_cells_in_row_order(self, name):
+        tf = get_scenario(name).transform
+        for p in (build_partition(UNIT_BOX, 1 / 16, 0.5, tf),
+                  _micro_partition(1 / 16, 0.5, tf)):
+            blocks = p.hat_blocks()
+            ns = [n for n, _ in blocks]
+            assert ns == np.flatnonzero(np.diff(p.hat_start)).tolist()
+            rows = np.concatenate([np.arange(len(p.hat_n))[s]
+                                   for _, s in blocks])
+            assert_same_bits(rows, np.arange(len(p.hat_n)))
+            for n, s in blocks:
+                assert (p.hat_n[s] == n).all()
+
+    def test_a_subdomain_without_cells_has_no_block(self):
+        # the first column, 0.05 wide, holds no cell of side 1/8
+        breaks = [np.array([0.0, 0.05, 1.0]), np.array([0.0, 1.0])]
+        p = _covering(np.zeros(2), np.ones(2), breaks, 1 / 8, IDENTITY)
+        assert p.hat_start[1] == 0
+        assert [n for n, _ in p.hat_blocks()] == [1]
+        [(_, rows)] = p.hat_blocks()
+        assert (rows.start, rows.stop) == (0, len(p.hat_n))
 
 
 def reference_subdomain_of(partition, X):

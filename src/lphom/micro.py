@@ -377,38 +377,64 @@ def _deposit_cells(hosts: np.ndarray, mid: np.ndarray, mask: np.ndarray,
     return deposit
 
 
+def _face_coefficients(grid: MicroGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the interior faces along axis 0 and along axis 1.
+
+    A face between two fluid cells carries A (the harmonic mean of the
+    constant coefficient is the coefficient itself); any other face 0.
+    """
+    mask = grid.mask
+    A = grid.config.suite.A
+    return A * (mask[:-1, :] & mask[1:, :]), A * (mask[:, :-1] & mask[:, 1:])
+
+
 def _diffusion_matrix(grid: MicroGrid, dt: float) -> sp.csc_matrix:
     """Backward-Euler diffusion matrix I - dt * div(A grad) on the full grid.
 
-    Solid cells keep identity rows. Built in its own frame so that the
-    coupling lists and the CSR copy are freed before the factorization runs.
+    Written straight into canonical CSC arrays with int32 indices, so splu
+    converts nothing. Every column stores its whole 5-point stencil in row
+    order: solid cells keep identity columns, a face touching a solid cell
+    stores -0.0 off the diagonal, and each diagonal adds its face weights to
+    1 in the order +axis 0, -axis 0, +axis 1, -axis 1.
     """
-    n, h = grid.n, grid.h
-    mask = grid.mask
-    A = grid.config.suite.A
-    # interior faces between two fluid cells; harmonic mean of the
-    # constant coefficient is the coefficient itself
-    tx = A * (mask[:-1, :] & mask[1:, :])
-    ty = A * (mask[:, :-1] & mask[:, 1:])
-    lam = dt / h**2
-    N = n * n
-    ids = np.arange(N).reshape(n, n)
-    diag = np.ones(N)
-    rows, cols, vals = [ids.ravel()], [ids.ravel()], [diag]
+    n = grid.n
+    wx, wy = _face_coefficients(grid)
+    lam = dt / grid.h**2
+    wx *= lam
+    wy *= lam
+    # stencil size per column: 5, less one for each grid edge it lies on
+    count = np.full((n, n), 5, dtype=np.int32)
+    count[[0, -1]] -= 1
+    count[:, [0, -1]] -= 1
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    del count
+    first = indptr[:-1].reshape(n, n)
+    at = first.copy()                       # slot of the diagonal
+    at[1:] += 1
+    at[:, 1:] += 1
+    ids = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
 
-    def couple(t, ia, ib):
-        w = lam * t.ravel()
-        a, b = ia.ravel(), ib.ravel()
-        rows.extend([a, b, a, b])
-        cols.extend([a, b, b, a])
-        vals.extend([w, w, -w, -w])
+    def put(slots, rows, vals):
+        indices[slots] = rows
+        data[slots] = vals
 
-    couple(tx, ids[:-1, :], ids[1:, :])
-    couple(ty, ids[:, :-1], ids[:, 1:])
-    M = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N))
-    return M.tocsc()
+    diag = np.ones((n, n))
+    diag[:-1] += wx
+    diag[1:] += wx
+    diag[:, :-1] += wy
+    diag[:, 1:] += wy
+    put(at, ids, diag)
+    del diag
+    np.negative(wx, out=wx)
+    np.negative(wy, out=wy)
+    put(first[1:], ids[:-1], wx)            # row k - n
+    put(at[:, 1:] - 1, ids[:, :-1], wy)     # row k - 1
+    put(at[:, :-1] + 1, ids[:, 1:], wy)     # row k + 1
+    put(indptr[1:-n].reshape(n - 1, n) - 1, ids[1:], wx)    # row k + n
+    return sp.csc_matrix((data, indices, indptr), shape=(n * n, n * n))
 
 
 def face_dirichlet_form(l: np.ndarray, tx: np.ndarray,
@@ -437,10 +463,7 @@ def face_dirichlet_form(l: np.ndarray, tx: np.ndarray,
 
 def micro_energy(state: State, grid: MicroGrid) -> float:
     """Dirichlet form of the ligand field on interior fluid faces."""
-    mask = grid.mask
-    A = grid.config.suite.A
-    return face_dirichlet_form(state.l, A * (mask[:-1, :] & mask[1:, :]),
-                               A * (mask[:, :-1] & mask[:, 1:]))
+    return face_dirichlet_form(state.l, *_face_coefficients(grid))
 
 
 def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,

@@ -638,8 +638,9 @@ def reference_diffusion_matrix(grid, dt):
 
 
 class TestDiffusionMatrix:
+    # every default eps of the study, the finest grid included
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16])
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
     def test_matches_the_inline_construction(self, name, eps):
         cfg = MicroConfig(scenario=get_scenario(name), eps=eps, T=0.5)
         grid = build_micro_grid(cfg)
@@ -648,3 +649,16 @@ class TestDiffusionMatrix:
         assert got.format == "csc" and got.shape == ref.shape
         assert_bitwise_equal([got.data, got.indices, got.indptr],
                              [ref.data, ref.indices, ref.indptr])
+        # splu takes it as it is: no index cast, no sort or duplicate sum
+        assert got.indices.dtype == got.indptr.dtype == np.intc
+        assert got.has_canonical_format
+
+    def test_assembly_peak(self, traced_peak):
+        # the returned arrays plus about half of them in face weights,
+        # diagonal and slot maps; no coordinate lists, no CSR copy
+        cfg = MicroConfig(scenario=get_scenario("periodic"), eps=1 / 16)
+        grid = build_micro_grid(cfg)
+        M = _diffusion_matrix(grid, cfg.h)
+        nbytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        peak = traced_peak(lambda: _diffusion_matrix(grid, cfg.h))
+        assert peak <= 1.6 * nbytes

@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -1054,29 +1053,12 @@ class TestRowPassesMatchThePerEntryReference:
                     == reference_remainder_R(phi, part, grad))
 
 
-def traced_peak(fn):
-    """Peak traced allocation of fn() above what was allocated before it;
-    fn runs once untraced first, so lazy caches are already built."""
-    fn()
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
 class TestUnfoldingMemory:
     """Each check holds its samples once: the working memory of a check is
     a small multiple of the bytes of the samples it reads (plywood2d,
     eps = 1/128, the check-unfold settings)."""
 
-    def test_smooth_check_peak(self):
+    def test_smooth_check_peak(self, traced_peak):
         part = scenario_partition("plywood2d", 1 / 128)
         smooth = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
@@ -1086,13 +1068,13 @@ class TestUnfoldingMemory:
             smooth, part, 8, eval_mode="exact"))
         assert peak <= 1.25 * n_cells * 64 * 8
 
-    def test_pwc_check_peak(self):
+    def test_pwc_check_peak(self, traced_peak):
         part = scenario_partition("plywood2d", 1 / 128)
         n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
         peak = traced_peak(lambda: cli._pwc_identity(part))
         assert peak <= 2.5 * n_cells * 16 * 8
 
-    def test_boundary_check_peak(self):
+    def test_boundary_check_peak(self, traced_peak):
         part = scenario_partition("plywood2d", 1 / 128)
         quad = GammaQuadrature(plywood2d_scenario().cell, 16)
         n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
@@ -1100,7 +1082,7 @@ class TestUnfoldingMemory:
             lambda X: 1.0 + X[:, 0], part, quad))
         assert peak <= 2.5 * n_cells * 16 * 8
 
-    def test_remainder_peak(self):
+    def test_remainder_peak(self, traced_peak):
         part = scenario_partition("plywood2d", 1 / 128)
         smooth = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),

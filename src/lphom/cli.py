@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +42,6 @@ if TYPE_CHECKING:
 
 COEFF_KEYS = ("mu1", "mu2", "mu3", "kappa1", "kappa2", "kappa3",
               "alpha", "beta", "dl", "df", "db")
-FLOAT_KEYS = ("r", "H", "T", "a") + COEFF_KEYS
-INT_KEYS = ("cells_per_eps", "Nc", "nGamma")
-STR_KEYS = ("scenario", "dt_rule", "outdir")
-CONFIG_KEYS = frozenset(("epsilon_list",) + FLOAT_KEYS + INT_KEYS + STR_KEYS)
 
 
 class UsageError(argparse.ArgumentTypeError):
@@ -71,6 +67,38 @@ def _eps_list(text: str) -> tuple:
     return vals
 
 
+@dataclass(frozen=True)
+class _Key:
+    """A configuration key: its parser, its flag if it has one, and the
+    StudyConfig, MicroConfig and MacroConfig field it sets."""
+
+    parse: Callable[[str], object]
+    flag: Optional[str] = None
+    field: Optional[str] = None
+    help: Optional[str] = None
+
+
+# every configuration key; the ones the CSV provenance headers name come
+# in the headers' order. A key's flag stores under the key's name. The
+# coefficient keys have no flag and set the suite, not a config field
+_KEYS = {
+    "scenario": _Key(str, "--scenario",
+                     help=f"one of: {', '.join(SCENARIO_NAMES)}"),
+    "a": _Key(_number, "--a",
+              help="inclusion radius (0 disables perforation)"),
+    "outdir": _Key(str, "--outdir", help="output directory"),
+    "epsilon_list": _Key(_eps_list, "--eps", "eps_list"),
+    "r": _Key(_number, "--r", "r"),
+    "cells_per_eps": _Key(int, "--cells-per-eps", "cells_per_eps"),
+    "H": _Key(_number, "--H", "H"),
+    "T": _Key(_number, "--T", "T"),
+    "dt_rule": _Key(str, "--dt-rule", "dt_rule"),
+    "nGamma": _Key(int, "--n-gamma", "n_gamma"),
+    "Nc": _Key(int, "--Nc", "N_c"),
+    **{k: _Key(_number) for k in COEFF_KEYS},
+}
+
+
 def load_config_file(path: str) -> dict:
     """Strict flat key=value parser; unknown keys are rejected."""
     vals: dict = {}
@@ -87,23 +115,24 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _KEYS:
             raise UsageError(
                 f"{path}:{lineno}: unknown key {key!r} "
-                f"(valid keys: {', '.join(sorted(CONFIG_KEYS))})")
-        if key == "epsilon_list":
-            vals[key] = _eps_list(val)
-        elif key in FLOAT_KEYS:
-            vals[key] = _number(val)
-        elif key in INT_KEYS:
-            try:
-                vals[key] = int(val)
-            except ValueError:
-                raise UsageError(
-                    f"{path}:{lineno}: {key} must be an integer") from None
-        else:
-            vals[key] = val
+                f"(valid keys: {', '.join(sorted(_KEYS))})")
+        try:
+            vals[key] = _KEYS[key].parse(val)
+        except ValueError:      # from int: _number raises a UsageError
+            raise UsageError(
+                f"{path}:{lineno}: {key} must be an integer") from None
     return vals
+
+
+def _given(vals: dict, config_cls) -> dict:
+    """The config_cls fields that the keys the user gave set, by field
+    name; config_cls holds the defaults of the keys left out."""
+    names = {f.name for f in fields(config_cls)}
+    return {k.field: vals[key] for key, k in _KEYS.items()
+            if k.field in names and key in vals}
 
 
 def _fmt(v: float) -> str:
@@ -337,16 +366,6 @@ def _read_tensor_csv(path: str) -> EffectiveTensorField:
 
 # -------------------------------------------------------- micro / macro
 
-def _series_lines(vals: dict, prov_keys, observables: dict) -> list:
-    lines = _provenance(vals, prov_keys)
-    lines.append(",".join(OBSERVABLES))
-    n = len(observables["t"])
-    for i in range(n):
-        lines.append(",".join(_fmt(float(observables[c][i]))
-                              for c in OBSERVABLES))
-    return lines
-
-
 def _dt_from(vals: dict, args) -> Optional[float]:
     # --dt wins; otherwise a numeric dt_rule key; "h" means solver default
     if getattr(args, "dt", None) is not None:
@@ -362,14 +381,23 @@ def _dt_from(vals: dict, args) -> Optional[float]:
     return dt
 
 
-# config key -> MicroConfig / MacroConfig field
-_MICRO_FIELDS = {"r": "r", "cells_per_eps": "cells_per_eps", "T": "T"}
-_MACRO_FIELDS = {"T": "T", "nGamma": "n_gamma", "Nc": "N_c"}
-
-
-def _given(vals: dict, fields: dict) -> dict:
-    """The config fields of the keys the user gave, by field name."""
-    return {field: vals[key] for key, field in fields.items() if key in vals}
+def _write_run(vals: dict, command: str, prov: Sequence[str], run,
+               points: np.ndarray, l_final: np.ndarray) -> int:
+    """Write a micro or macro run's series CSV, and its final ligand field
+    at points as the field CSV; exit 1 on a criterion failure."""
+    obs = run.observables
+    series = [",".join(OBSERVABLES)] + [
+        ",".join(_fmt(float(obs[c][i])) for c in OBSERVABLES)
+        for i in range(len(obs["t"]))]
+    field = ["x1,x2,l"] + [",".join(_fmt(v) for v in (x1, x2, l))
+                           for (x1, x2), l in zip(points, l_final)]
+    for kind, rows in (("series", series), ("field", field)):
+        path = _out_path(vals, f"{command}_{kind}.csv")
+        _write_lines(path, _provenance(vals, prov) + rows)
+        print(f"wrote {path}")
+    for msg in run.failures:
+        print(f"criterion failure: {msg}", file=sys.stderr)
+    return 0 if run.ok() else 1
 
 
 def _cmd_micro(vals: dict, args) -> int:
@@ -377,31 +405,15 @@ def _cmd_micro(vals: dict, args) -> int:
 
     sc = _scenario_from(vals)
     eps = _single_eps(vals, 1 / 16)
-    # MicroConfig holds the defaults of the keys the user left out
     cfg = MicroConfig(sc, eps, dt=_dt_from(vals, args),
-                      **_given(vals, _MICRO_FIELDS))
+                      **_given(vals, MicroConfig))
     run = run_micro(cfg, n_samples=20)
-
-    prov = ("scenario", "a", "r", "cells_per_eps", "T", "dt_rule")
-    series = _out_path(vals, "micro_series.csv")
-    _write_lines(series, _series_lines(vals, prov, run.observables))
     grid = run.model
     ii, jj = np.nonzero(grid.mask)
-    lines = _provenance(vals, prov)
-    lines.append("x1,x2,l")
-    lf = run.final_state.l
-    for i, j in zip(ii, jj):
-        lines.append(",".join(_fmt(v) for v in
-                              ((i + 0.5) * grid.h, (j + 0.5) * grid.h,
-                               lf[i, j])))
-    fieldp = _out_path(vals, "micro_field.csv")
-    _write_lines(fieldp, lines)
-    print(f"wrote {series}\nwrote {fieldp}")
-    if not run.ok():
-        for msg in run.failures:
-            print(f"criterion failure: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    centers = np.column_stack(((ii + 0.5) * grid.h, (jj + 0.5) * grid.h))
+    return _write_run(vals, "micro", ("scenario", "a", "r", "cells_per_eps",
+                                      "T", "dt_rule"),
+                      run, centers, run.final_state.l[ii, jj])
 
 
 def _cmd_macro(vals: dict, args) -> int:
@@ -409,47 +421,22 @@ def _cmd_macro(vals: dict, args) -> int:
 
     sc = _scenario_from(vals)
     tensors = _read_tensor_csv(args.tensors) if args.tensors else None
-    # MacroConfig holds the defaults of the keys the user left out, but H
-    # has none there
-    cfg = MacroConfig(sc, H=vals.get("H", 1 / 32), dt=_dt_from(vals, args),
-                      tensors=tensors, **_given(vals, _MACRO_FIELDS))
+    # H has no default in MacroConfig
+    cfg = MacroConfig(sc, dt=_dt_from(vals, args), tensors=tensors,
+                      **{"H": 1 / 32, **_given(vals, MacroConfig)})
     run = run_macro(cfg, n_samples=20)
-
-    prov = ("scenario", "a", "H", "T", "dt_rule", "nGamma", "Nc")
-    series = _out_path(vals, "macro_series.csv")
-    _write_lines(series, _series_lines(vals, prov, run.observables))
-    nodes = macro_nodes(cfg)
-    lines = _provenance(vals, prov)
-    lines.append("x1,x2,l")
-    lf = run.final_state.l.ravel()
-    for p in range(len(nodes)):
-        lines.append(",".join(_fmt(v) for v in
-                              (nodes[p, 0], nodes[p, 1], lf[p])))
-    fieldp = _out_path(vals, "macro_field.csv")
-    _write_lines(fieldp, lines)
-    print(f"wrote {series}\nwrote {fieldp}")
-    if not run.ok():
-        for msg in run.failures:
-            print(f"criterion failure: {msg}", file=sys.stderr)
-        return 1
-    return 0
+    return _write_run(vals, "macro", ("scenario", "a", "H", "T", "dt_rule",
+                                      "nGamma", "Nc"),
+                      run, macro_nodes(cfg), run.final_state.l.ravel())
 
 
 # ------------------------------------------------------------ converge
-
-# config key -> StudyConfig field
-_STUDY_FIELDS = {"epsilon_list": "eps_list", "r": "r",
-                 "cells_per_eps": "cells_per_eps", "Nc": "N_c", "H": "H",
-                 "nGamma": "n_gamma", "T": "T", "dt_rule": "dt_rule"}
-
 
 def _cmd_converge(vals: dict, args) -> int:
     from .harness import StudyConfig, convergence_study, write_convergence_csv
 
     sc = _scenario_from(vals)
-    # StudyConfig holds the defaults of the keys the user left out
-    study = StudyConfig(sc, **_given(vals, _STUDY_FIELDS))
-    report = convergence_study(study)
+    report = convergence_study(StudyConfig(sc, **_given(vals, StudyConfig)))
     path = _out_path(vals, "convergence.csv")
     write_convergence_csv(report, path)
     print(f"wrote {path}")
@@ -465,13 +452,31 @@ def _cmd_converge(vals: dict, args) -> int:
 
 # ------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value configuration file")
-    p.add_argument("--scenario", dest="scenario",
-                   help=f"one of: {', '.join(SCENARIO_NAMES)}")
-    p.add_argument("--a", dest="a", type=_number,
-                   help="inclusion radius (0 disables perforation)")
-    p.add_argument("--outdir", dest="outdir", help="output directory")
+# the subcommands: help, handler and flags in declaration order after the
+# common ones. A configuration key is named by its key, a plain flag,
+# which sets no key, by its option string
+_COMMON = ("--config", "scenario", "a", "outdir")
+_COMMANDS = {
+    "geom": ("partition and lattice summary", _cmd_geom,
+             ("epsilon_list", "r")),
+    "check-unfold": ("unfolding identity suite", _cmd_check_unfold,
+                     ("epsilon_list", "r", "nGamma")),
+    "cell": ("effective tensors at macro points", _cmd_cell,
+             ("--points", "Nc")),
+    "micro": ("one microscopic solve", _cmd_micro,
+              ("epsilon_list", "r", "cells_per_eps", "T", "--dt")),
+    "macro": ("one homogenized solve", _cmd_macro,
+              ("H", "T", "--dt", "nGamma", "Nc", "--tensors")),
+    "converge": ("epsilon-sweep convergence study", _cmd_converge,
+                 ("epsilon_list", "r", "cells_per_eps", "Nc", "H", "nGamma",
+                  "T", "dt_rule")),
+}
+_PLAIN_FLAGS = {
+    "--config": {"help": "flat key=value configuration file"},
+    "--points": {"help": "semicolon-separated x1,x2 pairs"},
+    "--dt": {"type": _number},
+    "--tensors": {"help": "precomputed tensor CSV (cell output)"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,65 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lphom",
         description="locally periodic homogenization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("geom", help="partition and lattice summary")
-    _add_common(p)
-    p.add_argument("--eps", dest="epsilon_list", type=_eps_list)
-    p.add_argument("--r", dest="r", type=_number)
-
-    p = sub.add_parser("check-unfold", help="unfolding identity suite")
-    _add_common(p)
-    p.add_argument("--eps", dest="epsilon_list", type=_eps_list)
-    p.add_argument("--r", dest="r", type=_number)
-    p.add_argument("--n-gamma", dest="nGamma", type=int)
-
-    p = sub.add_parser("cell", help="effective tensors at macro points")
-    _add_common(p)
-    p.add_argument("--points", help="semicolon-separated x1,x2 pairs")
-    p.add_argument("--Nc", dest="Nc", type=int)
-
-    p = sub.add_parser("micro", help="one microscopic solve")
-    _add_common(p)
-    p.add_argument("--eps", dest="epsilon_list", type=_eps_list)
-    p.add_argument("--r", dest="r", type=_number)
-    p.add_argument("--cells-per-eps", dest="cells_per_eps", type=int)
-    p.add_argument("--T", dest="T", type=_number)
-    p.add_argument("--dt", dest="dt", type=_number)
-
-    p = sub.add_parser("macro", help="one homogenized solve")
-    _add_common(p)
-    p.add_argument("--H", dest="H", type=_number)
-    p.add_argument("--T", dest="T", type=_number)
-    p.add_argument("--dt", dest="dt", type=_number)
-    p.add_argument("--n-gamma", dest="nGamma", type=int)
-    p.add_argument("--Nc", dest="Nc", type=int)
-    p.add_argument("--tensors", help="precomputed tensor CSV (cell output)")
-
-    p = sub.add_parser("converge", help="epsilon-sweep convergence study")
-    _add_common(p)
-    p.add_argument("--eps", dest="epsilon_list", type=_eps_list)
-    p.add_argument("--r", dest="r", type=_number)
-    p.add_argument("--cells-per-eps", dest="cells_per_eps", type=int)
-    p.add_argument("--Nc", dest="Nc", type=int)
-    p.add_argument("--H", dest="H", type=_number)
-    p.add_argument("--n-gamma", dest="nGamma", type=int)
-    p.add_argument("--T", dest="T", type=_number)
-    p.add_argument("--dt-rule", dest="dt_rule")
-
+    for name, (help_text, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in _COMMON + flags:
+            if flag in _KEYS:
+                k = _KEYS[flag]
+                p.add_argument(k.flag, dest=flag, type=k.parse, help=k.help)
+            else:
+                p.add_argument(flag, **_PLAIN_FLAGS[flag])
     return parser
-
-
-_HANDLERS = {
-    "geom": _cmd_geom,
-    "check-unfold": _cmd_check_unfold,
-    "cell": _cmd_cell,
-    "micro": _cmd_micro,
-    "macro": _cmd_macro,
-    "converge": _cmd_converge,
-}
-
-_MERGE_KEYS = ("scenario", "a", "outdir", "epsilon_list", "r", "nGamma",
-               "cells_per_eps", "Nc", "H", "T", "dt_rule")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -547,14 +502,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        vals: dict = {}
-        if args.config:
-            vals.update(load_config_file(args.config))
-        for key in _MERGE_KEYS:
-            flag = getattr(args, key, None)
-            if flag is not None:
-                vals[key] = flag
-        return _HANDLERS[args.command](vals, args)
+        vals = load_config_file(args.config) if args.config else {}
+        for key in _KEYS:
+            if getattr(args, key, None) is not None:
+                vals[key] = getattr(args, key)
+        return _COMMANDS[args.command][1](vals, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

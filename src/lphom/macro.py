@@ -196,7 +196,7 @@ def assemble_macro(config: MacroConfig) -> MacroOperator:
                            N_c=config.N_c)
     else:
         if fld.points.shape != nodes.shape \
-                or not np.allclose(fld.points, nodes, atol=1e-9):
+                or not np.allclose(fld.points, nodes, rtol=0.0, atol=1e-9):
             raise ValueError("tensor field does not cover the macro nodes")
     if not fld.ok():
         bad = next(e for e in fld.errors if e is not None)
@@ -205,7 +205,8 @@ def assemble_macro(config: MacroConfig) -> MacroOperator:
     tensors = fld.tensors
     for p in range(P):
         Ap = tensors[p]
-        if not np.allclose(Ap, Ap.T, atol=1e-8 * max(1.0, abs(Ap).max())):
+        if not np.allclose(Ap, Ap.T, rtol=0.0,
+                           atol=1e-8 * max(1.0, abs(Ap).max())):
             raise ValueError(f"effective tensor at node {p} is not symmetric")
         if np.linalg.eigvalsh(0.5 * (Ap + Ap.T)).min() <= 0.0:
             raise ValueError(

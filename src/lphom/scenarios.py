@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -151,25 +150,19 @@ def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
     return Scenario("radius-gradient", tf, _cell(a), suite)
 
 
-SCENARIO_NAMES = ("periodic", "epithelial", "plywood2d", "radius-gradient")
+_BUILDERS = {
+    "periodic": periodic_scenario,
+    "epithelial": epithelial_scenario,
+    "plywood2d": plywood2d_scenario,
+    "radius-gradient": radius_gradient_scenario,
+}
+SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def get_scenario(name: str, a: float = 0.25,
-                 suite: Optional[CoefficientSuite] = None, **params) -> Scenario:
-    """Build a registry scenario by name with scalar parameter overrides."""
-    suite = suite if suite is not None else CoefficientSuite()
-    if name == "periodic":
-        return periodic_scenario(a=a, suite=suite)
-    if name == "epithelial":
-        return epithelial_scenario(a=a, suite=suite,
-                                   kappa_base=params.get("kappa_base", 0.7),
-                                   kappa_slope=params.get("kappa_slope", 0.25))
-    if name == "plywood2d":
-        return plywood2d_scenario(a=a, suite=suite,
-                                  gamma_rate=params.get("gamma_rate", math.pi / 2),
-                                  k2=params.get("k2", 1.4))
-    if name == "radius-gradient":
-        return radius_gradient_scenario(a=a, suite=suite,
-                                        rho_base=params.get("rho_base", 1.0),
-                                        rho_slope=params.get("rho_slope", 0.5))
-    raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+                 suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+    """Build a registry scenario by name, at its builder's defaults."""
+    if name not in _BUILDERS:
+        raise ValueError(
+            f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
+    return _BUILDERS[name](a=a, suite=suite)

@@ -11,6 +11,7 @@ without spawning interpreters.
 import importlib.util
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from lphom import cell_problem, cli, harness, micro
+from lphom import cell_problem, cli, harness, macro, micro
 from lphom.cell_problem import tensor_field
 from lphom.cli import UsageError, load_config_file, main
 from lphom.harness import (
@@ -740,6 +741,140 @@ class TestConvergeCommand:
                                     N_c=64, n_gamma=8)
 
 
+# every subcommand's options as (option strings, dest), in declaration
+# order, after the options all of them share
+COMMON_OPTIONS = [(["-h", "--help"], "help"), (["--config"], "config"),
+                  (["--scenario"], "scenario"), (["--a"], "a"),
+                  (["--outdir"], "outdir")]
+SUBCOMMAND_OPTIONS = {
+    "geom": [(["--eps"], "epsilon_list"), (["--r"], "r")],
+    "check-unfold": [(["--eps"], "epsilon_list"), (["--r"], "r"),
+                     (["--n-gamma"], "nGamma")],
+    "cell": [(["--points"], "points"), (["--Nc"], "Nc")],
+    "micro": [(["--eps"], "epsilon_list"), (["--r"], "r"),
+              (["--cells-per-eps"], "cells_per_eps"), (["--T"], "T"),
+              (["--dt"], "dt")],
+    "macro": [(["--H"], "H"), (["--T"], "T"), (["--dt"], "dt"),
+              (["--n-gamma"], "nGamma"), (["--Nc"], "Nc"),
+              (["--tensors"], "tensors")],
+    "converge": [(["--eps"], "epsilon_list"), (["--r"], "r"),
+                 (["--cells-per-eps"], "cells_per_eps"), (["--Nc"], "Nc"),
+                 (["--H"], "H"), (["--n-gamma"], "nGamma"), (["--T"], "T"),
+                 (["--dt-rule"], "dt_rule")],
+}
+
+
+class TestParserLayout:
+    def test_every_subcommand_keeps_its_options_in_order(self):
+        [sub] = [a for a in cli.build_parser()._actions
+                 if a.dest == "command"]
+        assert list(sub.choices) == list(SUBCOMMAND_OPTIONS)
+        for name, parser in sub.choices.items():
+            got = [(a.option_strings, a.dest) for a in parser._actions]
+            assert got == COMMON_OPTIONS + SUBCOMMAND_OPTIONS[name], name
+
+
+# (command, config key, flag, value in the file, value on the flag, the
+# config attribute they set, what the file value and the flag value read
+# there); --dt is a plain flag that wins over a numeric dt_rule key
+KEY_CASES = [
+    ("micro", "scenario", "--scenario", "epithelial", "plywood2d",
+     "scenario.name", "epithelial", "plywood2d"),
+    ("micro", "a", "--a", "0.2", "0.3", "scenario.cell.a", 0.2, 0.3),
+    ("micro", "epsilon_list", "--eps", "1/8", "1/4", "eps", 0.125, 0.25),
+    ("micro", "r", "--r", "0.4", "0.6", "r", 0.4, 0.6),
+    ("micro", "cells_per_eps", "--cells-per-eps", "9", "11",
+     "cells_per_eps", 9, 11),
+    ("micro", "T", "--T", "0.2", "0.3", "T", 0.2, 0.3),
+    ("micro", "dt_rule", "--dt", "0.01", "0.02", "dt", 0.01, 0.02),
+    ("macro", "scenario", "--scenario", "epithelial", "plywood2d",
+     "scenario.name", "epithelial", "plywood2d"),
+    ("macro", "a", "--a", "0.2", "0.3", "scenario.cell.a", 0.2, 0.3),
+    ("macro", "H", "--H", "1/8", "1/16", "H", 0.125, 0.0625),
+    ("macro", "T", "--T", "0.2", "0.3", "T", 0.2, 0.3),
+    ("macro", "dt_rule", "--dt", "0.01", "0.02", "dt", 0.01, 0.02),
+    ("macro", "nGamma", "--n-gamma", "8", "12", "n_gamma", 8, 12),
+    ("macro", "Nc", "--Nc", "32", "96", "N_c", 32, 96),
+    ("converge", "scenario", "--scenario", "epithelial", "plywood2d",
+     "scenario.name", "epithelial", "plywood2d"),
+    ("converge", "a", "--a", "0.2", "0.3", "scenario.cell.a", 0.2, 0.3),
+    ("converge", "epsilon_list", "--eps", "1/4,1/8", "1/8,1/16", "eps_list",
+     (0.25, 0.125), (0.125, 0.0625)),
+    ("converge", "r", "--r", "0.4", "0.6", "r", 0.4, 0.6),
+    ("converge", "cells_per_eps", "--cells-per-eps", "9", "11",
+     "cells_per_eps", 9, 11),
+    ("converge", "Nc", "--Nc", "32", "96", "N_c", 32, 96),
+    ("converge", "H", "--H", "1/8", "1/16", "H", 0.125, 0.0625),
+    ("converge", "nGamma", "--n-gamma", "8", "12", "n_gamma", 8, 12),
+    ("converge", "T", "--T", "0.2", "0.3", "T", 0.2, 0.3),
+    ("converge", "dt_rule", "--dt-rule", "0.01", "0.02", "dt_rule",
+     "0.01", "0.02"),
+]
+
+
+class TestKeysReachTheConfig:
+    """A key set by its flag or in a --config file reaches the command's
+    config object alike, and the flag wins; the solvers are stubbed out,
+    so no solve runs."""
+
+    @staticmethod
+    def config_of(command, argv, text, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(config, *args, **kwargs):
+            seen.append(config)
+            raise RuntimeError("stopped before the solve")
+
+        monkeypatch.setattr(micro, "run_micro", stop)
+        monkeypatch.setattr(macro, "run_macro", stop)
+        monkeypatch.setattr(harness, "convergence_study", stop)
+        if text is not None:
+            path = tmp_path / "c.cfg"
+            path.write_text(text)
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--outdir", str(out)]) == 1
+        assert not out.exists()
+        [config] = seen
+        return config
+
+    @pytest.mark.parametrize(
+        "command,key,flag,file_value,flag_value,attr,from_file,from_flag",
+        KEY_CASES, ids=[f"{c[0]}-{c[1]}" for c in KEY_CASES])
+    def test_flag_and_file_agree_and_the_flag_wins(
+            self, command, key, flag, file_value, flag_value, attr,
+            from_file, from_flag, tmp_path, monkeypatch):
+        def read(argv, text):
+            base = [] if key == "scenario" else ["--scenario", "periodic"]
+            config = self.config_of(command, base + argv, text, tmp_path,
+                                    monkeypatch)
+            return operator.attrgetter(attr)(config)
+
+        assert read([flag, file_value], None) == from_file
+        assert read([], f"{key} = {file_value}\n") == from_file
+        assert read([flag, flag_value], f"{key} = {file_value}\n") \
+            == from_flag
+
+    @pytest.mark.parametrize("command", ["micro", "macro", "converge"])
+    def test_coefficient_keys_reach_the_suite(self, command, tmp_path,
+                                              monkeypatch):
+        coeffs = {k: 0.5 + 0.01 * i for i, k in enumerate(cli.COEFF_KEYS)}
+        text = "".join(f"{k} = {v}\n" for k, v in coeffs.items())
+        config = self.config_of(command, ["--scenario", "periodic"], text,
+                                tmp_path, monkeypatch)
+        suite = config.scenario.suite
+        assert {k: getattr(suite, k) for k in coeffs} == coeffs
+
+    def test_outdir_flag_wins_over_the_file(self, tmp_path):
+        (tmp_path / "c.cfg").write_text(
+            f"scenario = periodic\noutdir = {tmp_path / 'file'}\n")
+        assert main(["geom", "--config", str(tmp_path / "c.cfg")]) == 0
+        assert main(["geom", "--config", str(tmp_path / "c.cfg"),
+                     "--outdir", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "file" / "geom.csv").read_bytes() \
+            == (tmp_path / "flag" / "geom.csv").read_bytes()
+
+
 def row_bits(row):
     """Everything a study row reports, floats as exact hex strings."""
     vals = (row.E, row.energy_micro, row.energy_macro, row.energy_gap,
@@ -1064,3 +1199,14 @@ class TestBilinearSampling:
         assert abs(out[1] - vals[3, 3]) < 1e-14
         # clamps only the wall-normal coordinate
         assert abs(out[2] - (2.0 + 3.0 * H / 2 - 0.5)) < 1e-13
+
+
+class TestSampleTimes:
+    def test_a_stretched_macro_time_axis_is_rejected(self):
+        # 4e-6 relative is 2e-6 at t = 0.5: far above the 1e-12 the check
+        # allows, but inside numpy's default rtol of 1e-5
+        t = np.linspace(0.0, 0.5, 21)
+        mic = SimpleNamespace(observables={"t": t})
+        mac = SimpleNamespace(observables={"t": t * (1.0 + 4e-6)})
+        with pytest.raises(RuntimeError, match="sample times diverged"):
+            harness._compare(mic, mac)

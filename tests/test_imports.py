@@ -522,3 +522,68 @@ class TestPublicMethodsAreRead:
             "b.py": ast.parse("def run(p):\n    return p.blocks()\n"),
         }
         assert unread_methods(trees, []) == ["a.py P.side"]
+
+
+def public_definitions(tree: ast.Module) -> list:
+    """(name, statement) of every public module-level function and class."""
+    return [(stmt.name, stmt) for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not stmt.name.startswith("_")]
+
+
+def loaded_names(stmt: ast.AST) -> set:
+    """Names and attributes that stmt reads; an import is no read."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+# public module-level names kept with no reader and no export: the
+# paper's two unfolding norms, which tests/test_acceptance.py runs and the
+# two-scale limit of ROADMAP item 11 will read
+UNREAD_NAMES_KEPT = {"norm_unfold_minus_identity",
+                     "norm_unfold_of_lp_minus_psi"}
+
+
+def unread_public_names(trees: dict, readers: list, exported) -> list:
+    """"file name" for every public module-level function and class of
+    trees that no top-level statement of trees or readers reads outside
+    its own definition, apart from the exported names and
+    UNREAD_NAMES_KEPT."""
+    reads = [(stmt, loaded_names(stmt))
+             for t in [*trees.values(), *readers] for stmt in t.body]
+    return [f"{f} {name}" for f, t in trees.items()
+            for name, own in public_definitions(t)
+            if name not in exported and name not in UNREAD_NAMES_KEPT
+            and not any(name in names for stmt, names in reads
+                        if stmt is not own)]
+
+
+class TestPublicNamesAreRead:
+    """No module of the package keeps a public function or class that
+    neither the package nor the benchmark harness reads, unless the
+    package exports it."""
+
+    def test_every_public_name_is_read_or_exported(self):
+        trees, readers = package_and_benchmark_trees()
+        assert unread_public_names(trees, readers, lphom.__all__) == []
+
+    def test_the_kept_names_exist_and_are_not_exported(self):
+        trees, _ = package_and_benchmark_trees()
+        defined = {name for t in trees.values()
+                   for name, _ in public_definitions(t)}
+        assert UNREAD_NAMES_KEPT <= defined - set(lphom.__all__)
+
+    def test_the_scan_flags_a_planted_unread_function(self):
+        trees, readers = package_and_benchmark_trees()
+        trees["unfolding.py"].body += ast.parse(
+            "def planted_norm(partition):\n"
+            "    return planted_norm(partition)\n"
+            "class PlantedGrid:\n"
+            "    pass\n").body
+        readers = [*readers, ast.parse("from lphom.unfolding import "
+                                       "PlantedGrid\n")]
+        assert unread_public_names(trees, readers, lphom.__all__) == [
+            "unfolding.py planted_norm", "unfolding.py PlantedGrid"]

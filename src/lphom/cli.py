@@ -56,7 +56,7 @@ def _number(text: str) -> float:
     """Parse a decimal or a fraction like 1/8."""
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise UsageError(f"not a number: {text!r}") from None
 
 

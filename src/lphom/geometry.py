@@ -375,15 +375,22 @@ def map_cells(shift, eps: float, D, xi, y) -> np.ndarray:
     """Points shift + eps D (xi + y), (c, k, 2), of cells xi (c, 2) and unit-
     cell points y (k, 2). D (2, 2) and shift (2,) may also be given per
     cell, (c, 2, 2) and (c, 2). Per-axis sums of two contiguous products
-    give the bits of the einsum contraction, about 4x faster."""
+    give the bits of the einsum contraction, about 4x faster. The points
+    are axis-major, a view of one (2, c, k) array, so the columns of its
+    (c k, 2) reshape are contiguous."""
     xi = np.asarray(xi, dtype=float)
     y = np.asarray(y, dtype=float)
     D = np.asarray(D, dtype=float)
     shift = np.asarray(shift, dtype=float)
     a0 = xi[:, None, 0] + y[None, :, 0]
     a1 = xi[:, None, 1] + y[None, :, 1]
-    return np.stack([(D[..., i, 0, None] * a0 + D[..., i, 1, None] * a1) * eps
-                     + shift[..., i, None] for i in range(2)], axis=-1)
+    out = np.empty((2,) + a0.shape)
+    for i, plane in enumerate(out):
+        np.multiply(D[..., i, 0, None], a0, out=plane)
+        plane += D[..., i, 1, None] * a1
+        plane *= eps
+        plane += shift[..., i, None]
+    return out.transpose(1, 2, 0)
 
 
 def _cells_box_intersect(cell_pts, b_lo, b_hi, Dinv) -> np.ndarray:

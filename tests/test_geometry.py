@@ -273,6 +273,45 @@ class TestMapCells:
                 assert_same_bits(map_cells(s.shift, eps, s.D, xi, y),
                                  reference_map_cells(s.shift, eps, s.D, xi, y))
 
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_per_cell_maps_match_einsum_bit_for_bit(self, name, eps):
+        # one D and shift row per cell, as _candidate_cells passes them for
+        # a covering's candidates and QInterpolant.eval_cells for its cells
+        p = build_partition(UNIT_BOX, eps, 0.5, get_scenario(name).transform)
+        s_lo = np.array([s.lo for s in p.subdomains])
+        s_hi = np.array([s.hi for s in p.subdomains])
+        unit = np.array(list(np.ndindex(2, 2)), dtype=float)
+        for owner, cand, pts in _candidate_cells(s_lo, s_hi, eps, p.D, p.Dinv,
+                                                 p.shift):
+            ref = np.concatenate([
+                reference_map_cells(p.shift[n], eps, p.D[n],
+                                    cand[owner == n], unit)
+                for n in np.unique(owner)])
+            assert_same_bits(pts, ref)
+        y = unit_cell_nodes(4, 2)
+        got = map_cells(p.shift[p.hat_n], eps, p.D[p.hat_n], p.hat_xi, y)
+        ref = np.concatenate([
+            reference_map_cells(p.shift[n], eps, p.D[n], p.hat_xi[rows], y)
+            for n, rows in p.hat_blocks()])
+        assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("per_cell", [False, True],
+                             ids=["one-D", "per-cell"])
+    def test_points_are_axis_major(self, per_cell):
+        # the flat points every consumer passes on are a view whose
+        # coordinate columns are contiguous
+        rng = np.random.default_rng(5)
+        xi = rng.integers(-40, 40, (37, 2))
+        D, shift = rotation_matrix(0.3), np.array([0.125, -0.25])
+        if per_cell:
+            D, shift = rng.normal(size=(37, 2, 2)), rng.normal(size=(37, 2))
+        pts = map_cells(shift, 1 / 16, D, xi, unit_cell_nodes(5, 2))
+        assert pts.shape == (37, 25, 2)
+        X = pts.reshape(-1, 2)
+        assert np.shares_memory(X, pts)
+        assert X[:, 0].flags.c_contiguous and X[:, 1].flags.c_contiguous
+
     def test_no_cells(self):
         got = map_cells(np.zeros(2), 1 / 8, np.eye(2), np.zeros((0, 2), int),
                         unit_cell_nodes(4, 2))

@@ -61,6 +61,11 @@ class TestNumberParsing:
         with pytest.raises(UsageError):
             cli._number("1/0")
 
+    def test_rejects_numbers_beyond_the_float_range(self):
+        # float(Fraction("1e400")) raises OverflowError, not ValueError
+        with pytest.raises(UsageError, match="not a number: '1e400'"):
+            cli._number("1e400")
+
     def test_eps_list(self):
         assert cli._eps_list("1/4, 1/8") == (0.25, 0.125)
         with pytest.raises(UsageError):
@@ -122,6 +127,33 @@ class TestExitCodes:
         p.write_text("scenario=periodic\nwidth=3\n")
         assert main(["geom", "--config", str(p)]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_number_beyond_the_float_range_on_a_flag_exits_2(self, tmp_path,
+                                                             capsys):
+        code = main(["geom", "--scenario", "periodic", "--r", "1e400",
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "argument --r: not a number: '1e400'" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_number_beyond_the_float_range_in_a_config_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(harness, "tensor_field", no_solve)
+        monkeypatch.setattr(micro, "build_micro_grid", no_solve)
+        p = tmp_path / "c.cfg"
+        p.write_text("scenario = periodic\nT = 1e400\n")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", str(p),
+                     "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: not a number: '1e400'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,csv", [
         (["geom"], "geom.csv"),
@@ -593,6 +625,15 @@ class TestBenchmarkHooks:
         assert got["micro.steps"] == steps(1 / 32) + steps(1 / 64)
         assert got["macro.steps"] == steps(1 / 64)
 
+    def test_benchmark_selftest_passes(self):
+        # the benchmark's own check of its worker and tracing on tiny
+        # workloads, run as its docstring says, from the repository root
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                              cwd=root, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "selftest passed"
 
     def test_partition_builds_are_traced(self, tmp_path):
         # perfbench wraps micro.build_partition and cli.build_partition, and

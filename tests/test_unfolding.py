@@ -279,6 +279,51 @@ class TestIntegrationIdentity:
         assert gap8 <= 1.1 * C * (eps / 8) ** 2
 
 
+class TestEvaluatorsGetContiguousColumns:
+    """The unfolding passes hand their evaluators flat points whose
+    coordinate columns are contiguous: map_cells lays them out axis by
+    axis."""
+
+    @staticmethod
+    def recording(seen):
+        def f(X):
+            seen.append(X)
+            return np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])
+        return f
+
+    @staticmethod
+    def assert_contiguous_columns(seen, n_points):
+        assert sum(len(X) for X in seen) == n_points
+        for X in seen:
+            assert X.ndim == 2 and X.shape[1] == 2 and len(X) > 1
+            assert X[:, 0].flags.c_contiguous and X[:, 1].flags.c_contiguous
+
+    @pytest.mark.parametrize("name", ["periodic", "plywood2d"])
+    def test_unfold_exact(self, name):
+        part = scenario_partition(name, 1 / 16)
+        seen = []
+        phi = grid_function_from_callable(self.recording(seen), LO, HI, 1 / 64)
+        unfold(phi, part, 4, eval_mode="exact")
+        self.assert_contiguous_columns(seen, len(part.hat_n) * 16)
+
+    @pytest.mark.parametrize("name", ["periodic", "plywood2d"])
+    def test_both_passes_of_the_integration_identity(self, name):
+        part = scenario_partition(name, 1 / 16)
+        seen = []
+        phi = grid_function_from_callable(self.recording(seen), LO, HI, 1 / 64)
+        check_integration_identity(phi, part, 4, eval_mode="exact")
+        # the lhs samples m_y^2 points per cell, the rhs (3 m_y + 1)^2
+        self.assert_contiguous_columns(seen, len(part.hat_n) * (16 + 169))
+
+    @pytest.mark.parametrize("name", ["periodic", "plywood2d"])
+    def test_unfold_boundary(self, name):
+        part = scenario_partition(name, 1 / 16)
+        seen = []
+        quad = GammaQuadrature(get_scenario(name).cell, 16)
+        unfold_boundary(self.recording(seen), part, quad)
+        self.assert_contiguous_columns(seen, len(part.hat_n) * 16)
+
+
 class TestBoundaryUnfolding:
     def test_constant_entries_and_measure(self):
         # every entry is 1 and the weighted sum reproduces eps times the

@@ -218,7 +218,7 @@ def _pwc_identity(part):
     draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(part.hat_n))
     h_pwc = 1.0 / max(64, 8 * int(round(1.0 / part.eps)))
     phi_pwc = lattice_pwc_field(part, draws, lo, hi, h_pwc)
-    return check_integration_identity(phi_pwc, part, 4, eval_mode="exact")
+    return check_integration_identity(phi_pwc, part, 4)
 
 
 def _unfold_tasks(part, quad: GammaQuadrature, smooth) -> list:
@@ -226,8 +226,8 @@ def _unfold_tasks(part, quad: GammaQuadrature, smooth) -> list:
     gap): piecewise constant, smooth at m_y = 4 and 8, boundary."""
     return [
         lambda: _pwc_identity(part),
-        lambda: check_integration_identity(smooth, part, 4, eval_mode="exact"),
-        lambda: check_integration_identity(smooth, part, 8, eval_mode="exact"),
+        lambda: check_integration_identity(smooth, part, 4),
+        lambda: check_integration_identity(smooth, part, 8),
         lambda: check_boundary_identity(lambda X: 1.0 + X[:, 0], part, quad),
     ]
 

@@ -123,11 +123,11 @@ class Partition:
     rows of anchor, D, Dinv, K and shift.
 
     The Xi_hat row layout, one row per Xi_hat cell, subdomain after
-    subdomain, is the order of every per-cell table and unfolded sample
-    array, and the one copy of the cells. Its read-only arrays: the
-    subdomain hat_n (E,), cell hat_xi (E, 2) and cell slot hat_slot (E,)
-    of each row, and hat_start, the first row of each subdomain and, last,
-    E.
+    subdomain, is the one cell index: the order of every per-cell table
+    and unfolded sample array, and the one copy of the cells. Its
+    read-only arrays: the subdomain hat_n (E,) and cell hat_xi (E, 2) of
+    each row, and hat_start, the first row of each subdomain and, last,
+    E. cell_rows looks cells up in it.
     """
 
     def __init__(self, domain_lo, domain_hi, breaks, eps: float, *,
@@ -142,8 +142,9 @@ class Partition:
         self.anchor, self.shift, self.detD = anchor, shift, detD
         self.D, self.Dinv, self.K, self.Kinv = D, Dinv, K, Kinv
         # the bounding box of each Xi_hat, laid out one after another,
-        # row-major, as one flat index space for per-cell tables (see
-        # cell_slots); _in_hat marks the slots of Xi_hat cells
+        # row-major, is the hash of _cell_slots; _slot_row maps each slot
+        # to its Xi_hat row, -1 for the box cells outside Xi_hat and, in
+        # its extra last entry, for the cells outside the box
         self.hat_start = hat_start
         counts = np.diff(hat_start)
         self.hat_n = np.repeat(np.arange(len(anchor)), counts)
@@ -158,11 +159,10 @@ class Partition:
                                      - self._xi_min[full] + 1)
         self._box_offset = np.concatenate(
             ([0], np.cumsum(np.prod(self._box_shape, axis=1))))
-        self.hat_slot = self.cell_slots(self.hat_n, hat)
-        for a in (self.hat_start, self.hat_n, hat, self.hat_slot):
+        for a in (self.hat_start, self.hat_n, hat):
             a.flags.writeable = False
-        self._in_hat = np.zeros(self.n_cell_slots, dtype=bool)
-        self._in_hat[self.hat_slot] = True
+        self._slot_row = np.full(self._box_offset[-1] + 1, -1)
+        self._slot_row[self._cell_slots(self.hat_n, hat)] = np.arange(len(hat))
 
     @property
     def n_subdomains(self) -> int:
@@ -188,23 +188,16 @@ class Partition:
         return [(n, slice(a, b)) for n, (a, b) in
                 enumerate(zip(bounds[:-1], bounds[1:])) if a < b]
 
-    def xi_hat_contains(self, n: int, xi: np.ndarray) -> np.ndarray:
-        """Whether cells xi lie in Xi_hat of subdomain n, as in cell_slots."""
-        return self._hat_slots(n, xi) >= 0
+    def cell_rows(self, n, xi: np.ndarray) -> np.ndarray:
+        """Xi_hat row of lattice cell xi of subdomain n, one per cell, or
+        -1 when the cell is not in Xi_hat. n may also be one index for all
+        cells."""
+        return self._slot_row[self._cell_slots(n, xi)]
 
-    @property
-    def n_cell_slots(self) -> int:
-        """Length of a per-cell table indexed by cell_slots."""
-        return int(self._box_offset[-1])
-
-    def cell_slots(self, n, xi: np.ndarray) -> np.ndarray:
-        """Flat slot of lattice cell xi of subdomain n, one per row.
-
-        n may also be one index for all rows. The slots enumerate the box
-        around every subdomain's Xi_hat, row-major, box after box in
-        subdomain order, so a table of length n_cell_slots holds a value for
-        every Xi_hat cell. Cells outside the box of their subdomain get -1.
-        """
+    def _cell_slots(self, n, xi: np.ndarray) -> np.ndarray:
+        """Flat slot of lattice cell xi of subdomain n in the boxes around
+        every subdomain's Xi_hat, row-major, box after box in subdomain
+        order; -1 outside the box of its subdomain."""
         n = np.asarray(n, dtype=int)
         xi = np.asarray(xi, dtype=int).reshape(-1, 2)
         slots = np.zeros(len(xi), dtype=int)
@@ -219,13 +212,6 @@ class Partition:
             slots += rel
         slots += self._box_offset[n]
         slots[~inside] = -1
-        return slots
-
-    def _hat_slots(self, n, xi: np.ndarray) -> np.ndarray:
-        """cell_slots, with -1 also for the cells of the box outside Xi_hat."""
-        slots = self.cell_slots(n, xi)
-        # slot -1 reads the last flag and stays -1 either way
-        slots[~self._in_hat[slots]] = -1
         return slots
 
     def subdomain_of(self, X: np.ndarray) -> np.ndarray:
@@ -408,14 +394,14 @@ def _cells_box_intersect(cell_pts, b_lo, b_hi, Dinv) -> np.ndarray:
     return ~apart.any(axis=1)
 
 
-def locate_slots(partition: Partition, X: np.ndarray):
+def locate_cells(partition: Partition, X: np.ndarray):
     """Vectorized lattice location.
 
-    Returns (n, xi, y, slot): flat subdomain index, integer lattice cell,
-    fractional in-cell coordinate in [0,1)^2, and the cell's slot in the
-    per-cell tables (Partition.cell_slots), -1 in the leftover region (xi
-    outside Xi_hat). Plain floor convention throughout. A point outside
-    the domain, or with a NaN coordinate, raises ValueError.
+    Returns (n, xi, y, row): flat subdomain index, integer lattice cell,
+    fractional in-cell coordinate in [0,1)^2, and the cell's Xi_hat row
+    (Partition.cell_rows), -1 in the leftover region. Plain floor
+    convention throughout. A point outside the domain, or with a NaN
+    coordinate, raises ValueError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lo, hi = partition.domain_lo, partition.domain_hi
@@ -438,10 +424,10 @@ def locate_slots(partition: Partition, X: np.ndarray):
 
 
 def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
-    """(xi, y, slot) of locate_slots for points grouped by subdomain n."""
+    """(xi, y, row) of locate_cells for points grouped by subdomain n."""
     xi = np.empty((len(X), 2), dtype=int)
     y = np.empty((len(X), 2), dtype=float)
-    slot = np.empty(len(X), dtype=int)
+    row = np.empty(len(X), dtype=int)
     edges = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(X)]
     for a, b in zip(edges[:-1], edges[1:]) if len(X) else ():
         nn = n[a]
@@ -456,8 +442,8 @@ def _locate_runs(partition: Partition, X: np.ndarray, n: np.ndarray):
         np.floor(z, out=u)
         xi[a:b] = u.T
         np.subtract(z, u, out=u)
-        slot[a:b] = partition._hat_slots(nn, xi[a:b])
-    return xi, y, slot
+        row[a:b] = partition.cell_rows(nn, xi[a:b])
+    return xi, y, row
 
 
 def lp_approx_batch(psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -469,7 +455,7 @@ def lp_approx_batch(psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
     (m, 2) for both arguments.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return psi(X, locate_slots(partition, X)[2])
+    return psi(X, locate_cells(partition, X)[2])
 
 
 def perforation_level(partition: Partition, cell: UnitCellSpec,
@@ -480,9 +466,9 @@ def perforation_level(partition: Partition, cell: UnitCellSpec,
     point when the cell has no inclusion."""
     if cell.inclusion == "none":
         return np.ones(len(np.atleast_2d(X)))
-    n, _, y, slot = locate_slots(partition, X)
+    n, _, y, row = locate_cells(partition, X)
     level = np.ones(len(n))
-    act = slot >= 0
+    act = row >= 0
     u = np.einsum("pij,pj->pi", partition.Kinv[n[act]], y[act] - cell.center)
     level[act] = np.linalg.norm(u, axis=1) - cell.a
     return level

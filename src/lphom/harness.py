@@ -123,7 +123,6 @@ class ConvergenceReport:
     study: StudyConfig
     rows: List[EpsilonResult]
     monotone: bool
-    total_drop: float           # E(first) / E(last), nan if any row failed
     passed: bool
     macro_run: Optional[Run] = None
     micro_runs: dict = field(default_factory=dict)
@@ -311,9 +310,7 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
     all_passed = all(r.passed for r in rows)
     Es = [r.E for r in rows]
     monotone = all_passed and all(b < a for a, b in zip(Es, Es[1:]))
-    total_drop = Es[0] / Es[-1] if all_passed and Es[-1] > 0 else math.nan
     return ConvergenceReport(study=study, rows=rows, monotone=monotone,
-                             total_drop=total_drop,
                              passed=all_passed and monotone,
                              macro_run=mac_run, micro_runs=micro_runs)
 

@@ -1,8 +1,8 @@
 """Built-in scenario registry and the shared reaction coefficient suite.
 
-Scenarios fix the transform maps D(x), K(x) and the unit cell; numeric
-parameters (inclusion radius, gradients of the coefficient fields) are
-configurable scalars.
+Scenarios fix the transform maps D(x), K(x) and the unit cell. The shapes
+of the maps are constants of each builder; the inclusion radius a and the
+coefficient suite are its only parameters.
 """
 
 from __future__ import annotations
@@ -96,55 +96,40 @@ def periodic_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuit
     return Scenario("periodic", tf, _cell(a), suite)
 
 
-def epithelial_scenario(a: float = 0.25, kappa_base: float = 0.7,
-                        kappa_slope: float = 0.25,
-                        suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
-    """Cells compressed in the second direction: D = diag(1, kappa(x2))."""
-
-    def kappa(x2: float) -> float:
-        return kappa_base + kappa_slope * x2
+def epithelial_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+    """Cells compressed in the second direction: D = diag(1, 0.7 + 0.25 x2)."""
 
     def D(x):
-        return np.diag([1.0, kappa(x[1])])
+        return np.diag([1.0, 0.7 + 0.25 * x[1]])
 
     I = np.eye(2)
-    if not all(0.0 < kappa(t) < 1.0 for t in (0.0, 1.0)):
-        raise ValueError("epithelial compression must stay in (0, 1)")
     tf = TransformField(D=D, K=lambda x: I)
     return Scenario("epithelial", tf, _cell(a), suite)
 
 
-def plywood2d_scenario(a: float = 0.25, gamma_rate: float = math.pi / 2,
-                       k2: float = 1.4,
-                       suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
-    """Layered fibers: D = R(gamma(x2))^{-1} with an elliptical inclusion."""
-
-    def gamma(x2: float) -> float:
-        return gamma_rate * x2
+def plywood2d_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+    """Layered fibers: D = R(pi x2 / 2)^{-1} with an elliptical inclusion,
+    K = diag(1, 1.4)."""
 
     def D(x):
-        return np.linalg.inv(rotation_matrix(gamma(x[1])))
+        return np.linalg.inv(rotation_matrix(math.pi / 2 * x[1]))
 
-    Kmat = np.diag([1.0, k2])
-    if k2 * a >= 0.5 or a >= 0.5:
+    Kmat = np.diag([1.0, 1.4])
+    if 1.4 * a >= 0.5:
         raise ValueError("elliptical inclusion leaves the unit cell")
     tf = TransformField(D=D, K=lambda x: Kmat)
     return Scenario("plywood2d", tf, _cell(a), suite)
 
 
-def radius_gradient_scenario(a: float = 0.25, rho_base: float = 1.0,
-                             rho_slope: float = 0.5,
-                             suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
-    """Perforation radius grows along x1: K = rho(x1) I."""
-
-    def rho(x) -> float:
-        return rho_base + rho_slope * float(np.asarray(x)[0])
+def radius_gradient_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+    """Perforation radius grows along x1: K = (1 + 0.5 x1) I."""
 
     def K(x):
-        return np.diag([rho(x), rho(x)])
+        rho = 1.0 + 0.5 * float(np.asarray(x)[0])
+        return np.diag([rho, rho])
 
     I = np.eye(2)
-    if max(rho_base, rho_base + rho_slope) * a >= 0.5:
+    if 1.5 * a >= 0.5:
         raise ValueError("scaled perforation leaves the unit cell")
     tf = TransformField(D=lambda x: I, K=K)
     return Scenario("radius-gradient", tf, _cell(a), suite)

@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import (
     Partition,
     UnitCellSpec,
-    locate_slots,
+    locate_cells,
     lp_approx_batch,
     map_cells,
 )
@@ -30,8 +30,9 @@ class GridFunction:
     domain). Point evaluation is bilinear in the cell-center values with
     linear extrapolation beyond the outermost centers, so affine fields are
     reproduced exactly everywhere. exact_eval, when set, is the underlying
-    analytic field; consumers may sample it instead of interpolating to keep
-    interpolation error out of convergence diagnostics.
+    analytic field; the unfolding routines read it in place of the
+    interpolant (point_eval), to keep interpolation error out of
+    convergence diagnostics.
 
     values is an array, or a function of the grid that returns it, called
     on the first read of values; shape and mask do not read it.
@@ -79,9 +80,11 @@ class GridFunction:
         return ((1 - wx) * (1 - wy) * v[i, j] + wx * (1 - wy) * v[i + 1, j]
                 + (1 - wx) * wy * v[i, j + 1] + wx * wy * v[i + 1, j + 1])
 
-    def integrate(self) -> float:
-        """Grid integral over active cells (midpoint rule)."""
-        return float(self.h ** 2 * self.values[self.mask].sum())
+    @property
+    def point_eval(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The one evaluation rule of the unfolding routines: exact_eval
+        when the field has one, else the bilinear eval."""
+        return self.eval if self.exact_eval is None else self.exact_eval
 
 
 # points per evaluation of f when a grid_function_from_callable is sampled,
@@ -128,15 +131,13 @@ def lattice_pwc_field(partition: Partition, values: np.ndarray,
     """Piecewise constant per lattice cell; exact-evaluable.
 
     values holds one value per row of the partition's Xi_hat row layout;
-    the field is fill on leftover regions. The values are written into a
-    table over the cell slots whose entry past the slots, read through the
-    slot -1 that locate_slots returns there, holds fill.
+    the field is fill on leftover regions, read through the row -1 that
+    locate_cells returns there from the table's extra last entry.
     """
-    table = np.full(partition.n_cell_slots + 1, fill)
-    table[partition.hat_slot] = values
+    table = np.append(np.broadcast_to(values, partition.hat_n.shape), fill)
 
     def f(X: np.ndarray) -> np.ndarray:
-        return table[locate_slots(partition, X)[3]]
+        return table[locate_cells(partition, X)[3]]
 
     return grid_function_from_callable(f, lo, hi, h)
 
@@ -170,31 +171,34 @@ class UnfoldedGrid:
         return np.sum(self.values, axis=1) / self.values.shape[1]
 
 
-def unfold(phi: GridFunction, partition: Partition, m_y: int,
-           eval_mode: str = "grid") -> UnfoldedGrid:
+def _mapped_samples(evaluate: Callable[[np.ndarray], np.ndarray],
+                    partition: Partition, y):
+    """(n, rows, values) per hat_blocks() block: evaluate at the points
+    shift_n + eps D_n (xi + y) of the block's cells, one map_cells call per
+    block, as a (cells, k) float array. y holds the k unit-cell points, or
+    is a function of n that returns them."""
+    for n, rows in partition.hat_blocks():
+        y_n = y(n) if callable(y) else y
+        pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
+                        partition.hat_xi[rows], y_n)
+        yield n, rows, np.asarray(evaluate(pts.reshape(-1, 2)),
+                                  dtype=float).reshape(-1, len(y_n))
+
+
+def unfold(phi: GridFunction, partition: Partition, m_y: int) -> UnfoldedGrid:
     """Discrete locally periodic unfolding.
 
-    Samples phi at the mapped points shift_n + eps D_n (xi + y) for every
-    xi in Xi_hat_n and y on an m_y x m_y midpoint grid over Y. eval_mode
-    "exact" samples phi.exact_eval when available.
+    Samples phi (its point_eval) at the mapped points
+    shift_n + eps D_n (xi + y) for every xi in Xi_hat_n and y on an
+    m_y x m_y midpoint grid over Y.
     """
     if m_y < 2:
         raise ValueError("m_y must be at least 2")
-    if eval_mode not in ("grid", "exact"):
-        raise ValueError(f"unknown eval mode {eval_mode!r}")
     y_nodes = _unit_cell_nodes(m_y)
-    evaluate = phi.eval
-    if eval_mode == "exact":
-        if phi.exact_eval is None:
-            raise ValueError("grid function carries no exact evaluation")
-        evaluate = phi.exact_eval
-
     m = len(y_nodes)
     values = np.empty((len(partition.hat_n), m))
-    for n, rows in partition.hat_blocks():
-        pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
-                        partition.hat_xi[rows], y_nodes)
-        values[rows] = np.reshape(evaluate(pts.reshape(-1, 2)), (-1, m))
+    for _, rows, v in _mapped_samples(phi.point_eval, partition, y_nodes):
+        values[rows] = v
     return UnfoldedGrid(values=values,
                         weight=(partition.cell_measures / m)[partition.hat_n],
                         y_nodes=y_nodes)
@@ -270,23 +274,20 @@ class BoundaryUnfolded:
         return float(np.sum(integrand))
 
 
-def unfold_boundary(psi, partition: Partition,
+def unfold_boundary(psi: Callable[[np.ndarray], np.ndarray],
+                    partition: Partition,
                     quad: GammaQuadrature) -> BoundaryUnfolded:
     """Boundary unfolding on the mapped inclusion boundaries.
 
-    psi is a callable on the domain or any object with an eval(X) method.
-    Nodes are mapped by shift_n + eps D_n (xi + c + K_n (y(s) - c)): the
-    inclusion is centered at the cell midpoint and K acts about it.
+    psi is a callable on the domain. Nodes are mapped by
+    shift_n + eps D_n (xi + c + K_n (y(s) - c)): the inclusion is centered
+    at the cell midpoint and K acts about it.
     """
-    evaluate = psi.eval if hasattr(psi, "eval") else psi
     c = quad.cell.center
-    S = quad.n_gamma
-    values = np.empty((len(partition.hat_n), S))
-    for n, rows in partition.hat_blocks():
-        mapped_y = c + (quad.nodes - c) @ partition.K[n].T          # (S, 2)
-        pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
-                        partition.hat_xi[rows], mapped_y)
-        values[rows] = np.reshape(evaluate(pts.reshape(-1, 2)), (-1, S))
+    values = np.empty((len(partition.hat_n), quad.n_gamma))
+    for _, rows, v in _mapped_samples(
+            psi, partition, lambda n: c + (quad.nodes - c) @ partition.K[n].T):
+        values[rows] = v
     metric = np.array([quad.metric(D, K)
                        for D, K in zip(partition.D, partition.K)])
     return BoundaryUnfolded(partition=partition, values=values,
@@ -297,14 +298,12 @@ def local_average(phi: GridFunction, partition: Partition,
                   m_y: int = 4) -> GridFunction:
     """Local average: per lattice cell the mean over Y, zero on leftovers.
 
-    Uses the exact evaluation path of phi when available so that repeated
-    application is an exact projection. The returned field is piecewise
-    constant per lattice cell and carries an exact evaluator.
+    The returned field is piecewise constant per lattice cell and carries
+    an exact evaluator, which unfold reads, so that repeated application
+    is an exact projection.
     """
-    mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, m_y, eval_mode=mode)
-    out = lattice_pwc_field(partition, ug.mean_over_Y(), phi.lo, phi.hi,
-                            phi.h)
+    means = unfold(phi, partition, m_y).mean_over_Y()
+    out = lattice_pwc_field(partition, means, phi.lo, phi.hi, phi.h)
     out.mask = phi.mask.copy()
     return out
 
@@ -340,25 +339,25 @@ def _interpolant_box_integrals(phi: GridFunction, lo_pts: np.ndarray,
 
 
 def check_integration_identity(phi: GridFunction, partition: Partition,
-                               m_y: int, eval_mode: str = "grid"):
+                               m_y: int):
     """Integration identity of the unfolding operator.
 
     lhs: weighted sum of the unfolded samples per unit cell volume.
-    rhs: integral of phi over the covered region, cell by cell: the exact
-    integral of the bilinear interpolant for axis-aligned lattices, fine
-    midpoint subsampling otherwise (and for the exact evaluation path).
-    Returns (lhs, rhs, gap).
+    rhs: integral of phi over the covered region, cell by cell: for a field
+    without an exact evaluator on axis-aligned lattices, the exact integral
+    of its bilinear interpolant; fine midpoint subsampling of point_eval
+    otherwise. Returns (lhs, rhs, gap).
     """
     # weighted in place and released before the rhs pass, so the check
     # holds its samples once; products commute, so the lhs keeps its bits
-    samples = unfold(phi, partition, m_y, eval_mode=eval_mode)
+    samples = unfold(phi, partition, m_y)
     samples.values *= samples.weight[:, None]
     lhs = float(np.sum(samples.values))
     del samples
 
     rhs = 0.0
     diagD = np.diagonal(partition.D, axis1=1, axis2=2)
-    if eval_mode == "grid" and np.all(
+    if phi.exact_eval is None and np.all(
             np.abs(partition.D - diagD[..., None] * np.eye(2)) < 1e-14):
         n, xi = partition.hat_n, partition.hat_xi
         p0 = partition.shift[n] + partition.eps * diagD[n] * xi
@@ -366,14 +365,9 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
         rhs = _interpolant_box_integrals(phi, np.minimum(p0, p1),
                                          np.maximum(p0, p1))
     else:
-        m_ref = 3 * m_y + 1   # independent of the lhs sample set
-        y_f = _unit_cell_nodes(m_ref)
-        evaluate = phi.exact_eval if (eval_mode == "exact") else phi.eval
+        y_f = _unit_cell_nodes(3 * m_y + 1)   # independent of the lhs samples
         detD = partition.detD.tolist()
-        for n, rows in partition.hat_blocks():
-            pts = map_cells(partition.shift[n], partition.eps, partition.D[n],
-                            partition.hat_xi[rows], y_f)
-            v = np.asarray(evaluate(pts.reshape(-1, 2)), dtype=float)
+        for n, _, v in _mapped_samples(phi.point_eval, partition, y_f):
             rhs += partition.eps**2 * detD[n] * float(v.sum()) / len(y_f)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -401,14 +395,13 @@ class QInterpolant:
     (the 4 cells anchored at its corners) lies inside the covered region.
     Constants are reproduced exactly; affine fields are reproduced up to an
     exact half-cell shift of the argument, so the remainder of a smooth field
-    is of first order in eps. node_values is a table over the partition's
-    cell slots (Partition.cell_slots); slots without a cell average hold NaN.
-    usable_rows are the rows of the usable cells in the partition's Xi_hat
-    row layout.
+    is of first order in eps. node_values holds the cell average of each
+    row of the partition's Xi_hat row layout, and usable_rows are the rows
+    of the usable cells.
     """
 
     partition: Partition
-    node_values: np.ndarray      # (n_cell_slots,) node value per cell slot
+    node_values: np.ndarray      # (E,) node value per Xi_hat row
     usable_rows: np.ndarray      # (m,) ascending Xi_hat rows
 
     def eval_cells(self, phi: GridFunction, points_per_axis: int):
@@ -424,13 +417,12 @@ class QInterpolant:
         u, v = y[:, :1], y[:, 1:]
         wts = np.hstack([(1.0 - u) * (1.0 - v), (1.0 - u) * v,
                          u * (1.0 - v), u * v])
-        evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
         n = part.hat_n[self.usable_rows]
         cells = part.hat_xi[self.usable_rows]
         # the points first: their temporaries are the largest
         pts = map_cells(part.shift[n], part.eps, part.D[n], cells,
                         y).reshape(-1, 2)
-        corner_vals = np.stack([self.node_values[part.cell_slots(n, cells + c)]
+        corner_vals = np.stack([self.node_values[part.cell_rows(n, cells + c)]
                                 for c in corners], axis=1)        # (m, 4)
         # one product per subdomain: BLAS rounds the product of a single
         # row (a matrix-vector call) unlike that row in a larger product
@@ -438,7 +430,7 @@ class QInterpolant:
         edges = np.searchsorted(n, np.arange(part.n_subdomains + 1))
         for a, b in zip(edges[:-1], edges[1:]):
             q[a:b] = corner_vals[a:b] @ wts.T
-        r = np.reshape(evaluate(pts), q.shape) - q
+        r = np.reshape(phi.point_eval(pts), q.shape) - q
         w = np.repeat(part.cell_measures[n] / len(y), len(y))
         return q.ravel(), r.ravel(), pts, w
 
@@ -448,15 +440,11 @@ def interpolate_Q(phi: GridFunction, partition: Partition,
     """Micro-macro interpolant: the node at lattice point xi carries the
     average of phi over the cell anchored at xi; values inside a cell are the
     multilinear interpolant of its corner node values."""
-    mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, m_y, eval_mode=mode)
-    node_values = np.full(partition.n_cell_slots, np.nan)
-    node_values[partition.hat_slot] = ug.mean_over_Y()
     good = np.ones(len(partition.hat_n), dtype=bool)
     for c in np.ndindex(2, 2):
-        good &= partition.xi_hat_contains(partition.hat_n,
-                                          partition.hat_xi + c)
-    return QInterpolant(partition=partition, node_values=node_values,
+        good &= partition.cell_rows(partition.hat_n, partition.hat_xi + c) >= 0
+    return QInterpolant(partition=partition,
+                        node_values=unfold(phi, partition, m_y).mean_over_Y(),
                         usable_rows=np.flatnonzero(good))
 
 
@@ -474,8 +462,7 @@ def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
     r_norm = math.sqrt(float(np.sum(w * r**2)))
     del r               # the gradient reads the points and weights only
     if grad is None:
-        evaluate = phi.exact_eval if phi.exact_eval is not None else phi.eval
-        grad = partial(_central_gradient, evaluate)
+        grad = partial(_central_gradient, phi.point_eval)
     g2 = np.empty(len(pts))             # |grad phi|^2 per point
     for rows in _row_blocks(len(pts), pts.shape[1]):
         g2[rows] = np.sum(np.asarray(grad(pts[rows]), dtype=float) ** 2,
@@ -520,8 +507,7 @@ def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
     midpoint set per lattice cell (independent x and y indices), an exact
     double quadrature on the product of the cell with Y.
     """
-    mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y)
     m = len(ug.y_nodes)
     total = 0.0
     for rows in _row_blocks(ug.n_entries, m * m):
@@ -539,7 +525,7 @@ def norm_unfold_of_lp_minus_psi(
     the two-scale field psi(x, y) itself, sampled per cell in (x, y)."""
     lp_field = grid_function_from_callable(
         lambda X: lp_approx_batch(psi, partition, X), lo, hi, h)
-    ug = unfold(lp_field, partition, m_y, eval_mode="exact")
+    ug = unfold(lp_field, partition, m_y)
     m = len(ug.y_nodes)
     total = 0.0
     for rows in _row_blocks(ug.n_entries, m * m):

@@ -79,7 +79,7 @@ class TestUnfoldingIdentities:
         part = build_partition((LO, HI), 1 / 16, 0.5, sc.transform)
         values = np.random.default_rng(7).uniform(-1, 1, len(part.hat_n))
         phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
-        _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
+        _, _, gap = check_integration_identity(phi, part, 4)
         assert gap <= 1e-12
 
     def test_integration_identity_smooth_quadrature_order(self):
@@ -90,8 +90,8 @@ class TestUnfoldingIdentities:
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
             LO, HI, 1 / 128)
-        gap4 = check_integration_identity(phi, part, 4, eval_mode="exact")[2]
-        gap8 = check_integration_identity(phi, part, 8, eval_mode="exact")[2]
+        gap4 = check_integration_identity(phi, part, 4)[2]
+        gap8 = check_integration_identity(phi, part, 8)[2]
         assert gap8 > 0.0
         assert gap4 / gap8 >= 4.0
 

@@ -14,7 +14,7 @@ from lphom.geometry import (
     _cells_box_intersect,
     build_partition,
     indicator_perforated,
-    locate_slots,
+    locate_cells,
     lp_approx_batch,
     map_cells,
     perforation_level,
@@ -388,7 +388,8 @@ def reference_micro_subdomains(eps, r, transform):
 
 
 def reference_slot_tables(subs, d):
-    """The Partition slot tables, filled one subdomain at a time."""
+    """The Partition's box hash and its slot -> Xi_hat row table, filled
+    one subdomain at a time."""
     xi_min = np.zeros((len(subs), d), dtype=int)
     box_shape = np.ones((len(subs), d), dtype=int)
     for i, s in enumerate(subs):
@@ -396,15 +397,17 @@ def reference_slot_tables(subs, d):
             xi_min[i] = s["xi_hat"].min(axis=0)
             box_shape[i] = s["xi_hat"].max(axis=0) - xi_min[i] + 1
     box_offset = np.concatenate(([0], np.cumsum(np.prod(box_shape, axis=1))))
-    in_hat = np.zeros(box_offset[-1], dtype=bool)
+    slot_row = np.full(box_offset[-1] + 1, -1)
+    first = 0
     for i, s in enumerate(subs):
         rel = s["xi_hat"] - xi_min[i]
         flat = rel[:, 0]
         for ax in range(1, d):
             flat = flat * box_shape[i, ax] + rel[:, ax]
-        in_hat[box_offset[i] + flat] = True
+        slot_row[box_offset[i] + flat] = first + np.arange(len(flat))
+        first += len(flat)
     return dict(_xi_min=xi_min, _box_shape=box_shape, _box_offset=box_offset,
-                _in_hat=in_hat)
+                _slot_row=slot_row)
 
 
 def assert_breaks_bound_the_subdomains(p):
@@ -560,15 +563,14 @@ def reference_subdomain_of(partition, X):
 
 
 def reference_locate(partition, X):
-    """locate_slots, with the leftover flag slot < 0 in place of the slot,
-    from one np.where pass per subdomain, and Xi_hat membership from a set
-    of tuples."""
+    """locate_cells from one np.where pass per subdomain, and the Xi_hat
+    row from a dict of tuples."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = reference_subdomain_of(partition, X)
     d = 2
     xi = np.empty((len(X), d), dtype=int)
     y = np.empty((len(X), d), dtype=float)
-    lam = np.ones(len(X), dtype=bool)
+    row = np.empty(len(X), dtype=int)
     for nn in np.unique(n):
         idx = np.where(n == nn)[0]
         z = (partition.Dinv[nn] @ (X[idx] - partition.shift[nn]).T).T \
@@ -576,9 +578,11 @@ def reference_locate(partition, X):
         xi_n = np.floor(z).astype(int)
         xi[idx] = xi_n
         y[idx] = z - xi_n
-        hat = set(map(tuple, hat_cells(partition, nn)))
-        lam[idx] = [tuple(t) not in hat for t in xi_n]
-    return n, xi, y, lam
+        first = int(partition.hat_start[nn])
+        rows = {tuple(t): first + e for e, t in
+                enumerate(hat_cells(partition, nn).tolist())}
+        row[idx] = [rows.get(tuple(t), -1) for t in xi_n.tolist()]
+    return n, xi, y, row
 
 
 def locate_probe_points(p, seed):
@@ -604,16 +608,12 @@ class TestGroupedLocate:
         for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
                   _micro_partition(eps, 0.5, tf)):
             X = locate_probe_points(p, 3)
-            n, xi, y, slot = locate_slots(p, X)
-            assert len(np.unique(n)) == p.n_subdomains
-            for g, r in zip((n, xi, y, slot < 0), reference_locate(p, X)):
+            got = locate_cells(p, X)
+            assert len(np.unique(got[0])) == p.n_subdomains
+            for g, r in zip(got, reference_locate(p, X)):
                 assert g.dtype == r.dtype and g.shape == r.shape
                 assert g.tobytes() == r.tobytes()
-            # the slot of each Xi_hat cell
-            cell = p.cell_slots(n, xi)
-            in_hat = (cell >= 0) & p._in_hat[cell]
-            assert in_hat.any() and not in_hat.all()
-            assert_same_bits(slot, np.where(in_hat, cell, -1))
+            assert (got[3] >= 0).any() and not (got[3] >= 0).all()
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64, 1 / 128])
@@ -632,17 +632,14 @@ class TestGroupedLocate:
                 X = mid.copy()
                 X[:, ax] = lo[:, ax]
                 assert_same_bits(p.subdomain_of(X), want)
-                assert_same_bits(locate_slots(p, X)[0], want)
+                assert_same_bits(locate_cells(p, X)[0], want)
             assert_same_bits(p.subdomain_of(lo), want)
 
     @staticmethod
     def assert_matches_reference(p, X):
-        n, xi, y, slot = got = locate_slots(p, X)
-        for g, r in zip((n, xi, y, slot < 0), reference_locate(p, X)):
+        got = locate_cells(p, X)
+        for g, r in zip(got, reference_locate(p, X)):
             assert_same_bits(g, r)
-        cell = p.cell_slots(n, xi)
-        assert_same_bits(slot, np.where((cell >= 0) & p._in_hat[cell],
-                                        cell, -1))
         return got
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
@@ -677,16 +674,16 @@ class TestGroupedLocate:
                   _micro_partition(1 / 16, 0.5, periodic_scenario().transform)):
             X = np.full((5, 2), 0.5)
             X[3, axis] = bad
-            for call in (lambda: locate_slots(p, X[3]),
-                         lambda: locate_slots(p, X),
-                         lambda: locate_slots(p, X[::-1])):
+            for call in (lambda: locate_cells(p, X[3]),
+                         lambda: locate_cells(p, X),
+                         lambda: locate_cells(p, X[::-1])):
                 with pytest.raises(ValueError, match="point outside the domain"):
                     call()
 
     def test_empty_input(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, IDENTITY)
-        n, xi, y, slot = locate_slots(p, np.zeros((0, 2)))
-        assert n.shape == slot.shape == (0,)
+        n, xi, y, row = locate_cells(p, np.zeros((0, 2)))
+        assert n.shape == row.shape == (0,)
         assert xi.shape == y.shape == (0, 2)
 
 
@@ -697,8 +694,8 @@ class TestCellSlots:
         n = np.concatenate([np.full(len(hat_cells(p, s.n)), s.n)
                             for s in p.subdomains])
         xi = np.concatenate([hat_cells(p, s.n) for s in p.subdomains])
-        slots = p.cell_slots(n, xi)
-        assert slots.min() >= 0 and slots.max() < p.n_cell_slots
+        slots = p._cell_slots(n, xi)
+        assert slots.min() >= 0 and slots.max() < p._box_offset[-1]
         assert len(np.unique(slots)) == len(slots)
 
     def test_one_subdomain_for_all_rows(self):
@@ -706,8 +703,10 @@ class TestCellSlots:
         for s in p.subdomains:
             cells = hat_cells(p, s.n)
             probes = np.concatenate([cells, cells.max(axis=0) + [[1, 0]]])
-            assert_same_bits(p.cell_slots(s.n, probes),
-                             p.cell_slots(np.full(len(probes), s.n), probes))
+            assert_same_bits(p._cell_slots(s.n, probes),
+                             p._cell_slots(np.full(len(probes), s.n), probes))
+            assert_same_bits(p.cell_rows(s.n, probes),
+                             p.cell_rows(np.full(len(probes), s.n), probes))
 
     def test_outside_the_box_is_minus_one(self):
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
@@ -715,22 +714,54 @@ class TestCellSlots:
             lo, hi = hat_cells(p, s.n).min(axis=0), hat_cells(p, s.n).max(axis=0)
             probes = np.array([lo - [1, 0], lo - [0, 1], hi + [1, 0],
                                hi + [0, 1], lo, hi])
-            slots = p.cell_slots(np.full(len(probes), s.n), probes)
+            slots = p._cell_slots(np.full(len(probes), s.n), probes)
             assert list(slots[:4]) == [-1] * 4
             assert slots[4] == p._box_offset[s.n]
             assert slots[5] == p._box_offset[s.n + 1] - 1
 
 
+class TestCellRows:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
+    def test_matches_a_dict_of_the_rows(self, name, eps):
+        # every Xi_hat cell and its eight neighbours, the corners of the
+        # index box around each subdomain's Xi_hat, and cells far outside
+        # every box: rotated lattices put box cells outside Xi_hat
+        tf = get_scenario(name).transform
+        steps = np.array(list(np.ndindex(3, 3))) - 1
+        for p in (build_partition(UNIT_BOX, eps, 0.5, tf),
+                  _micro_partition(eps, 0.5, tf)):
+            rows = {(n, tuple(xi)): e for e, (n, xi) in
+                    enumerate(zip(p.hat_n.tolist(), p.hat_xi.tolist()))}
+            ns, xis = [np.repeat(p.hat_n, len(steps))], [
+                (p.hat_xi[:, None, :] + steps).reshape(-1, 2)]
+            for n, rows_n in p.hat_blocks():
+                lo = p.hat_xi[rows_n].min(axis=0)
+                hi = p.hat_xi[rows_n].max(axis=0)
+                ns.append(np.full(6, n))
+                xis.append(np.array([lo, hi, [lo[0], hi[1]], [hi[0], lo[1]],
+                                     [10**6, lo[1]], [lo[0], -10**6]]))
+            n, xi = np.concatenate(ns), np.concatenate(xis)
+            want = np.array([rows.get((k, tuple(c)), -1) for k, c in
+                             zip(n.tolist(), xi.tolist())])
+            assert_same_bits(p.cell_rows(n, xi), want)
+            assert (want < 0).any() and (want >= 0).any()
+            in_box = p._cell_slots(n, xi) >= 0
+            assert (~in_box).any()
+            if name == "plywood2d":
+                assert (in_box & (want < 0)).any()
+
+
 class TestLocate:
     def test_identity_single_subdomain(self):
         p = single_subdomain_partition(1 / 4, IDENTITY)
-        _, [xi], [y], _ = locate_slots(p, np.array([0.3, 0.6]))
+        _, [xi], [y], _ = locate_cells(p, np.array([0.3, 0.6]))
         assert tuple(xi) == (1, 2)
         assert np.allclose(y, [0.2, 0.4], atol=1e-12)
 
     def test_exact_lattice_corner_floor_convention(self):
         p = single_subdomain_partition(1 / 4, IDENTITY)
-        _, [xi], [y], _ = locate_slots(p, np.array([0.5, 0.25]))
+        _, [xi], [y], _ = locate_cells(p, np.array([0.5, 0.25]))
         assert tuple(xi) == (2, 1)
         assert np.allclose(y, [0.0, 0.0], atol=0)
 
@@ -741,7 +772,7 @@ class TestLocate:
         tf = constant_rotation_transform(math.pi / 6)
         p = build_partition(UNIT_BOX, eps, 0.5, tf)
         x = np.array([0.40, 0.35])
-        _, [xi], [y], _ = locate_slots(p, x)
+        _, [xi], [y], _ = locate_cells(p, x)
         Dm = np.linalg.inv(rotation_matrix(math.pi / 6))
         k = np.floor(x / eps**0.5).astype(int)
         lo = k * eps**0.5
@@ -754,7 +785,7 @@ class TestLocate:
     def test_rejects_point_outside_domain(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, IDENTITY)
         with pytest.raises(ValueError, match="outside"):
-            locate_slots(p, np.array([1.2, 0.5]))
+            locate_cells(p, np.array([1.2, 0.5]))
 
     @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
                                       "radius-gradient"])
@@ -763,7 +794,7 @@ class TestLocate:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(7)
         X = rng.uniform(0.0, 1.0, size=(500, 2))
-        n, xi, y, _ = locate_slots(p, X)
+        n, xi, y, _ = locate_cells(p, X)
         rec = p.shift[n] + p.eps * np.einsum("pij,pj->pi", p.D[n], xi + y)
         assert np.max(np.abs(rec - X)) <= 1e-12
 
@@ -771,7 +802,7 @@ class TestLocate:
     @settings(deadline=None, max_examples=60)
     def test_reconstruction_property_epithelial(self, x1, x2):
         p = _EPI_PARTITION
-        [n], [xi], [y], _ = locate_slots(p, np.array([x1, x2]))
+        [n], [xi], [y], _ = locate_cells(p, np.array([x1, x2]))
         s = p.subdomains[n]
         rec = s.shift + p.eps * s.D @ (xi + y)
         assert np.max(np.abs(rec - np.array([x1, x2]))) <= 1e-12
@@ -781,10 +812,11 @@ class TestLocate:
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(3)
         X = rng.uniform(0.0, 1.0, size=(400, 2))
-        n, xi, _, slot = locate_slots(p, X)
+        n, xi, _, row = locate_cells(p, X)
+        hat = set(zip(p.hat_n.tolist(), map(tuple, p.hat_xi.tolist())))
         for i in range(len(X)):
-            member = bool(p.xi_hat_contains(n[i], xi[i][None, :])[0])
-            assert member == (slot[i] >= 0)
+            member = (int(n[i]), tuple(xi[i].tolist())) in hat
+            assert member == (row[i] >= 0)
 
 
 _EPI_PARTITION = build_partition(UNIT_BOX, 1 / 8, 0.5,
@@ -793,7 +825,7 @@ _EPI_PARTITION = build_partition(UNIT_BOX, 1 / 8, 0.5,
 
 def frozen_lp_approx(psi, p, X):
     """The approximation with the slow argument frozen at the anchor x_n."""
-    n, _, y, _ = locate_slots(p, X)
+    n, _, y, _ = locate_cells(p, X)
     return psi(p.anchor[n], y)
 
 
@@ -802,7 +834,7 @@ class TestLpApprox:
         g = lambda x, y: x[:, 0] ** 2 + 3.0
         p = _EPI_PARTITION
         x = np.array([0.37, 0.81])
-        [n] = locate_slots(p, x)[0]
+        [n] = locate_cells(p, x)[0]
         anchor = p.subdomains[n].anchor
         assert lp_approx_batch(g, p, x[None])[0] == pytest.approx(
             0.37**2 + 3.0, abs=1e-14)
@@ -873,21 +905,23 @@ class TestIndicatorPerforated:
     def test_scaled_perforation_distance_threshold(self):
         # K = 1.5 I, a = 0.25: physical in-cell radius is 0.375, so distance
         # 0.37 falls inside the perforation and 0.38 outside
-        sc = radius_gradient_scenario(rho_base=1.5, rho_slope=0.0)
-        p = build_partition(UNIT_BOX, 1 / 16, 0.5, sc.transform)
+        K = 1.5 * np.eye(2)
+        tf = TransformField(D=lambda x: np.eye(2), K=lambda x: K)
+        cell = UnitCellSpec(a=0.25)
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, tf)
         s = p.subdomains[5]
         xi = hat_cells(p, s.n)[0]
         for dist, expected in ((0.37, False), (0.38, True)):
             y = np.array([0.5, 0.5]) + dist * np.array([1.0, 0.0])
             x = s.shift + p.eps * s.D @ (xi + y)
-            assert indicator_perforated(p, sc.cell, x[None, :])[0] == expected
+            assert indicator_perforated(p, cell, x[None, :])[0] == expected
 
     def test_lambda_region_is_material(self):
         sc = plywood2d_scenario()
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(500, 2))
-        lam = locate_slots(p, X)[3] < 0
+        lam = locate_cells(p, X)[3] < 0
         ind = indicator_perforated(p, sc.cell, X)
         assert np.all(ind[lam])
 
@@ -910,7 +944,7 @@ class TestIndicatorPerforated:
         for ng in (512, 1024):
             xs = (np.arange(ng) + 0.5) / ng
             X = np.stack(np.meshgrid(xs, xs, indexing="ij"), -1).reshape(-1, 2)
-            inhat = locate_slots(p, X)[3] >= 0
+            inhat = locate_cells(p, X)[3] >= 0
             fluid = indicator_perforated(p, sc.cell, X)
             frac = np.sum(inhat & ~fluid) / np.sum(inhat)
             assert abs(frac - expected) / expected <= 0.01
@@ -923,8 +957,8 @@ def reference_center_mask(p, cell, X):
     out = np.ones(len(X), dtype=bool)
     if cell.inclusion == "none":
         return out
-    n, _, y, slot = locate_slots(p, X)
-    act = slot >= 0
+    n, _, y, row = locate_cells(p, X)
+    act = row >= 0
     if act.any():
         u = np.einsum("pij,pj->pi", p.Kinv[n[act]], y[act] - cell.center)
         out[act] = np.sqrt(np.sum(u**2, axis=1)) > cell.a
@@ -934,10 +968,10 @@ def reference_center_mask(p, cell, X):
 def reference_node_level(p, cell, X):
     """The node level build_micro_grid computed itself: norm(u) - a at every
     point, then +1 at the leftover ones."""
-    n, _, y, slot = locate_slots(p, X)
+    n, _, y, row = locate_cells(p, X)
     u = np.einsum("pij,pj->pi", p.Kinv[n], y - cell.center)
     level = np.linalg.norm(u, axis=1) - cell.a
-    level[slot < 0] = 1.0
+    level[row < 0] = 1.0
     return level
 
 

@@ -169,6 +169,20 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not (tmp_path / csv).exists()
 
+    @pytest.mark.parametrize("scenario,a,message", [
+        ("plywood2d", "0.36", "elliptical inclusion leaves the unit cell"),
+        ("radius-gradient", "0.34", "scaled perforation leaves the unit cell"),
+    ])
+    def test_inclusion_beyond_the_cell_is_rejected(self, scenario, a, message,
+                                                   tmp_path, capsys):
+        # K stretches the disk by 1.4 (plywood2d) and by up to 1.5
+        # (radius-gradient), so a radius below 1/2 can still leave the cell
+        code = main(["geom", "--scenario", scenario, "--a", a,
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "geom.csv").exists()
+
     def test_over_budget_dt_rule_exits_2_without_csv(self, tmp_path, capsys,
                                                      monkeypatch):
         # 0.2 exceeds periodic's explicit budget 0.5/3.2: a usage error

@@ -168,9 +168,9 @@ class TestGridBuild:
         scen = get_scenario("periodic")
         cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16, T=0.0)
         grid = build_micro_grid(cfg)
-        from lphom.geometry import locate_slots
-        _, _, y, slot = locate_slots(grid.partition, grid.faces.midpoint)
-        assert (slot >= 0).all()
+        from lphom.geometry import locate_cells
+        _, _, y, row = locate_cells(grid.partition, grid.faces.midpoint)
+        assert (row >= 0).all()
         dev = np.abs(np.hypot(*(y - scen.cell.center).T) - scen.cell.a)
         assert dev.max() < 1e-2
 

@@ -11,7 +11,7 @@ from lphom.geometry import (
     TransformField,
     UnitCellSpec,
     build_partition,
-    locate_slots,
+    locate_cells,
     lp_approx_batch,
     rotation_matrix,
 )
@@ -67,6 +67,12 @@ def constant_transform(D, K=None):
 IDENTITY = constant_transform(np.eye(2))
 
 
+def values_only(phi):
+    """A grid function with the values of phi and no exact evaluator, so
+    that the unfolding routines read it through its bilinear eval."""
+    return GridFunction(phi.lo, phi.hi, phi.h, phi.values)
+
+
 def smooth_field(eps_over=8):
     def f(X):
         return np.sin(2 * np.pi * X[:, 0]) * np.sin(2 * np.pi * X[:, 1])
@@ -99,7 +105,8 @@ class TestUnfold:
         # (xi, y) must be eps*(xi1 + y1) exactly
         eps = 1 / 4
         part = single_subdomain_partition(eps)
-        phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32)
+        phi = values_only(grid_function_from_callable(lambda X: X[:, 0], LO,
+                                                      HI, 1 / 32))
         ug = unfold(phi, part, 4)
         expected = eps * (part.hat_xi[:, None, 0] + ug.y_nodes[None, :, 0])
         assert np.max(np.abs(ug.values - expected)) <= 1e-12
@@ -113,7 +120,7 @@ class TestUnfold:
         psi = lambda X, Y: np.cos(2 * np.pi * Y[:, 0]) * (1 + X[:, 1])
         phi = grid_function_from_callable(
             lambda X: lp_approx_batch(psi, part, X), LO, HI, eps / 8)
-        ug = unfold(phi, part, 3, eval_mode="exact")
+        ug = unfold(phi, part, 3)
         xs = mapped_points(part, ug)
         oracle = np.cos(2 * np.pi * ug.y_nodes[None, :, 0]) * (1 + xs[:, :, 1])
         assert np.max(np.abs(ug.values - oracle)) <= 1e-12
@@ -129,7 +136,8 @@ class TestUnfold:
             ug = unfold(phi, part, 2)
             for s in part.subdomains:
                 sel = part.hat_n == s.n
-                assert part.xi_hat_contains(s.n, part.hat_xi[sel]).all()
+                assert_same_bits(part.cell_rows(s.n, part.hat_xi[sel]),
+                                 np.flatnonzero(sel))
             total_weight = float(np.sum(ug.weight)) * len(ug.y_nodes)
             assert abs(total_weight - part.omega_hat_measure) <= 1e-13
 
@@ -145,8 +153,10 @@ class TestUnfold:
 
     def test_linearity(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        f1 = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
-        f2 = grid_function_from_callable(lambda X: X[:, 0] ** 2, LO, HI, 1 / 64)
+        f1 = values_only(grid_function_from_callable(smooth_field(), LO, HI,
+                                                     1 / 64))
+        f2 = values_only(grid_function_from_callable(lambda X: X[:, 0] ** 2,
+                                                     LO, HI, 1 / 64))
         comb = GridFunction(LO, HI, 1 / 64, 2.5 * f1.values - 1.25 * f2.values)
         u1 = unfold(f1, part, 4)
         u2 = unfold(f2, part, 4)
@@ -157,8 +167,10 @@ class TestUnfold:
     @settings(deadline=None, max_examples=20)
     def test_linearity_property(self, a, b):
         part = build_partition((LO, HI), 1 / 4, 0.5, IDENTITY)
-        f1 = grid_function_from_callable(lambda X: X[:, 0] * X[:, 1], LO, HI, 1 / 16)
-        f2 = grid_function_from_callable(lambda X: np.cos(X[:, 1]), LO, HI, 1 / 16)
+        f1 = values_only(grid_function_from_callable(
+            lambda X: X[:, 0] * X[:, 1], LO, HI, 1 / 16))
+        f2 = values_only(grid_function_from_callable(
+            lambda X: np.cos(X[:, 1]), LO, HI, 1 / 16))
         comb = GridFunction(LO, HI, 1 / 16, a * f1.values + b * f2.values)
         u1 = unfold(f1, part, 2)
         u2 = unfold(f2, part, 2)
@@ -172,7 +184,7 @@ class TestUnfold:
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         values = np.random.default_rng(7).normal(size=len(part.hat_n))
         phi = lattice_pwc_field(part, values, LO, HI, 1 / 128, fill=0.7)
-        ug = unfold(phi, part, 4, eval_mode="exact")
+        ug = unfold(phi, part, 4)
         exact_sq = float(np.sum(part.cell_measures[part.hat_n] * values**2))
         full_norm = math.sqrt(exact_sq + 0.7**2 * part.lambda_measure)
         weighted_l2 = math.sqrt(float(np.sum(ug.weight[:, None]
@@ -217,7 +229,7 @@ class TestLocalAverage:
         epi = epithelial_scenario()
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
-        ug = unfold(phi, part, 4, eval_mode="exact")
+        ug = unfold(phi, part, 4)
         avg = local_average(phi, part, m_y=4)
         means = ug.mean_over_Y()
         xs = mapped_points(part, ug)[:, :, :].mean(axis=1)   # cell midpoints
@@ -229,14 +241,15 @@ class TestLocalAverage:
         phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI,
                                           1 / 64)
         avg = local_average(phi, part)
-        if locate_slots(part, np.array([[0.98, 0.98]]))[3][0] < 0:
+        if locate_cells(part, np.array([[0.98, 0.98]]))[3][0] < 0:
             assert avg.exact_eval(np.array([[0.98, 0.98]]))[0] == 0.0
 
 
 class TestIntegrationIdentity:
     def test_constant(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 64)
+        phi = values_only(grid_function_from_callable(
+            lambda X: np.ones(len(X)), LO, HI, 1 / 64))
         lhs, rhs, gap = check_integration_identity(phi, part, 4)
         assert abs(lhs - part.omega_hat_measure) <= 1e-12
         assert gap <= 1e-12
@@ -245,7 +258,7 @@ class TestIntegrationIdentity:
         part = build_partition((LO, HI), 1 / 16, 0.5, IDENTITY)
         values = np.random.default_rng(11).uniform(-1, 1, len(part.hat_n))
         phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
-        _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
+        _, _, gap = check_integration_identity(phi, part, 4)
         assert gap <= 1e-12
 
     def test_piecewise_constant_general_lattice(self):
@@ -255,13 +268,13 @@ class TestIntegrationIdentity:
         part = build_partition((LO, HI), 1 / 16, 0.5, ply.transform)
         values = np.random.default_rng(12).uniform(-1, 1, len(part.hat_n))
         phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
-        _, _, gap = check_integration_identity(phi, part, 4, eval_mode="exact")
+        _, _, gap = check_integration_identity(phi, part, 4)
         assert gap <= 1e-12
 
     def test_smooth_gap_shrinks_with_m_y(self):
         part = build_partition((LO, HI), 1 / 16, 0.5, IDENTITY)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256)
-        gaps = [check_integration_identity(phi, part, m, eval_mode="exact")[2]
+        gaps = [check_integration_identity(phi, part, m)[2]
                 for m in (2, 4)]
         assert gaps[1] <= gaps[0] / 4
 
@@ -273,8 +286,8 @@ class TestIntegrationIdentity:
         phi = grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
             LO, HI, 1 / 256)
-        gap4 = check_integration_identity(phi, part, 4, eval_mode="exact")[2]
-        gap8 = check_integration_identity(phi, part, 8, eval_mode="exact")[2]
+        gap4 = check_integration_identity(phi, part, 4)[2]
+        gap8 = check_integration_identity(phi, part, 8)[2]
         C = gap4 / (eps / 4) ** 2
         assert gap8 <= 1.1 * C * (eps / 8) ** 2
 
@@ -303,7 +316,7 @@ class TestEvaluatorsGetContiguousColumns:
         part = scenario_partition(name, 1 / 16)
         seen = []
         phi = grid_function_from_callable(self.recording(seen), LO, HI, 1 / 64)
-        unfold(phi, part, 4, eval_mode="exact")
+        unfold(phi, part, 4)
         self.assert_contiguous_columns(seen, len(part.hat_n) * 16)
 
     @pytest.mark.parametrize("name", ["periodic", "plywood2d"])
@@ -311,7 +324,7 @@ class TestEvaluatorsGetContiguousColumns:
         part = scenario_partition(name, 1 / 16)
         seen = []
         phi = grid_function_from_callable(self.recording(seen), LO, HI, 1 / 64)
-        check_integration_identity(phi, part, 4, eval_mode="exact")
+        check_integration_identity(phi, part, 4)
         # the lhs samples m_y^2 points per cell, the rhs (3 m_y + 1)^2
         self.assert_contiguous_columns(seen, len(part.hat_n) * (16 + 169))
 
@@ -520,10 +533,10 @@ class TestPairingAndDiagnostics:
 
 def reference_pwc_eval(partition, cell_values, fill, X):
     """The per-point dict lookup lattice_pwc_field used to evaluate with."""
-    n, xi, _, slot = locate_slots(partition, X)
+    n, xi, _, row = locate_cells(partition, X)
     out = np.full(len(X), fill)
     for i in range(len(X)):
-        if slot[i] >= 0:
+        if row[i] >= 0:
             out[i] = cell_values.get((int(n[i]), tuple(int(t) for t in xi[i])),
                                      fill)
     return out
@@ -531,8 +544,9 @@ def reference_pwc_eval(partition, cell_values, fill, X):
 
 def reference_interpolate_Q(phi, partition, points_per_axis):
     """interpolate_Q and eval_cells with a dict of node values and a set of
-    Xi_hat tuples per subdomain."""
-    ug = unfold(phi, partition, 4, eval_mode="exact")
+    Xi_hat tuples per subdomain: the usable cells, the Q samples and the
+    node values."""
+    ug = unfold(phi, partition, 4)
     means = ug.mean_over_Y()
     d = 2
     node_values = {(int(partition.hat_n[e]),
@@ -563,14 +577,14 @@ def reference_interpolate_Q(phi, partition, points_per_axis):
             [node_values[(s.n, tuple(int(t) for t in (xi + c).astype(int)))]
              for c in corners] for xi in cells])
         q_all.append((corner_vals @ wts.T).ravel())
-    return usable, np.concatenate(q_all) if q_all else np.zeros(0)
+    return (usable, np.concatenate(q_all) if q_all else np.zeros(0),
+            node_values)
 
 
 def reference_local_average(phi, partition, m_y=4):
     """local_average through a dict keyed by (n, xi) and the per-point dict
     lookup."""
-    mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y)
     means = ug.mean_over_Y()
     table = {(int(partition.hat_n[e]),
               tuple(int(t) for t in partition.hat_xi[e])): means[e]
@@ -587,6 +601,34 @@ def row_values(partition, table, fill):
     cells get fill."""
     return np.array([table.get((n, tuple(xi)), fill) for n, xi in
                      zip(partition.hat_n.tolist(), partition.hat_xi.tolist())])
+
+
+def reference_slot_tables(part):
+    """The per-cell tables as they were kept over the cell slots, the
+    boxes of Partition._cell_slots: the slot of every Xi_hat row, and a
+    flag per slot that marks the Xi_hat cells."""
+    hat_slot = part._cell_slots(part.hat_n, part.hat_xi)
+    in_hat = np.zeros(part._box_offset[-1], dtype=bool)
+    in_hat[hat_slot] = True
+    return hat_slot, in_hat
+
+
+def reference_hat_slots(part, in_hat, n, xi):
+    """The slot of each cell, -1 for the cells outside Xi_hat; the slot -1
+    reads the last flag and stays -1 either way."""
+    slots = part._cell_slots(n, xi)
+    slots[~in_hat[slots]] = -1
+    return slots
+
+
+def reference_pwc_slot_eval(partition, values, fill, X):
+    """The slot-table lookup lattice_pwc_field used to evaluate with: a
+    table over the slots whose entry past them holds fill."""
+    hat_slot, in_hat = reference_slot_tables(partition)
+    table = np.full(len(in_hat) + 1, fill)
+    table[hat_slot] = values
+    n, xi = locate_cells(partition, X)[:2]
+    return table[reference_hat_slots(partition, in_hat, n, xi)]
 
 
 def assert_same_bits(got, ref):
@@ -607,7 +649,7 @@ class TestVectorizedLookups:
                  for s in part.subdomains for xi in hat_cells(part, s.n)
                  if rng.random() < 2 / 3}
         outside = tuple(int(t) for t in hat_cells(part, 0).max(axis=0) + 1)
-        assert not part.xi_hat_contains(0, np.array(outside))[0]
+        assert part.cell_rows(0, np.array(outside))[0] == -1
         table[(0, outside)] = 5.0
         table[(part.n_subdomains,
                tuple(int(t) for t in hat_cells(part, 0)[0]))] = 6.0
@@ -615,16 +657,20 @@ class TestVectorizedLookups:
         last = part.n_subdomains - 1
         table[(-1, tuple(int(t) for t in hat_cells(part, last)[0]))] = 7.0
         h = 1 / 256
-        phi = lattice_pwc_field(part, row_values(part, table, 0.7), LO, HI, h,
-                                fill=0.7)
+        values = row_values(part, table, 0.7)
+        phi = lattice_pwc_field(part, values, LO, HI, h, fill=0.7)
         X = phi.centers().reshape(-1, 2)
-        assert (locate_slots(part, X)[3] < 0).any()     # leftover points
+        assert (locate_cells(part, X)[3] < 0).any()     # leftover points
         ref = reference_pwc_eval(part, table, 0.7, X)
         assert np.count_nonzero(ref == 0.7) > 0
         assert_same_bits(phi.values.ravel(), ref)
+        assert_same_bits(phi.values.ravel(),
+                         reference_pwc_slot_eval(part, values, 0.7, X))
         Y = np.random.default_rng(5).uniform(0, 1, size=(3000, 2))
         assert_same_bits(phi.exact_eval(Y), reference_pwc_eval(part, table,
                                                                0.7, Y))
+        assert_same_bits(phi.exact_eval(Y),
+                         reference_pwc_slot_eval(part, values, 0.7, Y))
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
@@ -661,6 +707,13 @@ class TestVectorizedLookups:
         assert calls == [257] * 301
         assert_same_bits(values, f(X).reshape(301, 257))
 
+    def test_pwc_field_needs_one_value_per_row(self):
+        # a short array would shift the fill entry onto a row
+        part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
+        with pytest.raises(ValueError):
+            lattice_pwc_field(part, np.zeros(len(part.hat_n) - 1), LO, HI,
+                              1 / 64)
+
     def test_chunked_pwc_grid_matches_one_shot(self):
         part = build_partition((LO, HI), 1 / 32, 0.5,
                                plywood2d_scenario().transform)
@@ -675,7 +728,9 @@ class TestVectorizedLookups:
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
         qi = interpolate_Q(phi, part)
-        usable, q_ref = reference_interpolate_Q(phi, part, 4)
+        usable, q_ref, node_ref = reference_interpolate_Q(phi, part, 4)
+        # one node value per Xi_hat row
+        assert_same_bits(qi.node_values, row_values(part, node_ref, np.nan))
         assert len(q_ref) or eps == 1 / 8
         # the usable rows as a dict from n to cells
         n, xi = part.hat_n[qi.usable_rows], part.hat_xi[qi.usable_rows]
@@ -701,12 +756,12 @@ class TestLazySampling:
         assert phi.shape == (64, 64) and phi.mask.shape == (64, 64)
         copy = GridFunction(phi.lo, phi.hi, phi.h, np.zeros(phi.shape),
                             phi.mask)
-        assert calls == []
+        assert calls == [] and copy.shape == phi.shape
         X = phi.centers().reshape(-1, 2)
         assert_same_bits(phi.values, smooth_field()(X).reshape(64, 64))
         assert calls == [64 * 64]
         assert phi.values is phi.values and calls == [64 * 64]
-        assert copy.integrate() == 0.0
+        assert not copy.values.any()
 
     def test_exact_consumers_sample_nothing(self, monkeypatch):
         sampled = []
@@ -721,7 +776,7 @@ class TestLazySampling:
         part = build_partition((LO, HI), 1 / 16, 0.5,
                                plywood2d_scenario().transform)
         phi = grid_function_from_callable(f, LO, HI, 1 / 128)
-        check_integration_identity(phi, part, 4, eval_mode="exact")
+        check_integration_identity(phi, part, 4)
         avg = local_average(phi, part)
         assert avg.mask.shape == (128, 128)
         assert calls and sampled == []
@@ -732,13 +787,13 @@ class TestLazySampling:
         part = build_partition((LO, HI), 1 / 16, 0.5,
                                plywood2d_scenario().transform)
         counted = []
-        located = unfolding.locate_slots
+        located = unfolding.locate_cells
 
         def counting_locate(partition, X):
             counted.append(len(X))
             return located(partition, X)
 
-        monkeypatch.setattr(unfolding, "locate_slots", counting_locate)
+        monkeypatch.setattr(unfolding, "locate_cells", counting_locate)
         phi = lattice_pwc_field(part, np.full(len(part.hat_n), 0.5), LO, HI,
                                 1 / 128, fill=0.5)
         assert counted == []
@@ -793,9 +848,9 @@ class TestGridIntegralMatchesThePerCellLoop:
     def test_sin_sin(self, name, eps, h):
         # h = 1/100 puts the cell edges anywhere between the centers
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
-        phi = grid_function_from_callable(
+        phi = values_only(grid_function_from_callable(
             lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, h)
+            LO, HI, h))
         ref = 0.0
         for n, rows in part.hat_blocks():
             diagD = np.diag(part.D[n])
@@ -808,12 +863,11 @@ class TestGridIntegralMatchesThePerCellLoop:
         assert abs(rhs - ref) <= 1e-13 * abs(ref)
 
 
-def reference_unfold(phi, partition, m_y, eval_mode):
+def reference_unfold(phi, partition, m_y, evaluate):
     """unfold as it was: one block per subdomain, joined by np.concatenate,
     with an all-true mask."""
     d = 2
     y_nodes = unfolding._unit_cell_nodes(m_y)
-    evaluate = phi.exact_eval if eval_mode == "exact" else phi.eval
     subs, xis = [np.zeros(0, dtype=int)], [np.zeros((0, d), dtype=int)]
     vals, wts = [np.zeros((0, len(y_nodes)))], [np.zeros(0)]
     for s in partition.subdomains:
@@ -890,19 +944,25 @@ class TestOneCopyMatchesTheConcatenatingReference:
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
-    @pytest.mark.parametrize("eval_mode", ["grid", "exact"])
-    def test_unfold(self, name, eps, eval_mode):
+    @pytest.mark.parametrize("field", ["grid", "exact"])
+    def test_unfold(self, name, eps, field):
+        # a value-only field is read through its bilinear eval, one with an
+        # exact evaluator through that
         part = scenario_partition(name, eps)
         phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
-        ug = unfold(phi, part, 8, eval_mode)
-        ref = reference_unfold(phi, part, 8, eval_mode)
+        evaluate = phi.exact_eval
+        if field == "grid":
+            phi = values_only(phi)
+            evaluate = phi.eval
+        ug = unfold(phi, part, 8)
+        ref = reference_unfold(phi, part, 8, evaluate)
         got = {"sub_index": part.hat_n, "xi": part.hat_xi,
                "values": ug.values, "weight": ug.weight}
         for key in ("sub_index", "xi", "values", "weight"):
             assert_same_bits(got[key], getattr(ref, key))
         assert ug.values.flags.c_contiguous
         # the integration identity weights these samples in place
-        lhs = check_integration_identity(phi, part, 8, eval_mode)[0]
+        lhs = check_integration_identity(phi, part, 8)[0]
         assert lhs == ref.weighted_sum
         weighted_l2 = math.sqrt(float(np.sum(ug.weight[:, None]
                                              * ug.values ** 2)))
@@ -941,7 +1001,8 @@ class TestOneCopyMatchesTheConcatenatingReference:
         empty = _covering(LO, HI, [half, half], 2.0, IDENTITY)
         assert empty.n_subdomains == 4
         assert all(len(hat_cells(empty, s.n)) == 0 for s in empty.subdomains)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
+        phi = values_only(grid_function_from_callable(smooth_field(), LO, HI,
+                                                      1 / 64))
         ug = unfold(phi, empty, 4)
         assert ug.values.shape == (0, 16) and empty.hat_xi.shape == (0, 2)
         assert empty.hat_n.dtype == empty.hat_xi.dtype == np.dtype(int)
@@ -954,8 +1015,7 @@ class TestOneCopyMatchesTheConcatenatingReference:
 
 def reference_norm_unfold_minus_identity(phi, partition, m_y):
     """norm_unfold_minus_identity as it was: a Python loop over entries."""
-    mode = "exact" if phi.exact_eval is not None else "grid"
-    ug = unfold(phi, partition, m_y, eval_mode=mode)
+    ug = unfold(phi, partition, m_y)
     total = 0.0
     for e in range(ug.n_entries):
         v = ug.values[e]
@@ -969,7 +1029,7 @@ def reference_norm_unfold_of_lp_minus_psi(psi, partition, m_y, lo, hi, h):
     over its entries."""
     lp_field = grid_function_from_callable(
         lambda X: lp_approx_batch(psi, partition, X), lo, hi, h)
-    ug = unfold(lp_field, partition, m_y, eval_mode="exact")
+    ug = unfold(lp_field, partition, m_y)
     m = len(ug.y_nodes)
     Yrep = np.tile(ug.y_nodes, (m, 1))
     total = 0.0
@@ -988,19 +1048,20 @@ def reference_norm_unfold_of_lp_minus_psi(psi, partition, m_y, lo, hi, h):
 
 
 def reference_eval_cells(phi, partition, points_per_axis, m_y=4):
-    """interpolate_Q and eval_cells as they were: a dict from n to the
-    usable cells of subdomain n, and per-subdomain blocks joined by
-    np.concatenate."""
+    """interpolate_Q and eval_cells as they were: node values in a table
+    over the cell slots, a dict from n to the usable cells of subdomain n,
+    and per-subdomain blocks joined by np.concatenate."""
     part = partition
-    ug = unfold(phi, part, m_y, eval_mode="exact")
-    node_values = np.full(part.n_cell_slots, np.nan)
-    node_values[part.cell_slots(part.hat_n, part.hat_xi)] = ug.mean_over_Y()
+    ug = unfold(phi, part, m_y)
+    hat_slot, in_hat = reference_slot_tables(part)
+    node_values = np.full(len(in_hat), np.nan)
+    node_values[hat_slot] = ug.mean_over_Y()
     usable = {}
     for s in part.subdomains:
         xi_hat = hat_cells(part, s.n)
         good = np.ones(len(xi_hat), dtype=bool)
         for c in np.ndindex(2, 2):
-            good &= part.xi_hat_contains(s.n, xi_hat + c)
+            good &= reference_hat_slots(part, in_hat, s.n, xi_hat + c) >= 0
         usable[s.n] = xi_hat[good]
     d = 2
     y = unfolding._unit_cell_nodes(points_per_axis)
@@ -1016,7 +1077,7 @@ def reference_eval_cells(phi, partition, points_per_axis, m_y=4):
         if cells is None or not len(cells):
             continue
         corner_vals = np.stack([
-            node_values[part.cell_slots(s.n, cells + c)]
+            node_values[part._cell_slots(s.n, cells + c)]
             for c in corners], axis=1)
         qv = corner_vals @ wts.T
         pts = unfolding.map_cells(s.shift, part.eps, s.D, cells,
@@ -1110,7 +1171,7 @@ class TestUnfoldingMemory:
             LO, HI, 1 / 128)
         n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
         peak = traced_peak(lambda: check_integration_identity(
-            smooth, part, 8, eval_mode="exact"))
+            smooth, part, 8))
         assert peak <= 1.25 * n_cells * 64 * 8
 
     def test_pwc_check_peak(self, traced_peak):

@@ -38,16 +38,13 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-def pullback_coefficient(A: float, transform: TransformField,
-                         x: np.ndarray) -> np.ndarray:
-    """Coefficient B = |det D_x| D_x^-1 (A I) D_x^-T of the reference-cell
-    problem at macro point x, for the scalar diffusivity A, which must be
-    finite and positive."""
+def pullback_coefficient(A: float, D: np.ndarray) -> np.ndarray:
+    """Coefficient B = |det D| D^-1 (A I) D^-T of the reference-cell problem
+    at a macro point with lattice matrix D = D(x), for the scalar
+    diffusivity A, which must be finite and positive."""
     A = float(A)
     if not (math.isfinite(A) and A > 0.0):
         raise ValueError(f"diffusivity must be finite and positive, got {A!r}")
-    x = np.asarray(x, dtype=float)
-    D = transform.D_at(x)
     detD = abs(float(np.linalg.det(D)))
     if detD < 1e-14:
         raise ValueError("singular lattice matrix at the requested point")
@@ -260,7 +257,8 @@ def build_cell_geometry(x, A: float, transform: TransformField,
     """Cut cells, stiffness matrix and unit forcings of the problem at x."""
     check_cell_grid(N_c)
     x = np.asarray(x, dtype=float)
-    Bmat = pullback_coefficient(A, transform, x)
+    D = transform.D_at(x)
+    Bmat = pullback_coefficient(A, D)
     scale = float(np.max(np.abs(Bmat)))
     if abs(Bmat[0, 1]) > 1e-12 * scale:
         raise NotImplementedError(
@@ -277,7 +275,7 @@ def build_cell_geometry(x, A: float, transform: TransformField,
     S, loads = _assemble(kind, cut_idx, cut_m, B11, B22)
     diag = S.diagonal()
     return CellGeometry(N_c=N_c, cell=cell, B11=B11, B22=B22,
-                        forcing=transform.D_at(x).T.copy(),
+                        forcing=D.T.copy(),
                         fluid_area=fluid_area, S=S, unit_forcings=loads,
                         active=diag > 1e-12 * float(diag.max()))
 
@@ -370,9 +368,10 @@ def solve_cell(x, A: float, transform: TransformField,
     Conforming bilinear elements on the cut reference grid; the inclusion
     wall condition is natural. Correctors are normalized to zero mean over
     the active nodes. tol bounds the true relative residual of both unit
-    solves; a larger one, or a singular factor, raises RuntimeError.
+    solves; a larger one, or a singular factor, raises RuntimeError. A tol
+    that is not positive, NaN included, raises ValueError before any work.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValueError("tol must be positive")
     geom = build_cell_geometry(x, A, transform, cell, N_c)
     w, res = _unit_correctors(geom)
@@ -385,29 +384,21 @@ def solve_cell(x, A: float, transform: TransformField,
                         residuals=res, iterations=np.zeros(2, dtype=int))
 
 
-def porosity(transform: TransformField, cell: UnitCellSpec, x) -> float:
-    """theta(x) = 1 - |K_x Y0|; the lattice Jacobians cancel in the ratio."""
-    return float(1.0 - cell.inclusion_measure(
-        transform.K_at(np.asarray(x, dtype=float))))
-
-
-def effective_tensor(x, transform: TransformField, sol: CellSolution):
-    """Effective diffusion tensor and porosity at macro point x.
+def effective_tensor(D: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Effective diffusion tensor A_eff = D G D^T / |det D| at a macro point
+    with lattice matrix D = D(x).
 
     The corrector of the forcing D^T e_j is the matching combination of the
-    unit correctors, so A_eff = D G D^T / |det D| with D = D(x) and G the
-    unit tensor of sol: sol may come from any point with the same B and K
-    as x. A_eff is filled from its upper triangle, so it is symmetric by
-    construction.
+    unit correctors, so G, the unit tensor of a CellSolution, may come from
+    any point with the same B and K. A_eff is filled from its upper
+    triangle, so it is symmetric by construction.
     """
-    G = sol.unit_tensor
-    D = transform.D_at(np.asarray(x, dtype=float))
     detD = abs(float(np.linalg.det(D)))
     A_eff = np.empty((2, 2))
     for i in range(2):
         for j in range(i, 2):
             A_eff[i, j] = A_eff[j, i] = float(D[i] @ G @ D[j]) / detD
-    return A_eff, porosity(transform, sol.geometry.cell, x)
+    return A_eff
 
 
 @dataclass
@@ -437,40 +428,48 @@ def tensor_field(points, A: float, transform: TransformField,
     """Effective tensor at every requested macro point.
 
     Points sharing the pulled-back coefficient B and the inclusion matrix K
-    (to 12 digits) reuse one cell solve, and effective_tensor maps it to
-    each point's lattice matrix D: constant-transform scenarios, and
-    rotated lattices, cost a single solve regardless of the sample count.
+    (to 12 digits) reuse one cell solve, of which only the unit tensor G
+    and the residual are kept, and effective_tensor maps G to each point's
+    lattice matrix D: constant-transform scenarios, and rotated lattices,
+    cost a single solve regardless of the sample count.
     """
     check_cell_grid(N_c)
+    if not (tol > 0):
+        raise ValueError("tol must be positive")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(pts)
     tensors = np.zeros((m, 2, 2))
     theta = np.full(m, np.nan)
     residual = np.zeros(m)
     errors: list = [None] * m
-    cache: dict = {}            # (B, K) key -> CellSolution or error message
+    cache: dict = {}            # (B, K) key -> (G, residual) or error message
     for k in range(m):
         x = pts[k]
         try:
-            theta[k] = porosity(transform, cell, x)
-            key = _cache_key(pullback_coefficient(A, transform, x),
-                             transform.K_at(x))
+            K = transform.K_at(x)
+            # theta = 1 - |K Y0|: the lattice Jacobians cancel in the ratio
+            theta[k] = 1.0 - cell.inclusion_measure(K)
+            D = transform.D_at(x)
+            key = _cache_key(pullback_coefficient(A, D), K)
         except ValueError as exc:
-            sol = str(exc)
+            entry = str(exc)
         else:
             if key not in cache:
                 try:
-                    cache[key] = solve_cell(x, A, transform, cell, N_c=N_c,
-                                            tol=tol)
+                    sol = solve_cell(x, A, transform, cell, N_c=N_c, tol=tol)
                 except (ValueError, RuntimeError, NotImplementedError) as exc:
                     cache[key] = str(exc)
-            sol = cache[key]
-        if isinstance(sol, str):
+                else:
+                    # the geometry and the correctors go before the next solve
+                    cache[key] = (sol.unit_tensor, sol.residual)
+                    del sol
+            entry = cache[key]
+        if isinstance(entry, str):
             tensors[k] = np.nan
             residual[k] = np.nan
-            errors[k] = sol
+            errors[k] = entry
         else:
-            tensors[k] = effective_tensor(x, transform, sol)[0]
-            residual[k] = sol.residual
+            G, residual[k] = entry
+            tensors[k] = effective_tensor(D, G)
     return EffectiveTensorField(points=pts, tensors=tensors, theta=theta,
                                 residual=residual, N_c=N_c, errors=errors)

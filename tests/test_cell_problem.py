@@ -15,7 +15,6 @@ from lphom import cell_problem
 from lphom.cell_problem import (
     build_cell_geometry,
     effective_tensor,
-    porosity,
     pullback_coefficient,
     solve_cell,
     tensor_field,
@@ -39,28 +38,28 @@ def const_tf(D, K=None):
 
 class TestPullback:
     def test_identity(self):
-        B = pullback_coefficient(1.0, const_tf(I2), X0)
+        B = pullback_coefficient(1.0, I2)
         assert np.array_equal(B, I2)
 
     def test_stretch_lattice(self):
         # D = diag(2, 1), A = I: B = |det D| D^-1 D^-T = diag(1/2, 2)
-        B = pullback_coefficient(1.0, const_tf(np.diag([2.0, 1.0])), X0)
+        B = pullback_coefficient(1.0, np.diag([2.0, 1.0]))
         assert np.max(np.abs(B - np.diag([0.5, 2.0]))) < 1e-14
 
     def test_rotation_lattice_is_invisible(self):
         D = np.linalg.inv(rotation_matrix(np.pi / 6))
-        B = pullback_coefficient(1.0, const_tf(D), X0)
+        B = pullback_coefficient(1.0, D)
         assert np.max(np.abs(B - I2)) < 1e-14
 
     def test_scales_with_the_diffusivity(self):
         D = np.diag([2.0, 1.0])
-        B = pullback_coefficient(0.825, const_tf(D), X0)
+        B = pullback_coefficient(0.825, D)
         assert np.max(np.abs(B - 0.825 * np.diag([0.5, 2.0]))) < 1e-14
 
     @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
     def test_rejects_a_diffusivity_that_is_not_finite_and_positive(self, A):
         with pytest.raises(ValueError, match="finite and positive"):
-            pullback_coefficient(A, const_tf(I2), X0)
+            pullback_coefficient(A, I2)
 
     @pytest.mark.parametrize("A", [
         np.array([[1.0, 0.5], [0.0, 1.0]]),
@@ -72,11 +71,11 @@ class TestPullback:
         # matrix and callable coefficients are not supported, even those
         # that would be valid tensors
         with pytest.raises(TypeError):
-            pullback_coefficient(A, const_tf(I2), X0)
+            pullback_coefficient(A, I2)
 
     def test_rejects_singular_lattice(self):
         with pytest.raises(ValueError):
-            pullback_coefficient(1.0, const_tf(np.zeros((2, 2))), X0)
+            pullback_coefficient(1.0, np.zeros((2, 2)))
 
 
 class TestGeometryBuild:
@@ -126,22 +125,22 @@ class TestGeometryBuild:
 class TestNoInclusion:
     def test_identity_lattice_exact(self):
         sol = solve_cell(X0, 1.0, const_tf(I2), NONE, N_c=64)
-        A_eff, theta = effective_tensor(X0, const_tf(I2), sol)
+        A_eff = effective_tensor(I2, sol.unit_tensor)
         assert np.max(np.abs(A_eff - I2)) < 1e-12
         assert np.max(np.abs(sol.correctors)) < 1e-12
-        assert theta == 1.0
+        assert 1.0 - NONE.inclusion_measure(I2) == 1.0
 
     def test_rotated_lattice_exact(self):
         D = np.linalg.inv(rotation_matrix(np.pi / 6))
         sol = solve_cell(X0, 1.0, const_tf(D), NONE, N_c=64)
-        A_eff, _ = effective_tensor(X0, const_tf(D), sol)
+        A_eff = effective_tensor(D, sol.unit_tensor)
         assert np.max(np.abs(A_eff - I2)) < 1e-12
 
     def test_stretched_lattice_exact(self):
         # forcing and pullback Jacobians cancel: A_eff equals A I for any D
         D = np.diag([2.0, 1.0])
         sol = solve_cell(X0, 1.0, const_tf(D), NONE, N_c=64)
-        A_eff, _ = effective_tensor(X0, const_tf(D), sol)
+        A_eff = effective_tensor(D, sol.unit_tensor)
         assert np.max(np.abs(A_eff - I2)) < 1e-12
 
 
@@ -151,8 +150,8 @@ def disk_solutions():
     out = {}
     for N in (128, 256, 512):
         sol = solve_cell(X0, 1.0, const_tf(I2), DISK, N_c=N)
-        A_eff, theta = effective_tensor(X0, const_tf(I2), sol)
-        out[N] = (sol, A_eff, theta)
+        A_eff = effective_tensor(I2, sol.unit_tensor)
+        out[N] = (sol, A_eff, 1.0 - DISK.inclusion_measure(I2))
     return out
 
 
@@ -242,7 +241,9 @@ class TestDiskCell:
     def test_porosity_values(self, disk_solutions):
         assert disk_solutions[128][2] == 1.0 - math.pi / 16.0
         K = np.diag([1.2, 1.0])
-        assert porosity(const_tf(I2, K), DISK, X0) == 1.0 - math.pi * 0.0625 * 1.2
+        field = tensor_field(np.array([X0]), 1.0, const_tf(I2, K), DISK,
+                             N_c=32)
+        assert field.theta[0] == 1.0 - math.pi * 0.0625 * 1.2
 
 
 class TestRotationCovariance:
@@ -250,11 +251,11 @@ class TestRotationCovariance:
     def test_elliptic_inclusion(self, gamma):
         K = np.diag([1.0, 1.4])
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=128)
-        A0, _ = effective_tensor(X0, const_tf(I2, K), sol0)
+        A0 = effective_tensor(I2, sol0.unit_tensor)
         R = rotation_matrix(gamma)
         Dg = np.linalg.inv(R)
         solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=128)
-        Ag, _ = effective_tensor(X0, const_tf(Dg, K), solg)
+        Ag = effective_tensor(Dg, solg.unit_tensor)
         predicted = Dg @ A0 @ Dg.T
         rel = np.max(np.abs(Ag - predicted)) / np.max(np.abs(A0))
         assert rel < 1e-3
@@ -265,14 +266,15 @@ class TestScenarioTensors:
         scen = get_scenario("epithelial")
         x = np.array([0.3, 0.5])
         kappa = 0.7 + 0.25 * 0.5
-        B = pullback_coefficient(scen.suite.A, scen.transform, x)
+        B = pullback_coefficient(scen.suite.A, scen.transform.D_at(x))
         assert np.max(np.abs(B - np.diag([kappa, 1.0 / kappa]))) < 1e-14
 
     def test_epithelial_tensor_ordering(self):
         scen = get_scenario("epithelial")
         x = np.array([0.3, 0.5])
         sol = solve_cell(x, scen.suite.A, scen.transform, scen.cell, N_c=64)
-        A_eff, theta = effective_tensor(x, scen.transform, sol)
+        A_eff = effective_tensor(scen.transform.D_at(x), sol.unit_tensor)
+        theta = 1.0 - scen.cell.inclusion_measure(scen.transform.K_at(x))
         # compression packs the holes closer along x2 and blocks that
         # direction harder
         assert A_eff[1, 1] < A_eff[0, 0]
@@ -298,7 +300,7 @@ class TestScenarioTensors:
                              scen.cell, N_c=64)
         K = scen.transform.K_at(x)
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), scen.cell, N_c=64)
-        A0, _ = effective_tensor(X0, const_tf(I2, K), sol0)
+        A0 = effective_tensor(I2, sol0.unit_tensor)
         D = scen.transform.D_at(x)
         predicted = D @ A0 @ D.T
         assert np.max(np.abs(field.tensors[0] - predicted)) < 1e-3
@@ -319,7 +321,8 @@ class TestTensorField:
         field = tensor_field(np.array([X0]), scen.suite.A, scen.transform,
                              scen.cell, N_c=64)
         sol = solve_cell(X0, scen.suite.A, scen.transform, scen.cell, N_c=64)
-        A_eff, theta = effective_tensor(X0, scen.transform, sol)
+        A_eff = effective_tensor(scen.transform.D_at(X0), sol.unit_tensor)
+        theta = 1.0 - scen.cell.inclusion_measure(scen.transform.K_at(X0))
         assert np.array_equal(field.tensors[0], A_eff)
         assert field.theta[0] == theta
 
@@ -351,7 +354,8 @@ class TestTensorField:
         for k, x in enumerate(pts):
             sol = solve_cell(x, scen.suite.A, scen.transform, scen.cell,
                              N_c=64)
-            direct, _ = effective_tensor(x, scen.transform, sol)
+            direct = effective_tensor(scen.transform.D_at(x),
+                                      sol.unit_tensor)
             rel = np.max(np.abs(field.tensors[k] - direct)) \
                 / np.max(np.abs(direct))
             assert rel <= 1e-12
@@ -361,9 +365,9 @@ class TestTensorField:
         K = np.diag([1.0, 1.4])
         Dg = np.linalg.inv(rotation_matrix(gamma))
         sol0 = solve_cell(X0, 1.0, const_tf(I2, K), DISK, N_c=64)
-        reused, _ = effective_tensor(X0, const_tf(Dg, K), sol0)
+        reused = effective_tensor(Dg, sol0.unit_tensor)
         solg = solve_cell(X0, 1.0, const_tf(Dg, K), DISK, N_c=64)
-        direct, _ = effective_tensor(X0, const_tf(Dg, K), solg)
+        direct = effective_tensor(Dg, solg.unit_tensor)
         rel = np.max(np.abs(reused - direct)) / np.max(np.abs(direct))
         assert rel <= 1e-12
         assert reused[0, 1] == reused[1, 0]
@@ -375,6 +379,56 @@ class TestTensorField:
         monkeypatch.setattr(cell_problem, "solve_cell", no_solve)
         with pytest.raises(ValueError, match="N_c >= 32"):
             tensor_field(np.array([X0]), 1.0, const_tf(I2), DISK, N_c=16)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_solve_rejects_a_bad_tol_before_the_geometry(self, tol,
+                                                         monkeypatch):
+        def no_geometry(*args, **kwargs):
+            raise AssertionError("the cell geometry was built")
+
+        monkeypatch.setattr(cell_problem, "build_cell_geometry", no_geometry)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_cell(X0, 1.0, const_tf(I2), DISK, N_c=64, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_field_rejects_a_bad_tol_before_any_solve(self, tol,
+                                                      monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(cell_problem, "solve_cell", no_solve)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            tensor_field(np.array([X0]), 1.0, const_tf(I2), DISK, N_c=32,
+                         tol=tol)
+
+    def test_each_point_reads_its_maps_once(self, monkeypatch):
+        # the solve gets the uncounted maps, so every counted call is one
+        # the per-point loop makes
+        scen = get_scenario("plywood2d")
+        calls = {"D": 0, "K": 0, "solve": 0}
+
+        class Counting(TransformField):
+            def D_at(self, x):
+                calls["D"] += 1
+                return super().D_at(x)
+
+            def K_at(self, x):
+                calls["K"] += 1
+                return super().K_at(x)
+
+        real = cell_problem.solve_cell
+
+        def solve(x, A, transform, *args, **kwargs):
+            calls["solve"] += 1
+            return real(x, A, scen.transform, *args, **kwargs)
+
+        monkeypatch.setattr(cell_problem, "solve_cell", solve)
+        pts = np.column_stack([np.full(6, 0.5), np.linspace(0.1, 0.9, 6)])
+        field = tensor_field(pts, scen.suite.A,
+                             Counting(D=scen.transform.D, K=scen.transform.K),
+                             scen.cell, N_c=32)
+        assert field.ok()
+        assert calls == {"D": 6, "K": 6, "solve": 1}
 
     def test_tolerance_is_a_hard_check(self):
         with pytest.raises(RuntimeError, match="residual"):
@@ -427,6 +481,30 @@ class TestTensorField:
                                 f"{which}(x) must be 2x2, got shape (3, 3)"]
         assert np.all(np.isnan(field.tensors[1])) and not field.ok()
         assert np.isfinite(field.tensors[0]).all()
+
+
+class TestTensorFieldMemory:
+    """The tensor field keeps one 2x2 tensor per (B, K), not the cell
+    solutions: its working memory is about one solve's."""
+
+    def test_peak_is_one_solve(self, traced_peak, monkeypatch):
+        scen = get_scenario("epithelial")
+        nodes = macro_nodes(MacroConfig(scen, H=1 / 32))
+        solves = []
+        real = cell_problem.solve_cell
+
+        def counting(*args, **kwargs):
+            solves.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cell_problem, "solve_cell", counting)
+        one = traced_peak(lambda: real(nodes[0], scen.suite.A,
+                                       scen.transform, scen.cell, N_c=64))
+        peak = traced_peak(lambda: tensor_field(
+            nodes, scen.suite.A, scen.transform, scen.cell, N_c=64))
+        # traced_peak calls the field twice: 32 distinct (B, K) each time
+        assert len(solves) == 2 * 32
+        assert peak <= 1.5 * one
 
 
 # ---------------------------------------------------------------------------

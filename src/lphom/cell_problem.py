@@ -236,7 +236,6 @@ class CellGeometry:
     """
 
     N_c: int
-    cell: UnitCellSpec
     B11: float
     B22: float
     forcing: np.ndarray          # (2, 2): column j is D^T e_j
@@ -274,7 +273,7 @@ def build_cell_geometry(x, A: float, transform: TransformField,
     B11, B22 = float(Bmat[0, 0]), float(Bmat[1, 1])
     S, loads = _assemble(kind, cut_idx, cut_m, B11, B22)
     diag = S.diagonal()
-    return CellGeometry(N_c=N_c, cell=cell, B11=B11, B22=B22,
+    return CellGeometry(N_c=N_c, B11=B11, B22=B22,
                         forcing=D.T.copy(),
                         fluid_area=fluid_area, S=S, unit_forcings=loads,
                         active=diag > 1e-12 * float(diag.max()))
@@ -319,10 +318,6 @@ class CellSolution:
     residuals: np.ndarray        # (2,) relative residuals of the unit solves
     iterations: np.ndarray       # (2,) solver iterations, 0 for the direct
                                  # solve
-
-    @property
-    def N_c(self) -> int:
-        return self.geometry.N_c
 
     @property
     def residual(self) -> float:
@@ -417,9 +412,11 @@ class EffectiveTensorField:
 
 
 def _cache_key(*mats: np.ndarray) -> tuple:
-    """Matrices to 12 digits; + 0.0 turns -0.0 into 0.0, which tobytes
-    would tell apart."""
-    return tuple((np.round(M, 12) + 0.0).tobytes() for M in mats)
+    """Each matrix M to 12 digits of its largest entry s: s and M / s, the
+    latter to 12 decimals; + 0.0 turns -0.0 into 0.0 for tobytes."""
+    scales = [float(np.max(np.abs(M))) or 1.0 for M in mats]
+    return tuple((f"{s:.11e}", (np.round(M / s, 12) + 0.0).tobytes())
+                 for M, s in zip(mats, scales))
 
 
 def tensor_field(points, A: float, transform: TransformField,
@@ -428,10 +425,10 @@ def tensor_field(points, A: float, transform: TransformField,
     """Effective tensor at every requested macro point.
 
     Points sharing the pulled-back coefficient B and the inclusion matrix K
-    (to 12 digits) reuse one cell solve, of which only the unit tensor G
-    and the residual are kept, and effective_tensor maps G to each point's
-    lattice matrix D: constant-transform scenarios, and rotated lattices,
-    cost a single solve regardless of the sample count.
+    (each to 12 digits of its largest entry) reuse one cell solve, of which
+    only the unit tensor G and the residual are kept; effective_tensor maps
+    G to each point's lattice matrix D, so constant-transform scenarios and
+    rotated lattices cost one solve whatever the sample count.
     """
     check_cell_grid(N_c)
     if not (tol > 0):

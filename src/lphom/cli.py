@@ -358,10 +358,9 @@ def _read_tensor_csv(path: str) -> EffectiveTensorField:
         nc = int(parts[8])
     if not pts:
         raise UsageError(f"tensor file {path} has no data rows")
-    m = len(pts)
     return EffectiveTensorField(points=np.array(pts), tensors=np.array(tens),
                                 theta=np.array(theta), residual=np.array(resid),
-                                N_c=nc, errors=[None] * m)
+                                N_c=nc, errors=[None] * len(pts))
 
 
 # -------------------------------------------------------- micro / macro
@@ -417,14 +416,21 @@ def _cmd_micro(vals: dict, args) -> int:
 
 
 def _cmd_macro(vals: dict, args) -> int:
-    from .macro import MacroConfig, macro_nodes, run_macro
+    from .cell_problem import check_cell_grid, tensor_field
+    from .macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 
     sc = _scenario_from(vals)
-    tensors = _read_tensor_csv(args.tensors) if args.tensors else None
+    fld = _read_tensor_csv(args.tensors) if args.tensors else None
     # H has no default in MacroConfig
-    cfg = MacroConfig(sc, dt=_dt_from(vals, args), tensors=tensors,
+    cfg = MacroConfig(sc, dt=_dt_from(vals, args),
                       **{"H": 1 / 32, **_given(vals, MacroConfig)})
-    run = run_macro(cfg, n_samples=20)
+    # a coarse Nc is rejected even when a tensor file brings the field
+    N_c = vals.get("Nc", 64)
+    check_cell_grid(N_c)
+    if fld is None:
+        fld = tensor_field(macro_nodes(cfg), sc.suite.A, sc.transform,
+                           sc.cell, N_c=N_c)
+    run = run_macro(cfg, assemble_macro(cfg, fld), n_samples=20)
     return _write_run(vals, "macro", ("scenario", "a", "H", "T", "dt_rule",
                                       "nGamma", "Nc"),
                       run, macro_nodes(cfg), run.final_state.l.ravel())

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cell_problem import tensor_field
+from .cell_problem import check_cell_grid, tensor_field
 from .imex import Run, check_budget
 from .macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 from .micro import MicroConfig, run_micro
@@ -80,18 +80,25 @@ class StudyConfig:
                 raise ValueError(
                     f"dt_rule must be 'h' or a finite positive number, got "
                     f"{self.dt_rule!r}")
-        # the sub-configs own the remaining range checks; building them here
+        # the run configs own the remaining range checks; building them here
         # rejects a bad study before any solve starts
         for e in eps:
-            MicroConfig(self.scenario, e, r=self.r,
-                        cells_per_eps=self.cells_per_eps, T=self.T,
-                        dt=self.micro_dt(e))
-        MacroConfig(self.scenario, H=self.H, T=self.T, dt=self.macro_dt(),
-                    n_gamma=self.n_gamma, N_c=self.N_c)
+            self.micro_config(e)
+        self.macro_config()
+        check_cell_grid(self.N_c)
         # the explicit budget of imex.schedule, on the largest step of any run
         if self.T > 0.0:
             check_budget(self.scenario.suite,
                          max(self.micro_dt(eps[0]), self.macro_dt()))
+
+    def micro_config(self, eps: float) -> MicroConfig:
+        return MicroConfig(self.scenario, eps, r=self.r,
+                           cells_per_eps=self.cells_per_eps, T=self.T,
+                           dt=self.micro_dt(eps))
+
+    def macro_config(self) -> MacroConfig:
+        return MacroConfig(self.scenario, H=self.H, T=self.T,
+                           dt=self.macro_dt(), n_gamma=self.n_gamma)
 
     def micro_dt(self, eps: float) -> float:
         if self.dt_rule == "h":
@@ -239,21 +246,16 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
     finest, *coarser = reversed(study.eps_list)
 
     def macro_job() -> Run:
-        mac_cfg = MacroConfig(sc, H=study.H, T=study.T, dt=study.macro_dt(),
-                              n_gamma=study.n_gamma, N_c=study.N_c)
-        mac_cfg.tensors = tensor_field(macro_nodes(mac_cfg), sc.suite.A,
-                                       sc.transform, sc.cell, N_c=study.N_c)
-        op = assemble_macro(mac_cfg)
-        return run_macro(mac_cfg, op=op, n_samples=study.n_samples,
-                         keep_fields=True)
+        cfg = study.macro_config()
+        fld = tensor_field(macro_nodes(cfg), sc.suite.A, sc.transform,
+                           sc.cell, N_c=study.N_c)
+        return run_macro(cfg, assemble_macro(cfg, fld),
+                         n_samples=study.n_samples, keep_fields=True)
 
     def micro_job(eps: float, set_up: Optional[threading.Event] = None,
                   stop: Optional[threading.Event] = None) -> Run:
-        cfg = MicroConfig(sc, eps, r=study.r,
-                          cells_per_eps=study.cells_per_eps, T=study.T,
-                          dt=study.micro_dt(eps))
-        return run_micro(cfg, n_samples=study.n_samples, keep_fields=True,
-                         set_up=set_up, stop=stop)
+        return run_micro(study.micro_config(eps), n_samples=study.n_samples,
+                         keep_fields=True, set_up=set_up, stop=stop)
 
     def attempt(job, *args) -> tuple:
         # (run, None), or (None, the error message)

@@ -14,21 +14,23 @@ mass ledger H^2 sum(theta l) on every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import imex
-from .cell_problem import EffectiveTensorField, check_cell_grid, tensor_field
 from .imex import Run, State
 from .micro import face_dirichlet_form
 from .scenarios import CoefficientSuite, Scenario
 from .unfolding import GammaQuadrature
 
+if TYPE_CHECKING:
+    from .cell_problem import EffectiveTensorField
 
-@dataclass
+
+@dataclass(frozen=True)
 class MacroConfig:
     """Run parameters for one homogenized solve."""
 
@@ -37,8 +39,6 @@ class MacroConfig:
     T: float = 0.5
     dt: Optional[float] = None          # default: dt = H
     n_gamma: int = 16
-    tensors: Optional[EffectiveTensorField] = None
-    N_c: int = 64                       # cell resolution if tensors not given
 
     def __post_init__(self):
         if not (0.0 < self.H <= 0.5):
@@ -48,7 +48,6 @@ class MacroConfig:
         imex.check_times(self.T, self.dt)
         if self.n_gamma < 4:
             raise ValueError("need at least 4 boundary quadrature points")
-        check_cell_grid(self.N_c)
 
     @property
     def suite(self) -> CoefficientSuite:
@@ -145,14 +144,11 @@ def _flux_stencil(H: float, ann: np.ndarray, ant: np.ndarray,
     """
     rows, cols, vals = [], [], []
 
-    def add(rfaces_col_coef):
-        for r, c, v in rfaces_col_coef:
-            rows.append(np.asarray(r).ravel())
-            cols.append(np.asarray(c).ravel())
-            vals.append(np.broadcast_to(v, np.asarray(r).shape).ravel())
-
     def face_term(ra, rb, col, coef):
-        add([(ra, col, coef / H), (rb, col, -coef / H)])
+        for r, v in ((ra, coef / H), (rb, -coef / H)):
+            rows.append(np.asarray(r).ravel())
+            cols.append(np.asarray(col).ravel())
+            vals.append(np.broadcast_to(v, np.asarray(r).shape).ravel())
 
     # normal part
     face_term(ids_a, ids_b, ids_b, ann / H)
@@ -182,22 +178,20 @@ def _flux_stencil(H: float, ann: np.ndarray, ant: np.ndarray,
     return rows, cols, vals
 
 
-def assemble_macro(config: MacroConfig) -> MacroOperator:
-    """Discrete operator bundle: diffusion stencil, θ, Γ quadrature."""
+def assemble_macro(config: MacroConfig,
+                   fld: EffectiveTensorField) -> MacroOperator:
+    """Discrete operator bundle: diffusion stencil, θ, Γ quadrature, on
+    the effective tensor field fld at the macro nodes, whose tensors must
+    be symmetric positive definite and porosities in (0, 1]."""
     scen = config.scenario
     n = config.n_cells
     H = config.H
     nodes = macro_nodes(config)
     P = len(nodes)
 
-    fld = config.tensors
-    if fld is None:
-        fld = tensor_field(nodes, config.suite.A, scen.transform, scen.cell,
-                           N_c=config.N_c)
-    else:
-        if fld.points.shape != nodes.shape \
-                or not np.allclose(fld.points, nodes, rtol=0.0, atol=1e-9):
-            raise ValueError("tensor field does not cover the macro nodes")
+    if fld.points.shape != nodes.shape \
+            or not np.allclose(fld.points, nodes, rtol=0.0, atol=1e-9):
+        raise ValueError("tensor field does not cover the macro nodes")
     if not fld.ok():
         bad = next(e for e in fld.errors if e is not None)
         raise ValueError(f"tensor field carries a failed solve: {bad}")
@@ -211,6 +205,9 @@ def assemble_macro(config: MacroConfig) -> MacroOperator:
         if np.linalg.eigvalsh(0.5 * (Ap + Ap.T)).min() <= 0.0:
             raise ValueError(
                 f"effective tensor at node {p} is not positive definite")
+        if not 0.0 < fld.theta[p] <= 1.0:
+            raise ValueError(f"porosity at node {p} must lie in (0, 1], "
+                             f"got {float(fld.theta[p])!r}")
 
     ids = np.arange(P).reshape(n, n)
     A11 = tensors[:, 0, 0].reshape(n, n)
@@ -276,16 +273,13 @@ def macro_energy(state: State, op: MacroOperator) -> float:
     return total
 
 
-def run_macro(config: MacroConfig, op: Optional[MacroOperator] = None,
+def run_macro(config: MacroConfig, op: MacroOperator,
               n_samples: int = 20, keep_fields: bool = False) -> Run:
     """Integrate to T, recording the same observable schema as run_micro.
 
-    A prebuilt operator must match config in the suite, H and n_gamma; T
-    and dt may differ.
+    The operator must match config in the suite, H and n_gamma; T and dt
+    may differ.
     """
-    if op is None:
-        op = assemble_macro(config)
-    else:
-        imex.check_prebuilt(config, op.config, ("H", "n_gamma"))
+    imex.check_prebuilt(config, op.config, ("H", "n_gamma"))
     return imex.integrate(config, op, imex.schedule(config, op, n_samples),
                           n_samples, keep_fields)

@@ -36,7 +36,7 @@ from .scenarios import CoefficientSuite, Scenario
 _SETUP_LOCK = threading.Lock()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MicroConfig:
     """Run parameters for one microscopic solve."""
 

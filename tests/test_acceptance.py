@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from lphom.cell_problem import effective_tensor, solve_cell
+from lphom.cell_problem import effective_tensor, solve_cell, tensor_field
 from lphom.geometry import (
     TransformField,
     UnitCellSpec,
@@ -24,7 +24,7 @@ from lphom.geometry import (
     rotation_matrix,
 )
 from lphom.harness import StudyConfig, convergence_study
-from lphom.macro import MacroConfig, assemble_macro, run_macro
+from lphom.macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 from lphom.micro import MicroConfig, run_micro
 from lphom.scenarios import get_scenario
 from lphom.unfolding import (
@@ -223,9 +223,10 @@ class TestSolverInvariants:
         # a constant scenario keeps every node identical: the coupled
         # system reduces to 3 variables with the surface-to-volume factor
         sc = get_scenario("periodic")
-        cfg = MacroConfig(sc, H=1 / 32, T=1.0, dt=5e-4, N_c=48)
-        op = assemble_macro(cfg)
-        run = run_macro(cfg, op=op)
+        cfg = MacroConfig(sc, H=1 / 32, T=1.0, dt=5e-4)
+        op = assemble_macro(cfg, tensor_field(macro_nodes(cfg), sc.suite.A,
+                                              sc.transform, sc.cell, N_c=48))
+        run = run_macro(cfg, op)
         s = cfg.suite
         sig = op.gamma_measure[0] / (op.theta[0] * op.cell_measure[0])
 

@@ -201,7 +201,7 @@ class TestDiskCell:
         # reflecting the cell about the mid-plane flips the first corrector
         sol = disk_solutions[128][0]
         w1 = sol.correctors[0]
-        N = sol.N_c
+        N = sol.geometry.N_c
         idx = (N - np.arange(N)) % N
         assert np.max(np.abs(w1[idx, :] + w1)) < 1e-9
 
@@ -326,9 +326,11 @@ class TestTensorField:
         assert np.array_equal(field.tensors[0], A_eff)
         assert field.theta[0] == theta
 
-    def test_one_solve_per_B_and_K(self, monkeypatch):
-        # every plywood2d macro node has B = R^T R = I (to roundoff, with
-        # off-diagonals of either sign) and the same K
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e5])
+    def test_one_solve_per_B_and_K(self, scale, monkeypatch):
+        # every plywood2d macro node has B = A R^T R = A I (to roundoff,
+        # with off-diagonals of either sign) and the same K, whatever the
+        # magnitude of A
         scen = get_scenario("plywood2d")
         nodes = macro_nodes(MacroConfig(scen, H=1 / 32))
         calls = []
@@ -339,8 +341,8 @@ class TestTensorField:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cell_problem, "solve_cell", counting)
-        field = tensor_field(nodes, scen.suite.A, scen.transform, scen.cell,
-                             N_c=32)
+        field = tensor_field(nodes, scale * scen.suite.A, scen.transform,
+                             scen.cell, N_c=32)
         assert field.ok()
         assert len(np.unique(nodes[:, 1])) == 32
         assert len(calls) == 1
@@ -371,6 +373,22 @@ class TestTensorField:
         rel = np.max(np.abs(reused - direct)) / np.max(np.abs(direct))
         assert rel <= 1e-12
         assert reused[0, 1] == reused[1, 0]
+
+    def test_small_diffusivity_keeps_distinct_points_apart(self):
+        # at A = 1e-13 every entry of B rounds to 0 at 12 decimal places;
+        # the key rounds relative to B's largest entry, so two epithelial
+        # points with different B each get their own solve
+        scen = get_scenario("epithelial")
+        A = 1e-13
+        pts = np.array([[0.5, 0.1], [0.5, 0.9]])
+        field = tensor_field(pts, A, scen.transform, scen.cell, N_c=32)
+        assert field.ok()
+        for k, x in enumerate(pts):
+            sol = solve_cell(x, A, scen.transform, scen.cell, N_c=32)
+            direct = effective_tensor(scen.transform.D_at(x),
+                                      sol.unit_tensor)
+            assert np.array_equal(field.tensors[k], direct)
+        assert field.tensors[0, 1, 1] != field.tensors[1, 1, 1]
 
     def test_coarse_grid_rejected_before_any_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):

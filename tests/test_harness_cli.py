@@ -25,14 +25,14 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from lphom import cell_problem, cli, harness, macro, micro
-from lphom.cell_problem import tensor_field
+from lphom.cell_problem import EffectiveTensorField, tensor_field
 from lphom.cli import UsageError, load_config_file, main
 from lphom.harness import (
     StudyConfig,
     _sample_bilinear,
     convergence_study,
 )
-from lphom.macro import MacroConfig
+from lphom.macro import MacroConfig, macro_nodes
 from lphom.scenarios import CoefficientSuite, get_scenario
 
 
@@ -47,6 +47,19 @@ def read_csv(path):
             rows.append([float(tok) for tok in line.split(",")
                          if tok not in ("true", "false")])
     return rows
+
+
+def write_tensor_file(path, H, theta=1.0):
+    """A tensor CSV as the cell command writes it: the identity tensor and
+    the porosity theta at every macro node of spacing H."""
+    nodes = macro_nodes(MacroConfig(get_scenario("periodic"), H=H))
+    P = len(nodes)
+    fld = EffectiveTensorField(points=nodes,
+                               tensors=np.tile(np.eye(2), (P, 1, 1)),
+                               theta=np.full(P, theta),
+                               residual=np.zeros(P), N_c=32,
+                               errors=[None] * P)
+    path.write_text("\n".join(cli._tensor_csv_lines({}, fld)) + "\n")
 
 
 class TestNumberParsing:
@@ -231,6 +244,43 @@ class TestExitCodes:
         assert ("error: cell grid too coarse, need N_c >= 32"
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
+
+    def test_coarse_cell_grid_with_a_tensor_file_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # the file brings the tensors, yet a coarse Nc is still rejected
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(macro, "assemble_macro", no_solve)
+        monkeypatch.setattr(macro, "run_macro", no_solve)
+        path = tmp_path / "tensors.csv"
+        write_tensor_file(path, 1 / 8)
+        out = tmp_path / "out"
+        code = main(["macro", "--scenario", "periodic", "--H", "1/8",
+                     "--Nc", "16", "--tensors", str(path),
+                     "--outdir", str(out)])
+        assert code == 2
+        assert ("error: cell grid too coarse, need N_c >= 32"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, math.nan, 1.5])
+    def test_porosity_outside_0_1_exits_2_before_any_solve(
+            self, theta, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(macro.MacroOperator, "factor", no_solve)
+        path = tmp_path / "tensors.csv"
+        write_tensor_file(path, 1 / 8, theta=theta)
+        out = tmp_path / "out"
+        code = main(["macro", "--scenario", "periodic", "--H", "1/8",
+                     "--T", "0.05", "--tensors", str(path),
+                     "--outdir", str(out)])
+        assert code == 2
+        assert (f"error: porosity at node 0 must lie in (0, 1], "
+                f"got {theta!r}") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", ["df", "db"])
     @pytest.mark.parametrize("argv", [
@@ -849,7 +899,6 @@ KEY_CASES = [
     ("macro", "T", "--T", "0.2", "0.3", "T", 0.2, 0.3),
     ("macro", "dt_rule", "--dt", "0.01", "0.02", "dt", 0.01, 0.02),
     ("macro", "nGamma", "--n-gamma", "8", "12", "n_gamma", 8, 12),
-    ("macro", "Nc", "--Nc", "32", "96", "N_c", 32, 96),
     ("converge", "scenario", "--scenario", "epithelial", "plywood2d",
      "scenario.name", "epithelial", "plywood2d"),
     ("converge", "a", "--a", "0.2", "0.3", "scenario.cell.a", 0.2, 0.3),
@@ -881,6 +930,9 @@ class TestKeysReachTheConfig:
             raise RuntimeError("stopped before the solve")
 
         monkeypatch.setattr(micro, "run_micro", stop)
+        monkeypatch.setattr(cell_problem, "tensor_field",
+                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(macro, "assemble_macro", lambda *args: None)
         monkeypatch.setattr(macro, "run_macro", stop)
         monkeypatch.setattr(harness, "convergence_study", stop)
         if text is not None:
@@ -909,6 +961,31 @@ class TestKeysReachTheConfig:
         assert read([], f"{key} = {file_value}\n") == from_file
         assert read([flag, flag_value], f"{key} = {file_value}\n") \
             == from_flag
+
+    @pytest.mark.parametrize("argv,text,N_c", [
+        (["--Nc", "32"], None, 32), ([], "Nc = 32\n", 32),
+        (["--Nc", "96"], "Nc = 32\n", 96), ([], None, 64)],
+        ids=["flag", "file", "flag-wins", "default"])
+    def test_macro_nc_reaches_the_tensor_field(self, argv, text, N_c,
+                                               tmp_path, monkeypatch):
+        # Nc is no field of MacroConfig: it sets the cell grid of the
+        # tensor field the macro command computes, 64 unless given
+        seen = []
+
+        def stop(*args, N_c):
+            seen.append(N_c)
+            raise RuntimeError("stopped before the solve")
+
+        monkeypatch.setattr(cell_problem, "tensor_field", stop)
+        if text is not None:
+            path = tmp_path / "c.cfg"
+            path.write_text(text)
+            argv = [*argv, "--config", str(path)]
+        out = tmp_path / "out"
+        assert main(["macro", "--scenario", "periodic", *argv,
+                     "--outdir", str(out)]) == 1
+        assert not out.exists()
+        assert seen == [N_c]
 
     @pytest.mark.parametrize("command", ["micro", "macro", "converge"])
     def test_coefficient_keys_reach_the_suite(self, command, tmp_path,
@@ -1213,7 +1290,8 @@ class TestStudyConfigValidation:
         with pytest.raises(ValueError, match="N_c >= 32"):
             StudyConfig(scenario=sc, N_c=16)
         with pytest.raises(ValueError, match="N_c >= 32"):
-            MacroConfig(sc, H=1 / 8, N_c=16)
+            tensor_field(macro_nodes(MacroConfig(sc, H=1 / 8)), sc.suite.A,
+                         sc.transform, sc.cell, N_c=16)
         StudyConfig(scenario=sc, N_c=32)
 
     def test_bad_sample_count(self):

@@ -128,6 +128,14 @@ class TestImportBoundary:
         assert (tmp_path / "check_unfold.csv").exists()
         assert (tmp_path / "geom.csv").exists()
 
+    def test_macro_does_not_load_the_cell_problem(self):
+        # the macro model takes the tensor field as its input
+        out = run_python(
+            "import json, sys\n"
+            "import lphom.macro\n"
+            "print(json.dumps('lphom.cell_problem' in sys.modules))\n")
+        assert out is False
+
 
 class TestGeometryArguments:
     """The partition carries the frozen D_n, K_n, and the Γ quadrature

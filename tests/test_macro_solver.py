@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
-from lphom.cell_problem import EffectiveTensorField
+from lphom.cell_problem import EffectiveTensorField, tensor_field
 from lphom.geometry import build_partition
 from lphom.imex import State
 from lphom.macro import (
@@ -39,6 +39,15 @@ def constant_field(nodes, A, theta=1.0):
                                 theta=np.full(P, float(theta)),
                                 residual=np.zeros(P), N_c=0,
                                 errors=[None] * P)
+
+
+def assembled(cfg, N_c=64):
+    """The operator of cfg on the tensor field of its scenario's cell
+    problems at N_c."""
+    sc = cfg.scenario
+    fld = tensor_field(macro_nodes(cfg), cfg.suite.A, sc.transform, sc.cell,
+                       N_c=N_c)
+    return assemble_macro(cfg, fld)
 
 
 class TestConfig:
@@ -64,9 +73,10 @@ class TestConfig:
 
     def test_reaction_budget(self):
         cfg = MacroConfig(scenario=get_scenario("periodic"), H=1 / 8,
-                          T=0.5, dt=0.2, N_c=32)
+                          T=0.5, dt=0.2)
+        op = assembled(cfg, N_c=32)
         with pytest.raises(ValueError):
-            run_macro(cfg)
+            run_macro(cfg, op)
 
 
 class TestAssemble:
@@ -75,7 +85,7 @@ class TestAssemble:
         # stencil is exactly the standard 5-point Laplacian
         scen = get_scenario("periodic", a=0.0)
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0)
-        op = assemble_macro(cfg)
+        op = assembled(cfg)
         n, H = op.n, op.H
         P = n * n
         ids = np.arange(P).reshape(n, n)
@@ -103,8 +113,7 @@ class TestAssemble:
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0)
         nodes = macro_nodes(cfg)
         fld = constant_field(nodes, [[2.0, 0.3], [0.3, 1.0]])
-        op = assemble_macro(MacroConfig(scenario=scen, H=1 / 16, T=0.0,
-                                        tensors=fld))
+        op = assemble_macro(cfg, fld)
         one = np.ones(len(nodes))
         assert abs(op.L @ one).max() < 1e-10
         assert abs(op.L.T @ one).max() < 1e-10
@@ -128,8 +137,7 @@ class TestAssemble:
                                    theta=np.ones(len(nodes)),
                                    residual=np.zeros(len(nodes)), N_c=0,
                                    errors=[None] * len(nodes))
-        op = assemble_macro(MacroConfig(scenario=scen, H=H, T=0.0,
-                                        tensors=fld))
+        op = assemble_macro(cfg, fld)
         got = (op.L @ nodes[:, 0]).reshape(op.n, op.n)
 
         def div_col(x):
@@ -149,8 +157,7 @@ class TestAssemble:
         other = macro_nodes(MacroConfig(scenario=scen, H=1 / 4, T=0.0))
         fld = constant_field(other, np.eye(2))
         with pytest.raises(ValueError, match="cover"):
-            assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0,
-                                       tensors=fld))
+            assemble_macro(cfg, fld)
 
     def test_non_spd_tensor_rejected(self):
         scen = get_scenario("periodic", a=0.0)
@@ -158,18 +165,15 @@ class TestAssemble:
         nodes = macro_nodes(cfg)
         fld = constant_field(nodes, [[1.0, 0.0], [0.0, -2.0]])
         with pytest.raises(ValueError, match="positive definite"):
-            assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0,
-                                       tensors=fld))
+            assemble_macro(cfg, fld)
         fld2 = constant_field(nodes, [[1.0, 0.5], [-0.5, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0,
-                                       tensors=fld2))
+            assemble_macro(cfg, fld2)
 
     def test_circle_quadrature_measure_exact(self):
         # equal-speed parametrization: the trapezoid sum is exactly 2*pi*a
         scen = get_scenario("periodic")
-        op = assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0,
-                                        N_c=32))
+        op = assembled(MacroConfig(scenario=scen, H=1 / 8, T=0.0), N_c=32)
         assert op.gamma_measure == pytest.approx(2 * math.pi * scen.cell.a,
                                                  abs=1e-12)
 
@@ -177,8 +181,7 @@ class TestAssemble:
         # 16 quadrature points already reproduce the ellipse perimeter to
         # far better than the discretization scales
         scen = get_scenario("epithelial")
-        op = assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0,
-                                        N_c=32))
+        op = assembled(MacroConfig(scenario=scen, H=1 / 8, T=0.0), N_c=32)
         a = scen.cell.a
         for p, x in enumerate(op.nodes):
             kappa = scen.transform.D_at(x)[1, 1]
@@ -188,7 +191,7 @@ class TestAssemble:
 
     def test_unperforated_has_no_quadrature(self):
         scen = get_scenario("periodic", a=0.0)
-        op = assemble_macro(MacroConfig(scenario=scen, H=1 / 8, T=0.0))
+        op = assembled(MacroConfig(scenario=scen, H=1 / 8, T=0.0))
         assert op.gamma_w.shape == (64, 0)
         assert (op.theta == 1.0).all()
 
@@ -201,8 +204,7 @@ class TestAssemble:
         # D, K there: the macro Γ weights are the unfolding's, bit for bit
         scen = get_scenario(name)
         cfg = MacroConfig(scenario=scen, H=1 / 4, T=0.0, n_gamma=n_gamma)
-        cfg.tensors = constant_field(macro_nodes(cfg), np.eye(2))
-        op = assemble_macro(cfg)
+        op = assemble_macro(cfg, constant_field(macro_nodes(cfg), np.eye(2)))
         part = build_partition(((0.0, 0.0), (1.0, 1.0)), 1 / 16, 0.5,
                                scen.transform)
         bu = unfold_boundary(lambda X: np.ones(len(X)), part,
@@ -219,8 +221,8 @@ class TestStep:
         scen = get_scenario("periodic")
         suite = replace(scen.suite, l0=0.0, rf0=0.0, rb0=0.0)
         cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 16,
-                          T=0.2, N_c=32)
-        run = run_macro(cfg)
+                          T=0.2)
+        run = run_macro(cfg, assembled(cfg, N_c=32))
         assert np.abs(run.final_state.l).max() == 0.0
         assert np.abs(run.final_state.r_f).max() == 0.0
         assert np.abs(run.final_state.r_b).max() == 0.0
@@ -231,9 +233,9 @@ class TestStep:
         # boundary measure, so l stays uniform and the full coupled system
         # reduces to three variables
         scen = get_scenario("periodic")
-        cfg = MacroConfig(scenario=scen, H=1 / 32, T=1.0, dt=5e-4, N_c=48)
-        op = assemble_macro(cfg)
-        run = run_macro(cfg, op=op)
+        cfg = MacroConfig(scenario=scen, H=1 / 32, T=1.0, dt=5e-4)
+        op = assembled(cfg, N_c=48)
+        run = run_macro(cfg, op)
         l = run.final_state.l
         assert l.max() - l.min() < 1e-12
         s = cfg.suite
@@ -261,8 +263,8 @@ class TestStep:
         for dt in (2e-3, 1e-3):
             suite = replace(scen.suite, alpha=0.0, rb0=0.8)
             cfg = MacroConfig(scenario=replace(scen, suite=suite),
-                              H=1 / 32, T=0.5, dt=dt, N_c=48)
-            run = run_macro(cfg)
+                              H=1 / 32, T=0.5, dt=dt)
+            run = run_macro(cfg, assembled(cfg, N_c=48))
             exact = 0.8 * math.exp(-(suite.beta + suite.db) * 0.5)
             errs.append(abs(run.final_state.r_b[0, 0] - exact))
         assert errs[1] < 5e-4
@@ -272,15 +274,15 @@ class TestStep:
         # quadrature points of one node share coefficients and the nodal
         # ligand value, so their receptor trajectories stay identical
         scen = get_scenario("epithelial")
-        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.2, dt=2e-3, N_c=32)
-        run = run_macro(cfg)
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.2, dt=2e-3)
+        run = run_macro(cfg, assembled(cfg, N_c=32))
         assert np.ptp(run.final_state.r_f, axis=1).max() == 0.0
         assert np.ptp(run.final_state.r_b, axis=1).max() == 0.0
 
     def test_nan_abort_names_field(self):
         scen = get_scenario("periodic")
-        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1, N_c=32)
-        op = assemble_macro(cfg)
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1)
+        op = assembled(cfg, N_c=32)
         lu = op.factor(1e-3)
         st = op.initial_state()
         st.l[3, 3] = np.nan
@@ -293,8 +295,8 @@ class TestStep:
         scen = get_scenario("periodic")
         suite = replace(scen.suite, mu1=0.0, dl=0.0, alpha=0.0, beta=0.0)
         cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 32,
-                          T=0.5, N_c=48)
-        op = assemble_macro(cfg)
+                          T=0.5)
+        op = assembled(cfg, N_c=48)
         st = op.initial_state()
         X = op.nodes[:, 0].reshape(op.n, op.n)
         Y = op.nodes[:, 1].reshape(op.n, op.n)
@@ -310,8 +312,8 @@ class TestStep:
         scen = get_scenario("periodic")
         suite = replace(scen.suite, mu1=0.0, dl=0.0, alpha=0.0, beta=0.0)
         cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 32,
-                          T=0.3, N_c=48)
-        op = assemble_macro(cfg)
+                          T=0.3)
+        op = assembled(cfg, N_c=48)
         st = op.initial_state()
         X = op.nodes[:, 0].reshape(op.n, op.n)
         Y = op.nodes[:, 1].reshape(op.n, op.n)
@@ -334,8 +336,8 @@ class TestRun:
         mic = run_micro(MicroConfig(scenario=scen, eps=1 / 8,
                                     cells_per_eps=16, T=0.25, dt=2.5e-3),
                         n_samples=5)
-        mac = run_macro(MacroConfig(scenario=scen, H=1 / 128, T=0.25,
-                                    dt=2.5e-3), n_samples=5)
+        cfg = MacroConfig(scenario=scen, H=1 / 128, T=0.25, dt=2.5e-3)
+        mac = run_macro(cfg, assembled(cfg), n_samples=5)
         assert abs(mic.final_state.l - mac.final_state.l).max() < 1e-12
         for key in ("l2_norm", "min_l", "max_l", "energy", "rf_mass",
                     "rb_mass"):
@@ -344,7 +346,8 @@ class TestRun:
 
     def test_positivity_and_barrier_default(self):
         scen = get_scenario("periodic")
-        run = run_macro(MacroConfig(scenario=scen, H=1 / 32, T=0.5, N_c=48))
+        cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.5)
+        run = run_macro(cfg, assembled(cfg, N_c=48))
         o = run.observables
         assert o["min_l"].min() >= -1e-12
         M, B = run.barrier_M, run.barrier_B
@@ -359,18 +362,17 @@ class TestRun:
             get_scenario("periodic").suite, beta=0.5)))])
     def test_mismatched_operator_is_rejected(self, change):
         # T and dt may differ from the operator's config, nothing else may
-        base = dict(scenario=get_scenario("periodic"), H=1 / 8, T=0.05,
-                    N_c=32)
-        op = assemble_macro(MacroConfig(**base))
+        base = dict(scenario=get_scenario("periodic"), H=1 / 8, T=0.05)
+        op = assembled(MacroConfig(**base), N_c=32)
         (key,) = change
         key = {"scenario": "suite"}.get(key, key)   # the scenario's suite
         with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
-            run_macro(MacroConfig(**{**base, **change}, dt=1e-3), op=op)
+            run_macro(MacroConfig(**{**base, **change}, dt=1e-3), op)
 
     def test_observable_schema(self):
         scen = get_scenario("periodic")
-        run = run_macro(MacroConfig(scenario=scen, H=1 / 16, T=0.1, N_c=32),
-                        n_samples=4)
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1)
+        run = run_macro(cfg, assembled(cfg, N_c=32), n_samples=4)
         o = run.observables
         assert set(o) == {"t", "l2_norm", "min_l", "max_l", "energy",
                           "rf_mass", "rb_mass"}
@@ -379,19 +381,18 @@ class TestRun:
 
     def test_t_zero_single_row(self):
         scen = get_scenario("periodic")
-        run = run_macro(MacroConfig(scenario=scen, H=1 / 16, T=0.0, N_c=32))
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0)
+        run = run_macro(cfg, assembled(cfg, N_c=32))
         assert len(run.observables["t"]) == 1
         assert run.ok()
 
     def test_step_halving_first_order(self):
         scen = get_scenario("periodic")
-        cfg0 = MacroConfig(scenario=scen, H=1 / 32, T=0.25, N_c=48)
-        op = assemble_macro(cfg0)
+        op = assembled(MacroConfig(scenario=scen, H=1 / 32, T=0.25), N_c=48)
         vals = []
         for dt in (2.5e-3, 1.25e-3, 6.25e-4):
-            cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.25, dt=dt,
-                              N_c=48)
-            run = run_macro(cfg, op=op, n_samples=5)
+            cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.25, dt=dt)
+            run = run_macro(cfg, op, n_samples=5)
             vals.append(run.observables["l2_norm"][-1])
         d1 = abs(vals[0] - vals[1])
         d2 = abs(vals[1] - vals[2])
@@ -400,13 +401,13 @@ class TestRun:
     def test_epithelial_tensor_integration(self):
         # anisotropic tensors from real cell solves, deduplicated by rows
         scen = get_scenario("epithelial")
-        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.2, dt=2e-3, N_c=32)
-        op = assemble_macro(cfg)
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.2, dt=2e-3)
+        op = assembled(cfg, N_c=32)
         d = np.array([np.diag(t) for t in op.tensors])
         assert (op.tensors[:, 0, 1] == 0.0).all() or \
             abs(op.tensors[:, 0, 1]).max() < 1e-10
         assert (d > 0.0).all() and (d < 1.0).all()
-        run = run_macro(cfg, op=op)
+        run = run_macro(cfg, op)
         assert run.ok()
         assert np.isfinite(run.observables["energy"]).all()
 
@@ -414,8 +415,8 @@ class TestRun:
 class TestEnergy:
     def test_constant_zero(self):
         scen = get_scenario("periodic")
-        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0, N_c=32)
-        op = assemble_macro(cfg)
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0)
+        op = assembled(cfg, N_c=32)
         st = op.initial_state()
         assert macro_energy(st, op) == 0.0
 
@@ -427,8 +428,7 @@ class TestEnergy:
         nodes = macro_nodes(cfg)
         A = np.array([[2.0, 0.3], [0.3, 1.0]])
         fld = constant_field(nodes, A)
-        op = assemble_macro(MacroConfig(scenario=scen, H=1 / 16, T=0.0,
-                                        tensors=fld))
+        op = assemble_macro(cfg, fld)
         l = (nodes[:, 0] + nodes[:, 1]).reshape(op.n, op.n)
         st = State(t=0.0, l=l, r_f=np.zeros((len(nodes), 0)),
                    r_b=np.zeros((len(nodes), 0)))

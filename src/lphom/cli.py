@@ -430,6 +430,9 @@ def _cmd_macro(vals: dict, args) -> int:
     if fld is None:
         fld = tensor_field(macro_nodes(cfg), sc.suite.A, sc.transform,
                            sc.cell, N_c=N_c)
+    else:
+        # the headers state the tensor file's N_c, not the flag's
+        vals = {**vals, "Nc": fld.N_c}
     run = run_macro(cfg, assemble_macro(cfg, fld), n_samples=20)
     return _write_run(vals, "macro", ("scenario", "a", "H", "T", "dt_rule",
                                       "nGamma", "Nc"),

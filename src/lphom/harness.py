@@ -135,26 +135,35 @@ class ConvergenceReport:
     micro_runs: dict = field(default_factory=dict)
 
 
-def _sample_bilinear(values: np.ndarray, H: float, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of a cell-centered field at arbitrary points.
+def _bilinear_plan(n: int, H: float, pts: np.ndarray):
+    """Corners and weights of bilinear interpolation at pts, for an n x n
+    cell-centered field of spacing H: (flat index of the lower corner,
+    (w00, w10, w01, w11)), or None when n == 1 and the one value is the
+    field everywhere.
 
     Outside the center lattice the fractional coordinate is clamped, a
     constant extension consistent with the zero-flux walls.
     """
-    n = values.shape[0]
-    u = pts / H - 0.5
-    i0 = np.clip(np.floor(u[:, 0]).astype(int), 0, max(n - 2, 0))
-    j0 = np.clip(np.floor(u[:, 1]).astype(int), 0, max(n - 2, 0))
     if n == 1:
-        return np.full(len(pts), values[0, 0])
+        return None
+    u = pts / H - 0.5
+    i0 = np.clip(np.floor(u[:, 0]).astype(int), 0, n - 2)
+    j0 = np.clip(np.floor(u[:, 1]).astype(int), 0, n - 2)
     fx = np.clip(u[:, 0] - i0, 0.0, 1.0)
     fy = np.clip(u[:, 1] - j0, 0.0, 1.0)
-    f00 = values[i0, j0]
-    f10 = values[i0 + 1, j0]
-    f01 = values[i0, j0 + 1]
-    f11 = values[i0 + 1, j0 + 1]
-    return ((1 - fx) * (1 - fy) * f00 + fx * (1 - fy) * f10
-            + (1 - fx) * fy * f01 + fx * fy * f11)
+    return i0 * n + j0, ((1 - fx) * (1 - fy), fx * (1 - fy),
+                         (1 - fx) * fy, fx * fy)
+
+
+def _sample_bilinear(values: np.ndarray, plan, n_pts: int) -> np.ndarray:
+    """The (n, n) cell-centered field values at the points of a
+    _bilinear_plan."""
+    if plan is None:
+        return np.full(n_pts, values[0, 0])
+    k, (w00, w10, w01, w11) = plan
+    n, v = values.shape[0], values.ravel()
+    return (w00 * v[k] + w10 * v[k + n]
+            + w01 * v[k + 1] + w11 * v[k + n + 1])
 
 
 def _time_integral(vals, ts) -> float:
@@ -190,16 +199,17 @@ def _compare(mic: Run, mac: Run) -> EpsilonResult:
     if not np.allclose(ts, mac.observables["t"], rtol=0.0, atol=1e-12):
         raise RuntimeError("micro and macro sample times diverged")
 
+    # the micro fields hold the fluid cells in row-major order, as nonzero
+    # lists them
     grid = mic.model
     ii, jj = np.nonzero(grid.mask)
     pts = np.column_stack(((ii + 0.5) * grid.h, (jj + 0.5) * grid.h))
     h2 = grid.h ** 2
-    H = mac.config.H
+    plan = _bilinear_plan(mac.model.n, mac.config.H, pts)
 
     num, den = [], []
-    for lm_field, le_field in zip(mac.fields, mic.fields):
-        lm = _sample_bilinear(lm_field, H, pts)
-        le = le_field[grid.mask]
+    for lm_field, le in zip(mac.fields, mic.fields):
+        lm = _sample_bilinear(lm_field, plan, len(pts))
         num.append(float(np.sum((le - lm) ** 2)) * h2)
         den.append(float(np.sum(lm ** 2)) * h2)
     den_int = _time_integral(den, ts)
@@ -232,15 +242,17 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
     With max_workers >= 2 the runs go in two lanes. Lane A, a worker
     thread, runs the finest micro run, the longest. Lane B, the calling
     thread, waits until that run's grid build and factorization have
-    returned or raised, then runs the macro job (tensor field, assembly,
-    run) and the coarser micro runs one at a time, finest first. So
-    nothing else runs during the finest set-up, whose factorization is the
-    study's largest, and at most two runs are in progress at once: a third
-    would raise the memory peak and slow the finest run's SuperLU solves,
-    which share the process with it. A failed macro job stops the finest
-    run at its next step, as no row can be compared without the macro run.
-    max_workers=1 runs the macro job and then the micro runs finest first,
-    on the calling thread. The rows do not depend on the schedule.
+    returned or raised, then runs the coarser micro runs one at a time,
+    finest first, and then the macro job (tensor field, assembly, run):
+    its largest set-up comes before any job has left heap behind under
+    the finest factor. So nothing else runs during the finest set-up, whose
+    factorization is the study's largest, and at most two runs are in
+    progress at once: a third would raise the memory peak and slow the
+    finest run's SuperLU solves, which share the process with it. A failed
+    macro job stops the finest run at its next step, as no row can be
+    compared without the macro run. max_workers=1 runs the macro job, so
+    that its failure ends the study first, and then the micro runs finest
+    first, on the calling thread. The rows do not depend on the schedule.
     """
     sc = study.scenario
     finest, *coarser = reversed(study.eps_list)
@@ -264,16 +276,12 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
         except Exception as exc:                    # noqa: BLE001
             return None, str(exc)
 
-    def macro_then(order) -> tuple:
-        # the macro job, then the micro runs in order; after a failed macro
-        # job no row can be compared, so they are skipped
-        macro = attempt(macro_job)
-        if macro[1] is not None:
-            return macro, {}
-        return macro, {eps: attempt(micro_job, eps) for eps in order}
-
     if max_workers <= 1:
-        (mac_run, macro_error), outcomes = macro_then([finest, *coarser])
+        # after a failed macro job no row can be compared, so the micro
+        # runs are skipped
+        mac_run, macro_error = attempt(macro_job)
+        outcomes = {} if macro_error is not None else {
+            eps: attempt(micro_job, eps) for eps in (finest, *coarser)}
     else:
         set_up, stop = threading.Event(), threading.Event()
 
@@ -286,7 +294,9 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
         with ThreadPoolExecutor(max_workers=1) as pool:
             finest_future = pool.submit(lane_a)
             set_up.wait()
-            (mac_run, macro_error), outcomes = macro_then(coarser)  # lane B
+            # lane B
+            outcomes = {eps: attempt(micro_job, eps) for eps in coarser}
+            mac_run, macro_error = attempt(macro_job)
             if macro_error is not None:
                 stop.set()
             outcomes[finest] = finest_future.result()

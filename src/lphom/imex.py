@@ -45,7 +45,8 @@ class Run:
     barrier_B: float
     ledger_max: float = 0.0     # largest relative mass-ledger residual
     failures: list = field(default_factory=list)
-    fields: Optional[list] = None       # ligand snapshots at sample times
+    fields: Optional[list] = None       # fluid ligand values at sample
+                                        # times, as observe returns them
 
     def ok(self) -> bool:
         return not self.failures
@@ -128,9 +129,10 @@ def integrate(config, model, plan, n_samples: int = 20,
               stop: Optional[threading.Event] = None) -> Run:
     """Step a scheduled model to T, recording at every window's end.
 
-    With keep_fields, a copy of the ligand field is stored at every sample
-    time (run.fields). Once stop, if given, is set, the next step raises a
-    RuntimeError instead.
+    With keep_fields, the fluid ligand values that model.observe returns
+    are kept at every sample time (run.fields); observe must return an
+    array that no later step writes. Once stop, if given, is set, the next
+    step raises a RuntimeError instead.
     """
     n_sub, dt, lu = plan
     state = model.initial_state()
@@ -142,9 +144,9 @@ def integrate(config, model, plan, n_samples: int = 20,
     snapshots: Optional[list] = [] if keep_fields else None
 
     def record(st: State):
-        if snapshots is not None:
-            snapshots.append(st.l.copy())
         lf, energy, rf_mass, rb_mass = model.observe(st)
+        if snapshots is not None:
+            snapshots.append(lf)
         mn, mx = float(lf.min()), float(lf.max())
         rows.append((st.t, math.sqrt(float(np.sum(lf**2)) * area), mn, mx,
                      energy, rf_mass, rb_mass))

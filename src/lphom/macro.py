@@ -196,18 +196,28 @@ def assemble_macro(config: MacroConfig,
         bad = next(e for e in fld.errors if e is not None)
         raise ValueError(f"tensor field carries a failed solve: {bad}")
 
+    # every node's checks in one pass; the first failing node reports its
+    # first failing check. Only symmetric tensors reach eigvalsh, so NaN
+    # entries read as not symmetric; fmax keeps a NaN out of the tolerance
     tensors = fld.tensors
-    for p in range(P):
-        Ap = tensors[p]
-        if not np.allclose(Ap, Ap.T, rtol=0.0,
-                           atol=1e-8 * max(1.0, abs(Ap).max())):
+    tensors_t = tensors.transpose(0, 2, 1)
+    atol = 1e-8 * np.fmax(1.0, np.abs(tensors).max(axis=(1, 2)))
+    symmetric = np.isclose(tensors, tensors_t, rtol=0.0,
+                           atol=atol[:, None, None]).all(axis=(1, 2))
+    definite = symmetric.copy()
+    definite[symmetric] = ~(np.linalg.eigvalsh(
+        0.5 * (tensors + tensors_t)[symmetric]).min(axis=1) <= 0.0)
+    porous = (0.0 < fld.theta) & (fld.theta <= 1.0)
+    bad = np.flatnonzero(~(definite & porous))
+    if bad.size:
+        p = int(bad[0])
+        if not symmetric[p]:
             raise ValueError(f"effective tensor at node {p} is not symmetric")
-        if np.linalg.eigvalsh(0.5 * (Ap + Ap.T)).min() <= 0.0:
+        if not definite[p]:
             raise ValueError(
                 f"effective tensor at node {p} is not positive definite")
-        if not 0.0 < fld.theta[p] <= 1.0:
-            raise ValueError(f"porosity at node {p} must lie in (0, 1], "
-                             f"got {float(fld.theta[p])!r}")
+        raise ValueError(f"porosity at node {p} must lie in (0, 1], "
+                         f"got {float(fld.theta[p])!r}")
 
     ids = np.arange(P).reshape(n, n)
     A11 = tensors[:, 0, 0].reshape(n, n)

@@ -29,6 +29,7 @@ from lphom.cell_problem import EffectiveTensorField, tensor_field
 from lphom.cli import UsageError, load_config_file, main
 from lphom.harness import (
     StudyConfig,
+    _bilinear_plan,
     _sample_bilinear,
     convergence_study,
 )
@@ -776,6 +777,21 @@ class TestCellCommand:
         assert (tmp_path / "macro_series.csv").exists()
         assert (tmp_path / "macro_field.csv").exists()
 
+    def test_headers_state_the_tensor_files_Nc(self, tmp_path):
+        # the tensors come from the file, so its N_c, not the flag's, is
+        # the field's
+        assert main(["cell", "--scenario", "periodic", "--Nc", "32",
+                     "--outdir", str(tmp_path)]) == 0
+        code = main(["macro", "--scenario", "periodic", "--H", "1/8",
+                     "--T", "0.05", "--Nc", "96", "--tensors",
+                     str(tmp_path / "cell_tensors.csv"),
+                     "--outdir", str(tmp_path)])
+        assert code == 0
+        for kind in ("series", "field"):
+            text = (tmp_path / f"macro_{kind}.csv").read_text()
+            header = [ln for ln in text.splitlines() if ln.startswith("#")]
+            assert "# Nc=32" in header and "# Nc=96" not in header
+
     def test_mismatched_tensor_nodes_are_rejected(self, tmp_path, capsys):
         assert main(["cell", "--scenario", "periodic", "--Nc", "32",
                      "--points", "0.5,0.5", "--outdir", str(tmp_path)]) == 0
@@ -1119,6 +1135,27 @@ class TestScheduler:
             == [row_bits(r) for r in serial.rows]
 
     @pytest.mark.parametrize("workers", [2, 3])
+    def test_lane_b_runs_the_coarser_micro_runs_before_the_macro_job(
+            self, study, workers, monkeypatch):
+        # lane B's largest set-up, the next-finest run, comes first, so no
+        # other job's leftover heap sits under its peak
+        calls = []
+        real_field, real_micro = harness.tensor_field, harness.run_micro
+
+        def field(*args, **kwargs):
+            calls.append("tensor_field")
+            return real_field(*args, **kwargs)
+
+        def micro(cfg, *args, **kwargs):
+            calls.append(cfg.eps)
+            return real_micro(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "tensor_field", field)
+        monkeypatch.setattr(harness, "run_micro", micro)
+        convergence_study(study, max_workers=workers)
+        assert calls == [1 / 16, 1 / 8, 1 / 4, "tensor_field"]
+
+    @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("target", ["build_micro_grid", "run_micro"])
     def test_failed_finest_set_up_releases_the_other_lane(
             self, study, serial, workers, target, monkeypatch):
@@ -1309,6 +1346,30 @@ class TestStudyConfigValidation:
         assert s2.macro_dt() == 0.01
 
 
+def sample_per_point(values, H, pts):
+    """Bilinear sampling as _compare formed it at every sample before the
+    plan: corners and weights from the points, then the field."""
+    n = values.shape[0]
+    u = pts / H - 0.5
+    i0 = np.clip(np.floor(u[:, 0]).astype(int), 0, max(n - 2, 0))
+    j0 = np.clip(np.floor(u[:, 1]).astype(int), 0, max(n - 2, 0))
+    if n == 1:
+        return np.full(len(pts), values[0, 0])
+    fx = np.clip(u[:, 0] - i0, 0.0, 1.0)
+    fy = np.clip(u[:, 1] - j0, 0.0, 1.0)
+    f00 = values[i0, j0]
+    f10 = values[i0 + 1, j0]
+    f01 = values[i0, j0 + 1]
+    f11 = values[i0 + 1, j0 + 1]
+    return ((1 - fx) * (1 - fy) * f00 + fx * (1 - fy) * f10
+            + (1 - fx) * fy * f01 + fx * fy * f11)
+
+
+def sample(values, H, pts):
+    return _sample_bilinear(values, _bilinear_plan(values.shape[0], H, pts),
+                            len(pts))
+
+
 class TestBilinearSampling:
     def test_reproduces_affine_fields(self):
         H = 0.25
@@ -1317,7 +1378,7 @@ class TestBilinearSampling:
         vals = 2.0 + 3.0 * X - Y
         rng = np.random.default_rng(3)
         pts = rng.uniform(H / 2, 1 - H / 2, size=(40, 2))
-        out = _sample_bilinear(vals, H, pts)
+        out = sample(vals, H, pts)
         ref = 2.0 + 3.0 * pts[:, 0] - pts[:, 1]
         assert np.max(np.abs(out - ref)) < 1e-13
 
@@ -1327,11 +1388,25 @@ class TestBilinearSampling:
         X, Y = np.meshgrid(c, c, indexing="ij")
         vals = 2.0 + 3.0 * X - Y
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.5]])
-        out = _sample_bilinear(vals, H, pts)
+        out = sample(vals, H, pts)
         assert abs(out[0] - vals[0, 0]) < 1e-14
         assert abs(out[1] - vals[3, 3]) < 1e-14
         # clamps only the wall-normal coordinate
         assert abs(out[2] - (2.0 + 3.0 * H / 2 - 0.5)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_one_plan_matches_the_per_sample_formula_bit_for_bit(self, n):
+        # the plan's weights multiply the corner values in the order the
+        # per-sample formula did, at every sample of one point set; the
+        # points reach past the outer centers, where the clamps act
+        H = 1.0 / n
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-0.05, 1.05, size=(5000, 2))
+        plan = _bilinear_plan(n, H, pts)
+        for _ in range(4):
+            vals = rng.standard_normal((n, n)) * rng.uniform(0.1, 1e3)
+            got = _sample_bilinear(vals, plan, len(pts))
+            assert got.tobytes() == sample_per_point(vals, H, pts).tobytes()
 
 
 class TestSampleTimes:

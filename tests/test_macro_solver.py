@@ -170,6 +170,34 @@ class TestAssemble:
         with pytest.raises(ValueError, match="symmetric"):
             assemble_macro(cfg, fld2)
 
+    @pytest.mark.parametrize("bad,message", [
+        # node 5 fails only the porosity check, node 9 both tensor checks
+        ({5: ([[1.0, 0.0], [0.0, 1.0]], 1.5), 9: ([[1.0, 0.5], [-0.5, -1.0]],
+                                                   0.0)},
+         "porosity at node 5 must lie in (0, 1], got 1.5"),
+        # node 3 fails definiteness and porosity: definiteness is checked
+        # first; node 40's NaN entry is not symmetric and reaches no eigvalsh
+        ({3: ([[1.0, 0.0], [0.0, -2.0]], math.nan),
+          40: ([[math.nan, 0.0], [0.0, 1.0]], 1.0)},
+         "effective tensor at node 3 is not positive definite"),
+        ({7: ([[math.nan, 0.0], [0.0, 1.0]], 1.0),
+          8: ([[1.0, 0.0], [0.0, -2.0]], 1.0)},
+         "effective tensor at node 7 is not symmetric"),
+        # a tolerance of 1e-8 times the node's largest entry, at least 1e-8
+        ({2: ([[1e3, 1e-6], [0.0, 1e3]], 1.0),
+          6: ([[1.0, 2e-8], [0.0, 1.0]], 1.0)},
+         "effective tensor at node 6 is not symmetric"),
+    ])
+    def test_first_failing_node_and_check_are_reported(self, bad, message):
+        scen = get_scenario("periodic", a=0.0)
+        cfg = MacroConfig(scenario=scen, H=1 / 8, T=0.0)
+        fld = constant_field(macro_nodes(cfg), np.eye(2))
+        for p, (A, theta) in bad.items():
+            fld.tensors[p], fld.theta[p] = A, theta
+        with pytest.raises(ValueError) as info:
+            assemble_macro(cfg, fld)
+        assert str(info.value) == message
+
     def test_circle_quadrature_measure_exact(self):
         # equal-speed parametrization: the trapezoid sum is exactly 2*pi*a
         scen = get_scenario("periodic")
@@ -378,6 +406,20 @@ class TestRun:
                           "rf_mass", "rb_mass"}
         assert len(o["t"]) == 5
         assert o["t"][-1] == pytest.approx(0.1)
+
+    def test_fields_are_the_states_of_each_sample(self):
+        # every step replaces the (n, n) state, so the snapshots keep the
+        # states themselves: distinct arrays, the last one the final state
+        scen = get_scenario("periodic")
+        cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1)
+        run = run_macro(cfg, assembled(cfg, N_c=32), n_samples=4,
+                        keep_fields=True)
+        assert len(run.fields) == 5
+        assert not any(np.shares_memory(a, b) for k, a in
+                       enumerate(run.fields) for b in run.fields[k + 1:])
+        assert all(f.shape == (16, 16) for f in run.fields)
+        assert np.array_equal(run.fields[-1], run.final_state.l)
+        assert np.array_equal(run.fields[0], np.ones((16, 16)))
 
     def test_t_zero_single_row(self):
         scen = get_scenario("periodic")

@@ -348,6 +348,32 @@ class TestRun:
         assert o["rb_mass"][-1] > 0.0
         assert o["rf_mass"][-1] < o["rf_mass"][0]
 
+    def test_fields_are_the_fluid_values_at_each_sample(self, monkeypatch):
+        # a snapshot is l[mask] at its sample time, in row-major fluid
+        # order, with no full-grid copy beside it
+        cfg = MicroConfig(scenario=get_scenario("epithelial"), eps=1 / 8,
+                          cells_per_eps=8, T=0.05)
+        grid = build_micro_grid(cfg)
+        seen, real_observe = [], micro.MicroGrid.observe
+
+        def observe(self, st):
+            seen.append(st.l.copy())
+            return real_observe(self, st)
+
+        monkeypatch.setattr(micro.MicroGrid, "observe", observe)
+        run = run_micro(cfg, grid=grid, n_samples=4, keep_fields=True)
+        fluid = int(grid.mask.sum())
+        ii, jj = np.nonzero(grid.mask)
+        assert 0 < fluid < grid.n**2
+        assert len(run.fields) == len(seen) == 5
+        assert sum(f.nbytes for f in run.fields) == 8 * fluid * 5
+        for f, l in zip(run.fields, seen):
+            assert f.shape == (fluid,) and f.dtype == np.float64
+            assert np.array_equal(f, l[ii, jj])
+        assert np.array_equal(run.fields[-1],
+                              run.final_state.l[grid.mask])
+        assert run_micro(cfg, grid=grid, n_samples=4).fields is None
+
     def test_mass_ledger_checked_on_every_run(self, default_run):
         assert 0.0 < default_run.ledger_max < 1e-12
 

@@ -30,6 +30,9 @@ import scipy.sparse.linalg as spla
 
 from .geometry import TransformField, UnitCellSpec, mask_connected
 
+# largest true relative residual allowed of a unit corrector solve
+_TOL = 1e-10
+
 # 48-point Gauss-Legendre rule on [0, 1]; cut-cell column integrands are
 # analytic between breakpoints except for a square-root endpoint at the
 # silhouette extremes, where this rule still leaves only ~1e-11
@@ -356,23 +359,19 @@ class CellSolution:
 
 
 def solve_cell(x, A: float, transform: TransformField,
-               cell: UnitCellSpec, N_c: int = 128,
-               tol: float = 1e-10) -> CellSolution:
+               cell: UnitCellSpec, N_c: int = 128) -> CellSolution:
     """Solve the corrector problems at macro point x.
 
     Conforming bilinear elements on the cut reference grid; the inclusion
     wall condition is natural. Correctors are normalized to zero mean over
-    the active nodes. tol bounds the true relative residual of both unit
-    solves; a larger one, or a singular factor, raises RuntimeError. A tol
-    that is not positive, NaN included, raises ValueError before any work.
+    the active nodes. _TOL bounds the true relative residual of both unit
+    solves; a larger one, or a singular factor, raises RuntimeError.
     """
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     geom = build_cell_geometry(x, A, transform, cell, N_c)
     w, res = _unit_correctors(geom)
-    if not np.all(res <= tol):
+    if not np.all(res <= _TOL):
         raise RuntimeError(
-            f"cell solve at x={x} missed tol={tol:g} "
+            f"cell solve at x={x} missed tol={_TOL:g} "
             f"(relative residual {np.max(res):.3e})")
     return CellSolution(geometry=geom,
                         unit_correctors=w.reshape(2, N_c, N_c),
@@ -420,8 +419,7 @@ def _cache_key(*mats: np.ndarray) -> tuple:
 
 
 def tensor_field(points, A: float, transform: TransformField,
-                 cell: UnitCellSpec, N_c: int = 128,
-                 tol: float = 1e-10) -> EffectiveTensorField:
+                 cell: UnitCellSpec, N_c: int = 128) -> EffectiveTensorField:
     """Effective tensor at every requested macro point.
 
     Points sharing the pulled-back coefficient B and the inclusion matrix K
@@ -431,8 +429,6 @@ def tensor_field(points, A: float, transform: TransformField,
     rotated lattices cost one solve whatever the sample count.
     """
     check_cell_grid(N_c)
-    if not (tol > 0):
-        raise ValueError("tol must be positive")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = len(pts)
     tensors = np.zeros((m, 2, 2))
@@ -453,7 +449,7 @@ def tensor_field(points, A: float, transform: TransformField,
         else:
             if key not in cache:
                 try:
-                    sol = solve_cell(x, A, transform, cell, N_c=N_c, tol=tol)
+                    sol = solve_cell(x, A, transform, cell, N_c=N_c)
                 except (ValueError, RuntimeError, NotImplementedError) as exc:
                     cache[key] = str(exc)
                 else:

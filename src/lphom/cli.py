@@ -406,7 +406,7 @@ def _cmd_micro(vals: dict, args) -> int:
     eps = _single_eps(vals, 1 / 16)
     cfg = MicroConfig(sc, eps, dt=_dt_from(vals, args),
                       **_given(vals, MicroConfig))
-    run = run_micro(cfg, n_samples=20)
+    run = run_micro(cfg)
     grid = run.model
     ii, jj = np.nonzero(grid.mask)
     centers = np.column_stack(((ii + 0.5) * grid.h, (jj + 0.5) * grid.h))
@@ -430,12 +430,11 @@ def _cmd_macro(vals: dict, args) -> int:
     if fld is None:
         fld = tensor_field(macro_nodes(cfg), sc.suite.A, sc.transform,
                            sc.cell, N_c=N_c)
-    else:
-        # the headers state the tensor file's N_c, not the flag's
-        vals = {**vals, "Nc": fld.N_c}
-    run = run_macro(cfg, assemble_macro(cfg, fld), n_samples=20)
-    return _write_run(vals, "macro", ("scenario", "a", "H", "T", "dt_rule",
-                                      "nGamma", "Nc"),
+    run = run_macro(assemble_macro(cfg, fld))
+    # the headers state the field's N_c: the flag's, the default or the
+    # tensor file's
+    return _write_run({**vals, "Nc": fld.N_c}, "macro",
+                      ("scenario", "a", "H", "T", "dt_rule", "nGamma", "Nc"),
                       run, macro_nodes(cfg), run.final_state.l.ravel())
 
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cell_problem import check_cell_grid, tensor_field
-from .imex import Run, check_budget
+from .imex import N_SAMPLES, Run, check_budget
 from .macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 from .micro import MicroConfig, run_micro
 from .scenarios import Scenario
@@ -58,7 +58,6 @@ class StudyConfig:
     n_gamma: int = 16
     T: float = 0.5
     dt_rule: str = "h"
-    n_samples: int = 20
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
@@ -69,8 +68,6 @@ class StudyConfig:
             raise ValueError("every epsilon must lie in (0, 1)")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon list must be strictly decreasing")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
         if self.dt_rule != "h":
             try:
                 dt = float(self.dt_rule)
@@ -261,13 +258,12 @@ def convergence_study(study: StudyConfig, max_workers: int = 2) -> ConvergenceRe
         cfg = study.macro_config()
         fld = tensor_field(macro_nodes(cfg), sc.suite.A, sc.transform,
                            sc.cell, N_c=study.N_c)
-        return run_macro(cfg, assemble_macro(cfg, fld),
-                         n_samples=study.n_samples, keep_fields=True)
+        return run_macro(assemble_macro(cfg, fld), keep_fields=True)
 
     def micro_job(eps: float, set_up: Optional[threading.Event] = None,
                   stop: Optional[threading.Event] = None) -> Run:
-        return run_micro(study.micro_config(eps), n_samples=study.n_samples,
-                         keep_fields=True, set_up=set_up, stop=stop)
+        return run_micro(study.micro_config(eps), keep_fields=True,
+                         set_up=set_up, stop=stop)
 
     def attempt(job, *args) -> tuple:
         # (run, None), or (None, the error message)
@@ -339,7 +335,7 @@ def convergence_csv_lines(report: ConvergenceReport) -> List[str]:
         f"# nGamma={st.n_gamma}",
         f"# T={st.T!r}",
         f"# dt_rule={st.dt_rule}",
-        f"# n_samples={st.n_samples}",
+        f"# n_samples={N_SAMPLES}",
         "epsilon,E,energy_micro,energy_macro,energy_gap,lts_gap,pass",
     ]
     for row in report.rows:

@@ -2,10 +2,11 @@
 
 Both integrate ligand diffusion by backward Euler, factorized once per run,
 with explicit reactions and receptor exchange from the step-start state.
-A model supplies what differs: width (mesh width, the default step), sigma
-(largest surface density, for the L-infinity barrier), factor(dt), step(st,
-lu, dt) -> (next State, ligand added per unit time), initial_state(),
-observe(st) -> (fluid ligand values, energy, rf_mass, rb_mass) and mass(st).
+A model supplies what differs: config (the run's T, dt and suite), width
+(mesh width, the default step), sigma (largest surface density, for the
+L-infinity barrier), factor(dt), step(st, lu, dt) -> (next State, ligand
+added per unit time), initial_state(), observe(st) -> (fluid ligand values,
+energy, rf_mass, rb_mass) and mass(st).
 The driver owns the explicit-budget check, the sampling windows, the
 positivity and barrier checks and the mass ledger, checked on every step.
 numpy only: each model factorizes through its own module.
@@ -21,6 +22,7 @@ from typing import Any, Optional
 import numpy as np
 
 LEDGER_TOL = 1e-10      # relative mass-ledger residual allowed per step
+N_SAMPLES = 20          # sampling windows of every run
 OBSERVABLES = ("t", "l2_norm", "min_l", "max_l", "energy", "rf_mass",
                "rb_mass")
 
@@ -37,7 +39,7 @@ class State:
 class Run:
     """Trajectory observables and the final state of one solve."""
 
-    config: Any
+    config: Any                 # the model's config
     model: Any                  # MicroGrid or MacroOperator
     observables: dict           # one array per name in OBSERVABLES
     final_state: State
@@ -82,15 +84,6 @@ def barrier_rate(s, sigma: float, M: float) -> float:
     return f_lin + rate / max(M, 1e-9)
 
 
-def check_prebuilt(config, built, keys) -> None:
-    """Reject a prebuilt model whose suite or mesh differs from config's."""
-    for key in ("suite", *keys):
-        want, got = getattr(config, key), getattr(built, key)
-        if want != got:
-            raise ValueError(f"prebuilt model has {key}={got!r} but the "
-                             f"run's config has {key}={want!r}")
-
-
 def check_times(T: float, dt: Optional[float]) -> None:
     """Reject a final time that is not finite and nonnegative, or a step
     that is given but not finite and positive."""
@@ -108,26 +101,27 @@ def check_budget(suite, dt: float) -> None:
                          f"budget 0.5/{suite.bulk_lipschitz:g}")
 
 
-def schedule(config, model, n_samples: int):
+def schedule(model):
     """(n_sub, dt, lu): sub-steps per sampling window, step, factorization.
 
-    T and dt come from the run's config; the step defaults to the model's
-    width and must keep the explicit reactions within budget.
+    T and dt come from the model's config; the step defaults to the
+    model's width and must keep the explicit reactions within budget.
     """
+    config = model.config
     if config.T <= 0.0:
         return 0, 0.0, None
     dt_req = config.dt if config.dt is not None else model.width
     check_budget(config.suite, dt_req)
-    window = config.T / n_samples
+    window = config.T / N_SAMPLES
     n_sub = max(1, int(math.ceil(window / dt_req - 1e-12)))
     dt = window / n_sub
     return n_sub, dt, model.factor(dt)
 
 
-def integrate(config, model, plan, n_samples: int = 20,
-              keep_fields: bool = False,
-              stop: Optional[threading.Event] = None) -> Run:
-    """Step a scheduled model to T, recording at every window's end.
+def integrate(model, plan, keep_fields: bool,
+              stop: Optional[threading.Event]) -> Run:
+    """Step a scheduled model to its config's T, recording at every
+    window's end.
 
     With keep_fields, the fluid ligand values that model.observe returns
     are kept at every sample time (run.fields); observe must return an
@@ -137,7 +131,7 @@ def integrate(config, model, plan, n_samples: int = 20,
     n_sub, dt, lu = plan
     state = model.initial_state()
     M = float(state.l.max(initial=0.0))
-    B = barrier_rate(config.suite, model.sigma, M)
+    B = barrier_rate(model.config.suite, model.sigma, M)
     area = model.width**2
     rows: list = []
     failures: list = []
@@ -159,7 +153,7 @@ def integrate(config, model, plan, n_samples: int = 20,
 
     record(state)
     ledger_max, m0 = 0.0, model.mass(state)
-    for _ in range(n_samples if n_sub else 0):
+    for _ in range(N_SAMPLES if n_sub else 0):
         worst = (0.0, state.t)          # the window's largest residual
         for _ in range(n_sub):
             if stop is not None and stop.is_set():
@@ -174,6 +168,6 @@ def integrate(config, model, plan, n_samples: int = 20,
         record(state)
 
     observables = dict(zip(OBSERVABLES, map(np.array, zip(*rows))))
-    return Run(config=config, model=model, observables=observables,
+    return Run(config=model.config, model=model, observables=observables,
                final_state=state, barrier_M=M, barrier_B=B,
                ledger_max=ledger_max, failures=failures, fields=snapshots)

@@ -283,13 +283,7 @@ def macro_energy(state: State, op: MacroOperator) -> float:
     return total
 
 
-def run_macro(config: MacroConfig, op: MacroOperator,
-              n_samples: int = 20, keep_fields: bool = False) -> Run:
-    """Integrate to T, recording the same observable schema as run_micro.
-
-    The operator must match config in the suite, H and n_gamma; T and dt
-    may differ.
-    """
-    imex.check_prebuilt(config, op.config, ("H", "n_gamma"))
-    return imex.integrate(config, op, imex.schedule(config, op, n_samples),
-                          n_samples, keep_fields)
+def run_macro(op: MacroOperator, keep_fields: bool = False) -> Run:
+    """Integrate the operator's config to T, recording the same observable
+    schema as run_micro."""
+    return imex.integrate(op, imex.schedule(op), keep_fields, None)

@@ -31,11 +31,6 @@ from .geometry import (Partition, _covering, build_partition,
 from .imex import Run, State
 from .scenarios import CoefficientSuite, Scenario
 
-# held by run_micro around the grid build and the factorization, so that
-# runs on several threads do not stack their set-up memory peaks
-_SETUP_LOCK = threading.Lock()
-
-
 @dataclass(frozen=True)
 class MicroConfig:
     """Run parameters for one microscopic solve."""
@@ -466,28 +461,20 @@ def micro_energy(state: State, grid: MicroGrid) -> float:
     return face_dirichlet_form(state.l, *_face_coefficients(grid))
 
 
-def run_micro(config: MicroConfig, grid: Optional[MicroGrid] = None,
-              n_samples: int = 20, keep_fields: bool = False,
+def run_micro(config: MicroConfig, keep_fields: bool = False,
               set_up: Optional[threading.Event] = None,
               stop: Optional[threading.Event] = None) -> Run:
-    """Integrate to T, recording observables at T/n_samples intervals.
+    """Build the grid of config and integrate to T, recording observables
+    at imex.N_SAMPLES windows.
 
-    A prebuilt grid must match config in the suite, eps, r and
-    cells_per_eps; T and dt may differ. Runs on several threads build their
-    grids and factorize one at a time, so the set-up memory peaks do not
-    stack; the step loops still overlap. set_up, if given, is set once the
-    grid build and factorization have returned or raised; once stop, if
-    given, is set, the next step raises a RuntimeError.
+    set_up, if given, is set once the grid build and factorization have
+    returned or raised; once stop, if given, is set, the next step raises
+    a RuntimeError.
     """
     try:
-        if grid is not None:
-            imex.check_prebuilt(config, grid.config,
-                                ("eps", "r", "cells_per_eps"))
-        with _SETUP_LOCK:
-            if grid is None:
-                grid = build_micro_grid(config)
-            plan = imex.schedule(config, grid, n_samples)
+        grid = build_micro_grid(config)
+        plan = imex.schedule(grid)
     finally:
         if set_up is not None:
             set_up.set()
-    return imex.integrate(config, grid, plan, n_samples, keep_fields, stop)
+    return imex.integrate(grid, plan, keep_fields, stop)

@@ -90,13 +90,13 @@ def _cell(a: float) -> UnitCellSpec:
     return UnitCellSpec(inclusion="disk", a=a)
 
 
-def periodic_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+def periodic_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     I = np.eye(2)
     tf = TransformField(D=lambda x: I, K=lambda x: I)
     return Scenario("periodic", tf, _cell(a), suite)
 
 
-def epithelial_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+def epithelial_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     """Cells compressed in the second direction: D = diag(1, 0.7 + 0.25 x2)."""
 
     def D(x):
@@ -107,7 +107,7 @@ def epithelial_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSu
     return Scenario("epithelial", tf, _cell(a), suite)
 
 
-def plywood2d_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+def plywood2d_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     """Layered fibers: D = R(pi x2 / 2)^{-1} with an elliptical inclusion,
     K = diag(1, 1.4)."""
 
@@ -121,7 +121,7 @@ def plywood2d_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSui
     return Scenario("plywood2d", tf, _cell(a), suite)
 
 
-def radius_gradient_scenario(a: float = 0.25, suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
+def radius_gradient_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     """Perforation radius grows along x1: K = (1 + 0.5 x1) I."""
 
     def K(x):
@@ -146,7 +146,8 @@ SCENARIO_NAMES = tuple(_BUILDERS)
 
 def get_scenario(name: str, a: float = 0.25,
                  suite: CoefficientSuite = CoefficientSuite()) -> Scenario:
-    """Build a registry scenario by name, at its builder's defaults."""
+    """Build a registry scenario by name, with inclusion radius a and the
+    coefficient suite."""
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")

@@ -26,8 +26,7 @@ from .geometry import (
 class GridFunction:
     """Cell-centered values on a uniform Cartesian grid over a 2-D box.
 
-    mask marks active cells (inside the domain, or inside the perforated
-    domain). Point evaluation is bilinear in the cell-center values with
+    Point evaluation is bilinear in the cell-center values with
     linear extrapolation beyond the outermost centers, so affine fields are
     reproduced exactly everywhere. exact_eval, when set, is the underlying
     analytic field; the unfolding routines read it in place of the
@@ -35,10 +34,10 @@ class GridFunction:
     convergence diagnostics.
 
     values is an array, or a function of the grid that returns it, called
-    on the first read of values; shape and mask do not read it.
+    on the first read of values; shape does not read it.
     """
 
-    def __init__(self, lo, hi, h: float, values, mask=None,
+    def __init__(self, lo, hi, h: float, values,
                  exact_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
@@ -52,7 +51,6 @@ class GridFunction:
         if len(self.shape) != 2:
             raise ValueError(f"a grid function needs a 2-D grid, got "
                              f"{self.shape}")
-        self.mask = np.ones(self.shape, dtype=bool) if mask is None else mask
         self.exact_eval = exact_eval
 
     @cached_property
@@ -127,14 +125,14 @@ def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
 
 
 def lattice_pwc_field(partition: Partition, values: np.ndarray,
-                      lo, hi, h: float, fill: float = 0.0) -> GridFunction:
+                      lo, hi, h: float) -> GridFunction:
     """Piecewise constant per lattice cell; exact-evaluable.
 
     values holds one value per row of the partition's Xi_hat row layout;
-    the field is fill on leftover regions, read through the row -1 that
+    the field is 0 on leftover regions, read through the row -1 that
     locate_cells returns there from the table's extra last entry.
     """
-    table = np.append(np.broadcast_to(values, partition.hat_n.shape), fill)
+    table = np.append(np.broadcast_to(values, partition.hat_n.shape), 0.0)
 
     def f(X: np.ndarray) -> np.ndarray:
         return table[locate_cells(partition, X)[3]]
@@ -243,17 +241,17 @@ class BoundaryUnfolded:
     ref_weights: np.ndarray     # (S,)
     metric: np.ndarray          # (n_subdomains, S)
 
-    def weighted_power_sum(self, p: float = 2.0) -> float:
+    def weighted_power_sum(self) -> float:
         """Unfolded surface functional: the x-integral of the weighted
-        Gamma-integral of |values|^p with the metric ratio and the local cell
+        Gamma-integral of |values|^2 with the metric ratio and the local cell
         measure |Y_n| = |det D_n|."""
-        # |values|^p * metric * ref_weights in one work array, in the
+        # |values|^2 * metric * ref_weights in one work array, in the
         # order of the operations, which the bits of the sum depend on; one
         # subdomain at a time, as metric[hat_n] would gather an (E, S) copy
         # that lifts the traced peak of the plywood2d eps = 1/128 boundary
         # check from 2.26x its samples to 3.0x, past its 2.5x test gate
         integrand = np.abs(self.values)
-        integrand **= p
+        integrand **= 2.0
         for n, rows in self.partition.hat_blocks():
             integrand[rows] *= self.metric[n]
         integrand *= self.ref_weights
@@ -261,14 +259,14 @@ class BoundaryUnfolded:
         percell = integrand.sum(axis=1) / detD
         return float(np.sum(self.partition.eps ** 2 * detD * percell))
 
-    def direct_surface_integral(self, p: float = 2.0) -> float:
-        """Direct quadrature of |psi|^p over the mapped boundary, same nodes."""
-        # |values|^p * (eps * metric * ref_weights), in that order, one
+    def direct_surface_integral(self) -> float:
+        """Direct quadrature of |psi|^2 over the mapped boundary, same nodes."""
+        # |values|^2 * (eps * metric * ref_weights), in that order, one
         # subdomain at a time for the reason in weighted_power_sum
         ds = self.partition.eps * self.metric
         ds *= self.ref_weights
         integrand = np.abs(self.values)
-        integrand **= p
+        integrand **= 2.0
         for n, rows in self.partition.hat_blocks():
             integrand[rows] *= ds[n]
         return float(np.sum(integrand))
@@ -303,9 +301,7 @@ def local_average(phi: GridFunction, partition: Partition,
     is an exact projection.
     """
     means = unfold(phi, partition, m_y).mean_over_Y()
-    out = lattice_pwc_field(partition, means, phi.lo, phi.hi, phi.h)
-    out.mask = phi.mask.copy()
-    return out
+    return lattice_pwc_field(partition, means, phi.lo, phi.hi, phi.h)
 
 
 def _interpolant_box_integrals(phi: GridFunction, lo_pts: np.ndarray,
@@ -372,17 +368,16 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
     return lhs, rhs, abs(lhs - rhs)
 
 
-def check_boundary_identity(psi, partition: Partition, quad: GammaQuadrature,
-                            p: float = 2.0):
+def check_boundary_identity(psi, partition: Partition, quad: GammaQuadrature):
     """Boundary unfolding identity.
 
     lhs: unfolded surface functional with metric ratio and cell-measure
-    weights. rhs: eps times the direct quadrature of |psi|^p over the mapped
+    weights. rhs: eps times the direct quadrature of |psi|^2 over the mapped
     interior boundary, same nodes. Returns (lhs, rhs, gap).
     """
     bu = unfold_boundary(psi, partition, quad)
-    lhs = bu.weighted_power_sum(p)
-    rhs = partition.eps * bu.direct_surface_integral(p)
+    lhs = bu.weighted_power_sum()
+    rhs = partition.eps * bu.direct_surface_integral()
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -493,10 +488,8 @@ def lts_pairing(u: GridFunction,
                 partition: Partition) -> float:
     """Grid quadrature of u times the locally periodic approximation of
     psi(x, y)."""
-    X = u.centers().reshape(-1, 2)
-    act = u.mask.ravel()
-    vals = lp_approx_batch(psi, partition, X[act])
-    return float(u.h**2 * np.sum(u.values.ravel()[act] * vals))
+    vals = lp_approx_batch(psi, partition, u.centers().reshape(-1, 2))
+    return float(u.h**2 * np.sum(u.values.ravel() * vals))
 
 
 def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,

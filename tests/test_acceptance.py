@@ -226,7 +226,7 @@ class TestSolverInvariants:
         cfg = MacroConfig(sc, H=1 / 32, T=1.0, dt=5e-4)
         op = assemble_macro(cfg, tensor_field(macro_nodes(cfg), sc.suite.A,
                                               sc.transform, sc.cell, N_c=48))
-        run = run_macro(cfg, op)
+        run = run_macro(op)
         s = cfg.suite
         sig = op.gamma_measure[0] / (op.theta[0] * op.cell_measure[0])
 

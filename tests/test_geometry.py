@@ -21,14 +21,7 @@ from lphom.geometry import (
     rotation_matrix,
 )
 from lphom.micro import _axis_breaks, _diagonal_steps, _micro_partition
-from lphom.scenarios import (
-    SCENARIO_NAMES,
-    epithelial_scenario,
-    get_scenario,
-    periodic_scenario,
-    plywood2d_scenario,
-    radius_gradient_scenario,
-)
+from lphom.scenarios import SCENARIO_NAMES, get_scenario
 
 UNIT_BOX = ((0.0, 0.0), (1.0, 1.0))
 IDENTITY = TransformField(D=lambda x: np.eye(2), K=lambda x: np.eye(2))
@@ -98,7 +91,7 @@ class TestBuildPartition:
 
     def test_xi_hat_matches_brute_force_for_varying_transform(self):
         eps = 1 / 8
-        sc = epithelial_scenario()
+        sc = get_scenario("epithelial")
         p = build_partition(UNIT_BOX, eps, 0.5, sc.transform)
         corners_unit = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
         for s in p.subdomains:
@@ -114,7 +107,7 @@ class TestBuildPartition:
             assert set(map(tuple, hat_cells(p, s.n))) == expected
 
     def test_subdomains_cover_domain_without_overlap(self):
-        p = build_partition(UNIT_BOX, 1 / 32, 0.5, epithelial_scenario().transform)
+        p = build_partition(UNIT_BOX, 1 / 32, 0.5, get_scenario("epithelial").transform)
         total = sum(float(np.prod(s.hi - s.lo)) for s in p.subdomains)
         assert total == pytest.approx(1.0, abs=1e-12)
         boxes = [(tuple(s.lo), tuple(s.hi)) for s in p.subdomains]
@@ -470,7 +463,7 @@ class TestBatchedPartition:
     def test_blocks_split_between_whole_subdomains(self, monkeypatch):
         from lphom import geometry
 
-        tf = plywood2d_scenario().transform
+        tf = get_scenario("plywood2d").transform
         ref = reference_build_partition(UNIT_BOX, 1 / 32, 0.5, tf)
         for block in (1, 100, 10**9):
             monkeypatch.setattr(geometry, "_CELL_BLOCK", block)
@@ -480,9 +473,9 @@ class TestBatchedPartition:
     @pytest.mark.parametrize("eps, r, tf", [
         (1 / 4, 0.5, varying_stretch_transform()),     # the second fails
         (1 / 4, 0.99, IDENTITY),
-        (1 / 8, 0.9, plywood2d_scenario().transform),
-        (1 / 8, 0.9, epithelial_scenario().transform),
-        (1 / 16, 0.95, radius_gradient_scenario().transform),
+        (1 / 8, 0.9, get_scenario("plywood2d").transform),
+        (1 / 8, 0.9, get_scenario("epithelial").transform),
+        (1 / 16, 0.95, get_scenario("radius-gradient").transform),
     ])
     def test_too_small_subdomains_give_the_same_message(self, eps, r, tf):
         with pytest.raises(ValueError, match="full cell") as want:
@@ -511,7 +504,7 @@ class TestSideSlack:
     # ulps below
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     def test_a_side_a_few_ulps_below_the_bound_builds(self, eps):
-        tf = plywood2d_scenario().transform
+        tf = get_scenario("plywood2d").transform
         side = 2 * eps
         for _ in range(4):
             p = _covering(np.zeros(2), np.ones(2), snapped_breaks(eps), eps,
@@ -521,7 +514,7 @@ class TestSideSlack:
 
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32, 1 / 64])
     def test_a_side_beyond_the_slack_is_rejected(self, eps):
-        tf = plywood2d_scenario().transform
+        tf = get_scenario("plywood2d").transform
         side = 2 * eps * (1.0 - 1e3 * _SIDE_RTOL)
         with pytest.raises(ValueError, match="full cell"):
             _covering(np.zeros(2), np.ones(2), snapped_breaks(eps), eps, tf,
@@ -669,9 +662,9 @@ class TestGroupedLocate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_rejects_non_finite_points(self, bad, axis):
-        tf = plywood2d_scenario().transform
+        tf = get_scenario("plywood2d").transform
         for p in (build_partition(UNIT_BOX, 1 / 16, 0.5, tf),
-                  _micro_partition(1 / 16, 0.5, periodic_scenario().transform)):
+                  _micro_partition(1 / 16, 0.5, get_scenario("periodic").transform)):
             X = np.full((5, 2), 0.5)
             X[3, axis] = bad
             for call in (lambda: locate_cells(p, X[3]),
@@ -699,7 +692,7 @@ class TestCellSlots:
         assert len(np.unique(slots)) == len(slots)
 
     def test_one_subdomain_for_all_rows(self):
-        p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, get_scenario("plywood2d").transform)
         for s in p.subdomains:
             cells = hat_cells(p, s.n)
             probes = np.concatenate([cells, cells.max(axis=0) + [[1, 0]]])
@@ -709,7 +702,7 @@ class TestCellSlots:
                              p.cell_rows(np.full(len(probes), s.n), probes))
 
     def test_outside_the_box_is_minus_one(self):
-        p = build_partition(UNIT_BOX, 1 / 16, 0.5, plywood2d_scenario().transform)
+        p = build_partition(UNIT_BOX, 1 / 16, 0.5, get_scenario("plywood2d").transform)
         for s in p.subdomains:
             lo, hi = hat_cells(p, s.n).min(axis=0), hat_cells(p, s.n).max(axis=0)
             probes = np.array([lo - [1, 0], lo - [0, 1], hi + [1, 0],
@@ -808,7 +801,7 @@ class TestLocate:
         assert np.max(np.abs(rec - np.array([x1, x2]))) <= 1e-12
 
     def test_lambda_flag_consistent_with_xi_hat(self):
-        sc = plywood2d_scenario()
+        sc = get_scenario("plywood2d")
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(3)
         X = rng.uniform(0.0, 1.0, size=(400, 2))
@@ -820,7 +813,7 @@ class TestLocate:
 
 
 _EPI_PARTITION = build_partition(UNIT_BOX, 1 / 8, 0.5,
-                                 epithelial_scenario().transform)
+                                 get_scenario("epithelial").transform)
 
 
 def frozen_lp_approx(psi, p, X):
@@ -854,7 +847,7 @@ class TestLpApprox:
     def test_composition_oracle_rotating_lattice(self):
         # psi(x, y) = x1 * y2 under the plywood transform; oracle composes
         # the fractional decomposition by hand
-        sc = plywood2d_scenario()
+        sc = get_scenario("plywood2d")
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         psi = lambda x, y: x[:, 0] * y[:, 1]
         rng = np.random.default_rng(11)
@@ -886,7 +879,7 @@ class TestLpApprox:
 
 class TestIndicatorPerforated:
     def test_center_of_disk_is_perforation(self):
-        sc = periodic_scenario()
+        sc = get_scenario("periodic")
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, sc.transform)
         # image of the unit-cell center for some interior cell
         s = p.subdomains[5]
@@ -895,7 +888,7 @@ class TestIndicatorPerforated:
         assert not indicator_perforated(p, sc.cell, x[None, :])[0]
 
     def test_cell_corner_is_material(self):
-        sc = periodic_scenario()
+        sc = get_scenario("periodic")
         p = build_partition(UNIT_BOX, 1 / 16, 0.5, sc.transform)
         s = p.subdomains[5]
         xi = hat_cells(p, s.n)[0]
@@ -917,7 +910,7 @@ class TestIndicatorPerforated:
             assert indicator_perforated(p, cell, x[None, :])[0] == expected
 
     def test_lambda_region_is_material(self):
-        sc = plywood2d_scenario()
+        sc = get_scenario("plywood2d")
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(500, 2))
@@ -926,14 +919,14 @@ class TestIndicatorPerforated:
         assert np.all(ind[lam])
 
     def test_no_inclusion_everything_material(self):
-        sc = periodic_scenario(a=0.0)
+        sc = get_scenario("periodic", a=0.0)
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, size=(200, 2))
         assert np.all(indicator_perforated(p, sc.cell, X))
 
     def test_volume_fraction_converges_to_mean_inclusion_measure(self):
-        sc = radius_gradient_scenario()
+        sc = get_scenario("radius-gradient")
         p = build_partition(UNIT_BOX, 1 / 8, 0.5, sc.transform)
         num = den = 0.0
         for s in p.subdomains:
@@ -1005,7 +998,7 @@ class TestPerforationLevel:
 
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
     def test_no_inclusion_is_all_fluid(self, eps):
-        sc = periodic_scenario(a=0.0)
+        sc = get_scenario("periodic", a=0.0)
         assert sc.cell.inclusion == "none"
         p = _micro_partition(eps, 0.5, sc.transform)
         for X in micro_grid_points(eps):
@@ -1036,7 +1029,7 @@ class TestOneCopyOfTheMaps:
 
     def test_the_maps_are_read_only(self):
         p = build_partition(UNIT_BOX, 1 / 8, 0.5,
-                            plywood2d_scenario().transform)
+                            get_scenario("plywood2d").transform)
         s = p.subdomains[0]
         for a in ([getattr(p, m) for m in MAP_NAMES + ("Kinv", "detD")]
                   + [getattr(s, m) for m in MAP_NAMES]):

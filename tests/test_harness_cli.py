@@ -33,6 +33,7 @@ from lphom.harness import (
     _sample_bilinear,
     convergence_study,
 )
+from lphom.imex import N_SAMPLES
 from lphom.macro import MacroConfig, macro_nodes
 from lphom.scenarios import CoefficientSuite, get_scenario
 
@@ -667,7 +668,7 @@ class TestBenchmarkHooks:
                 "from lphom.scenarios import get_scenario\n"
                 "study = StudyConfig(get_scenario('periodic'),"
                 " eps_list=(1/4, 1/8), cells_per_eps=8, N_c=32, H=1/8,"
-                " T=0.5, n_samples=4)\n"
+                " T=0.5)\n"
                 "with t.span('study'):\n"
                 "    rows = convergence_study(study, max_workers=2).rows\n"
                 "assert all(r.error is None for r in rows)\n"
@@ -683,8 +684,8 @@ class TestBenchmarkHooks:
                      "macro.steps"):
             assert got.get(name, 0) > 0, name
 
-        def steps(dt):          # n_samples windows of whole sub-steps
-            return 4 * math.ceil(0.5 / 4 / dt - 1e-12)
+        def steps(dt):          # N_SAMPLES windows of whole sub-steps
+            return N_SAMPLES * math.ceil(0.5 / N_SAMPLES / dt - 1e-12)
 
         # dt = h for each micro run, the finest h for the macro run
         assert got["micro.steps"] == steps(1 / 32) + steps(1 / 64)
@@ -791,6 +792,18 @@ class TestCellCommand:
             text = (tmp_path / f"macro_{kind}.csv").read_text()
             header = [ln for ln in text.splitlines() if ln.startswith("#")]
             assert "# Nc=32" in header and "# Nc=96" not in header
+
+    def test_headers_state_the_default_Nc(self, tmp_path):
+        # with neither --tensors nor --Nc the field is computed at N_c = 64
+        code = main(["macro", "--scenario", "periodic", "--H", "1/8",
+                     "--T", "0.01", "--outdir", str(tmp_path)])
+        assert code == 0
+        for kind in ("series", "field"):
+            text = (tmp_path / f"macro_{kind}.csv").read_text()
+            header = [ln for ln in text.splitlines() if ln.startswith("#")]
+            assert header[-1] == "# Nc=64"
+            assert [ln for ln in header if ln.startswith("# Nc=")] \
+                == ["# Nc=64"]
 
     def test_mismatched_tensor_nodes_are_rejected(self, tmp_path, capsys):
         assert main(["cell", "--scenario", "periodic", "--Nc", "32",
@@ -948,8 +961,8 @@ class TestKeysReachTheConfig:
         monkeypatch.setattr(micro, "run_micro", stop)
         monkeypatch.setattr(cell_problem, "tensor_field",
                             lambda *args, **kwargs: None)
-        monkeypatch.setattr(macro, "assemble_macro", lambda *args: None)
-        monkeypatch.setattr(macro, "run_macro", stop)
+        # the macro config reaches the run through its operator
+        monkeypatch.setattr(macro, "assemble_macro", stop)
         monkeypatch.setattr(harness, "convergence_study", stop)
         if text is not None:
             path = tmp_path / "c.cfg"
@@ -1049,39 +1062,6 @@ class TestScheduler:
         assert all(r.passed for r in serial.rows)
         assert [row_bits(r) for r in threaded.rows] \
             == [row_bits(r) for r in serial.rows]
-
-    def test_micro_factorizations_run_one_at_a_time(self, study,
-                                                    monkeypatch):
-        # two runs started together on their own threads: the first
-        # factorization waits for a second one to start, which only the
-        # set-up lock keeps out; its timeout bounds the test
-        intervals = []
-        first, second = threading.Event(), threading.Event()
-
-        def recording_splu(A, *args, **kwargs):
-            start = time.perf_counter()
-            if first.is_set():
-                second.set()
-            else:
-                first.set()
-                second.wait(timeout=1.0)
-            lu = spla.splu(A, *args, **kwargs)
-            intervals.append((start, time.perf_counter()))
-            return lu
-
-        monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=recording_splu))
-        cfgs = [micro.MicroConfig(study.scenario, eps, cells_per_eps=8,
-                                  T=study.T) for eps in (1 / 8, 1 / 16)]
-        threads = [threading.Thread(target=micro.run_micro, args=(cfg,))
-                   for cfg in cfgs]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        spans = sorted(intervals)
-        assert len(spans) == 2
-        assert spans[0][1] <= spans[1][0]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_macro_job_waits_for_the_finest_set_up(self, study, serial,
@@ -1236,7 +1216,7 @@ class TestScheduler:
         monkeypatch.setattr(micro.MicroGrid, "step", held_step)
         rep = convergence_study(study, max_workers=2)
         assert failed.is_set() and times
-        assert times[-1] < study.T * (1 - 1 / study.n_samples)
+        assert times[-1] < study.T * (1 - 1 / N_SAMPLES)
         assert [r.error for r in rep.rows] \
             == ["macro run failed: factorization broke"] * 3
 
@@ -1330,10 +1310,6 @@ class TestStudyConfigValidation:
             tensor_field(macro_nodes(MacroConfig(sc, H=1 / 8)), sc.suite.A,
                          sc.transform, sc.cell, N_c=16)
         StudyConfig(scenario=sc, N_c=32)
-
-    def test_bad_sample_count(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            StudyConfig(scenario=get_scenario("periodic"), n_samples=0)
 
     def test_dt_rules_resolve(self):
         sc = get_scenario("periodic")

@@ -18,7 +18,7 @@ from scipy.special import ellipe
 
 from lphom.cell_problem import EffectiveTensorField, tensor_field
 from lphom.geometry import build_partition
-from lphom.imex import State
+from lphom.imex import N_SAMPLES, State
 from lphom.macro import (
     MacroConfig,
     assemble_macro,
@@ -76,7 +76,7 @@ class TestConfig:
                           T=0.5, dt=0.2)
         op = assembled(cfg, N_c=32)
         with pytest.raises(ValueError):
-            run_macro(cfg, op)
+            run_macro(op)
 
 
 class TestAssemble:
@@ -250,7 +250,7 @@ class TestStep:
         suite = replace(scen.suite, l0=0.0, rf0=0.0, rb0=0.0)
         cfg = MacroConfig(scenario=replace(scen, suite=suite), H=1 / 16,
                           T=0.2)
-        run = run_macro(cfg, assembled(cfg, N_c=32))
+        run = run_macro(assembled(cfg, N_c=32))
         assert np.abs(run.final_state.l).max() == 0.0
         assert np.abs(run.final_state.r_f).max() == 0.0
         assert np.abs(run.final_state.r_b).max() == 0.0
@@ -263,7 +263,7 @@ class TestStep:
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 32, T=1.0, dt=5e-4)
         op = assembled(cfg, N_c=48)
-        run = run_macro(cfg, op)
+        run = run_macro(op)
         l = run.final_state.l
         assert l.max() - l.min() < 1e-12
         s = cfg.suite
@@ -292,7 +292,7 @@ class TestStep:
             suite = replace(scen.suite, alpha=0.0, rb0=0.8)
             cfg = MacroConfig(scenario=replace(scen, suite=suite),
                               H=1 / 32, T=0.5, dt=dt)
-            run = run_macro(cfg, assembled(cfg, N_c=48))
+            run = run_macro(assembled(cfg, N_c=48))
             exact = 0.8 * math.exp(-(suite.beta + suite.db) * 0.5)
             errs.append(abs(run.final_state.r_b[0, 0] - exact))
         assert errs[1] < 5e-4
@@ -303,7 +303,7 @@ class TestStep:
         # ligand value, so their receptor trajectories stay identical
         scen = get_scenario("epithelial")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.2, dt=2e-3)
-        run = run_macro(cfg, assembled(cfg, N_c=32))
+        run = run_macro(assembled(cfg, N_c=32))
         assert np.ptp(run.final_state.r_f, axis=1).max() == 0.0
         assert np.ptp(run.final_state.r_b, axis=1).max() == 0.0
 
@@ -362,10 +362,9 @@ class TestRun:
         suite = replace(get_scenario("periodic").suite, alpha=0.0, beta=0.0)
         scen = get_scenario("periodic", a=0.0, suite=suite)
         mic = run_micro(MicroConfig(scenario=scen, eps=1 / 8,
-                                    cells_per_eps=16, T=0.25, dt=2.5e-3),
-                        n_samples=5)
+                                    cells_per_eps=16, T=0.25, dt=2.5e-3))
         cfg = MacroConfig(scenario=scen, H=1 / 128, T=0.25, dt=2.5e-3)
-        mac = run_macro(cfg, assembled(cfg), n_samples=5)
+        mac = run_macro(assembled(cfg))
         assert abs(mic.final_state.l - mac.final_state.l).max() < 1e-12
         for key in ("l2_norm", "min_l", "max_l", "energy", "rf_mass",
                     "rb_mass"):
@@ -375,7 +374,7 @@ class TestRun:
     def test_positivity_and_barrier_default(self):
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.5)
-        run = run_macro(cfg, assembled(cfg, N_c=48))
+        run = run_macro(assembled(cfg, N_c=48))
         o = run.observables
         assert o["min_l"].min() >= -1e-12
         M, B = run.barrier_M, run.barrier_B
@@ -384,27 +383,14 @@ class TestRun:
         assert run.ok()
         assert 0.0 < run.ledger_max < 1e-12
 
-    @pytest.mark.parametrize("change", [
-        dict(H=1 / 16), dict(n_gamma=8),
-        dict(scenario=get_scenario("periodic", suite=replace(
-            get_scenario("periodic").suite, beta=0.5)))])
-    def test_mismatched_operator_is_rejected(self, change):
-        # T and dt may differ from the operator's config, nothing else may
-        base = dict(scenario=get_scenario("periodic"), H=1 / 8, T=0.05)
-        op = assembled(MacroConfig(**base), N_c=32)
-        (key,) = change
-        key = {"scenario": "suite"}.get(key, key)   # the scenario's suite
-        with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
-            run_macro(MacroConfig(**{**base, **change}, dt=1e-3), op)
-
     def test_observable_schema(self):
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1)
-        run = run_macro(cfg, assembled(cfg, N_c=32), n_samples=4)
+        run = run_macro(assembled(cfg, N_c=32))
         o = run.observables
         assert set(o) == {"t", "l2_norm", "min_l", "max_l", "energy",
                           "rf_mass", "rb_mass"}
-        assert len(o["t"]) == 5
+        assert len(o["t"]) == N_SAMPLES + 1
         assert o["t"][-1] == pytest.approx(0.1)
 
     def test_fields_are_the_states_of_each_sample(self):
@@ -412,9 +398,8 @@ class TestRun:
         # states themselves: distinct arrays, the last one the final state
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1)
-        run = run_macro(cfg, assembled(cfg, N_c=32), n_samples=4,
-                        keep_fields=True)
-        assert len(run.fields) == 5
+        run = run_macro(assembled(cfg, N_c=32), keep_fields=True)
+        assert len(run.fields) == N_SAMPLES + 1
         assert not any(np.shares_memory(a, b) for k, a in
                        enumerate(run.fields) for b in run.fields[k + 1:])
         assert all(f.shape == (16, 16) for f in run.fields)
@@ -424,17 +409,16 @@ class TestRun:
     def test_t_zero_single_row(self):
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.0)
-        run = run_macro(cfg, assembled(cfg, N_c=32))
+        run = run_macro(assembled(cfg, N_c=32))
         assert len(run.observables["t"]) == 1
         assert run.ok()
 
     def test_step_halving_first_order(self):
         scen = get_scenario("periodic")
-        op = assembled(MacroConfig(scenario=scen, H=1 / 32, T=0.25), N_c=48)
         vals = []
         for dt in (2.5e-3, 1.25e-3, 6.25e-4):
             cfg = MacroConfig(scenario=scen, H=1 / 32, T=0.25, dt=dt)
-            run = run_macro(cfg, op, n_samples=5)
+            run = run_macro(assembled(cfg, N_c=48))
             vals.append(run.observables["l2_norm"][-1])
         d1 = abs(vals[0] - vals[1])
         d2 = abs(vals[1] - vals[2])
@@ -449,7 +433,7 @@ class TestRun:
         assert (op.tensors[:, 0, 1] == 0.0).all() or \
             abs(op.tensors[:, 0, 1]).max() < 1e-10
         assert (d > 0.0).all() and (d < 1.0).all()
-        run = run_macro(cfg, op)
+        run = run_macro(op)
         assert run.ok()
         assert np.isfinite(run.observables["energy"]).all()
 

@@ -10,7 +10,6 @@ reference loops kept here.
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from scipy.special import ellipe
 
 from lphom import micro
 from lphom.geometry import mask_connected
-from lphom.imex import State
+from lphom.imex import N_SAMPLES, State
 from lphom.micro import (
     MicroConfig,
     _deposit_cells,
@@ -329,13 +328,11 @@ class TestRun:
     def test_step_halving_first_order(self):
         # exact divisors of the sampling window so dt really halves
         scen = get_scenario("periodic")
-        grid = build_micro_grid(MicroConfig(scenario=scen, eps=1 / 8,
-                                            cells_per_eps=16, T=0.25))
         vals = []
         for dt in (2.5e-3, 1.25e-3, 6.25e-4):
             cfg = MicroConfig(scenario=scen, eps=1 / 8, cells_per_eps=16,
                               T=0.25, dt=dt)
-            r = run_micro(cfg, grid=grid, n_samples=5)
+            r = run_micro(cfg)
             vals.append(r.observables["l2_norm"][-1])
         d1 = abs(vals[0] - vals[1])
         d2 = abs(vals[1] - vals[2])
@@ -353,7 +350,6 @@ class TestRun:
         # order, with no full-grid copy beside it
         cfg = MicroConfig(scenario=get_scenario("epithelial"), eps=1 / 8,
                           cells_per_eps=8, T=0.05)
-        grid = build_micro_grid(cfg)
         seen, real_observe = [], micro.MicroGrid.observe
 
         def observe(self, st):
@@ -361,53 +357,42 @@ class TestRun:
             return real_observe(self, st)
 
         monkeypatch.setattr(micro.MicroGrid, "observe", observe)
-        run = run_micro(cfg, grid=grid, n_samples=4, keep_fields=True)
+        run = run_micro(cfg, keep_fields=True)
+        grid = run.model
         fluid = int(grid.mask.sum())
         ii, jj = np.nonzero(grid.mask)
         assert 0 < fluid < grid.n**2
-        assert len(run.fields) == len(seen) == 5
-        assert sum(f.nbytes for f in run.fields) == 8 * fluid * 5
+        assert len(run.fields) == len(seen) == N_SAMPLES + 1
+        assert sum(f.nbytes for f in run.fields) \
+            == 8 * fluid * (N_SAMPLES + 1)
         for f, l in zip(run.fields, seen):
             assert f.shape == (fluid,) and f.dtype == np.float64
             assert np.array_equal(f, l[ii, jj])
         assert np.array_equal(run.fields[-1],
                               run.final_state.l[grid.mask])
-        assert run_micro(cfg, grid=grid, n_samples=4).fields is None
+        assert run_micro(cfg).fields is None
 
     def test_mass_ledger_checked_on_every_run(self, default_run):
         assert 0.0 < default_run.ledger_max < 1e-12
 
-    def test_dropped_deposit_breaks_the_ledger(self):
+    def test_dropped_deposit_breaks_the_ledger(self, monkeypatch):
         # the step still reports the exchange it no longer deposits
         cfg = MicroConfig(scenario=get_scenario("periodic"), eps=1 / 8,
                           cells_per_eps=8, T=0.05)
-        grid = build_micro_grid(cfg)
-        grid.face_scale = np.zeros(len(grid.faces))
-        run = run_micro(cfg, grid=grid, n_samples=4)
+        real_build = micro.build_micro_grid
+
+        def build_without_deposit(config):
+            grid = real_build(config)
+            grid.face_scale = np.zeros(len(grid.faces))
+            return grid
+
+        monkeypatch.setattr(micro, "build_micro_grid", build_without_deposit)
+        run = run_micro(cfg)
         assert not run.ok()
         assert run.ledger_max > 1e-10
-        assert len(run.failures) == 4
+        assert len(run.failures) == N_SAMPLES
         assert all(f.startswith("mass ledger residual ") and " at t=" in f
                    for f in run.failures)
-
-    @pytest.mark.parametrize("change", [
-        dict(eps=1 / 16), dict(r=0.6), dict(cells_per_eps=16),
-        dict(scenario=get_scenario("periodic", suite=replace(
-            get_scenario("periodic").suite, alpha=2.0)))])
-    def test_mismatched_grid_is_rejected(self, change, monkeypatch):
-        # T and dt may differ from the grid's config, nothing else may
-        base = dict(scenario=get_scenario("periodic"), eps=1 / 8,
-                    cells_per_eps=8, T=0.05)
-        grid = build_micro_grid(MicroConfig(**base))
-
-        def no_splu(*args, **kwargs):
-            raise AssertionError("factorized a mismatched grid")
-
-        monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=no_splu))
-        (key,) = change
-        key = {"scenario": "suite"}.get(key, key)   # the scenario's suite
-        with pytest.raises(ValueError, match=f"prebuilt model has {key}="):
-            run_micro(MicroConfig(**{**base, **change}, dt=1e-3), grid=grid)
 
 
 class TestEnergy:

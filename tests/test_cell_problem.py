@@ -22,7 +22,7 @@ from lphom.cell_problem import (
 from lphom.geometry import (TransformField, UnitCellSpec, mask_connected,
                              rotation_matrix)
 from lphom.macro import MacroConfig, macro_nodes
-from lphom.scenarios import get_scenario
+from lphom.scenarios import SCENARIO_NAMES, get_scenario
 
 I2 = np.eye(2)
 X0 = np.array([0.5, 0.5])
@@ -426,6 +426,19 @@ class TestTensorField:
                              scen.cell, N_c=32)
         assert field.ok()
         assert calls == {"D": 6, "K": 6, "solve": 1}
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_every_solve_meets_the_one_tolerance(self, name):
+        # the field keeps the residual of each point's solve, and every
+        # solve has met _TOL
+        sc = get_scenario(name)
+        pts = np.array([[0.25, 0.25], [0.75, 0.5]])
+        field = tensor_field(pts, sc.suite.A, sc.transform, sc.cell, N_c=32)
+        assert field.ok()
+        assert np.all(field.residual <= cell_problem._TOL)
+        for x, res in zip(pts, field.residual):
+            sol = solve_cell(x, sc.suite.A, sc.transform, sc.cell, N_c=32)
+            assert sol.residual == res
 
     def test_tolerance_is_a_hard_check(self, monkeypatch):
         monkeypatch.setattr(cell_problem, "_TOL", 1e-30)

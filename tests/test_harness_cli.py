@@ -1115,6 +1115,28 @@ class TestScheduler:
             == [row_bits(r) for r in serial.rows]
 
     @pytest.mark.parametrize("workers", [2, 3])
+    def test_micro_factorizations_never_overlap(self, study, workers,
+                                                monkeypatch):
+        # lane B starts after the finest factorization has returned and
+        # runs its jobs one after another, so no two factorizations share
+        # the process at once
+        intervals = []
+        lock = threading.Lock()
+
+        def recording_splu(A, *args, **kwargs):
+            start = time.perf_counter()
+            lu = spla.splu(A, *args, **kwargs)
+            with lock:
+                intervals.append((start, time.perf_counter()))
+            return lu
+
+        monkeypatch.setattr(micro, "spla", SimpleNamespace(splu=recording_splu))
+        convergence_study(study, max_workers=workers)
+        spans = sorted(intervals)
+        assert len(spans) == len(study.eps_list)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("workers", [2, 3])
     def test_lane_b_runs_the_coarser_micro_runs_before_the_macro_job(
             self, study, workers, monkeypatch):
         # lane B's largest set-up, the next-finest run, comes first, so no

@@ -383,6 +383,24 @@ class TestRun:
         assert run.ok()
         assert 0.0 < run.ledger_max < 1e-12
 
+    @pytest.mark.parametrize("change", [
+        dict(H=1 / 16), dict(n_gamma=8),
+        dict(scenario=get_scenario("periodic", suite=replace(
+            get_scenario("periodic").suite, beta=0.5)))])
+    def test_run_steps_the_config_of_its_operator(self, change):
+        # a run has one config, its operator's, so it is the run of any
+        # operator assembled from that config
+        base = dict(scenario=get_scenario("periodic"), H=1 / 8, T=0.05)
+        cfg = MacroConfig(**{**base, **change})
+        op = assembled(cfg, N_c=32)
+        run = run_macro(op)
+        ref = run_macro(assembled(MacroConfig(**{**base, **change}), N_c=32))
+        assert run.config is cfg and run.model is op
+        assert run.final_state.l.shape == (cfg.n_cells, cfg.n_cells)
+        assert run.observables["t"][-1] == pytest.approx(cfg.T)
+        for key, values in ref.observables.items():
+            assert np.array_equal(run.observables[key], values), key
+
     def test_observable_schema(self):
         scen = get_scenario("periodic")
         cfg = MacroConfig(scenario=scen, H=1 / 16, T=0.1)

@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.special import ellipe
 
-from lphom import micro
+from lphom import imex, micro
 from lphom.geometry import mask_connected
 from lphom.imex import N_SAMPLES, State
 from lphom.micro import (
@@ -393,6 +393,24 @@ class TestRun:
         assert len(run.failures) == N_SAMPLES
         assert all(f.startswith("mass ledger residual ") and " at t=" in f
                    for f in run.failures)
+
+    @pytest.mark.parametrize("change", [
+        dict(eps=1 / 16), dict(r=0.6), dict(cells_per_eps=16),
+        dict(scenario=get_scenario("periodic", suite=replace(
+            get_scenario("periodic").suite, alpha=2.0)))])
+    def test_run_builds_the_grid_of_its_config(self, change):
+        # a run has one config: the grid it steps is built from it, so it
+        # is the run of that grid stepped by hand
+        base = dict(scenario=get_scenario("periodic"), eps=1 / 8,
+                    cells_per_eps=8, T=0.05)
+        cfg = MicroConfig(**{**base, **change})
+        run, grid = run_micro(cfg), build_micro_grid(cfg)
+        ref = imex.integrate(grid, imex.schedule(grid), False, None)
+        assert run.config is cfg and run.model.config is cfg
+        assert run.model.n == cfg.n_cells
+        assert np.array_equal(run.model.mask, grid.mask)
+        for key, values in ref.observables.items():
+            assert np.array_equal(run.observables[key], values), key
 
 
 class TestEnergy:

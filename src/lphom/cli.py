@@ -27,7 +27,7 @@ import numpy as np
 # sparse solvers, so each command imports them itself: geom and
 # check-unfold run on numpy alone
 from .geometry import build_partition
-from .imex import OBSERVABLES
+from .imex import OBSERVABLES, step_of
 from .scenarios import SCENARIO_NAMES, CoefficientSuite, get_scenario
 from .unfolding import (
     GammaQuadrature,
@@ -303,7 +303,7 @@ def _parse_points(text: str) -> np.ndarray:
 
 
 def _tensor_csv_lines(vals: dict, fld: EffectiveTensorField) -> list:
-    lines = _provenance(vals, ("scenario", "a", "Nc"))
+    lines = _provenance(vals, ("scenario", "a", "Nc", *COEFF_KEYS))
     lines.append("x1,x2,A11,A12,A21,A22,theta,residual,Nc")
     for i in range(len(fld.points)):
         A = fld.tensors[i]
@@ -365,21 +365,6 @@ def _read_tensor_csv(path: str) -> EffectiveTensorField:
 
 # -------------------------------------------------------- micro / macro
 
-def _dt_from(vals: dict, args) -> Optional[float]:
-    # --dt wins; otherwise a numeric dt_rule key; "h" means solver default
-    if getattr(args, "dt", None) is not None:
-        return args.dt
-    rule = vals.get("dt_rule", "h")
-    if rule == "h":
-        return None
-    try:
-        dt = float(rule)
-    except ValueError:
-        raise UsageError(f"dt_rule must be 'h' or a number, got {rule!r}") \
-            from None
-    return dt
-
-
 def _write_run(vals: dict, command: str, prov: Sequence[str], run,
                points: np.ndarray, l_final: np.ndarray) -> int:
     """Write a micro or macro run's series CSV, and its final ligand field
@@ -404,14 +389,16 @@ def _cmd_micro(vals: dict, args) -> int:
 
     sc = _scenario_from(vals)
     eps = _single_eps(vals, 1 / 16)
-    cfg = MicroConfig(sc, eps, dt=_dt_from(vals, args),
+    cfg = MicroConfig(sc, eps, dt=step_of(vals.get("dt_rule", "h")),
                       **_given(vals, MicroConfig))
     run = run_micro(cfg)
     grid = run.model
     ii, jj = np.nonzero(grid.mask)
     centers = np.column_stack(((ii + 0.5) * grid.h, (jj + 0.5) * grid.h))
-    return _write_run(vals, "micro", ("scenario", "a", "r", "cells_per_eps",
-                                      "T", "dt_rule"),
+    # the headers state the run's eps: the flag's or the default
+    return _write_run({**vals, "epsilon_list": (eps,)}, "micro",
+                      ("scenario", "a", "epsilon_list", "r", "cells_per_eps",
+                       "T", "dt_rule", *COEFF_KEYS),
                       run, centers, run.final_state.l[ii, jj])
 
 
@@ -422,7 +409,7 @@ def _cmd_macro(vals: dict, args) -> int:
     sc = _scenario_from(vals)
     fld = _read_tensor_csv(args.tensors) if args.tensors else None
     # H has no default in MacroConfig
-    cfg = MacroConfig(sc, dt=_dt_from(vals, args),
+    cfg = MacroConfig(sc, dt=step_of(vals.get("dt_rule", "h")),
                       **{"H": 1 / 32, **_given(vals, MacroConfig)})
     # a coarse Nc is rejected even when a tensor file brings the field
     N_c = vals.get("Nc", 64)
@@ -434,7 +421,8 @@ def _cmd_macro(vals: dict, args) -> int:
     # the headers state the field's N_c: the flag's, the default or the
     # tensor file's
     return _write_run({**vals, "Nc": fld.N_c}, "macro",
-                      ("scenario", "a", "H", "T", "dt_rule", "nGamma", "Nc"),
+                      ("scenario", "a", "H", "T", "dt_rule", "nGamma", "Nc",
+                       *COEFF_KEYS),
                       run, macro_nodes(cfg), run.final_state.l.ravel())
 
 
@@ -472,9 +460,9 @@ _COMMANDS = {
     "cell": ("effective tensors at macro points", _cmd_cell,
              ("--points", "Nc")),
     "micro": ("one microscopic solve", _cmd_micro,
-              ("epsilon_list", "r", "cells_per_eps", "T", "--dt")),
+              ("epsilon_list", "r", "cells_per_eps", "T", "dt_rule")),
     "macro": ("one homogenized solve", _cmd_macro,
-              ("H", "T", "--dt", "nGamma", "Nc", "--tensors")),
+              ("H", "T", "dt_rule", "nGamma", "Nc", "--tensors")),
     "converge": ("epsilon-sweep convergence study", _cmd_converge,
                  ("epsilon_list", "r", "cells_per_eps", "Nc", "H", "nGamma",
                   "T", "dt_rule")),
@@ -482,7 +470,6 @@ _COMMANDS = {
 _PLAIN_FLAGS = {
     "--config": {"help": "flat key=value configuration file"},
     "--points": {"help": "semicolon-separated x1,x2 pairs"},
-    "--dt": {"type": _number},
     "--tensors": {"help": "precomputed tensor CSV (cell output)"},
 }
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cell_problem import check_cell_grid, tensor_field
-from .imex import N_SAMPLES, Run, check_budget
+from .imex import N_SAMPLES, Run, check_budget, step_of
 from .macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 from .micro import MicroConfig, run_micro
 from .scenarios import Scenario
@@ -44,9 +44,10 @@ __all__ = [
 class StudyConfig:
     """Parameters of one convergence study.
 
-    dt_rule is either "h" (each solver steps with its own mesh width, the
-    macro run with the finest micro width so its time error does not set
-    the floor of E) or a decimal literal used verbatim by every run.
+    dt_rule, parsed by imex.step_of, is either "h" (each micro run steps
+    with its grid width, the macro run with the finest micro width so its
+    time error does not set the floor of E) or a decimal literal used
+    verbatim by every run.
     """
 
     scenario: Scenario
@@ -68,44 +69,30 @@ class StudyConfig:
             raise ValueError("every epsilon must lie in (0, 1)")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon list must be strictly decreasing")
-        if self.dt_rule != "h":
-            try:
-                dt = float(self.dt_rule)
-            except (TypeError, ValueError):
-                dt = math.nan
-            if not (math.isfinite(dt) and dt > 0.0):
-                raise ValueError(
-                    f"dt_rule must be 'h' or a finite positive number, got "
-                    f"{self.dt_rule!r}")
+        dt = step_of(self.dt_rule)
         # the run configs own the remaining range checks; building them here
         # rejects a bad study before any solve starts
         for e in eps:
             self.micro_config(e)
         self.macro_config()
         check_cell_grid(self.N_c)
-        # the explicit budget of imex.schedule, on the largest step of any run
+        # the explicit budget of imex.schedule, on the largest step of any
+        # run: under "h" the coarsest micro width
         if self.T > 0.0:
             check_budget(self.scenario.suite,
-                         max(self.micro_dt(eps[0]), self.macro_dt()))
+                         dt if dt is not None else self.micro_config(eps[0]).h)
 
     def micro_config(self, eps: float) -> MicroConfig:
         return MicroConfig(self.scenario, eps, r=self.r,
                            cells_per_eps=self.cells_per_eps, T=self.T,
-                           dt=self.micro_dt(eps))
+                           dt=step_of(self.dt_rule))
 
     def macro_config(self) -> MacroConfig:
-        return MacroConfig(self.scenario, H=self.H, T=self.T,
-                           dt=self.macro_dt(), n_gamma=self.n_gamma)
-
-    def micro_dt(self, eps: float) -> float:
-        if self.dt_rule == "h":
-            return eps / self.cells_per_eps
-        return float(self.dt_rule)
-
-    def macro_dt(self) -> float:
-        if self.dt_rule == "h":
-            return min(self.micro_dt(e) for e in self.eps_list)
-        return float(self.dt_rule)
+        dt = step_of(self.dt_rule)
+        if dt is None:
+            dt = self.micro_config(self.eps_list[-1]).h
+        return MacroConfig(self.scenario, H=self.H, T=self.T, dt=dt,
+                           n_gamma=self.n_gamma)
 
 
 @dataclass

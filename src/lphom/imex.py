@@ -94,6 +94,21 @@ def check_times(T: float, dt: Optional[float]) -> None:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
 
 
+def step_of(rule: str) -> Optional[float]:
+    """The step a dt_rule sets: None for "h", each run then stepping with
+    its model's width, or the rule's number, finite and positive."""
+    if rule == "h":
+        return None
+    try:
+        dt = float(rule)
+    except (TypeError, ValueError):
+        dt = math.nan
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt_rule must be 'h' or a finite positive number, "
+                         f"got {rule!r}")
+    return dt
+
+
 def check_budget(suite, dt: float) -> None:
     """Reject a step that takes the explicit reactions over budget."""
     if dt * suite.bulk_lipschitz > 0.5:

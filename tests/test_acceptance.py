@@ -24,6 +24,7 @@ from lphom.geometry import (
     rotation_matrix,
 )
 from lphom.harness import StudyConfig, convergence_study
+from lphom.imex import N_SAMPLES
 from lphom.macro import MacroConfig, assemble_macro, macro_nodes, run_macro
 from lphom.micro import MicroConfig, run_micro
 from lphom.scenarios import get_scenario
@@ -262,10 +263,14 @@ class TestConvergenceStudies:
         self._assert_halving_sweep(epithelial_study)
 
     def test_finest_run_is_resolved(self, periodic_study):
-        # the eps = 1/32 run must be a real resolution-scale solve
+        # the eps = 1/32 run must be a real resolution-scale solve. Under
+        # dt_rule "h" it steps with its grid width, and the steps are
+        # counted as imex.schedule counts them
         run = periodic_study.micro_runs[1 / 32]
         assert run.model.n >= 448
-        steps = round(run.config.T / run.config.dt)
+        assert run.config.dt is None
+        window = run.config.T / N_SAMPLES
+        steps = N_SAMPLES * math.ceil(window / run.model.width - 1e-12)
         assert steps >= 200
 
     def test_periodic_energy_gap_decreases(self, periodic_study):

@@ -33,7 +33,7 @@ from lphom.harness import (
     _sample_bilinear,
     convergence_study,
 )
-from lphom.imex import N_SAMPLES
+from lphom.imex import N_SAMPLES, step_of
 from lphom.macro import MacroConfig, macro_nodes
 from lphom.scenarios import CoefficientSuite, get_scenario
 
@@ -215,14 +215,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["converge", "--dt-rule", "nan"], "dt_rule must be"),
+        (["micro", "--eps", "1/8", "--dt-rule", "nan"], "dt_rule must be"),
+        (["macro", "--H", "1/8", "--dt-rule", "nan"], "dt_rule must be"),
         (["micro", "--eps", "1/8", "--r", "1.5"], "r must lie in (0, 1)"),
-    ], ids=["converge-nan-dt-rule", "micro-r-above-1"])
+    ], ids=["converge-nan-dt-rule", "micro-nan-dt-rule", "macro-nan-dt-rule",
+            "micro-r-above-1"])
     def test_bad_run_parameter_exits_2_before_any_solve(
             self, argv, message, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve started")
 
         monkeypatch.setattr(harness, "tensor_field", no_solve)
+        monkeypatch.setattr(cell_problem, "solve_cell", no_solve)
         monkeypatch.setattr(micro, "build_micro_grid", no_solve)
         code = main(argv + ["--scenario", "periodic",
                             "--outdir", str(tmp_path)])
@@ -589,7 +593,8 @@ class TestCheckUnfoldGolden:
 
 class TestSolverGolden:
     # pinned at the commit before the micro and macro solvers shared one
-    # time-stepping driver; the driver must keep every byte
+    # time-stepping driver; the driver must keep every byte. The micro
+    # headers have stated the run's eps since
     @pytest.mark.parametrize("name", ["periodic", "epithelial", "plywood2d",
                                       "radius-gradient"])
     @pytest.mark.parametrize("command, args", [
@@ -837,6 +842,29 @@ class TestMicroCommand:
         assert 0.7 * 64**2 < len(fld) < 64**2
         assert all(v[2] > 0.0 for v in fld)
 
+    ARGV = ["micro", "--scenario", "periodic", "--eps", "1/8",
+            "--cells-per-eps", "8", "--T", "0.01"]
+
+    def csv_lines(self, argv, out):
+        assert main(self.ARGV + argv + ["--outdir", str(out)]) == 0
+        return [(out / f"micro_{kind}.csv").read_text().splitlines()
+                for kind in ("series", "field")]
+
+    def test_dt_rule_h_runs_as_no_rule(self, tmp_path):
+        # both step with the grid width; the given rule is stated
+        plain = self.csv_lines([], tmp_path / "plain")
+        h = self.csv_lines(["--dt-rule", "h"], tmp_path / "h")
+        for got, want in zip(h, plain):
+            at = want.index("# T=0.01") + 1
+            assert got == want[:at] + ["# dt_rule=h"] + want[at:]
+
+    def test_dt_prefix_sets_the_dt_rule(self, tmp_path):
+        # argparse reads --dt as the prefix of --dt-rule
+        dt = self.csv_lines(["--dt", "0.001"], tmp_path / "dt")
+        assert "# dt_rule=0.001" in dt[0] and "# dt_rule=0.001" in dt[1]
+        assert dt == self.csv_lines(["--dt-rule", "0.001"], tmp_path / "rule")
+        assert dt != self.csv_lines([], tmp_path / "plain")
+
 
 class TestConvergeCommand:
     def test_small_study_passes_with_pinned_values(self, tmp_path, capsys):
@@ -887,8 +915,8 @@ SUBCOMMAND_OPTIONS = {
     "cell": [(["--points"], "points"), (["--Nc"], "Nc")],
     "micro": [(["--eps"], "epsilon_list"), (["--r"], "r"),
               (["--cells-per-eps"], "cells_per_eps"), (["--T"], "T"),
-              (["--dt"], "dt")],
-    "macro": [(["--H"], "H"), (["--T"], "T"), (["--dt"], "dt"),
+              (["--dt-rule"], "dt_rule")],
+    "macro": [(["--H"], "H"), (["--T"], "T"), (["--dt-rule"], "dt_rule"),
               (["--n-gamma"], "nGamma"), (["--Nc"], "Nc"),
               (["--tensors"], "tensors")],
     "converge": [(["--eps"], "epsilon_list"), (["--r"], "r"),
@@ -910,7 +938,8 @@ class TestParserLayout:
 
 # (command, config key, flag, value in the file, value on the flag, the
 # config attribute they set, what the file value and the flag value read
-# there); --dt is a plain flag that wins over a numeric dt_rule key
+# there). micro and macro read the step from dt_rule: "h" sets none, and
+# the run steps with its model's width
 KEY_CASES = [
     ("micro", "scenario", "--scenario", "epithelial", "plywood2d",
      "scenario.name", "epithelial", "plywood2d"),
@@ -920,13 +949,15 @@ KEY_CASES = [
     ("micro", "cells_per_eps", "--cells-per-eps", "9", "11",
      "cells_per_eps", 9, 11),
     ("micro", "T", "--T", "0.2", "0.3", "T", 0.2, 0.3),
-    ("micro", "dt_rule", "--dt", "0.01", "0.02", "dt", 0.01, 0.02),
+    ("micro", "dt_rule", "--dt-rule", "0.01", "0.02", "dt", 0.01, 0.02),
+    ("micro", "dt_rule", "--dt-rule", "0.01", "h", "dt", 0.01, None),
     ("macro", "scenario", "--scenario", "epithelial", "plywood2d",
      "scenario.name", "epithelial", "plywood2d"),
     ("macro", "a", "--a", "0.2", "0.3", "scenario.cell.a", 0.2, 0.3),
     ("macro", "H", "--H", "1/8", "1/16", "H", 0.125, 0.0625),
     ("macro", "T", "--T", "0.2", "0.3", "T", 0.2, 0.3),
-    ("macro", "dt_rule", "--dt", "0.01", "0.02", "dt", 0.01, 0.02),
+    ("macro", "dt_rule", "--dt-rule", "0.01", "0.02", "dt", 0.01, 0.02),
+    ("macro", "dt_rule", "--dt-rule", "h", "0.01", "dt", None, 0.01),
     ("macro", "nGamma", "--n-gamma", "8", "12", "n_gamma", 8, 12),
     ("converge", "scenario", "--scenario", "epithelial", "plywood2d",
      "scenario.name", "epithelial", "plywood2d"),
@@ -943,6 +974,44 @@ KEY_CASES = [
     ("converge", "dt_rule", "--dt-rule", "0.01", "0.02", "dt_rule",
      "0.01", "0.02"),
 ]
+
+
+class TestKeysReachTheHeaders:
+    """Every key a run command takes, set by its flag or in a --config
+    file, is named in the header of every CSV the command writes. The
+    coefficient keys have no flag and go in the file."""
+
+    # a tiny run's value of each key; outdir is where the CSVs go
+    VALUES = {"scenario": "periodic", "a": "0.25", "epsilon_list": "1/8",
+              "r": "0.5", "cells_per_eps": "8", "H": "1/8", "T": "0.01",
+              "dt_rule": "0.005", "nGamma": "8", "Nc": "32"}
+    OUTPUTS = {"micro": ("micro_series.csv", "micro_field.csv"),
+               "macro": ("macro_series.csv", "macro_field.csv"),
+               "cell": ("cell_tensors.csv",)}
+
+    @pytest.mark.parametrize("by", ["flag", "file"])
+    @pytest.mark.parametrize("command", list(OUTPUTS))
+    def test_every_key_given_is_named(self, command, by, tmp_path):
+        keys = [k for k in cli._COMMON + cli._COMMANDS[command][2]
+                if k in cli._KEYS and k != "outdir"]
+        suite = CoefficientSuite()
+        text = "".join(f"{k} = {getattr(suite, k)!r}\n"
+                       for k in cli.COEFF_KEYS)
+        argv = [command, "--outdir", str(tmp_path)]
+        if by == "flag":
+            for k in keys:
+                argv += [cli._KEYS[k].flag, self.VALUES[k]]
+        else:
+            text += "".join(f"{k} = {self.VALUES[k]}\n" for k in keys)
+        path = tmp_path / "c.cfg"
+        path.write_text(text)
+        assert main(argv + ["--config", str(path)]) == 0
+        for name in self.OUTPUTS[command]:
+            named = {line[2:].partition("=")[0]
+                     for line in (tmp_path / name).read_text().splitlines()
+                     if line.startswith("# ")}
+            missing = [k for k in (*keys, *cli.COEFF_KEYS) if k not in named]
+            assert not missing, (name, missing)
 
 
 class TestKeysReachTheConfig:
@@ -976,7 +1045,8 @@ class TestKeysReachTheConfig:
 
     @pytest.mark.parametrize(
         "command,key,flag,file_value,flag_value,attr,from_file,from_flag",
-        KEY_CASES, ids=[f"{c[0]}-{c[1]}" for c in KEY_CASES])
+        KEY_CASES, ids=[f"{c[0]}-{c[1]}" + ("-h" if "h" in c[3:5] else "")
+                        for c in KEY_CASES])
     def test_flag_and_file_agree_and_the_flag_wins(
             self, command, key, flag, file_value, flag_value, attr,
             from_file, from_flag, tmp_path, monkeypatch):
@@ -1336,12 +1406,27 @@ class TestStudyConfigValidation:
     def test_dt_rules_resolve(self):
         sc = get_scenario("periodic")
         s = StudyConfig(scenario=sc, eps_list=(1 / 4, 1 / 8), cells_per_eps=8)
-        assert s.micro_dt(1 / 4) == 1 / 32
-        assert s.macro_dt() == 1 / 64       # finest micro dt in the sweep
+        # under "h" a micro run sets no step, so imex.schedule takes its
+        # grid width, and the macro run steps with the finest micro width
+        assert s.micro_config(1 / 4).dt is None
+        assert s.micro_config(1 / 4).h == 1 / 32
+        assert s.macro_config().dt == 1 / 64
         s2 = StudyConfig(scenario=sc, eps_list=(1 / 4,), cells_per_eps=8,
                          dt_rule="0.01")
-        assert s2.micro_dt(1 / 4) == 0.01
-        assert s2.macro_dt() == 0.01
+        assert s2.micro_config(1 / 4).dt == 0.01
+        assert s2.macro_config().dt == 0.01
+
+    @pytest.mark.parametrize("rule,dt", [("h", None), ("0.01", 0.01),
+                                         ("2e-3", 0.002)])
+    def test_step_of_parses_a_rule(self, rule, dt):
+        assert step_of(rule) == dt
+
+    @pytest.mark.parametrize("rule", ["fast", "", "0", "-0.01", "nan",
+                                      "inf", "1e400", None])
+    def test_step_of_rejects_anything_else(self, rule):
+        with pytest.raises(ValueError, match="^dt_rule must be 'h' or a "
+                                             "finite positive number, got "):
+            step_of(rule)
 
 
 def sample_per_point(values, H, pts):

@@ -859,11 +859,15 @@ class TestMicroCommand:
             assert got == want[:at] + ["# dt_rule=h"] + want[at:]
 
     def test_dt_prefix_sets_the_dt_rule(self, tmp_path):
-        # argparse reads --dt as the prefix of --dt-rule
-        dt = self.csv_lines(["--dt", "0.001"], tmp_path / "dt")
-        assert "# dt_rule=0.001" in dt[0] and "# dt_rule=0.001" in dt[1]
-        assert dt == self.csv_lines(["--dt-rule", "0.001"], tmp_path / "rule")
-        assert dt != self.csv_lines([], tmp_path / "plain")
+        # argparse reads --dt as the prefix of --dt-rule. The step 1e-4 is
+        # below the grid width and the 5e-4 sampling window, so the series
+        # rows differ from the default's
+        dt = self.csv_lines(["--dt", "0.0001"], tmp_path / "dt")
+        assert "# dt_rule=0.0001" in dt[0] and "# dt_rule=0.0001" in dt[1]
+        assert dt == self.csv_lines(["--dt-rule", "0.0001"],
+                                    tmp_path / "rule")
+        [plain, _] = self.csv_lines([], tmp_path / "plain")
+        assert dt[0][-1] != plain[-1]
 
 
 class TestConvergeCommand:

@@ -135,7 +135,7 @@ def _cell_cuts(N: int, K: np.ndarray, cell: UnitCellSpec):
     """
     h = 1.0 / N
     kind = np.ones((N, N), dtype=np.int8)
-    if cell.inclusion == "none":
+    if cell.a == 0.0:
         return kind, np.zeros((0, 2), dtype=int), np.zeros((0, 5))
     Kinv = np.linalg.inv(K)
     center = np.asarray(cell.center, dtype=float)
@@ -271,7 +271,7 @@ def build_cell_geometry(x, A: float, transform: TransformField,
     if not mask_connected(kind > 0, periodic=True):
         raise ValueError("fluid region of the cell mask is disconnected")
     h = 1.0 / N_c
-    fluid_area = 1.0 if cell.inclusion == "none" else (
+    fluid_area = 1.0 if cell.a == 0.0 else (
         (float(np.sum(kind == 1)) + float(cut_m[:, 0].sum())) * h * h)
     B11, B22 = float(Bmat[0, 0]), float(Bmat[1, 1])
     S, loads = _assemble(kind, cut_idx, cut_m, B11, B22)

@@ -33,7 +33,6 @@ from .unfolding import (
     GammaQuadrature,
     check_boundary_identity,
     check_integration_identity,
-    grid_function_from_callable,
     lattice_pwc_field,
 )
 
@@ -213,21 +212,23 @@ def _cmd_geom(vals: dict, args) -> int:
 
 def _pwc_identity(part):
     """A field constant on each lattice cell is integrated exactly."""
-    lo, hi = np.zeros(2), np.ones(2)
     # one draw per Xi_hat row
     draws = np.random.default_rng(7).uniform(-1.0, 1.0, size=len(part.hat_n))
-    h_pwc = 1.0 / max(64, 8 * int(round(1.0 / part.eps)))
-    phi_pwc = lattice_pwc_field(part, draws, lo, hi, h_pwc)
-    return check_integration_identity(phi_pwc, part, 4)
+    return check_integration_identity(lattice_pwc_field(part, draws), part, 4)
 
 
-def _unfold_tasks(part, quad: GammaQuadrature, smooth) -> list:
+def _sin_sin(X: np.ndarray) -> np.ndarray:
+    """The smooth field of the integration checks."""
+    return np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])
+
+
+def _unfold_tasks(part, quad: GammaQuadrature) -> list:
     """The independent checks of one partition, each returning (lhs, rhs,
     gap): piecewise constant, smooth at m_y = 4 and 8, boundary."""
     return [
         lambda: _pwc_identity(part),
-        lambda: check_integration_identity(smooth, part, 4),
-        lambda: check_integration_identity(smooth, part, 8),
+        lambda: check_integration_identity(_sin_sin, part, 4),
+        lambda: check_integration_identity(_sin_sin, part, 8),
         lambda: check_boundary_identity(lambda X: 1.0 + X[:, 0], part, quad),
     ]
 
@@ -240,16 +241,12 @@ def _cmd_check_unfold(vals: dict, args) -> int:
     sc = _scenario_from(vals)
     eps_list = vals.get("epsilon_list", (1 / 8, 1 / 16, 1 / 32))
     r = vals.get("r", 0.5)
-    lo, hi = np.zeros(2), np.ones(2)
     # the boundary quadrature does not depend on eps; building it first
     # rejects a bad nGamma before any partition is built, and building
     # every partition rejects a bad eps before any check starts
     quad = GammaQuadrature(sc.cell, vals.get("nGamma", 16))
-    parts = [build_partition((lo, hi), eps, r, sc.transform)
+    parts = [build_partition(((0.0, 0.0), (1.0, 1.0)), eps, r, sc.transform)
              for eps in eps_list]
-    smooth = grid_function_from_callable(
-        lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-        lo, hi, 1 / 128)
     # the checks only read the partitions, so they share one pool, finest
     # eps (the longest checks) first; results are read in row order. Only
     # some Unix platforms have os.sched_getaffinity
@@ -259,7 +256,7 @@ def _cmd_check_unfold(vals: dict, args) -> int:
         futures = [None] * len(parts)
         for k in sorted(range(len(parts)), key=lambda k: eps_list[k]):
             futures[k] = [pool.submit(task) for task in
-                          _unfold_tasks(parts[k], quad, smooth)]
+                          _unfold_tasks(parts[k], quad)]
         try:
             results = [[f.result() for f in fs] for fs in futures]
         except BaseException:
@@ -337,7 +334,7 @@ def _cmd_cell(vals: dict, args) -> int:
 def _read_tensor_csv(path: str) -> EffectiveTensorField:
     from .cell_problem import EffectiveTensorField
 
-    pts, tens, theta, resid, nc = [], [], [], [], 0
+    pts, tens, theta, resid, nc = [], [], [], [], None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -355,6 +352,9 @@ def _read_tensor_csv(path: str) -> EffectiveTensorField:
         tens.append([[v[2], v[3]], [v[4], v[5]]])
         theta.append(v[6])
         resid.append(v[7])
+        if nc is not None and int(parts[8]) != nc:
+            raise UsageError(f"tensor file {path} mixes N_c {nc} and "
+                             f"{parts[8].strip()}")
         nc = int(parts[8])
     if not pts:
         raise UsageError(f"tensor file {path} has no data rows")

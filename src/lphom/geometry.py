@@ -33,27 +33,24 @@ def rotation_matrix(alpha: float) -> Matrix:
 
 @dataclass(frozen=True)
 class UnitCellSpec:
-    """Reference unit cell Y = (0,1)^2 with an optional inclusion Y0.
-
-    inclusion: "disk" or "none". The disk is centered at the cell midpoint.
+    """Reference unit cell Y = (0,1)^2 with a disk Y0 of radius a centered
+    at the cell midpoint; a = 0 is the unperforated cell.
     """
 
-    inclusion: str = "disk"
     a: float = 0.25
     # the cell midpoint, shared by every cell and read-only
     center: ClassVar[Point] = np.full(2, 0.5)
     center.flags.writeable = False
 
     def __post_init__(self):
-        if self.inclusion not in ("disk", "none"):
-            raise ValueError(f"unknown inclusion {self.inclusion!r}")
-        if self.inclusion != "none" and not (0.0 < self.a < 0.5):
-            raise ValueError("inclusion radius must satisfy 0 < a < 1/2")
+        if not self.a >= 0.0:
+            raise ValueError(
+                f"inclusion radius must be at least 0, got {self.a!r}")
+        if self.a >= 0.5:
+            raise ValueError("inclusion radius must satisfy 0 <= a < 1/2")
 
     def inclusion_measure(self, K: Optional[Matrix] = None) -> float:
         """|K Y0| for the centered inclusion."""
-        if self.inclusion == "none":
-            return 0.0
         detK = 1.0 if K is None else abs(np.linalg.det(K))
         return math.pi * self.a**2 * detK
 
@@ -464,7 +461,7 @@ def perforation_level(partition: Partition, cell: UnitCellSpec,
     y is a point's in-cell coordinate, c the cell midpoint, a the inclusion
     radius. Leftover regions carry no perforations and get 1, as does every
     point when the cell has no inclusion."""
-    if cell.inclusion == "none":
+    if cell.a == 0.0:
         return np.ones(len(np.atleast_2d(X)))
     n, _, y, row = locate_cells(partition, X)
     level = np.ones(len(n))

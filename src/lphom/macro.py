@@ -249,7 +249,7 @@ def assemble_macro(config: MacroConfig,
     # Γ weights: the reference arc weights times the metric |D K τ_s| of
     # the maps at each node; no inclusion leaves no Γ points
     quad = (GammaQuadrature(scen.cell, config.n_gamma)
-            if scen.cell.inclusion != "none" else None)
+            if scen.cell.a != 0.0 else None)
     gamma_w = np.zeros((P, 0 if quad is None else config.n_gamma))
     cell_measure = np.empty(P)
     tf = scen.transform

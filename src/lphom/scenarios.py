@@ -81,19 +81,10 @@ class Scenario:
     suite: CoefficientSuite = field(default_factory=CoefficientSuite)
 
 
-def _cell(a: float) -> UnitCellSpec:
-    """The unit cell with a disk of radius a; a = 0 is unperforated."""
-    if not a >= 0.0:
-        raise ValueError(f"inclusion radius must be at least 0, got {a!r}")
-    if a == 0.0:
-        return UnitCellSpec(inclusion="none", a=0.25)
-    return UnitCellSpec(inclusion="disk", a=a)
-
-
 def periodic_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     I = np.eye(2)
     tf = TransformField(D=lambda x: I, K=lambda x: I)
-    return Scenario("periodic", tf, _cell(a), suite)
+    return Scenario("periodic", tf, UnitCellSpec(a), suite)
 
 
 def epithelial_scenario(a: float, suite: CoefficientSuite) -> Scenario:
@@ -104,7 +95,7 @@ def epithelial_scenario(a: float, suite: CoefficientSuite) -> Scenario:
 
     I = np.eye(2)
     tf = TransformField(D=D, K=lambda x: I)
-    return Scenario("epithelial", tf, _cell(a), suite)
+    return Scenario("epithelial", tf, UnitCellSpec(a), suite)
 
 
 def plywood2d_scenario(a: float, suite: CoefficientSuite) -> Scenario:
@@ -118,7 +109,7 @@ def plywood2d_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     if 1.4 * a >= 0.5:
         raise ValueError("elliptical inclusion leaves the unit cell")
     tf = TransformField(D=D, K=lambda x: Kmat)
-    return Scenario("plywood2d", tf, _cell(a), suite)
+    return Scenario("plywood2d", tf, UnitCellSpec(a), suite)
 
 
 def radius_gradient_scenario(a: float, suite: CoefficientSuite) -> Scenario:
@@ -132,7 +123,7 @@ def radius_gradient_scenario(a: float, suite: CoefficientSuite) -> Scenario:
     if 1.5 * a >= 0.5:
         raise ValueError("scaled perforation leaves the unit cell")
     tf = TransformField(D=lambda x: I, K=K)
-    return Scenario("radius-gradient", tf, _cell(a), suite)
+    return Scenario("radius-gradient", tf, UnitCellSpec(a), suite)
 
 
 _BUILDERS = {

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -23,53 +23,40 @@ from .geometry import (
 )
 
 
+# a field: a function of points X, (m, 2), to its values there, (m,)
+Field = Callable[[np.ndarray], np.ndarray]
+
+
 class GridFunction:
-    """Cell-centered values on a uniform Cartesian grid over a 2-D box.
+    """Cell-centered values on a uniform Cartesian grid over a 2-D box, and
+    the field of their bilinear interpolation.
 
-    Point evaluation is bilinear in the cell-center values with
-    linear extrapolation beyond the outermost centers, so affine fields are
-    reproduced exactly everywhere. exact_eval, when set, is the underlying
-    analytic field; the unfolding routines read it in place of the
-    interpolant (point_eval), to keep interpolation error out of
-    convergence diagnostics.
-
-    values is an array, or a function of the grid that returns it, called
-    on the first read of values; shape does not read it.
+    Called at points X of shape (m, 2), it interpolates bilinearly in the
+    cell-center values, with linear extrapolation beyond the outermost
+    centers, so affine fields are reproduced exactly everywhere.
     """
 
-    def __init__(self, lo, hi, h: float, values,
-                 exact_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, lo, hi, h: float, values):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         self.h = h
-        if callable(values):
-            self._sample = values
-            self.shape = tuple(int(round(t)) for t in (self.hi - self.lo) / h)
-        else:
-            self.values = np.asarray(values, dtype=float)
-            self.shape = self.values.shape
-        if len(self.shape) != 2:
+        self.values = np.asarray(values, dtype=float)
+        if self.values.ndim != 2:
             raise ValueError(f"a grid function needs a 2-D grid, got "
-                             f"{self.shape}")
-        self.exact_eval = exact_eval
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self._sample(self)
+                             f"{self.values.shape}")
 
     def axis_centers(self, axis: int) -> np.ndarray:
-        n = self.shape[axis]
+        n = self.values.shape[axis]
         return self.lo[axis] + (np.arange(n) + 0.5) * self.h
 
     def centers(self) -> np.ndarray:
         return np.stack(np.meshgrid(self.axis_centers(0), self.axis_centers(1),
                                     indexing="ij"), axis=-1)
 
-    def eval(self, X: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation at points X of shape (m, 2)."""
+    def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         t = (X - self.lo) / self.h - 0.5
-        n = np.array(self.shape)
+        n = np.array(self.values.shape)
         i0 = np.clip(np.floor(t).astype(int), 0, n - 2)
         w = t - i0   # may leave [0,1] at the edges: linear extrapolation
         v = self.values
@@ -77,12 +64,6 @@ class GridFunction:
         wx, wy = w[:, 0], w[:, 1]
         return ((1 - wx) * (1 - wy) * v[i, j] + wx * (1 - wy) * v[i + 1, j]
                 + (1 - wx) * wy * v[i, j + 1] + wx * wy * v[i + 1, j + 1])
-
-    @property
-    def point_eval(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The one evaluation rule of the unfolding routines: exact_eval
-        when the field has one, else the bilinear eval."""
-        return self.eval if self.exact_eval is None else self.exact_eval
 
 
 # points per evaluation of f when a grid_function_from_callable is sampled,
@@ -97,47 +78,33 @@ def _row_blocks(n_rows: int, per_row: int) -> list:
     return [slice(r0, r0 + step) for r0 in range(0, n_rows, step)]
 
 
-def _sample_rows(f: Callable[[np.ndarray], np.ndarray],
-                 grid: GridFunction) -> np.ndarray:
-    """Cell-center values of f, in blocks of whole rows (first axis)."""
+def grid_function_from_callable(f: Field, lo, hi, h: float) -> GridFunction:
+    """Cell-center samples of f on the grid of spacing h over [lo, hi].
+
+    f is called on blocks of whole rows (first axis) of at most _ROW_BLOCK
+    points, at least one row, written into the preallocated value array,
+    so the working memory of f is bounded by the block and not by the grid.
+    f must act point by point.
+    """
+    shape = np.rint((np.asarray(hi, dtype=float) - lo) / h).astype(int)
+    grid = GridFunction(lo, hi, h, np.empty(shape))
     x0, x1 = grid.axis_centers(0), grid.axis_centers(1)
-    vals = np.empty(grid.shape)
     for rows in _row_blocks(len(x0), len(x1)):
         X = np.stack(np.meshgrid(x0[rows], x1, indexing="ij"),
                      axis=-1).reshape(-1, 2)
-        vals[rows] = np.asarray(f(X), dtype=float).reshape(-1, len(x1))
-    return vals
+        grid.values[rows] = np.asarray(f(X), dtype=float).reshape(-1, len(x1))
+    return grid
 
 
-def grid_function_from_callable(f: Callable[[np.ndarray], np.ndarray],
-                                lo, hi, h: float) -> GridFunction:
-    """Cell-center samples of f on the grid of spacing h over [lo, hi],
-    with f as the exact evaluation.
-
-    The samples are taken on the first read of values, so a consumer of
-    exact_eval alone samples nothing. f is called on blocks of whole rows
-    (first axis) of at most _ROW_BLOCK points, at least one row, written
-    into the preallocated value array, so the working memory of f is
-    bounded by the block and not by the grid. f must act point by point.
-    """
-    return GridFunction(lo, hi, h, lambda grid: _sample_rows(f, grid),
-                        exact_eval=f)
-
-
-def lattice_pwc_field(partition: Partition, values: np.ndarray,
-                      lo, hi, h: float) -> GridFunction:
-    """Piecewise constant per lattice cell; exact-evaluable.
+def lattice_pwc_field(partition: Partition, values: np.ndarray) -> Field:
+    """The field constant on each lattice cell.
 
     values holds one value per row of the partition's Xi_hat row layout;
     the field is 0 on leftover regions, read through the row -1 that
     locate_cells returns there from the table's extra last entry.
     """
     table = np.append(np.broadcast_to(values, partition.hat_n.shape), 0.0)
-
-    def f(X: np.ndarray) -> np.ndarray:
-        return table[locate_cells(partition, X)[3]]
-
-    return grid_function_from_callable(f, lo, hi, h)
+    return lambda X: table[locate_cells(partition, X)[3]]
 
 
 def _unit_cell_nodes(m_y: int) -> np.ndarray:
@@ -169,8 +136,7 @@ class UnfoldedGrid:
         return np.sum(self.values, axis=1) / self.values.shape[1]
 
 
-def _mapped_samples(evaluate: Callable[[np.ndarray], np.ndarray],
-                    partition: Partition, y):
+def _mapped_samples(evaluate: Field, partition: Partition, y):
     """(n, rows, values) per hat_blocks() block: evaluate at the points
     shift_n + eps D_n (xi + y) of the block's cells, one map_cells call per
     block, as a (cells, k) float array. y holds the k unit-cell points, or
@@ -183,10 +149,10 @@ def _mapped_samples(evaluate: Callable[[np.ndarray], np.ndarray],
                                   dtype=float).reshape(-1, len(y_n))
 
 
-def unfold(phi: GridFunction, partition: Partition, m_y: int) -> UnfoldedGrid:
+def unfold(phi: Field, partition: Partition, m_y: int) -> UnfoldedGrid:
     """Discrete locally periodic unfolding.
 
-    Samples phi (its point_eval) at the mapped points
+    Samples phi at the mapped points
     shift_n + eps D_n (xi + y) for every xi in Xi_hat_n and y on an
     m_y x m_y midpoint grid over Y.
     """
@@ -195,7 +161,7 @@ def unfold(phi: GridFunction, partition: Partition, m_y: int) -> UnfoldedGrid:
     y_nodes = _unit_cell_nodes(m_y)
     m = len(y_nodes)
     values = np.empty((len(partition.hat_n), m))
-    for _, rows, v in _mapped_samples(phi.point_eval, partition, y_nodes):
+    for _, rows, v in _mapped_samples(phi, partition, y_nodes):
         values[rows] = v
     return UnfoldedGrid(values=values,
                         weight=(partition.cell_measures / m)[partition.hat_n],
@@ -210,7 +176,7 @@ class GammaQuadrature:
     n_gamma: int = 16
 
     def __post_init__(self):
-        if self.cell.inclusion == "none":
+        if self.cell.a == 0.0:
             raise ValueError("boundary quadrature needs an inclusion")
         if self.n_gamma < 1:
             raise ValueError(f"n_gamma must be at least 1, got {self.n_gamma}")
@@ -272,8 +238,7 @@ class BoundaryUnfolded:
         return float(np.sum(integrand))
 
 
-def unfold_boundary(psi: Callable[[np.ndarray], np.ndarray],
-                    partition: Partition,
+def unfold_boundary(psi: Field, partition: Partition,
                     quad: GammaQuadrature) -> BoundaryUnfolded:
     """Boundary unfolding on the mapped inclusion boundaries.
 
@@ -292,16 +257,14 @@ def unfold_boundary(psi: Callable[[np.ndarray], np.ndarray],
                             ref_weights=quad.ref_weights, metric=metric)
 
 
-def local_average(phi: GridFunction, partition: Partition,
-                  m_y: int = 4) -> GridFunction:
+def local_average(phi: Field, partition: Partition, m_y: int = 4) -> Field:
     """Local average: per lattice cell the mean over Y, zero on leftovers.
 
-    The returned field is piecewise constant per lattice cell and carries
-    an exact evaluator, which unfold reads, so that repeated application
-    is an exact projection.
+    The returned field is piecewise constant per lattice cell, so that
+    repeated application is an exact projection.
     """
     means = unfold(phi, partition, m_y).mean_over_Y()
-    return lattice_pwc_field(partition, means, phi.lo, phi.hi, phi.h)
+    return lattice_pwc_field(partition, means)
 
 
 def _interpolant_box_integrals(phi: GridFunction, lo_pts: np.ndarray,
@@ -329,20 +292,19 @@ def _interpolant_box_integrals(phi: GridFunction, lo_pts: np.ndarray,
     for rows in _row_blocks(len(mx), mx.shape[1] * my.shape[1]):
         X = np.stack(np.broadcast_arrays(mx[rows, :, None], my[rows, None, :]),
                      axis=-1)
-        v = phi.eval(X.reshape(-1, 2)).reshape(X.shape[:-1])
+        v = phi(X.reshape(-1, 2)).reshape(X.shape[:-1])
         total += float(np.einsum("ca,cab,cb->", wx[rows], v, wy[rows]))
     return total
 
 
-def check_integration_identity(phi: GridFunction, partition: Partition,
-                               m_y: int):
+def check_integration_identity(phi: Field, partition: Partition, m_y: int):
     """Integration identity of the unfolding operator.
 
     lhs: weighted sum of the unfolded samples per unit cell volume.
-    rhs: integral of phi over the covered region, cell by cell: for a field
-    without an exact evaluator on axis-aligned lattices, the exact integral
-    of its bilinear interpolant; fine midpoint subsampling of point_eval
-    otherwise. Returns (lhs, rhs, gap).
+    rhs: integral of phi over the covered region, cell by cell: for a
+    GridFunction on axis-aligned lattices, the exact integral of its
+    bilinear interpolant; fine midpoint subsampling of phi otherwise.
+    Returns (lhs, rhs, gap).
     """
     # weighted in place and released before the rhs pass, so the check
     # holds its samples once; products commute, so the lhs keeps its bits
@@ -353,7 +315,7 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
 
     rhs = 0.0
     diagD = np.diagonal(partition.D, axis1=1, axis2=2)
-    if phi.exact_eval is None and np.all(
+    if isinstance(phi, GridFunction) and np.all(
             np.abs(partition.D - diagD[..., None] * np.eye(2)) < 1e-14):
         n, xi = partition.hat_n, partition.hat_xi
         p0 = partition.shift[n] + partition.eps * diagD[n] * xi
@@ -363,7 +325,7 @@ def check_integration_identity(phi: GridFunction, partition: Partition,
     else:
         y_f = _unit_cell_nodes(3 * m_y + 1)   # independent of the lhs samples
         detD = partition.detD.tolist()
-        for n, _, v in _mapped_samples(phi.point_eval, partition, y_f):
+        for n, _, v in _mapped_samples(phi, partition, y_f):
             rhs += partition.eps**2 * detD[n] * float(v.sum()) / len(y_f)
     return lhs, rhs, abs(lhs - rhs)
 
@@ -399,7 +361,7 @@ class QInterpolant:
     node_values: np.ndarray      # (E,) node value per Xi_hat row
     usable_rows: np.ndarray      # (m,) ascending Xi_hat rows
 
-    def eval_cells(self, phi: GridFunction, points_per_axis: int):
+    def eval_cells(self, phi: Field, points_per_axis: int):
         """Q and R = phi - Q sampled on a midpoint grid of each usable cell.
 
         Returns (q_vals, r_vals, points, weights) flattened over cells and
@@ -425,12 +387,12 @@ class QInterpolant:
         edges = np.searchsorted(n, np.arange(part.n_subdomains + 1))
         for a, b in zip(edges[:-1], edges[1:]):
             q[a:b] = corner_vals[a:b] @ wts.T
-        r = np.reshape(phi.point_eval(pts), q.shape) - q
+        r = np.reshape(phi(pts), q.shape) - q
         w = np.repeat(part.cell_measures[n] / len(y), len(y))
         return q.ravel(), r.ravel(), pts, w
 
 
-def interpolate_Q(phi: GridFunction, partition: Partition,
+def interpolate_Q(phi: Field, partition: Partition,
                   m_y: int = 4) -> QInterpolant:
     """Micro-macro interpolant: the node at lattice point xi carries the
     average of phi over the cell anchored at xi; values inside a cell are the
@@ -443,7 +405,7 @@ def interpolate_Q(phi: GridFunction, partition: Partition,
                         usable_rows=np.flatnonzero(good))
 
 
-def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
+def remainder_R(phi: Field, partition: Partition, m_y: int = 4,
                 points_per_axis: int = 4, grad=None):
     """Remainder diagnostics of the micro-macro interpolant on usable cells.
 
@@ -457,7 +419,7 @@ def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
     r_norm = math.sqrt(float(np.sum(w * r**2)))
     del r               # the gradient reads the points and weights only
     if grad is None:
-        grad = partial(_central_gradient, phi.point_eval)
+        grad = partial(_central_gradient, phi)
     g2 = np.empty(len(pts))             # |grad phi|^2 per point
     for rows in _row_blocks(len(pts), pts.shape[1]):
         g2[rows] = np.sum(np.asarray(grad(pts[rows]), dtype=float) ** 2,
@@ -466,8 +428,7 @@ def remainder_R(phi: GridFunction, partition: Partition, m_y: int = 4,
     return r_norm, grad_norm, float(np.sum(w))
 
 
-def _central_gradient(evaluate: Callable[[np.ndarray], np.ndarray],
-                      X: np.ndarray) -> np.ndarray:
+def _central_gradient(evaluate: Field, X: np.ndarray) -> np.ndarray:
     """Central differences of evaluate at the points X, (m, 2)."""
     delta = 1e-6
     g = np.empty_like(X)
@@ -492,7 +453,7 @@ def lts_pairing(u: GridFunction,
     return float(u.h**2 * np.sum(u.values.ravel() * vals))
 
 
-def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
+def norm_unfold_minus_identity(phi: Field, partition: Partition,
                                m_y: int) -> float:
     """L2 distance between the unfolded field and the field itself.
 
@@ -513,12 +474,10 @@ def norm_unfold_minus_identity(phi: GridFunction, partition: Partition,
 
 def norm_unfold_of_lp_minus_psi(
         psi: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        partition: Partition, m_y: int, lo, hi, h: float) -> float:
+        partition: Partition, m_y: int) -> float:
     """L2 distance between the unfolded locally periodic approximation and
     the two-scale field psi(x, y) itself, sampled per cell in (x, y)."""
-    lp_field = grid_function_from_callable(
-        lambda X: lp_approx_batch(psi, partition, X), lo, hi, h)
-    ug = unfold(lp_field, partition, m_y)
+    ug = unfold(partial(lp_approx_batch, psi, partition), partition, m_y)
     m = len(ug.y_nodes)
     total = 0.0
     for rows in _row_blocks(ug.n_entries, m * m):

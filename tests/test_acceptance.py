@@ -32,7 +32,6 @@ from lphom.unfolding import (
     GammaQuadrature,
     check_boundary_identity,
     check_integration_identity,
-    grid_function_from_callable,
     lattice_pwc_field,
     norm_unfold_minus_identity,
     norm_unfold_of_lp_minus_psi,
@@ -64,7 +63,7 @@ def epithelial_study():
 def disk_refinements():
     """Reference disk tensors at two nested cell grids."""
     tf = const_tf(I2)
-    disk = UnitCellSpec(inclusion="disk", a=0.25)
+    disk = UnitCellSpec(a=0.25)
     x0 = np.array([0.5, 0.5])
     out = {}
     for N in (256, 512):
@@ -79,7 +78,7 @@ class TestUnfoldingIdentities:
         sc = get_scenario("periodic")
         part = build_partition((LO, HI), 1 / 16, 0.5, sc.transform)
         values = np.random.default_rng(7).uniform(-1, 1, len(part.hat_n))
-        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
+        phi = lattice_pwc_field(part, values)
         _, _, gap = check_integration_identity(phi, part, 4)
         assert gap <= 1e-12
 
@@ -88,9 +87,7 @@ class TestUnfoldingIdentities:
         # least fourfold
         sc = get_scenario("periodic")
         part = build_partition((LO, HI), 1 / 16, 0.5, sc.transform)
-        phi = grid_function_from_callable(
-            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 128)
+        phi = lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])
         gap4 = check_integration_identity(phi, part, 4)[2]
         gap8 = check_integration_identity(phi, part, 8)[2]
         assert gap8 > 0.0
@@ -111,9 +108,7 @@ class TestUnfoldingIdentities:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
-            phi = grid_function_from_callable(
-                lambda X: np.sin(np.pi * X[:, 0]) * np.cos(np.pi * X[:, 1]),
-                LO, HI, eps / 8)
+            phi = lambda X: np.sin(np.pi * X[:, 0]) * np.cos(np.pi * X[:, 1])
             vals.append(norm_unfold_minus_identity(phi, part, m_y=4))
         assert vals[0] > vals[1] > vals[2]
 
@@ -125,8 +120,7 @@ class TestUnfoldingIdentities:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
-            vals.append(norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
-                                                    eps / 8))
+            vals.append(norm_unfold_of_lp_minus_psi(psi, part, 4))
         assert vals[0] > vals[1] > vals[2]
 
     def test_remainder_is_first_order_uniformly(self):
@@ -140,8 +134,7 @@ class TestUnfoldingIdentities:
         ratios = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, sc.transform)
-            phi = grid_function_from_callable(f, LO, HI, eps / 8)
-            rn, gn, meas = remainder_R(phi, part, grad=g)
+            rn, gn, meas = remainder_R(f, part, grad=g)
             assert meas > 0.0
             ratios.append(rn / (eps * gn))
         assert max(ratios) / min(ratios) <= 1.5
@@ -149,7 +142,7 @@ class TestUnfoldingIdentities:
 
 class TestEffectiveTensors:
     def test_unperforated_identity_solve_is_exact(self):
-        cell = UnitCellSpec(inclusion="none", a=0.25)
+        cell = UnitCellSpec(a=0.0)
         x0 = np.array([0.5, 0.5])
         sol = solve_cell(x0, 1.0, const_tf(I2), cell, N_c=64)
         A_eff = effective_tensor(I2, sol.unit_tensor)

@@ -26,8 +26,8 @@ from lphom.scenarios import SCENARIO_NAMES, get_scenario
 
 I2 = np.eye(2)
 X0 = np.array([0.5, 0.5])
-DISK = UnitCellSpec(inclusion="disk", a=0.25)
-NONE = UnitCellSpec(inclusion="none", a=0.25)
+DISK = UnitCellSpec(a=0.25)
+NONE = UnitCellSpec(a=0.0)
 
 
 def const_tf(D, K=None):

@@ -948,7 +948,7 @@ def reference_center_mask(p, cell, X):
     """The fluid test indicator_perforated ran itself: sqrt(sum(u**2)) > a
     on the points outside the leftover regions, True elsewhere."""
     out = np.ones(len(X), dtype=bool)
-    if cell.inclusion == "none":
+    if cell.a == 0.0:
         return out
     n, _, y, row = locate_cells(p, X)
     act = row >= 0
@@ -999,7 +999,7 @@ class TestPerforationLevel:
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 16, 1 / 32])
     def test_no_inclusion_is_all_fluid(self, eps):
         sc = get_scenario("periodic", a=0.0)
-        assert sc.cell.inclusion == "none"
+        assert sc.cell.a == 0.0
         p = _micro_partition(eps, 0.5, sc.transform)
         for X in micro_grid_points(eps):
             assert_same_bits(perforation_level(p, sc.cell, X),
@@ -1067,7 +1067,7 @@ class TestTransformField:
                 quot = np.linalg.norm(np.diff(M, axis=ax), 2,
                                       axis=(-2, -1)) / (g[1] - g[0])
                 assert quot.max() <= budget + 1e-9
-        if sc.cell.inclusion != "none":
+        if sc.cell.a != 0.0:
             # extent of K Y0 per axis about the cell centre 1/2
             assert np.all(sc.cell.a * np.linalg.norm(Ks, axis=-1) < 0.5)
 
@@ -1085,21 +1085,24 @@ class TestTransformField:
 class TestUnitCellSpec:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            UnitCellSpec(inclusion="disk", a=0.5)
-        with pytest.raises(ValueError):
-            UnitCellSpec(inclusion="disk", a=-0.1)
+            UnitCellSpec(a=0.5)
+        for a in (-0.1, float("nan")):
+            with pytest.raises(ValueError,
+                               match="inclusion radius must be at least 0"):
+                UnitCellSpec(a=a)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_scenarios_reject_a_negative_radius(self, name):
         # a = 0 is the unperforated cell; a negative radius is no cell
         with pytest.raises(ValueError, match="inclusion radius"):
             get_scenario(name, a=-0.3)
-        assert get_scenario(name, a=0.0).cell.inclusion == "none"
+        assert get_scenario(name, a=0.0).cell.a == 0.0
 
     def test_inclusion_measure(self):
-        cell = UnitCellSpec(inclusion="disk", a=0.25)
+        cell = UnitCellSpec(a=0.25)
         assert cell.inclusion_measure() == pytest.approx(math.pi * 0.0625, rel=1e-15)
         K = np.diag([1.5, 1.5])
         assert cell.inclusion_measure(K) == pytest.approx(math.pi * 0.0625 * 2.25, rel=1e-14)
-        none = UnitCellSpec(inclusion="none")
+        none = UnitCellSpec(a=0.0)
         assert none.inclusion_measure() == 0.0
+        assert none.inclusion_measure(K) == 0.0

@@ -572,23 +572,19 @@ class TestCheckUnfoldGolden:
         assert got == (GOLDEN / f"check_unfold_{name}.csv").read_bytes()
 
     def test_no_grid_is_sampled(self, tmp_path, monkeypatch):
-        from lphom import unfolding
+        from lphom.unfolding import GridFunction
 
-        sampled = []
-        sample_rows = unfolding._sample_rows
+        built = []
+        init = GridFunction.__init__
 
-        def counting(f, grid):
-            sampled.append(grid.shape)
-            return sample_rows(f, grid)
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(unfolding, "_sample_rows", counting)
+        monkeypatch.setattr(GridFunction, "__init__", counting)
         assert main(["check-unfold", "--scenario", "plywood2d",
                      "--eps", "1/8,1/16", "--outdir", str(tmp_path)]) == 0
-        assert sampled == []
-        # the wrapper does count a read of values
-        unfolding.grid_function_from_callable(
-            lambda X: X[:, 0], np.zeros(2), np.ones(2), 1 / 8).values
-        assert sampled == [(8, 8)]
+        assert built == []
 
 
 class TestSolverGolden:
@@ -809,6 +805,26 @@ class TestCellCommand:
             assert header[-1] == "# Nc=64"
             assert [ln for ln in header if ln.startswith("# Nc=")] \
                 == ["# Nc=64"]
+
+    def test_a_tensor_file_with_two_Nc_is_rejected(self, tmp_path, capsys):
+        # half the rows of an N_c = 32 file edited to N_c = 128
+        assert main(["cell", "--scenario", "periodic", "--Nc", "32",
+                     "--outdir", str(tmp_path)]) == 0
+        path = tmp_path / "cell_tensors.csv"
+        lines = path.read_text().splitlines()
+        rows = [i for i, ln in enumerate(lines)
+                if not ln.startswith(("#", "x1"))]
+        for i in rows[len(rows) // 2:]:
+            assert lines[i].endswith(",32")
+            lines[i] = lines[i][:-len("32")] + "128"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["macro", "--scenario", "periodic", "--H", "1/8",
+                     "--T", "0.05", "--tensors", str(path),
+                     "--outdir", str(out)])
+        assert code == 2
+        assert "mixes N_c 32 and 128" in capsys.readouterr().err
+        assert not (out / "macro_series.csv").exists()
 
     def test_mismatched_tensor_nodes_are_rejected(self, tmp_path, capsys):
         assert main(["cell", "--scenario", "periodic", "--Nc", "32",

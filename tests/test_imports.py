@@ -535,8 +535,7 @@ class TestPublicMethodsAreRead:
                   if isinstance(n, ast.ClassDef) and n.name == "GridFunction"]
         grid.body += ast.parse(
             "def copy_with(self, values):\n"
-            "    return GridFunction(self.lo, self.hi, self.h, values,\n"
-            "                        self.exact_eval)\n").body
+            "    return GridFunction(self.lo, self.hi, self.h, values)\n").body
         assert unread_methods(trees, readers) == [
             "unfolding.py GridFunction.copy_with"]
 

@@ -60,10 +60,9 @@ def constant_transform(D, K=None):
 IDENTITY = constant_transform(np.eye(2))
 
 
-def values_only(phi):
-    """A grid function with the values of phi and no exact evaluator, so
-    that the unfolding routines read it through its bilinear eval."""
-    return GridFunction(phi.lo, phi.hi, phi.h, phi.values)
+def sin_sin(X):
+    """The smooth field of the check-unfold integration checks."""
+    return np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1])
 
 
 def smooth_field(eps_over=8):
@@ -88,9 +87,7 @@ def mapped_points(part, ug):
 class TestUnfold:
     def test_constant_entries(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        phi = grid_function_from_callable(lambda X: np.full(len(X), 3.25),
-                                          LO, HI, 1 / 64)
-        ug = unfold(phi, part, 4)
+        ug = unfold(lambda X: np.full(len(X), 3.25), part, 4)
         assert np.max(np.abs(ug.values - 3.25)) <= 1e-13
 
     def test_affine_entry_values(self):
@@ -98,8 +95,7 @@ class TestUnfold:
         # (xi, y) must be eps*(xi1 + y1) exactly
         eps = 1 / 4
         part = single_subdomain_partition(eps)
-        phi = values_only(grid_function_from_callable(lambda X: X[:, 0], LO,
-                                                      HI, 1 / 32))
+        phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32)
         ug = unfold(phi, part, 4)
         expected = eps * (part.hat_xi[:, None, 0] + ug.y_nodes[None, :, 0])
         assert np.max(np.abs(ug.values - expected)) <= 1e-12
@@ -111,9 +107,7 @@ class TestUnfold:
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), eps, 0.5, epi.transform)
         psi = lambda X, Y: np.cos(2 * np.pi * Y[:, 0]) * (1 + X[:, 1])
-        phi = grid_function_from_callable(
-            lambda X: lp_approx_batch(psi, part, X), LO, HI, eps / 8)
-        ug = unfold(phi, part, 3)
+        ug = unfold(lambda X: lp_approx_batch(psi, part, X), part, 3)
         xs = mapped_points(part, ug)
         oracle = np.cos(2 * np.pi * ug.y_nodes[None, :, 0]) * (1 + xs[:, :, 1])
         assert np.max(np.abs(ug.values - oracle)) <= 1e-12
@@ -124,9 +118,7 @@ class TestUnfold:
         for scen in (get_scenario("periodic"), get_scenario("epithelial"),
                      get_scenario("plywood2d")):
             part = build_partition((LO, HI), 1 / 16, 0.5, scen.transform)
-            phi = grid_function_from_callable(lambda X: np.ones(len(X)),
-                                              LO, HI, 1 / 64)
-            ug = unfold(phi, part, 2)
+            ug = unfold(lambda X: np.ones(len(X)), part, 2)
             for s in part.subdomains:
                 sel = part.hat_n == s.n
                 assert_same_bits(part.cell_rows(s.n, part.hat_xi[sel]),
@@ -136,9 +128,8 @@ class TestUnfold:
 
     def test_weights_per_entry(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, get_scenario("epithelial").transform)
-        phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 32)
         m_y = 3
-        ug = unfold(phi, part, m_y)
+        ug = unfold(lambda X: np.ones(len(X)), part, m_y)
         for s in part.subdomains:
             sel = part.hat_n == s.n
             expected = part.eps**2 * part.detD[s.n] / m_y**2
@@ -146,10 +137,9 @@ class TestUnfold:
 
     def test_linearity(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        f1 = values_only(grid_function_from_callable(smooth_field(), LO, HI,
-                                                     1 / 64))
-        f2 = values_only(grid_function_from_callable(lambda X: X[:, 0] ** 2,
-                                                     LO, HI, 1 / 64))
+        f1 = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
+        f2 = grid_function_from_callable(lambda X: X[:, 0] ** 2, LO, HI,
+                                         1 / 64)
         comb = GridFunction(LO, HI, 1 / 64, 2.5 * f1.values - 1.25 * f2.values)
         u1 = unfold(f1, part, 4)
         u2 = unfold(f2, part, 4)
@@ -160,10 +150,10 @@ class TestUnfold:
     @settings(deadline=None, max_examples=20)
     def test_linearity_property(self, a, b):
         part = build_partition((LO, HI), 1 / 4, 0.5, IDENTITY)
-        f1 = values_only(grid_function_from_callable(
-            lambda X: X[:, 0] * X[:, 1], LO, HI, 1 / 16))
-        f2 = values_only(grid_function_from_callable(
-            lambda X: np.cos(X[:, 1]), LO, HI, 1 / 16))
+        f1 = grid_function_from_callable(lambda X: X[:, 0] * X[:, 1], LO, HI,
+                                         1 / 16)
+        f2 = grid_function_from_callable(lambda X: np.cos(X[:, 1]), LO, HI,
+                                         1 / 16)
         comb = GridFunction(LO, HI, 1 / 16, a * f1.values + b * f2.values)
         u1 = unfold(f1, part, 2)
         u2 = unfold(f2, part, 2)
@@ -176,8 +166,7 @@ class TestUnfold:
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
         values = np.random.default_rng(7).normal(size=len(part.hat_n))
-        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
-        ug = unfold(phi, part, 4)
+        ug = unfold(lattice_pwc_field(part, values), part, 4)
         # the field is 0 on the leftover region
         full_norm = math.sqrt(float(np.sum(part.cell_measures[part.hat_n]
                                            * values**2)))
@@ -187,63 +176,56 @@ class TestUnfold:
 
     def test_rejects_small_m_y(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI, 1 / 32)
         with pytest.raises(ValueError):
-            unfold(phi, part, 1)
+            unfold(lambda X: np.ones(len(X)), part, 1)
 
 
 class TestLocalAverage:
     def test_constant(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        phi = grid_function_from_callable(lambda X: np.full(len(X), 1.5),
-                                          LO, HI, 1 / 64)
-        avg = local_average(phi, part)
+        avg = local_average(lambda X: np.full(len(X), 1.5), part)
         X = part.subdomains[0].shift + 1 / 8 * (hat_cells(part, 0) + 0.5)
-        assert np.max(np.abs(avg.exact_eval(X) - 1.5)) <= 1e-13
+        assert np.max(np.abs(avg(X) - 1.5)) <= 1e-13
 
     def test_single_cell_closed_form(self):
         # average of x1 over the lattice cell anchored at xi is eps*(xi1 + 1/2)
         eps = 1 / 4
         part = single_subdomain_partition(eps)
-        phi = grid_function_from_callable(lambda X: X[:, 0], LO, HI, 1 / 32)
-        avg = local_average(phi, part)
+        avg = local_average(lambda X: X[:, 0], part)
         probe = np.array([[eps * (1 + 0.3), eps * (2 + 0.6)]])   # cell (1, 2)
-        assert abs(float(avg.exact_eval(probe)[0]) - eps * 1.5) <= 1e-13
+        assert abs(float(avg(probe)[0]) - eps * 1.5) <= 1e-13
 
     def test_idempotence_exact(self):
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
-        a1 = local_average(phi, part)
+        a1 = local_average(smooth_field(), part)
         a2 = local_average(a1, part)
         probe = np.random.default_rng(3).uniform(0.05, 0.95, size=(200, 2))
-        assert np.max(np.abs(a1.exact_eval(probe) - a2.exact_eval(probe))) == 0.0
+        assert np.max(np.abs(a1(probe) - a2(probe))) == 0.0
 
     def test_consistency_with_unfold_mean(self):
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
+        phi = smooth_field()
         ug = unfold(phi, part, 4)
         avg = local_average(phi, part, m_y=4)
         means = ug.mean_over_Y()
         xs = mapped_points(part, ug)[:, :, :].mean(axis=1)   # cell midpoints
-        assert np.max(np.abs(avg.exact_eval(xs) - means)) <= 1e-14
+        assert np.max(np.abs(avg(xs) - means)) <= 1e-14
 
     def test_zero_on_leftover(self):
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI,
-                                          1 / 64)
-        avg = local_average(phi, part)
+        avg = local_average(lambda X: np.ones(len(X)), part)
         if locate_cells(part, np.array([[0.98, 0.98]]))[3][0] < 0:
-            assert avg.exact_eval(np.array([[0.98, 0.98]]))[0] == 0.0
+            assert avg(np.array([[0.98, 0.98]]))[0] == 0.0
 
 
 class TestIntegrationIdentity:
     def test_constant(self):
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
-        phi = values_only(grid_function_from_callable(
-            lambda X: np.ones(len(X)), LO, HI, 1 / 64))
+        phi = grid_function_from_callable(lambda X: np.ones(len(X)), LO, HI,
+                                          1 / 64)
         lhs, rhs, gap = check_integration_identity(phi, part, 4)
         assert abs(lhs - part.omega_hat_measure) <= 1e-12
         assert gap <= 1e-12
@@ -251,7 +233,7 @@ class TestIntegrationIdentity:
     def test_piecewise_constant_exact(self):
         part = build_partition((LO, HI), 1 / 16, 0.5, IDENTITY)
         values = np.random.default_rng(11).uniform(-1, 1, len(part.hat_n))
-        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
+        phi = lattice_pwc_field(part, values)
         _, _, gap = check_integration_identity(phi, part, 4)
         assert gap <= 1e-12
 
@@ -261,13 +243,13 @@ class TestIntegrationIdentity:
         ply = get_scenario("plywood2d")
         part = build_partition((LO, HI), 1 / 16, 0.5, ply.transform)
         values = np.random.default_rng(12).uniform(-1, 1, len(part.hat_n))
-        phi = lattice_pwc_field(part, values, LO, HI, 1 / 128)
+        phi = lattice_pwc_field(part, values)
         _, _, gap = check_integration_identity(phi, part, 4)
         assert gap <= 1e-12
 
     def test_smooth_gap_shrinks_with_m_y(self):
         part = build_partition((LO, HI), 1 / 16, 0.5, IDENTITY)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256)
+        phi = smooth_field()
         gaps = [check_integration_identity(phi, part, m)[2]
                 for m in (2, 4)]
         assert gaps[1] <= gaps[0] / 4
@@ -277,9 +259,7 @@ class TestIntegrationIdentity:
         # the fine one: gap(m) ~ C (eps/m)^2
         eps = 1 / 16
         part = build_partition((LO, HI), eps, 0.5, IDENTITY)
-        phi = grid_function_from_callable(
-            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 256)
+        phi = sin_sin
         gap4 = check_integration_identity(phi, part, 4)[2]
         gap8 = check_integration_identity(phi, part, 8)[2]
         C = gap4 / (eps / 4) ** 2
@@ -309,16 +289,14 @@ class TestEvaluatorsGetContiguousColumns:
     def test_unfold_exact(self, name):
         part = scenario_partition(name, 1 / 16)
         seen = []
-        phi = grid_function_from_callable(self.recording(seen), LO, HI, 1 / 64)
-        unfold(phi, part, 4)
+        unfold(self.recording(seen), part, 4)
         self.assert_contiguous_columns(seen, len(part.hat_n) * 16)
 
     @pytest.mark.parametrize("name", ["periodic", "plywood2d"])
     def test_both_passes_of_the_integration_identity(self, name):
         part = scenario_partition(name, 1 / 16)
         seen = []
-        phi = grid_function_from_callable(self.recording(seen), LO, HI, 1 / 64)
-        check_integration_identity(phi, part, 4)
+        check_integration_identity(self.recording(seen), part, 4)
         # the lhs samples m_y^2 points per cell, the rhs (3 m_y + 1)^2
         self.assert_contiguous_columns(seen, len(part.hat_n) * (16 + 169))
 
@@ -409,8 +387,7 @@ class TestQInterpolant:
     def test_constants_reproduced(self):
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), 1 / 16, 0.5, epi.transform)
-        phi = grid_function_from_callable(lambda X: np.full(len(X), 2.5),
-                                          LO, HI, 1 / 128)
+        phi = lambda X: np.full(len(X), 2.5)
         qi = interpolate_Q(phi, part)
         _, r, _, w = qi.eval_cells(phi, 4)
         assert len(r) and np.max(np.abs(r)) == 0.0
@@ -422,9 +399,8 @@ class TestQInterpolant:
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), eps, 0.5, epi.transform)
         aff = lambda X: 3.0 + 2.0 * X[:, 0] - 1.25 * X[:, 1]
-        phi = grid_function_from_callable(aff, LO, HI, 1 / 256)
-        qi = interpolate_Q(phi, part)
-        q, r, pts, w = qi.eval_cells(phi, 4)
+        qi = interpolate_Q(aff, part)
+        q, r, pts, w = qi.eval_cells(aff, 4)
         assert len(r) == 16 * len(qi.usable_rows)
         # each sample's subdomain, cell after cell in row order
         n = np.repeat(part.hat_n[qi.usable_rows], 16)
@@ -440,8 +416,7 @@ class TestQInterpolant:
         ratios = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, per.transform)
-            phi = grid_function_from_callable(f, LO, HI, eps / 8)
-            rn, gn, meas = remainder_R(phi, part, grad=g)
+            rn, gn, meas = remainder_R(f, part, grad=g)
             assert meas > 0
             ratios.append(rn / (eps * gn))
         assert max(ratios) <= 1.0          # order eps with a modest constant
@@ -450,8 +425,7 @@ class TestQInterpolant:
     def test_usable_cells_have_full_corner_stencil(self):
         epi = get_scenario("epithelial")
         part = build_partition((LO, HI), 1 / 8, 0.5, epi.transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
-        qi = interpolate_Q(phi, part)
+        qi = interpolate_Q(smooth_field(), part)
         hats = [set(map(tuple, hat_cells(part, s.n))) for s in part.subdomains]
         assert len(qi.usable_rows)
         for e in qi.usable_rows:
@@ -508,8 +482,8 @@ class TestPairingAndDiagnostics:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, epi.transform)
-            phi = grid_function_from_callable(smooth_field(), LO, HI, eps / 8)
-            vals.append(norm_unfold_minus_identity(phi, part, m_y=4))
+            vals.append(norm_unfold_minus_identity(smooth_field(), part,
+                                                   m_y=4))
         assert vals[0] > vals[1] > vals[2]
 
     def test_unfold_of_approximation_distance_decreases(self):
@@ -520,9 +494,47 @@ class TestPairingAndDiagnostics:
         vals = []
         for eps in (1 / 8, 1 / 16, 1 / 32):
             part = build_partition((LO, HI), eps, 0.5, epi.transform)
-            vals.append(norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
-                                                    eps / 8))
+            vals.append(norm_unfold_of_lp_minus_psi(psi, part, 4))
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestFieldsAreCallables:
+    """Every unfolding routine takes a plain function of points; the values
+    are pinned, hex for hex, to those of the same function wrapped as the
+    exact evaluator of a grid function before fields became callables
+    (plywood2d, eps = 1/16, m_y = 4)."""
+
+    @staticmethod
+    def hexes(*values):
+        return [float(v).hex() for v in values]
+
+    def test_unfold_and_the_integration_identity(self):
+        part = scenario_partition("plywood2d", 1 / 16)
+        ug = unfold(sin_sin, part, 4)
+        assert ug.values.shape == (112, 16)
+        assert self.hexes(np.sum(ug.values)) == ["0x1.6bef563ce426cp+9"]
+        assert self.hexes(*check_integration_identity(sin_sin, part, 4)) == [
+            "0x1.6bef563ce426cp-3", "0x1.6bde66b34ebb0p-3",
+            "0x1.0ef89956bc000p-15"]
+
+    def test_local_average(self):
+        part = scenario_partition("plywood2d", 1 / 16)
+        avg = local_average(sin_sin, part, 4)
+        probe = np.random.default_rng(3).uniform(0, 1, size=(64, 2))
+        assert self.hexes(np.sum(avg(probe))) == ["0x1.6e15d8c292e5cp+3"]
+
+    def test_interpolant_and_remainder(self):
+        part = scenario_partition("plywood2d", 1 / 16)
+        r = interpolate_Q(sin_sin, part, 4).eval_cells(sin_sin, 4)[1]
+        assert self.hexes(np.sum(r)) == ["-0x1.a8bfcf9cb000fp+0"]
+        assert self.hexes(*remainder_R(sin_sin, part, 4)) == [
+            "0x1.571992b310988p-6", "0x1.69203df572657p-1",
+            "0x1.b000000000000p-4"]
+
+    def test_norm_unfold_minus_identity(self):
+        part = scenario_partition("plywood2d", 1 / 16)
+        assert self.hexes(norm_unfold_minus_identity(sin_sin, part, 4)) == [
+            "0x1.28ab06686e9b8p-5"]
 
 
 def reference_pwc_eval(partition, cell_values, fill, X):
@@ -583,9 +595,7 @@ def reference_local_average(phi, partition, m_y=4):
     table = {(int(partition.hat_n[e]),
               tuple(int(t) for t in partition.hat_xi[e])): means[e]
              for e in range(ug.n_entries)}
-    return grid_function_from_callable(
-        lambda X: reference_pwc_eval(partition, table, 0.0, X),
-        phi.lo, phi.hi, phi.h)
+    return lambda X: reference_pwc_eval(partition, table, 0.0, X)
 
 
 def row_values(partition, table, fill):
@@ -651,32 +661,32 @@ class TestVectorizedLookups:
         table[(-1, tuple(int(t) for t in hat_cells(part, last)[0]))] = 7.0
         h = 1 / 256
         values = row_values(part, table, 0.0)
-        phi = lattice_pwc_field(part, values, LO, HI, h)
-        X = phi.centers().reshape(-1, 2)
+        phi = lattice_pwc_field(part, values)
+        grid = grid_function_from_callable(phi, LO, HI, h)
+        X = grid.centers().reshape(-1, 2)
         leftover = locate_cells(part, X)[3] < 0
         assert leftover.any()
-        assert np.all(phi.values.ravel()[leftover] == 0.0)
+        assert np.all(grid.values.ravel()[leftover] == 0.0)
         ref = reference_pwc_eval(part, table, 0.0, X)
         assert np.count_nonzero(ref == 0.0) > np.count_nonzero(leftover)
-        assert_same_bits(phi.values.ravel(), ref)
-        assert_same_bits(phi.values.ravel(),
+        assert_same_bits(grid.values.ravel(), ref)
+        assert_same_bits(grid.values.ravel(),
                          reference_pwc_slot_eval(part, values, 0.0, X))
         Y = np.random.default_rng(5).uniform(0, 1, size=(3000, 2))
-        assert_same_bits(phi.exact_eval(Y), reference_pwc_eval(part, table,
-                                                               0.0, Y))
-        assert_same_bits(phi.exact_eval(Y),
-                         reference_pwc_slot_eval(part, values, 0.0, Y))
+        assert_same_bits(phi(Y), reference_pwc_eval(part, table, 0.0, Y))
+        assert_same_bits(phi(Y), reference_pwc_slot_eval(part, values, 0.0, Y))
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
     def test_local_average_matches_the_dict_path(self, name, eps):
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 256)
-        avg = local_average(phi, part)
-        ref = reference_local_average(phi, part)
-        assert_same_bits(avg.values, ref.values)
+        avg = local_average(smooth_field(), part)
+        ref = reference_local_average(smooth_field(), part)
+        assert_same_bits(
+            grid_function_from_callable(avg, LO, HI, 1 / 256).values,
+            grid_function_from_callable(ref, LO, HI, 1 / 256).values)
         Y = np.random.default_rng(8).uniform(0, 1, size=(3000, 2))
-        assert_same_bits(avg.exact_eval(Y), ref.exact_eval(Y))
+        assert_same_bits(avg(Y), ref(Y))
 
     def test_row_blocks_match_one_shot_evaluation(self, monkeypatch):
         # 301 rows of 257 points: 255 rows per block, the last one partial
@@ -705,22 +715,22 @@ class TestVectorizedLookups:
         # a short array would shift the leftover entry onto a row
         part = build_partition((LO, HI), 1 / 8, 0.5, IDENTITY)
         with pytest.raises(ValueError):
-            lattice_pwc_field(part, np.zeros(len(part.hat_n) - 1), LO, HI,
-                              1 / 64)
+            lattice_pwc_field(part, np.zeros(len(part.hat_n) - 1))
 
     def test_chunked_pwc_grid_matches_one_shot(self):
         part = build_partition((LO, HI), 1 / 32, 0.5,
                                get_scenario("plywood2d").transform)
         values = np.random.default_rng(2).normal(size=len(part.hat_n))
-        phi = lattice_pwc_field(part, values, LO, HI, 1 / 600)
-        X = phi.centers().reshape(-1, 2)
-        assert_same_bits(phi.values.ravel(), phi.exact_eval(X))
+        phi = lattice_pwc_field(part, values)
+        grid = grid_function_from_callable(phi, LO, HI, 1 / 600)
+        X = grid.centers().reshape(-1, 2)
+        assert_same_bits(grid.values.ravel(), phi(X))
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
     def test_q_tables_match_the_dict_and_set(self, name, eps):
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
+        phi = smooth_field()
         qi = interpolate_Q(phi, part)
         usable, q_ref, node_ref = reference_interpolate_Q(phi, part, 4)
         # one node value per Xi_hat row
@@ -735,81 +745,26 @@ class TestVectorizedLookups:
         assert_same_bits(qi.eval_cells(phi, 4)[0], q_ref)
 
 
-class TestLazySampling:
-    def counting(self, f):
-        calls = []
-
-        def g(X):
-            calls.append(len(X))
-            return f(X)
-        return g, calls
-
-    def test_values_are_sampled_on_first_read_only(self):
-        f, calls = self.counting(smooth_field())
-        phi = grid_function_from_callable(f, LO, HI, 1 / 64)
-        assert phi.shape == (64, 64)
-        copy = GridFunction(phi.lo, phi.hi, phi.h, np.zeros(phi.shape))
-        assert calls == [] and copy.shape == phi.shape
-        X = phi.centers().reshape(-1, 2)
-        assert_same_bits(phi.values, smooth_field()(X).reshape(64, 64))
-        assert calls == [64 * 64]
-        assert phi.values is phi.values and calls == [64 * 64]
-        assert not copy.values.any()
-
-    def test_exact_consumers_sample_nothing(self, monkeypatch):
-        sampled = []
-        sample_rows = unfolding._sample_rows
-
-        def counting_rows(f, grid):
-            sampled.append(grid.shape)
-            return sample_rows(f, grid)
-
-        monkeypatch.setattr(unfolding, "_sample_rows", counting_rows)
-        f, calls = self.counting(smooth_field())
-        part = build_partition((LO, HI), 1 / 16, 0.5,
-                               get_scenario("plywood2d").transform)
-        phi = grid_function_from_callable(f, LO, HI, 1 / 128)
-        check_integration_identity(phi, part, 4)
-        avg = local_average(phi, part)
-        assert avg.shape == (128, 128)
-        assert calls and sampled == []
-        avg.values
-        assert sampled == [(128, 128)]
-
-    def test_pwc_grid_is_not_sampled_when_built(self, monkeypatch):
-        part = build_partition((LO, HI), 1 / 16, 0.5,
-                               get_scenario("plywood2d").transform)
-        counted = []
-        located = unfolding.locate_cells
-
-        def counting_locate(partition, X):
-            counted.append(len(X))
-            return located(partition, X)
-
-        monkeypatch.setattr(unfolding, "locate_cells", counting_locate)
-        phi = lattice_pwc_field(part, np.full(len(part.hat_n), 0.5), LO, HI,
-                                1 / 128)
-        assert counted == []
-        values = phi.values
-        assert sum(counted) == 128 * 128
-        # the field reads 0 on the leftover region
-        leftover = locate_cells(part, phi.centers().reshape(-1, 2))[3] < 0
-        assert leftover.any()
-        assert np.array_equal(values.ravel(), np.where(leftover, 0.0, 0.5))
-
-
 class TestGridDimension:
-    def cube(self):
-        return grid_function_from_callable(lambda X: X.sum(axis=1),
-                                           np.zeros(3), np.ones(3), 1 / 8)
+    def cube(self, calls):
+        def f(X):
+            calls.append(len(X))
+            return X.sum(axis=1)
+        return grid_function_from_callable(f, np.zeros(3), np.ones(3), 1 / 8)
 
     def test_eval_needs_a_2d_grid(self):
+        # rejected before f is sampled
+        calls = []
         with pytest.raises(ValueError, match="2-D grid"):
-            self.cube().eval(np.full((1, 3), 0.5))
+            self.cube(calls)(np.full((1, 3), 0.5))
+        assert calls == []
+        with pytest.raises(ValueError, match="2-D grid"):
+            GridFunction(np.zeros(3), np.ones(3), 1 / 2, np.zeros((2, 2, 2)))
 
     def test_interpolant_integral_needs_a_2d_grid(self):
         with pytest.raises(ValueError, match="2-D grid"):
-            unfolding._interpolant_box_integrals(self.cube(), np.zeros((1, 3)),
+            unfolding._interpolant_box_integrals(self.cube([]),
+                                                 np.zeros((1, 3)),
                                                  np.full((1, 3), 0.5))
 
 
@@ -846,9 +801,7 @@ class TestGridIntegralMatchesThePerCellLoop:
     def test_sin_sin(self, name, eps, h):
         # h = 1/100 puts the cell edges anywhere between the centers
         part = build_partition((LO, HI), eps, 0.5, get_scenario(name).transform)
-        phi = values_only(grid_function_from_callable(
-            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, h))
+        phi = grid_function_from_callable(sin_sin, LO, HI, h)
         ref = 0.0
         for n, rows in part.hat_blocks():
             diagD = np.diag(part.D[n])
@@ -861,7 +814,7 @@ class TestGridIntegralMatchesThePerCellLoop:
         assert abs(rhs - ref) <= 1e-13 * abs(ref)
 
 
-def reference_unfold(phi, partition, m_y, evaluate):
+def reference_unfold(phi, partition, m_y):
     """unfold as it was: one block per subdomain, joined by np.concatenate,
     with an all-true mask."""
     d = 2
@@ -874,7 +827,7 @@ def reference_unfold(phi, partition, m_y, evaluate):
             continue
         pts = unfolding.map_cells(s.shift, partition.eps, s.D, xi_hat,
                                   y_nodes)
-        v = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float).reshape(
+        v = np.asarray(phi(pts.reshape(-1, d)), dtype=float).reshape(
             len(xi_hat), len(y_nodes))
         subs.append(np.full(len(xi_hat), s.n))
         xis.append(xi_hat)
@@ -944,16 +897,14 @@ class TestOneCopyMatchesTheConcatenatingReference:
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
     @pytest.mark.parametrize("field", ["grid", "exact"])
     def test_unfold(self, name, eps, field):
-        # a value-only field is read through its bilinear eval, one with an
-        # exact evaluator through that
+        # a grid function is read through its bilinear interpolation, a
+        # plain function directly
         part = scenario_partition(name, eps)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
-        evaluate = phi.exact_eval
+        phi = smooth_field()
         if field == "grid":
-            phi = values_only(phi)
-            evaluate = phi.eval
+            phi = grid_function_from_callable(phi, LO, HI, 1 / 128)
         ug = unfold(phi, part, 8)
-        ref = reference_unfold(phi, part, 8, evaluate)
+        ref = reference_unfold(phi, part, 8)
         got = {"sub_index": part.hat_n, "xi": part.hat_xi,
                "values": ug.values, "weight": ug.weight}
         for key in ("sub_index", "xi", "values", "weight"):
@@ -999,8 +950,7 @@ class TestOneCopyMatchesTheConcatenatingReference:
         empty = _covering(LO, HI, [half, half], 2.0, IDENTITY)
         assert empty.n_subdomains == 4
         assert all(len(hat_cells(empty, s.n)) == 0 for s in empty.subdomains)
-        phi = values_only(grid_function_from_callable(smooth_field(), LO, HI,
-                                                      1 / 64))
+        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 64)
         ug = unfold(phi, empty, 4)
         assert ug.values.shape == (0, 16) and empty.hat_xi.shape == (0, 2)
         assert empty.hat_n.dtype == empty.hat_xi.dtype == np.dtype(int)
@@ -1022,12 +972,10 @@ def reference_norm_unfold_minus_identity(phi, partition, m_y):
     return math.sqrt(total)
 
 
-def reference_norm_unfold_of_lp_minus_psi(psi, partition, m_y, lo, hi, h):
+def reference_norm_unfold_of_lp_minus_psi(psi, partition, m_y):
     """norm_unfold_of_lp_minus_psi as it was: per subdomain, a Python loop
     over its entries."""
-    lp_field = grid_function_from_callable(
-        lambda X: lp_approx_batch(psi, partition, X), lo, hi, h)
-    ug = unfold(lp_field, partition, m_y)
+    ug = unfold(lambda X: lp_approx_batch(psi, partition, X), partition, m_y)
     m = len(ug.y_nodes)
     Yrep = np.tile(ug.y_nodes, (m, 1))
     total = 0.0
@@ -1080,7 +1028,7 @@ def reference_eval_cells(phi, partition, points_per_axis, m_y=4):
         qv = corner_vals @ wts.T
         pts = unfolding.map_cells(s.shift, part.eps, s.D, cells,
                                   y).reshape(-1, d)
-        fv = phi.exact_eval(pts).reshape(qv.shape)
+        fv = phi(pts).reshape(qv.shape)
         q_all.append(qv.ravel())
         r_all.append((fv - qv).ravel())
         p_all.append(pts)
@@ -1106,7 +1054,7 @@ def reference_remainder_R(phi, partition, grad=None):
             dp, dm = pts.copy(), pts.copy()
             dp[:, ax] += delta
             dm[:, ax] -= delta
-            g[:, ax] = (phi.exact_eval(dp) - phi.exact_eval(dm)) / (2 * delta)
+            g[:, ax] = (phi(dp) - phi(dm)) / (2 * delta)
     grad_norm = math.sqrt(float(np.sum(w * np.sum(g**2, axis=1))))
     return r_norm, grad_norm, float(np.sum(w))
 
@@ -1125,7 +1073,7 @@ class TestRowPassesMatchThePerEntryReference:
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32])
     def test_norm_unfold_minus_identity(self, name, eps):
         part = scenario_partition(name, eps)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, eps / 8)
+        phi = smooth_field()
         got = norm_unfold_minus_identity(phi, part, m_y=4)
         ref = reference_norm_unfold_minus_identity(phi, part, 4)
         assert ref > 0 and abs(got - ref) <= 1e-12 * ref
@@ -1137,16 +1085,15 @@ class TestRowPassesMatchThePerEntryReference:
         psi = (
             lambda X, Y: (np.sin(2 * np.pi * Y[:, 0]) * (1 + 0.5 * X[:, 1])
                           + X[:, 0] * Y[:, 1]))
-        got = norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI, eps / 8)
-        ref = reference_norm_unfold_of_lp_minus_psi(psi, part, 4, LO, HI,
-                                                    eps / 8)
+        got = norm_unfold_of_lp_minus_psi(psi, part, 4)
+        ref = reference_norm_unfold_of_lp_minus_psi(psi, part, 4)
         assert ref > 0 and abs(got - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     @pytest.mark.parametrize("eps", [1 / 8, 1 / 32, 1 / 128])
     def test_eval_cells_and_remainder(self, name, eps):
         part = scenario_partition(name, eps)
-        phi = grid_function_from_callable(smooth_field(), LO, HI, 1 / 128)
+        phi = smooth_field()
         got = interpolate_Q(phi, part).eval_cells(phi, 4)
         ref = reference_eval_cells(phi, part, 4)
         assert len(ref[0]) or eps == 1 / 8
@@ -1164,12 +1111,9 @@ class TestUnfoldingMemory:
 
     def test_smooth_check_peak(self, traced_peak):
         part = scenario_partition("plywood2d", 1 / 128)
-        smooth = grid_function_from_callable(
-            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 128)
         n_cells = sum(len(hat_cells(part, s.n)) for s in part.subdomains)
         peak = traced_peak(lambda: check_integration_identity(
-            smooth, part, 8))
+            sin_sin, part, 8))
         assert peak <= 1.25 * n_cells * 64 * 8
 
     def test_pwc_check_peak(self, traced_peak):
@@ -1188,9 +1132,6 @@ class TestUnfoldingMemory:
 
     def test_remainder_peak(self, traced_peak):
         part = scenario_partition("plywood2d", 1 / 128)
-        smooth = grid_function_from_callable(
-            lambda X: np.sin(np.pi * X[:, 0]) * np.sin(np.pi * X[:, 1]),
-            LO, HI, 1 / 128)
-        r = interpolate_Q(smooth, part).eval_cells(smooth, 4)[1]
-        peak = traced_peak(lambda: remainder_R(smooth, part))
+        r = interpolate_Q(sin_sin, part).eval_cells(sin_sin, 4)[1]
+        peak = traced_peak(lambda: remainder_R(sin_sin, part))
         assert peak <= 7.6 * r.nbytes
